@@ -456,6 +456,9 @@ type statsResponse struct {
 	// PlanCache sums the per-document plan-template caches (chains +
 	// memoized join plans). Omitted when disabled on every document.
 	PlanCache *flexpath.PlanCacheStats `json:"plan_cache,omitempty"`
+	// FTCache sums the per-document full-text result caches (evaluated
+	// contains expressions; bounded per index).
+	FTCache flexpath.CacheStats `json:"ft_cache"`
 	// Planner aggregates the per-document cost-based planner state
 	// behind the Auto algorithm.
 	Planner flexpath.PlannerStats `json:"planner"`
@@ -489,6 +492,7 @@ func (h *handler) stats(w http.ResponseWriter, _ *http.Request) {
 	if ps, ok := h.coll.PlanCacheStats(); ok {
 		resp.PlanCache = &ps
 	}
+	resp.FTCache = h.coll.FullTextCacheStats()
 	resp.Planner = h.coll.PlannerStats()
 	writeJSON(w, http.StatusOK, resp)
 }

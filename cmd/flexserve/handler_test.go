@@ -141,6 +141,9 @@ func TestStatsCacheCounters(t *testing.T) {
 	if st.DocCache == nil {
 		t.Errorf("stats missing doc_cache counters: %s", body)
 	}
+	if !strings.Contains(string(body), `"ft_cache"`) || st.FTCache.Capacity == 0 {
+		t.Errorf("stats missing ft_cache block: %s", body)
+	}
 }
 
 func TestSearchTimeoutReturns504(t *testing.T) {

@@ -50,6 +50,15 @@ type Collection struct {
 	// qc, when set, caches merged collection-level result sets; see
 	// SetCache. Any membership mutation purges it.
 	qc atomic.Pointer[qcache.Cache]
+	// gen is the membership generation: every mutation bumps it under mu
+	// before purging qc. A search stamps itself with the generation it
+	// snapshotted under and stores its ranking only if that is still
+	// current, so a search that straddles a mutation cannot re-insert a
+	// pre-mutation ranking after the purge.
+	gen uint64
+	// beforePut, when set (tests only), runs between a search's
+	// evaluation and its cache put.
+	beforePut func()
 
 	// Residency state (see residency.go): maxResident bounds how many
 	// fault-capable members stay decoded, tick is the logical LRU
@@ -116,6 +125,7 @@ func (c *Collection) Remove(name string) error {
 	for j := i; j < len(c.names); j++ {
 		c.byName[c.names[j]] = j
 	}
+	c.gen++
 	c.mu.Unlock()
 	if qc := c.qc.Load(); qc != nil {
 		qc.Purge()
@@ -143,6 +153,7 @@ func (c *Collection) Replace(name string, doc *Document) error {
 	mem := &member{name: name}
 	mem.doc.Store(doc)
 	c.members[i] = mem
+	c.gen++
 	cacheSet, cacheCap := c.docCacheSet, c.docCacheCap
 	planSet, planCap := c.planCacheSet, c.planCacheCap
 	c.mu.Unlock()
@@ -165,11 +176,32 @@ func (c *Collection) Replace(name string, doc *Document) error {
 // The returned slices are private copies, so the holder is isolated from
 // later mutations (which compact or rewrite the originals in place).
 func (c *Collection) snapshot() (names []string, members []*member) {
+	names, members, _ = c.snapshotGen()
+	return names, members
+}
+
+// snapshotGen is snapshot plus the membership generation the view
+// belongs to.
+func (c *Collection) snapshotGen() (names []string, members []*member, gen uint64) {
 	c.mu.RLock()
 	names = append([]string(nil), c.names...)
 	members = append([]*member(nil), c.members...)
+	gen = c.gen
 	c.mu.RUnlock()
-	return names, members
+	return names, members, gen
+}
+
+// putIfCurrent stores a search's ranking unless the membership has
+// changed since the search took its snapshot. The check and the put
+// share the read lock: a mutation bumps gen under the write lock and
+// purges afterwards, so a put either sees the new generation and is
+// dropped, or lands before the purge and is swept by it.
+func (c *Collection) putIfCurrent(qc *qcache.Cache, gen uint64, key string, val []CollectionAnswer) {
+	c.mu.RLock()
+	if c.gen == gen {
+		qc.Put(key, val)
+	}
+	c.mu.RUnlock()
 }
 
 // snapshotResolved is snapshot with every member resolved to its
@@ -349,6 +381,16 @@ func (c *Collection) DocumentCacheStats() (s CacheStats, ok bool) {
 	return sum, any
 }
 
+// FullTextCacheStats sums the full-text result cache counters of the
+// resident member documents (see Document.FullTextCacheStats).
+func (c *Collection) FullTextCacheStats() CacheStats {
+	var sum CacheStats
+	for _, d := range c.residentDocs() {
+		sum.add(d.FullTextCacheStats())
+	}
+	return sum
+}
+
 // CollectionAnswer is an Answer tagged with the document it came from.
 type CollectionAnswer struct {
 	Answer
@@ -414,7 +456,7 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 	// One consistent membership view for the whole search: a concurrent
 	// Add/Remove/Replace neither blocks behind this search nor changes
 	// which documents it evaluates.
-	names, members := c.snapshot()
+	names, members, gen := c.snapshotGen()
 
 	perDoc := make([][]Answer, len(members))
 	perErr := make([]error, len(members))
@@ -506,9 +548,12 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 		return nil, err
 	}
 	if useCache {
+		if c.beforePut != nil {
+			c.beforePut()
+		}
 		// Store a deep copy so the caller's slice (returned below) and
 		// the cached ranking share no mutable state.
-		qc.Put(key, copyCollectionAnswers(all))
+		c.putIfCurrent(qc, gen, key, copyCollectionAnswers(all))
 	}
 	return all, nil
 }

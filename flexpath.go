@@ -251,6 +251,13 @@ type Document struct {
 	// qc, when set, caches finished top-K result sets keyed by the
 	// normalized query and search options; see SetCache.
 	qc atomic.Pointer[qcache.Cache]
+	// cacheGen counts purgeCache calls (the document left its
+	// collection). A search that was in flight across one must not leave
+	// its result set behind in the purged cache; see SearchContext.
+	cacheGen atomic.Uint64
+	// beforeCachePut, when set (tests only), runs between a search's
+	// evaluation and its cache put.
+	beforeCachePut func()
 
 	// mp, when the document was loaded from an mmap'd FXP3 snapshot,
 	// is the file mapping the document's columns and strings alias.
@@ -542,6 +549,7 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 
 	qc := d.qc.Load()
 	useCache := qc != nil && !opts.NoCache
+	cacheGen := d.cacheGen.Load()
 	var key string
 	if useCache {
 		key = searchCacheKey(q, opts)
@@ -614,7 +622,16 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 		opts.Metrics.AlgoReason = algoReason
 	}
 	if useCache {
+		if d.beforeCachePut != nil {
+			d.beforeCachePut()
+		}
 		qc.Put(key, cachedSearch{results: results, algo: algoName, reason: algoReason})
+		// purgeCache bumps the generation before it purges, so a put
+		// that lost the race to a purge sees the bump here and undoes
+		// itself; one that won is swept by the purge.
+		if d.cacheGen.Load() != cacheGen {
+			qc.Purge()
+		}
 	}
 	return d.buildAnswers(q, results, opts), nil
 }
@@ -722,6 +739,7 @@ func (d *Document) SetCache(capacity int) {
 // intact. Collections call this when the document leaves the corpus, so
 // a long-gone member doesn't pin result sets or join plans.
 func (d *Document) purgeCache() {
+	d.cacheGen.Add(1)
 	if qc := d.qc.Load(); qc != nil {
 		qc.Purge()
 	}
@@ -738,6 +756,13 @@ func (d *Document) CacheStats() (s CacheStats, ok bool) {
 		return CacheStats{}, false
 	}
 	return cacheStatsFrom(qc.Stats()), true
+}
+
+// FullTextCacheStats reports the counters of the document's full-text
+// result cache: the bounded LRU of evaluated contains expressions inside
+// its index, which NoCache does not bypass (plans hold its entries).
+func (d *Document) FullTextCacheStats() CacheStats {
+	return cacheStatsFrom(d.index.CacheStats())
 }
 
 // CacheStats is a snapshot of a query-result cache's counters.

@@ -44,21 +44,30 @@ type Step struct {
 // plan.
 type Chain struct {
 	Original *tpq.Query
-	Closure  *tpq.PredSet
+	// U indexes the predicates of the original query's closure; every
+	// predicate set of the chain is a bitset over it.
+	U *tpq.Universe
 	// Base is the structural score of exact answers.
 	Base  float64
 	Steps []Step
 
 	doc       *xmltree.Document
 	ix        *ir.Index
-	pen       *rank.Penalizer
 	weights   rank.Weights
 	hierarchy *tpq.Hierarchy
-	penaltyOf map[string]float64
-	bitOf     map[string]uint
-	numBits   int
-	tagOf     map[int]string
+	// Per universe index: the penalty of each droppable predicate, and the
+	// signature bit of each dropped one (noBit otherwise).
+	penalty []float64
+	bit     []uint8
+	numBits int
+	// dropped[i] holds the universe indices of Steps[i].Dropped, in the
+	// same order.
+	dropped [][]int32
 }
+
+// noBit marks a predicate without a signature bit: never dropped, or a
+// tag/value predicate that disappeared with its variable.
+const noBit = 0xff
 
 // BuildChain computes the full relaxation chain of q over the given
 // document, index and statistics.
@@ -80,63 +89,65 @@ func BuildChainH(doc *xmltree.Document, ix *ir.Index, st *stats.Stats, w rank.We
 		}
 	}
 	w = foldQueryWeights(w, q)
-	pen := rank.NewPenalizer(st, ix, w, q)
+	u := tpq.NewUniverse(q)
+	pen := rank.NewPenalizer(st, ix, w, u)
 	c := &Chain{
 		Original:  q.Clone(),
 		hierarchy: h,
-		Closure:   tpq.ClosureOf(q),
-		Base:      pen.BaseScore(q),
+		U:         u,
+		Base:      pen.BaseScore(),
 		doc:       doc,
 		ix:        ix,
-		pen:       pen,
 		weights:   w,
-		penaltyOf: make(map[string]float64),
-		bitOf:     make(map[string]uint),
-		tagOf:     make(map[int]string),
+		penalty:   make([]float64, u.Len()),
+		bit:       make([]uint8, u.Len()),
 	}
-	for i := range q.Nodes {
-		c.tagOf[q.Nodes[i].ID] = q.Nodes[i].Tag
-	}
-	rootID := q.Nodes[0].ID
-	for _, p := range c.Closure.List() {
-		if droppable(p, rootID) {
-			c.penaltyOf[p.Key()] = pen.Penalty(p)
+	// Candidates in the order every step tries them: by penalty, ties by
+	// canonical key — which is index order. Penalties never change, so one
+	// sort serves all steps.
+	root := u.VarOf(q.Nodes[0].ID)
+	order := make([]int32, 0, u.Len())
+	for i := 0; i < u.Len(); i++ {
+		c.bit[i] = noBit
+		if droppable(u, i, root) {
+			c.penalty[i] = pen.Penalty(i)
+			order = append(order, int32(i))
 		}
 	}
+	sort.SliceStable(order, func(a, b int) bool { return c.penalty[order[a]] < c.penalty[order[b]] })
 
-	cur := c.Closure.Clone()
-	curQuery := q.Clone()
-	distID := q.Nodes[q.Dist].ID
+	b := chainBuilder{
+		c: c, order: order,
+		cur: u.All(), tentative: u.NewBits(), core: u.NewBits(), scratch: u.NewBits(),
+		curQuery: c.Original,
+		distID:   q.Nodes[q.Dist].ID,
+	}
 	ss := c.Base
 	for {
-		step, ok := c.nextStep(cur, curQuery, distID, rootID)
+		step, idx, ok := b.nextStep()
 		if !ok {
 			break
 		}
-		for _, p := range step.Dropped {
-			cur.Remove(p)
-		}
 		ss -= step.Penalty
 		step.SS = ss
-		distID = step.DistID
-		curQuery = step.Query
 		c.Steps = append(c.Steps, step)
+		c.dropped = append(c.dropped, idx)
 	}
 	// Assign signature bits to dropped predicates in chain order; queries
 	// large enough to exceed 64 tracked predicates share the last bit
 	// (merging buckets, which is harmless).
-	for _, s := range c.Steps {
-		for _, p := range s.Dropped {
-			if p.Kind == tpq.PredTag || p.Kind == tpq.PredValue {
+	for _, idx := range c.dropped {
+		for _, i := range idx {
+			if k := u.Pred(int(i)).Kind; k == tpq.PredTag || k == tpq.PredValue {
 				continue
 			}
-			bit := uint(c.numBits)
+			bit := c.numBits
 			if bit > 63 {
 				bit = 63
 			} else {
 				c.numBits++
 			}
-			c.bitOf[p.Key()] = bit
+			c.bit[i] = uint8(bit)
 		}
 	}
 	if c.numBits > 63 {
@@ -171,132 +182,118 @@ func foldQueryWeights(w rank.Weights, q *tpq.Query) rank.Weights {
 	return w
 }
 
-func droppable(p tpq.Pred, rootID int) bool {
-	switch p.Kind {
+// droppable reports whether chain steps may drop universe predicate i;
+// root is the dense index of the query root.
+func droppable(u *tpq.Universe, i, root int) bool {
+	switch u.Pred(i).Kind {
 	case tpq.PredPC, tpq.PredAD:
 		return true
 	case tpq.PredContains:
 		// The root's contains predicate is never dropped: the loosest
 		// interpretation keeps the full-text search itself (§1, §3.5.4).
-		return p.X != rootID
+		return u.X(i) != root
 	default:
 		return false
 	}
 }
 
+// chainBuilder is the state BuildChainH carries from step to step: the
+// predicates still in force and the scratch sets each candidate is tried
+// in.
+type chainBuilder struct {
+	c     *Chain
+	order []int32 // droppable predicates by (penalty, key)
+	// cur is the current predicate set; tentative, core and scratch are
+	// overwritten per candidate.
+	cur, tentative, core, scratch tpq.Bits
+	curQuery                      *tpq.Query
+	distID                        int
+}
+
 // nextStep finds the lowest-penalty droppable predicate whose removal is a
-// valid relaxation of the current predicate set, per Definition 1/2.
-func (c *Chain) nextStep(cur *tpq.PredSet, curQuery *tpq.Query, distID, rootID int) (Step, bool) {
-	type cand struct {
-		p       tpq.Pred
-		penalty float64
-	}
-	var cands []cand
-	for _, p := range cur.List() {
-		if !droppable(p, rootID) {
-			continue
-		}
-		cands = append(cands, cand{p: p, penalty: c.penaltyOf[p.Key()]})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].penalty != cands[j].penalty {
-			return cands[i].penalty < cands[j].penalty
-		}
-		return cands[i].p.Key() < cands[j].p.Key()
-	})
-	for _, cd := range cands {
-		p := cd.p
+// valid relaxation of the current predicate set, per Definition 1/2, and
+// applies it. It returns the step and the universe indices of its dropped
+// predicates.
+func (b *chainBuilder) nextStep() (Step, []int32, bool) {
+	u := b.c.U
+	for _, oi := range b.order {
+		i := int(oi)
 		// Dropping a derivable predicate yields an equivalent query, not
 		// a relaxation (Definition 1(i)); it may become meaningful after
 		// other predicates are dropped, so it is retried each round.
-		if tpq.Derivable(cur, p) {
+		if !b.cur.Has(i) || u.Derivable(b.cur, i, b.scratch) {
 			continue
 		}
-		tentative := cur.Minus(p)
-		dropped := []tpq.Pred{p}
-		penalty := cd.penalty
-		newDist := distID
+		b.tentative.Copy(b.cur)
+		b.tentative.Clear(i)
+		dropped := []int32{oi}
+		penalty := b.c.penalty[i]
+		newDist := b.distID
 		orphaned := -1
-		if p.Kind == tpq.PredPC || p.Kind == tpq.PredAD {
-			y := p.Y
-			if !hasIncoming(tentative, y) {
-				// y disappears: only valid when it has no structural
-				// children left (leaf deletion, §3.5.2).
-				if hasOutgoing(tentative, y) {
+		if y := u.Y(i); y >= 0 && !b.tentative.Intersects(u.In(y)) {
+			// y disappears: only valid when it has no structural
+			// children left (leaf deletion, §3.5.2).
+			if b.tentative.Intersects(u.Out(y)) {
+				continue
+			}
+			orphaned = y
+			attrs := u.Attrs(y)
+			for r := attrs.Next(0); r >= 0; r = attrs.Next(r + 1) {
+				if !b.tentative.Has(r) {
 					continue
 				}
-				orphaned = y
-				for _, r := range tentative.List() {
-					if r.Kind != tpq.PredPC && r.Kind != tpq.PredAD && r.X == y {
-						tentative.Remove(r)
-						dropped = append(dropped, r)
-						if r.Kind == tpq.PredContains {
-							penalty += c.pen.Penalty(r)
-						}
-					}
-				}
-				if y == distID {
-					// λ moves the distinguished node to the parent.
-					i := curQuery.NodeByID(y)
-					if i <= 0 {
-						continue
-					}
-					newDist = curQuery.Nodes[curQuery.Nodes[i].Parent].ID
+				b.tentative.Clear(r)
+				dropped = append(dropped, int32(r))
+				if u.Pred(r).Kind == tpq.PredContains {
+					penalty += b.c.penalty[r]
 				}
 			}
+			if u.VarID(y) == b.distID {
+				// λ moves the distinguished node to the parent.
+				n := b.curQuery.NodeByID(b.distID)
+				if n <= 0 {
+					continue
+				}
+				newDist = b.curQuery.Nodes[b.curQuery.Nodes[n].Parent].ID
+			}
 		}
-		relaxed, err := tpq.TreeFromPreds(tpq.Core(tentative), newDist)
+		b.core.Copy(b.tentative)
+		u.Core(b.core, b.scratch)
+		relaxed, err := u.Tree(b.core, newDist)
 		if err != nil {
 			continue
 		}
+		b.cur, b.tentative = b.tentative, b.cur
+		b.curQuery, b.distID = relaxed, newDist
+		preds := make([]tpq.Pred, len(dropped))
+		for k, d := range dropped {
+			preds[k] = u.Pred(int(d))
+		}
 		return Step{
-			Dropped: dropped,
+			Dropped: preds,
 			Penalty: penalty,
 			Query:   relaxed,
 			DistID:  newDist,
-			Desc:    c.describe(p, tentative, orphaned),
-		}, true
+			Desc:    b.c.describe(i, orphaned),
+		}, dropped, true
 	}
-	return Step{}, false
+	return Step{}, nil, false
 }
 
-func hasIncoming(s *tpq.PredSet, y int) bool {
-	for _, p := range s.List() {
-		if (p.Kind == tpq.PredPC || p.Kind == tpq.PredAD) && p.Y == y {
-			return true
-		}
-	}
-	return false
-}
-
-func hasOutgoing(s *tpq.PredSet, x int) bool {
-	for _, p := range s.List() {
-		if (p.Kind == tpq.PredPC || p.Kind == tpq.PredAD) && p.X == x {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Chain) describe(p tpq.Pred, after *tpq.PredSet, orphaned int) string {
-	tag := func(id int) string {
-		if t, ok := c.tagOf[id]; ok {
-			return t
-		}
-		return fmt.Sprintf("$%d", id)
-	}
-	switch p.Kind {
+// describe names the relaxation operator dropping universe predicate i
+// corresponds to; orphaned is the dense variable the drop deleted, or -1.
+func (c *Chain) describe(i, orphaned int) string {
+	x := c.U.VarTag(c.U.X(i))
+	switch c.U.Pred(i).Kind {
 	case tpq.PredPC:
-		return fmt.Sprintf("generalize edge %s/%s", tag(p.X), tag(p.Y))
+		return "generalize edge " + x + "/" + c.U.VarTag(c.U.Y(i))
 	case tpq.PredAD:
-		if orphaned == p.Y {
-			return fmt.Sprintf("delete %s", tag(p.Y))
+		if orphaned == c.U.Y(i) {
+			return "delete " + c.U.VarTag(c.U.Y(i))
 		}
-		return fmt.Sprintf("promote %s above %s", tag(p.Y), tag(p.X))
-	case tpq.PredContains:
-		return fmt.Sprintf("promote contains from %s", tag(p.X))
+		return "promote " + c.U.VarTag(c.U.Y(i)) + " above " + x
 	default:
-		return p.Key()
+		return "promote contains from " + x
 	}
 }
 
@@ -329,15 +326,71 @@ func (c *Chain) DistIDAt(j int) int {
 	return c.Steps[j-1].DistID
 }
 
-// DroppedUpTo returns the set of predicates dropped by steps 1..j.
-func (c *Chain) DroppedUpTo(j int) *tpq.PredSet {
-	s := tpq.NewPredSet()
-	for i := 0; i < j; i++ {
-		for _, p := range c.Steps[i].Dropped {
-			s.Add(p)
+// DroppedUpTo returns the set of predicates dropped by steps 1..j, over
+// the chain's universe.
+func (c *Chain) DroppedUpTo(j int) tpq.Bits {
+	s := c.U.NewBits()
+	for _, idx := range c.dropped[:j] {
+		for _, i := range idx {
+			s.Set(int(i))
 		}
 	}
 	return s
+}
+
+// RemainingAt returns the closure predicates still in force after j
+// steps: the closure minus DroppedUpTo(j).
+func (c *Chain) RemainingAt(j int) tpq.Bits {
+	s := c.U.All()
+	for _, idx := range c.dropped[:j] {
+		for _, i := range idx {
+			s.Clear(int(i))
+		}
+	}
+	return s
+}
+
+// ContainsLoc is where one contains predicate of the original query
+// contributes its keyword score at some relaxation level.
+type ContainsLoc struct {
+	// Var is the stable ID of the deepest variable, from the predicate's
+	// original context upward, whose contains predicate survives (the
+	// root when none does).
+	Var int
+	// Class identifies the expression among the chain's universe's
+	// expression classes.
+	Class int
+	Expr  ir.Expr
+}
+
+// ContainsLocsAt returns the keyword-score location of each contains
+// predicate of the original query after j steps, in canonical key order.
+func (c *Chain) ContainsLocsAt(j int) []ContainsLoc { return c.containsLocs(c.RemainingAt(j)) }
+
+// containsLocs is ContainsLocsAt for the given remaining set.
+func (c *Chain) containsLocs(cur tpq.Bits) []ContainsLoc {
+	u := c.U
+	logical := u.Logical()
+	var locs []ContainsLoc
+	for i := logical.Next(0); i >= 0; i = logical.Next(i + 1) {
+		if u.Pred(i).Kind != tpq.PredContains {
+			continue
+		}
+		class := u.Class(i)
+		loc := u.X(i)
+		for loc != -1 {
+			if k := u.ContainsAt(loc, class); k >= 0 && cur.Has(k) {
+				break
+			}
+			loc = u.VarParent(loc)
+		}
+		id := c.Original.Nodes[0].ID
+		if loc != -1 {
+			id = u.VarID(loc)
+		}
+		locs = append(locs, ContainsLoc{Var: id, Class: class, Expr: u.Pred(i).Expr})
+	}
+	return locs
 }
 
 // Weights returns the weight assignment the chain was built with.
@@ -368,8 +421,10 @@ func (c *Chain) String() string {
 // structural weight when no such predicate exists. The data-relaxation
 // baseline scores shortcut matches with it.
 func (c *Chain) PenaltyOfPC(x, y int) float64 {
-	if p, ok := c.penaltyOf[(tpq.Pred{Kind: tpq.PredPC, X: x, Y: y}).Key()]; ok {
-		return p
+	if xv, yv := c.U.VarOf(x), c.U.VarOf(y); xv >= 0 && yv >= 0 {
+		if i := c.U.PC(xv, yv); i >= 0 {
+			return c.penalty[i]
+		}
 	}
 	return c.weights.Structural
 }
@@ -379,8 +434,8 @@ func (c *Chain) PenaltyOfPC(x, y int) float64 {
 // step's bits set satisfies everything that step dropped.
 func (c *Chain) StepBits(j int) uint64 {
 	var mask uint64
-	for _, p := range c.Steps[j-1].Dropped {
-		if bit, ok := c.bitOf[p.Key()]; ok {
+	for _, i := range c.dropped[j-1] {
+		if bit := c.bit[i]; bit != noBit {
 			mask |= 1 << bit
 		}
 	}

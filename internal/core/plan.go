@@ -17,11 +17,9 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 	if j < 0 || j > len(c.Steps) {
 		return nil, fmt.Errorf("core: plan index %d out of range [0,%d]", j, len(c.Steps))
 	}
+	u := c.U
 	dropped := c.DroppedUpTo(j)
-	cur := c.Closure.Clone()
-	for _, p := range dropped.List() {
-		cur.Remove(p)
-	}
+	cur := c.RemainingAt(j)
 
 	orig := c.Original
 	rootID := orig.Nodes[0].ID
@@ -44,7 +42,7 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 			m.parent = orig.Nodes[n.Parent].ID
 			m.depth = metas[n.Parent].depth + 1
 		}
-		m.present = n.ID == rootID || hasIncoming(cur, n.ID)
+		m.present = n.ID == rootID || cur.Intersects(u.In(u.VarOf(n.ID)))
 		metas[i] = m
 		metaByID[n.ID] = &metas[i]
 	}
@@ -104,13 +102,14 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 			// ad ancestor); any other kept incoming ad predicates that the
 			// anchor chain does not imply become explicit checks.
 			var incoming []tpq.Pred
-			for _, p := range cur.List() {
-				if (p.Kind == tpq.PredPC || p.Kind == tpq.PredAD) && p.Y == m.id {
-					incoming = append(incoming, p)
+			in := u.In(u.VarOf(m.id))
+			for i := in.Next(0); i >= 0; i = in.Next(i + 1) {
+				if cur.Has(i) {
+					incoming = append(incoming, u.Pred(i))
 				}
 			}
 			scopeX := -1
-			if cur.HasKey((tpq.Pred{Kind: tpq.PredPC, X: m.parent, Y: m.id}).Key()) {
+			if pc := u.PC(u.VarOf(m.parent), u.VarOf(m.id)); pc >= 0 && cur.Has(pc) {
 				v.Rel = exec.RelParent
 				v.Anchor = planIdx[m.parent]
 				scopeX = m.parent
@@ -151,53 +150,32 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 		vars[i] = v
 	}
 
-	// Keyword-score locations: each of the original query's contains
-	// predicates contributes its IR score at the deepest variable (from
-	// the original context upward) whose contains predicate survives.
-	type ce struct {
-		id    int
-		canon string
-	}
-	ksWeight := map[ce]float64{}
-	for _, p := range tpq.Logical(orig).List() {
-		if p.Kind != tpq.PredContains {
-			continue
-		}
-		loc := p.X
-		for loc != -1 {
-			if cur.HasKey((tpq.Pred{Kind: tpq.PredContains, X: loc, Expr: p.Expr}).Key()) {
-				break
-			}
-			loc = metaByID[loc].parent
-		}
-		if loc == -1 {
-			loc = rootID
-		}
-		ksWeight[ce{loc, p.Expr.Canon()}] += c.weights.Contains
-	}
+	ksWeight := c.ksWeights(cur)
 
 	// Required contains specs (surviving predicates) and optional ones
 	// (dropped predicates, which earn penalties back when still
 	// satisfied).
-	for _, p := range cur.List() {
+	for i := cur.Next(0); i >= 0; i = cur.Next(i + 1) {
+		p := u.Pred(i)
 		if p.Kind != tpq.PredContains {
 			continue
 		}
-		i := planIdx[p.X]
-		vars[i].Contains = append(vars[i].Contains, exec.ContainsSpec{
+		v := planIdx[p.X]
+		vars[v].Contains = append(vars[v].Contains, exec.ContainsSpec{
 			Res:      c.ix.Eval(p.Expr),
 			Required: true,
-			Weight:   ksWeight[ce{p.X, p.Expr.Canon()}],
+			Weight:   ksWeight[ksKey{p.X, u.Class(i)}],
 		})
 	}
-	for _, p := range dropped.List() {
+	for i := dropped.Next(0); i >= 0; i = dropped.Next(i + 1) {
+		p := u.Pred(i)
 		switch p.Kind {
 		case tpq.PredContains:
-			i := planIdx[p.X]
-			vars[i].Contains = append(vars[i].Contains, exec.ContainsSpec{
+			v := planIdx[p.X]
+			vars[v].Contains = append(vars[v].Contains, exec.ContainsSpec{
 				Res:     c.ix.Eval(p.Expr),
-				Penalty: c.penaltyOf[p.Key()],
-				Bit:     c.bitOf[p.Key()],
+				Penalty: c.penalty[i],
+				Bit:     uint(c.bit[i]),
 			})
 		case tpq.PredPC, tpq.PredAD:
 			xi, yi := planIdx[p.X], planIdx[p.Y]
@@ -211,8 +189,8 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 				Other:           other,
 				OtherIsAncestor: otherIsAncestor,
 				Parent:          p.Kind == tpq.PredPC,
-				Penalty:         c.penaltyOf[p.Key()],
-				Bit:             c.bitOf[p.Key()],
+				Penalty:         c.penalty[i],
+				Bit:             uint(c.bit[i]),
 			})
 		}
 	}
@@ -233,6 +211,22 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 	}, nil
 }
 
+// ksKey names a keyword-score location: a variable (stable ID) and an
+// expression class of the chain's universe.
+type ksKey struct{ id, class int }
+
+// ksWeights returns the keyword-score weight each location carries when
+// cur is the remaining predicate set: every contains predicate of the
+// original query contributes the contains weight at the deepest variable
+// (from its original context upward) whose contains predicate survives.
+func (c *Chain) ksWeights(cur tpq.Bits) map[ksKey]float64 {
+	ks := map[ksKey]float64{}
+	for _, l := range c.containsLocs(cur) {
+		ks[ksKey{l.Var, l.Class}] += c.weights.Contains
+	}
+	return ks
+}
+
 // ExactPlanAt builds an ordinary (non-scored) join plan for the relaxed
 // query after j chain steps: every remaining predicate is required and
 // all answers carry the level's uniform structural score. This is the
@@ -245,43 +239,7 @@ func (c *Chain) ExactPlanAt(j int) (*exec.Plan, error) {
 	}
 	q := c.QueryAt(j)
 
-	// Keyword-score locations relative to this level: each original
-	// contains predicate scores at the deepest variable still carrying
-	// it.
-	cur := c.Closure.Clone()
-	for _, p := range c.DroppedUpTo(j).List() {
-		cur.Remove(p)
-	}
-	orig := c.Original
-	parentOf := make(map[int]int, len(orig.Nodes))
-	for i := range orig.Nodes {
-		if orig.Nodes[i].Parent == -1 {
-			parentOf[orig.Nodes[i].ID] = -1
-		} else {
-			parentOf[orig.Nodes[i].ID] = orig.Nodes[orig.Nodes[i].Parent].ID
-		}
-	}
-	type ce struct {
-		id    int
-		canon string
-	}
-	ksWeight := map[ce]float64{}
-	for _, p := range tpq.Logical(orig).List() {
-		if p.Kind != tpq.PredContains {
-			continue
-		}
-		loc := p.X
-		for loc != -1 {
-			if cur.HasKey((tpq.Pred{Kind: tpq.PredContains, X: loc, Expr: p.Expr}).Key()) {
-				break
-			}
-			loc = parentOf[loc]
-		}
-		if loc == -1 {
-			loc = orig.Nodes[0].ID
-		}
-		ksWeight[ce{loc, p.Expr.Canon()}] += c.weights.Contains
-	}
+	ksWeight := c.ksWeights(c.RemainingAt(j))
 
 	vars := make([]exec.VarSpec, len(q.Nodes))
 	for i := range q.Nodes {
@@ -307,7 +265,7 @@ func (c *Chain) ExactPlanAt(j int) (*exec.Plan, error) {
 			v.Contains = append(v.Contains, exec.ContainsSpec{
 				Res:      c.ix.Eval(e),
 				Required: true,
-				Weight:   ksWeight[ce{n.ID, e.Canon()}],
+				Weight:   ksWeight[ksKey{n.ID, c.U.ClassOf(e.Canon())}],
 			})
 		}
 		vars[i] = v

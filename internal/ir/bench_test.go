@@ -44,9 +44,7 @@ func BenchmarkEvalTerm(b *testing.B) {
 	e := MustParseExpr("gold")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.mu.Lock()
-		ix.cache = map[string]*Result{} // force re-evaluation
-		ix.mu.Unlock()
+		ix.cache.Purge() // force re-evaluation
 		ix.Eval(e)
 	}
 }
@@ -56,9 +54,7 @@ func BenchmarkEvalConjunction(b *testing.B) {
 	e := MustParseExpr("gold and silver")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.mu.Lock()
-		ix.cache = map[string]*Result{}
-		ix.mu.Unlock()
+		ix.cache.Purge()
 		ix.Eval(e)
 	}
 }
@@ -68,9 +64,7 @@ func BenchmarkEvalPhrase(b *testing.B) {
 	e := MustParseExpr(`"gold silver"`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.mu.Lock()
-		ix.cache = map[string]*Result{}
-		ix.mu.Unlock()
+		ix.cache.Purge()
 		ix.Eval(e)
 	}
 }

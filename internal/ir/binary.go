@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 
+	"flexpath/internal/qcache"
 	"flexpath/internal/xmltree"
 )
 
@@ -98,7 +99,7 @@ func ReadIndexBinary(doc *xmltree.Document, r io.Reader) (*Index, error) {
 		df:      make(map[string]int),
 		nodeLen: make(map[xmltree.NodeID]int32),
 		scoring: Scoring(scoring),
-		cache:   make(map[string]*Result),
+		cache:   qcache.New(resultCacheEntries),
 	}
 	tn, err := readCount(br)
 	if err != nil {

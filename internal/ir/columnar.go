@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"flexpath/internal/fxp3"
+	"flexpath/internal/qcache"
 	"flexpath/internal/xmltree"
 )
 
@@ -133,7 +134,7 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 		avgLen:    avgLen,
 		textNodes: int(textNodes),
 		scoring:   Scoring(scoring),
-		cache:     make(map[string]*Result),
+		cache:     qcache.New(resultCacheEntries),
 	}
 	for i := 0; i < numNodeLens; i++ {
 		if int(nlNode[i]) < 0 || int(nlNode[i]) >= doc.Len() {

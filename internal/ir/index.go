@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"flexpath/internal/qcache"
 	"flexpath/internal/xmltree"
 )
 
@@ -37,9 +38,15 @@ type IndexOptions struct {
 	Scoring Scoring
 }
 
+// resultCacheEntries bounds the evaluated-expression cache of one index.
+// A stream of never-repeated expressions used to grow it without limit;
+// a relaxation chain and its plans touch a handful of expressions, so a
+// thousand keeps every live query's results resident.
+const resultCacheEntries = 1024
+
 // Index is an element-level inverted index over a document. It is built
 // once and safe for concurrent readers; expression evaluations are cached
-// by canonical form.
+// by canonical form in an LRU of resultCacheEntries results.
 type Index struct {
 	doc       *xmltree.Document
 	post      map[string][]posting
@@ -49,8 +56,7 @@ type Index struct {
 	textNodes int
 	scoring   Scoring
 
-	mu    sync.Mutex
-	cache map[string]*Result
+	cache *qcache.Cache // canonical expression -> *Result
 }
 
 // NewIndex tokenizes the direct text of every element and builds the
@@ -67,7 +73,7 @@ func NewIndexOptions(doc *xmltree.Document, opt IndexOptions) *Index {
 		df:      make(map[string]int),
 		nodeLen: make(map[xmltree.NodeID]int32),
 		scoring: opt.Scoring,
-		cache:   make(map[string]*Result),
+		cache:   qcache.New(resultCacheEntries),
 	}
 	pos := int32(0)
 	lastOwner := make(map[string]xmltree.NodeID)
@@ -122,6 +128,9 @@ type Result struct {
 	doc    *xmltree.Document
 	nodes  []xmltree.NodeID
 	scores []float64
+
+	mu        sync.Mutex
+	tagCounts map[string]int // memo of CountSatisfyingWithTag
 }
 
 // Len returns the number of witness elements.
@@ -176,12 +185,9 @@ func (r *Result) CountWithin(x xmltree.NodeID) int {
 // Results are cached per canonical form.
 func (ix *Index) Eval(e Expr) *Result {
 	key := e.Canon()
-	ix.mu.Lock()
-	if r, ok := ix.cache[key]; ok {
-		ix.mu.Unlock()
-		return r
+	if r, ok := ix.cache.Get(key); ok {
+		return r.(*Result)
 	}
-	ix.mu.Unlock()
 
 	w := ix.eval(e)
 	w = minimalFilter(ix.doc, w)
@@ -194,23 +200,51 @@ func (ix *Index) Eval(e Expr) *Result {
 		r.scores[i] = x.score
 	}
 
-	ix.mu.Lock()
-	ix.cache[key] = r
-	ix.mu.Unlock()
+	ix.cache.Put(key, r)
 	return r
 }
+
+// CacheStats reports the evaluated-expression cache's counters.
+func (ix *Index) CacheStats() qcache.Stats { return ix.cache.Stats() }
 
 // CountSatisfyingWithTag counts the elements with the given tag that
 // satisfy e. It backs the #contains statistics used in contains-promotion
 // penalties.
 func (ix *Index) CountSatisfyingWithTag(tag string, e Expr) int {
-	r := ix.Eval(e)
-	count := 0
-	for _, n := range ix.doc.NodesWithTag(tag) {
-		if r.Satisfies(n) {
+	return ix.Eval(e).CountSatisfyingWithTag(tag)
+}
+
+// CountSatisfyingWithTag counts the elements with the given tag whose
+// subtree contains a witness: #contains(tag, E) of the penalty formulas.
+// The count is computed once per tag — the denominator of one closure
+// predicate's penalty is the numerator of its parent's, and the estimator
+// asks again — by one merge of the tag's node list (document order)
+// against the witness list.
+func (r *Result) CountSatisfyingWithTag(tag string) int {
+	r.mu.Lock()
+	count, ok := r.tagCounts[tag]
+	r.mu.Unlock()
+	if ok {
+		return count
+	}
+	w := 0
+	for _, n := range r.doc.NodesWithTag(tag) {
+		for w < len(r.nodes) && r.nodes[w] < n {
+			w++
+		}
+		if w == len(r.nodes) {
+			break
+		}
+		if r.nodes[w] <= r.doc.End(n) {
 			count++
 		}
 	}
+	r.mu.Lock()
+	if r.tagCounts == nil {
+		r.tagCounts = make(map[string]int)
+	}
+	r.tagCounts[tag] = count
+	r.mu.Unlock()
 	return count
 }
 

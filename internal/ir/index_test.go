@@ -339,3 +339,69 @@ func TestPropertyUpwardClosure(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEvalCacheBounded: a stream of distinct expressions must not grow
+// the result cache past its capacity, and an evicted expression must
+// evaluate to the same answer as before.
+func TestEvalCacheBounded(t *testing.T) {
+	doc := randomTextDoc(rand.New(rand.NewSource(5)))
+	ix := NewIndex(doc)
+	words := []string{"alpha", "beta", "gamma", "delta", "omega"}
+	first := map[string][]xmltree.NodeID{}
+	expr := func(i int) Expr {
+		// Distinct canonical forms over few words: proximity windows.
+		return Near{Words: []string{words[i%5], words[(i/5)%5]}, Window: 1 + i/25}
+	}
+	const n = 10000
+	for i := 0; i < n; i++ {
+		r := ix.Eval(expr(i))
+		if i < 50 {
+			first[expr(i).Canon()] = append([]xmltree.NodeID(nil), r.nodes...)
+		}
+	}
+	st := ix.CacheStats()
+	if st.Entries > st.Capacity || st.Capacity != resultCacheEntries {
+		t.Fatalf("cache holds %d entries, capacity %d (want %d)", st.Entries, st.Capacity, resultCacheEntries)
+	}
+	if st.Misses != n || st.Evictions < n-uint64(st.Capacity) {
+		t.Errorf("stats %+v: want %d misses and at least %d evictions", st, n, n-st.Capacity)
+	}
+	for i := 0; i < 50; i++ {
+		got := ix.Eval(expr(i)).nodes
+		want := first[expr(i).Canon()]
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d witnesses after eviction, %d before", expr(i).Canon(), len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("%s: witness %d changed after eviction", expr(i).Canon(), k)
+			}
+		}
+	}
+}
+
+// TestCountSatisfyingWithTagMatchesScan: the memoised merge count equals
+// the per-node Satisfies scan it replaced, on every tag.
+func TestCountSatisfyingWithTagMatchesScan(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		doc := randomTextDoc(rand.New(rand.NewSource(seed)))
+		ix := NewIndex(doc)
+		for _, src := range []string{"alpha", "alpha and beta", "gamma or omega", `"alpha beta"`} {
+			r := ix.Eval(MustParseExpr(src))
+			for tag := xmltree.TagID(0); int(tag) < doc.NumTags(); tag++ {
+				name := doc.TagNameOf(tag)
+				want := 0
+				for _, n := range doc.NodesWithTag(name) {
+					if r.Satisfies(n) {
+						want++
+					}
+				}
+				for pass := 0; pass < 2; pass++ { // computed, then memoised
+					if got := ix.CountSatisfyingWithTag(name, MustParseExpr(src)); got != want {
+						t.Fatalf("seed %d %q tag %s pass %d: %d, scan says %d", seed, src, name, pass, got, want)
+					}
+				}
+			}
+		}
+	}
+}

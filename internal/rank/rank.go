@@ -139,37 +139,36 @@ func (w Weights) Of(p tpq.Pred) float64 {
 // query's closure, using document statistics (§4.3.1). A penalty measures
 // the context an answer loses by not satisfying the predicate: the higher
 // the fraction of data already satisfying the stronger form, the closer
-// the penalty is to the predicate's full weight.
+// the penalty is to the predicate's full weight. Predicates are named by
+// their index in the query's universe, which also supplies the variables'
+// tags and query parents the formulas need.
 type Penalizer struct {
 	st *stats.Stats
 	ix *ir.Index
 	w  Weights
-	// tagOf and parentOf describe the original query's variables by
-	// stable ID, required by the pc/ad/contains penalty formulas.
-	tagOf    map[int]string
-	parentOf map[int]int
+	u  *tpq.Universe
 }
 
-// NewPenalizer builds a Penalizer for the original query q.
-func NewPenalizer(st *stats.Stats, ix *ir.Index, w Weights, q *tpq.Query) *Penalizer {
-	p := &Penalizer{
-		st: st, ix: ix, w: w,
-		tagOf:    make(map[int]string, len(q.Nodes)),
-		parentOf: make(map[int]int, len(q.Nodes)),
-	}
-	for i := range q.Nodes {
-		n := &q.Nodes[i]
-		p.tagOf[n.ID] = n.Tag
-		if n.Parent == -1 {
-			p.parentOf[n.ID] = -1
-		} else {
-			p.parentOf[n.ID] = q.Nodes[n.Parent].ID
+// NewPenalizer builds a Penalizer for the query u was built from.
+func NewPenalizer(st *stats.Stats, ix *ir.Index, w Weights, u *tpq.Universe) *Penalizer {
+	return &Penalizer{st: st, ix: ix, w: w, u: u}
+}
+
+// weight is Weights.Of for universe predicate i; the key is formatted
+// only once per universe, and looked up only when overrides exist.
+func (p *Penalizer) weight(i int) float64 {
+	if len(p.w.PerPred) > 0 {
+		if v, ok := p.w.PerPred[p.u.Key(i)]; ok {
+			return v
 		}
 	}
-	return p
+	if p.u.Pred(i).Kind == tpq.PredContains {
+		return p.w.Contains
+	}
+	return p.w.Structural
 }
 
-// Penalty returns π(p) for dropping predicate p:
+// Penalty returns π(p) for dropping universe predicate i:
 //
 //	π(pc(i,j))       = #pc(ti,tj) / #ad(ti,tj) · w(p)
 //	π(ad(i,j))       = #ad(ti,tj) / (#(ti) · #(tj)) · w(p)
@@ -178,29 +177,30 @@ func NewPenalizer(st *stats.Stats, ix *ir.Index, w Weights, q *tpq.Query) *Penal
 //
 // Ratios with zero denominators degrade to the full weight (dropping a
 // predicate that the data cannot weaken loses the whole context).
-func (p *Penalizer) Penalty(pred tpq.Pred) float64 {
-	w := p.w.Of(pred)
+func (p *Penalizer) Penalty(i int) float64 {
+	w := p.weight(i)
+	pred := p.u.Pred(i)
 	switch pred.Kind {
 	case tpq.PredPC:
-		ti, tj := p.tagOf[pred.X], p.tagOf[pred.Y]
+		ti, tj := p.u.VarTag(p.u.X(i)), p.u.VarTag(p.u.Y(i))
 		num, den := p.st.PC(ti, tj), p.st.AD(ti, tj)
 		return ratio(num, den) * w
 	case tpq.PredAD:
-		ti, tj := p.tagOf[pred.X], p.tagOf[pred.Y]
+		ti, tj := p.u.VarTag(p.u.X(i)), p.u.VarTag(p.u.Y(i))
 		num := p.st.AD(ti, tj)
 		den := p.st.Count(ti) * p.st.Count(tj)
 		return ratio(num, den) * w
 	case tpq.PredContains:
-		ti := p.tagOf[pred.X]
-		parent, ok := p.parentOf[pred.X]
-		if !ok || parent == -1 {
+		x := p.u.X(i)
+		parent := p.u.VarParent(x)
+		if parent == -1 {
 			// The root's contains predicate is never dropped; a defensive
 			// full-weight penalty keeps scores monotone if it ever is.
 			return w
 		}
-		tl := p.tagOf[parent]
-		num := p.ix.CountSatisfyingWithTag(ti, pred.Expr)
-		den := p.ix.CountSatisfyingWithTag(tl, pred.Expr)
+		res := p.ix.Eval(pred.Expr)
+		num := res.CountSatisfyingWithTag(p.u.VarTag(x))
+		den := res.CountSatisfyingWithTag(p.u.VarTag(parent))
 		return ratio(num, den) * w
 	default:
 		return w
@@ -216,12 +216,14 @@ func ratio(num, den int) float64 {
 
 // BaseScore returns the structural score of an exact answer to the
 // original query: the sum of the weights of the structural predicates
-// present in the query (its tree edges), per §4.3.2.
-func (p *Penalizer) BaseScore(q *tpq.Query) float64 {
+// present in the query (its tree edges), per §4.3.2, added in canonical
+// key order.
+func (p *Penalizer) BaseScore() float64 {
 	total := 0.0
-	for _, pr := range tpq.Logical(q).List() {
-		if pr.Kind == tpq.PredPC || pr.Kind == tpq.PredAD {
-			total += p.w.Of(pr)
+	logical := p.u.Logical()
+	for i := logical.Next(0); i >= 0; i = logical.Next(i + 1) {
+		if k := p.u.Pred(i).Kind; k == tpq.PredPC || k == tpq.PredAD {
+			total += p.weight(i)
 		}
 	}
 	return total

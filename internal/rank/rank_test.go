@@ -74,16 +74,17 @@ func TestPenaltyFormulas(t *testing.T) {
 	doc, st, ix := fixture(t)
 	_ = doc
 	q := tpq.MustParse(`//book[./chapter[./para[.contains("gold")]]]`)
-	pen := NewPenalizer(st, ix, UniformWeights(), q)
+	u := tpq.NewUniverse(q)
+	pen := NewPenalizer(st, ix, UniformWeights(), u)
 
 	// π(pc(book,chapter)) = #pc/#ad * w = 2/3.
-	got := pen.Penalty(tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2})
+	got := pen.Penalty(u.Index(tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2}))
 	if want := 2.0 / 3.0; !close(got, want) {
 		t.Errorf("pc penalty = %f, want %f", got, want)
 	}
 
 	// π(ad(book,chapter)) = #ad / (#book * #chapter) = 3/(3*3) = 1/3.
-	got = pen.Penalty(tpq.Pred{Kind: tpq.PredAD, X: 1, Y: 2})
+	got = pen.Penalty(u.Index(tpq.Pred{Kind: tpq.PredAD, X: 1, Y: 2}))
 	if want := 1.0 / 3.0; !close(got, want) {
 		t.Errorf("ad penalty = %f, want %f", got, want)
 	}
@@ -91,7 +92,7 @@ func TestPenaltyFormulas(t *testing.T) {
 	// π(contains(para)) = #contains(para,gold)/#contains(chapter,gold) =
 	// 2/2 = 1 (every chapter containing gold has a para containing it).
 	e := q.Nodes[2].Contains[0]
-	got = pen.Penalty(tpq.Pred{Kind: tpq.PredContains, X: 3, Expr: e})
+	got = pen.Penalty(u.Index(tpq.Pred{Kind: tpq.PredContains, X: 3, Expr: e}))
 	if want := 1.0; !close(got, want) {
 		t.Errorf("contains penalty = %f, want %f", got, want)
 	}
@@ -100,14 +101,15 @@ func TestPenaltyFormulas(t *testing.T) {
 func TestPenaltyZeroDenominator(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./nosuch]`)
-	pen := NewPenalizer(st, ix, UniformWeights(), q)
+	u := tpq.NewUniverse(q)
+	pen := NewPenalizer(st, ix, UniformWeights(), u)
 	// Tags that never co-occur degrade to the full weight.
-	if got := pen.Penalty(tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2}); got != 1 {
+	if got := pen.Penalty(u.Index(tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2})); got != 1 {
 		t.Errorf("degenerate pc penalty = %f, want 1", got)
 	}
 	// #nosuch = 0 makes the denominator 0, so the penalty degrades to the
 	// full weight.
-	if got := pen.Penalty(tpq.Pred{Kind: tpq.PredAD, X: 1, Y: 2}); got != 1 {
+	if got := pen.Penalty(u.Index(tpq.Pred{Kind: tpq.PredAD, X: 1, Y: 2})); got != 1 {
 		t.Errorf("degenerate ad penalty = %f, want 1", got)
 	}
 }
@@ -115,12 +117,13 @@ func TestPenaltyZeroDenominator(t *testing.T) {
 func TestPenaltiesInUnitInterval(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./chapter[./para[.contains("gold")]] and ./title]`)
-	pen := NewPenalizer(st, ix, UniformWeights(), q)
+	u := tpq.NewUniverse(q)
+	pen := NewPenalizer(st, ix, UniformWeights(), u)
 	for _, p := range tpq.ClosureOf(q).List() {
 		if p.Kind == tpq.PredTag || p.Kind == tpq.PredValue {
 			continue
 		}
-		got := pen.Penalty(p)
+		got := pen.Penalty(u.Index(p))
 		if got < 0 || got > 1+1e-9 {
 			t.Errorf("penalty(%s) = %f outside [0,1]", p.Key(), got)
 		}
@@ -130,15 +133,16 @@ func TestPenaltiesInUnitInterval(t *testing.T) {
 func TestBaseScore(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./chapter[./para] and .//title]`)
-	pen := NewPenalizer(st, ix, UniformWeights(), q)
+	u := tpq.NewUniverse(q)
+	pen := NewPenalizer(st, ix, UniformWeights(), u)
 	// Three edges, uniform weight 1.
-	if got := pen.BaseScore(q); got != 3 {
+	if got := pen.BaseScore(); got != 3 {
 		t.Errorf("BaseScore = %f, want 3", got)
 	}
 	w := UniformWeights()
 	w.Structural = 2
-	pen = NewPenalizer(st, ix, w, q)
-	if got := pen.BaseScore(q); got != 6 {
+	pen = NewPenalizer(st, ix, w, u)
+	if got := pen.BaseScore(); got != 6 {
 		t.Errorf("BaseScore with weight 2 = %f, want 6", got)
 	}
 }
@@ -162,7 +166,8 @@ func TestPerPredWeightOverride(t *testing.T) {
 func TestOrderInvariance(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./chapter[./para[.contains("gold")]] and ./title]`)
-	pen := NewPenalizer(st, ix, UniformWeights(), q)
+	u := tpq.NewUniverse(q)
+	pen := NewPenalizer(st, ix, UniformWeights(), u)
 	preds := tpq.ClosureOf(q).List()
 	var droppable []tpq.Pred
 	for _, p := range preds {
@@ -171,9 +176,9 @@ func TestOrderInvariance(t *testing.T) {
 		}
 	}
 	score := func(order []int, k int) float64 {
-		ss := pen.BaseScore(q)
+		ss := pen.BaseScore()
 		for _, i := range order[:k] {
-			ss -= pen.Penalty(droppable[i])
+			ss -= pen.Penalty(u.Index(droppable[i]))
 		}
 		return ss
 	}

@@ -510,39 +510,13 @@ type ksPart struct {
 func newKSScorer(chain *core.Chain, level int, q *tpq.Query, ok [][]xmltree.NodeID) *ksScorer {
 	s := &ksScorer{chain: chain, doc: chain.Doc()}
 	w := chain.Weights()
-	cur := chain.Closure.Clone()
-	for _, p := range chain.DroppedUpTo(level).List() {
-		cur.Remove(p)
-	}
-	orig := chain.Original
-	parentOf := make(map[int]int, len(orig.Nodes))
-	for i := range orig.Nodes {
-		if orig.Nodes[i].Parent == -1 {
-			parentOf[orig.Nodes[i].ID] = -1
-		} else {
-			parentOf[orig.Nodes[i].ID] = orig.Nodes[orig.Nodes[i].Parent].ID
-		}
-	}
-	for _, p := range tpq.Logical(orig).List() {
-		if p.Kind != tpq.PredContains {
-			continue
-		}
-		loc := p.X
-		for loc != -1 {
-			if cur.HasKey((tpq.Pred{Kind: tpq.PredContains, X: loc, Expr: p.Expr}).Key()) {
-				break
-			}
-			loc = parentOf[loc]
-		}
-		if loc == -1 {
-			loc = orig.Nodes[0].ID
-		}
-		idx := q.NodeByID(loc)
+	for _, l := range chain.ContainsLocsAt(level) {
+		idx := q.NodeByID(l.Var)
 		if idx < 0 {
 			continue
 		}
 		part := ksPart{
-			res:     chain.Index().Eval(p.Expr),
+			res:     chain.Index().Eval(l.Expr),
 			weight:  w.Contains,
 			matches: ok[idx],
 			isDist:  idx == q.Dist,

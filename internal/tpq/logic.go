@@ -1,8 +1,8 @@
 package tpq
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"flexpath/internal/ir"
@@ -37,16 +37,21 @@ type Pred struct {
 func (p Pred) Key() string {
 	switch p.Kind {
 	case PredPC:
-		return fmt.Sprintf("pc($%d,$%d)", p.X, p.Y)
+		return "pc($" + strconv.Itoa(p.X) + ",$" + strconv.Itoa(p.Y) + ")"
 	case PredAD:
-		return fmt.Sprintf("ad($%d,$%d)", p.X, p.Y)
+		return "ad($" + strconv.Itoa(p.X) + ",$" + strconv.Itoa(p.Y) + ")"
 	case PredTag:
-		return fmt.Sprintf("tag($%d)=%s", p.X, p.Tag)
+		return "tag($" + strconv.Itoa(p.X) + ")=" + p.Tag
 	case PredContains:
-		return fmt.Sprintf("contains($%d,%s)", p.X, p.Expr.Canon())
+		return containsKey(p.X, p.Expr.Canon())
 	default:
-		return fmt.Sprintf("value($%d,%s)", p.X, p.VP.String())
+		return "value($" + strconv.Itoa(p.X) + "," + p.VP.String() + ")"
 	}
+}
+
+// containsKey is the key of contains($x, e) for e's canonical form.
+func containsKey(x int, canon string) string {
+	return "contains($" + strconv.Itoa(x) + "," + canon + ")"
 }
 
 // String implements fmt.Stringer.
@@ -108,6 +113,15 @@ func (s *PredSet) List() []Pred {
 	out := make([]Pred, len(keys))
 	for i, k := range keys {
 		out[i] = s.m[k]
+	}
+	return out
+}
+
+// preds returns the predicates in no particular order.
+func (s *PredSet) preds() []Pred {
+	out := make([]Pred, 0, len(s.m))
+	for _, p := range s.m {
+		out = append(out, p)
 	}
 	return out
 }
@@ -177,89 +191,43 @@ func Logical(q *Query) *PredSet {
 //	ad(x,y), ad(y,z)              |- ad(x,z)
 //	ad(x,y), contains(y, FTExp)   |- contains(x, FTExp)
 //
-// The input set is not modified.
+// The input set is not modified. This and the functions below are
+// PredSet-level conveniences over the Universe kernel, which indexes the
+// closure once and works on bitsets; code that visits many sets of one
+// query (the relaxation chain) uses the Universe directly.
 func Closure(s *PredSet) *PredSet {
-	out := s.Clone()
-	for {
-		changed := false
-		preds := out.List()
-		// Rule 1: pc |- ad.
-		for _, p := range preds {
-			if p.Kind == PredPC {
-				if out.Add(Pred{Kind: PredAD, X: p.X, Y: p.Y}) {
-					changed = true
-				}
-			}
-		}
-		preds = out.List()
-		// Rule 2: ad transitivity.
-		for _, p := range preds {
-			if p.Kind != PredAD {
-				continue
-			}
-			for _, r := range preds {
-				if r.Kind == PredAD && r.X == p.Y {
-					if out.Add(Pred{Kind: PredAD, X: p.X, Y: r.Y}) {
-						changed = true
-					}
-				}
-			}
-		}
-		preds = out.List()
-		// Rule 3: contains propagates to ancestors.
-		for _, p := range preds {
-			if p.Kind != PredAD {
-				continue
-			}
-			for _, r := range preds {
-				if r.Kind == PredContains && r.X == p.Y {
-					if out.Add(Pred{Kind: PredContains, X: p.X, Expr: r.Expr}) {
-						changed = true
-					}
-				}
-			}
-		}
-		if !changed {
-			return out
-		}
-	}
+	u := newUniverse(s.preds())
+	return u.PredSetOf(u.All())
 }
 
 // ClosureOf returns the closure of a query's logical form.
-func ClosureOf(q *Query) *PredSet { return Closure(Logical(q)) }
+func ClosureOf(q *Query) *PredSet {
+	u := NewUniverse(q)
+	return u.PredSetOf(u.All())
+}
 
 // Derivable reports whether p can be derived from s \ {p} using the
 // inference rules; such a predicate is redundant (§3.2).
 func Derivable(s *PredSet, p Pred) bool {
-	rest := s.Minus(p)
-	return Closure(rest).Has(p)
+	u := newUniverse(s.preds())
+	i := u.Index(p)
+	return i >= 0 && u.Derivable(u.Logical(), i, u.NewBits())
 }
 
 // Core returns the unique minimal predicate set equivalent to s (§3.2,
 // Theorem 1): the closure of s with every redundant predicate removed.
 // Removal proceeds in canonical key order; Theorem 1 guarantees the result
 // is order-independent (the property tests verify this empirically).
-func Core(s *PredSet) *PredSet {
-	cur := Closure(s)
-	for {
-		removed := false
-		for _, p := range cur.List() {
-			if p.Kind != PredPC && p.Kind != PredAD && p.Kind != PredContains {
-				continue // tag and value predicates are never derivable
-			}
-			if Derivable(cur, p) {
-				cur.Remove(p)
-				removed = true
-			}
-		}
-		if !removed {
-			return cur
-		}
-	}
-}
+func Core(s *PredSet) *PredSet { return coreOfAll(newUniverse(s.preds())) }
 
 // CoreOf returns the core of a query's closure.
-func CoreOf(q *Query) *PredSet { return Core(ClosureOf(q)) }
+func CoreOf(q *Query) *PredSet { return coreOfAll(NewUniverse(q)) }
+
+func coreOfAll(u *Universe) *PredSet {
+	b := u.All()
+	u.Core(b, u.NewBits())
+	return u.PredSetOf(b)
+}
 
 // TreeFromPreds reconstructs a tree pattern query from a minimal predicate
 // set (typically a Core result). distID is the stable ID of the
@@ -269,113 +237,6 @@ func CoreOf(q *Query) *PredSet { return Core(ClosureOf(q)) }
 // (these are exactly the conditions under which dropping predicates does
 // not yield a valid structural relaxation, §3.3).
 func TreeFromPreds(s *PredSet, distID int) (*Query, error) {
-	type varInfo struct {
-		tag      string
-		contains []ir.Expr
-		values   []ValuePred
-		parent   int // variable ID, -1 unknown
-		axis     Axis
-		incoming int
-	}
-	vars := map[int]*varInfo{}
-	get := func(id int) *varInfo {
-		if v, ok := vars[id]; ok {
-			return v
-		}
-		v := &varInfo{parent: -1}
-		vars[id] = v
-		return v
-	}
-	for _, p := range s.List() {
-		switch p.Kind {
-		case PredTag:
-			get(p.X).tag = p.Tag
-		case PredContains:
-			v := get(p.X)
-			v.contains = append(v.contains, p.Expr)
-		case PredValue:
-			v := get(p.X)
-			v.values = append(v.values, p.VP)
-		case PredPC, PredAD:
-			get(p.X)
-			v := get(p.Y)
-			v.incoming++
-			v.parent = p.X
-			if p.Kind == PredPC {
-				v.axis = Child
-			} else {
-				v.axis = Descendant
-			}
-		}
-	}
-	// pc(x,y) and ad(x,y) together count as one edge: pc dominates.
-	for id, v := range vars {
-		if v.incoming == 2 &&
-			s.HasKey(Pred{Kind: PredPC, X: v.parent, Y: id}.Key()) &&
-			s.HasKey(Pred{Kind: PredAD, X: v.parent, Y: id}.Key()) {
-			v.incoming = 1
-			v.axis = Child
-		}
-	}
-	roots := 0
-	for id, v := range vars {
-		if v.tag == "" {
-			return nil, fmt.Errorf("tpq: variable $%d has no tag predicate", id)
-		}
-		switch v.incoming {
-		case 0:
-			roots++
-		case 1:
-		default:
-			return nil, fmt.Errorf("tpq: variable $%d has %d incoming structural edges", id, v.incoming)
-		}
-	}
-	if roots != 1 {
-		return nil, fmt.Errorf("tpq: predicate set has %d roots, want 1", roots)
-	}
-	if _, ok := vars[distID]; !ok {
-		return nil, fmt.Errorf("tpq: distinguished variable $%d not present", distID)
-	}
-	// Assemble in ID order; normalize fixes pre-order. Detect cycles while
-	// resolving parents.
-	ids := make([]int, 0, len(vars))
-	for id := range vars {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	idxOf := make(map[int]int, len(ids))
-	q := &Query{}
-	for _, id := range ids {
-		idxOf[id] = len(q.Nodes)
-		q.Nodes = append(q.Nodes, Node{ID: id})
-	}
-	for _, id := range ids {
-		v := vars[id]
-		n := &q.Nodes[idxOf[id]]
-		n.Tag = v.tag
-		n.Contains = v.contains
-		n.Values = v.values
-		n.Axis = v.axis
-		if v.parent == -1 {
-			n.Parent = -1
-		} else {
-			n.Parent = idxOf[v.parent]
-		}
-	}
-	// Cycle check: walk up from each node.
-	for i := range q.Nodes {
-		seen := map[int]bool{}
-		for j := i; j != -1; j = q.Nodes[j].Parent {
-			if seen[j] {
-				return nil, fmt.Errorf("tpq: predicate set contains a cycle")
-			}
-			seen[j] = true
-		}
-	}
-	q.Dist = idxOf[distID]
-	q.normalize()
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return q, nil
+	u := newUniverse(s.preds())
+	return u.Tree(u.Logical(), distID)
 }

@@ -162,7 +162,7 @@ func (q *Query) Validate() error {
 	if q.Nodes[0].Parent != -1 {
 		return fmt.Errorf("tpq: node 0 is not the root")
 	}
-	ids := make(map[int]bool, len(q.Nodes))
+	ids := make([]int, len(q.Nodes))
 	for i, n := range q.Nodes {
 		if i > 0 && (n.Parent < 0 || n.Parent >= i) {
 			return fmt.Errorf("tpq: node %d has invalid parent %d (not pre-order)", i, n.Parent)
@@ -170,12 +170,15 @@ func (q *Query) Validate() error {
 		if i > 0 && n.Parent == -1 {
 			return fmt.Errorf("tpq: multiple roots")
 		}
-		if ids[n.ID] {
-			return fmt.Errorf("tpq: duplicate variable id $%d", n.ID)
-		}
-		ids[n.ID] = true
+		ids[i] = n.ID
 		if n.Tag == "" {
 			return fmt.Errorf("tpq: node $%d has no tag", n.ID)
+		}
+	}
+	sort.Ints(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("tpq: duplicate variable id $%d", ids[i])
 		}
 	}
 	if q.Dist < 0 || q.Dist >= len(q.Nodes) {
@@ -190,6 +193,7 @@ func (q *Query) Validate() error {
 func (q *Query) Normalize() { q.normalize() }
 
 func (q *Query) normalize() {
+	n := len(q.Nodes)
 	rootIdx := -1
 	for i := range q.Nodes {
 		if q.Nodes[i].Parent == -1 {
@@ -200,38 +204,62 @@ func (q *Query) normalize() {
 	if rootIdx == -1 {
 		return
 	}
-	children := make(map[int][]int, len(q.Nodes))
-	for i := range q.Nodes {
+	// One scratch block: node indexes by ID, each node's first child and
+	// next sibling (children linked in ID order), the pre-order, and the
+	// old-to-new index map.
+	scratch := make([]int, 5*n)
+	byID, first, next := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+	order, oldToNew := scratch[3*n:3*n:4*n], scratch[4*n:]
+	for i := range byID {
+		byID[i] = i
+		first[i] = -1
+	}
+	// Insertion sort: IDs are assigned in parse order and relaxations
+	// keep nodes nearly sorted, so this is linear in practice.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && q.Nodes[byID[j]].ID < q.Nodes[byID[j-1]].ID; j-- {
+			byID[j], byID[j-1] = byID[j-1], byID[j]
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		i := byID[k]
 		if p := q.Nodes[i].Parent; p != -1 {
-			children[p] = append(children[p], i)
+			next[i] = first[p]
+			first[p] = i
 		}
 	}
-	for _, cs := range children {
-		sort.Slice(cs, func(a, b int) bool { return q.Nodes[cs[a]].ID < q.Nodes[cs[b]].ID })
-	}
-	order := make([]int, 0, len(q.Nodes))
-	var visit func(int)
-	visit = func(i int) {
+	// Pre-order walk; byID is free again and serves as the stack.
+	stack := append(byID[:0], rootIdx)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		order = append(order, i)
-		for _, c := range children[i] {
-			visit(c)
+		// Push children in reverse so the smallest ID is visited first.
+		mark := len(stack)
+		for c := first[i]; c != -1; c = next[c] {
+			stack = append(stack, c)
+		}
+		for l, r := mark, len(stack)-1; l < r; l, r = l+1, r-1 {
+			stack[l], stack[r] = stack[r], stack[l]
 		}
 	}
-	visit(rootIdx)
-	oldToNew := make(map[int]int, len(order))
 	for newIdx, oldIdx := range order {
 		oldToNew[oldIdx] = newIdx
 	}
 	newNodes := make([]Node, len(order))
 	for newIdx, oldIdx := range order {
-		n := q.Nodes[oldIdx]
-		if n.Parent != -1 {
-			n.Parent = oldToNew[n.Parent]
+		nd := q.Nodes[oldIdx]
+		if nd.Parent != -1 {
+			nd.Parent = oldToNew[nd.Parent]
 		}
-		newNodes[newIdx] = n
+		newNodes[newIdx] = nd
 	}
 	q.Nodes = newNodes
-	q.Dist = oldToNew[q.Dist]
+	if q.Dist >= 0 && q.Dist < n {
+		q.Dist = oldToNew[q.Dist]
+	} else {
+		q.Dist = 0
+	}
 }
 
 // String renders the query in the paper's XPath-like syntax.

@@ -262,3 +262,89 @@ func TestConcurrentMutateSearchStress(t *testing.T) {
 		t.Errorf("search after stress: %v", err)
 	}
 }
+
+// A search that straddles a mutation must not re-insert its pre-mutation
+// ranking after the mutation purged the cache: the next search has to see
+// the new corpus. The hook runs the mutation between the search's
+// evaluation and its cache put — the window the generation stamp closes.
+func TestStalePutAfterPurge(t *testing.T) {
+	repl, err := LoadString(`<journal><article id="new1"><section><algorithm>z</algorithm>
+	  <paragraph>XML streaming rewrite</paragraph></section></article></journal>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery(paperQ1)
+	opts := SearchOptions{K: 10}
+	for _, mutate := range []struct {
+		name string
+		do   func(c *Collection) error
+	}{
+		{"replace", func(c *Collection) error { return c.Replace("a.xml", repl) }},
+		{"remove", func(c *Collection) error { return c.Remove("a.xml") }},
+		{"add", func(c *Collection) error { return c.Add("c.xml", repl) }},
+	} {
+		t.Run(mutate.name, func(t *testing.T) {
+			c := testCollection(t)
+			c.SetCache(16)
+			c.beforePut = func() {
+				c.beforePut = nil
+				if err := mutate.do(c); err != nil {
+					t.Error(err)
+				}
+			}
+			// Concurrent readers keep the race detector looking at the
+			// generation and the cache while the straddling search runs.
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := c.Search(q, SearchOptions{K: 5, NoCache: true}); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			if _, err := c.Search(q, opts); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			if cs, _ := c.CacheStats(); cs.Entries != 0 {
+				t.Fatalf("straddling search left %d cache entries behind the purge", cs.Entries)
+			}
+			got, err := c.Search(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nc := opts
+			nc.NoCache = true
+			want, err := c.Search(q, nc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("search after the mutation returned the stale ranking:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// The per-document cache has the same window: a document that left its
+// collection (purgeCache) must not be re-populated by a search that was
+// already evaluating against it.
+func TestDocumentStalePutAfterPurge(t *testing.T) {
+	d, err := LoadString(collDocA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetCache(16)
+	d.beforeCachePut = func() {
+		d.beforeCachePut = nil
+		d.purgeCache()
+	}
+	if _, err := d.Search(MustParseQuery(paperQ1), SearchOptions{K: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := d.CacheStats(); cs.Entries != 0 {
+		t.Fatalf("straddling search left %d entries in the purged document cache", cs.Entries)
+	}
+}

@@ -309,6 +309,7 @@ func (c *Collection) register(name string, mem *member, mp *mmapio.Mapping) erro
 	if mp != nil {
 		c.mappings = append(c.mappings, mp)
 	}
+	c.gen++
 	c.mu.Unlock()
 	if qc := c.qc.Load(); qc != nil {
 		qc.Purge()
