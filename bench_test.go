@@ -8,6 +8,7 @@ package flexpath
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -302,5 +303,60 @@ func BenchmarkIRFirstCrossover(b *testing.B) {
 				runEvaluate(d, q, true)
 			}
 		})
+	}
+}
+
+// benchColdMember saves a 512 KB document as FXP3 and adds it cold to a
+// collection capped at one resident member.
+func benchColdMember(b *testing.B) (*Collection, *member, string) {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "m.fxp3")
+	if err := benchDoc(b, 512).SaveFXP3SnapshotFile(path); err != nil {
+		b.Fatal(err)
+	}
+	c := NewCollection()
+	b.Cleanup(func() { c.Close() }) //nolint:errcheck
+	if err := c.AddSnapshotFile("m", path); err != nil {
+		b.Fatal(err)
+	}
+	_, members := c.snapshot()
+	return c, members[0], path
+}
+
+// BenchmarkFaultIn times a member's first fault: map, parse the
+// directory, checksum and validate every section once, slice the columns.
+func BenchmarkFaultIn(b *testing.B) {
+	_, _, path := benchColdMember(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewCollection()
+		if err := c.AddSnapshotFile("m", path); err != nil {
+			b.Fatal(err)
+		}
+		_, members := c.snapshot()
+		if _, err := c.require(members[0], nil); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		c.Close() //nolint:errcheck
+		b.StartTimer()
+	}
+}
+
+// BenchmarkRefault times what coll_cold pays 32 times per search: an
+// already checksummed and validated member is evicted and faulted again.
+func BenchmarkRefault(b *testing.B) {
+	c, m, _ := benchColdMember(b)
+	if _, err := c.require(m, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.doc.Store(nil)
+		if _, err := c.require(m, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -655,6 +655,9 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 		"Cold documents decoded on demand by a search.", float64(rs.Faults))
 	obs.WriteMetric(w, "flexpath_resident_evictions_total", "counter",
 		"Documents evicted by the residency cap (decoded state dropped, mapping kept).", float64(rs.Evictions))
+	obs.WriteMetric(w, "flexpath_resident_fault_seconds_total", "counter",
+		"Time callers spent faulting cold documents in (decoding, or waiting for the search that was).",
+		time.Duration(rs.FaultNanos).Seconds())
 
 	fmt.Fprintln(w, "# HELP flexpath_documents Documents being served.")
 	fmt.Fprintln(w, "# TYPE flexpath_documents gauge")

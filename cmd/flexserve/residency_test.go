@@ -79,6 +79,9 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 	if st.Residency.Resident > 1 || st.Residency.Faults != 3 || st.Residency.Evictions < 2 {
 		t.Fatalf("residency after search: %+v", st.Residency)
 	}
+	if st.Residency.FaultNanos <= 0 || !strings.Contains(string(body), `"fault_nanos"`) {
+		t.Fatalf("three faults took no time: %+v", st.Residency)
+	}
 
 	resp, body = get(t, srv.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -100,7 +103,8 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 	}
 	// Gauges whose value moves with the working set are present even
 	// when we can't pin the exact number.
-	for _, want := range []string{"flexpath_resident_docs ", "flexpath_resident_docs_cold ", "flexpath_resident_evictions_total "} {
+	for _, want := range []string{"flexpath_resident_docs ", "flexpath_resident_docs_cold ", "flexpath_resident_evictions_total ",
+		"flexpath_resident_fault_seconds_total ", `flexpath_stage_duration_seconds_count{stage="fault"} 1`} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing family %q", want)
 		}

@@ -69,6 +69,11 @@ type Collection struct {
 	tick        atomic.Int64
 	faults      atomic.Uint64
 	evictions   atomic.Uint64
+	faultNanos  atomic.Int64
+	// validations counts first faults: the faults that ran a snapshot's
+	// one structural validation pass (tests assert it stays at one per
+	// member however often members cycle).
+	validations atomic.Uint64
 	evictMu     sync.Mutex
 	mappings    []*mmapio.Mapping
 }
@@ -211,7 +216,7 @@ func (c *Collection) snapshotResolved() ([]string, []*Document, error) {
 	names, members := c.snapshot()
 	docs := make([]*Document, len(members))
 	for i, m := range members {
-		d, err := c.require(m)
+		d, err := c.require(m, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("flexpath: document %q: %w", names[i], err)
 		}
@@ -291,7 +296,7 @@ func (c *Collection) Document(name string) (*Document, bool) {
 	if mem == nil {
 		return nil, false
 	}
-	d, err := c.require(mem)
+	d, err := c.require(mem, nil)
 	if err != nil {
 		return nil, false
 	}
@@ -466,7 +471,7 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 		// valid for this search even if the residency cap evicts the
 		// member before the search finishes (eviction drops the
 		// member's pointer, not the document or its mapping).
-		d, err := c.require(members[i])
+		d, err := c.require(members[i], span)
 		if err != nil {
 			perErr[i] = err
 			return

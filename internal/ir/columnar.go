@@ -3,32 +3,32 @@ package ir
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"flexpath/internal/fxp3"
 	"flexpath/internal/qcache"
+	"flexpath/internal/varint"
 	"flexpath/internal/xmltree"
 )
 
-// Columnar (FXP3) persistence for the inverted index. The postings —
-// the index's dominant memory — are written as one flat array of
-// (node, pos) pairs that DecodeColumnar views in place over the mmap'd
-// snapshot: each term's []posting is a subslice of the mapped bytes, and
-// term strings intern the term blob without copying. Only the lookup
-// maps (term → postings/df, node → length) live on the heap.
+// Columnar (FXP3) persistence for the inverted index. The index section
+// is the Index's own columns written out, so DecodeColumnar over an
+// mmap'd snapshot only slices: the dictionary, the posting array and the
+// node lengths all alias the snapshot bytes and the heap holds the Index
+// header and its (empty) result cache.
 //
 // Payload layout (fxp3.Enc framing):
 //
 //	u64 scoring, u64 textNodes, f64 avgLen
 //	u64 numNodeLens
-//	col nlNode [numNodeLens]i32   sorted by node
+//	col nlNode [numNodeLens]i32   strictly increasing
 //	col nlLen  [numNodeLens]i32
 //	u64 numTerms
-//	col termOff [numTerms+1]u64   offsets into termBlob (terms sorted)
-//	col termBlob
-//	col df      [numTerms]i32
+//	col termOff [numTerms+1]u64   offsets into termBlob
+//	col termBlob                  terms strictly increasing
+//	col df      [numTerms]i32     distinct nodes among the term's postings
 //	col postOff [numTerms+1]u64   prefix posting counts
-//	col postings [total]{i32 node, i32 pos}
+//	col postings [total]{i32 node, i32 pos}  per term: node non-decreasing,
+//	                                         pos strictly increasing
 
 // EncodeColumnar renders the index as an FXP3 index-section payload.
 func (ix *Index) EncodeColumnar() []byte {
@@ -36,58 +36,24 @@ func (ix *Index) EncodeColumnar() []byte {
 	e.U64(uint64(ix.scoring))
 	e.U64(uint64(ix.textNodes))
 	e.F64(ix.avgLen)
-
-	nodes := make([]xmltree.NodeID, 0, len(ix.nodeLen))
-	for n := range ix.nodeLen {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	lens := make([]int32, len(nodes))
-	for i, n := range nodes {
-		lens[i] = ix.nodeLen[n]
-	}
-	e.U64(uint64(len(nodes)))
-	fxp3.ColI32(e, nodes)
-	fxp3.ColI32(e, lens)
-
-	terms := make([]string, 0, len(ix.post))
-	for t := range ix.post {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	e.U64(uint64(len(terms)))
-	termOff := make([]uint64, 0, len(terms)+1)
-	termOff = append(termOff, 0)
-	var termBlob []byte
-	df := make([]int32, len(terms))
-	postOff := make([]uint64, 0, len(terms)+1)
-	postOff = append(postOff, 0)
-	total := 0
-	for i, t := range terms {
-		termBlob = append(termBlob, t...)
-		termOff = append(termOff, uint64(len(termBlob)))
-		df[i] = int32(ix.df[t])
-		total += len(ix.post[t])
-		postOff = append(postOff, uint64(total))
-	}
-	fxp3.ColU64(e, termOff)
-	e.Col(termBlob)
-	fxp3.ColI32(e, df)
-	fxp3.ColU64(e, postOff)
-	flat := make([]posting, 0, total)
-	for _, t := range terms {
-		flat = append(flat, ix.post[t]...)
-	}
-	fxp3.RawI32Pairs(e, flat, func(i int) (uint32, uint32) {
-		return uint32(flat[i].node), uint32(flat[i].pos)
+	e.U64(uint64(len(ix.nlNode)))
+	fxp3.ColI32(e, ix.nlNode)
+	fxp3.ColI32(e, ix.nlLen)
+	e.U64(uint64(len(ix.df)))
+	fxp3.ColU64(e, ix.termOff)
+	e.Col(ix.termBlob)
+	fxp3.ColI32(e, ix.df)
+	fxp3.ColU64(e, ix.postOff)
+	fxp3.RawI32Pairs(e, ix.posts, func(i int) (uint32, uint32) {
+		return uint32(ix.posts[i].node), uint32(ix.posts[i].pos)
 	})
 	return e.Finish()
 }
 
 // DecodeColumnar restores an index over doc from an EncodeColumnar
-// payload, aliasing the posting array and term bytes in place. The
-// caller must keep the payload's backing memory alive for the life of
-// the index.
+// payload by slicing its columns in place. The caller must keep the
+// payload's backing memory alive for the life of the index, and must not
+// search the index before Validate has passed once for this payload.
 func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 	dec := fxp3.NewDec(payload)
 	scoring := dec.U64()
@@ -103,62 +69,81 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 	if math.IsNaN(avgLen) || avgLen < 0 {
 		return nil, fmt.Errorf("ir: snapshot: invalid average length")
 	}
-	if numNodeLens > maxBinaryCount || int(textNodes) > maxBinaryCount {
+	if numNodeLens > varint.MaxCount || textNodes > varint.MaxCount {
 		return nil, fmt.Errorf("ir: snapshot: implausible counts")
 	}
-	nlNode := fxp3.ViewI32[xmltree.NodeID](dec, numNodeLens)
-	nlLen := fxp3.ViewI32[int32](dec, numNodeLens)
-	numTerms := int(dec.U64())
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("ir: snapshot: %w", err)
-	}
-	if numTerms > maxBinaryCount {
-		return nil, fmt.Errorf("ir: snapshot: implausible term count %d", numTerms)
-	}
-	termOff := fxp3.ViewU64[uint64](dec, numTerms+1)
-	termBlob := dec.Col()
-	df := fxp3.ViewI32[int32](dec, numTerms)
-	postOff := fxp3.ViewU64[uint64](dec, numTerms+1)
-	posts := fxp3.ViewI32Pairs(dec, -1, func(a, b uint32) posting {
-		return posting{node: xmltree.NodeID(int32(a)), pos: int32(b)}
-	})
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("ir: snapshot: %w", err)
-	}
-
 	ix := &Index{
 		doc:       doc,
-		post:      make(map[string][]posting, numTerms),
-		df:        make(map[string]int, numTerms),
-		nodeLen:   make(map[xmltree.NodeID]int32, numNodeLens),
+		nlNode:    fxp3.ViewI32[xmltree.NodeID](dec, numNodeLens),
+		nlLen:     fxp3.ViewI32[int32](dec, numNodeLens),
 		avgLen:    avgLen,
 		textNodes: int(textNodes),
 		scoring:   Scoring(scoring),
 		cache:     qcache.New(resultCacheEntries),
 	}
-	for i := 0; i < numNodeLens; i++ {
-		if int(nlNode[i]) < 0 || int(nlNode[i]) >= doc.Len() {
-			return nil, fmt.Errorf("ir: snapshot: node %d out of range", nlNode[i])
-		}
-		ix.nodeLen[nlNode[i]] = nlLen[i]
+	numTerms := int(dec.U64())
+	if err := dec.Err(); err != nil {
+		return nil, fmt.Errorf("ir: snapshot: %w", err)
 	}
-	for _, p := range posts {
-		if int(p.node) < 0 || int(p.node) >= doc.Len() {
-			return nil, fmt.Errorf("ir: snapshot: posting node %d out of range", p.node)
-		}
+	if numTerms > varint.MaxCount {
+		return nil, fmt.Errorf("ir: snapshot: implausible term count %d", numTerms)
 	}
-	for i := 0; i < numTerms; i++ {
-		lo, hi := termOff[i], termOff[i+1]
-		if lo > hi || hi > uint64(len(termBlob)) {
-			return nil, fmt.Errorf("ir: snapshot: term table offsets out of range")
-		}
-		term, _ := fxp3.String(termBlob, lo, hi-lo)
-		plo, phi := postOff[i], postOff[i+1]
-		if plo > phi || phi > uint64(len(posts)) {
-			return nil, fmt.Errorf("ir: snapshot: posting offsets out of range")
-		}
-		ix.post[term] = posts[plo:phi:phi]
-		ix.df[term] = int(df[i])
+	ix.termOff = fxp3.ViewU64[uint64](dec, numTerms+1)
+	ix.termBlob = dec.Col()
+	ix.df = fxp3.ViewI32[int32](dec, numTerms)
+	ix.postOff = fxp3.ViewU64[uint64](dec, numTerms+1)
+	ix.posts = fxp3.ViewI32Pairs(dec, -1, func(a, b uint32) posting {
+		return posting{node: xmltree.NodeID(int32(a)), pos: int32(b)}
+	})
+	if err := dec.Err(); err != nil {
+		return nil, fmt.Errorf("ir: snapshot: %w", err)
 	}
 	return ix, nil
+}
+
+// Validate checks every invariant lookups rely on: ranges, and the
+// orderings that binary search over the dictionary, the node lengths and
+// a term's positions needs. A column that broke one would not fail a
+// search, it would answer it differently. It reads every column once, so
+// the snapshot layer runs it once per payload and not per
+// DecodeColumnar; the FXP2 reader runs it on the columns it filled.
+func (ix *Index) Validate() error {
+	nodes := xmltree.NodeID(ix.doc.Len())
+	prev := xmltree.NodeID(-1)
+	for i, n := range ix.nlNode {
+		if n <= prev || n >= nodes {
+			return fmt.Errorf("ir: snapshot: text node %d out of range or out of order", n)
+		}
+		if ix.nlLen[i] < 0 {
+			return fmt.Errorf("ir: snapshot: node %d has negative length %d", n, ix.nlLen[i])
+		}
+		prev = n
+	}
+	numTerms := len(ix.df)
+	for i := 0; i < numTerms; i++ {
+		if lo, hi := ix.termOff[i], ix.termOff[i+1]; lo > hi || hi > uint64(len(ix.termBlob)) {
+			return fmt.Errorf("ir: snapshot: term table offsets out of range")
+		}
+		if i > 0 && ix.termAt(i-1) >= ix.termAt(i) {
+			return fmt.Errorf("ir: snapshot: term %d out of order", i)
+		}
+		lo, hi := ix.postOff[i], ix.postOff[i+1]
+		if lo > hi || hi > uint64(len(ix.posts)) {
+			return fmt.Errorf("ir: snapshot: posting offsets out of range")
+		}
+		df, last := int32(0), posting{node: -1, pos: -1}
+		for _, p := range ix.posts[lo:hi] {
+			if p.node < last.node || p.node >= nodes || p.pos <= last.pos {
+				return fmt.Errorf("ir: snapshot: posting (%d,%d) of term %d out of range or out of order", p.node, p.pos, i)
+			}
+			if p.node != last.node {
+				df++
+			}
+			last = p
+		}
+		if ix.df[i] != df {
+			return fmt.Errorf("ir: snapshot: term %d has document frequency %d over %d nodes", i, ix.df[i], df)
+		}
+	}
+	return nil
 }

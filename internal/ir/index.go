@@ -2,9 +2,12 @@ package ir
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
+	"flexpath/internal/fxp3"
 	"flexpath/internal/qcache"
 	"flexpath/internal/xmltree"
 )
@@ -47,11 +50,26 @@ const resultCacheEntries = 1024
 // Index is an element-level inverted index over a document. It is built
 // once and safe for concurrent readers; expression evaluations are cached
 // by canonical form in an LRU of resultCacheEntries results.
+//
+// Its only representation is the column layout an FXP3 index section
+// stores (see columnar.go): a sorted term dictionary looked up by binary
+// search, one flat posting array, and the text nodes' token counts as a
+// sorted column pair. The columns are heap slices when NewIndex built
+// them and views over the snapshot when DecodeColumnar did.
 type Index struct {
-	doc       *xmltree.Document
-	post      map[string][]posting
-	df        map[string]int
-	nodeLen   map[xmltree.NodeID]int32
+	doc *xmltree.Document
+	// Text node nlNode[i] (ascending) holds nlLen[i] tokens.
+	nlNode []xmltree.NodeID
+	nlLen  []int32
+	// Term i, in ascending order, is termBlob[termOff[i]:termOff[i+1]];
+	// it occurs in df[i] nodes and its postings, in position order, are
+	// posts[postOff[i]:postOff[i+1]].
+	termOff  []uint64
+	termBlob []byte
+	df       []int32
+	postOff  []uint64
+	posts    []posting
+
 	avgLen    float64
 	textNodes int
 	scoring   Scoring
@@ -67,48 +85,112 @@ func NewIndex(doc *xmltree.Document) *Index {
 
 // NewIndexOptions is NewIndex with explicit options.
 func NewIndexOptions(doc *xmltree.Document, opt IndexOptions) *Index {
-	ix := &Index{
-		doc:     doc,
-		post:    make(map[string][]posting),
-		df:      make(map[string]int),
-		nodeLen: make(map[xmltree.NodeID]int32),
-		scoring: opt.Scoring,
-		cache:   qcache.New(resultCacheEntries),
-	}
-	pos := int32(0)
-	lastOwner := make(map[string]xmltree.NodeID)
-	totalTokens := 0
+	ix := &Index{doc: doc, scoring: opt.Scoring, cache: qcache.New(resultCacheEntries)}
+	// One pass over the text assigns term ids in first-seen order and
+	// records the id of every token; the posting array is then scattered
+	// from that column, so the postings exist once.
+	ids := make(map[string]int32)
+	var terms []string
+	var counts []uint64
+	var tokens []int32
+	var toks []string
 	for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
 		text := doc.Text(n)
 		if text == "" {
 			continue
 		}
-		ix.textNodes++
-		toks := Tokenize(text)
-		ix.nodeLen[n] = int32(len(toks))
-		totalTokens += len(toks)
+		toks = appendTokens(toks[:0], text)
+		ix.nlNode = append(ix.nlNode, n)
+		ix.nlLen = append(ix.nlLen, int32(len(toks)))
 		for _, tok := range toks {
-			ix.post[tok] = append(ix.post[tok], posting{node: n, pos: pos})
-			if last, ok := lastOwner[tok]; !ok || last != n {
-				ix.df[tok]++
-				lastOwner[tok] = n
+			id, ok := ids[tok]
+			if !ok {
+				id = int32(len(terms))
+				ids[tok] = id
+				terms = append(terms, tok)
+				counts = append(counts, 0)
 			}
-			pos++
+			counts[id]++
+			tokens = append(tokens, id)
 		}
 	}
+	ix.textNodes = len(ix.nlNode)
 	if ix.textNodes > 0 {
-		ix.avgLen = float64(totalTokens) / float64(ix.textNodes)
+		ix.avgLen = float64(len(tokens)) / float64(ix.textNodes)
+	}
+
+	order := make([]int32, len(terms))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(terms[a], terms[b]) })
+	slot := make([]int32, len(terms)) // term id -> dictionary position
+	next := make([]uint64, len(terms))
+	ix.termOff = make([]uint64, 1, len(terms)+1)
+	ix.postOff = make([]uint64, 1, len(terms)+1)
+	for i, id := range order {
+		slot[id] = int32(i)
+		next[id] = ix.postOff[i]
+		ix.termBlob = append(ix.termBlob, terms[id]...)
+		ix.termOff = append(ix.termOff, uint64(len(ix.termBlob)))
+		ix.postOff = append(ix.postOff, ix.postOff[i]+counts[id])
+	}
+	ix.df = make([]int32, len(terms))
+	ix.posts = make([]posting, len(tokens))
+	pos := 0
+	for i, n := range ix.nlNode {
+		for end := pos + int(ix.nlLen[i]); pos < end; pos++ {
+			id := tokens[pos]
+			at := next[id]
+			if at == ix.postOff[slot[id]] || ix.posts[at-1].node != n {
+				ix.df[slot[id]]++
+			}
+			ix.posts[at] = posting{node: n, pos: int32(pos)}
+			next[id]++
+		}
 	}
 	return ix
 }
 
-// termScore weights one term's occurrences in a node under the configured
-// scoring function.
-func (ix *Index) termScore(term string, node xmltree.NodeID, tf int) float64 {
-	idf := ix.idf(term)
+// term returns the dictionary position of word, or -1 when the document
+// does not contain it.
+func (ix *Index) term(word string) int {
+	i, ok := sort.Find(len(ix.df), func(i int) int { return strings.Compare(word, ix.termAt(i)) })
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// termAt returns the i-th dictionary term as a view of the term blob.
+func (ix *Index) termAt(i int) string {
+	s, _ := fxp3.String(ix.termBlob, ix.termOff[i], ix.termOff[i+1]-ix.termOff[i])
+	return s
+}
+
+// postings returns word's occurrences in position order.
+func (ix *Index) postings(word string) []posting {
+	i := ix.term(word)
+	if i < 0 {
+		return nil
+	}
+	return ix.posts[ix.postOff[i]:ix.postOff[i+1]]
+}
+
+// nodeLen returns the number of tokens directly inside node n.
+func (ix *Index) nodeLen(n xmltree.NodeID) int32 {
+	if i, ok := slices.BinarySearch(ix.nlNode, n); ok {
+		return ix.nlLen[i]
+	}
+	return 0
+}
+
+// termScore weights tf occurrences in a node of a term with the given
+// idf under the configured scoring function.
+func (ix *Index) termScore(idf float64, node xmltree.NodeID, tf int) float64 {
 	if ix.scoring == ScoringBM25 {
 		const k1, b = 1.2, 0.75
-		norm := 1 - b + b*float64(ix.nodeLen[node])/math.Max(ix.avgLen, 1)
+		norm := 1 - b + b*float64(ix.nodeLen(node))/math.Max(ix.avgLen, 1)
 		return idf * (float64(tf) * (k1 + 1)) / (float64(tf) + k1*norm)
 	}
 	return idf * (1 + math.Log(float64(tf)))
@@ -255,7 +337,11 @@ type witness struct {
 }
 
 func (ix *Index) idf(term string) float64 {
-	return math.Log(1 + float64(ix.textNodes)/float64(1+ix.df[term]))
+	df := 0
+	if i := ix.term(term); i >= 0 {
+		df = int(ix.df[i])
+	}
+	return math.Log(1 + float64(ix.textNodes)/float64(1+df))
 }
 
 func (ix *Index) eval(e Expr) []witness {
@@ -303,10 +389,11 @@ func (ix *Index) eval(e Expr) []witness {
 }
 
 func (ix *Index) evalTerm(word string) []witness {
-	posts := ix.post[word]
+	posts := ix.postings(word)
 	if len(posts) == 0 {
 		return nil
 	}
+	idf := ix.idf(word)
 	var out []witness
 	i := 0
 	for i < len(posts) {
@@ -316,26 +403,26 @@ func (ix *Index) evalTerm(word string) []witness {
 			tf++
 			i++
 		}
-		out = append(out, witness{node: n, score: ix.termScore(word, n, tf)})
+		out = append(out, witness{node: n, score: ix.termScore(idf, n, tf)})
 	}
-	sortWitnesses(out)
-	return out
+	return out // in node order: a term's postings are (Validate)
 }
 
 func (ix *Index) evalPhrase(words []string) []witness {
 	if len(words) == 0 {
 		return nil
 	}
-	first := ix.post[words[0]]
+	posts := make([][]posting, len(words))
 	idfSum := 0.0
-	for _, w := range words {
+	for i, w := range words {
+		posts[i] = ix.postings(w)
 		idfSum += ix.idf(w)
 	}
 	var out []witness
-	for _, p := range first {
+	for _, p := range posts[0] {
 		ok := true
 		for off := 1; off < len(words); off++ {
-			if !hasPos(ix.post[words[off]], p.pos+int32(off)) {
+			if !hasPos(posts[off], p.pos+int32(off)) {
 				ok = false
 				break
 			}
@@ -352,22 +439,24 @@ func (ix *Index) evalNear(words []string, window int) []witness {
 	if len(words) == 0 {
 		return nil
 	}
+	posts := make([][]posting, len(words))
 	idfSum := 0.0
-	for _, w := range words {
+	for i, w := range words {
+		posts[i] = ix.postings(w)
 		idfSum += ix.idf(w)
 	}
 	// Every token participating in a qualifying window yields a witness
 	// at its owning element, so a context containing any participant
 	// satisfies the expression.
 	var out []witness
-	for _, anchor := range words {
-		for _, p := range ix.post[anchor] {
+	for ai, anchor := range words {
+		for _, p := range posts[ai] {
 			ok := true
-			for _, w := range words {
+			for i, w := range words {
 				if w == anchor {
 					continue
 				}
-				if !hasPosInRange(ix.post[w], p.pos-int32(window), p.pos+int32(window)) {
+				if !hasPosInRange(posts[i], p.pos-int32(window), p.pos+int32(window)) {
 					ok = false
 					break
 				}

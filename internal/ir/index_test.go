@@ -41,7 +41,7 @@ func naiveSatisfies(ix *Index, x xmltree.NodeID, e Expr) bool {
 	doc := ix.doc
 	switch t := e.(type) {
 	case Term:
-		for _, p := range ix.post[t.Word] {
+		for _, p := range ix.postings(t.Word) {
 			if doc.Contains(x, p.node) {
 				return true
 			}
@@ -62,13 +62,13 @@ func naiveSatisfies(ix *Index, x xmltree.NodeID, e Expr) bool {
 		}
 		return false
 	case Phrase:
-		for _, p := range ix.post[t.Words[0]] {
+		for _, p := range ix.postings(t.Words[0]) {
 			if !doc.Contains(x, p.node) {
 				continue
 			}
 			ok := true
 			for off := 1; off < len(t.Words); off++ {
-				if !hasPos(ix.post[t.Words[off]], p.pos+int32(off)) {
+				if !hasPos(ix.postings(t.Words[off]), p.pos+int32(off)) {
 					ok = false
 					break
 				}
@@ -80,7 +80,7 @@ func naiveSatisfies(ix *Index, x xmltree.NodeID, e Expr) bool {
 		return false
 	case Near:
 		for _, w := range t.Words {
-			for _, p := range ix.post[w] {
+			for _, p := range ix.postings(w) {
 				if !doc.Contains(x, p.node) {
 					continue
 				}
@@ -89,7 +89,7 @@ func naiveSatisfies(ix *Index, x xmltree.NodeID, e Expr) bool {
 					if w2 == w {
 						continue
 					}
-					if !hasPosInRange(ix.post[w2], p.pos-int32(t.Window), p.pos+int32(t.Window)) {
+					if !hasPosInRange(ix.postings(w2), p.pos-int32(t.Window), p.pos+int32(t.Window)) {
 						all = false
 						break
 					}

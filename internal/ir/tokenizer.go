@@ -61,8 +61,10 @@ func stemOnce(w string) string {
 
 // Tokenize splits s into normalized index terms: lowercase, alphanumeric
 // runs only, stopwords removed, stemmed.
-func Tokenize(s string) []string {
-	var out []string
+func Tokenize(s string) []string { return appendTokens(nil, s) }
+
+// appendTokens appends s's index terms to out.
+func appendTokens(out []string, s string) []string {
 	appendToken := func(tok string) {
 		if tok == "" || stopwords[tok] {
 			return

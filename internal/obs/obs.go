@@ -43,6 +43,9 @@ const (
 	StageCache
 	// StagePlan covers the cost-based algorithm choice of Auto searches.
 	StagePlan
+	// StageFault covers faulting cold collection members in: decoding a
+	// snapshot's sections, or waiting for another search that is.
+	StageFault
 	// NumStages is the number of stages.
 	NumStages int = iota
 )
@@ -62,6 +65,8 @@ func (s Stage) String() string {
 		return "cache"
 	case StagePlan:
 		return "plan"
+	case StageFault:
+		return "fault"
 	}
 	return "unknown"
 }

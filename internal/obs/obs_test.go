@@ -236,7 +236,7 @@ func TestValidateExpositionRejects(t *testing.T) {
 
 func TestStageNames(t *testing.T) {
 	names := StageNames()
-	want := []string{"parse", "chain", "join", "merge", "cache", "plan"}
+	want := []string{"parse", "chain", "join", "merge", "cache", "plan", "fault"}
 	if len(names) != len(want) {
 		t.Fatalf("stage names = %v", names)
 	}

@@ -1,13 +1,10 @@
 package stats
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
 
+	"flexpath/internal/varint"
 	"flexpath/internal/xmltree"
 )
 
@@ -19,117 +16,53 @@ var statsMagic = [4]byte{'F', 'X', 'S', '1'}
 // WriteBinary writes a snapshot of the statistics (excluding the
 // document).
 func (s *Stats) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(statsMagic[:]); err != nil {
-		return err
-	}
-	putUvarint(bw, uint64(len(s.tagCount)))
+	bw := varint.NewWriter(w, statsMagic)
+	bw.Uvarint(uint64(len(s.tagCount)))
 	for _, c := range s.tagCount {
-		putUvarint(bw, uint64(c))
+		bw.Uvarint(c)
 	}
-	for _, m := range []map[tagPair]int{s.pcCount, s.adCount, s.pcParents, s.adAncestors} {
-		writePairMap(bw, m)
+	for _, p := range s.pairLists() {
+		bw.Uvarint(uint64(len(p.a)))
+		for i := range p.a {
+			bw.Uvarint(uint64(p.a[i]))
+			bw.Uvarint(uint64(p.b[i]))
+			bw.Uvarint(p.v[i])
+		}
 	}
 	return bw.Flush()
 }
 
-// ReadStatsBinary restores statistics for doc from a WriteBinary stream.
+// ReadStatsBinary restores statistics for doc from a WriteBinary stream:
+// it fills the columns from the stream and holds them to Validate.
 func ReadStatsBinary(doc *xmltree.Document, r io.Reader) (*Stats, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("stats: snapshot: %w", err)
-	}
-	if magic != statsMagic {
-		return nil, errors.New("stats: not a statistics snapshot (bad magic)")
-	}
-	nTags, err := getCount(br)
+	br, err := varint.NewReader(r, "stats", statsMagic)
 	if err != nil {
 		return nil, err
 	}
-	if nTags != doc.NumTags() {
+	nTags := br.Count()
+	if br.Err() == nil && nTags != doc.NumTags() {
 		return nil, fmt.Errorf("stats: snapshot has %d tags, document has %d", nTags, doc.NumTags())
 	}
-	s := &Stats{doc: doc, tagCount: make([]int, nTags)}
-	for i := range s.tagCount {
-		c, err := getCount(br)
-		if err != nil {
-			return nil, err
+	s := &Stats{doc: doc, tagCount: make([]uint64, nTags)}
+	for i := 0; i < nTags && br.Err() == nil; i++ {
+		s.tagCount[i] = uint64(br.Count())
+	}
+	for _, p := range s.pairLists() {
+		for i := br.Count(); i > 0 && br.Err() == nil; i-- {
+			// Checked before the ids are narrowed to the column width;
+			// the ordering check is Validate's.
+			a, b := br.Count(), br.Count()
+			if a >= nTags || b >= nTags {
+				return nil, fmt.Errorf("stats: snapshot: tag pair (%d,%d) out of range", a, b)
+			}
+			p.a, p.b, p.v = append(p.a, xmltree.TagID(a)), append(p.b, xmltree.TagID(b)), append(p.v, uint64(br.Count()))
 		}
-		s.tagCount[i] = c
 	}
-	maps := []*map[tagPair]int{&s.pcCount, &s.adCount, &s.pcParents, &s.adAncestors}
-	for _, mp := range maps {
-		m, err := readPairMap(br, nTags)
-		if err != nil {
-			return nil, err
-		}
-		*mp = m
-	}
-	return s, nil
-}
-
-func writePairMap(w *bufio.Writer, m map[tagPair]int) {
-	keys := make([]tagPair, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	putUvarint(w, uint64(len(keys)))
-	for _, k := range keys {
-		putUvarint(w, uint64(k.a))
-		putUvarint(w, uint64(k.b))
-		putUvarint(w, uint64(m[k]))
-	}
-}
-
-func readPairMap(r *bufio.Reader, nTags int) (map[tagPair]int, error) {
-	n, err := getCount(r)
-	if err != nil {
+	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	m := make(map[tagPair]int, n)
-	for i := 0; i < n; i++ {
-		a, err := getCount(r)
-		if err != nil {
-			return nil, err
-		}
-		b, err := getCount(r)
-		if err != nil {
-			return nil, err
-		}
-		if a >= nTags || b >= nTags {
-			return nil, fmt.Errorf("stats: snapshot: tag pair (%d,%d) out of range", a, b)
-		}
-		v, err := getCount(r)
-		if err != nil {
-			return nil, err
-		}
-		m[tagPair{xmltree.TagID(a), xmltree.TagID(b)}] = v
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
-	return m, nil
-}
-
-const maxCount = 1 << 31
-
-func putUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // surfaced by the final Flush
-}
-
-func getCount(r *bufio.Reader) (int, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("stats: snapshot: %w", err)
-	}
-	if v > maxCount {
-		return 0, fmt.Errorf("stats: snapshot: implausible count %d", v)
-	}
-	return int(v), nil
+	return s, nil
 }

@@ -2,65 +2,43 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"flexpath/internal/fxp3"
+	"flexpath/internal/varint"
 	"flexpath/internal/xmltree"
 )
 
-// Columnar (FXP3) persistence for document statistics. Statistics are
-// small next to the tree and postings, so the maps are rebuilt on the
-// heap at decode time; the columnar form exists so the whole snapshot
-// shares one self-describing, checksummed container and so the stats
-// section can be validated at cold-open without the tree (the tag count
-// is stored inline rather than cross-checked against the document).
+// Columnar (FXP3) persistence for document statistics. The stats section
+// is the Stats' own columns written out — the per-tag counts and, for
+// each of the four pair statistics, its (a, b, v) column triple sorted by
+// (a, b) — so DecodeColumnar only slices, and the section can be
+// validated without the tree (the tag count is stored inline).
 //
 // Payload layout (fxp3.Enc framing):
 //
 //	u64 numTags
 //	col tagCount [numTags]u64
-//	4 × pair map: u64 n, col a [n]i32, col b [n]i32, col v [n]u64
+//	4 × pair list: u64 n, col a [n]i32, col b [n]i32, col v [n]u64
+//	               (a, b) strictly increasing
 
 // EncodeColumnar renders the statistics as an FXP3 stats-section payload.
 func (s *Stats) EncodeColumnar() []byte {
 	e := &fxp3.Enc{}
 	e.U64(uint64(len(s.tagCount)))
-	counts := make([]uint64, len(s.tagCount))
-	for i, c := range s.tagCount {
-		counts[i] = uint64(c)
-	}
-	fxp3.ColU64(e, counts)
-	for _, m := range []map[tagPair]int{s.pcCount, s.adCount, s.pcParents, s.adAncestors} {
-		encodePairMap(e, m)
+	fxp3.ColU64(e, s.tagCount)
+	for _, p := range s.pairLists() {
+		e.U64(uint64(len(p.a)))
+		fxp3.ColI32(e, p.a)
+		fxp3.ColI32(e, p.b)
+		fxp3.ColU64(e, p.v)
 	}
 	return e.Finish()
 }
 
-func encodePairMap(e *fxp3.Enc, m map[tagPair]int) {
-	keys := make([]tagPair, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	a := make([]xmltree.TagID, len(keys))
-	b := make([]xmltree.TagID, len(keys))
-	v := make([]uint64, len(keys))
-	for i, k := range keys {
-		a[i], b[i], v[i] = k.a, k.b, uint64(m[k])
-	}
-	e.U64(uint64(len(keys)))
-	fxp3.ColI32(e, a)
-	fxp3.ColI32(e, b)
-	fxp3.ColU64(e, v)
-}
-
 // DecodeColumnar restores statistics for doc from an EncodeColumnar
-// payload. Nothing aliases the payload after return.
+// payload by slicing its columns in place. The caller must keep the
+// payload's backing memory alive for the life of the statistics, and must
+// not read them before Validate has passed once for this payload.
 func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Stats, error) {
 	dec := fxp3.NewDec(payload)
 	nTags := int(dec.U64())
@@ -70,18 +48,18 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Stats, error) {
 	if nTags != doc.NumTags() {
 		return nil, fmt.Errorf("stats: snapshot has %d tags, document has %d", nTags, doc.NumTags())
 	}
-	counts := fxp3.ViewU64[uint64](dec, nTags)
-	s := &Stats{doc: doc, tagCount: make([]int, nTags)}
-	for i, c := range counts {
-		s.tagCount[i] = int(c)
-	}
-	maps := []*map[tagPair]int{&s.pcCount, &s.adCount, &s.pcParents, &s.adAncestors}
-	for _, mp := range maps {
-		m, err := decodePairMap(dec, nTags)
-		if err != nil {
-			return nil, err
+	s := &Stats{doc: doc, tagCount: fxp3.ViewU64[uint64](dec, nTags)}
+	for _, p := range s.pairLists() {
+		n := int(dec.U64())
+		if err := dec.Err(); err != nil {
+			return nil, fmt.Errorf("stats: snapshot: %w", err)
 		}
-		*mp = m
+		if n > varint.MaxCount {
+			return nil, fmt.Errorf("stats: snapshot: implausible count %d", n)
+		}
+		p.a = fxp3.ViewI32[xmltree.TagID](dec, n)
+		p.b = fxp3.ViewI32[xmltree.TagID](dec, n)
+		p.v = fxp3.ViewU64[uint64](dec, n)
 	}
 	if err := dec.Err(); err != nil {
 		return nil, fmt.Errorf("stats: snapshot: %w", err)
@@ -89,26 +67,22 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Stats, error) {
 	return s, nil
 }
 
-func decodePairMap(dec *fxp3.Dec, nTags int) (map[tagPair]int, error) {
-	n := int(dec.U64())
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("stats: snapshot: %w", err)
-	}
-	if n > maxCount {
-		return nil, fmt.Errorf("stats: snapshot: implausible count %d", n)
-	}
-	a := fxp3.ViewI32[xmltree.TagID](dec, n)
-	b := fxp3.ViewI32[xmltree.TagID](dec, n)
-	v := fxp3.ViewU64[uint64](dec, n)
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("stats: snapshot: %w", err)
-	}
-	m := make(map[tagPair]int, n)
-	for i := 0; i < n; i++ {
-		if int(a[i]) < 0 || int(a[i]) >= nTags || int(b[i]) < 0 || int(b[i]) >= nTags {
-			return nil, fmt.Errorf("stats: snapshot: tag pair (%d,%d) out of range", a[i], b[i])
+// Validate checks that every pair names tags of the document and that
+// each list is strictly increasing in (a, b), which the binary search in
+// pairs.get needs. The snapshot layer runs it once per payload; the FXP2
+// reader runs it on the columns it filled.
+func (s *Stats) Validate() error {
+	nTags := xmltree.TagID(len(s.tagCount))
+	for _, p := range s.pairLists() {
+		for i := range p.a {
+			a, b := p.a[i], p.b[i]
+			if a < 0 || a >= nTags || b < 0 || b >= nTags {
+				return fmt.Errorf("stats: snapshot: tag pair (%d,%d) out of range", a, b)
+			}
+			if i > 0 && (p.a[i-1] > a || p.a[i-1] == a && p.b[i-1] >= b) {
+				return fmt.Errorf("stats: snapshot: tag pair (%d,%d) out of order", a, b)
+			}
 		}
-		m[tagPair{a[i], b[i]}] = int(v[i])
 	}
-	return m, nil
+	return nil
 }

@@ -12,87 +12,107 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"flexpath/internal/ir"
 	"flexpath/internal/tpq"
 	"flexpath/internal/xmltree"
 )
 
-type tagPair struct{ a, b xmltree.TagID }
+// pairs is one tag-pair statistic in column form: v[i] is the count for
+// the pair (a[i], b[i]), and the pairs are strictly increasing in (a, b).
+// Pairs with a zero count are absent.
+type pairs struct {
+	a, b []xmltree.TagID
+	v    []uint64
+}
+
+// get returns the count for (a, b) by binary search.
+func (p *pairs) get(a, b xmltree.TagID) int {
+	i := sort.Search(len(p.a), func(i int) bool {
+		return p.a[i] > a || p.a[i] == a && p.b[i] >= b
+	})
+	if i < len(p.a) && p.a[i] == a && p.b[i] == b {
+		return int(p.v[i])
+	}
+	return 0
+}
 
 // Stats holds document statistics. Collect once per document; safe for
-// concurrent readers.
+// concurrent readers. Its only representation is the column layout an
+// FXP3 stats section stores (see columnar.go), on the heap when Collect
+// filled it and over the snapshot when DecodeColumnar sliced it.
 type Stats struct {
 	doc      *xmltree.Document
-	tagCount []int
-	pcCount  map[tagPair]int
-	adCount  map[tagPair]int
+	tagCount []uint64
+	pc, ad   pairs
 	// pcParents / adAncestors count DISTINCT parents/ancestors: the
 	// number of t1 elements with at least one t2 child / descendant.
 	// These are the "fraction of A's that have a B" statistics the
 	// paper's estimator is built on (§6, Selectivity estimation).
-	pcParents   map[tagPair]int
-	adAncestors map[tagPair]int
+	pcParents, adAncestors pairs
 }
 
-// Collect scans the document and gathers tag and edge statistics. The
-// ancestor-descendant counts walk each node's ancestor chain, which is
-// O(n·depth); distinct-ancestor counts use epoch marking for O(n) per
-// distinct descendant tag.
+// pairLists returns the four pair statistics in their stored order.
+func (s *Stats) pairLists() [4]*pairs {
+	return [4]*pairs{&s.pc, &s.ad, &s.pcParents, &s.adAncestors}
+}
+
+// Collect scans the document and gathers tag and edge statistics, one
+// first tag t1 at a time: every t1 node scans its subtree once (O(n·depth)
+// overall) and counts into four rows indexed by the second tag, with a
+// stamp per tag so a node is counted as a distinct parent or ancestor at
+// most once. The rows of one t1, in tag order, are its pairs, so the
+// lists come out sorted.
 func Collect(doc *xmltree.Document) *Stats {
-	s := &Stats{
-		doc:         doc,
-		tagCount:    make([]int, doc.NumTags()),
-		pcCount:     make(map[tagPair]int),
-		adCount:     make(map[tagPair]int),
-		pcParents:   make(map[tagPair]int),
-		adAncestors: make(map[tagPair]int),
+	numTags := doc.NumTags()
+	s := &Stats{doc: doc, tagCount: make([]uint64, numTags)}
+	var rows [4][]uint64          // pc, ad, pcParents, adAncestors by second tag
+	var stamp [2][]xmltree.NodeID // 1 + the last node counted as the tag's parent / ancestor
+	for i := range rows {
+		rows[i] = make([]uint64, numTags)
 	}
-	for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
-		t := doc.Tag(n)
-		s.tagCount[t]++
-		if p := doc.Parent(n); p != xmltree.InvalidNode {
-			s.pcCount[tagPair{doc.Tag(p), t}]++
-		}
-		for a := doc.Parent(n); a != xmltree.InvalidNode; a = doc.Parent(a) {
-			s.adCount[tagPair{doc.Tag(a), t}]++
-		}
+	for i := range stamp {
+		stamp[i] = make([]xmltree.NodeID, numTags)
 	}
-	// Distinct parents: per node, deduplicate child tags directly.
-	var childTags []xmltree.TagID
-	for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
-		childTags = childTags[:0]
-		for c := n + 1; c <= doc.End(n); c = doc.End(c) + 1 {
-			ct := doc.Tag(c)
-			dup := false
-			for _, seen := range childTags {
-				if seen == ct {
-					dup = true
-					break
+	var touched []xmltree.TagID // second tags with a non-zero ad row entry
+	parents, lists := doc.Parents(), s.pairLists()
+	for t1 := xmltree.TagID(0); int(t1) < numTags; t1++ {
+		list := doc.NodesWithTagID(t1)
+		s.tagCount[t1] = uint64(len(list))
+		for _, n := range list {
+			for m := n + 1; m <= doc.End(n); m++ {
+				t2 := doc.Tag(m)
+				if rows[1][t2] == 0 {
+					touched = append(touched, t2)
+				}
+				rows[1][t2]++
+				if stamp[1][t2] != n+1 {
+					stamp[1][t2] = n + 1
+					rows[3][t2]++
+				}
+				if parents[m] == n {
+					rows[0][t2]++
+					if stamp[0][t2] != n+1 {
+						stamp[0][t2] = n + 1
+						rows[2][t2]++
+					}
 				}
 			}
-			if !dup {
-				childTags = append(childTags, ct)
-				s.pcParents[tagPair{doc.Tag(n), ct}]++
-			}
 		}
-	}
-	// Distinct ancestors per descendant tag, with epoch marking so each
-	// ancestor is visited at most once per tag.
-	epoch := make([]int32, doc.Len())
-	for i := range epoch {
-		epoch[i] = -1
-	}
-	for t2 := xmltree.TagID(0); int(t2) < doc.NumTags(); t2++ {
-		for _, m := range doc.NodesWithTagID(t2) {
-			for a := doc.Parent(m); a != xmltree.InvalidNode; a = doc.Parent(a) {
-				if epoch[a] == int32(t2) {
-					break // a and all its ancestors already counted
+		// Every child is a descendant, so the ad row's non-zero entries
+		// cover the other three rows'.
+		slices.Sort(touched)
+		for _, t2 := range touched {
+			for i, p := range lists {
+				if v := rows[i][t2]; v > 0 {
+					p.a, p.b, p.v = append(p.a, t1), append(p.b, t2), append(p.v, v)
+					rows[i][t2] = 0
 				}
-				epoch[a] = int32(t2)
-				s.adAncestors[tagPair{doc.Tag(a), t2}]++
 			}
 		}
+		touched = touched[:0]
 	}
 	return s
 }
@@ -106,7 +126,7 @@ func (s *Stats) Count(tag string) int {
 	if id == xmltree.InvalidTag {
 		return 0
 	}
-	return s.tagCount[id]
+	return int(s.tagCount[id])
 }
 
 // PC returns #pc(t1,t2): the number of parent-child pairs with those tags.
@@ -115,7 +135,7 @@ func (s *Stats) PC(t1, t2 string) int {
 	if a == xmltree.InvalidTag || b == xmltree.InvalidTag {
 		return 0
 	}
-	return s.pcCount[tagPair{a, b}]
+	return s.pc.get(a, b)
 }
 
 // AD returns #ad(t1,t2): the number of ancestor-descendant pairs with
@@ -125,7 +145,7 @@ func (s *Stats) AD(t1, t2 string) int {
 	if a == xmltree.InvalidTag || b == xmltree.InvalidTag {
 		return 0
 	}
-	return s.adCount[tagPair{a, b}]
+	return s.ad.get(a, b)
 }
 
 // PCParents returns the number of t1 elements with at least one t2 child.
@@ -134,7 +154,7 @@ func (s *Stats) PCParents(t1, t2 string) int {
 	if a == xmltree.InvalidTag || b == xmltree.InvalidTag {
 		return 0
 	}
-	return s.pcParents[tagPair{a, b}]
+	return s.pcParents.get(a, b)
 }
 
 // ADAncestors returns the number of t1 elements with at least one t2
@@ -144,7 +164,7 @@ func (s *Stats) ADAncestors(t1, t2 string) int {
 	if a == xmltree.InvalidTag || b == xmltree.InvalidTag {
 		return 0
 	}
-	return s.adAncestors[tagPair{a, b}]
+	return s.adAncestors.get(a, b)
 }
 
 // Estimator estimates tree-pattern result sizes. It needs the full-text

@@ -1,12 +1,11 @@
 package xmltree
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"flexpath/internal/varint"
 )
 
 // Binary snapshot format for parsed documents. Re-parsing large XML is
@@ -23,173 +22,81 @@ import (
 
 var binaryMagic = [4]byte{'F', 'X', 'T', '1'}
 
-// maxBinaryCount caps counts read from snapshots so corrupted or
-// malicious input cannot trigger enormous allocations.
-const maxBinaryCount = 1 << 31
-
 // WriteBinary writes a snapshot of the document.
 func (d *Document) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	writeUvarint(bw, uint64(len(d.tags)))
+	bw := varint.NewWriter(w, binaryMagic)
+	bw.Uvarint(uint64(len(d.tags)))
 	for _, t := range d.tags {
-		writeString(bw, t)
+		bw.String(t)
 	}
-	writeUvarint(bw, uint64(len(d.nodeTag)))
+	bw.Uvarint(uint64(len(d.nodeTag)))
 	for n := range d.nodeTag {
-		writeUvarint(bw, uint64(d.nodeTag[n]))
-		writeUvarint(bw, uint64(d.end[n])-uint64(n))
-		writeUvarint(bw, uint64(d.level[n]))
-		writeUvarint(bw, uint64(d.parent[n]+1))
-		writeString(bw, d.text[n])
-		writeUvarint(bw, uint64(len(d.attrs[n])))
-		for _, a := range d.attrs[n] {
-			writeString(bw, a.Name)
-			writeString(bw, a.Value)
+		bw.Uvarint(uint64(d.nodeTag[n]))
+		bw.Uvarint(uint64(d.end[n]) - uint64(n))
+		bw.Uvarint(uint64(d.level[n]))
+		bw.Uvarint(uint64(d.parent[n] + 1))
+		bw.String(d.Text(NodeID(n)))
+		bw.Uvarint(d.attrCnt[n+1] - d.attrCnt[n])
+		for i := d.attrCnt[n]; i < d.attrCnt[n+1]; i++ {
+			a := d.attr(i)
+			bw.String(a.Name)
+			bw.String(a.Value)
 		}
 	}
-	writeUvarint(bw, uint64(d.size))
+	bw.Uvarint(uint64(d.size))
 	return bw.Flush()
 }
 
-// ReadBinary restores a document from a snapshot produced by WriteBinary.
+// ReadBinary restores a document from a snapshot produced by WriteBinary:
+// it fills the columns from the stream and holds them to Validate.
 func ReadBinary(r io.Reader) (*Document, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("xmltree: snapshot: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, errors.New("xmltree: not a document snapshot (bad magic)")
-	}
-	numTags, err := readCount(br)
+	br, err := varint.NewReader(r, "xmltree", binaryMagic)
 	if err != nil {
 		return nil, err
 	}
+	numTags := br.Count()
 	d := &Document{
 		tags:   make([]string, numTags),
 		tagIDs: make(map[string]TagID, numTags),
 	}
-	for i := range d.tags {
-		s, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		d.tags[i] = s
-		d.tagIDs[s] = TagID(i)
+	for i := 0; i < numTags && br.Err() == nil; i++ {
+		d.tags[i] = br.String()
+		d.tagIDs[d.tags[i]] = TagID(i)
 	}
-	numNodes, err := readCount(br)
-	if err != nil {
-		return nil, err
-	}
+	numNodes := br.Count()
 	d.nodeTag = make([]TagID, numNodes)
 	d.end = make([]NodeID, numNodes)
 	d.level = make([]int32, numNodes)
 	d.parent = make([]NodeID, numNodes)
-	d.text = make([]string, numNodes)
-	d.attrs = make([][]Attr, numNodes)
-	for n := 0; n < numNodes; n++ {
-		tag, err := readCount(br)
-		if err != nil {
-			return nil, err
+	d.textOff = make([]uint64, numNodes+1)
+	d.attrCnt = make([]uint64, numNodes+1)
+	d.attrOff = []uint64{0}
+	for n := 0; n < numNodes && br.Err() == nil; n++ {
+		// Narrowed to the column width as they come: a value that does
+		// not fit fails Validate as the out-of-range value it becomes.
+		d.nodeTag[n] = TagID(br.Count())
+		d.end[n] = NodeID(n + br.Count())
+		d.level[n] = int32(br.Count())
+		d.parent[n] = NodeID(br.Count() - 1)
+		d.textBlob = br.AppendString(d.textBlob)
+		d.textOff[n+1] = uint64(len(d.textBlob))
+		for i := 2 * br.Count(); i > 0 && br.Err() == nil; i-- {
+			d.attrBlob = br.AppendString(d.attrBlob)
+			d.attrOff = append(d.attrOff, uint64(len(d.attrBlob)))
 		}
-		if tag >= numTags {
-			return nil, fmt.Errorf("xmltree: snapshot: node %d has invalid tag %d", n, tag)
-		}
-		d.nodeTag[n] = TagID(tag)
-		endDelta, err := readCount(br)
-		if err != nil {
-			return nil, err
-		}
-		end := n + endDelta
-		if end >= numNodes {
-			return nil, fmt.Errorf("xmltree: snapshot: node %d has invalid interval end %d", n, end)
-		}
-		d.end[n] = NodeID(end)
-		level, err := readCount(br)
-		if err != nil {
-			return nil, err
-		}
-		d.level[n] = int32(level)
-		parentPlus1, err := readCount(br)
-		if err != nil {
-			return nil, err
-		}
-		parent := parentPlus1 - 1
-		if parent >= n && !(n == 0 && parent == -1) {
-			return nil, fmt.Errorf("xmltree: snapshot: node %d has invalid parent %d", n, parent)
-		}
-		d.parent[n] = NodeID(parent)
-		if d.text[n], err = readString(br); err != nil {
-			return nil, err
-		}
-		nAttrs, err := readCount(br)
-		if err != nil {
-			return nil, err
-		}
-		if nAttrs > 0 {
-			attrs := make([]Attr, nAttrs)
-			for i := range attrs {
-				if attrs[i].Name, err = readString(br); err != nil {
-					return nil, err
-				}
-				if attrs[i].Value, err = readString(br); err != nil {
-					return nil, err
-				}
-			}
-			d.attrs[n] = attrs
-		}
+		d.attrCnt[n+1] = uint64(len(d.attrOff) / 2)
 	}
-	size, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("xmltree: snapshot: %w", err)
+	size := br.Uvarint()
+	if err := br.Err(); err != nil {
+		return nil, err
 	}
 	if size > math.MaxInt64 {
-		return nil, errors.New("xmltree: snapshot: invalid source size")
+		return nil, fmt.Errorf("xmltree: snapshot: invalid source size")
 	}
 	d.size = int64(size)
-	d.byTag = make([][]NodeID, len(d.tags))
-	for n, t := range d.nodeTag {
-		d.byTag[t] = append(d.byTag[t], NodeID(n))
+	if err := d.validateNodes(); err != nil {
+		return nil, err
 	}
+	d.indexTags()
 	return d, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // surfaced by the final Flush
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s) //nolint:errcheck // surfaced by the final Flush
-}
-
-func readCount(r *bufio.Reader) (int, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("xmltree: snapshot: %w", err)
-	}
-	if v > maxBinaryCount {
-		return 0, fmt.Errorf("xmltree: snapshot: implausible count %d", v)
-	}
-	return int(v), nil
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readCount(r)
-	if err != nil {
-		return "", err
-	}
-	if n == 0 {
-		return "", nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("xmltree: snapshot: %w", err)
-	}
-	return string(buf), nil
 }

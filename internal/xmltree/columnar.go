@@ -2,20 +2,18 @@ package xmltree
 
 import (
 	"fmt"
+	"slices"
 
 	"flexpath/internal/fxp3"
+	"flexpath/internal/varint"
 )
 
-// Columnar (FXP3) persistence for the node table. Unlike the varint
-// stream of WriteBinary/ReadBinary, the columnar form is written as
-// fixed-width, 8-byte-aligned columns that DecodeColumnar can view in
-// place over an mmap'd snapshot: the interval-encoding columns (tag,
-// end, level, parent) and the per-tag node lists alias the snapshot
-// bytes directly, and the text, tag and attribute strings are interned
-// over shared blobs without copying the character data. The heap cost of
-// a decoded document is therefore the string/slice headers and the tag
-// map — the bulk (text bytes, node columns, postings) stays file-backed
-// and reclaimable by the kernel.
+// Columnar (FXP3) persistence for the node table. The tree section is
+// the Document's own columns written out fixed-width and 8-byte aligned,
+// so DecodeColumnar over an mmap'd snapshot only slices: every column
+// and blob of the restored document aliases the snapshot bytes, and the
+// heap holds the Document header and the tag table. The bulk (text
+// bytes, node columns) stays file-backed and reclaimable by the kernel.
 //
 // Payload layout (fxp3.Enc framing):
 //
@@ -37,13 +35,9 @@ import (
 // EncodeColumnar renders the document as an FXP3 tree-section payload.
 func (d *Document) EncodeColumnar() []byte {
 	e := &fxp3.Enc{}
-	numAttrs := 0
-	for _, as := range d.attrs {
-		numAttrs += len(as)
-	}
 	e.U64(uint64(len(d.tags)))
 	e.U64(uint64(len(d.nodeTag)))
-	e.U64(uint64(numAttrs))
+	e.U64(uint64(len(d.attrOff) / 2))
 	e.U64(uint64(d.size))
 
 	tagOff := make([]uint64, 0, len(d.tags)+1)
@@ -60,55 +54,22 @@ func (d *Document) EncodeColumnar() []byte {
 	fxp3.ColI32(e, d.end)
 	fxp3.ColI32(e, d.level)
 	fxp3.ColI32(e, d.parent)
-
-	textOff := make([]uint64, 0, len(d.text)+1)
-	textOff = append(textOff, 0)
-	blobLen := 0
-	for _, t := range d.text {
-		blobLen += len(t)
-		textOff = append(textOff, uint64(blobLen))
-	}
-	textBlob := make([]byte, 0, blobLen)
-	for _, t := range d.text {
-		textBlob = append(textBlob, t...)
-	}
-	fxp3.ColU64(e, textOff)
-	e.Col(textBlob)
-
-	attrCnt := make([]uint64, 0, len(d.attrs)+1)
-	attrCnt = append(attrCnt, 0)
-	attrOff := make([]uint64, 0, 2*numAttrs+1)
-	attrOff = append(attrOff, 0)
-	var attrBlob []byte
-	for _, as := range d.attrs {
-		attrCnt = append(attrCnt, attrCnt[len(attrCnt)-1]+uint64(len(as)))
-		for _, a := range as {
-			attrBlob = append(attrBlob, a.Name...)
-			attrOff = append(attrOff, uint64(len(attrBlob)))
-			attrBlob = append(attrBlob, a.Value...)
-			attrOff = append(attrOff, uint64(len(attrBlob)))
-		}
-	}
-	fxp3.ColU64(e, attrCnt)
-	fxp3.ColU64(e, attrOff)
-	e.Col(attrBlob)
-
-	byTagOff := make([]uint64, 0, len(d.tags)+1)
-	byTagOff = append(byTagOff, 0)
-	byTagIDs := make([]NodeID, 0, len(d.nodeTag))
-	for t := range d.tags {
-		byTagIDs = append(byTagIDs, d.byTag[t]...)
-		byTagOff = append(byTagOff, uint64(len(byTagIDs)))
-	}
-	fxp3.ColU64(e, byTagOff)
-	fxp3.ColI32(e, byTagIDs)
+	fxp3.ColU64(e, d.textOff)
+	e.Col(d.textBlob)
+	fxp3.ColU64(e, d.attrCnt)
+	fxp3.ColU64(e, d.attrOff)
+	e.Col(d.attrBlob)
+	fxp3.ColU64(e, d.byTagOff)
+	fxp3.ColI32(e, d.byTagIDs)
 	return e.Finish()
 }
 
-// DecodeColumnar restores a document from an EncodeColumnar payload,
-// aliasing the payload's columns and string bytes in place. The caller
-// must keep the payload's backing memory (typically an mmap) alive for
-// the life of the document and everything derived from it.
+// DecodeColumnar restores a document from an EncodeColumnar payload by
+// slicing the payload's columns in place; only the tag table is built.
+// The caller must keep the payload's backing memory (typically an mmap)
+// alive for the life of the document and everything derived from it, and
+// must not read the document before Validate has passed once for this
+// payload: the per-node invariants are not checked here.
 func DecodeColumnar(payload []byte) (*Document, error) {
 	dec := fxp3.NewDec(payload)
 	numTags := int(dec.U64())
@@ -118,118 +79,109 @@ func DecodeColumnar(payload []byte) (*Document, error) {
 	if err := dec.Err(); err != nil {
 		return nil, fmt.Errorf("xmltree: snapshot: %w", err)
 	}
-	if numTags > maxBinaryCount || numNodes > maxBinaryCount || numAttrs > maxBinaryCount {
+	if numTags > varint.MaxCount || numNodes > varint.MaxCount || numAttrs > varint.MaxCount {
 		return nil, fmt.Errorf("xmltree: snapshot: implausible counts (%d tags, %d nodes, %d attrs)",
 			numTags, numNodes, numAttrs)
 	}
 
 	tagOff := fxp3.ViewU64[uint64](dec, numTags+1)
 	tagBlob := dec.Col()
-	nodeTag := fxp3.ViewI32[TagID](dec, numNodes)
-	end := fxp3.ViewI32[NodeID](dec, numNodes)
-	level := fxp3.ViewI32[int32](dec, numNodes)
-	parent := fxp3.ViewI32[NodeID](dec, numNodes)
-	textOff := fxp3.ViewU64[uint64](dec, numNodes+1)
-	textBlob := dec.Col()
-	attrCnt := fxp3.ViewU64[uint64](dec, numNodes+1)
-	attrOff := fxp3.ViewU64[uint64](dec, 2*numAttrs+1)
-	attrBlob := dec.Col()
-	byTagOff := fxp3.ViewU64[uint64](dec, numTags+1)
-	byTagIDs := fxp3.ViewI32[NodeID](dec, numNodes)
+	d := &Document{
+		tags:     make([]string, numTags),
+		tagIDs:   make(map[string]TagID, numTags),
+		nodeTag:  fxp3.ViewI32[TagID](dec, numNodes),
+		end:      fxp3.ViewI32[NodeID](dec, numNodes),
+		level:    fxp3.ViewI32[int32](dec, numNodes),
+		parent:   fxp3.ViewI32[NodeID](dec, numNodes),
+		textOff:  fxp3.ViewU64[uint64](dec, numNodes+1),
+		textBlob: dec.Col(),
+		attrCnt:  fxp3.ViewU64[uint64](dec, numNodes+1),
+		attrOff:  fxp3.ViewU64[uint64](dec, 2*numAttrs+1),
+		attrBlob: dec.Col(),
+		byTagOff: fxp3.ViewU64[uint64](dec, numTags+1),
+		byTagIDs: fxp3.ViewI32[NodeID](dec, numNodes),
+		size:     int64(size),
+	}
 	if err := dec.Err(); err != nil {
 		return nil, fmt.Errorf("xmltree: snapshot: %w", err)
 	}
-
-	d := &Document{
-		tags:    make([]string, numTags),
-		tagIDs:  make(map[string]TagID, numTags),
-		nodeTag: nodeTag,
-		end:     end,
-		level:   level,
-		parent:  parent,
-		size:    int64(size),
+	if !offsetsWithin(tagOff, uint64(len(tagBlob))) {
+		return nil, fmt.Errorf("xmltree: snapshot: tag table offsets out of range")
 	}
-	var ok bool
 	for i := range d.tags {
-		if d.tags[i], ok = interned(tagBlob, tagOff, i); !ok {
-			return nil, fmt.Errorf("xmltree: snapshot: tag table offsets out of range")
-		}
+		d.tags[i] = view(tagBlob, tagOff[i], tagOff[i+1])
 		d.tagIDs[d.tags[i]] = TagID(i)
-	}
-
-	// The same structural invariants ReadBinary enforces: out-of-range
-	// values would index out of bounds at query time.
-	for n := 0; n < numNodes; n++ {
-		if t := int(nodeTag[n]); t < 0 || t >= numTags {
-			return nil, fmt.Errorf("xmltree: snapshot: node %d has invalid tag %d", n, t)
-		}
-		if e := int(end[n]); e < n || e >= numNodes {
-			return nil, fmt.Errorf("xmltree: snapshot: node %d has invalid interval end %d", n, e)
-		}
-		if p := int(parent[n]); p >= n || (p < 0 && !(n == 0 && p == -1)) {
-			return nil, fmt.Errorf("xmltree: snapshot: node %d has invalid parent %d", n, p)
-		}
-	}
-
-	d.text = make([]string, numNodes)
-	for n := 0; n < numNodes; n++ {
-		if d.text[n], ok = interned(textBlob, textOff, n); !ok {
-			return nil, fmt.Errorf("xmltree: snapshot: text offsets out of range")
-		}
-	}
-
-	d.attrs = make([][]Attr, numNodes)
-	if numAttrs > 0 {
-		flat := make([]Attr, numAttrs)
-		for i := range flat {
-			if flat[i].Name, ok = interned(attrBlob, attrOff, 2*i); !ok {
-				return nil, fmt.Errorf("xmltree: snapshot: attribute offsets out of range")
-			}
-			if flat[i].Value, ok = interned(attrBlob, attrOff, 2*i+1); !ok {
-				return nil, fmt.Errorf("xmltree: snapshot: attribute offsets out of range")
-			}
-		}
-		for n := 0; n < numNodes; n++ {
-			lo, hi := attrCnt[n], attrCnt[n+1]
-			if lo > hi || hi > uint64(numAttrs) {
-				return nil, fmt.Errorf("xmltree: snapshot: attribute counts out of range")
-			}
-			if lo < hi {
-				d.attrs[n] = flat[lo:hi:hi]
-			}
-		}
-	} else {
-		// attrCnt must still be monotone-zero; no per-node slices needed.
-		if attrCnt[numNodes] != 0 {
-			return nil, fmt.Errorf("xmltree: snapshot: attribute counts out of range")
-		}
-	}
-
-	for _, n := range byTagIDs {
-		if n < 0 || int(n) >= numNodes {
-			return nil, fmt.Errorf("xmltree: snapshot: per-tag node %d out of range", n)
-		}
-	}
-	d.byTag = make([][]NodeID, numTags)
-	for t := 0; t < numTags; t++ {
-		lo, hi := byTagOff[t], byTagOff[t+1]
-		if lo > hi || hi > uint64(numNodes) {
-			return nil, fmt.Errorf("xmltree: snapshot: per-tag node lists out of range")
-		}
-		if lo < hi {
-			d.byTag[t] = byTagIDs[lo:hi:hi]
-		}
 	}
 	return d, nil
 }
 
-// interned returns element i of a blob-backed string table, aliasing the
-// blob's bytes.
-func interned(blob []byte, off []uint64, i int) (string, bool) {
-	lo, hi := off[i], off[i+1]
-	if lo > hi || hi > uint64(len(blob)) {
-		return "", false
+// offsetsWithin reports whether off, an offset column (never empty), is
+// non-decreasing and ends within limit.
+func offsetsWithin(off []uint64, limit uint64) bool {
+	return slices.IsSorted(off) && off[len(off)-1] <= limit
+}
+
+// Validate checks every invariant the accessors and the join kernels
+// rely on — the ones an out-of-range or out-of-order column value would
+// turn into an out-of-bounds index or a silently different answer at
+// query time. It reads every column once, so the snapshot layer runs it
+// once per payload, next to the checksum, and not per DecodeColumnar.
+func (d *Document) Validate() error {
+	if err := d.validateNodes(); err != nil {
+		return err
 	}
-	s, ok := fxp3.String(blob, lo, hi-lo)
-	return s, ok
+	numNodes, numTags := len(d.nodeTag), len(d.tags)
+	if !offsetsWithin(d.byTagOff, uint64(numNodes)) || d.byTagOff[0] != 0 || d.byTagOff[numTags] != uint64(numNodes) {
+		return fmt.Errorf("xmltree: snapshot: per-tag node lists out of range")
+	}
+	// Each tag's list holds exactly the nodes of that tag in document
+	// order: the structural joins merge the lists and never look at the
+	// tag column again.
+	for t := 0; t < numTags; t++ {
+		prev := NodeID(-1)
+		for _, n := range d.byTagIDs[d.byTagOff[t]:d.byTagOff[t+1]] {
+			if n <= prev || int(n) >= numNodes || int(d.nodeTag[n]) != t {
+				return fmt.Errorf("xmltree: snapshot: per-tag node %d out of place in the list of tag %d", n, t)
+			}
+			prev = n
+		}
+	}
+	return nil
+}
+
+// validateNodes is the part of Validate that does not read the per-tag
+// lists, which the FXP2 reader derives from the columns checked here.
+func (d *Document) validateNodes() error {
+	numNodes, numTags := len(d.nodeTag), len(d.tags)
+	for n := 0; n < numNodes; n++ {
+		if t := int(d.nodeTag[n]); t < 0 || t >= numTags {
+			return fmt.Errorf("xmltree: snapshot: node %d has invalid tag %d", n, t)
+		}
+		if e := int(d.end[n]); e < n || e >= numNodes {
+			return fmt.Errorf("xmltree: snapshot: node %d has invalid interval end %d", n, e)
+		}
+		p := int(d.parent[n])
+		if p >= n || (p < 0 && !(n == 0 && p == -1)) {
+			return fmt.Errorf("xmltree: snapshot: node %d has invalid parent %d", n, p)
+		}
+		// lca climbs by level, so a level that disagrees with the parent
+		// column would walk it off the root.
+		level := int32(0)
+		if n > 0 {
+			level = d.level[p] + 1
+		}
+		if d.level[n] != level {
+			return fmt.Errorf("xmltree: snapshot: node %d has invalid level %d", n, d.level[n])
+		}
+	}
+	if !offsetsWithin(d.textOff, uint64(len(d.textBlob))) {
+		return fmt.Errorf("xmltree: snapshot: text offsets out of range")
+	}
+	if !offsetsWithin(d.attrCnt, uint64(len(d.attrOff)/2)) {
+		return fmt.Errorf("xmltree: snapshot: attribute counts out of range")
+	}
+	if !offsetsWithin(d.attrOff, uint64(len(d.attrBlob))) {
+		return fmt.Errorf("xmltree: snapshot: attribute offsets out of range")
+	}
+	return nil
 }

@@ -16,6 +16,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"flexpath/internal/fxp3"
 )
 
 // NodeID identifies an element node within a Document. IDs are assigned in
@@ -40,17 +42,34 @@ type Attr struct {
 // Document is an immutable parsed XML document. All per-node accessors are
 // O(1); structural tests use the interval encoding. A Document is safe for
 // concurrent readers.
+//
+// Its only representation is the offset-indexed column layout an FXP3
+// tree section stores (see columnar.go): whether the columns are heap
+// slices filled by a Builder or views over a mapped snapshot, the
+// accessors read them the same way, and the heap holds nothing per node
+// beyond the columns themselves. Strings returned by Text, Attr and
+// Attrs are views of the blobs and live as long as the blobs do.
 type Document struct {
-	tags    []string
-	tagIDs  map[string]TagID
+	tags   []string
+	tagIDs map[string]TagID
+	// Node columns, indexed by NodeID.
 	nodeTag []TagID
 	end     []NodeID
 	level   []int32
 	parent  []NodeID
-	text    []string
-	attrs   [][]Attr
-	byTag   [][]NodeID
-	size    int64 // bytes of source XML, if parsed from text
+	// Node n's text is textBlob[textOff[n]:textOff[n+1]].
+	textOff  []uint64
+	textBlob []byte
+	// Node n owns attributes attrCnt[n] to attrCnt[n+1]; attribute i's
+	// name and value are the attrBlob ranges between attrOff[2i],
+	// attrOff[2i+1] and attrOff[2i+2].
+	attrCnt  []uint64
+	attrOff  []uint64
+	attrBlob []byte
+	// The nodes with tag t are byTagIDs[byTagOff[t]:byTagOff[t+1]].
+	byTagOff []uint64
+	byTagIDs []NodeID
+	size     int64 // bytes of source XML, if parsed from text
 }
 
 // Parse reads a complete XML document and builds its node table. Character
@@ -62,6 +81,7 @@ func Parse(r io.Reader) (*Document, error) {
 	b := NewBuilder()
 	depth := 0
 	seenRoot := false
+	var attrs []Attr
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -78,7 +98,7 @@ func Parse(r io.Reader) (*Document, error) {
 				}
 				seenRoot = true
 			}
-			attrs := make([]Attr, 0, len(t.Attr))
+			attrs = attrs[:0]
 			for _, a := range t.Attr {
 				attrs = append(attrs, Attr{Name: a.Name.Local, Value: a.Value})
 			}
@@ -168,16 +188,40 @@ func (d *Document) Parents() []NodeID { return d.parent }
 
 // Text returns the character data directly inside node n (excluding
 // descendants' text).
-func (d *Document) Text(n NodeID) string { return d.text[n] }
+func (d *Document) Text(n NodeID) string {
+	return view(d.textBlob, d.textOff[n], d.textOff[n+1])
+}
 
-// Attrs returns the attributes of node n. The returned slice must not be
-// modified.
-func (d *Document) Attrs(n NodeID) []Attr { return d.attrs[n] }
+// view returns blob[lo:hi] as a string without copying it.
+func view(blob []byte, lo, hi uint64) string {
+	s, _ := fxp3.String(blob, lo, hi-lo)
+	return s
+}
+
+// attr returns the i-th attribute of the document.
+func (d *Document) attr(i uint64) Attr {
+	o := d.attrOff[2*i : 2*i+3]
+	return Attr{Name: view(d.attrBlob, o[0], o[1]), Value: view(d.attrBlob, o[1], o[2])}
+}
+
+// Attrs returns the attributes of node n, read from the attribute
+// columns into a new slice.
+func (d *Document) Attrs(n NodeID) []Attr {
+	lo, hi := d.attrCnt[n], d.attrCnt[n+1]
+	if lo == hi {
+		return nil
+	}
+	out := make([]Attr, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, d.attr(i))
+	}
+	return out
+}
 
 // Attr looks up an attribute by name on node n.
 func (d *Document) Attr(n NodeID, name string) (string, bool) {
-	for _, a := range d.attrs[n] {
-		if a.Name == name {
+	for i := d.attrCnt[n]; i < d.attrCnt[n+1]; i++ {
+		if a := d.attr(i); a.Name == name {
 			return a.Value, true
 		}
 	}
@@ -202,11 +246,7 @@ func (d *Document) Contains(n, m NodeID) bool {
 // NodesWithTag returns all nodes with the given tag name in document order.
 // The returned slice must not be modified.
 func (d *Document) NodesWithTag(name string) []NodeID {
-	id := d.TagByName(name)
-	if id == InvalidTag {
-		return nil
-	}
-	return d.byTag[id]
+	return d.NodesWithTagID(d.TagByName(name))
 }
 
 // NodesWithTagID returns all nodes with tag t in document order. The
@@ -215,7 +255,8 @@ func (d *Document) NodesWithTagID(t TagID) []NodeID {
 	if t == InvalidTag {
 		return nil
 	}
-	return d.byTag[t]
+	lo, hi := d.byTagOff[t], d.byTagOff[t+1]
+	return d.byTagIDs[lo:hi:hi]
 }
 
 // Children returns the child elements of n in document order.
@@ -232,7 +273,7 @@ func (d *Document) Children(n NodeID) []NodeID {
 func (d *Document) SubtreeText(n NodeID) string {
 	var sb strings.Builder
 	for m := n; m <= d.end[n]; m++ {
-		if t := d.text[m]; t != "" {
+		if t := d.Text(m); t != "" {
 			if sb.Len() > 0 {
 				sb.WriteByte(' ')
 			}
@@ -283,7 +324,8 @@ func (d *Document) writeXML(w io.StringWriter, n NodeID) error {
 	if _, err := w.WriteString("<" + d.TagName(n)); err != nil {
 		return err
 	}
-	for _, a := range d.attrs[n] {
+	for i := d.attrCnt[n]; i < d.attrCnt[n+1]; i++ {
+		a := d.attr(i)
 		if _, err := w.WriteString(" " + a.Name + `="` + escapeXML(a.Value) + `"`); err != nil {
 			return err
 		}
@@ -291,7 +333,7 @@ func (d *Document) writeXML(w io.StringWriter, n NodeID) error {
 	if _, err := w.WriteString(">"); err != nil {
 		return err
 	}
-	if t := d.text[n]; t != "" {
+	if t := d.Text(n); t != "" {
 		if _, err := w.WriteString(escapeXML(t)); err != nil {
 			return err
 		}
@@ -315,62 +357,71 @@ func escapeXML(s string) string {
 
 // Builder assembles a Document programmatically without going through XML
 // text. Calls must form a balanced Open/Close sequence with exactly one
-// top-level element.
+// top-level element. It fills the document's columns as the calls arrive;
+// only text that reaches an element after one of its children has opened
+// (mixed content) is set aside, in late, and spliced in by Document.
 type Builder struct {
-	tags    []string
-	tagIDs  map[string]TagID
-	nodeTag []TagID
-	end     []NodeID
-	level   []int32
-	parent  []NodeID
-	text    []string
-	attrs   [][]Attr
-	stack   []NodeID
-	roots   int
+	d     Document
+	stack []NodeID
+	roots int
+	late  []lateText
+}
+
+type lateText struct {
+	node NodeID
+	s    string
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{tagIDs: make(map[string]TagID)}
+	b := &Builder{}
+	b.d.tagIDs = make(map[string]TagID)
+	b.d.attrCnt = []uint64{0}
+	b.d.attrOff = []uint64{0}
+	return b
 }
 
 func (b *Builder) tagID(name string) TagID {
-	if id, ok := b.tagIDs[name]; ok {
+	if id, ok := b.d.tagIDs[name]; ok {
 		return id
 	}
-	id := TagID(len(b.tags))
-	b.tags = append(b.tags, name)
-	b.tagIDs[name] = id
+	id := TagID(len(b.d.tags))
+	b.d.tags = append(b.d.tags, name)
+	b.d.tagIDs[name] = id
 	return id
 }
 
 // Open starts a new element and returns its NodeID.
 func (b *Builder) Open(tag string, attrs ...Attr) NodeID {
-	id := NodeID(len(b.nodeTag))
+	d := &b.d
+	id := NodeID(len(d.nodeTag))
 	parent := InvalidNode
 	level := int32(0)
 	if len(b.stack) > 0 {
 		parent = b.stack[len(b.stack)-1]
-		level = b.level[parent] + 1
+		level = d.level[parent] + 1
 	} else {
 		b.roots++
 	}
-	b.nodeTag = append(b.nodeTag, b.tagID(tag))
-	b.end = append(b.end, id)
-	b.level = append(b.level, level)
-	b.parent = append(b.parent, parent)
-	b.text = append(b.text, "")
-	if len(attrs) == 0 {
-		b.attrs = append(b.attrs, nil)
-	} else {
-		b.attrs = append(b.attrs, append([]Attr(nil), attrs...))
+	d.nodeTag = append(d.nodeTag, b.tagID(tag))
+	d.end = append(d.end, id)
+	d.level = append(d.level, level)
+	d.parent = append(d.parent, parent)
+	d.textOff = append(d.textOff, uint64(len(d.textBlob)))
+	for _, a := range attrs {
+		d.attrBlob = append(d.attrBlob, a.Name...)
+		d.attrOff = append(d.attrOff, uint64(len(d.attrBlob)))
+		d.attrBlob = append(d.attrBlob, a.Value...)
+		d.attrOff = append(d.attrOff, uint64(len(d.attrBlob)))
 	}
+	d.attrCnt = append(d.attrCnt, uint64(len(d.attrOff)/2))
 	b.stack = append(b.stack, id)
 	return id
 }
 
-// Text appends character data to the currently open element. Leading and
-// trailing whitespace is preserved; purely-whitespace data is dropped.
+// Text appends character data to the currently open element, separated
+// from the element's earlier text by a single space. Leading and trailing
+// whitespace is preserved; purely-whitespace data is dropped.
 func (b *Builder) Text(s string) {
 	if len(b.stack) == 0 {
 		return
@@ -378,12 +429,16 @@ func (b *Builder) Text(s string) {
 	if strings.TrimSpace(s) == "" {
 		return
 	}
+	d := &b.d
 	n := b.stack[len(b.stack)-1]
-	if b.text[n] == "" {
-		b.text[n] = s
-	} else {
-		b.text[n] += " " + s
+	if int(n) != len(d.nodeTag)-1 {
+		b.late = append(b.late, lateText{n, s})
+		return
 	}
+	if uint64(len(d.textBlob)) > d.textOff[n] {
+		d.textBlob = append(d.textBlob, ' ')
+	}
+	d.textBlob = append(d.textBlob, s...)
 }
 
 // Close ends the most recently opened element.
@@ -393,7 +448,7 @@ func (b *Builder) Close() {
 	}
 	n := b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
-	b.end[n] = NodeID(len(b.nodeTag) - 1)
+	b.d.end[n] = NodeID(len(b.d.nodeTag) - 1)
 }
 
 // Element opens an element containing only text and immediately closes it.
@@ -404,8 +459,8 @@ func (b *Builder) Element(tag, text string, attrs ...Attr) NodeID {
 	return n
 }
 
-// Document finalizes the builder. It fails if elements are unbalanced or
-// there is not exactly one root.
+// Document finalizes the builder, which must not be used afterwards. It
+// fails if elements are unbalanced or there is not exactly one root.
 func (b *Builder) Document() (*Document, error) {
 	if len(b.stack) != 0 {
 		return nil, fmt.Errorf("xmltree: %d unclosed elements", len(b.stack))
@@ -413,26 +468,51 @@ func (b *Builder) Document() (*Document, error) {
 	if b.roots != 1 {
 		return nil, fmt.Errorf("xmltree: document must have exactly one root, got %d", b.roots)
 	}
-	d := &Document{
-		tags:    b.tags,
-		tagIDs:  b.tagIDs,
-		nodeTag: b.nodeTag,
-		end:     b.end,
-		level:   b.level,
-		parent:  b.parent,
-		text:    b.text,
-		attrs:   b.attrs,
+	b.d.textOff = append(b.d.textOff, uint64(len(b.d.textBlob)))
+	if len(b.late) > 0 {
+		b.spliceLateText()
 	}
-	d.byTag = make([][]NodeID, len(d.tags))
-	for n, t := range d.nodeTag {
-		d.byTag[t] = append(d.byTag[t], NodeID(n))
-	}
-	// Pre-order assignment already yields document order per tag, but be
-	// defensive in case of future builder extensions.
-	for _, l := range d.byTag {
-		if !sort.SliceIsSorted(l, func(i, j int) bool { return l[i] < l[j] }) {
-			sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
+	d := b.d
+	d.indexTags()
+	return &d, nil
+}
+
+// spliceLateText rewrites the text columns with every late fragment
+// appended to its node's text, in arrival order.
+func (b *Builder) spliceLateText() {
+	d := &b.d
+	sort.SliceStable(b.late, func(i, j int) bool { return b.late[i].node < b.late[j].node })
+	blob := make([]byte, 0, len(d.textBlob))
+	off := make([]uint64, len(d.textOff))
+	li := 0
+	for n := range d.nodeTag {
+		off[n] = uint64(len(blob))
+		blob = append(blob, d.textBlob[d.textOff[n]:d.textOff[n+1]]...)
+		for ; li < len(b.late) && int(b.late[li].node) == n; li++ {
+			if uint64(len(blob)) > off[n] {
+				blob = append(blob, ' ')
+			}
+			blob = append(blob, b.late[li].s...)
 		}
 	}
-	return d, nil
+	off[len(d.nodeTag)] = uint64(len(blob))
+	d.textOff, d.textBlob = off, blob
+}
+
+// indexTags fills the per-tag node lists from the tag column by a
+// counting sort, which leaves every list in document order.
+func (d *Document) indexTags() {
+	d.byTagOff = make([]uint64, len(d.tags)+1)
+	for _, t := range d.nodeTag {
+		d.byTagOff[t+1]++
+	}
+	for t := range d.tags {
+		d.byTagOff[t+1] += d.byTagOff[t]
+	}
+	d.byTagIDs = make([]NodeID, len(d.nodeTag))
+	next := append([]uint64(nil), d.byTagOff[:len(d.tags)]...)
+	for n, t := range d.nodeTag {
+		d.byTagIDs[next[t]] = NodeID(n)
+		next[t]++
+	}
 }

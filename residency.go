@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"flexpath/internal/fxp3"
 	"flexpath/internal/mmapio"
+	"flexpath/internal/obs"
 )
 
 // Residency: serving collections bigger than RAM.
@@ -15,16 +17,20 @@ import (
 // is mapped and its header, directory and small meta section are read —
 // a few pages — but the tree, statistics and postings are neither
 // decoded nor faulted in. The first search that needs the document
-// faults it in (decodes the sections over the mapping, checksumming
-// each once); SetResidency bounds how many faulted-in documents stay
-// hot, evicting the least recently used beyond the cap.
+// faults it in: the sections' columns are sliced in place over the
+// mapping, and — the first time only — each section is checksummed and
+// every column value validated. SetResidency bounds how many faulted-in
+// documents stay hot, evicting the least recently used beyond the cap;
+// faulting an evicted member back in re-slices and allocates nothing per
+// node or per term.
 //
 // Two facts make the memory math work:
 //
-//   - A resident document's bulk is file-backed. The columns, text and
-//     postings alias the mapping, so the pages are clean and the kernel
-//     reclaims them under pressure; the heap holds only string/slice
-//     headers and lookup maps.
+//   - A resident document is its mapped columns. Tree, text, statistics
+//     and postings alias the mapping, so the pages are clean and the
+//     kernel reclaims them under pressure; the heap holds the three
+//     struct headers, the tag table and the (initially empty) plan,
+//     result and full-text caches.
 //
 //   - Eviction drops exactly that heap state. It never unmaps: answers
 //     and snippets from earlier searches alias the mapping, and an
@@ -60,7 +66,8 @@ type coldDoc struct {
 	f    *fxp3.File
 	meta SnapshotMeta
 	// mu single-flights fault-in: concurrent searches hitting one cold
-	// document decode it once.
+	// document decode it once. f remembers the checksum and validation
+	// verdicts, so they are paid by the member's first fault only.
 	mu sync.Mutex
 }
 
@@ -113,18 +120,27 @@ func (c *Collection) AddSnapshotFile(name, path string) error {
 	return nil
 }
 
-// require returns the member's document, faulting it in when cold.
-func (c *Collection) require(m *member) (*Document, error) {
+// require returns the member's document, faulting it in when cold. The
+// time a caller spends past the resident check — decoding, or waiting
+// for the caller that is — is added to the collection's fault time and
+// to span's fault stage (span may be nil).
+func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
 	m.lastUse.Store(c.tick.Add(1))
 	if d := m.doc.Load(); d != nil {
 		return d, nil
 	}
+	start := time.Now()
+	defer func() {
+		spent := time.Since(start)
+		c.faultNanos.Add(int64(spent))
+		span.Rec(obs.StageFault, spent)
+	}()
 	m.cold.mu.Lock()
 	defer m.cold.mu.Unlock()
 	if d := m.doc.Load(); d != nil {
 		return d, nil
 	}
-	d, err := documentFromFXP3(m.cold.f, DocumentOptions{})
+	d, err := documentFromFXP3(m.cold.f, &c.validations)
 	if err != nil {
 		return nil, wrapSnapshotPath(m.cold.path, err)
 	}
@@ -205,19 +221,25 @@ type ResidencyStats struct {
 	Pinned   int `json:"pinned"`
 	// Max is the SetResidency cap; 0 means unbounded.
 	Max int `json:"max"`
-	// Faults counts cold documents decoded on demand; Evictions counts
+	// Faults counts cold documents faulted in on demand; Evictions counts
 	// residency-cap evictions. Faults > Cold+Resident means documents
 	// are cycling: the cap is too tight for the working set.
 	Faults    uint64 `json:"faults"`
 	Evictions uint64 `json:"evictions"`
+	// FaultNanos is the total time callers have spent faulting members
+	// in: decoding a snapshot, or waiting for the search that was.
+	// FaultNanos/Faults well above a re-fault's microseconds means first
+	// faults (checksum, validation, page-in) dominate.
+	FaultNanos int64 `json:"fault_nanos"`
 }
 
 // ResidencyStats reports the collection's residency counters.
 func (c *Collection) ResidencyStats() ResidencyStats {
 	s := ResidencyStats{
-		Max:       int(c.maxResident.Load()),
-		Faults:    c.faults.Load(),
-		Evictions: c.evictions.Load(),
+		Max:        int(c.maxResident.Load()),
+		Faults:     c.faults.Load(),
+		Evictions:  c.evictions.Load(),
+		FaultNanos: c.faultNanos.Load(),
 	}
 	_, members := c.snapshot()
 	for _, m := range members {

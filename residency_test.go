@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"flexpath/internal/obs"
 )
 
 // residencyCorpus writes n FXP3 snapshots of distinct articles documents
@@ -342,5 +345,48 @@ func TestResidencyConcurrentStress(t *testing.T) {
 	if s.Faults == 0 || s.Evictions == 0 {
 		t.Fatalf("stress did not exercise fault/evict cycling: %+v", s)
 	}
+	// Members cycled many times over, yet each snapshot's structural
+	// validation ran exactly once: a re-fault re-slices, it does not
+	// re-check.
+	if v := c.validations.Load(); v != uint64(len(corpus)) || s.Faults < 4*v {
+		t.Fatalf("%d validation passes for %d members over %d faults", v, len(corpus), s.Faults)
+	}
+	if s.FaultNanos <= 0 {
+		t.Fatalf("faults took no time: %+v", s)
+	}
 	t.Logf("stress: %+v", s)
+}
+
+// TestFaultTimeIsAccounted: the time a search spends faulting members in
+// lands in its span's fault stage and in ResidencyStats.FaultNanos, and a
+// search that finds every member resident adds to neither.
+func TestFaultTimeIsAccounted(t *testing.T) {
+	corpus := residencyCorpus(t, 3)
+	c := NewCollection()
+	defer c.Close() //nolint:errcheck
+	for _, m := range corpus {
+		if err := c.AddSnapshotFile(m.name, m.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := MustParseQuery(paperQ1)
+	search := func() time.Duration {
+		t.Helper()
+		reg := obs.NewRegistry(4, 0)
+		span := reg.StartSpan(q.String(), "Hybrid", "structure-first", 5)
+		ctx := obs.WithSpan(context.Background(), span)
+		if _, err := c.SearchContext(ctx, q, SearchOptions{K: 5, Algorithm: Hybrid, NoCache: true}); err != nil {
+			t.Fatal(err)
+		}
+		span.Finish("ok")
+		return reg.SlowLog().Top(1)[0].Stages[obs.StageFault]
+	}
+	cold := search()
+	total := c.ResidencyStats().FaultNanos
+	if cold <= 0 || total != int64(cold) {
+		t.Fatalf("three faults: span fault stage %v, FaultNanos %d", cold, total)
+	}
+	if warm := search(); warm != 0 || c.ResidencyStats().FaultNanos != total {
+		t.Fatalf("no member was cold: span fault stage %v, FaultNanos %d -> %d", warm, total, c.ResidencyStats().FaultNanos)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"flexpath/internal/fxp3"
 	"flexpath/internal/ir"
@@ -15,17 +16,21 @@ import (
 
 // FXP3 is the mmap-friendly successor to the FXP2 indexed snapshot: a
 // checksummed section directory over offset-based, fixed-width columns
-// that the tree, statistics and index layers decode zero-copy from a
-// mapped file (see internal/fxp3). Two properties matter operationally:
+// that are the tree, statistics and index layers' in-memory layout, so
+// loading a mapped file slices it and decodes nothing (see
+// internal/fxp3). Two properties matter operationally:
 //
 //   - Opening costs pages, not the file. fxp3.Parse touches only the
-//     header and directory; each section's checksum runs on first
-//     access, which over mmap is what faults its pages in.
+//     header and directory; each section's checksum, and the validation
+//     of its column values, run on first access, which over mmap is
+//     what faults its pages in, and are remembered on the fxp3.File.
 //
-//   - A loaded document's bulk — text bytes, node columns, postings —
-//     stays file-backed. The pages are clean and the kernel reclaims
-//     them under pressure, so a collection larger than RAM serves from
-//     whatever working set fits (see Collection.SetResidency).
+//   - A loaded document is its mapped columns: text bytes, node
+//     columns, statistics and postings stay file-backed, and the heap
+//     holds headers, the tag table and caches. The pages are clean and
+//     the kernel reclaims them under pressure, so a collection larger
+//     than RAM serves from whatever working set fits (see
+//     Collection.SetResidency).
 //
 // The cost of the aliasing is a lifetime rule: answers, snippets and
 // the document's own strings point into the mapping, so the mapping
@@ -128,12 +133,17 @@ func corrupt(err error) error {
 	return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 }
 
-// documentFromFXP3 decodes all three data sections of a parsed FXP3
-// container into a searchable document. On little-endian hosts the
-// decoded structures alias data's backing memory; the caller owns
-// keeping that memory alive (and attaching the mapping to the document
-// via mp, when there is one).
-func documentFromFXP3(f *fxp3.File, o DocumentOptions) (*Document, error) {
+// documentFromFXP3 turns the three data sections of a parsed FXP3
+// container into a searchable document. Decoding slices the sections'
+// columns in place and allocates nothing per node or per term; the
+// checksums and the structural validation of every column value run the
+// first time this file is decoded and are remembered on f, so decoding
+// it again (a re-fault after eviction) costs a handful of headers and
+// empty caches. On little-endian hosts the document aliases data's
+// backing memory; the caller owns keeping that memory alive (and
+// attaching the mapping to the document, when there is one).
+// validations, when non-nil, counts the validation passes actually run.
+func documentFromFXP3(f *fxp3.File, validations *atomic.Uint64) (*Document, error) {
 	treeB, err := f.Section(fxp3.SectionTree)
 	if err != nil {
 		return nil, corrupt(err)
@@ -158,7 +168,21 @@ func documentFromFXP3(f *fxp3.File, o DocumentOptions) (*Document, error) {
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	_ = o
+	err = f.Validated(func() error {
+		if validations != nil {
+			validations.Add(1)
+		}
+		if err := tree.Validate(); err != nil {
+			return err
+		}
+		if err := st.Validate(); err != nil {
+			return err
+		}
+		return ix.Validate()
+	})
+	if err != nil {
+		return nil, corrupt(err)
+	}
 	return assembleDocument(tree, st, ix), nil
 }
 
@@ -174,7 +198,7 @@ func LoadFXP3Snapshot(r io.Reader) (*Document, error) {
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	return documentFromFXP3(f, DocumentOptions{})
+	return documentFromFXP3(f, nil)
 }
 
 // LoadFXP3SnapshotFile restores a document from the FXP3 snapshot at
@@ -202,7 +226,7 @@ func documentFromMapping(m *mmapio.Mapping) (*Document, error) {
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	d, err := documentFromFXP3(f, DocumentOptions{})
+	d, err := documentFromFXP3(f, nil)
 	if err != nil {
 		return nil, err
 	}
