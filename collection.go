@@ -70,10 +70,6 @@ type Collection struct {
 	faults      atomic.Uint64
 	evictions   atomic.Uint64
 	faultNanos  atomic.Int64
-	// validations counts first faults: the faults that ran a snapshot's
-	// one structural validation pass (tests assert it stays at one per
-	// member however often members cycle).
-	validations atomic.Uint64
 	evictMu     sync.Mutex
 	mappings    []*mmapio.Mapping
 }

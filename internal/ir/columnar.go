@@ -133,7 +133,7 @@ func (ix *Index) Validate() error {
 		}
 		df, last := int32(0), posting{node: -1, pos: -1}
 		for _, p := range ix.posts[lo:hi] {
-			if p.node < last.node || p.node >= nodes || p.pos <= last.pos {
+			if p.node < 0 || p.node < last.node || p.node >= nodes || p.pos <= last.pos {
 				return fmt.Errorf("ir: snapshot: posting (%d,%d) of term %d out of range or out of order", p.node, p.pos, i)
 			}
 			if p.node != last.node {

@@ -51,6 +51,12 @@ func newMapIndex(doc *xmltree.Document) *mapIndex {
 	return m
 }
 
+// postings is lookup for the tests that only read occurrences.
+func (ix *Index) postings(word string) []posting {
+	posts, _ := ix.lookup(word)
+	return posts
+}
+
 // indexReloads returns ix with its FXP2 and its FXP3 reload.
 func indexReloads(t *testing.T, ix *Index) map[string]*Index {
 	t.Helper()
@@ -160,6 +166,18 @@ func TestValidateRejectsBrokenColumns(t *testing.T) {
 		"term offsets beyond the blob": func(ix *Index) { ix.termOff[len(ix.termOff)-1]++ },
 		"posting offsets beyond":       func(ix *Index) { ix.postOff[len(ix.postOff)-1]++ },
 		"posting node out of range":    func(ix *Index) { ix.posts[len(ix.posts)-1].node = xmltree.NodeID(ix.doc.Len()) },
+		"posting node of -1": func(ix *Index) { // the term's first node, df lowered to match
+			lo := multi(ix)
+			first := ix.posts[lo].node
+			for j := lo; ix.posts[j].node == first; j++ {
+				ix.posts[j].node = -1
+			}
+			for i := range ix.df {
+				if ix.postOff[i] == lo {
+					ix.df[i]--
+				}
+			}
+		},
 		"posting nodes decreasing": func(ix *Index) {
 			lo := multi(ix)
 			for j := lo; ; j++ {

@@ -168,13 +168,14 @@ func (ix *Index) termAt(i int) string {
 	return s
 }
 
-// postings returns word's occurrences in position order.
-func (ix *Index) postings(word string) []posting {
-	i := ix.term(word)
-	if i < 0 {
-		return nil
+// lookup returns word's occurrences in position order and its inverse
+// document frequency, from one search of the dictionary.
+func (ix *Index) lookup(word string) (posts []posting, idf float64) {
+	df := 0
+	if i := ix.term(word); i >= 0 {
+		posts, df = ix.posts[ix.postOff[i]:ix.postOff[i+1]], int(ix.df[i])
 	}
-	return ix.posts[ix.postOff[i]:ix.postOff[i+1]]
+	return posts, math.Log(1 + float64(ix.textNodes)/float64(1+df))
 }
 
 // nodeLen returns the number of tokens directly inside node n.
@@ -336,14 +337,6 @@ type witness struct {
 	score float64
 }
 
-func (ix *Index) idf(term string) float64 {
-	df := 0
-	if i := ix.term(term); i >= 0 {
-		df = int(ix.df[i])
-	}
-	return math.Log(1 + float64(ix.textNodes)/float64(1+df))
-}
-
 func (ix *Index) eval(e Expr) []witness {
 	switch t := e.(type) {
 	case Term:
@@ -389,11 +382,10 @@ func (ix *Index) eval(e Expr) []witness {
 }
 
 func (ix *Index) evalTerm(word string) []witness {
-	posts := ix.postings(word)
+	posts, idf := ix.lookup(word)
 	if len(posts) == 0 {
 		return nil
 	}
-	idf := ix.idf(word)
 	var out []witness
 	i := 0
 	for i < len(posts) {
@@ -415,8 +407,9 @@ func (ix *Index) evalPhrase(words []string) []witness {
 	posts := make([][]posting, len(words))
 	idfSum := 0.0
 	for i, w := range words {
-		posts[i] = ix.postings(w)
-		idfSum += ix.idf(w)
+		var idf float64
+		posts[i], idf = ix.lookup(w)
+		idfSum += idf
 	}
 	var out []witness
 	for _, p := range posts[0] {
@@ -442,8 +435,9 @@ func (ix *Index) evalNear(words []string, window int) []witness {
 	posts := make([][]posting, len(words))
 	idfSum := 0.0
 	for i, w := range words {
-		posts[i] = ix.postings(w)
-		idfSum += ix.idf(w)
+		var idf float64
+		posts[i], idf = ix.lookup(w)
+		idfSum += idf
 	}
 	// Every token participating in a qualifying window yields a witness
 	// at its owning element, so a context containing any participant

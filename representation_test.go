@@ -136,6 +136,20 @@ func TestFXP3RejectsDisorderedColumns(t *testing.T) {
 			last := len(ix["df"])/4 - 1
 			ix["termBlob"][u64(ix["termOff"], last)] = 0
 		}},
+		{"posting node of -1", index, func(p []byte) { // the term's first node, df lowered to match
+			ix := indexColumns(p)
+			lo, _ := repeatedTerm(t, ix)
+			first := i32(ix["posts"], 2*lo)
+			for j := lo; i32(ix["posts"], 2*j) == first; j++ {
+				setI32(ix["posts"], 2*j, -1)
+			}
+			for i := 0; ; i++ {
+				if int(u64(ix["postOff"], i)) == lo && i32(ix["df"], i) > 1 {
+					setI32(ix["df"], i, i32(ix["df"], i)-1)
+					return
+				}
+			}
+		}},
 		{"posting nodes decreasing", index, func(p []byte) {
 			ix := indexColumns(p)
 			lo, hi := repeatedTerm(t, ix)

@@ -140,7 +140,7 @@ func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
 	if d := m.doc.Load(); d != nil {
 		return d, nil
 	}
-	d, err := documentFromFXP3(m.cold.f, &c.validations)
+	d, err := documentFromFXP3(m.cold.f)
 	if err != nil {
 		return nil, wrapSnapshotPath(m.cold.path, err)
 	}

@@ -347,9 +347,16 @@ func TestResidencyConcurrentStress(t *testing.T) {
 	}
 	// Members cycled many times over, yet each snapshot's structural
 	// validation ran exactly once: a re-fault re-slices, it does not
-	// re-check.
-	if v := c.validations.Load(); v != uint64(len(corpus)) || s.Faults < 4*v {
-		t.Fatalf("%d validation passes for %d members over %d faults", v, len(corpus), s.Faults)
+	// re-check. Every fault decodes the file the member was added with,
+	// whose memo runs a check at most once; here it is already spent.
+	if s.Faults < 4*uint64(len(corpus)) {
+		t.Fatalf("%d faults for %d members: members did not cycle", s.Faults, len(corpus))
+	}
+	_, members := c.snapshot()
+	for _, m := range members {
+		if err := m.cold.f.Validated(func() error { return fmt.Errorf("member %s never validated", m.name) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s.FaultNanos <= 0 {
 		t.Fatalf("faults took no time: %+v", s)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"flexpath/internal/fxp3"
 	"flexpath/internal/ir"
@@ -142,8 +141,7 @@ func corrupt(err error) error {
 // empty caches. On little-endian hosts the document aliases data's
 // backing memory; the caller owns keeping that memory alive (and
 // attaching the mapping to the document, when there is one).
-// validations, when non-nil, counts the validation passes actually run.
-func documentFromFXP3(f *fxp3.File, validations *atomic.Uint64) (*Document, error) {
+func documentFromFXP3(f *fxp3.File) (*Document, error) {
 	treeB, err := f.Section(fxp3.SectionTree)
 	if err != nil {
 		return nil, corrupt(err)
@@ -169,9 +167,6 @@ func documentFromFXP3(f *fxp3.File, validations *atomic.Uint64) (*Document, erro
 		return nil, corrupt(err)
 	}
 	err = f.Validated(func() error {
-		if validations != nil {
-			validations.Add(1)
-		}
 		if err := tree.Validate(); err != nil {
 			return err
 		}
@@ -198,7 +193,7 @@ func LoadFXP3Snapshot(r io.Reader) (*Document, error) {
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	return documentFromFXP3(f, nil)
+	return documentFromFXP3(f)
 }
 
 // LoadFXP3SnapshotFile restores a document from the FXP3 snapshot at
@@ -226,7 +221,7 @@ func documentFromMapping(m *mmapio.Mapping) (*Document, error) {
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	d, err := documentFromFXP3(f, nil)
+	d, err := documentFromFXP3(f)
 	if err != nil {
 		return nil, err
 	}
