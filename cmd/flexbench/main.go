@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -417,9 +416,7 @@ func mustParse(src string) *flexpath.Query {
 }
 
 // countAllocs reports heap allocations per call of fn, averaged over
-// runs calls. It is the flexbench analogue of testing.B's allocs/op:
-// machine-independent, so the perf gate can compare it raw across
-// hardware (see cmd/benchdiff).
+// runs calls. It is the flexbench analogue of testing.B's allocs/op.
 func countAllocs(runs int, fn func()) float64 {
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -429,23 +426,6 @@ func countAllocs(runs int, fn func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
-
-// best times fn h.runs times and returns the minimum. The CI gate rows
-// use it instead of the median: under spiky container load the minimum
-// of N runs is far more stable (interference only ever adds time), and a
-// genuine regression still raises the floor.
-func (h *harness) best(fn func()) time.Duration {
-	var best time.Duration
-	for i := 0; i < h.runs; i++ {
-		runtime.GC()
-		start := time.Now()
-		fn()
-		if t := time.Since(start); i == 0 || t < best {
-			best = t
-		}
-	}
-	return best
 }
 
 // median times fn h.runs times and returns the median.
@@ -719,81 +699,6 @@ func (h *harness) figAuto() {
 	}
 }
 
-// figGate is NOT a figure of the paper: it is the pinned workload the CI
-// perf-regression gate times (see cmd/benchdiff and bench_baseline.json).
-// Small document, short K sweep, every algorithm including Auto — fast
-// enough for CI yet covering each execution strategy the planner can
-// dispatch to.
-func (h *harness) figGate() {
-	// 2 MB and K >= 100 keep every row above ~0.5 ms: sub-0.2 ms rows
-	// are dominated by scheduler noise and would flap the gate.
-	mb := 2.0
-	h.header(23, fmt.Sprintf("extra: CI perf gate workload (doc=%gMB)", mb))
-	h.figName = "gate"
-	d := h.doc(mb)
-	algos := []flexpath.Algorithm{flexpath.DPO, flexpath.SSO, flexpath.Hybrid, flexpath.Auto}
-	h.row("query", "K", "DPO_ms", "SSO_ms", "Hybrid_ms", "Auto_ms",
-		"DPO_allocs", "SSO_allocs", "Hybrid_allocs", "Auto_allocs")
-	for _, w := range []workload{xq1, xq2} {
-		q := mustParse(w.query)
-		for _, k := range []int{100, 400} {
-			times := make([]float64, len(algos))
-			allocs := make([]float64, len(algos))
-			for i, algo := range algos {
-				opts := flexpath.SearchOptions{K: k, Algorithm: algo}
-				run := func() {
-					if _, err := d.Search(q, opts); err != nil {
-						fmt.Fprintln(os.Stderr, "flexbench:", err)
-						os.Exit(1)
-					}
-				}
-				run() // warm-up: builds the cached relaxation chain
-				times[i] = ms(h.best(run))
-				allocs[i] = countAllocs(h.runs, run)
-			}
-			h.row(w.name, k, times[0], times[1], times[2], times[3],
-				allocs[0], allocs[1], allocs[2], allocs[3])
-		}
-	}
-	// Template-hit rows: the XQ2 workload with the plan cache disabled
-	// (cold: chain + level + plan construction every search) vs warmed.
-	// Gating both keeps the cache's win from silently eroding. Only the
-	// key columns (query, K), *_ms and *_allocs columns may appear here:
-	// benchdiff folds every other column into the record key.
-	// The columnar core pushed warm-template searches under a millisecond,
-	// where single-search samples flap the gate on scheduler noise; the
-	// hit rows therefore batch several searches per timed sample (reported
-	// per search), as figObs does. Cold rows stay unbatched: they run
-	// multiple milliseconds, and batching their heavy allocation would
-	// pull GC pauses into the timed region.
-	const batch = 8
-	h.row("query", "K", "cold_ms", "hit_ms", "cold_allocs", "hit_allocs")
-	q := mustParse(xq2.query)
-	for _, k := range []int{100, 400} {
-		opts := flexpath.SearchOptions{K: k, Algorithm: flexpath.Hybrid, NoCache: true}
-		run := func() {
-			if _, err := d.Search(q, opts); err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		}
-		d.SetPlanCache(0)
-		run() // warm-up
-		cold := h.best(run)
-		coldAllocs := countAllocs(h.runs, run)
-		d.SetPlanCache(256)
-		run() // prime the template
-		hit := h.best(func() {
-			for i := 0; i < batch; i++ {
-				run()
-			}
-		})
-		hitAllocs := countAllocs(h.runs, run)
-		h.row("XQ2-plancache", k, ms(cold), ms(hit)/batch, coldAllocs, hitAllocs)
-	}
-	d.SetPlanCache(flexpath.DefaultPlanCacheCapacity)
-}
-
 // figJoins is NOT a figure of the paper: it profiles the columnar
 // block-at-a-time join kernels against their allocating wrappers on real
 // XMark tag lists, then shows what the scratch arena buys a template-hit
@@ -873,78 +778,8 @@ func (h *harness) figJoins() {
 	}
 }
 
-// figMmap is NOT a figure of the paper: it profiles the FXP3 mmap-backed
-// snapshot path against the FXP2 streamed snapshot. "open" is the cold
-// cost flexserve pays per document at startup (map the file, verify the
-// header, decode the meta section — no tree, stats or index work);
-// "fault" is the full decode paid when a search first touches a cold
-// document. The faulted document's ranking must be byte-identical to a
-// search over the document built in memory.
-func (h *harness) figMmap() {
-	h.header(26, "extra: snapshot load paths, FXP2 stream decode vs FXP3 mmap (XQ2, K=50)")
-	h.figName = "mmap"
-	dir, err := os.MkdirTemp("", "flexbench-mmap")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	q := mustParse(xq2.query)
-	h.row("MB", "fxp2_load_ms", "fxp3_open_ms", "fxp3_fault_ms", "identical")
-	for _, mb := range h.sizesMB() {
-		d := h.doc(mb)
-		p2 := filepath.Join(dir, fmt.Sprintf("doc-%g.fxp2", mb))
-		p3 := filepath.Join(dir, fmt.Sprintf("doc-%g.fxp3", mb))
-		if err := d.SaveIndexedSnapshotFile(p2); err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		if err := d.SaveFXP3SnapshotFile(p3); err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		loadT := h.median(func() {
-			if _, err := flexpath.LoadIndexedSnapshotFile(p2); err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		})
-		openT := h.median(func() {
-			if _, err := flexpath.ReadFXP3Meta(p3); err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		})
-		var cold *flexpath.Document
-		faultT := h.median(func() {
-			if cold != nil {
-				cold.Close() //nolint:errcheck
-			}
-			var err error
-			cold, err = flexpath.LoadFXP3SnapshotFile(p3)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		})
-		memAns, err := d.Search(q, flexpath.SearchOptions{K: 50, NoCache: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		coldAns, err := cold.Search(q, flexpath.SearchOptions{K: 50, NoCache: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		identical := renderDocAnswers(memAns) == renderDocAnswers(coldAns)
-		h.row(mb, ms(loadT), ms(openT), ms(faultT), identical)
-		cold.Close() //nolint:errcheck
-	}
-}
-
 func main() {
-	fig := flag.String("fig", "all", "figure to run: 9..18, cache, plancache, parallel, obs, auto, gate, joins, mmap, or all")
+	fig := flag.String("fig", "all", "figure to run: 9..18, cache, plancache, parallel, obs, auto, joins, or all")
 	full := flag.Bool("full", false, "use the paper's document sizes (1-100 MB); slow")
 	runs := flag.Int("runs", 3, "timed runs per point (median reported)")
 	csv := flag.Bool("csv", false, "CSV output")
@@ -966,9 +801,7 @@ func main() {
 		"parallel":  h.figParallel,
 		"obs":       h.figObs,
 		"auto":      h.figAuto,
-		"gate":      h.figGate,
 		"joins":     h.figJoins,
-		"mmap":      h.figMmap,
 	}
 	switch {
 	case *fig == "all":
@@ -981,14 +814,13 @@ func main() {
 		h.figObs()
 		h.figAuto()
 		h.figJoins()
-		h.figMmap()
 	case named[*fig] != nil:
 		named[*fig]()
 	default:
 		n, err := strconv.Atoi(*fig)
 		if err != nil || figs[n] == nil {
 			fmt.Fprintf(os.Stderr,
-				"flexbench: unknown figure %q (want 9..18, cache, plancache, parallel, obs, auto, gate, joins, mmap, or all)\n", *fig)
+				"flexbench: unknown figure %q (want 9..18, cache, plancache, parallel, obs, auto, joins, or all)\n", *fig)
 			os.Exit(2)
 		}
 		figs[n]()

@@ -10,8 +10,8 @@
 //	flexpath -doc data.xml -query '...' -json         # machine-readable
 //	flexpath -doc data.xml -i                         # interactive shell
 //
-// -doc accepts XML files and binary snapshots produced by xmarkgen
-// -snapshot or Document.SaveSnapshot (detected by magic).
+// -doc accepts XML files and FXP3 snapshots produced by -save-fxp3 or
+// xmarkgen -fxp3 (detected by magic; legacy FXP2 snapshots still load).
 //
 // -save-fxp3 PATH converts the loaded document into an FXP3 snapshot —
 // the mmap-friendly layout flexserve can serve cold — and exits:

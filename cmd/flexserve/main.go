@@ -35,9 +35,11 @@
 //	POST /admin/bulk                (NDJSON mutation batch in the body)
 //
 // With -wal DIR, every mutation is appended to a write-ahead log in DIR
-// and fsync'd before the response is sent, periodic checkpoints persist
-// the corpus as indexed snapshots so replay stays bounded, and on
-// startup the acknowledged corpus is recovered from DIR (kill -9 safe).
+// and fsync'd before the response is sent, periodic checkpoints write an
+// FXP3 file for each document changed since the last one plus a manifest
+// so replay stays bounded, and on startup the acknowledged corpus is
+// recovered from DIR (kill -9 safe): checkpointed documents come back
+// cold, mapped from their files, so -wal composes with -resident-docs.
 // Bulk batches carry one JSON object per line —
 //
 //	{"op":"upsert","name":"doc.xml","doc":"<a>...</a>"}

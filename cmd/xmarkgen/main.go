@@ -4,6 +4,7 @@
 // Usage:
 //
 //	xmarkgen -size 10MB -seed 42 -o auction.xml
+//	xmarkgen -size 10MB -seed 42 -fxp3 -o auction.fxp3
 //
 // Sizes accept B/KB/MB/GB suffixes (powers of two).
 package main
@@ -23,8 +24,7 @@ func main() {
 	size := flag.String("size", "1MB", "approximate document size (e.g. 512KB, 10MB)")
 	seed := flag.Int64("seed", 42, "generator seed; equal seeds give identical documents")
 	out := flag.String("o", "", "output file (default stdout)")
-	snapshot := flag.Bool("snapshot", false, "emit a binary document snapshot instead of XML (loads much faster)")
-	indexed := flag.Bool("indexed", false, "emit an indexed snapshot (tree + inverted index + statistics; fastest loads)")
+	fxp3 := flag.Bool("fxp3", false, "emit an FXP3 snapshot (tree + inverted index + statistics, mmap-able) instead of XML")
 	flag.Parse()
 
 	bytes, err := parseSize(*size)
@@ -44,21 +44,10 @@ func main() {
 		w = f
 	}
 	cfg := xmark.Config{TargetBytes: bytes, Seed: *seed}
-	if *indexed {
+	if *fxp3 {
 		tree, err := xmark.Build(cfg)
 		if err == nil {
-			err = flexpath.NewDocument(tree).SaveIndexedSnapshot(w)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xmarkgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *snapshot {
-		tree, err := xmark.Build(cfg)
-		if err == nil {
-			err = tree.WriteBinary(w)
+			err = flexpath.NewDocument(tree).SaveFXP3Snapshot(w)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xmarkgen:", err)

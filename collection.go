@@ -205,22 +205,6 @@ func (c *Collection) putIfCurrent(qc *qcache.Cache, gen uint64, key string, val 
 	c.mu.RUnlock()
 }
 
-// snapshotResolved is snapshot with every member resolved to its
-// document, faulting cold members in. Checkpointing uses it: a
-// checkpoint must serialize the whole corpus, cold or not.
-func (c *Collection) snapshotResolved() ([]string, []*Document, error) {
-	names, members := c.snapshot()
-	docs := make([]*Document, len(members))
-	for i, m := range members {
-		d, err := c.require(m, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("flexpath: document %q: %w", names[i], err)
-		}
-		docs[i] = d
-	}
-	return names, docs, nil
-}
-
 // residentDocs returns the currently decoded member documents, the set
 // cache configuration and statistics aggregation walk: cold members
 // have no caches or planner state, and walking them must not fault

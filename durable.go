@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +15,16 @@ import (
 // A DurableCollection is a Collection whose mutations survive a crash:
 // every Add, Replace and Remove is framed into a write-ahead log and
 // fsync'd before it is acknowledged, periodic checkpoints bound replay
-// time by persisting the whole corpus as FXP2 indexed snapshots, and
-// OpenDurableCollection recovers the exact acknowledged state on boot
-// (newest valid checkpoint, then WAL replay, truncating a torn tail
-// record instead of failing).
+// time, and OpenDurableCollection recovers the exact acknowledged state
+// on boot (the checkpoint, then WAL replay, truncating a torn tail record
+// instead of failing).
+//
+// A checkpoint is one FXP3 snapshot file per member in the log directory
+// plus a small manifest naming them in collection order with the LSN they
+// cover. Only members changed since the previous checkpoint are written;
+// the rest keep their files. Recovery adds every manifest member cold
+// (Collection.AddSnapshotFile: mapped, not decoded), so a restart costs
+// pages, not the corpus, and the recovered members obey SetResidency.
 //
 // Ordering: a mutation is appended to the log buffer, applied to the
 // in-memory collection, and only then acknowledged once an fsync covers
@@ -41,11 +48,20 @@ type DurableCollection struct {
 	mu        sync.Mutex
 	sinceCkpt int
 
-	// ckptMu is held while a checkpoint image is serialized and written;
-	// TryLock on the trigger path makes overlapping automatic
-	// checkpoints impossible without blocking mutations.
+	// ckptMu is held while a checkpoint is written; TryLock on the
+	// trigger path makes overlapping automatic checkpoints impossible
+	// without blocking mutations.
 	ckptMu sync.Mutex
 	wg     sync.WaitGroup
+	// files maps each member the current manifest covers to its member
+	// file; a member absent from it (added or replaced since) is what the
+	// next checkpoint writes. Replace and Remove+Add install a new *member,
+	// so identity is the change detector. Guarded by ckptMu.
+	files map[*member]string
+	// beforeManifest, when set (tests only), runs after the member files
+	// are durable and before the manifest is replaced; an error aborts the
+	// checkpoint there, leaving the disk as a crash at that point would.
+	beforeManifest func() error
 
 	replayed    uint64
 	tornBytes   int64
@@ -86,38 +102,57 @@ var (
 	// never logged. API layers map it to a client error, unlike the I/O
 	// failures the other paths can return.
 	ErrBadDocument = errors.New("bad document")
+	// ErrLegacyCheckpoint reports a WAL directory that still holds a
+	// checkpoint-*.fxpc container from a release that checkpointed the
+	// whole corpus into one file. The log records it covered were pruned
+	// when it was written, so this build cannot recover the directory —
+	// and refuses to open it rather than serve an older or empty corpus.
+	ErrLegacyCheckpoint = wal.ErrLegacyCheckpoint
 )
 
 // OpenDurableCollection opens (creating as needed) a durable collection
-// rooted at dir, recovering any previous state: the newest valid
-// checkpoint is loaded first, then the write-ahead log is replayed
-// through the normal mutation path. A torn tail record — the signature
-// of a crash mid-append — is truncated, not an error.
-func OpenDurableCollection(dir string, opts DurableOptions) (*DurableCollection, error) {
+// rooted at dir, recovering any previous state: every member the
+// checkpoint manifest names is added cold, files no manifest names are
+// swept, then the write-ahead log is replayed through the normal mutation
+// path. A torn tail record — the signature of a crash mid-append — is
+// truncated, not an error. A manifest that fails verification, or names
+// a member file that is missing or damaged, fails the open with an error
+// wrapping ErrCorruptSnapshot: the log it covered is gone, so there is no
+// older state to fall back to and a partial corpus is never returned.
+func OpenDurableCollection(dir string, opts DurableOptions) (_ *DurableCollection, err error) {
 	every := opts.CheckpointEvery
 	if every == 0 {
 		every = DefaultCheckpointEvery
 	}
-	dc := &DurableCollection{c: NewCollection(), dir: dir, every: every}
+	dc := &DurableCollection{c: NewCollection(), dir: dir, every: every, files: make(map[*member]string)}
+	defer func() {
+		if err != nil {
+			dc.c.Close() //nolint:errcheck // already failing
+		}
+	}()
 
-	ckptLSN, docs, found, err := wal.ReadLatestCheckpoint(dir)
+	man, err := wal.ReadManifest(dir)
+	if errors.Is(err, wal.ErrCorruptManifest) {
+		err = corrupt(err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("flexpath: durable open: %w", err)
 	}
-	if found {
-		for _, d := range docs {
-			doc, err := LoadIndexedSnapshot(bytes.NewReader(d.Data))
-			if err != nil {
-				return nil, fmt.Errorf("flexpath: checkpoint document %q: %w", d.Name, err)
-			}
-			if err := dc.c.Add(d.Name, doc); err != nil {
-				return nil, fmt.Errorf("flexpath: checkpoint document %q: %w", d.Name, err)
-			}
+	for _, e := range man.Members {
+		if err := dc.c.AddSnapshotFile(e.Name, filepath.Join(dir, e.File)); err != nil {
+			return nil, fmt.Errorf("flexpath: checkpoint member %q: %w", e.Name, corrupt(err))
 		}
-		dc.bootCkptLSN = ckptLSN
+	}
+	_, members := dc.c.snapshot()
+	for i, m := range members {
+		dc.files[m] = man.Members[i].File
+	}
+	dc.bootCkptLSN = man.LSN
+	if err := wal.Sweep(dir, man); err != nil {
+		return nil, fmt.Errorf("flexpath: durable open: %w", err)
 	}
 
-	log, rec, err := wal.Open(dir, wal.Options{SyncWindow: opts.SyncWindow, AfterLSN: ckptLSN}, dc.applyReplay)
+	log, rec, err := wal.Open(dir, wal.Options{SyncWindow: opts.SyncWindow, AfterLSN: man.LSN}, dc.applyReplay)
 	if err != nil {
 		return nil, fmt.Errorf("flexpath: durable open: %w", err)
 	}
@@ -140,12 +175,12 @@ func (dc *DurableCollection) applyReplay(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("parse document %q: %w", r.Name, err)
 		}
-		if _, ok := dc.c.Document(r.Name); ok {
+		if dc.c.Has(r.Name) {
 			return dc.c.Replace(r.Name, doc)
 		}
 		return dc.c.Add(r.Name, doc)
 	case wal.OpRemove:
-		if _, ok := dc.c.Document(r.Name); !ok {
+		if !dc.c.Has(r.Name) {
 			return nil
 		}
 		return dc.c.Remove(r.Name)
@@ -158,11 +193,13 @@ func (dc *DurableCollection) applyReplay(r wal.Record) error {
 // admin uploads always hold XML; records seeded from command-line files
 // may hold snapshots.
 func loadDocumentBytes(b []byte) (*Document, error) {
-	switch {
-	case len(b) >= 4 && string(b[:4]) == "FXT1":
-		return LoadSnapshot(bytes.NewReader(b))
-	case len(b) >= 4 && string(b[:4]) == "FXP2":
-		return LoadIndexedSnapshot(bytes.NewReader(b))
+	switch snapshotMagic(b) {
+	case "FXP3":
+		return LoadFXP3Snapshot(bytes.NewReader(b))
+	case "FXP2":
+		return loadIndexedSnapshot(b)
+	case "FXT1":
+		return nil, ErrLegacySnapshot
 	}
 	return Load(bytes.NewReader(b))
 }
@@ -204,7 +241,7 @@ func (dc *DurableCollection) Upsert(name string, body []byte) error {
 	}
 	dc.mu.Lock()
 	op := wal.OpAdd
-	if _, ok := dc.c.Document(name); ok {
+	if dc.c.Has(name) {
 		op = wal.OpReplace
 	}
 	lsn, err := dc.stageLocked(op, name, body, doc)
@@ -225,7 +262,7 @@ func (dc *DurableCollection) Remove(name string) error {
 // reports whether it did. Like Upsert, it is retry-safe.
 func (dc *DurableCollection) RemoveIfPresent(name string) (bool, error) {
 	dc.mu.Lock()
-	if _, ok := dc.c.Document(name); !ok {
+	if !dc.c.Has(name) {
 		dc.mu.Unlock()
 		return false, nil
 	}
@@ -244,10 +281,10 @@ func (dc *DurableCollection) RemoveIfPresent(name string) (bool, error) {
 func (dc *DurableCollection) Seed(name string, data []byte) error {
 	doc, err := loadDocumentBytes(data)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDocument, err)
+		return fmt.Errorf("%w: %w", ErrBadDocument, err)
 	}
 	dc.mu.Lock()
-	if _, ok := dc.c.Document(name); ok {
+	if dc.c.Has(name) {
 		dc.mu.Unlock()
 		return nil
 	}
@@ -265,7 +302,7 @@ func (dc *DurableCollection) Seed(name string, data []byte) error {
 // and share one group-commit fsync instead of serializing through it.
 func (dc *DurableCollection) apply(op wal.Op, name string, body []byte, doc *Document) error {
 	dc.mu.Lock()
-	_, exists := dc.c.Document(name)
+	exists := dc.c.Has(name)
 	switch op {
 	case wal.OpAdd:
 		if exists {
@@ -319,24 +356,28 @@ func (dc *DurableCollection) stageLocked(op wal.Op, name string, body []byte, do
 	return lsn, nil
 }
 
+// cutLocked seals the log and snapshots the membership. dc.mu held: the
+// two happen atomically with respect to mutations, so the sealed
+// segments hold exactly the records the snapshot covers. Snapshotting
+// copies two slices; it faults nothing in.
+func (dc *DurableCollection) cutLocked() (lastLSN uint64, names []string, members []*member, err error) {
+	dc.sinceCkpt = 0
+	if lastLSN, err = dc.log.Rotate(); err != nil {
+		dc.ckptErrs.Add(1)
+		return 0, nil, nil, err
+	}
+	names, members = dc.c.snapshot()
+	return lastLSN, names, members, nil
+}
+
 // maybeCheckpointLocked starts a background checkpoint if none is in
-// flight. dc.mu held: the rotation and the membership snapshot happen
-// atomically with respect to mutations, so the sealed segments hold
-// exactly the records the snapshot covers.
+// flight. dc.mu held.
 func (dc *DurableCollection) maybeCheckpointLocked() {
 	if !dc.ckptMu.TryLock() {
 		return // one checkpoint at a time; the next mutation retries
 	}
-	dc.sinceCkpt = 0
-	lastLSN, err := dc.log.Rotate()
+	lastLSN, names, members, err := dc.cutLocked()
 	if err != nil {
-		dc.ckptErrs.Add(1)
-		dc.ckptMu.Unlock()
-		return
-	}
-	names, docs, err := dc.c.snapshotResolved()
-	if err != nil {
-		dc.ckptErrs.Add(1)
 		dc.ckptMu.Unlock()
 		return
 	}
@@ -344,7 +385,7 @@ func (dc *DurableCollection) maybeCheckpointLocked() {
 	go func() {
 		defer dc.wg.Done()
 		defer dc.ckptMu.Unlock()
-		dc.writeCheckpoint(lastLSN, names, docs)
+		dc.writeCheckpoint(lastLSN, names, members) //nolint:errcheck // counted in ckptErrs
 	}()
 }
 
@@ -354,44 +395,72 @@ func (dc *DurableCollection) Checkpoint() error {
 	dc.ckptMu.Lock()
 	defer dc.ckptMu.Unlock()
 	dc.mu.Lock()
-	dc.sinceCkpt = 0
-	lastLSN, err := dc.log.Rotate()
-	if err != nil {
-		dc.mu.Unlock()
-		dc.ckptErrs.Add(1)
-		return err
-	}
-	names, docs, err := dc.c.snapshotResolved()
+	lastLSN, names, members, err := dc.cutLocked()
 	dc.mu.Unlock()
 	if err != nil {
-		dc.ckptErrs.Add(1)
 		return err
 	}
-	return dc.writeCheckpoint(lastLSN, names, docs)
+	return dc.writeCheckpoint(lastLSN, names, members)
 }
 
-// writeCheckpoint serializes the snapshotted membership (Documents are
-// immutable once built, so the refs stay valid while mutations continue)
-// and atomically persists it, then prunes sealed segments and updates
-// the counters. Either ckptMu is held or the caller is single-threaded.
-func (dc *DurableCollection) writeCheckpoint(lastLSN uint64, names []string, docs []*Document) error {
+// writeCheckpoint persists the snapshotted membership; ckptMu held. Each
+// step leaves the directory recoverable if the process dies after it:
+//
+//  1. A member file is written and fsync'd for every member the current
+//     manifest does not cover (documents are immutable once built, so the
+//     refs stay valid while mutations continue). Crash: the files are
+//     orphans under the old manifest; recovery sweeps them.
+//  2. One directory sync makes the new names durable. Crash: as 1.
+//  3. The manifest is replaced atomically. Crash before the rename: as 1;
+//     after: recovery boots from the new manifest and skips the sealed
+//     segments' records by LSN.
+//  4. Sealed segments are pruned and files the new manifest dropped are
+//     unlinked. Crash: leftovers cost disk until the next open or
+//     checkpoint sweeps them.
+func (dc *DurableCollection) writeCheckpoint(lastLSN uint64, names []string, members []*member) (err error) {
 	start := time.Now()
-	cdocs := make([]wal.CheckpointDoc, len(docs))
-	for i, d := range docs {
-		var buf bytes.Buffer
-		if err := d.SaveIndexedSnapshot(&buf); err != nil {
+	defer func() {
+		if err != nil {
 			dc.ckptErrs.Add(1)
-			return fmt.Errorf("flexpath: checkpoint %q: %w", names[i], err)
 		}
-		cdocs[i] = wal.CheckpointDoc{Name: names[i], Data: buf.Bytes()}
+	}()
+	man := wal.Manifest{LSN: lastLSN, Members: make([]wal.Member, len(members))}
+	files := make(map[*member]string, len(members))
+	for i, m := range members {
+		file, ok := dc.files[m]
+		if !ok {
+			// Not in the manifest means added through the log since, and
+			// such members are pinned: the document is there without a fault.
+			d := m.doc.Load()
+			if d == nil {
+				return fmt.Errorf("flexpath: checkpoint %q: cold member was not added through the log", names[i])
+			}
+			file = wal.MemberFile(lastLSN, i)
+			if err := wal.WriteFileSync(filepath.Join(dc.dir, file), d.SaveFXP3Snapshot); err != nil {
+				return fmt.Errorf("flexpath: checkpoint %q: %w", names[i], err)
+			}
+		}
+		man.Members[i] = wal.Member{Name: names[i], File: file}
+		files[m] = file
 	}
-	if err := wal.WriteCheckpoint(dc.dir, lastLSN, cdocs); err != nil {
-		dc.ckptErrs.Add(1)
+	if err := wal.SyncDir(dc.dir); err != nil {
 		return fmt.Errorf("flexpath: checkpoint: %w", err)
 	}
+	if dc.beforeManifest != nil {
+		if err := dc.beforeManifest(); err != nil {
+			return err
+		}
+	}
+	if err := wal.WriteManifest(dc.dir, man); err != nil {
+		return fmt.Errorf("flexpath: checkpoint: %w", err)
+	}
+	dc.files = files
+	// The checkpoint itself is durable; stale segments and member files
+	// only cost disk until the next successful prune.
 	if err := dc.log.RemoveSealedSegments(); err != nil {
-		// The checkpoint itself is durable; stale segments only cost
-		// disk until the next successful prune.
+		dc.ckptErrs.Add(1)
+	}
+	if err := wal.Sweep(dc.dir, man); err != nil {
 		dc.ckptErrs.Add(1)
 	}
 	dc.ckpts.Add(1)

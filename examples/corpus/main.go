@@ -3,7 +3,7 @@
 //
 // The program builds two synthetic corpora — an INEX-style article
 // collection and an XMark-style auction document — searches them together
-// as one collection, demonstrates binary snapshots, and shows
+// as one collection, demonstrates FXP3 snapshots, and shows
 // hierarchy-widened matching.
 //
 // Run with: go run ./examples/corpus
@@ -46,17 +46,18 @@ func main() {
 			i+1, a.DocName, a.ID, a.Structural, a.Keyword, a.Relaxations)
 	}
 
-	// Snapshots: persist the parsed article corpus and reload it without
-	// re-parsing XML.
+	// Snapshots: persist the article corpus with its indexes and map it
+	// back without re-parsing XML or rebuilding anything.
 	dir, err := os.MkdirTemp("", "flexpath")
 	dieIf(err)
 	defer os.RemoveAll(dir)
-	snap := filepath.Join(dir, "articles.fxt")
+	snap := filepath.Join(dir, "articles.fxp3")
 	artDoc, _ := coll.Document("articles.xml")
-	dieIf(artDoc.SaveSnapshotFile(snap))
+	dieIf(artDoc.SaveFXP3SnapshotFile(snap))
 	start := time.Now()
-	restored, err := flexpath.LoadSnapshotFile(snap)
+	restored, err := flexpath.LoadFXP3SnapshotFile(snap)
 	dieIf(err)
+	defer restored.Close()
 	fmt.Printf("\nsnapshot reload: %d elements in %v\n", restored.Nodes(), time.Since(start).Round(time.Microsecond))
 
 	// Hierarchy extension (§3.4): treat subsection as a subtype of

@@ -48,7 +48,6 @@ import (
 	"flexpath/internal/rank"
 	"flexpath/internal/stats"
 	"flexpath/internal/tpq"
-	"flexpath/internal/wal"
 	"flexpath/internal/xmltree"
 )
 
@@ -294,45 +293,9 @@ func LoadFile(path string) (*Document, error) {
 	return Load(f)
 }
 
-// SaveSnapshot writes a binary snapshot of the parsed document. Restoring
-// a snapshot with LoadSnapshot skips XML parsing, the dominant cost of
-// loading large documents; the search indexes are rebuilt on load.
-func (d *Document) SaveSnapshot(w io.Writer) error {
-	return d.tree.WriteBinary(w)
-}
-
-// SaveSnapshotFile writes a binary snapshot to path, atomically: a crash
-// mid-save never corrupts an existing snapshot at path.
-func (d *Document) SaveSnapshotFile(path string) error {
-	return wal.WriteFileAtomic(path, d.SaveSnapshot)
-}
-
-// LoadSnapshot restores a document from a SaveSnapshot stream.
-func LoadSnapshot(r io.Reader) (*Document, error) {
-	t, err := xmltree.ReadBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewDocument(t), nil
-}
-
-// LoadSnapshotFile restores a document from a snapshot file. Load
-// errors name the file.
-func LoadSnapshotFile(path string) (*Document, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	d, err := LoadSnapshot(f)
-	if err != nil {
-		return nil, wrapSnapshotPath(path, err)
-	}
-	return d, nil
-}
-
-// LoadAuto loads path as a plain or indexed binary snapshot when it
-// carries a snapshot magic, and as XML otherwise.
+// LoadAuto loads path as a snapshot when it carries a snapshot magic and
+// as XML otherwise. FXP3 snapshots are mapped; legacy FXP2 snapshots are
+// read and decoded; a plain FXT1 tree snapshot is ErrLegacySnapshot.
 func LoadAuto(path string) (*Document, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -352,14 +315,19 @@ func LoadAuto(path string) (*Document, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	switch {
-	case n == 4 && string(magic[:]) == "FXT1":
-		return LoadSnapshot(f)
-	case n == 4 && string(magic[:]) == "FXP2":
-		return LoadIndexedSnapshot(f)
-	case n == 4 && string(magic[:]) == "FXP3":
+	switch snapshotMagic(magic[:n]) {
+	case "FXP3":
 		// Reopen via the mmap path so the document serves file-backed.
 		return LoadFXP3SnapshotFile(path)
+	case "FXP2":
+		data, err := io.ReadAll(f)
+		if err != nil {
+			return nil, err
+		}
+		d, err := loadIndexedSnapshot(data)
+		return d, wrapSnapshotPath(path, err)
+	case "FXT1":
+		return nil, wrapSnapshotPath(path, ErrLegacySnapshot)
 	}
 	return Load(f)
 }

@@ -13,7 +13,7 @@
 // Galloping makes each semijoin a near-linear merge when the two lists
 // are comparably sized, while degrading gracefully to O(n log m) when one
 // list is much shorter. The pre-refactor scalar kernels are retained
-// (unexported, in joins_scalar.go) as differential-test oracles.
+// (test-only, in joins_scalar_test.go) as differential-test oracles.
 package exec
 
 import (

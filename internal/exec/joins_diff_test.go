@@ -14,7 +14,7 @@ import (
 // This file is the differential suite for the columnar block kernels: on
 // every input, each batched kernel (both the allocating wrapper and the
 // arena-backed Into form) must return output byte-identical to the
-// retained scalar oracle in joins_scalar.go, and arena reuse must never
+// retained scalar oracle in joins_scalar_test.go, and arena reuse must never
 // alias or corrupt results that were copied out before a Reset.
 
 type kernelCase struct {

@@ -11,9 +11,8 @@ import (
 	"flexpath/internal/xmltree"
 )
 
-// Binary persistence for the inverted index. Rebuilding the index from
-// text is the second-largest load cost after XML parsing; a snapshot
-// restores postings directly.
+// Legacy varint format for the inverted index: the index section of an
+// FXP2 snapshot. Read-only, like the rest of FXP2.
 //
 // Layout (unsigned varints unless noted):
 //
@@ -24,40 +23,7 @@ import (
 //	    postings as (node delta, pos delta) pairs
 var indexMagic = [4]byte{'F', 'X', 'I', '1'}
 
-// WriteBinary writes a snapshot of the index (excluding the document,
-// which has its own snapshot format).
-func (ix *Index) WriteBinary(w io.Writer) error {
-	bw := varint.NewWriter(w, indexMagic)
-	bw.Fixed([]byte{byte(ix.scoring)})
-	bw.Uvarint(uint64(ix.textNodes))
-	bw.Fixed(binary.LittleEndian.AppendUint64(nil, math.Float64bits(ix.avgLen)))
-
-	bw.Uvarint(uint64(len(ix.nlNode)))
-	prev := uint64(0)
-	for i, n := range ix.nlNode {
-		bw.Uvarint(uint64(n) - prev)
-		prev = uint64(n)
-		bw.Uvarint(uint64(ix.nlLen[i]))
-	}
-
-	bw.Uvarint(uint64(len(ix.df)))
-	for i := range ix.df {
-		bw.String(ix.termAt(i))
-		bw.Uvarint(uint64(ix.df[i]))
-		posts := ix.posts[ix.postOff[i]:ix.postOff[i+1]]
-		bw.Uvarint(uint64(len(posts)))
-		prevNode, prevPos := uint64(0), uint64(0)
-		for _, p := range posts {
-			bw.Uvarint(uint64(p.node) - prevNode)
-			prevNode = uint64(p.node)
-			bw.Uvarint(uint64(p.pos) - prevPos)
-			prevPos = uint64(p.pos)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadIndexBinary restores an index over doc from a WriteBinary stream:
+// ReadIndexBinary restores an index over doc from an FXI1 stream:
 // it fills the columns from the stream and holds them to Validate. The
 // document must be the same one the index was built from; snapshots do
 // not verify this beyond node-range checks.

@@ -8,31 +8,12 @@ import (
 	"flexpath/internal/xmltree"
 )
 
-// Binary persistence for document statistics. Collecting statistics walks
-// every node's ancestor chain, which dominates snapshot-restore time for
-// large documents; persisting the counts avoids it.
+// Legacy varint format for document statistics: the statistics section
+// of an FXP2 snapshot — the tag counts, then each pair list as a count
+// and (a, b, value) triples. Read-only, like the rest of FXP2.
 var statsMagic = [4]byte{'F', 'X', 'S', '1'}
 
-// WriteBinary writes a snapshot of the statistics (excluding the
-// document).
-func (s *Stats) WriteBinary(w io.Writer) error {
-	bw := varint.NewWriter(w, statsMagic)
-	bw.Uvarint(uint64(len(s.tagCount)))
-	for _, c := range s.tagCount {
-		bw.Uvarint(c)
-	}
-	for _, p := range s.pairLists() {
-		bw.Uvarint(uint64(len(p.a)))
-		for i := range p.a {
-			bw.Uvarint(uint64(p.a[i]))
-			bw.Uvarint(uint64(p.b[i]))
-			bw.Uvarint(p.v[i])
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadStatsBinary restores statistics for doc from a WriteBinary stream:
+// ReadStatsBinary restores statistics for doc from an FXS1 stream:
 // it fills the columns from the stream and holds them to Validate.
 func ReadStatsBinary(doc *xmltree.Document, r io.Reader) (*Stats, error) {
 	br, err := varint.NewReader(r, "stats", statsMagic)

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
 	"testing"
 
 	"flexpath/internal/inex"
@@ -52,14 +54,66 @@ func newMapStats(doc *xmltree.Document) *mapStats {
 	return s
 }
 
+// writeBinary is the FXS1 encoder the library no longer has. The tests
+// keep it so the legacy reader is held to arbitrary statistics, not only
+// to the golden fixture.
+func writeBinary(s *Stats) []byte {
+	b := append([]byte(nil), statsMagic[:]...)
+	uvarint := func(v uint64) { b = binary.AppendUvarint(b, v) }
+	uvarint(uint64(len(s.tagCount)))
+	for _, c := range s.tagCount {
+		uvarint(c)
+	}
+	for _, p := range s.pairLists() {
+		uvarint(uint64(len(p.a)))
+		for i := range p.a {
+			uvarint(uint64(p.a[i]))
+			uvarint(uint64(p.b[i]))
+			uvarint(p.v[i])
+		}
+	}
+	return b
+}
+
+// goldenSections splits the checked-in FXP2 fixture, bytes written by a
+// release that still had the encoders, into its tree, statistics and
+// index sections.
+func goldenSections(t *testing.T) (secs [3][]byte) {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/golden_indexed.fxp2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := data[4:]
+	for i := range secs {
+		n, w := binary.Uvarint(rest)
+		secs[i], rest = rest[w:w+int(n)], rest[w+int(n):]
+	}
+	return secs
+}
+
+// TestReadStatsBinaryRejectsTruncation cuts the golden statistics
+// section at every offset: no prefix may load.
+func TestReadStatsBinaryRejectsTruncation(t *testing.T) {
+	secs := goldenSections(t)
+	doc, err := xmltree.ReadBinary(bytes.NewReader(secs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadStatsBinary(doc, bytes.NewReader(secs[1])); err != nil {
+		t.Fatalf("golden statistics section: %v", err)
+	}
+	for cut := 0; cut < len(secs[1]); cut++ {
+		if _, err := ReadStatsBinary(doc, bytes.NewReader(secs[1][:cut])); err == nil {
+			t.Errorf("accepted truncation at %d", cut)
+		}
+	}
+}
+
 // statsReloads returns s with its FXP2 and its FXP3 reload.
 func statsReloads(t *testing.T, s *Stats) map[string]*Stats {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fxp2, err := ReadStatsBinary(s.doc, &buf)
+	fxp2, err := ReadStatsBinary(s.doc, bytes.NewReader(writeBinary(s)))
 	if err != nil {
 		t.Fatalf("FXP2 reload: %v", err)
 	}
@@ -140,11 +194,7 @@ func TestValidateRejectsBrokenColumns(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		var buf bytes.Buffer
-		if err := s.WriteBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadStatsBinary(doc, &buf); err == nil {
+		if _, err := ReadStatsBinary(doc, bytes.NewReader(writeBinary(s))); err == nil {
 			t.Errorf("%s: loaded from FXP2", name)
 		}
 	}

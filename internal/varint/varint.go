@@ -1,7 +1,7 @@
-// Package varint is the stream codec the FXT1/FXS1/FXI1 section formats
-// (the sections of an FXP2 snapshot) share: a four-byte magic, unsigned
-// varints and length-prefixed strings over bufio. Each of the three
-// formats used to carry its own copy of these helpers.
+// Package varint is the stream reader the FXT1/FXS1/FXI1 section formats
+// (the sections of a legacy FXP2 snapshot) share: a four-byte magic,
+// unsigned varints and length-prefixed strings over bufio. Nothing
+// writes these formats any more, so there is no Writer.
 package varint
 
 import (
@@ -15,35 +15,6 @@ import (
 // MaxCount caps counts read from snapshots so corrupted or malicious
 // input cannot trigger enormous allocations.
 const MaxCount = 1 << 31
-
-// Writer writes a stream. Write errors stick to the underlying
-// bufio.Writer and surface from Flush.
-type Writer struct{ w *bufio.Writer }
-
-// NewWriter starts a stream on w with its magic.
-func NewWriter(w io.Writer, magic [4]byte) Writer {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.Write(magic[:]) //nolint:errcheck // surfaced by Flush
-	return Writer{bw}
-}
-
-// Uvarint writes v as an unsigned varint.
-func (w Writer) Uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.w.Write(buf[:binary.PutUvarint(buf[:], v)]) //nolint:errcheck // surfaced by Flush
-}
-
-// String writes s with its length.
-func (w Writer) String(s string) {
-	w.Uvarint(uint64(len(s)))
-	w.w.WriteString(s) //nolint:errcheck // surfaced by Flush
-}
-
-// Fixed writes p as it is.
-func (w Writer) Fixed(p []byte) { w.w.Write(p) } //nolint:errcheck // surfaced by Flush
-
-// Flush writes out what is buffered and reports the first write error.
-func (w Writer) Flush() error { return w.w.Flush() }
 
 // Reader reads a stream. Errors are sticky: after the first, every read
 // returns a zero value and Err reports it, so a caller checks once per

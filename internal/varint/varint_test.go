@@ -2,25 +2,33 @@ package varint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
 
 var magic = [4]byte{'T', 'E', 'S', 'T'}
 
-func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, magic)
-	w.Uvarint(0)
-	w.Uvarint(1<<63 + 5)
-	w.String("")
-	w.String("héllo")
-	w.Fixed([]byte{9, 8})
-	w.Uvarint(MaxCount)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+// stream builds what the formats' writers used to: the magic, then each
+// item as a varint (uint64), a length-prefixed string, or raw bytes.
+func stream(items ...any) []byte {
+	b := append([]byte(nil), magic[:]...)
+	for _, it := range items {
+		switch v := it.(type) {
+		case uint64:
+			b = binary.AppendUvarint(b, v)
+		case string:
+			b = append(binary.AppendUvarint(b, uint64(len(v))), v...)
+		case []byte:
+			b = append(b, v...)
+		}
 	}
-	r, err := NewReader(&buf, "test", magic)
+	return b
+}
+
+func TestRoundTrip(t *testing.T) {
+	buf := bytes.NewReader(stream(uint64(0), uint64(1<<63+5), "", "héllo", []byte{9, 8}, uint64(MaxCount)))
+	r, err := NewReader(buf, "test", magic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,19 +58,15 @@ func TestRejects(t *testing.T) {
 	if _, err := NewReader(strings.NewReader("TE"), "test", magic); err == nil {
 		t.Error("truncated magic accepted")
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf, magic)
-	w.Uvarint(MaxCount + 1)
-	w.Uvarint(7) // a length with no bytes behind it
-	w.Flush()    //nolint:errcheck
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), "test", magic)
+	data := stream(uint64(MaxCount+1), uint64(7)) // 7: a length with no bytes behind it
+	r, err := NewReader(bytes.NewReader(data), "test", magic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := r.Count(); n != 0 || r.Err() == nil {
 		t.Errorf("count above MaxCount read as %d", n)
 	}
-	r, _ = NewReader(bytes.NewReader(buf.Bytes()), "test", magic)
+	r, _ = NewReader(bytes.NewReader(data), "test", magic)
 	r.Uvarint()
 	if s := r.String(); s != "" || r.Err() == nil {
 		t.Errorf("string past the end read as %q", s)

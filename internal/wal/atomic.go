@@ -11,8 +11,9 @@ import (
 // fsync'd, and only then renamed over path, with the directory fsync'd
 // so the rename itself survives a crash. On any error the temp file is
 // removed and the previous contents of path (if any) are untouched. The
-// checkpointer and snapshot saving share this helper: a crash mid-write
-// must never leave a truncated, unloadable file where a good one was.
+// checkpoint manifest and snapshot saving share this helper: a crash
+// mid-write must never leave a truncated, unloadable file where a good
+// one was.
 func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -50,6 +51,29 @@ func SyncDir(dir string) error {
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
 		err = cerr
+	}
+	return err
+}
+
+// WriteFileSync writes and fsyncs a file under a name nothing refers to
+// yet — a checkpoint member file, which only the manifest written after
+// it can make part of the corpus. It needs neither the temp file nor the
+// rename of WriteFileAtomic (a torn file under an unreferenced name is
+// garbage for Sweep, not damage), and leaves the directory sync to the
+// caller so a checkpoint pays for one, not one per member.
+func WriteFileSync(path string, write func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path) //nolint:errcheck // best effort
 	}
 	return err
 }

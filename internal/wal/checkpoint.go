@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,130 +8,143 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 )
 
-// Checkpoint container ("FXPC"): a point-in-time image of the whole
-// corpus that bounds WAL replay. The payload is opaque to this package —
-// callers store one blob per document (in practice an FXP2 indexed
-// snapshot) plus its name; the container adds the covered LSN and a
-// trailing CRC32C so a damaged checkpoint is detected rather than
-// half-loaded.
+// Checkpoint manifest: the one small file that says which per-member
+// snapshot files in the log directory make up the corpus as of an LSN,
+// and so bounds WAL replay. The member files are opaque to this package
+// (the caller writes one FXP3 snapshot per document, under a name from
+// MemberFile, with WriteFileSync); the manifest adds the covered LSN, the
+// collection order and a trailing CRC32C, so a damaged manifest is
+// detected rather than half-read.
 //
-// Layout: magic "FXPC", then (uvarint lsn, uvarint count, count x
-// (uvarint name length, name, uvarint blob length, blob)), then a 4-byte
-// little-endian CRC32C of everything between the magic and the CRC.
+// Layout: magic "FXM1", uvarint lsn, uvarint count, count x (uvarint
+// name length, name, uvarint file length, file), then a 4-byte
+// little-endian CRC32C of everything before it.
 //
-// Checkpoints are written atomically (WriteFileAtomic) under names
-// embedding the covered LSN, so recovery can pick the newest and fall
-// back to an older one if the newest fails verification.
-var checkpointMagic = [4]byte{'F', 'X', 'P', 'C'}
+// There is exactly one manifest per directory, replaced atomically
+// (WriteFileAtomic): a crash leaves either the previous manifest or the
+// new one, never a mixture, and there is no older state to fall back to
+// — the log segments a manifest covers are pruned once it is durable, so
+// resolving a damaged manifest to anything else would silently drop
+// acknowledged mutations. Member files no manifest names (a checkpoint
+// that crashed before its manifest rename, or members a newer manifest
+// dropped) are garbage; Sweep deletes them.
+var manifestMagic = [4]byte{'F', 'X', 'M', '1'}
 
 const (
-	ckptPrefix  = "checkpoint-"
-	ckptSuffix  = ".fxpc"
-	ckptPattern = ckptPrefix + "%016x" + ckptSuffix
+	// ManifestName is the manifest's file name inside the log directory.
+	ManifestName = "MANIFEST"
+
+	memberPrefix = "member-"
+	memberSuffix = ".fxp3"
+
+	legacyPrefix = "checkpoint-"
+	legacySuffix = ".fxpc"
 )
 
-// CheckpointDoc is one named document blob inside a checkpoint.
-type CheckpointDoc struct {
+var (
+	// ErrCorruptManifest reports a manifest that exists but fails
+	// verification: truncated, checksum mismatch, malformed entries.
+	ErrCorruptManifest = errors.New("wal: corrupt checkpoint manifest")
+	// ErrLegacyCheckpoint reports a log directory that still holds a
+	// checkpoint-*.fxpc container from a release that wrote whole-corpus
+	// checkpoints. The segments it covered are gone, so the directory
+	// cannot be recovered by this build; it is never read as empty.
+	ErrLegacyCheckpoint = errors.New("wal: directory holds a checkpoint-*.fxpc container written by an older release")
+)
+
+// Member is one manifest entry: a document name and the member file,
+// relative to the log directory, holding its snapshot.
+type Member struct {
 	Name string
-	Data []byte
+	File string
 }
 
-// WriteCheckpoint atomically writes a checkpoint covering every record
-// with LSN <= lsn, then deletes older checkpoint files (best effort —
-// the newest valid one is all recovery needs).
-func WriteCheckpoint(dir string, lsn uint64, docs []CheckpointDoc) error {
-	path := filepath.Join(dir, fmt.Sprintf(ckptPattern, lsn))
-	err := WriteFileAtomic(path, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<16)
-		crc := crc32.New(castagnoli)
-		mw := io.MultiWriter(bw, crc)
-		if _, err := bw.Write(checkpointMagic[:]); err != nil {
-			return err
-		}
-		var buf [binary.MaxVarintLen64]byte
-		putUvarint := func(v uint64) error {
-			n := binary.PutUvarint(buf[:], v)
-			_, err := mw.Write(buf[:n])
-			return err
-		}
-		if err := putUvarint(lsn); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(len(docs))); err != nil {
-			return err
-		}
-		for _, d := range docs {
-			if err := putUvarint(uint64(len(d.Name))); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(mw, d.Name); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(len(d.Data))); err != nil {
-				return err
-			}
-			if _, err := mw.Write(d.Data); err != nil {
-				return err
-			}
-		}
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-		if _, err := bw.Write(sum[:]); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-	if err != nil {
+// Manifest is a checkpoint: the corpus, in collection order, as of every
+// record with LSN <= LSN.
+type Manifest struct {
+	LSN     uint64
+	Members []Member
+}
+
+// MemberFile names the member file checkpoint lsn writes for the member
+// at position i. LSNs only grow and a checkpoint writes a position at
+// most once, so a name is never reused for different content while a
+// manifest refers to it.
+func MemberFile(lsn uint64, i int) string {
+	return fmt.Sprintf("%s%016x-%d%s", memberPrefix, lsn, i, memberSuffix)
+}
+
+func isMemberFile(name string) bool {
+	return strings.HasPrefix(name, memberPrefix) && strings.HasSuffix(name, memberSuffix) &&
+		!strings.ContainsAny(name, `/\`)
+}
+
+// WriteManifest atomically replaces the directory's manifest. Every
+// member file it names must already be durable (written with
+// WriteFileSync and followed by a SyncDir).
+func WriteManifest(dir string, m Manifest) error {
+	buf := append([]byte(nil), manifestMagic[:]...)
+	buf = binary.AppendUvarint(buf, m.LSN)
+	buf = binary.AppendUvarint(buf, uint64(len(m.Members)))
+	for _, e := range m.Members {
+		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
+		buf = append(buf, e.Name...)
+		buf = binary.AppendUvarint(buf, uint64(len(e.File)))
+		buf = append(buf, e.File...)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return WriteFileAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	for _, c := range listCheckpoints(dir) {
-		if c.lsn < lsn {
-			os.Remove(filepath.Join(dir, c.name)) //nolint:errcheck // best effort
-		}
-	}
-	return nil
+	})
 }
 
-// ReadLatestCheckpoint loads the newest checkpoint in dir that verifies,
-// falling back to older ones if the newest is damaged. found is false
-// when dir holds no checkpoint at all; a checkpoint that exists but
-// cannot be verified (and has no older fallback) is an error, because
-// the WAL records it covered may already be pruned.
-func ReadLatestCheckpoint(dir string) (lsn uint64, docs []CheckpointDoc, found bool, err error) {
-	cks := listCheckpoints(dir)
-	if len(cks) == 0 {
-		return 0, nil, false, nil
+// ReadManifest reads the directory's manifest. A directory (or manifest)
+// that does not exist — a log never checkpointed — reads as the zero
+// Manifest, which covers nothing. A manifest that exists but does not
+// verify is ErrCorruptManifest, and a directory holding a legacy
+// checkpoint container is ErrLegacyCheckpoint.
+func ReadManifest(dir string) (Manifest, error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return Manifest{}, nil
 	}
-	var lastErr error
-	for i := len(cks) - 1; i >= 0; i-- {
-		lsn, docs, err := readCheckpoint(filepath.Join(dir, cks[i].name))
-		if err == nil {
-			return lsn, docs, true, nil
-		}
-		lastErr = fmt.Errorf("wal: checkpoint %s: %w", cks[i].name, err)
-	}
-	return 0, nil, true, lastErr
-}
-
-func readCheckpoint(path string) (uint64, []CheckpointDoc, error) {
-	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, err
+		return Manifest{}, err
 	}
-	if len(raw) < len(checkpointMagic)+4 || string(raw[:4]) != string(checkpointMagic[:]) {
-		return 0, nil, errors.New("bad magic")
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, legacyPrefix) && strings.HasSuffix(name, legacySuffix) {
+			return Manifest{}, fmt.Errorf("%w: %s", ErrLegacyCheckpoint, filepath.Join(dir, name))
+		}
 	}
-	body, sum := raw[4:len(raw)-4], raw[len(raw)-4:]
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if errors.Is(err, os.ErrNotExist) {
+		return Manifest{}, nil
+	}
+	if err != nil {
+		return Manifest{}, err
+	}
+	m, err := decodeManifest(raw)
+	if err != nil {
+		return Manifest{}, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
+	}
+	return m, nil
+}
+
+func decodeManifest(raw []byte) (Manifest, error) {
+	var m Manifest
+	if len(raw) < len(manifestMagic)+4 || string(raw[:4]) != string(manifestMagic[:]) {
+		return m, errors.New("bad magic")
+	}
+	body, sum := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-		return 0, nil, errors.New("checksum mismatch")
+		return m, errors.New("checksum mismatch")
 	}
-	p := body
-	take := func() (uint64, error) {
+	p := body[4:]
+	uvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
 			return 0, errors.New("truncated varint")
@@ -140,65 +152,71 @@ func readCheckpoint(path string) (uint64, []CheckpointDoc, error) {
 		p = p[n:]
 		return v, nil
 	}
-	lsn, err := take()
-	if err != nil {
-		return 0, nil, err
-	}
-	count, err := take()
-	if err != nil {
-		return 0, nil, err
-	}
-	docs := make([]CheckpointDoc, 0, count)
-	for i := uint64(0); i < count; i++ {
-		nameLen, err := take()
+	str := func() (string, error) {
+		n, err := uvarint()
 		if err != nil {
-			return 0, nil, err
+			return "", err
 		}
-		if uint64(len(p)) < nameLen {
-			return 0, nil, errors.New("truncated name")
+		if uint64(len(p)) < n {
+			return "", errors.New("truncated string")
 		}
-		name := string(p[:nameLen])
-		p = p[nameLen:]
-		blobLen, err := take()
-		if err != nil {
-			return 0, nil, err
+		s := string(p[:n])
+		p = p[n:]
+		return s, nil
+	}
+	var err error
+	if m.LSN, err = uvarint(); err != nil {
+		return m, err
+	}
+	count, err := uvarint()
+	if err != nil {
+		return m, err
+	}
+	if count > uint64(len(p)) {
+		return m, errors.New("implausible member count")
+	}
+	m.Members = make([]Member, count)
+	for i := range m.Members {
+		e := &m.Members[i]
+		if e.Name, err = str(); err != nil {
+			return m, err
 		}
-		if uint64(len(p)) < blobLen {
-			return 0, nil, errors.New("truncated blob")
+		if e.File, err = str(); err != nil {
+			return m, err
 		}
-		docs = append(docs, CheckpointDoc{Name: name, Data: append([]byte(nil), p[:blobLen]...)})
-		p = p[blobLen:]
+		if !isMemberFile(e.File) {
+			return m, fmt.Errorf("member %q names %q, not a member file", e.Name, e.File)
+		}
 	}
 	if len(p) != 0 {
-		return 0, nil, errors.New("trailing bytes")
+		return m, errors.New("trailing bytes")
 	}
-	return lsn, docs, nil
+	return m, nil
 }
 
-type checkpointFile struct {
-	name string
-	lsn  uint64
-}
-
-// listCheckpoints returns checkpoint files sorted by covered LSN.
-func listCheckpoints(dir string) []checkpointFile {
+// Sweep deletes what no manifest refers to: member files m does not
+// name, and temp files an interrupted manifest write left behind. Call
+// it only while no checkpoint is writing member files.
+func Sweep(dir string, m Manifest) error {
+	keep := make(map[string]bool, len(m.Members))
+	for _, e := range m.Members {
+		keep[e.File] = true
+	}
 	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
-	var cks []checkpointFile
+	if err != nil {
+		return err
+	}
+	var firstErr error
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-			continue
+		if (isMemberFile(name) && !keep[name]) || strings.HasPrefix(name, ManifestName+".tmp-") {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) && firstErr == nil {
+				firstErr = err
+			}
 		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-		lsn, err := strconv.ParseUint(hex, 16, 64)
-		if err != nil {
-			continue
-		}
-		cks = append(cks, checkpointFile{name: name, lsn: lsn})
 	}
-	sort.Slice(cks, func(i, j int) bool { return cks[i].lsn < cks[j].lsn })
-	return cks
+	return firstErr
 }

@@ -2,7 +2,7 @@
 // flexpath corpus: an append-only, CRC32C-framed write-ahead log of
 // document mutations with group-commit fsync batching, segment rotation
 // for checkpoint truncation, torn-tail recovery on boot, and the
-// atomic-write and checkpoint-container helpers the checkpointer shares
+// atomic-write and checkpoint-manifest helpers the checkpointer shares
 // with snapshot saving.
 //
 // The log stores mutations, not index state: each record carries the

@@ -47,14 +47,11 @@ func BenchmarkParseXML(b *testing.B) {
 
 func BenchmarkReadBinarySnapshot(b *testing.B) {
 	d, xml := benchDocument(b)
-	var snap bytes.Buffer
-	if err := d.WriteBinary(&snap); err != nil {
-		b.Fatal(err)
-	}
+	snap := writeBinary(d)
 	b.SetBytes(int64(len(xml))) // same logical content as the XML
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(snap.Bytes())); err != nil {
+		if _, err := ReadBinary(bytes.NewReader(snap)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,9 @@ import (
 	"flexpath/internal/varint"
 )
 
-// Binary snapshot format for parsed documents. Re-parsing large XML is
-// the dominant load cost; a snapshot restores the node table directly.
+// Legacy varint snapshot format for parsed documents: the tree section
+// of an FXP2 snapshot. Nothing writes it any more (FXP3 stores the
+// columns as they are); ReadBinary stays while the FXP2 reader does.
 //
 // Layout (all integers unsigned varints unless noted):
 //
@@ -22,33 +23,8 @@ import (
 
 var binaryMagic = [4]byte{'F', 'X', 'T', '1'}
 
-// WriteBinary writes a snapshot of the document.
-func (d *Document) WriteBinary(w io.Writer) error {
-	bw := varint.NewWriter(w, binaryMagic)
-	bw.Uvarint(uint64(len(d.tags)))
-	for _, t := range d.tags {
-		bw.String(t)
-	}
-	bw.Uvarint(uint64(len(d.nodeTag)))
-	for n := range d.nodeTag {
-		bw.Uvarint(uint64(d.nodeTag[n]))
-		bw.Uvarint(uint64(d.end[n]) - uint64(n))
-		bw.Uvarint(uint64(d.level[n]))
-		bw.Uvarint(uint64(d.parent[n] + 1))
-		bw.String(d.Text(NodeID(n)))
-		bw.Uvarint(d.attrCnt[n+1] - d.attrCnt[n])
-		for i := d.attrCnt[n]; i < d.attrCnt[n+1]; i++ {
-			a := d.attr(i)
-			bw.String(a.Name)
-			bw.String(a.Value)
-		}
-	}
-	bw.Uvarint(uint64(d.size))
-	return bw.Flush()
-}
-
-// ReadBinary restores a document from a snapshot produced by WriteBinary:
-// it fills the columns from the stream and holds them to Validate.
+// ReadBinary restores a document from an FXT1 stream: it fills the
+// columns from the stream and holds them to Validate.
 func ReadBinary(r io.Reader) (*Document, error) {
 	br, err := varint.NewReader(r, "xmltree", binaryMagic)
 	if err != nil {

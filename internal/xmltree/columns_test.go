@@ -94,11 +94,7 @@ func randomMixed(r *rand.Rand) (*Document, []refNode) {
 // reloads returns d with its FXP2 and its FXP3 reload.
 func reloads(t *testing.T, d *Document) map[string]*Document {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := d.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fxp2, err := ReadBinary(&buf)
+	fxp2, err := ReadBinary(bytes.NewReader(writeBinary(d)))
 	if err != nil {
 		t.Fatalf("FXP2 reload: %v", err)
 	}

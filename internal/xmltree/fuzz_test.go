@@ -30,11 +30,7 @@ func FuzzParse(f *testing.F) {
 				}
 			}
 		}
-		var buf bytes.Buffer
-		if err := d.WriteBinary(&buf); err != nil {
-			t.Fatalf("snapshot write failed: %v", err)
-		}
-		d2, err := ReadBinary(&buf)
+		d2, err := ReadBinary(bytes.NewReader(writeBinary(d)))
 		if err != nil || d2.Len() != d.Len() {
 			t.Fatalf("snapshot round trip failed: %v", err)
 		}

@@ -249,54 +249,101 @@ func fxp2Join(secs [][]byte) []byte {
 	return out
 }
 
-// TestFXP2RejectsBadFrequencyAndLength crafts the two index values
-// neither snapshot reader used to check: a document frequency the
-// postings do not have (idf divides by it) and a node length that is
-// negative once narrowed to the column width.
+// TestFXP2RejectsBadFrequencyAndLength crafts, in the index section of
+// the FXP2 fixture, the two values neither snapshot reader used to
+// check: a document frequency the postings do not have (idf divides by
+// it) and a node length that is negative once narrowed to the column
+// width.
 func TestFXP2RejectsBadFrequencyAndLength(t *testing.T) {
-	doc, err := LoadString(`<a><b>gold gold</b><c>gold</c></a>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := doc.SaveIndexedSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	secs := fxp2Sections(t, buf.Bytes())
+	secs := fxp2Sections(t, goldenFXP2(t))
 	// Index section: magic(4) scoring(1) textNodes avgLen(8) count
-	// {nodeDelta len}... — every varint of this document is one byte.
+	// {nodeDelta len}... termCount {term df postingCount postings}...
 	ix := secs[2]
-	const firstLen = 4 + 1 + 1 + 8 + 1 + 1
-	if ix[firstLen] != 2 { // <b> holds two tokens
-		t.Fatalf("fixture layout moved: first node length byte is %d", ix[firstLen])
+	at := 4 + 1
+	uvarint := func() uint64 {
+		v, w := binary.Uvarint(ix[at:])
+		if w <= 0 {
+			t.Fatal("malformed FXP2 fixture")
+		}
+		at += w
+		return v
 	}
-	// Two text nodes, then the term count, "gold" (len-prefixed) and df.
-	const dfAt = firstLen + 1 + 2 + 1 + 1 + len("gold")
-	if ix[dfAt] != 2 { // gold occurs in two nodes
-		t.Fatalf("fixture layout moved: df byte is %d", ix[dfAt])
+	uvarint() // textNodes
+	at += 8   // avgLen
+	lengths := uvarint()
+	uvarint() // the first text node
+	firstLen := at
+	uvarint()
+	for i := uint64(1); i < lengths; i++ {
+		uvarint()
+		uvarint()
+	}
+	uvarint()            // term count
+	at += int(uvarint()) // the first term
+	dfAt := at
+	if df := uvarint(); df == 0 || df >= 0x7f {
+		t.Fatalf("fixture layout moved: first df reads %d", df)
 	}
 	withDF := bytes.Clone(ix)
-	withDF[dfAt] = 3
-	withLen := append(append(bytes.Clone(ix[:firstLen]), binary.AppendUvarint(nil, 1<<31)...), ix[firstLen+1:]...)
+	withDF[dfAt]++
+	_, w := binary.Uvarint(ix[firstLen:])
+	withLen := append(append(bytes.Clone(ix[:firstLen]), binary.AppendUvarint(nil, 1<<31)...), ix[firstLen+w:]...)
 	for name, index := range map[string][]byte{"df the postings do not have": withDF, "negative node length": withLen} {
 		data := fxp2Join([][]byte{secs[0], secs[1], index})
-		if _, err := LoadIndexedSnapshot(bytes.NewReader(data)); err == nil {
+		if _, err := loadIndexedSnapshot(data); err == nil {
 			t.Errorf("%s: loaded", name)
 		} else if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
 		}
 	}
-	if _, err := LoadIndexedSnapshot(bytes.NewReader(fxp2Join(secs))); err != nil {
+	if _, err := loadIndexedSnapshot(fxp2Join(secs)); err != nil {
 		t.Fatalf("re-joined clean snapshot: %v", err)
 	}
 }
 
-// TestThreeFormsOneRepresentation: a parsed document, its FXP2 reload
-// and its FXP3 reload hold the same columns. Both encoders write the
+// TestThreeFormsOneRepresentation: a parsed document, an FXP2 reload and
+// an FXP3 reload hold the same columns. The FXP3 encoder writes the
 // columns straight out, so "the same columns" is "the same bytes when
 // saved again", for every column of the tree, the statistics and the
-// index at once; the rankings are compared on top.
+// index at once; the rankings are compared on top. FXP3 is checked on
+// generated documents, FXP2 — which nothing writes any more — on the
+// checked-in fixture against a parse of the XML it was written from.
 func TestThreeFormsOneRepresentation(t *testing.T) {
+	queries := []*Query{
+		MustParseQuery(`//item[./description/parlist and .contains("gold" or "vintage")]`),
+		MustParseQuery(paperQ1),
+	}
+	sameAs := func(what string, parsed, d *Document) {
+		t.Helper()
+		if !bytes.Equal(fxp3Bytes(t, d), fxp3Bytes(t, parsed)) {
+			t.Fatalf("%s saves differently from the parsed document", what)
+		}
+		for _, q := range queries {
+			opts := SearchOptions{K: 10, Algorithm: Hybrid, Scheme: Combined, NoCache: true}
+			want, err := parsed.Search(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.Search(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := renderRankingWithSnippets(got), renderRankingWithSnippets(want); g != w {
+				t.Fatalf("%s ranks %s differently:\n%s\nvs\n%s", what, q, g, w)
+			}
+		}
+	}
+
+	articles, err := LoadString(articlesXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from2, err := loadIndexedSnapshot(goldenFXP2(t))
+	if err != nil {
+		t.Fatalf("FXP2 reload: %v", err)
+	}
+	sameAs("the FXP2 fixture", articles, from2)
+
 	r := rand.New(rand.NewSource(23))
 	var trees []*xmltree.Document
 	for _, src := range []string{
@@ -324,53 +371,13 @@ func TestThreeFormsOneRepresentation(t *testing.T) {
 		}
 		trees = append(trees, tr)
 	}
-	queries := []*Query{
-		MustParseQuery(`//item[./description/parlist and .contains("gold" or "vintage")]`),
-		MustParseQuery(paperQ1),
-	}
 	for i, tr := range trees {
 		parsed := newDocument(tr, DocumentOptions{BM25: i%2 == 1})
-		var v2, v3 bytes.Buffer
-		if err := parsed.SaveIndexedSnapshot(&v2); err != nil {
-			t.Fatal(err)
-		}
-		if err := parsed.SaveFXP3Snapshot(&v3); err != nil {
-			t.Fatal(err)
-		}
-		from2, err := LoadIndexedSnapshot(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatalf("tree %d: FXP2 reload: %v", i, err)
-		}
-		from3, err := LoadFXP3Snapshot(bytes.NewReader(v3.Bytes()))
+		from3, err := LoadFXP3Snapshot(bytes.NewReader(fxp3Bytes(t, parsed)))
 		if err != nil {
 			t.Fatalf("tree %d: FXP3 reload: %v", i, err)
 		}
-		for form, d := range map[string]*Document{"fxp2": from2, "fxp3": from3} {
-			var again2, again3 bytes.Buffer
-			if err := d.SaveIndexedSnapshot(&again2); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.SaveFXP3Snapshot(&again3); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again2.Bytes(), v2.Bytes()) || !bytes.Equal(again3.Bytes(), v3.Bytes()) {
-				t.Fatalf("tree %d: the %s reload saves differently from the parsed document", i, form)
-			}
-			for _, q := range queries {
-				opts := SearchOptions{K: 10, Algorithm: Hybrid, Scheme: Combined, NoCache: true}
-				want, err := parsed.Search(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := d.Search(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g, w := renderRankingWithSnippets(got), renderRankingWithSnippets(want); g != w {
-					t.Fatalf("tree %d: %s ranks %s differently:\n%s\nvs\n%s", i, form, q, g, w)
-				}
-			}
-		}
+		sameAs(fmt.Sprintf("tree %d: the FXP3 reload", i), parsed, from3)
 	}
 }
 

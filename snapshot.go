@@ -1,155 +1,82 @@
 package flexpath
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"flexpath/internal/exec"
 	"flexpath/internal/ir"
 	"flexpath/internal/plancache"
 	"flexpath/internal/planner"
 	"flexpath/internal/stats"
-	"flexpath/internal/wal"
 	"flexpath/internal/xmltree"
 )
 
-// Indexed snapshots persist the parsed tree, the inverted index and the
-// document statistics together, so restoring skips XML parsing, index
-// construction and the statistics collection pass — the three load
-// costs, in order. Plain snapshots (SaveSnapshot) persist the tree only.
-//
-// Container layout: magic "FXP2", then three length-prefixed sections
-// (tree, statistics, index), each in its own self-describing format.
-// The mmap-friendly successor format is FXP3; see snapshot_fxp3.go.
+// FXP2 is the legacy indexed snapshot: magic "FXP2", then three
+// length-prefixed sections (tree "FXT1", statistics "FXS1", index
+// "FXI1"), each a varint stream. Nothing writes it any more — FXP3
+// (snapshot_fxp3.go) is the only format saved — and this reader stays
+// for one release so existing .fxp2 files and WAL records seeded from
+// them keep loading, through LoadAuto and WAL replay only. It is pinned
+// by testdata/golden_indexed.fxp2.
 var indexedMagic = [4]byte{'F', 'X', 'P', '2'}
 
-// ErrCorruptSnapshot reports a snapshot that is structurally invalid,
-// truncated, or checksum-failing. Every load path (FXP2 and FXP3) wraps
-// corruption in it, so callers can distinguish a damaged file from an
-// I/O failure with errors.Is and react (quarantine, fall back to XML,
-// refuse to serve) without string matching. A snapshot that fails with
-// ErrCorruptSnapshot was not partially loaded: no Document is returned.
-var ErrCorruptSnapshot = errors.New("flexpath: corrupt snapshot")
+var (
+	// ErrCorruptSnapshot reports a snapshot, or a checkpoint manifest
+	// naming snapshots, that is structurally invalid, truncated, or
+	// checksum-failing. Every load path wraps corruption in it, so callers
+	// can distinguish a damaged file from an I/O failure with errors.Is
+	// and react (quarantine, fall back to XML, refuse to serve) without
+	// string matching. A snapshot that fails with ErrCorruptSnapshot was
+	// not partially loaded: no Document is returned.
+	ErrCorruptSnapshot = errors.New("flexpath: corrupt snapshot")
+	// ErrLegacySnapshot reports a plain FXT1 tree snapshot, a format no
+	// release reads any more: regenerate the file from its XML source
+	// (flexpath -doc x.xml -save-fxp3 x.fxp3).
+	ErrLegacySnapshot = errors.New("flexpath: unsupported legacy FXT1 snapshot, regenerate it from XML")
+)
 
-// maxSectionBytes caps a section's declared length when the total input
-// size is unknown (stream loads). Any genuine section is far smaller; a
-// larger declaration can only come from corruption, and rejecting it up
-// front keeps a corrupt length field from driving unbounded buffering.
-const maxSectionBytes = int64(1) << 40
-
-// SaveIndexedSnapshot writes a snapshot including the search indexes.
-func (d *Document) SaveIndexedSnapshot(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(indexedMagic[:]); err != nil {
-		return err
-	}
-	sections := []func(io.Writer) error{
-		d.tree.WriteBinary,
-		d.stats.WriteBinary,
-		d.index.WriteBinary,
-	}
-	var buf bytes.Buffer
-	for _, write := range sections {
-		buf.Reset()
-		if err := write(&buf); err != nil {
-			return err
-		}
-		var lenBuf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(lenBuf[:], uint64(buf.Len()))
-		if _, err := bw.Write(lenBuf[:n]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(buf.Bytes()); err != nil {
-			return err
+// snapshotMagic returns the snapshot magic b starts with ("FXP3", "FXP2"
+// or "FXT1"), or "" when b is not a snapshot and should parse as XML.
+func snapshotMagic(b []byte) string {
+	if len(b) >= 4 {
+		switch m := string(b[:4]); m {
+		case "FXP3", "FXP2", "FXT1":
+			return m
 		}
 	}
-	return bw.Flush()
+	return ""
 }
 
-// SaveIndexedSnapshotFile writes an indexed snapshot to path. The write
-// is atomic: the snapshot goes to a temp file that is fsync'd and then
-// renamed over path, so a crash mid-save never corrupts an existing
-// snapshot.
-func (d *Document) SaveIndexedSnapshotFile(path string) error {
-	return wal.WriteFileAtomic(path, d.SaveIndexedSnapshot)
-}
-
-// LoadIndexedSnapshot restores a document with its indexes from a
-// SaveIndexedSnapshot stream. Corrupt or truncated input fails with an
+// loadIndexedSnapshot restores a document with its indexes from the
+// bytes of an FXP2 snapshot. Corrupt or truncated input fails with an
 // error wrapping ErrCorruptSnapshot; a partial index is never returned.
-func LoadIndexedSnapshot(r io.Reader) (*Document, error) {
-	return loadIndexedSnapshot(r, -1)
-}
-
-// countingReader counts bytes consumed from the underlying reader, so
-// section lengths can be validated against the input size when known.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// loadIndexedSnapshot does the work of LoadIndexedSnapshot. total is the
-// input's byte size when known (file loads), or -1 for streams; with it,
-// a section length exceeding the remaining input is rejected before any
-// parsing, not discovered as a confusing EOF deep inside a section.
-func loadIndexedSnapshot(r io.Reader, total int64) (*Document, error) {
-	cr := &countingReader{r: r}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: shorter than the magic", ErrCorruptSnapshot)
-		}
-		return nil, fmt.Errorf("flexpath: snapshot: %w", err)
+func loadIndexedSnapshot(data []byte) (*Document, error) {
+	if len(data) < len(indexedMagic) {
+		return nil, fmt.Errorf("%w: shorter than the magic", ErrCorruptSnapshot)
 	}
-	if magic != indexedMagic {
+	if [4]byte(data[:4]) != indexedMagic {
 		return nil, fmt.Errorf("%w: not an indexed snapshot (bad magic)", ErrCorruptSnapshot)
 	}
-	section := func(name string) (*io.LimitedReader, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("%w: truncated before the %s section", ErrCorruptSnapshot, name)
-			}
-			return nil, fmt.Errorf("flexpath: snapshot: %w", err)
+	rest := data[4:]
+	// section slices the next length-prefixed section off rest. A length
+	// pointing past the remaining bytes is rejected here, before any
+	// parsing, not discovered as a confusing EOF deep inside a section.
+	section := func(name string) (io.Reader, error) {
+		n, w := binary.Uvarint(rest)
+		if w <= 0 {
+			return nil, fmt.Errorf("%w: truncated before the %s section", ErrCorruptSnapshot, name)
 		}
-		// Position of the section body in the input: bytes consumed from
-		// the source minus what the buffer still holds.
-		pos := cr.n - int64(br.Buffered())
-		if n > uint64(maxSectionBytes) {
-			return nil, fmt.Errorf("%w: %s section declares an implausible %d bytes", ErrCorruptSnapshot, name, n)
-		}
-		if total >= 0 && int64(n) > total-pos {
+		if n > uint64(len(rest)-w) {
 			return nil, fmt.Errorf("%w: %s section declares %d bytes with only %d remaining",
-				ErrCorruptSnapshot, name, n, total-pos)
+				ErrCorruptSnapshot, name, n, len(rest)-w)
 		}
-		return &io.LimitedReader{R: br, N: int64(n)}, nil
-	}
-	// drain consumes any bytes a section parser left unread (the parsers
-	// buffer internally and may stop short of the section boundary) and
-	// verifies the input actually contained the declared section length:
-	// io.Copy returns nil at EOF, so without the N check a truncated
-	// section whose parser happened to finish early would load silently.
-	drain := func(name string, sec *io.LimitedReader) error {
-		if _, err := io.Copy(io.Discard, sec); err != nil {
-			return fmt.Errorf("flexpath: snapshot: %s section: %w", name, err)
-		}
-		if sec.N > 0 {
-			return fmt.Errorf("%w: %s section truncated (%d declared bytes missing)",
-				ErrCorruptSnapshot, name, sec.N)
-		}
-		return nil
+		sec := rest[w : w+int(n)]
+		rest = rest[w+int(n):]
+		return bytes.NewReader(sec), nil
 	}
 	sec, err := section("tree")
 	if err != nil {
@@ -157,32 +84,21 @@ func loadIndexedSnapshot(r io.Reader, total int64) (*Document, error) {
 	}
 	tree, err := xmltree.ReadBinary(sec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+		return nil, corrupt(err)
 	}
-	if err := drain("tree", sec); err != nil {
-		return nil, err
-	}
-	sec, err = section("stats")
-	if err != nil {
+	if sec, err = section("stats"); err != nil {
 		return nil, err
 	}
 	st, err := stats.ReadStatsBinary(tree, sec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+		return nil, corrupt(err)
 	}
-	if err := drain("stats", sec); err != nil {
-		return nil, err
-	}
-	sec, err = section("index")
-	if err != nil {
+	if sec, err = section("index"); err != nil {
 		return nil, err
 	}
 	ix, err := ir.ReadIndexBinary(tree, sec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
-	}
-	if err := drain("index", sec); err != nil {
-		return nil, err
+		return nil, corrupt(err)
 	}
 	return assembleDocument(tree, st, ix), nil
 }
@@ -211,23 +127,4 @@ func wrapSnapshotPath(path string, err error) error {
 		return nil
 	}
 	return fmt.Errorf("flexpath: snapshot %s: %w", path, err)
-}
-
-// LoadIndexedSnapshotFile restores an indexed snapshot from path. Load
-// errors name the file.
-func LoadIndexedSnapshotFile(path string) (*Document, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, wrapSnapshotPath(path, err)
-	}
-	d, err := loadIndexedSnapshot(f, fi.Size())
-	if err != nil {
-		return nil, wrapSnapshotPath(path, err)
-	}
-	return d, nil
 }

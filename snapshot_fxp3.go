@@ -2,6 +2,7 @@ package flexpath
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
@@ -126,8 +127,8 @@ func ReadFXP3Meta(path string) (SnapshotMeta, error) {
 // codec layers' validation errors) into ErrCorruptSnapshot, so callers
 // test one sentinel regardless of which layer caught the damage.
 func corrupt(err error) error {
-	if err == nil {
-		return nil
+	if err == nil || errors.Is(err, ErrCorruptSnapshot) {
+		return err
 	}
 	return fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 }

@@ -2,8 +2,6 @@ package flexpath
 
 import (
 	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -12,31 +10,12 @@ var updateGolden = flag.Bool("update-golden", false,
 
 const goldenSnapshotPath = "testdata/golden_indexed.fxp2"
 
-// TestGoldenIndexedSnapshot pins the FXP2 on-disk format: the
-// checked-in fixture was written by an earlier build, and
-// LoadIndexedSnapshot must keep reading it byte for byte. A format
-// change that can still read old snapshots updates the fixture with
-//
-//	go test -run TestGoldenIndexedSnapshot -update-golden .
-//
-// A format change that cannot read it needs a new magic, not a fixture
-// refresh.
+// TestGoldenIndexedSnapshot pins the legacy FXP2 reader: the checked-in
+// fixture was written by a release that still had the encoder, nothing
+// can rewrite it (-update-golden does not touch it), and LoadAuto must
+// keep reading it byte for byte until the reader is removed with it.
 func TestGoldenIndexedSnapshot(t *testing.T) {
-	if *updateGolden {
-		doc, err := LoadString(articlesXML)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenSnapshotPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := doc.SaveIndexedSnapshotFile(goldenSnapshotPath); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenSnapshotPath)
-		return
-	}
-	doc, err := LoadIndexedSnapshotFile(goldenSnapshotPath)
+	doc, err := LoadAuto(goldenSnapshotPath)
 	if err != nil {
 		t.Fatalf("cannot read golden snapshot (format broke?): %v", err)
 	}

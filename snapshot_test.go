@@ -12,40 +12,15 @@ import (
 	"flexpath/internal/wal"
 )
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	doc, err := LoadString(articlesXML)
+// goldenFXP2 returns the checked-in FXP2 snapshot of articlesXML, the
+// only FXP2 bytes there are now that nothing writes the format.
+func goldenFXP2(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile(goldenSnapshotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := doc.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Nodes() != doc.Nodes() {
-		t.Fatalf("nodes %d != %d", restored.Nodes(), doc.Nodes())
-	}
-	// Searches against the restored document produce identical results.
-	q := MustParseQuery(paperQ1)
-	a, err := doc.Search(q, SearchOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := restored.Search(q, SearchOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("answers %d != %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Structural != b[i].Structural || a[i].Keyword != b[i].Keyword {
-			t.Errorf("answer %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
+	return data
 }
 
 func TestLoadAuto(t *testing.T) {
@@ -58,14 +33,15 @@ func TestLoadAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapPath := filepath.Join(dir, "doc.fxt")
-	if err := doc.SaveSnapshotFile(snapPath); err != nil {
+	snapPath := filepath.Join(dir, "doc.fxp3")
+	if err := doc.SaveFXP3SnapshotFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := LoadAuto(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer snap.Close()
 	if snap.Nodes() != doc.Nodes() {
 		t.Errorf("auto-loaded snapshot has %d nodes, want %d", snap.Nodes(), doc.Nodes())
 	}
@@ -80,24 +56,30 @@ func TestLoadAuto(t *testing.T) {
 	if _, err := LoadAuto(junk); err == nil {
 		t.Error("junk accepted")
 	}
-}
-
-func TestLoadSnapshotRejectsXML(t *testing.T) {
-	if _, err := LoadSnapshot(bytes.NewReader([]byte(articlesXML))); err == nil {
-		t.Error("XML accepted as snapshot")
+	// A plain FXT1 tree snapshot — the tree section of the FXP2 fixture is
+	// one — is a typed error naming the file, not an XML parse error.
+	fxt1 := fxp2Sections(t, goldenFXP2(t))[0]
+	plain := filepath.Join(dir, "doc.fxt")
+	if err := os.WriteFile(plain, fxt1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAuto(plain); !errors.Is(err, ErrLegacySnapshot) || !strings.Contains(err.Error(), "doc.fxt") {
+		t.Errorf("FXT1 file: err = %v, want ErrLegacySnapshot naming the file", err)
+	}
+	if _, err := loadDocumentBytes(fxt1); !errors.Is(err, ErrLegacySnapshot) {
+		t.Errorf("FXT1 bytes: err = %v, want ErrLegacySnapshot", err)
 	}
 }
 
+// TestIndexedSnapshotRoundTrip: the FXP2 fixture, written from articlesXML
+// by a release that had the encoder, reloads to a document that searches
+// and relaxes like a fresh parse of the same XML.
 func TestIndexedSnapshotRoundTrip(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := doc.SaveIndexedSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadIndexedSnapshot(&buf)
+	restored, err := loadIndexedSnapshot(goldenFXP2(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,19 +124,12 @@ func TestIndexedSnapshotFileAndAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "doc.fxp")
-	if err := doc.SaveIndexedSnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	auto, err := LoadAuto(path)
+	auto, err := LoadAuto(goldenSnapshotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auto.Nodes() != doc.Nodes() {
 		t.Errorf("auto-loaded indexed snapshot: %d nodes, want %d", auto.Nodes(), doc.Nodes())
-	}
-	if _, err := LoadIndexedSnapshotFile("/nonexistent"); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 
@@ -165,8 +140,8 @@ func TestIndexedSnapshotRejectsGarbage(t *testing.T) {
 		"plain tree": []byte("FXT1whatever"),
 		"truncated":  []byte("FXP2\x05abc"),
 	} {
-		if _, err := LoadIndexedSnapshot(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := loadIndexedSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
 		}
 	}
 }
@@ -178,18 +153,10 @@ func TestIndexedSnapshotRejectsGarbage(t *testing.T) {
 // read, and a snapshot cut between sections decoded
 // cleanly with missing data.
 func TestIndexedSnapshotRejectsTruncationAtEveryOffset(t *testing.T) {
-	doc, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := doc.SaveIndexedSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := goldenFXP2(t)
 	for n := 0; n < len(data); n++ {
-		if _, err := LoadIndexedSnapshot(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("truncation to %d/%d bytes loaded", n, len(data))
+		if _, err := loadIndexedSnapshot(data[:n]); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("truncation to %d/%d bytes: err = %v, want ErrCorruptSnapshot", n, len(data), err)
 		}
 	}
 	// File loads see the same rejection, with the path in the error.
@@ -197,8 +164,8 @@ func TestIndexedSnapshotRejectsTruncationAtEveryOffset(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndexedSnapshotFile(path); err == nil {
-		t.Fatal("truncated snapshot file loaded")
+	if _, err := LoadAuto(path); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("truncated snapshot file: err = %v, want ErrCorruptSnapshot", err)
 	} else if !strings.Contains(err.Error(), "cut.fxp2") {
 		t.Errorf("error does not name the file: %v", err)
 	}
@@ -207,19 +174,11 @@ func TestIndexedSnapshotRejectsTruncationAtEveryOffset(t *testing.T) {
 // A section length prefix that lies beyond the file must be rejected up
 // front (ErrCorruptSnapshot), not discovered as a short read.
 func TestIndexedSnapshotRejectsLyingSectionLength(t *testing.T) {
-	doc, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := doc.SaveIndexedSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := goldenFXP2(t)
 	// The first section's uvarint length starts right after the 4-byte
 	// magic. 0xff 0xff 0xff 0xff 0x7f declares a ~2^35-byte section: far
-	// beyond the file, so a file load (which knows the total size) must
-	// reject the declaration before parsing a single tree byte.
+	// beyond the file, so the load must reject the declaration before
+	// parsing a single tree byte.
 	lied := append([]byte{}, data[:4]...)
 	lied = append(lied, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	lied = append(lied, data[5:]...)
@@ -227,18 +186,17 @@ func TestIndexedSnapshotRejectsLyingSectionLength(t *testing.T) {
 	if err := os.WriteFile(path, lied, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = nil
-	if _, err = LoadIndexedSnapshotFile(path); !errors.Is(err, ErrCorruptSnapshot) {
+	_, err := LoadAuto(path)
+	if !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
 	}
 	if !strings.Contains(err.Error(), "remaining") {
 		t.Errorf("lying length not rejected up front: %v", err)
 	}
-	// Stream loads can't know the total, but a declaration beyond any
-	// plausible section size is still rejected before buffering.
+	// A declaration that overflows int is rejected the same way.
 	absurd := append([]byte{}, data[:4]...)
-	absurd = append(absurd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	if _, err := LoadIndexedSnapshot(bytes.NewReader(absurd)); !errors.Is(err, ErrCorruptSnapshot) {
+	absurd = append(absurd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+	if _, err := loadIndexedSnapshot(absurd); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("absurd length: err = %v, want ErrCorruptSnapshot", err)
 	}
 }
@@ -248,17 +206,23 @@ func TestIndexedSnapshotBM25Preserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := doc.SaveIndexedSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	// The fixture is tf-idf; the scoring is one byte after the index
+	// section's magic, and everything BM25 needs is stored either way.
+	secs := fxp2Sections(t, goldenFXP2(t))
+	if secs[2][4] != 0 {
+		t.Fatalf("fixture layout moved: scoring byte is %d", secs[2][4])
 	}
-	restored, err := LoadIndexedSnapshot(&buf)
+	secs[2][4] = 1
+	restored, err := loadIndexedSnapshot(fxp2Join(secs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(paperQ1)
 	a, _ := doc.Search(q, SearchOptions{K: 3, Scheme: KeywordFirst})
 	b, _ := restored.Search(q, SearchOptions{K: 3, Scheme: KeywordFirst})
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("answers %d vs %d", len(a), len(b))
+	}
 	for i := range a {
 		if a[i].Keyword != b[i].Keyword {
 			t.Errorf("BM25 scores drifted after restore: %f vs %f", a[i].Keyword, b[i].Keyword)
@@ -268,7 +232,7 @@ func TestIndexedSnapshotBM25Preserved(t *testing.T) {
 
 // TestSnapshotFilePartialWriteSafe simulates a save that dies midway —
 // a crash, a full disk — and checks the previously saved snapshot at the
-// same path stays loadable. SaveIndexedSnapshotFile writes through
+// same path stays loadable. SaveFXP3SnapshotFile writes through
 // wal.WriteFileAtomic, so the partial bytes only ever land in a temp
 // file that gets cleaned up, never over the visible file.
 func TestSnapshotFilePartialWriteSafe(t *testing.T) {
@@ -277,8 +241,8 @@ func TestSnapshotFilePartialWriteSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "doc.fxp2")
-	if err := doc.SaveIndexedSnapshotFile(path); err != nil {
+	path := filepath.Join(dir, "doc.fxp3")
+	if err := doc.SaveFXP3SnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)
@@ -306,8 +270,10 @@ func TestSnapshotFilePartialWriteSafe(t *testing.T) {
 	if !bytes.Equal(after, good) {
 		t.Fatal("visible snapshot file changed after interrupted save")
 	}
-	if _, err := LoadAuto(path); err != nil {
+	if d, err := LoadAuto(path); err != nil {
 		t.Fatalf("snapshot unloadable after interrupted save: %v", err)
+	} else {
+		d.Close() //nolint:errcheck
 	}
 	// No temp litter left behind for operators to trip over.
 	entries, err := os.ReadDir(dir)
@@ -315,16 +281,18 @@ func TestSnapshotFilePartialWriteSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() != "doc.fxp2" {
+		if e.Name() != "doc.fxp3" {
 			t.Fatalf("unexpected file left in snapshot dir: %s", e.Name())
 		}
 	}
 
 	// A successful re-save replaces the file atomically.
-	if err := doc.SaveIndexedSnapshotFile(path); err != nil {
+	if err := doc.SaveFXP3SnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndexedSnapshotFile(path); err != nil {
+	if d, err := LoadFXP3SnapshotFile(path); err != nil {
 		t.Fatalf("re-saved snapshot unloadable: %v", err)
+	} else {
+		d.Close() //nolint:errcheck
 	}
 }
