@@ -451,115 +451,6 @@ func renderAnswers(answers []flexpath.CollectionAnswer) string {
 	return out
 }
 
-func renderDocAnswers(answers []flexpath.Answer) string {
-	out := ""
-	for i, a := range answers {
-		out += fmt.Sprintf("%d|%s|%.9f|%.9f|%d\n",
-			i, a.Path, a.Structural, a.Keyword, a.Relaxations)
-	}
-	return out
-}
-
-// figCache is NOT a figure of the paper: it measures the serving-layer
-// query-result cache on the repeated-query workload. Cold times bypass
-// the cache (NoCache); warm times hit it. The cached ranking must be
-// byte-identical to a cold evaluation for every algorithm.
-func (h *harness) figCache() {
-	mb := 1.0
-	h.header(19, fmt.Sprintf("extra: repeated queries, cold vs warm result cache (doc=%gMB, XQ2, K=50)", mb))
-	h.figName = "cache"
-	d := h.doc(mb)
-	d.SetCache(256)
-	q := mustParse(xq2.query)
-	h.row("algo", "cold_ms", "warm_ms", "speedup", "identical")
-	for _, algo := range []flexpath.Algorithm{flexpath.Hybrid, flexpath.SSO, flexpath.DPO} {
-		opts := flexpath.SearchOptions{K: 50, Algorithm: algo}
-		cold := opts
-		cold.NoCache = true
-		coldAns, err := d.Search(q, cold) // also warms the chain cache
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		coldT := h.median(func() {
-			if _, err := d.Search(q, cold); err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		})
-		warmAns, err := d.Search(q, opts) // prime the cache (miss)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		warmT := h.median(func() {
-			var err error
-			warmAns, err = d.Search(q, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		})
-		identical := renderDocAnswers(coldAns) == renderDocAnswers(warmAns)
-		h.row(algo.String(), ms(coldT), ms(warmT), ms(coldT)/ms(warmT), identical)
-	}
-	if cs, ok := d.CacheStats(); ok {
-		fmt.Printf("(cache: %d hits, %d misses, %d entries)\n", cs.Hits, cs.Misses, cs.Entries)
-	}
-}
-
-// figPlanCache is NOT a figure of the paper: it measures the
-// plan-template cache on the repeated-query-shape workload. Cold times
-// run with the cache disabled (every search rebuilds the relaxation
-// chain, enumerates levels and constructs its join plans); hit times
-// reuse a warmed template. Both sides bypass the result cache, so the
-// difference is pure template work. Rankings must be byte-identical.
-func (h *harness) figPlanCache() {
-	mb := 1.0
-	h.header(24, fmt.Sprintf("extra: repeated query shapes, cold vs warm plan-template cache (doc=%gMB, XQ2, K=50)", mb))
-	h.figName = "plancache"
-	d := h.doc(mb)
-	q := mustParse(xq2.query)
-	h.row("algo", "cold_ms", "hit_ms", "speedup", "identical")
-	for _, algo := range []flexpath.Algorithm{flexpath.Hybrid, flexpath.SSO, flexpath.DPO, flexpath.Auto} {
-		opts := flexpath.SearchOptions{K: 50, Algorithm: algo, NoCache: true}
-		d.SetPlanCache(0)
-		coldAns, err := d.Search(q, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		coldT := h.median(func() {
-			var err error
-			coldAns, err = d.Search(q, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		})
-		d.SetPlanCache(256)
-		hitAns, err := d.Search(q, opts) // prime the template (miss)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		hitT := h.median(func() {
-			var err error
-			hitAns, err = d.Search(q, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "flexbench:", err)
-				os.Exit(1)
-			}
-		})
-		identical := renderDocAnswers(coldAns) == renderDocAnswers(hitAns)
-		h.row(algo.String(), ms(coldT), ms(hitT), ms(coldT)/ms(hitT), identical)
-	}
-	if ps, ok := d.PlanCacheStats(); ok {
-		fmt.Printf("(plan cache: %d hits, %d misses, %d entries)\n", ps.Hits, ps.Misses, ps.Entries)
-	}
-	d.SetPlanCache(flexpath.DefaultPlanCacheCapacity)
-}
-
 // figParallel is NOT a figure of the paper: it measures parallel
 // Collection.Search against sequential evaluation of the same corpus.
 // The merged rankings must be byte-identical.
@@ -779,7 +670,7 @@ func (h *harness) figJoins() {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to run: 9..18, cache, plancache, parallel, obs, auto, joins, or all")
+	fig := flag.String("fig", "all", "figure to run: 9..18, parallel, obs, auto, joins, or all")
 	full := flag.Bool("full", false, "use the paper's document sizes (1-100 MB); slow")
 	runs := flag.Int("runs", 3, "timed runs per point (median reported)")
 	csv := flag.Bool("csv", false, "CSV output")
@@ -796,20 +687,16 @@ func main() {
 		17: h.fig17, 18: h.fig18,
 	}
 	named := map[string]func(){
-		"cache":     h.figCache,
-		"plancache": h.figPlanCache,
-		"parallel":  h.figParallel,
-		"obs":       h.figObs,
-		"auto":      h.figAuto,
-		"joins":     h.figJoins,
+		"parallel": h.figParallel,
+		"obs":      h.figObs,
+		"auto":     h.figAuto,
+		"joins":    h.figJoins,
 	}
 	switch {
 	case *fig == "all":
 		for i := 9; i <= 18; i++ {
 			figs[i]()
 		}
-		h.figCache()
-		h.figPlanCache()
 		h.figParallel()
 		h.figObs()
 		h.figAuto()
@@ -820,7 +707,7 @@ func main() {
 		n, err := strconv.Atoi(*fig)
 		if err != nil || figs[n] == nil {
 			fmt.Fprintf(os.Stderr,
-				"flexbench: unknown figure %q (want 9..18, cache, plancache, parallel, obs, auto, joins, or all)\n", *fig)
+				"flexbench: unknown figure %q (want 9..18, parallel, obs, auto, joins, or all)\n", *fig)
 			os.Exit(2)
 		}
 		figs[n]()

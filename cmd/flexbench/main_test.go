@@ -50,7 +50,6 @@ func TestFigureRunners(t *testing.T) {
 	h.fig13()
 	h.fig17()
 	h.fig18()
-	h.figCache()
 }
 
 // TestJSONCapture checks the -json sidecar: rows are captured against the

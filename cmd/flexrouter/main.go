@@ -14,7 +14,7 @@
 //
 // Endpoints:
 //
-//	GET  /search?q=QUERY&k=10&offset=0&algo=auto&scheme=structure-first&why=1&snippet=200
+//	GET  /search?q=QUERY&k=10&offset=0&algo=auto&scheme=structure-first&ws=1&wc=1&why=1&snippet=200
 //	GET  /stats            shard health, per-shard and total corpus sizes
 //	GET  /metrics          flexpath_router_* Prometheus families
 //	GET  /healthz

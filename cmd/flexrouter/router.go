@@ -21,6 +21,7 @@ import (
 	"flexpath/internal/merge"
 	"flexpath/internal/obs"
 	"flexpath/internal/rank"
+	"flexpath/internal/serveutil"
 )
 
 // Request-shaping bounds, mirroring flexserve's (the router validates
@@ -226,6 +227,14 @@ func (rt *router) search(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	for _, p := range []string{"ws", "wc"} {
+		if v := qs.Get(p); v != "" {
+			if _, ok := serveutil.ParseWeight(v); !ok {
+				rt.badRequest(w, "ws and wc must be positive numbers")
+				return
+			}
+		}
+	}
 
 	// The per-shard K+Offset trick: a globally-skipped answer may rank
 	// anywhere within one shard, so every shard must return its full top
@@ -234,7 +243,7 @@ func (rt *router) search(w http.ResponseWriter, r *http.Request) {
 	shardQ := url.Values{}
 	shardQ.Set("q", src)
 	shardQ.Set("k", strconv.Itoa(k+offset))
-	for _, p := range []string{"algo", "scheme", "why", "snippet"} {
+	for _, p := range []string{"algo", "scheme", "ws", "wc", "why", "snippet"} {
 		if v := qs.Get(p); v != "" {
 			shardQ.Set(p, v)
 		}

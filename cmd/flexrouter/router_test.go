@@ -17,6 +17,7 @@ import (
 
 	"flexpath"
 	"flexpath/internal/obs"
+	"flexpath/internal/serveutil"
 )
 
 // testShard serves flexserve's /search contract over a real
@@ -63,6 +64,8 @@ func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if ss := qs.Get("scheme"); ss != "" {
 		opts.Scheme, _ = flexpath.ParseScheme(ss)
 	}
+	opts.Weights.Structural, _ = serveutil.ParseWeight(qs.Get("ws"))
+	opts.Weights.Contains, _ = serveutil.ParseWeight(qs.Get("wc"))
 	var m flexpath.Metrics
 	opts.Metrics = &m
 	answers, err := s.coll.Search(q, opts)
@@ -207,7 +210,8 @@ func escape(s string) string { return url.QueryEscape(s) }
 
 // The distributed invariant: a router response over a sharded corpus is
 // byte-identical (answer for answer) to a single-node Collection.Search
-// over the union corpus, across k, offset, scheme, why and snippet.
+// over the union corpus, across k, offset, scheme, why, snippet and
+// predicate weights.
 func TestRouterMatchesSingleNode(t *testing.T) {
 	f := startRouter(t, routerConfig{shardTimeout: 10 * time.Second}, standardCorpus())
 	for _, tc := range []struct {
@@ -215,15 +219,21 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		scheme    string
 		why       bool
 		snippet   int
+		ws, wc    float64
 	}{
-		{1, 0, "", false, 0},
-		{3, 0, "", true, 0},
-		{5, 2, "", false, 64},
-		{10, 0, "keyword-first", true, 0},
-		{10, 3, "combined", false, 0},
-		{100, 0, "", true, 32},
-		{2, 7, "", false, 0},
-		{4, 1000, "", false, 0}, // offset past the end: both sides empty
+		{1, 0, "", false, 0, 0, 0},
+		{3, 0, "", true, 0, 0, 0},
+		{5, 2, "", false, 64, 0, 0},
+		{10, 0, "keyword-first", true, 0, 0, 0},
+		{10, 3, "combined", false, 0, 0, 0},
+		{100, 0, "", true, 32, 0, 0},
+		{2, 7, "", false, 0, 0, 0},
+		{4, 1000, "", false, 0, 0, 0}, // offset past the end: both sides empty
+		// Weighted: the router must forward ws/wc, or the shards rank
+		// with unit weights.
+		{10, 0, "", true, 0, 3, 0},
+		{10, 0, "combined", false, 0, 0.5, 4},
+		{5, 1, "keyword-first", false, 0, 2, 2},
 	} {
 		q := flexpath.MustParseQuery(corpusQuery)
 		scheme := flexpath.StructureFirst
@@ -235,6 +245,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 		want, err := f.union.Search(q, flexpath.SearchOptions{
 			K: tc.k, Offset: tc.offset, Scheme: scheme,
+			Weights: flexpath.Weights{Structural: tc.ws, Contains: tc.wc},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -252,6 +263,12 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		if tc.snippet > 0 {
 			u += "&snippet=" + strconv.Itoa(tc.snippet)
 		}
+		if tc.ws > 0 {
+			u += "&ws=" + strconv.FormatFloat(tc.ws, 'g', -1, 64)
+		}
+		if tc.wc > 0 {
+			u += "&wc=" + strconv.FormatFloat(tc.wc, 'g', -1, 64)
+		}
 		var out routerResponse
 		resp, body := getJSON(t, u, &out)
 		if resp.StatusCode != http.StatusOK {
@@ -263,8 +280,8 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 		gotJSON, _ := json.Marshal(out.Answers)
 		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("k=%d o=%d scheme=%q: router merge diverged from single node\n got %s\nwant %s",
-				tc.k, tc.offset, tc.scheme, gotJSON, wantJSON)
+			t.Errorf("k=%d o=%d scheme=%q ws=%g wc=%g: router merge diverged from single node\n got %s\nwant %s",
+				tc.k, tc.offset, tc.scheme, tc.ws, tc.wc, gotJSON, wantJSON)
 		}
 	}
 }
@@ -638,6 +655,8 @@ func TestRouterBadRequestsDoNotTouchShards(t *testing.T) {
 		"/search?q=" + escape("//article") + "&offset=-1",
 		"/search?q=" + escape("//article") + "&algo=bogus",
 		"/search?q=" + escape("//article") + "&scheme=none",
+		"/search?q=" + escape("//article") + "&ws=-1",
+		"/search?q=" + escape("//article") + "&wc=x",
 	}
 	for _, b := range bad {
 		resp, body := getJSON(t, f.srv.URL+b, nil)

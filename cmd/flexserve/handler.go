@@ -17,6 +17,7 @@ import (
 
 	"flexpath"
 	"flexpath/internal/obs"
+	"flexpath/internal/serveutil"
 )
 
 // serverMetrics are the serving-robustness counters exported as the
@@ -262,19 +263,16 @@ func parseCommon(r *http.Request) (*flexpath.Query, flexpath.SearchOptions, erro
 	}
 	// ws/wc set the structural and contains predicate weights; absent
 	// parameters keep the library default (uniform unit weights).
+	var ok bool
 	if ws := r.URL.Query().Get("ws"); ws != "" {
-		v, err := strconv.ParseFloat(ws, 64)
-		if err != nil || v <= 0 {
+		if opts.Weights.Structural, ok = serveutil.ParseWeight(ws); !ok {
 			return nil, opts, errBadWeight
 		}
-		opts.Weights.Structural = v
 	}
 	if wc := r.URL.Query().Get("wc"); wc != "" {
-		v, err := strconv.ParseFloat(wc, 64)
-		if err != nil || v <= 0 {
+		if opts.Weights.Contains, ok = serveutil.ParseWeight(wc); !ok {
 			return nil, opts, errBadWeight
 		}
-		opts.Weights.Contains = v
 	}
 	return q, opts, nil
 }
@@ -403,20 +401,39 @@ func (h *handler) relaxations(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ropts := flexpath.RelaxationsOpts{Weights: opts.Weights, Hierarchy: opts.Hierarchy}
 	resp := relaxationsResponse{Query: q.String()}
-	for _, name := range h.docNames() {
-		doc, _ := h.coll.Document(name)
+	if h.eachDoc(w, func(name string, doc *flexpath.Document) error {
 		steps, err := doc.RelaxationsWithContext(ctx, q, ropts)
-		if err != nil {
-			status, _ := searchStatus(err)
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
-		}
 		resp.Docs = append(resp.Docs, struct {
 			Doc   string                    `json:"doc"`
 			Steps []flexpath.RelaxationStep `json:"steps"`
 		}{Doc: name, Steps: steps})
+		return err
+	}) {
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
+}
+
+// eachDoc calls fn on every member document in insertion order, skipping
+// members removed since the name list was read. It writes the error
+// response and reports false when a member fails to fault in (a JSON 500
+// naming it, as /search reports it) or fn fails.
+func (h *handler) eachDoc(w http.ResponseWriter, fn func(name string, doc *flexpath.Document) error) bool {
+	for _, name := range h.docNames() {
+		doc, ok := h.coll.Document(name)
+		if !ok {
+			if !h.coll.Has(name) {
+				continue
+			}
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("flexpath: document %q: unavailable (fault-in failed)", name)})
+			return false
+		}
+		if err := fn(name, doc); err != nil {
+			status, _ := searchStatus(err)
+			writeJSON(w, status, errorBody{Error: err.Error()})
+			return false
+		}
+	}
+	return true
 }
 
 func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
@@ -432,17 +449,13 @@ func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
 		Plan string `json:"plan"`
 	}
 	var out []planDoc
-	for _, name := range h.docNames() {
-		doc, _ := h.coll.Document(name)
+	if h.eachDoc(w, func(name string, doc *flexpath.Document) error {
 		p, err := doc.ExplainPlanContext(ctx, q, opts)
-		if err != nil {
-			status, _ := searchStatus(err)
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
-		}
 		out = append(out, planDoc{Doc: name, Plan: p})
+		return err
+	}) {
+		writeJSON(w, http.StatusOK, out)
 	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 type statsResponse struct {

@@ -84,7 +84,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dir := flag.String("dir", "", "load every .xml file in this directory")
 	cache := flag.Int("cache", 1024, "query-result cache capacity in entries (0 disables)")
-	planCache := flag.Int("plancache", flexpath.DefaultPlanCacheCapacity, "per-document plan-template cache capacity in entries (0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request search timeout (0 disables)")
 	slowCap := flag.Int("slowlog", 128, "slow-query log capacity in entries")
 	slowMS := flag.Int("slowms", 0, "only log queries at least this many milliseconds long (0 logs all)")
@@ -198,10 +197,6 @@ func main() {
 		coll.SetCache(*cache)
 		coll.SetDocumentCaches(*cache)
 	}
-	// Always applied (0 disables): plan templates serve every request with
-	// a repeated query shape, including ones the result caches miss
-	// (different k, offset or snippet over the same pattern).
-	coll.SetPlanCaches(*planCache)
 	h, _ := newHandlerConfig(coll, handlerConfig{
 		timeout:       *timeout,
 		slowCap:       *slowCap,
@@ -212,8 +207,8 @@ func main() {
 		durable:       dur,
 		maxBulk:       *maxBulk,
 	})
-	log.Printf("serving %d documents (%d elements) on %s (cache=%d, plancache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, shard=%v, wal=%q, resident-docs=%d)",
-		coll.Len(), coll.Nodes(), *addr, *cache, *planCache, *timeout, *slowCap, *slowMS, *pprofOn, *maxInFlight, *admin || *shard || dur != nil, *shard, *walDir, *residentDocs)
+	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, shard=%v, wal=%q, resident-docs=%d)",
+		coll.Len(), coll.Nodes(), *addr, *cache, *timeout, *slowCap, *slowMS, *pprofOn, *maxInFlight, *admin || *shard || dur != nil, *shard, *walDir, *residentDocs)
 
 	srv := &http.Server{
 		Handler:           h,

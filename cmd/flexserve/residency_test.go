@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -154,5 +155,45 @@ func TestSearchServesColdCorpusIdentically(t *testing.T) {
 	}
 	if s := coll.ResidencyStats(); s.Evictions == 0 {
 		t.Fatalf("cap never exercised: %+v", s)
+	}
+}
+
+// /relaxations and /plan over a cold member whose fault-in fails answer
+// a JSON 500 naming the member, as /search does — not a nil-pointer
+// panic recovered into a generic 500.
+func TestUnfaultableMemberIs500NotPanic(t *testing.T) {
+	doc, err := flexpath.LoadString(serveXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.fxp3")
+	if err := doc.SaveFXP3SnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-9] ^= 0xFF // inside the last section's payload
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coll := flexpath.NewCollection()
+	t.Cleanup(func() { coll.Close() }) //nolint:errcheck
+	if err := coll.AddSnapshotFile("bad.fxp3", path); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newHandler(coll))
+	defer srv.Close()
+	for _, ep := range []string{"/search", "/relaxations", "/plan"} {
+		resp, body := get(t, srv.URL+ep+"?q="+escape(serveQuery))
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusInternalServerError ||
+			!strings.Contains(eb.Error, `"bad.fxp3"`) {
+			t.Errorf("%s: status %d, body %s; want a 500 naming bad.fxp3", ep, resp.StatusCode, body)
+		}
+	}
+	if _, body := get(t, srv.URL+"/metrics"); !strings.Contains(string(body), "flexpath_server_panics_total 0") {
+		t.Error("a handler panicked on the unfaultable member")
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flexpath/internal/lru"
 	"flexpath/internal/merge"
 	"flexpath/internal/mmapio"
 	"flexpath/internal/obs"
-	"flexpath/internal/qcache"
 )
 
 // Collection is a set of queryable documents searched as one corpus — the
@@ -35,27 +35,20 @@ type Collection struct {
 	members []*member
 	byName  map[string]int
 	// docCacheCap remembers the last SetDocumentCaches capacity so
-	// documents added or swapped in later get the same cache
+	// documents added, swapped in or faulted in later get the same cache
 	// configuration as the members present at call time. docCacheSet
 	// distinguishes "never configured" (leave new documents alone) from
 	// "explicitly disabled" (capacity <= 0 disables new documents too).
 	docCacheCap int
 	docCacheSet bool
-	// planCacheCap/planCacheSet remember SetPlanCaches the same way, so
-	// later members get the collection's plan-cache sizing too. Unset
-	// leaves new documents on DefaultPlanCacheCapacity.
-	planCacheCap int
-	planCacheSet bool
 
 	// qc, when set, caches merged collection-level result sets; see
-	// SetCache. Any membership mutation purges it.
-	qc atomic.Pointer[qcache.Cache]
-	// gen is the membership generation: every mutation bumps it under mu
-	// before purging qc. A search stamps itself with the generation it
-	// snapshotted under and stores its ranking only if that is still
-	// current, so a search that straddles a mutation cannot re-insert a
-	// pre-mutation ranking after the purge.
-	gen uint64
+	// SetCache. The invariant that keeps it fresh: a search reads qc's
+	// epoch before it snapshots the membership, and every mutation
+	// purges qc after publishing the new membership under mu. A search
+	// that snapshotted the old corpus therefore read the old epoch, and
+	// its put is either dropped (after the purge) or swept by it.
+	qc atomic.Pointer[lru.Cache[[]CollectionAnswer]]
 	// beforePut, when set (tests only), runs between a search's
 	// evaluation and its cache put.
 	beforePut func()
@@ -90,17 +83,30 @@ func (c *Collection) Add(name string, doc *Document) error {
 	if err := c.register(name, mem, nil); err != nil {
 		return err
 	}
-	c.mu.RLock()
-	cacheSet, cacheCap := c.docCacheSet, c.docCacheCap
-	planSet, planCap := c.planCacheSet, c.planCacheCap
-	c.mu.RUnlock()
-	if cacheSet {
-		doc.SetCache(cacheCap)
-	}
-	if planSet {
-		doc.SetPlanCache(planCap)
-	}
+	c.configure(doc)
 	return nil
+}
+
+// configure applies the remembered SetDocumentCaches capacity to a
+// document joining the live corpus (Add, Replace, fault-in).
+func (c *Collection) configure(d *Document) {
+	c.mu.RLock()
+	set, capacity := c.docCacheSet, c.docCacheCap
+	c.mu.RUnlock()
+	if set {
+		d.SetCache(capacity)
+	}
+}
+
+// published finishes a membership change made under mu: it purges the
+// collection cache (see qc) and the outgoing document's own caches.
+func (c *Collection) published(old *Document) {
+	if qc := c.qc.Load(); qc != nil {
+		qc.Purge()
+	}
+	if old != nil {
+		old.purgeCache()
+	}
 }
 
 // Remove deletes the named document from the collection. It purges the
@@ -126,14 +132,8 @@ func (c *Collection) Remove(name string) error {
 	for j := i; j < len(c.names); j++ {
 		c.byName[c.names[j]] = j
 	}
-	c.gen++
 	c.mu.Unlock()
-	if qc := c.qc.Load(); qc != nil {
-		qc.Purge()
-	}
-	if old != nil {
-		old.purgeCache()
-	}
+	c.published(old)
 	return nil
 }
 
@@ -154,22 +154,9 @@ func (c *Collection) Replace(name string, doc *Document) error {
 	mem := &member{name: name}
 	mem.doc.Store(doc)
 	c.members[i] = mem
-	c.gen++
-	cacheSet, cacheCap := c.docCacheSet, c.docCacheCap
-	planSet, planCap := c.planCacheSet, c.planCacheCap
 	c.mu.Unlock()
-	if cacheSet {
-		doc.SetCache(cacheCap)
-	}
-	if planSet {
-		doc.SetPlanCache(planCap)
-	}
-	if qc := c.qc.Load(); qc != nil {
-		qc.Purge()
-	}
-	if old != nil {
-		old.purgeCache()
-	}
+	c.configure(doc)
+	c.published(old)
 	return nil
 }
 
@@ -177,32 +164,9 @@ func (c *Collection) Replace(name string, doc *Document) error {
 // The returned slices are private copies, so the holder is isolated from
 // later mutations (which compact or rewrite the originals in place).
 func (c *Collection) snapshot() (names []string, members []*member) {
-	names, members, _ = c.snapshotGen()
-	return names, members
-}
-
-// snapshotGen is snapshot plus the membership generation the view
-// belongs to.
-func (c *Collection) snapshotGen() (names []string, members []*member, gen uint64) {
 	c.mu.RLock()
-	names = append([]string(nil), c.names...)
-	members = append([]*member(nil), c.members...)
-	gen = c.gen
-	c.mu.RUnlock()
-	return names, members, gen
-}
-
-// putIfCurrent stores a search's ranking unless the membership has
-// changed since the search took its snapshot. The check and the put
-// share the read lock: a mutation bumps gen under the write lock and
-// purges afterwards, so a put either sees the new generation and is
-// dropped, or lands before the purge and is swept by it.
-func (c *Collection) putIfCurrent(qc *qcache.Cache, gen uint64, key string, val []CollectionAnswer) {
-	c.mu.RLock()
-	if c.gen == gen {
-		qc.Put(key, val)
-	}
-	c.mu.RUnlock()
+	defer c.mu.RUnlock()
+	return append([]string(nil), c.names...), append([]*member(nil), c.members...)
 }
 
 // residentDocs returns the currently decoded member documents, the set
@@ -292,7 +256,7 @@ func (c *Collection) SetCache(capacity int) {
 		c.qc.Store(nil)
 		return
 	}
-	c.qc.Store(qcache.New(capacity))
+	c.qc.Store(lru.New[[]CollectionAnswer](capacity))
 }
 
 // SetDocumentCaches enables (or, with capacity <= 0, disables) a
@@ -313,67 +277,49 @@ func (c *Collection) SetDocumentCaches(capacity int) {
 	}
 }
 
-// SetPlanCaches resizes (or, with capacity <= 0, disables) the
-// plan-template cache of every member document; see
-// Document.SetPlanCache. The capacity is remembered: documents added or
-// swapped in later get the same plan-cache sizing, so PlanCacheStats
-// covers the whole live corpus.
-func (c *Collection) SetPlanCaches(capacity int) {
-	c.mu.Lock()
-	c.planCacheCap = capacity
-	c.planCacheSet = true
-	c.mu.Unlock()
-	for _, d := range c.residentDocs() {
-		d.SetPlanCache(capacity)
-	}
-}
-
 // PlanCacheStats sums the plan-template cache counters of every member
 // document whose plan cache is enabled; ok is false when none is.
 func (c *Collection) PlanCacheStats() (s PlanCacheStats, ok bool) {
-	var sum PlanCacheStats
-	any := false
-	for _, d := range c.residentDocs() {
-		if ds, dok := d.PlanCacheStats(); dok {
-			sum.add(ds)
-			any = true
-		}
-	}
-	return sum, any
+	st, ok := c.sumStats(func(d *Document) (lru.Stats, bool) { return statsOf(d.pc.Load()) })
+	return PlanCacheStats(st), ok
 }
 
 // CacheStats reports the collection-level cache counters; ok is false
 // when no collection cache is enabled.
 func (c *Collection) CacheStats() (s CacheStats, ok bool) {
-	qc := c.qc.Load()
-	if qc == nil {
-		return CacheStats{}, false
-	}
-	return cacheStatsFrom(qc.Stats()), true
+	st, ok := statsOf(c.qc.Load())
+	return cacheStatsFrom(st), ok
 }
 
 // DocumentCacheStats sums the cache counters of every member document
 // that has a cache enabled; ok is false when none does.
 func (c *Collection) DocumentCacheStats() (s CacheStats, ok bool) {
-	var sum CacheStats
-	any := false
-	for _, d := range c.residentDocs() {
-		if ds, dok := d.CacheStats(); dok {
-			sum.add(ds)
-			any = true
-		}
-	}
-	return sum, any
+	st, ok := c.sumStats(func(d *Document) (lru.Stats, bool) { return statsOf(d.qc.Load()) })
+	return cacheStatsFrom(st), ok
 }
 
 // FullTextCacheStats sums the full-text result cache counters of the
 // resident member documents (see Document.FullTextCacheStats).
 func (c *Collection) FullTextCacheStats() CacheStats {
-	var sum CacheStats
+	st, _ := c.sumStats(func(d *Document) (lru.Stats, bool) { return d.index.CacheStats(), true })
+	return cacheStatsFrom(st)
+}
+
+// sumStats adds up one cache's counters over the resident members; ok
+// is false when no member has that cache enabled.
+func (c *Collection) sumStats(of func(*Document) (lru.Stats, bool)) (sum lru.Stats, ok bool) {
 	for _, d := range c.residentDocs() {
-		sum.add(d.FullTextCacheStats())
+		if s, dok := of(d); dok {
+			sum.Hits += s.Hits
+			sum.Misses += s.Misses
+			sum.Evictions += s.Evictions
+			sum.Dedups += s.Dedups
+			sum.Entries += s.Entries
+			sum.Capacity += s.Capacity
+			ok = true
+		}
 	}
-	return sum
+	return sum, ok
 }
 
 // CollectionAnswer is an Answer tagged with the document it came from.
@@ -416,6 +362,7 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 	qc := c.qc.Load()
 	useCache := qc != nil && !opts.NoCache
 	var key string
+	var epoch uint64
 	if useCache {
 		key = searchCacheKey(q, opts)
 		var tCache time.Time
@@ -434,14 +381,16 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 			// Hand out a deep copy: callers may re-sort or truncate the
 			// slice and mutate each answer's Relaxed strings; a shallow
 			// copy would let that poison every later hit.
-			return copyCollectionAnswers(v.([]CollectionAnswer)), nil
+			return copyCollectionAnswers(v), nil
 		}
+		// Before the snapshot below: see the invariant at Collection.qc.
+		epoch = qc.Epoch()
 	}
 
 	// One consistent membership view for the whole search: a concurrent
 	// Add/Remove/Replace neither blocks behind this search nor changes
 	// which documents it evaluates.
-	names, members, gen := c.snapshotGen()
+	names, members := c.snapshot()
 
 	perDoc := make([][]Answer, len(members))
 	perErr := make([]error, len(members))
@@ -538,7 +487,7 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 		}
 		// Store a deep copy so the caller's slice (returned below) and
 		// the cached ranking share no mutable state.
-		c.putIfCurrent(qc, gen, key, copyCollectionAnswers(all))
+		qc.Put(key, copyCollectionAnswers(all), epoch)
 	}
 	return all, nil
 }

@@ -40,11 +40,10 @@ import (
 	"flexpath/internal/core"
 	"flexpath/internal/exec"
 	"flexpath/internal/ir"
+	"flexpath/internal/lru"
 	"flexpath/internal/mmapio"
 	"flexpath/internal/obs"
-	"flexpath/internal/plancache"
 	"flexpath/internal/planner"
-	"flexpath/internal/qcache"
 	"flexpath/internal/rank"
 	"flexpath/internal/stats"
 	"flexpath/internal/tpq"
@@ -238,22 +237,16 @@ type Document struct {
 	// and feed their observed run times back into its calibrator.
 	pl *planner.Planner
 
-	// pc is the plan-template cache: a bounded, sharded LRU mapping the
-	// normalized (query, weights, hierarchy) triple to a core.Template
-	// (relaxation chain + memoized join plans + memoized prefix levels),
-	// with single-flight construction so concurrent misses on one shape
-	// build it exactly once. Enabled with DefaultPlanCacheCapacity by
-	// default; see SetPlanCache. Nil means disabled (every search builds
-	// a fresh template).
-	pc atomic.Pointer[plancache.Cache]
+	// pc is the plan-template cache, mapping the normalized (query,
+	// weights, hierarchy) triple to a core.Template (relaxation chain +
+	// memoized join plans + memoized prefix levels); its Do builds each
+	// shape once under concurrent misses. DefaultPlanCacheCapacity by
+	// default; nil means disabled (every search builds a fresh template).
+	pc atomic.Pointer[lru.Cache[*core.Template]]
 
 	// qc, when set, caches finished top-K result sets keyed by the
 	// normalized query and search options; see SetCache.
-	qc atomic.Pointer[qcache.Cache]
-	// cacheGen counts purgeCache calls (the document left its
-	// collection). A search that was in flight across one must not leave
-	// its result set behind in the purged cache; see SearchContext.
-	cacheGen atomic.Uint64
+	qc atomic.Pointer[lru.Cache[cachedSearch]]
 	// beforeCachePut, when set (tests only), runs between a search's
 	// evaluation and its cache put.
 	beforeCachePut func()
@@ -361,18 +354,7 @@ func newDocument(t *xmltree.Document, o DocumentOptions) *Document {
 		iopt.Scoring = ir.ScoringBM25
 	}
 	ix := ir.NewIndexOptions(t, iopt)
-	st := stats.Collect(t)
-	est := stats.NewEstimator(st, ix)
-	d := &Document{
-		tree:  t,
-		index: ix,
-		stats: st,
-		est:   est,
-		pl:    planner.New(est),
-		ev:    exec.NewEvaluator(t, ix),
-	}
-	d.pc.Store(plancache.New(DefaultPlanCacheCapacity))
-	return d
+	return assembleDocument(t, stats.Collect(t), ix)
 }
 
 // Nodes returns the number of element nodes.
@@ -517,21 +499,20 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 
 	qc := d.qc.Load()
 	useCache := qc != nil && !opts.NoCache
-	cacheGen := d.cacheGen.Load()
 	var key string
+	var epoch uint64
 	if useCache {
 		key = searchCacheKey(q, opts)
 		var tCache time.Time
 		if span != nil {
 			tCache = time.Now()
 		}
-		v, ok := qc.Get(key)
+		cs, ok := qc.Get(key)
 		if span != nil {
 			span.Rec(obs.StageCache, time.Since(tCache))
 		}
 		if ok {
 			span.MarkCacheHit()
-			cs := v.(cachedSearch)
 			// A hit performs no evaluation work, so the work counters
 			// report zero (cache effectiveness is reported via
 			// CacheStats); the algorithm that produced the cached result
@@ -541,6 +522,9 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 			}
 			return d.buildAnswers(q, cs.results, opts), nil
 		}
+		// Read before evaluation starts, so a purgeCache while this
+		// search runs drops its put.
+		epoch = qc.Epoch()
 	}
 
 	var tChain time.Time
@@ -593,13 +577,7 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 		if d.beforeCachePut != nil {
 			d.beforeCachePut()
 		}
-		qc.Put(key, cachedSearch{results: results, algo: algoName, reason: algoReason})
-		// purgeCache bumps the generation before it purges, so a put
-		// that lost the race to a purge sees the bump here and undoes
-		// itself; one that won is swept by the purge.
-		if d.cacheGen.Load() != cacheGen {
-			qc.Purge()
-		}
+		qc.Put(key, cachedSearch{results: results, algo: algoName, reason: algoReason}, epoch)
 	}
 	return d.buildAnswers(q, results, opts), nil
 }
@@ -689,7 +667,7 @@ func (d *Document) buildAnswers(q *Query, results []topkResult, opts SearchOptio
 
 // SetCache enables an in-memory query-result cache holding up to
 // capacity result sets; capacity <= 0 disables caching. The cache is
-// sharded and safe for concurrent searches. Keys cover everything that
+// safe for concurrent searches. Keys cover everything that
 // determines a result set (normalized query, algorithm, scheme, K,
 // offset, weights, hierarchy), so differently-shaped requests never
 // collide; Parallel and Workers do not affect answers and are excluded.
@@ -699,15 +677,15 @@ func (d *Document) SetCache(capacity int) {
 		d.qc.Store(nil)
 		return
 	}
-	d.qc.Store(qcache.New(capacity))
+	d.qc.Store(lru.New[cachedSearch](capacity))
 }
 
 // purgeCache discards the document's cache entries — result sets and
 // plan templates — keeping both caches enabled and their counters
 // intact. Collections call this when the document leaves the corpus, so
-// a long-gone member doesn't pin result sets or join plans.
+// a long-gone member doesn't pin result sets or join plans; the purge
+// epoch keeps searches already running from re-populating them.
 func (d *Document) purgeCache() {
-	d.cacheGen.Add(1)
 	if qc := d.qc.Load(); qc != nil {
 		qc.Purge()
 	}
@@ -719,11 +697,8 @@ func (d *Document) purgeCache() {
 // CacheStats reports the document cache's hit/miss/eviction counters;
 // ok is false when no cache is enabled.
 func (d *Document) CacheStats() (s CacheStats, ok bool) {
-	qc := d.qc.Load()
-	if qc == nil {
-		return CacheStats{}, false
-	}
-	return cacheStatsFrom(qc.Stats()), true
+	st, ok := statsOf(d.qc.Load())
+	return cacheStatsFrom(st), ok
 }
 
 // FullTextCacheStats reports the counters of the document's full-text
@@ -740,14 +715,14 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	// Entries is the current size; Capacity the effective maximum: the
-	// configured capacity rounded up to a whole number of entries per
-	// cache shard (see qcache.New).
+	// Entries is the current size; Capacity the configured maximum.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 }
 
-func cacheStatsFrom(s qcache.Stats) CacheStats {
+// cacheStatsFrom and PlanCacheStats(s) are the only conversions from the
+// one internal counter set to the two public shapes.
+func cacheStatsFrom(s lru.Stats) CacheStats {
 	return CacheStats{
 		Hits:      s.Hits,
 		Misses:    s.Misses,
@@ -757,12 +732,12 @@ func cacheStatsFrom(s qcache.Stats) CacheStats {
 	}
 }
 
-func (s *CacheStats) add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-	s.Capacity += o.Capacity
+// statsOf snapshots a cache that may be disabled (nil).
+func statsOf[V any](c *lru.Cache[V]) (lru.Stats, bool) {
+	if c == nil {
+		return lru.Stats{}, false
+	}
+	return c.Stats(), true
 }
 
 // searchCacheKey normalizes the aspects of a search that determine its
@@ -920,8 +895,8 @@ func (d *Document) AnalyzePlan(q *Query, opts SearchOptions) (string, error) {
 	return analyzePlan(d, tmpl.Chain, b)
 }
 
-// DefaultPlanCacheCapacity is the plan-template cache capacity a new
-// Document starts with; see SetPlanCache. Entries are heavyweight (a
+// DefaultPlanCacheCapacity is the plan-template cache capacity of every
+// Document; SetPlanCache overrides it. Entries are heavyweight (a
 // relaxation chain plus memoized join plans with their candidate lists),
 // so the default favors boundedness over reach.
 const DefaultPlanCacheCapacity = 256
@@ -937,17 +912,14 @@ func (d *Document) SetPlanCache(capacity int) {
 		d.pc.Store(nil)
 		return
 	}
-	d.pc.Store(plancache.New(capacity))
+	d.pc.Store(lru.New[*core.Template](capacity))
 }
 
 // PlanCacheStats reports the plan-template cache counters; ok is false
 // when the cache has been disabled with SetPlanCache(0).
 func (d *Document) PlanCacheStats() (s PlanCacheStats, ok bool) {
-	pc := d.pc.Load()
-	if pc == nil {
-		return PlanCacheStats{}, false
-	}
-	return planCacheStatsFrom(pc.Stats()), true
+	st, ok := statsOf(d.pc.Load())
+	return PlanCacheStats(st), ok
 }
 
 // PlanCacheStats is a snapshot of a plan-template cache's counters.
@@ -960,30 +932,10 @@ type PlanCacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Dedups    uint64 `json:"dedups"`
-	// Entries is the current size; Capacity the effective maximum (the
-	// configured capacity rounded up to whole entries per shard).
+	// Entries is the current size; Capacity the configured maximum. The
+	// fields mirror lru.Stats one for one, so PlanCacheStats(s) converts.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
-}
-
-func planCacheStatsFrom(s plancache.Stats) PlanCacheStats {
-	return PlanCacheStats{
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Evictions: s.Evictions,
-		Dedups:    s.Dedups,
-		Entries:   s.Entries,
-		Capacity:  s.Capacity,
-	}
-}
-
-func (s *PlanCacheStats) add(o PlanCacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Dedups += o.Dedups
-	s.Entries += o.Entries
-	s.Capacity += o.Capacity
 }
 
 // templateKey is the plan-template cache key: everything that determines
@@ -1003,7 +955,7 @@ func templateKey(q *Query, rw rank.Weights, hierarchy map[string]string) string 
 // (still deduplicating work within the one search that holds it).
 func (d *Document) template(q *Query, w Weights, hierarchy map[string]string) (*core.Template, error) {
 	rw := w.rank()
-	build := func() (any, error) {
+	build := func() (*core.Template, error) {
 		var h *tpq.Hierarchy
 		if len(hierarchy) > 0 {
 			h = tpq.NewHierarchy(hierarchy)
@@ -1015,17 +967,9 @@ func (d *Document) template(q *Query, w Weights, hierarchy map[string]string) (*
 		return core.NewTemplate(c), nil
 	}
 	if pc := d.pc.Load(); pc != nil {
-		v, err := pc.Do(templateKey(q, rw, hierarchy), build)
-		if err != nil {
-			return nil, err
-		}
-		return v.(*core.Template), nil
+		return pc.Do(templateKey(q, rw, hierarchy), build)
 	}
-	v, err := build()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Template), nil
+	return build()
 }
 
 // chain returns the relaxation chain for (q, w); kept for callers that

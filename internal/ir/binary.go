@@ -6,7 +6,7 @@ import (
 	"io"
 	"math"
 
-	"flexpath/internal/qcache"
+	"flexpath/internal/lru"
 	"flexpath/internal/varint"
 	"flexpath/internal/xmltree"
 )
@@ -37,7 +37,7 @@ func ReadIndexBinary(doc *xmltree.Document, r io.Reader) (*Index, error) {
 	if scoring[0] > byte(ScoringBM25) {
 		return nil, fmt.Errorf("ir: snapshot: unknown scoring %d", scoring[0])
 	}
-	ix := &Index{doc: doc, scoring: Scoring(scoring[0]), cache: qcache.New(resultCacheEntries)}
+	ix := &Index{doc: doc, scoring: Scoring(scoring[0]), cache: lru.New[*Result](resultCacheEntries)}
 	ix.textNodes = br.Count()
 	var avg [8]byte
 	br.Fixed(avg[:])

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"flexpath/internal/fxp3"
-	"flexpath/internal/qcache"
+	"flexpath/internal/lru"
 	"flexpath/internal/varint"
 	"flexpath/internal/xmltree"
 )
@@ -79,7 +79,7 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 		avgLen:    avgLen,
 		textNodes: int(textNodes),
 		scoring:   Scoring(scoring),
-		cache:     qcache.New(resultCacheEntries),
+		cache:     lru.New[*Result](resultCacheEntries),
 	}
 	numTerms := int(dec.U64())
 	if err := dec.Err(); err != nil {

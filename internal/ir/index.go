@@ -8,7 +8,7 @@ import (
 	"sync"
 
 	"flexpath/internal/fxp3"
-	"flexpath/internal/qcache"
+	"flexpath/internal/lru"
 	"flexpath/internal/xmltree"
 )
 
@@ -49,7 +49,8 @@ const resultCacheEntries = 1024
 
 // Index is an element-level inverted index over a document. It is built
 // once and safe for concurrent readers; expression evaluations are cached
-// by canonical form in an LRU of resultCacheEntries results.
+// by canonical form in an LRU of resultCacheEntries results, and
+// concurrent evaluations of one expression run once.
 //
 // Its only representation is the column layout an FXP3 index section
 // stores (see columnar.go): a sorted term dictionary looked up by binary
@@ -74,7 +75,7 @@ type Index struct {
 	textNodes int
 	scoring   Scoring
 
-	cache *qcache.Cache // canonical expression -> *Result
+	cache *lru.Cache[*Result] // keyed by canonical expression
 }
 
 // NewIndex tokenizes the direct text of every element and builds the
@@ -85,7 +86,7 @@ func NewIndex(doc *xmltree.Document) *Index {
 
 // NewIndexOptions is NewIndex with explicit options.
 func NewIndexOptions(doc *xmltree.Document, opt IndexOptions) *Index {
-	ix := &Index{doc: doc, scoring: opt.Scoring, cache: qcache.New(resultCacheEntries)}
+	ix := &Index{doc: doc, scoring: opt.Scoring, cache: lru.New[*Result](resultCacheEntries)}
 	// One pass over the text assigns term ids in first-seen order and
 	// records the id of every token; the posting array is then scattered
 	// from that column, so the postings exist once.
@@ -267,28 +268,24 @@ func (r *Result) CountWithin(x xmltree.NodeID) int {
 // Eval evaluates a full-text expression, returning its witness set.
 // Results are cached per canonical form.
 func (ix *Index) Eval(e Expr) *Result {
-	key := e.Canon()
-	if r, ok := ix.cache.Get(key); ok {
-		return r.(*Result)
-	}
-
-	w := ix.eval(e)
-	w = minimalFilter(ix.doc, w)
-	normalize(w)
-	r := &Result{doc: ix.doc}
-	r.nodes = make([]xmltree.NodeID, len(w))
-	r.scores = make([]float64, len(w))
-	for i, x := range w {
-		r.nodes[i] = x.node
-		r.scores[i] = x.score
-	}
-
-	ix.cache.Put(key, r)
+	r, _ := ix.cache.Do(e.Canon(), func() (*Result, error) {
+		w := ix.eval(e)
+		w = minimalFilter(ix.doc, w)
+		normalize(w)
+		r := &Result{doc: ix.doc}
+		r.nodes = make([]xmltree.NodeID, len(w))
+		r.scores = make([]float64, len(w))
+		for i, x := range w {
+			r.nodes[i] = x.node
+			r.scores[i] = x.score
+		}
+		return r, nil
+	})
 	return r
 }
 
 // CacheStats reports the evaluated-expression cache's counters.
-func (ix *Index) CacheStats() qcache.Stats { return ix.cache.Stats() }
+func (ix *Index) CacheStats() lru.Stats { return ix.cache.Stats() }
 
 // CountSatisfyingWithTag counts the elements with the given tag that
 // satisfy e. It backs the #contains statistics used in contains-promotion

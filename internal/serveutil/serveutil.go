@@ -1,8 +1,8 @@
-// Package serveutil holds the HTTP server lifecycle shared by flexserve
-// and flexrouter: serve until failure or a shutdown signal, then drain
-// gracefully. Both binaries need byte-for-byte the same semantics (CI
-// kills and restarts them interchangeably), so the loop lives here rather
-// than being copied into each main package.
+// Package serveutil holds what flexserve and flexrouter must do
+// identically: the HTTP server lifecycle (serve until failure or a
+// shutdown signal, then drain gracefully — CI kills and restarts them
+// interchangeably) and the request rules the router checks before it
+// fans out, so it rejects exactly what a shard would.
 package serveutil
 
 import (
@@ -13,8 +13,16 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 )
+
+// ParseWeight parses a ws or wc request parameter, a predicate weight:
+// valid values are positive numbers.
+func ParseWeight(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && v > 0
+}
 
 // Serve runs srv on ln until it fails or a shutdown signal arrives, then
 // gracefully drains: the listener closes immediately (new connections are

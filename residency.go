@@ -144,18 +144,7 @@ func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
 	if err != nil {
 		return nil, wrapSnapshotPath(m.cold.path, err)
 	}
-	// The faulted-in document gets the collection's remembered cache
-	// configuration, like any other late-arriving member.
-	c.mu.RLock()
-	cacheSet, cacheCap := c.docCacheSet, c.docCacheCap
-	planSet, planCap := c.planCacheSet, c.planCacheCap
-	c.mu.RUnlock()
-	if cacheSet {
-		d.SetCache(cacheCap)
-	}
-	if planSet {
-		d.SetPlanCache(planCap)
-	}
+	c.configure(d)
 	m.doc.Store(d)
 	c.faults.Add(1)
 	c.enforceResidency()
@@ -331,10 +320,7 @@ func (c *Collection) register(name string, mem *member, mp *mmapio.Mapping) erro
 	if mp != nil {
 		c.mappings = append(c.mappings, mp)
 	}
-	c.gen++
 	c.mu.Unlock()
-	if qc := c.qc.Load(); qc != nil {
-		qc.Purge()
-	}
+	c.published(nil)
 	return nil
 }

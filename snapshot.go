@@ -9,7 +9,6 @@ import (
 
 	"flexpath/internal/exec"
 	"flexpath/internal/ir"
-	"flexpath/internal/plancache"
 	"flexpath/internal/planner"
 	"flexpath/internal/stats"
 	"flexpath/internal/xmltree"
@@ -103,8 +102,8 @@ func loadIndexedSnapshot(data []byte) (*Document, error) {
 	return assembleDocument(tree, st, ix), nil
 }
 
-// assembleDocument wires restored tree/stats/index into a searchable
-// Document, the shared tail of every snapshot load path.
+// assembleDocument wires a tree with its statistics and index into a
+// searchable Document, the shared tail of every construction path.
 func assembleDocument(tree *xmltree.Document, st *stats.Stats, ix *ir.Index) *Document {
 	est := stats.NewEstimator(st, ix)
 	d := &Document{
@@ -115,7 +114,7 @@ func assembleDocument(tree *xmltree.Document, st *stats.Stats, ix *ir.Index) *Do
 		pl:    planner.New(est),
 		ev:    exec.NewEvaluator(tree, ix),
 	}
-	d.pc.Store(plancache.New(DefaultPlanCacheCapacity))
+	d.SetPlanCache(DefaultPlanCacheCapacity)
 	return d
 }
 
