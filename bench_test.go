@@ -345,7 +345,7 @@ func BenchmarkFaultIn(b *testing.B) {
 }
 
 // BenchmarkRefault times what coll_cold pays 32 times per search: an
-// already checksummed and validated member is evicted and faulted again.
+// already decoded member is evicted and faulted again.
 func BenchmarkRefault(b *testing.B) {
 	c, m, _ := benchColdMember(b)
 	if _, err := c.require(m, nil); err != nil {
@@ -356,6 +356,58 @@ func BenchmarkRefault(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.doc.Store(nil)
 		if _, err := c.require(m, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// coldShapes are coll_cold's seven query shapes: six light ones and XQ2,
+// with fixed keyword pairs standing in for the benchmark's seeded draws.
+var coldShapes = []string{
+	benchXQ1,
+	`//item[./description[.contains("auction" or "antique")]]`,
+	`//mail[./text[.contains("bid" or "price")]]`,
+	`//listitem[./text[.contains("ship" or "mint")]]`,
+	`//category[./name and ./description[.contains("rare" or "signed")]]`,
+	`//item[./name and ./incategory]`,
+	benchXQ2,
+}
+
+// BenchmarkColdCollectionSearch is coll_cold in small: 8 members of
+// 128 KB saved as FXP3 and added cold under a residency cap of 2, so each
+// search faults every member in and evicts six. One op is one Hybrid
+// search, result caches bypassed, cycling through coldShapes after a
+// warm-up round that pays the members' first faults.
+func BenchmarkColdCollectionSearch(b *testing.B) {
+	dir := b.TempDir()
+	c := NewCollection()
+	b.Cleanup(func() { c.Close() }) //nolint:errcheck
+	for i := 0; i < 8; i++ {
+		tree, err := xmark.Build(xmark.Config{TargetBytes: 128 << 10, Seed: int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("m%d.fxp3", i))
+		if err := NewDocument(tree).SaveFXP3SnapshotFile(path); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.AddSnapshotFile(fmt.Sprintf("m%d", i), path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c.SetResidency(2)
+	opts := SearchOptions{K: 10, Algorithm: Hybrid, NoCache: true}
+	qs := make([]*Query, len(coldShapes))
+	for i, s := range coldShapes {
+		qs[i] = MustParseQuery(s)
+		if _, err := c.Search(qs[i], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Search(qs[i%len(qs)], opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ type Collection struct {
 	members []*member
 	byName  map[string]int
 	// docCacheCap remembers the last SetDocumentCaches capacity so
-	// documents added, swapped in or faulted in later get the same cache
+	// documents added, swapped in or first decoded later get the same cache
 	// configuration as the members present at call time. docCacheSet
 	// distinguishes "never configured" (leave new documents alone) from
 	// "explicitly disabled" (capacity <= 0 disables new documents too).
@@ -88,7 +88,7 @@ func (c *Collection) Add(name string, doc *Document) error {
 }
 
 // configure applies the remembered SetDocumentCaches capacity to a
-// document joining the live corpus (Add, Replace, fault-in).
+// document joining the live corpus (Add, Replace, a cold member's decode).
 func (c *Collection) configure(d *Document) {
 	c.mu.RLock()
 	set, capacity := c.docCacheSet, c.docCacheCap
@@ -99,13 +99,14 @@ func (c *Collection) configure(d *Document) {
 }
 
 // published finishes a membership change made under mu: it purges the
-// collection cache (see qc) and the outgoing document's own caches.
-func (c *Collection) published(old *Document) {
+// collection cache (see qc) and the outgoing member's document's caches,
+// even while evicted: a durable checkpoint map may still hold the member.
+func (c *Collection) published(old *member) {
 	if qc := c.qc.Load(); qc != nil {
 		qc.Purge()
 	}
-	if old != nil {
-		old.purgeCache()
+	if old != nil && old.decoded() != nil {
+		old.decoded().purgeCache()
 	}
 }
 
@@ -121,7 +122,7 @@ func (c *Collection) Remove(name string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("flexpath: no document named %q", name)
 	}
-	old := c.members[i].doc.Load()
+	old := c.members[i]
 	// In-flight searches are isolated by snapshot()'s copy, so the
 	// slices can be compacted in place under the exclusive lock. A
 	// removed cold member's mapping stays open (answers already handed
@@ -148,7 +149,7 @@ func (c *Collection) Replace(name string, doc *Document) error {
 		c.mu.Unlock()
 		return fmt.Errorf("flexpath: no document named %q", name)
 	}
-	old := c.members[i].doc.Load()
+	old := c.members[i]
 	// The incoming document is pinned even when it replaces a cold
 	// member: Replace hands over a decoded document, not a snapshot.
 	mem := &member{name: name}
@@ -169,15 +170,14 @@ func (c *Collection) snapshot() (names []string, members []*member) {
 	return append([]string(nil), c.names...), append([]*member(nil), c.members...)
 }
 
-// residentDocs returns the currently decoded member documents, the set
-// cache configuration and statistics aggregation walk: cold members
-// have no caches or planner state, and walking them must not fault
-// them in.
-func (c *Collection) residentDocs() []*Document {
+// decodedDocs returns every decoded member document, resident or
+// evicted: the set cache configuration and statistics aggregation walk.
+// Never-faulted members have no caches, and walking must not fault.
+func (c *Collection) decodedDocs() []*Document {
 	_, members := c.snapshot()
 	docs := make([]*Document, 0, len(members))
 	for _, m := range members {
-		if d := m.doc.Load(); d != nil {
+		if d := m.decoded(); d != nil {
 			docs = append(docs, d)
 		}
 	}
@@ -270,9 +270,9 @@ func (c *Collection) SetDocumentCaches(capacity int) {
 	c.docCacheCap = capacity
 	c.docCacheSet = true
 	c.mu.Unlock()
-	// Resident documents are reconfigured now; cold ones pick the
-	// remembered capacity up at fault-in.
-	for _, d := range c.residentDocs() {
+	// Decoded documents, evicted ones included, are reconfigured now;
+	// never-faulted ones pick the remembered capacity up at their decode.
+	for _, d := range c.decodedDocs() {
 		d.SetCache(capacity)
 	}
 }
@@ -299,16 +299,16 @@ func (c *Collection) DocumentCacheStats() (s CacheStats, ok bool) {
 }
 
 // FullTextCacheStats sums the full-text result cache counters of the
-// resident member documents (see Document.FullTextCacheStats).
+// decoded member documents (see Document.FullTextCacheStats).
 func (c *Collection) FullTextCacheStats() CacheStats {
 	st, _ := c.sumStats(func(d *Document) (lru.Stats, bool) { return d.index.CacheStats(), true })
 	return cacheStatsFrom(st)
 }
 
-// sumStats adds up one cache's counters over the resident members; ok
+// sumStats adds up one cache's counters over the decoded members; ok
 // is false when no member has that cache enabled.
 func (c *Collection) sumStats(of func(*Document) (lru.Stats, bool)) (sum lru.Stats, ok bool) {
-	for _, d := range c.residentDocs() {
+	for _, d := range c.decodedDocs() {
 		if s, dok := of(d); dok {
 			sum.Hits += s.Hits
 			sum.Misses += s.Misses
@@ -542,7 +542,7 @@ func (c *Collection) PlannerStats() PlannerStats {
 	nsN := map[string]int{}
 	errN := map[string]int{}
 	restartN := 0
-	for _, d := range c.residentDocs() {
+	for _, d := range c.decodedDocs() {
 		s := d.PlannerStats()
 		for k, v := range s.Choices {
 			agg.Choices[k] += v

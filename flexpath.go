@@ -680,15 +680,23 @@ func (d *Document) SetCache(capacity int) {
 	d.qc.Store(lru.New[cachedSearch](capacity))
 }
 
-// purgeCache discards the document's cache entries — result sets and
-// plan templates — keeping both caches enabled and their counters
-// intact. Collections call this when the document leaves the corpus, so
-// a long-gone member doesn't pin result sets or join plans; the purge
-// epoch keeps searches already running from re-populating them.
-func (d *Document) purgeCache() {
+// purgeResults discards the document's result sets and full-text
+// results but not its plan templates (residency eviction, see
+// residency.go).
+func (d *Document) purgeResults() {
 	if qc := d.qc.Load(); qc != nil {
 		qc.Purge()
 	}
+	d.index.PurgeCache()
+}
+
+// purgeCache discards the entries of all three of the document's caches,
+// keeping them enabled and their counters intact. Collections call this
+// when the document leaves the corpus, so a long-gone member doesn't pin
+// result sets or join plans; the purge epoch keeps searches already
+// running from re-populating them.
+func (d *Document) purgeCache() {
+	d.purgeResults()
 	if pc := d.pc.Load(); pc != nil {
 		pc.Purge()
 	}

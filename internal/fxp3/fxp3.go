@@ -128,10 +128,6 @@ type File struct {
 	// verr[i] records the outcome of entry i's checksum pass so later
 	// callers see the same error.
 	verr []error
-	// valid and validErr are the same memo for the owner's structural
-	// pass over the decoded sections; see Validated.
-	valid    sync.Once
-	validErr error
 }
 
 // Parse validates the header and section directory of data. Payload
@@ -228,18 +224,6 @@ func (f *File) Section(id SectionID) ([]byte, error) {
 		return payload, nil
 	}
 	return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, id)
-}
-
-// Validated runs check the first time it is called on f and returns that
-// verdict on every call. The payloads' owner passes the pass over its
-// decoded sections that costs as much as reading them — range and
-// ordering checks on every column value — so that, like a section's
-// checksum, it is paid once per parsed file however often the sections
-// are decoded again. The bytes under f must not change, which is what
-// Section's remembered checksum already assumes.
-func (f *File) Validated(check func() error) error {
-	f.valid.Do(func() { f.validErr = check() })
-	return f.validErr
 }
 
 func align8(v uint64) uint64 { return (v + 7) &^ 7 }

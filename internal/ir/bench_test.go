@@ -44,7 +44,7 @@ func BenchmarkEvalTerm(b *testing.B) {
 	e := MustParseExpr("gold")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.cache.Purge() // force re-evaluation
+		ix.PurgeCache() // force re-evaluation
 		ix.Eval(e)
 	}
 }
@@ -54,7 +54,7 @@ func BenchmarkEvalConjunction(b *testing.B) {
 	e := MustParseExpr("gold and silver")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.cache.Purge()
+		ix.PurgeCache()
 		ix.Eval(e)
 	}
 }
@@ -64,7 +64,7 @@ func BenchmarkEvalPhrase(b *testing.B) {
 	e := MustParseExpr(`"gold silver"`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.cache.Purge()
+		ix.PurgeCache()
 		ix.Eval(e)
 	}
 }

@@ -287,6 +287,9 @@ func (ix *Index) Eval(e Expr) *Result {
 // CacheStats reports the evaluated-expression cache's counters.
 func (ix *Index) CacheStats() lru.Stats { return ix.cache.Stats() }
 
+// PurgeCache drops every evaluated expression, keeping the counters.
+func (ix *Index) PurgeCache() { ix.cache.Purge() }
+
 // CountSatisfyingWithTag counts the elements with the given tag that
 // satisfy e. It backs the #contains statistics used in contains-promotion
 // penalties.

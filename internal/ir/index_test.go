@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -246,6 +247,19 @@ func TestEvalCache(t *testing.T) {
 	r2 := ix.Eval(MustParseExpr("xml and gold"))
 	if r1 != r2 {
 		t.Error("identical expressions were not cached")
+	}
+	// PurgeCache empties the cache but keeps its counters; the next
+	// evaluation is a miss that yields the same witnesses.
+	ix.PurgeCache()
+	if st := ix.CacheStats(); st.Entries != 0 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("after purge: %+v, want 0 entries, 1 miss, 1 hit", st)
+	}
+	r3 := ix.Eval(e)
+	if r3 == r1 || !reflect.DeepEqual(r3.nodes, r1.nodes) {
+		t.Error("purged expression was not re-evaluated to the same witnesses")
+	}
+	if st := ix.CacheStats(); st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("after re-evaluation: %+v, want 2 misses, 1 entry", st)
 	}
 }
 

@@ -205,7 +205,8 @@ func TestFXP3RejectsDisorderedColumns(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", c.name, err)
 		}
 		// A cold member refuses every fault the same way, not only the
-		// one that ran the validation.
+		// one that ran the validation: later faults return the error the
+		// one decode kept instead of decoding again.
 		path := filepath.Join(t.TempDir(), "bad.fxp3")
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -214,9 +215,14 @@ func TestFXP3RejectsDisorderedColumns(t *testing.T) {
 		if err := coll.AddSnapshotFile("bad", path); err != nil {
 			t.Fatal(err)
 		}
+		_, members := coll.snapshot()
 		for i := 0; i < 2; i++ {
-			if _, err := coll.Search(MustParseQuery(paperQ1), SearchOptions{K: 3}); !errors.Is(err, ErrCorruptSnapshot) {
+			_, err := coll.Search(MustParseQuery(paperQ1), SearchOptions{K: 3})
+			if !errors.Is(err, ErrCorruptSnapshot) {
 				t.Errorf("%s: search %d of a cold member: err = %v, want ErrCorruptSnapshot", c.name, i, err)
+			}
+			if kept := members[0].cold.err; kept == nil || !errors.Is(err, kept) {
+				t.Errorf("%s: search %d: err = %v, want the kept decode error %v", c.name, i, err, kept)
 			}
 		}
 		coll.Close() //nolint:errcheck
@@ -389,16 +395,15 @@ func renderRankingWithSnippets(as []Answer) string {
 	return b.String()
 }
 
-// TestRefaultAllocsIndependentOfSize: faulting an already validated
-// member back in builds headers, the tag table and empty caches — the
-// same number of allocations for a 64 KB and a 2 MB document, because
-// nothing is allocated per node or per term. The ceiling is the measured
-// 15 plus ~10%: an empty cache is one allocation.
+// TestRefaultAllocsIndependentOfSize: faulting an evicted member back in
+// stores the document its first fault decoded — no decode, no fresh
+// caches — so it allocates nothing, for a 64 KB and a 2 MB document
+// alike.
 func TestRefaultAllocsIndependentOfSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const ceiling = 17
+	const ceiling = 0
 	var counts []float64
 	for _, size := range []int64{64 << 10, 2 << 20} {
 		tree, err := xmark.Build(xmark.Config{TargetBytes: size, Seed: 7})

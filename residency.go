@@ -17,30 +17,28 @@ import (
 // is mapped and its header, directory and small meta section are read —
 // a few pages — but the tree, statistics and postings are neither
 // decoded nor faulted in. The first search that needs the document
-// faults it in: the sections' columns are sliced in place over the
-// mapping, and — the first time only — each section is checksummed and
-// every column value validated. SetResidency bounds how many faulted-in
-// documents stay hot, evicting the least recently used beyond the cap;
-// faulting an evicted member back in re-slices and allocates nothing per
-// node or per term.
+// faults it in: each section is checksummed, every column value
+// validated and the columns sliced in place over the mapping. The
+// decoded *Document (or the decode error) is kept while the mapping is
+// open. SetResidency bounds how many faulted-in documents stay hot,
+// evicting the least recently used beyond the cap; a re-fault stores
+// the kept document back and allocates nothing. The memory math:
 //
-// Two facts make the memory math work:
+//   - A decoded document is its mapped columns: tree, text, statistics
+//     and postings alias the mapping, whose clean pages the kernel
+//     reclaims under pressure. The heap holds headers, the tag table,
+//     the planner and the plan, result and full-text caches.
 //
-//   - A resident document is its mapped columns. Tree, text, statistics
-//     and postings alias the mapping, so the pages are clean and the
-//     kernel reclaims them under pressure; the heap holds the three
-//     struct headers, the tag table and the (initially empty) plan,
-//     result and full-text caches.
+//   - Eviction drops the result and full-text entries — large and cheap
+//     to recompute — and keeps the plan templates, which alias only the
+//     member's own immutable columns and are bounded per member by
+//     DefaultPlanCacheCapacity, as for a pinned member. So template heap
+//     grows with members × shapes, not with the cap, and a re-fault
+//     rebuilds nothing.
 //
-//   - Eviction drops exactly that heap state. It never unmaps: answers
-//     and snippets from earlier searches alias the mapping, and an
-//     unmap under them would be a use-after-free. Mappings are released
-//     only by Collection.Close, when the caller asserts nothing derived
-//     from the collection is reachable.
-//
-// An evicted member's *Document stays valid for searches already
-// holding it (the snapshot-at-entry discipline collection searches
-// already follow); it simply becomes garbage once they finish.
+//   - Eviction never unmaps: earlier answers and snippets alias the
+//     mapping. Mappings are released only by Collection.Close, when the
+//     caller asserts nothing derived from the collection is reachable.
 
 // member is one collection slot: the name-keyed pairing of an optional
 // cold backing (an open FXP3 mapping) with the currently resident
@@ -58,17 +56,25 @@ type member struct {
 	lastUse atomic.Int64
 }
 
-// coldDoc is a member's snapshot backing: the parsed (but undecoded)
-// container over an open mapping, plus the meta the collection needs
-// while the document is cold.
+// coldDoc is a member's snapshot backing: the parsed container over an
+// open mapping, plus the meta the collection needs while it is cold.
 type coldDoc struct {
 	path string
 	f    *fxp3.File
 	meta SnapshotMeta
-	// mu single-flights fault-in: concurrent searches hitting one cold
-	// document decode it once. f remembers the checksum and validation
-	// verdicts, so they are paid by the member's first fault only.
-	mu sync.Mutex
+	// mu single-flights fault-in. doc (or err) is the one decode's
+	// outcome, written under mu; doc is also read without it.
+	mu  sync.Mutex
+	doc atomic.Pointer[Document]
+	err error
+}
+
+// decoded returns the member's document if ever decoded, resident or not.
+func (m *member) decoded() *Document {
+	if m.cold != nil {
+		return m.cold.doc.Load()
+	}
+	return m.doc.Load()
 }
 
 // nodes returns the member's node count without faulting it in.
@@ -120,10 +126,11 @@ func (c *Collection) AddSnapshotFile(name, path string) error {
 	return nil
 }
 
-// require returns the member's document, faulting it in when cold. The
-// time a caller spends past the resident check — decoding, or waiting
-// for the caller that is — is added to the collection's fault time and
-// to span's fault stage (span may be nil).
+// require returns the member's document, faulting it in when cold (a
+// failed first decode fails every fault the same way). The time a
+// caller spends past the resident check — decoding, or waiting for the
+// caller that is — is added to the collection's fault time and to
+// span's fault stage (span may be nil).
 func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
 	m.lastUse.Store(c.tick.Add(1))
 	if d := m.doc.Load(); d != nil {
@@ -135,16 +142,24 @@ func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
 		c.faultNanos.Add(int64(spent))
 		span.Rec(obs.StageFault, spent)
 	}()
-	m.cold.mu.Lock()
-	defer m.cold.mu.Unlock()
+	cd := m.cold
+	cd.mu.Lock()
+	defer cd.mu.Unlock()
 	if d := m.doc.Load(); d != nil {
 		return d, nil
 	}
-	d, err := documentFromFXP3(m.cold.f)
-	if err != nil {
-		return nil, wrapSnapshotPath(m.cold.path, err)
+	d := cd.doc.Load()
+	if d == nil && cd.err == nil {
+		if d, cd.err = documentFromFXP3(cd.f); cd.err != nil {
+			cd.err = wrapSnapshotPath(cd.path, cd.err)
+		} else {
+			c.configure(d)
+			cd.doc.Store(d)
+		}
 	}
-	c.configure(d)
+	if cd.err != nil {
+		return nil, cd.err
+	}
 	m.doc.Store(d)
 	c.faults.Add(1)
 	c.enforceResidency()
@@ -152,10 +167,10 @@ func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
 }
 
 // SetResidency bounds how many fault-capable members stay resident:
-// beyond max, the least recently used are evicted (their decoded heap
-// state dropped; the mapping stays open, see the package comment
-// above). max <= 0 removes the bound. Pinned members (added with
-// Add/AddFile) are not counted and never evicted.
+// beyond max, the least recently used are evicted (their results
+// dropped, see the package comment above). max <= 0 removes the bound.
+// Pinned members (added with Add/AddFile) are not counted and never
+// evicted.
 func (c *Collection) SetResidency(max int) {
 	c.maxResident.Store(int64(max))
 	c.enforceResidency()
@@ -190,10 +205,7 @@ func (c *Collection) enforceResidency() {
 			}
 		}
 		if old := res[j].m.doc.Swap(nil); old != nil {
-			// Release the evicted document's heavyweight cache entries
-			// (result sets, plan templates) immediately rather than
-			// when the GC gets to the document.
-			old.purgeCache()
+			old.purgeResults() // templates stay: see the package comment
 			c.evictions.Add(1)
 		}
 		res = append(res[:j], res[j+1:]...)
@@ -202,9 +214,9 @@ func (c *Collection) enforceResidency() {
 
 // ResidencyStats snapshots the collection's residency state.
 type ResidencyStats struct {
-	// Resident counts fault-capable members currently decoded; Cold
-	// those currently not; Pinned the members with no snapshot backing
-	// (always resident, exempt from the cap).
+	// Resident counts fault-capable members currently faulted in; Cold
+	// those currently not (never decoded, or evicted); Pinned the members
+	// with no snapshot backing (always resident, exempt from the cap).
 	Resident int `json:"resident"`
 	Cold     int `json:"cold"`
 	Pinned   int `json:"pinned"`
@@ -216,9 +228,8 @@ type ResidencyStats struct {
 	Faults    uint64 `json:"faults"`
 	Evictions uint64 `json:"evictions"`
 	// FaultNanos is the total time callers have spent faulting members
-	// in: decoding a snapshot, or waiting for the search that was.
-	// FaultNanos/Faults well above a re-fault's microseconds means first
-	// faults (checksum, validation, page-in) dominate.
+	// in: decoding a snapshot (first faults only), or waiting for the
+	// search that was.
 	FaultNanos int64 `json:"fault_nanos"`
 }
 
@@ -247,7 +258,7 @@ func (c *Collection) ResidencyStats() ResidencyStats {
 // MemberInfo describes one collection member without faulting it in.
 type MemberInfo struct {
 	Name string `json:"name"`
-	// Resident reports whether the member is currently decoded;
+	// Resident reports whether the member is currently faulted in;
 	// Pinned whether it has no snapshot backing (always resident).
 	Resident bool `json:"resident"`
 	Pinned   bool `json:"pinned"`

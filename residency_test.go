@@ -272,17 +272,14 @@ func TestAddSnapshotFileRejectsDuplicates(t *testing.T) {
 	}
 }
 
-// TestResidencyConcurrentStress hammers a capped collection from many
-// goroutines — searches, single-document lookups, cap changes — under
-// the race detector. Every search must return the same ranking the
-// unconstrained collection does.
-func TestResidencyConcurrentStress(t *testing.T) {
-	corpus := residencyCorpus(t, 4)
-	c := NewCollection()
-	defer c.Close() //nolint:errcheck
-	ref := NewCollection()
+// coldAndReference adds corpus to a fresh collection cold and, as an
+// in-memory reference, to a second one with every member loaded.
+func coldAndReference(t *testing.T, corpus []struct{ name, path string }) (cold, ref *Collection) {
+	t.Helper()
+	cold, ref = NewCollection(), NewCollection()
+	t.Cleanup(func() { cold.Close(); ref.Close() }) //nolint:errcheck
 	for _, m := range corpus {
-		if err := c.AddSnapshotFile(m.name, m.path); err != nil {
+		if err := cold.AddSnapshotFile(m.name, m.path); err != nil {
 			t.Fatal(err)
 		}
 		doc, err := LoadFXP3SnapshotFile(m.path)
@@ -293,14 +290,68 @@ func TestResidencyConcurrentStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.SetResidency(1)
-	q := MustParseQuery(paperQ1)
-	opts := SearchOptions{K: 20, Algorithm: Hybrid, NoCache: true}
-	want, err := ref.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
+	return cold, ref
+}
+
+// coldSearch is one query shape run against a cold collection, with the
+// ranking the in-memory reference gives it.
+type coldSearch struct {
+	name string
+	q    *Query
+	opts SearchOptions
+	want string
+}
+
+// coldSearches pairs each (query, options) with the rendering of the
+// reference's sequential, uncached answer to it.
+func coldSearches(t *testing.T, ref *Collection, cases []coldSearch) []coldSearch {
+	t.Helper()
+	for i := range cases {
+		o := cases[i].opts
+		o.Workers, o.NoCache = 1, true
+		want, err := ref.Search(cases[i].q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: reference search found nothing", cases[i].name)
+		}
+		cases[i].want = renderCollectionAnswers(want)
 	}
-	wantS := renderCollectionAnswers(want)
+	return cases
+}
+
+// weightedOpts is a search under non-unit weights and a type hierarchy:
+// both are part of the plan-template key.
+var weightedOpts = SearchOptions{
+	K: 20, Algorithm: Hybrid, NoCache: true,
+	Weights:   Weights{Structural: 2, Contains: 1.5},
+	Hierarchy: map[string]string{"appendix": "section"},
+}
+
+// TestResidencyConcurrentStress hammers a capped collection from many
+// goroutines — searches of three shapes (one weighted), single-document
+// lookups, cap changes — under the race detector. Every search must
+// return the ranking the in-memory collection does, and every lookup the
+// one document its member was first decoded to.
+func TestResidencyConcurrentStress(t *testing.T) {
+	corpus := residencyCorpus(t, 4)
+	c, ref := coldAndReference(t, corpus)
+	c.SetResidency(1)
+	searches := coldSearches(t, ref, []coldSearch{
+		{name: "Q1", q: MustParseQuery(paperQ1), opts: SearchOptions{K: 20, Algorithm: Hybrid, NoCache: true}},
+		{name: "titled", q: MustParseQuery(`//article[./title and ./section/paragraph[.contains("XML")]]`),
+			opts: SearchOptions{K: 20, Algorithm: SSO, NoCache: true}},
+		{name: "weighted", q: MustParseQuery(paperQ1), opts: weightedOpts},
+	})
+	first := map[string]*Document{}
+	for _, m := range corpus {
+		d, ok := c.Document(m.name)
+		if !ok {
+			t.Fatalf("document %s not served", m.name)
+		}
+		first[m.name] = d
+	}
 
 	const workers = 8
 	const iters = 25
@@ -315,19 +366,20 @@ func TestResidencyConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(3) {
 				case 0:
-					got, err := c.SearchContext(context.Background(), q, opts)
+					s := searches[rng.Intn(len(searches))]
+					got, err := c.SearchContext(context.Background(), s.q, s.opts)
 					if err != nil {
 						errs <- err
 						return
 					}
-					if s := renderCollectionAnswers(got); s != wantS {
-						errs <- fmt.Errorf("worker %d iter %d: ranking diverged", w, i)
+					if renderCollectionAnswers(got) != s.want {
+						errs <- fmt.Errorf("worker %d iter %d: %s ranking diverged", w, i, s.name)
 						return
 					}
 				case 1:
 					name := corpus[rng.Intn(len(corpus))].name
-					if _, ok := c.Document(name); !ok {
-						errs <- fmt.Errorf("document %s lost", name)
+					if d, ok := c.Document(name); !ok || d != first[name] {
+						errs <- fmt.Errorf("document %s lost or decoded again (%p, first %p)", name, d, first[name])
 						return
 					}
 				default:
@@ -345,17 +397,15 @@ func TestResidencyConcurrentStress(t *testing.T) {
 	if s.Faults == 0 || s.Evictions == 0 {
 		t.Fatalf("stress did not exercise fault/evict cycling: %+v", s)
 	}
-	// Members cycled many times over, yet each snapshot's structural
-	// validation ran exactly once: a re-fault re-slices, it does not
-	// re-check. Every fault decodes the file the member was added with,
-	// whose memo runs a check at most once; here it is already spent.
+	// Members cycled many times over, yet each was decoded — and so
+	// checksummed and validated — exactly once: every lookup above and
+	// below returns the first fault's document.
 	if s.Faults < 4*uint64(len(corpus)) {
 		t.Fatalf("%d faults for %d members: members did not cycle", s.Faults, len(corpus))
 	}
-	_, members := c.snapshot()
-	for _, m := range members {
-		if err := m.cold.f.Validated(func() error { return fmt.Errorf("member %s never validated", m.name) }); err != nil {
-			t.Fatal(err)
+	for _, m := range corpus {
+		if d, ok := c.Document(m.name); !ok || d != first[m.name] {
+			t.Fatalf("member %s decoded again across %d faults", m.name, s.Faults)
 		}
 	}
 	if s.FaultNanos <= 0 {
@@ -395,5 +445,145 @@ func TestFaultTimeIsAccounted(t *testing.T) {
 	}
 	if warm := search(); warm != 0 || c.ResidencyStats().FaultNanos != total {
 		t.Fatalf("no member was cold: span fault stage %v, FaultNanos %d -> %d", warm, total, c.ResidencyStats().FaultNanos)
+	}
+}
+
+// TestTemplatesSurviveEviction cycles three members through one
+// residency slot for 24 rounds. Every round's DPO, SSO, Hybrid and
+// weighted-with-hierarchy rankings are byte-identical to the in-memory
+// reference, and after the first round no plan template is built again:
+// an evicted member keeps its templates and a re-fault brings them back.
+func TestTemplatesSurviveEviction(t *testing.T) {
+	corpus := residencyCorpus(t, 3)
+	c, ref := coldAndReference(t, corpus)
+	c.SetResidency(1)
+	q := MustParseQuery(paperQ1)
+	var cases []coldSearch
+	for _, algo := range []Algorithm{DPO, SSO, Hybrid} {
+		cases = append(cases, coldSearch{name: algo.String(), q: q, opts: SearchOptions{K: 20, Algorithm: algo, NoCache: true}})
+	}
+	cases = append(cases, coldSearch{name: "weighted", q: q, opts: weightedOpts})
+	searches := coldSearches(t, ref, cases)
+
+	// The algorithms share a template; the weighted search is a second
+	// key. So each member builds two templates, once.
+	misses := uint64(2 * len(corpus))
+	const rounds = 24
+	for r := 0; r < rounds; r++ {
+		for _, s := range searches {
+			got, err := c.Search(s.q, s.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := renderCollectionAnswers(got); g != s.want {
+				t.Fatalf("round %d %s: ranking differs from in-memory:\n%s\nvs\n%s", r, s.name, g, s.want)
+			}
+		}
+		if ps, _ := c.PlanCacheStats(); ps.Misses != misses {
+			t.Fatalf("round %d: %d plan-cache misses, want %d: templates were rebuilt after eviction", r, ps.Misses, misses)
+		}
+	}
+	// Every search visits all three members through one slot, so each
+	// one faults (nearly) every member in again.
+	if s := c.ResidencyStats(); s.Faults < rounds*uint64(len(searches)) || s.Evictions < rounds*uint64(len(searches)) {
+		t.Fatalf("members did not cycle: %+v", s)
+	}
+}
+
+// TestPlanCacheCountersSurviveEviction: the collection's cache counters
+// cover every decoded member, evicted ones included, and an evicted
+// member's counters carry on when it is faulted back in. Three members
+// through one slot and two shapes build exactly six templates however
+// many rounds run; every later lookup is a hit.
+func TestPlanCacheCountersSurviveEviction(t *testing.T) {
+	corpus := residencyCorpus(t, 3)
+	c, _ := coldAndReference(t, corpus)
+	c.SetResidency(1)
+	shapes := []struct {
+		q    *Query
+		opts SearchOptions
+	}{
+		{MustParseQuery(paperQ1), SearchOptions{K: 5, Algorithm: Hybrid, NoCache: true}},
+		{MustParseQuery(paperQ1), weightedOpts},
+	}
+	var hits uint64
+	for r := 0; r < 10; r++ {
+		for _, s := range shapes {
+			if _, err := c.Search(s.q, s.opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ps, ok := c.PlanCacheStats()
+		if !ok || ps.Misses != 6 {
+			t.Fatalf("round %d: %+v, want exactly 6 misses (3 members x 2 shapes)", r, ps)
+		}
+		if r > 0 && ps.Hits <= hits {
+			t.Fatalf("round %d: hits %d -> %d, want growth", r, hits, ps.Hits)
+		}
+		hits = ps.Hits
+		if ps.Entries != 6 {
+			t.Fatalf("round %d: %d templates held, want 6", r, ps.Entries)
+		}
+	}
+	if s := c.ResidencyStats(); s.Resident != 1 || s.Faults < 20 {
+		t.Fatalf("members did not cycle: %+v", s)
+	}
+	// SetDocumentCaches reaches the evicted members too, and their
+	// full-text counters count.
+	c.SetDocumentCaches(8)
+	if ds, ok := c.DocumentCacheStats(); !ok || ds.Capacity != 3*8 {
+		t.Fatalf("document caches %+v, want capacity %d over all three members", ds, 3*8)
+	}
+	if fs := c.FullTextCacheStats(); fs.Misses < 3 {
+		t.Fatalf("full-text counters %+v, want a miss per member", fs)
+	}
+}
+
+// TestRemoveReplaceReleaseEvictedMember: an evicted cold member keeps
+// its templates, so removing or replacing it must purge them even though
+// it is not resident; whoever still holds the old member (a durable
+// collection's checkpoint map) would pin them otherwise.
+func TestRemoveReplaceReleaseEvictedMember(t *testing.T) {
+	corpus := residencyCorpus(t, 3)
+	c, _ := coldAndReference(t, corpus)
+	c.SetResidency(1)
+	if _, err := c.Search(MustParseQuery(paperQ1), SearchOptions{K: 5, Algorithm: Hybrid, NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	_, members := c.snapshot()
+	var evicted []*Document
+	for _, m := range members {
+		if m.doc.Load() != nil {
+			continue
+		}
+		d := m.decoded()
+		if ps, _ := d.PlanCacheStats(); ps.Entries == 0 {
+			t.Fatalf("evicted member %s holds no templates", m.name)
+		}
+		evicted = append(evicted, d)
+	}
+	if len(evicted) != 2 {
+		t.Fatalf("%d evicted members, want 2", len(evicted))
+	}
+	fresh, err := LoadString(articlesXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaced, removed := members[0].name, members[1].name
+	if members[0].doc.Load() != nil {
+		replaced = members[2].name
+	} else if members[1].doc.Load() != nil {
+		removed = members[2].name
+	}
+	if err := c.Replace(replaced, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(removed); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range evicted {
+		if ps, _ := d.PlanCacheStats(); ps.Entries != 0 {
+			t.Errorf("outgoing evicted member %d still holds %d templates", i, ps.Entries)
+		}
 	}
 }

@@ -21,9 +21,9 @@ import (
 // internal/fxp3). Two properties matter operationally:
 //
 //   - Opening costs pages, not the file. fxp3.Parse touches only the
-//     header and directory; each section's checksum, and the validation
-//     of its column values, run on first access, which over mmap is
-//     what faults its pages in, and are remembered on the fxp3.File.
+//     header and directory; section checksums and column validation run
+//     at decode, which over mmap is what faults the pages in. A cold
+//     collection member decodes once and keeps the document.
 //
 //   - A loaded document is its mapped columns: text bytes, node
 //     columns, statistics and postings stay file-backed, and the heap
@@ -135,13 +135,12 @@ func corrupt(err error) error {
 
 // documentFromFXP3 turns the three data sections of a parsed FXP3
 // container into a searchable document. Decoding slices the sections'
-// columns in place and allocates nothing per node or per term; the
-// checksums and the structural validation of every column value run the
-// first time this file is decoded and are remembered on f, so decoding
-// it again (a re-fault after eviction) costs a handful of headers and
-// empty caches. On little-endian hosts the document aliases data's
-// backing memory; the caller owns keeping that memory alive (and
-// attaching the mapping to the document, when there is one).
+// columns in place and allocates nothing per node or per term, but it
+// checksums every section and validates every column value, so callers
+// decode a parsed file once and keep the document. On little-endian
+// hosts the document aliases data's backing memory; the caller owns
+// keeping that memory alive (and attaching the mapping to the document,
+// when there is one).
 func documentFromFXP3(f *fxp3.File) (*Document, error) {
 	treeB, err := f.Section(fxp3.SectionTree)
 	if err != nil {
@@ -167,17 +166,10 @@ func documentFromFXP3(f *fxp3.File) (*Document, error) {
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	err = f.Validated(func() error {
-		if err := tree.Validate(); err != nil {
-			return err
+	for _, validate := range []func() error{tree.Validate, st.Validate, ix.Validate} {
+		if err := validate(); err != nil {
+			return nil, corrupt(err)
 		}
-		if err := st.Validate(); err != nil {
-			return err
-		}
-		return ix.Validate()
-	})
-	if err != nil {
-		return nil, corrupt(err)
 	}
 	return assembleDocument(tree, st, ix), nil
 }
