@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 
-	"flexpath/internal/ir"
 	"flexpath/internal/xmltree"
 )
 
@@ -34,10 +33,9 @@ type Arena struct {
 	full [][]xmltree.NodeID
 
 	// Typed scratch reused across join steps and relaxation levels.
-	tups [][]tuple    // free-list of tuple buffers for the join pipeline
-	keys []float64    // ModeSorted score keys
-	idx  []int        // ModeSorted order permutation
-	res  []*ir.Result // contains-predicate result scratch (eval paths)
+	tups [][]tuple // free-list of tuple buffers for the join pipeline
+	keys []float64 // ModeSorted score keys
+	idx  []int     // ModeSorted order permutation
 }
 
 // NewArena returns an empty arena. Most callers should prefer GetArena /
@@ -147,18 +145,4 @@ func (a *Arena) sortScratch(n int) ([]float64, []int) {
 		a.idx = make([]int, n)
 	}
 	return a.keys[:n], a.idx[:n]
-}
-
-// results returns a reusable *ir.Result scratch slice of length 0.
-func (a *Arena) results() []*ir.Result {
-	if a == nil {
-		return nil
-	}
-	return a.res[:0]
-}
-
-func (a *Arena) keepResults(r []*ir.Result) {
-	if a != nil && cap(r) > cap(a.res) {
-		a.res = r
-	}
 }

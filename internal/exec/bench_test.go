@@ -77,6 +77,19 @@ func BenchmarkEvaluateIRFirst(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateLeaf filters a tag list by a required contains
+// predicate whose witnesses sit under half of its nodes: one galloping
+// semijoin pass over the two sorted lists.
+func BenchmarkEvaluateLeaf(b *testing.B) {
+	d := benchTree(b)
+	v := &VarSpec{Tag: "b", Contains: []ContainsSpec{{Res: ir.NewIndex(d).Eval(ir.MustParseExpr("gold")), Required: true}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluateLeaf(d, v)
+	}
+}
+
 // benchKernels compares each batched kernel (wrapper and arena-Into form)
 // against its retained scalar oracle on one (outer, inner) pair. Run with
 // -benchmem: the into/ variants should report 0 allocs/op once the arena

@@ -45,10 +45,9 @@ func (ev *Evaluator) Candidates(q *tpq.Query, i int) []xmltree.NodeID {
 	return ev.candidatesArena(q, i, nil)
 }
 
-// candidatesArena is Candidates with the filtered list and the
-// contains-result scratch carved from an arena (nil falls back to plain
-// allocation). Filtered lists carved from an arena are only valid until
-// its next Reset.
+// candidatesArena is Candidates with the filtered list carved from an
+// arena (nil falls back to plain allocation). Filtered lists carved from
+// an arena are only valid until its next Reset.
 func (ev *Evaluator) candidatesArena(q *tpq.Query, i int, a *Arena) []xmltree.NodeID {
 	n := &q.Nodes[i]
 	var base []xmltree.NodeID
@@ -66,27 +65,14 @@ func (ev *Evaluator) candidatesArena(q *tpq.Query, i int, a *Arena) []xmltree.No
 	if len(n.Values) == 0 && len(n.Contains) == 0 {
 		return base
 	}
-	results := a.results()
+	// As in evaluateLeaf: one forward semijoin per contains predicate,
+	// then the value filter, all but the first in place.
+	out := base
+	buf := a.Nodes(len(base))
 	for _, e := range n.Contains {
-		results = append(results, ev.ix.Eval(e))
+		out = ev.ix.Eval(e).SemiJoinInto(buf, out)
 	}
-	out := a.Nodes(len(base))
-candidates:
-	for _, c := range base {
-		for _, v := range n.Values {
-			if !EvalValuePred(ev.doc, c, v) {
-				continue candidates
-			}
-		}
-		for _, r := range results {
-			if !r.Satisfies(c) {
-				continue candidates
-			}
-		}
-		out = append(out, c)
-	}
-	a.keepResults(results)
-	return out
+	return filterValues(ev.doc, buf, out, n.Values)
 }
 
 // Evaluate returns the exact answers of q: the matches of the

@@ -56,9 +56,8 @@ func (ev *Evaluator) EvaluateIRFirst(q *tpq.Query) []xmltree.NodeID {
 }
 
 // irFirstCandidates builds node i's candidate list from contains-predicate
-// witnesses when possible, falling back to the tag-scan path otherwise.
-// Scratch (the contains-result list and the filtered output) is carved
-// from the arena when one is supplied.
+// witnesses when possible, falling back to the tag-scan path (which
+// carves its scratch from the arena, when one is supplied) otherwise.
 func (ev *Evaluator) irFirstCandidates(q *tpq.Query, i int, a *Arena) []xmltree.NodeID {
 	n := &q.Nodes[i]
 	if len(n.Contains) == 0 {
@@ -105,28 +104,11 @@ func (ev *Evaluator) irFirstCandidates(q *tpq.Query, i int, a *Arena) []xmltree.
 	walkPool.Put(scratch)
 	slices.Sort(out)
 	// Remaining local predicates still apply: other contains predicates
-	// and value-based predicates.
-	results := a.results()
+	// and value-based predicates, each narrowing out in place.
 	for _, e := range n.Contains {
-		results = append(results, ev.ix.Eval(e))
+		out = ev.ix.Eval(e).SemiJoinInto(out, out)
 	}
-	filtered := out[:0]
-candidates:
-	for _, c := range out {
-		for _, v := range n.Values {
-			if !EvalValuePred(ev.doc, c, v) {
-				continue candidates
-			}
-		}
-		for _, r := range results {
-			if !r.Satisfies(c) {
-				continue candidates
-			}
-		}
-		filtered = append(filtered, c)
-	}
-	a.keepResults(results)
-	return filtered
+	return filterValues(ev.doc, out, out, n.Values)
 }
 
 // evaluateFullWith is EvaluateFull parameterized by the candidate source

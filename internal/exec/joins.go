@@ -27,60 +27,6 @@ import (
 // kernels a natural point to notice an exhausted inner cursor and stop.
 const joinBlock = 512
 
-// gallopGT returns the smallest index i in [from, len(xs)) with
-// xs[i] > v, galloping: probe exponentially from `from`, then binary
-// search the probed window. Cost is O(log d) where d is the distance
-// advanced, so a sequence of monotone calls over xs is near-linear.
-func gallopGT(xs []xmltree.NodeID, from int, v xmltree.NodeID) int {
-	if from >= len(xs) || xs[from] > v {
-		return from
-	}
-	// Invariant: xs[i] <= v; window (i, i+step] may contain the answer.
-	i, step := from, 1
-	for i+step < len(xs) && xs[i+step] <= v {
-		i += step
-		step <<= 1
-	}
-	lo, hi := i+1, i+step
-	if hi > len(xs) {
-		hi = len(xs)
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// gallopGE is gallopGT for the first index with xs[i] >= v.
-func gallopGE(xs []xmltree.NodeID, from int, v xmltree.NodeID) int {
-	if from >= len(xs) || xs[from] >= v {
-		return from
-	}
-	i, step := from, 1
-	for i+step < len(xs) && xs[i+step] < v {
-		i += step
-		step <<= 1
-	}
-	lo, hi := i+1, i+step
-	if hi > len(xs) {
-		hi = len(xs)
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // SemiJoinHasDescendant keeps the nodes of outer whose subtree contains
 // at least one node of inner. Both lists must be sorted in document
 // order; the result is sorted. Allocating wrapper over the Into kernel.
@@ -108,7 +54,7 @@ func SemiJoinHasDescendantInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Docu
 			// First inner node after x in document order; x matches iff
 			// that node still lies inside x's subtree. The probe target is
 			// monotone in x, so the cursor only moves forward.
-			j = gallopGT(inner, j, x)
+			j = xmltree.GallopGE(inner, j, x+1)
 			if j >= len(inner) {
 				return dst
 			}
@@ -153,7 +99,7 @@ func SemiJoinHasChildInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document,
 		for _, x := range outer[lo:hi] {
 			// Galloping to the first parent >= x skips duplicate parent
 			// runs in one jump: the merge pass is also the dedup pass.
-			j = gallopGE(parents, j, x)
+			j = xmltree.GallopGE(parents, j, x)
 			if j >= len(parents) {
 				return dst
 			}
@@ -199,7 +145,7 @@ func SemiJoinDescendantOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Docum
 			hi = len(nodes)
 		}
 		for _, n := range nodes[lo:hi] {
-			j = gallopGE(ancestors, j, n)
+			j = xmltree.GallopGE(ancestors, j, n)
 			if j > 0 && maxEnd[j-1] >= n {
 				dst = append(dst, n)
 			}
@@ -245,7 +191,7 @@ func SemiJoinChildOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, 
 				continue
 			}
 			if j < len(parents) && parents[j] < p {
-				j = gallopGE(parents, j, p)
+				j = xmltree.GallopGE(parents, j, p)
 			} else {
 				// Parent lies at or before the cursor — including the case
 				// where the cursor ran off the end on an earlier, larger
@@ -265,7 +211,7 @@ func SemiJoinChildOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, 
 				if from < 0 {
 					from = 0
 				}
-				j = gallopGE(parents, from, p)
+				j = xmltree.GallopGE(parents, from, p)
 			}
 			if j < len(parents) && parents[j] == p {
 				dst = append(dst, n)
@@ -280,7 +226,7 @@ func SemiJoinChildOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, 
 // galloping binary search, so cost is logarithmic in the list size (the
 // scalar version scanned linearly for the upper bound).
 func DescendantsInRange(doc *xmltree.Document, nodes []xmltree.NodeID, a xmltree.NodeID) []xmltree.NodeID {
-	lo := gallopGT(nodes, 0, a)
-	hi := gallopGT(nodes, lo, doc.End(a))
+	lo := xmltree.GallopGE(nodes, 0, a+1)
+	hi := xmltree.GallopGE(nodes, lo, doc.End(a)+1)
 	return nodes[lo:hi]
 }

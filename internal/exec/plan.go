@@ -608,31 +608,40 @@ func evaluateLeaf(doc *xmltree.Document, v *VarSpec) []xmltree.NodeID {
 	if smallest != nil && smallest.Len()*16 < len(base) {
 		base = contextsOf(doc, smallest, v)
 	}
-	needFilter := len(v.Values) > 0
-	for _, c := range v.Contains {
-		if c.Required {
-			needFilter = true
-		}
-	}
-	if !needFilter {
+	if smallest == nil && len(v.Values) == 0 {
 		return base
 	}
-	out := make([]xmltree.NodeID, 0, len(base))
+	// Each required predicate is one forward semijoin of the sorted list
+	// against its witness column: the first reads base into a fresh
+	// buffer, the rest and the value filter narrow that buffer in place.
+	out := base
+	buf := make([]xmltree.NodeID, 0, len(base))
+	for _, c := range v.Contains {
+		if c.Required {
+			out = c.Res.SemiJoinInto(buf, out)
+		}
+	}
+	return filterValues(doc, buf, out, v.Values)
+}
+
+// filterValues appends to dst[:0] the nodes of xs that satisfy every
+// value predicate; dst may share xs's storage. With no predicates it
+// returns xs itself.
+func filterValues(doc *xmltree.Document, dst, xs []xmltree.NodeID, values []tpq.ValuePred) []xmltree.NodeID {
+	if len(values) == 0 {
+		return xs
+	}
+	dst = dst[:0]
 candidates:
-	for _, m := range base {
-		for _, vp := range v.Values {
+	for _, m := range xs {
+		for _, vp := range values {
 			if !EvalValuePred(doc, m, vp) {
 				continue candidates
 			}
 		}
-		for _, c := range v.Contains {
-			if c.Required && !c.Res.Satisfies(m) {
-				continue candidates
-			}
-		}
-		out = append(out, m)
+		dst = append(dst, m)
 	}
-	return out
+	return dst
 }
 
 // mergeSorted merges sorted NodeID lists into one sorted list.

@@ -9,7 +9,7 @@ import (
 	"flexpath/internal/xmltree"
 )
 
-func benchIndex(b *testing.B) (*xmltree.Document, *Index) {
+func benchIndex(b testing.TB) (*xmltree.Document, *Index) {
 	b.Helper()
 	var sb strings.Builder
 	sb.WriteString("<lib>")
@@ -52,6 +52,19 @@ func BenchmarkEvalTerm(b *testing.B) {
 func BenchmarkEvalConjunction(b *testing.B) {
 	_, ix := benchIndex(b)
 	e := MustParseExpr("gold and silver")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.PurgeCache()
+		ix.Eval(e)
+	}
+}
+
+// BenchmarkEvalOr is the coll_adhoc shape: an Or of two terms that each
+// occur in every paragraph, merged without a sort.
+func BenchmarkEvalOr(b *testing.B) {
+	_, ix := benchIndex(b)
+	e := MustParseExpr("gold or silver")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.PurgeCache()

@@ -56,7 +56,7 @@ func newMapIndex(doc *xmltree.Document) *mapIndex {
 
 // postings is lookup for the tests that only read occurrences.
 func (ix *Index) postings(word string) []posting {
-	posts, _ := ix.lookup(word)
+	posts, _, _ := ix.lookup(word)
 	return posts
 }
 

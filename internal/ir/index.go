@@ -169,30 +169,22 @@ func (ix *Index) termAt(i int) string {
 	return s
 }
 
-// lookup returns word's occurrences in position order and its inverse
-// document frequency, from one search of the dictionary.
-func (ix *Index) lookup(word string) (posts []posting, idf float64) {
-	df := 0
+// lookup returns word's occurrences in position order, the number of
+// distinct nodes they fall in and its inverse document frequency, from
+// one search of the dictionary.
+func (ix *Index) lookup(word string) (posts []posting, df int, idf float64) {
 	if i := ix.term(word); i >= 0 {
 		posts, df = ix.posts[ix.postOff[i]:ix.postOff[i+1]], int(ix.df[i])
 	}
-	return posts, math.Log(1 + float64(ix.textNodes)/float64(1+df))
+	return posts, df, math.Log(1 + float64(ix.textNodes)/float64(1+df))
 }
 
-// nodeLen returns the number of tokens directly inside node n.
-func (ix *Index) nodeLen(n xmltree.NodeID) int32 {
-	if i, ok := slices.BinarySearch(ix.nlNode, n); ok {
-		return ix.nlLen[i]
-	}
-	return 0
-}
-
-// termScore weights tf occurrences in a node of a term with the given
-// idf under the configured scoring function.
-func (ix *Index) termScore(idf float64, node xmltree.NodeID, tf int) float64 {
+// termScore weights tf occurrences of a term with the given idf in a node
+// of nodeLen tokens under the configured scoring function.
+func (ix *Index) termScore(idf float64, nodeLen int32, tf int) float64 {
 	if ix.scoring == ScoringBM25 {
 		const k1, b = 1.2, 0.75
-		norm := 1 - b + b*float64(ix.nodeLen(node))/math.Max(ix.avgLen, 1)
+		norm := 1 - b + b*float64(nodeLen)/math.Max(ix.avgLen, 1)
 		return idf * (float64(tf) * (k1 + 1)) / (float64(tf) + k1*norm)
 	}
 	return idf * (1 + math.Log(float64(tf)))
@@ -229,11 +221,13 @@ func (r *Result) Score(i int) float64 { return r.scores[i] }
 // firstWithin returns the index of the first witness >= x, for interval
 // queries against the sorted witness list.
 func (r *Result) firstWithin(x xmltree.NodeID) int {
-	return sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i] >= x })
+	i, _ := slices.BinarySearch(r.nodes, x)
+	return i
 }
 
 // Satisfies reports whether context node x satisfies the expression, i.e.
-// whether x's subtree contains a witness.
+// whether x's subtree contains a witness. Callers with many context nodes
+// in document order use SemiJoinInto instead.
 func (r *Result) Satisfies(x xmltree.NodeID) bool {
 	i := r.firstWithin(x)
 	return i < len(r.nodes) && r.nodes[i] <= r.doc.End(x)
@@ -265,21 +259,44 @@ func (r *Result) CountWithin(x xmltree.NodeID) int {
 	return j - i
 }
 
+// cursor is the self-or-descendant semijoin of context nodes, presented
+// in document order, against a witness column: satisfies(x) reports
+// whether x's subtree holds one of nodes. The witness position only
+// gallops forward, so a pass costs a merge, not a search per node.
+type cursor struct {
+	nodes, ends []xmltree.NodeID
+	at          int
+}
+
+func (c *cursor) satisfies(x xmltree.NodeID) bool {
+	c.at = xmltree.GallopGE(c.nodes, c.at, x)
+	return c.at < len(c.nodes) && c.nodes[c.at] <= c.ends[x]
+}
+
+// SemiJoinInto appends to dst[:0] the nodes of xs, which must be sorted
+// in document order, whose subtree contains a witness, and returns it. dst
+// may share xs's storage, so a list can be filtered in place.
+func (r *Result) SemiJoinInto(dst, xs []xmltree.NodeID) []xmltree.NodeID {
+	dst = dst[:0]
+	c := cursor{nodes: r.nodes, ends: r.doc.Ends()}
+	for _, x := range xs {
+		if c.satisfies(x) {
+			dst = append(dst, x)
+		} else if c.at == len(c.nodes) { // no later node can be satisfied
+			break
+		}
+	}
+	return dst
+}
+
 // Eval evaluates a full-text expression, returning its witness set.
 // Results are cached per canonical form.
 func (ix *Index) Eval(e Expr) *Result {
 	r, _ := ix.cache.Do(e.Canon(), func() (*Result, error) {
 		w := ix.eval(e)
-		w = minimalFilter(ix.doc, w)
-		normalize(w)
-		r := &Result{doc: ix.doc}
-		r.nodes = make([]xmltree.NodeID, len(w))
-		r.scores = make([]float64, len(w))
-		for i, x := range w {
-			r.nodes[i] = x.node
-			r.scores[i] = x.score
-		}
-		return r, nil
+		w.minimal(ix.doc.Ends())
+		normalize(w.scores)
+		return &Result{doc: ix.doc, nodes: w.nodes, scores: w.scores}, nil
 	})
 	return r
 }
@@ -301,8 +318,7 @@ func (ix *Index) CountSatisfyingWithTag(tag string, e Expr) int {
 // subtree contains a witness: #contains(tag, E) of the penalty formulas.
 // The count is computed once per tag — the denominator of one closure
 // predicate's penalty is the numerator of its parent's, and the estimator
-// asks again — by one merge of the tag's node list (document order)
-// against the witness list.
+// asks again — by the semijoin cursor over the tag's node list.
 func (r *Result) CountSatisfyingWithTag(tag string) int {
 	r.mu.Lock()
 	count, ok := r.tagCounts[tag]
@@ -310,16 +326,12 @@ func (r *Result) CountSatisfyingWithTag(tag string) int {
 	if ok {
 		return count
 	}
-	w := 0
+	c := cursor{nodes: r.nodes, ends: r.doc.Ends()}
 	for _, n := range r.doc.NodesWithTag(tag) {
-		for w < len(r.nodes) && r.nodes[w] < n {
-			w++
-		}
-		if w == len(r.nodes) {
-			break
-		}
-		if r.nodes[w] <= r.doc.End(n) {
+		if c.satisfies(n) {
 			count++
+		} else if c.at == len(c.nodes) { // no later node can be satisfied
+			break
 		}
 	}
 	r.mu.Lock()
@@ -331,13 +343,47 @@ func (r *Result) CountSatisfyingWithTag(tag string) int {
 	return count
 }
 
-// witness is an unnormalized (node, score) pair during evaluation.
+// witnesses is a witness list during evaluation, as two columns: nodes in
+// strictly increasing document order (sorted, no duplicates) and their
+// unnormalized scores. Every operator returns one, so operators combine
+// their operands by merging and galloping and never re-sort them.
+type witnesses struct {
+	nodes  []xmltree.NodeID
+	scores []float64
+}
+
+func makeWitnesses(capacity int) witnesses {
+	return witnesses{nodes: make([]xmltree.NodeID, 0, capacity), scores: make([]float64, 0, capacity)}
+}
+
+func (w *witnesses) add(n xmltree.NodeID, score float64) {
+	w.nodes = append(w.nodes, n)
+	w.scores = append(w.scores, score)
+}
+
+// minimal keeps, in place, only witnesses with no other witness inside
+// their subtree. A node's descendants follow it contiguously in document
+// order, so it suffices to test the next entry.
+func (w *witnesses) minimal(ends []xmltree.NodeID) {
+	k := 0
+	for i, n := range w.nodes {
+		if i+1 < len(w.nodes) && w.nodes[i+1] <= ends[n] {
+			continue
+		}
+		w.nodes[k], w.scores[k] = n, w.scores[i]
+		k++
+	}
+	w.nodes, w.scores = w.nodes[:k], w.scores[:k]
+}
+
+// witness is one unnormalized (node, score) pair, for the SLCA
+// candidates that have to be sorted.
 type witness struct {
 	node  xmltree.NodeID
 	score float64
 }
 
-func (ix *Index) eval(e Expr) []witness {
+func (ix *Index) eval(e Expr) witnesses {
 	switch t := e.(type) {
 	case Term:
 		return ix.evalTerm(t.Word)
@@ -346,237 +392,305 @@ func (ix *Index) eval(e Expr) []witness {
 	case Near:
 		return ix.evalNear(t.Words, t.Window)
 	case And:
-		var cur []witness
+		var cur witnesses
 		for i, c := range t.Exprs {
-			w := minimalFilter(ix.doc, ix.eval(c))
+			w := ix.eval(c)
+			w.minimal(ix.doc.Ends())
 			if i == 0 {
 				cur = w
 			} else {
 				cur = ix.slca(cur, w)
 			}
-			if len(cur) == 0 {
-				return nil
+			if len(cur.nodes) == 0 {
+				return witnesses{}
 			}
 		}
 		return cur
 	case Or:
-		var all []witness
-		for _, c := range t.Exprs {
-			all = append(all, ix.eval(c)...)
+		lists := make([]witnesses, len(t.Exprs))
+		for i, c := range t.Exprs {
+			lists[i] = ix.eval(c)
 		}
-		sortWitnesses(all)
-		return dedupMax(all)
+		return mergeMax(lists)
 	case AndNot:
-		pos := minimalFilter(ix.doc, ix.eval(t.Pos))
-		neg := minimalFilter(ix.doc, ix.eval(t.Neg))
-		out := pos[:0:0]
-		for _, p := range pos {
-			if !anyWithin(ix.doc, neg, p.node) {
-				out = append(out, p)
+		pos := ix.eval(t.Pos)
+		if len(pos.nodes) == 0 {
+			return pos
+		}
+		pos.minimal(ix.doc.Ends())
+		// A Neg witness lies inside p's subtree iff a minimal one does, so
+		// Neg is joined unfiltered; pos is filtered in place.
+		neg := cursor{nodes: ix.eval(t.Neg).nodes, ends: ix.doc.Ends()}
+		k := 0
+		for i, p := range pos.nodes {
+			if !neg.satisfies(p) {
+				pos.nodes[k], pos.scores[k] = p, pos.scores[i]
+				k++
 			}
 		}
-		return out
+		return witnesses{nodes: pos.nodes[:k], scores: pos.scores[:k]}
 	default:
-		return nil
+		return witnesses{}
 	}
 }
 
-func (ix *Index) evalTerm(word string) []witness {
-	posts, idf := ix.lookup(word)
+// evalTerm turns a term's postings, which are in node order, into one
+// witness per distinct node: exactly df of them.
+func (ix *Index) evalTerm(word string) witnesses {
+	posts, df, idf := ix.lookup(word)
 	if len(posts) == 0 {
-		return nil
+		return witnesses{}
 	}
-	var out []witness
-	i := 0
-	for i < len(posts) {
+	out := makeWitnesses(df)
+	lens := 0 // cursor into the node-length column, for BM25
+	for i := 0; i < len(posts); {
 		n := posts[i].node
 		tf := 0
 		for i < len(posts) && posts[i].node == n {
 			tf++
 			i++
 		}
-		out = append(out, witness{node: n, score: ix.termScore(idf, n, tf)})
+		var nodeLen int32
+		if ix.scoring == ScoringBM25 {
+			lens = xmltree.GallopGE(ix.nlNode, lens, n)
+			if lens < len(ix.nlNode) && ix.nlNode[lens] == n {
+				nodeLen = ix.nlLen[lens]
+			}
+		}
+		out.add(n, ix.termScore(idf, nodeLen, tf))
 	}
-	return out // in node order: a term's postings are (Validate)
+	return out
 }
 
-func (ix *Index) evalPhrase(words []string) []witness {
-	if len(words) == 0 {
-		return nil
+// termCursor walks one word's postings for Phrase and Near.
+type termCursor struct {
+	posts []posting
+	at    int
+}
+
+// seek moves to the first posting at position >= pos and returns that
+// position, or false when there is none. Positions are strictly
+// increasing (Validate) and callers seek non-decreasing targets, so the
+// cursor gallops forward: it doubles a window until the window's end
+// reaches pos, then bisects the window.
+func (t *termCursor) seek(pos int64) (int64, bool) {
+	p, lo, hi := t.posts, t.at, t.at
+	for step := 1; hi < len(p) && int64(p[hi].pos) < pos; step <<= 1 {
+		lo, hi = hi+1, hi+step
 	}
-	posts := make([][]posting, len(words))
+	for hi = min(hi, len(p)); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); int64(p[mid].pos) < pos {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if t.at = lo; lo == len(p) {
+		return 0, false
+	}
+	return int64(p[lo].pos), true
+}
+
+// lookupAll opens a cursor on every word and sums their idfs.
+func (ix *Index) lookupAll(words []string) ([]termCursor, float64) {
+	terms := make([]termCursor, len(words))
 	idfSum := 0.0
 	for i, w := range words {
 		var idf float64
-		posts[i], idf = ix.lookup(w)
+		terms[i].posts, _, idf = ix.lookup(w)
 		idfSum += idf
 	}
-	var out []witness
-	for _, p := range posts[0] {
+	return terms, idfSum
+}
+
+// evalPhrase walks the first word's postings in order; the words after it
+// must sit at the following positions, which their cursors seek.
+func (ix *Index) evalPhrase(words []string) witnesses {
+	if len(words) == 0 {
+		return witnesses{}
+	}
+	terms, idfSum := ix.lookupAll(words)
+	var out witnesses
+	for _, p := range terms[0].posts {
+		if n := len(out.nodes); n > 0 && out.nodes[n-1] == p.node {
+			continue // already a witness, at the same score
+		}
 		ok := true
-		for off := 1; off < len(words); off++ {
-			if !hasPos(posts[off], p.pos+int32(off)) {
-				ok = false
-				break
+		for off := 1; off < len(terms) && ok; off++ {
+			want := int64(p.pos) + int64(off)
+			at, found := terms[off].seek(want)
+			if !found {
+				return out // later anchors seek further still
 			}
+			ok = at == want
 		}
 		if ok {
-			out = append(out, witness{node: p.node, score: idfSum})
+			out.add(p.node, idfSum)
 		}
 	}
-	sortWitnesses(out)
-	return dedupMax(out)
+	return out
 }
 
-func (ix *Index) evalNear(words []string, window int) []witness {
+// evalNear yields a witness at the owning element of every token that
+// participates in a qualifying window, so a context containing any
+// participant satisfies the expression. Each distinct word anchors one
+// walk over its postings in order, the other words' cursors seeking the
+// window's start; the walks' lists are merged.
+func (ix *Index) evalNear(words []string, window int) witnesses {
 	if len(words) == 0 {
-		return nil
+		return witnesses{}
 	}
-	posts := make([][]posting, len(words))
-	idfSum := 0.0
-	for i, w := range words {
-		var idf float64
-		posts[i], idf = ix.lookup(w)
-		idfSum += idf
-	}
-	// Every token participating in a qualifying window yields a witness
-	// at its owning element, so a context containing any participant
-	// satisfies the expression.
-	var out []witness
+	// Positions differ by less than the token count, so a wider window
+	// admits nothing more; clamping keeps pos±window from overflowing.
+	window = min(window, len(ix.posts))
+	terms, idfSum := ix.lookupAll(words)
+	lists := make([]witnesses, 0, len(words))
 	for ai, anchor := range words {
-		for _, p := range posts[ai] {
-			ok := true
-			for i, w := range words {
-				if w == anchor {
+		if slices.Contains(words[:ai], anchor) {
+			continue // a repeated word anchors the same walk
+		}
+		for i := range terms {
+			terms[i].at = 0
+		}
+		var w witnesses
+	anchors:
+		for _, p := range terms[ai].posts {
+			if n := len(w.nodes); n > 0 && w.nodes[n-1] == p.node {
+				continue
+			}
+			lo, hi := int64(p.pos)-int64(window), int64(p.pos)+int64(window)
+			for i := range terms {
+				if words[i] == anchor {
 					continue
 				}
-				if !hasPosInRange(posts[i], p.pos-int32(window), p.pos+int32(window)) {
-					ok = false
-					break
+				at, found := terms[i].seek(lo)
+				if !found {
+					break anchors
+				}
+				if at > hi {
+					continue anchors
 				}
 			}
-			if ok {
-				out = append(out, witness{node: p.node, score: idfSum})
-			}
+			w.add(p.node, idfSum)
+		}
+		lists = append(lists, w)
+	}
+	return mergeMax(lists)
+}
+
+// mergeMax merges witness lists into one, keeping the higher score of a
+// node found in several: a k-way merge as a balanced tree of two-way
+// merges.
+func mergeMax(lists []witnesses) witnesses {
+	switch len(lists) {
+	case 0:
+		return witnesses{}
+	case 1:
+		return lists[0]
+	}
+	h := len(lists) / 2
+	return merge2(mergeMax(lists[:h]), mergeMax(lists[h:]))
+}
+
+func merge2(a, b witnesses) witnesses {
+	if len(a.nodes) == 0 {
+		return b
+	}
+	if len(b.nodes) == 0 {
+		return a
+	}
+	out := makeWitnesses(len(a.nodes) + len(b.nodes))
+	i, j := 0, 0
+	for i < len(a.nodes) && j < len(b.nodes) {
+		switch x, y := a.nodes[i], b.nodes[j]; {
+		case x < y:
+			out.add(x, a.scores[i])
+			i++
+		case y < x:
+			out.add(y, b.scores[j])
+			j++
+		default:
+			out.add(x, max(a.scores[i], b.scores[j]))
+			i++
+			j++
 		}
 	}
-	sortWitnesses(out)
-	return dedupMax(out)
-}
-
-func hasPos(posts []posting, pos int32) bool {
-	i := sort.Search(len(posts), func(i int) bool { return posts[i].pos >= pos })
-	return i < len(posts) && posts[i].pos == pos
-}
-
-func hasPosInRange(posts []posting, lo, hi int32) bool {
-	i := sort.Search(len(posts), func(i int) bool { return posts[i].pos >= lo })
-	return i < len(posts) && posts[i].pos <= hi
+	out.nodes = append(append(out.nodes, a.nodes[i:]...), b.nodes[j:]...)
+	out.scores = append(append(out.scores, a.scores[i:]...), b.scores[j:]...)
+	return out
 }
 
 // slca computes the smallest lowest common ancestors of one witness from
-// each input (Xu & Papakonstantinou-style): for each witness of the
-// smaller set, pair it with its nearest neighbors in the other set and
-// take LCAs, then keep the minimal ones.
-func (ix *Index) slca(a, b []witness) []witness {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
+// each minimal input (Xu & Papakonstantinou): each witness of the smaller
+// list meets its two neighbours in the larger, found by galloping. The
+// LCAs come out unordered: the one list evaluation sorts.
+func (ix *Index) slca(a, b witnesses) witnesses {
+	if len(a.nodes) == 0 || len(b.nodes) == 0 {
+		return witnesses{}
 	}
 	small, large := a, b
-	if len(b) < len(a) {
+	if len(b.nodes) < len(a.nodes) {
 		small, large = b, a
 	}
-	var cands []witness
-	for _, s := range small {
-		i := sort.Search(len(large), func(i int) bool { return large[i].node >= s.node })
-		if i < len(large) {
-			l := large[i]
-			cands = append(cands, witness{node: ix.lca(s.node, l.node), score: s.score + l.score})
+	ends, parents := ix.doc.Ends(), ix.doc.Parents()
+	cands := make([]witness, 0, len(small.nodes))
+	j := 0
+	for k, s := range small.nodes {
+		j = xmltree.GallopGE(large.nodes, j, s)
+		// Both neighbours' LCAs are ancestors-or-self of s. When they
+		// differ the shallower encloses the deeper and cannot be minimal,
+		// so only the deeper (larger) one is a candidate.
+		c := witness{node: -1}
+		if j < len(large.nodes) {
+			c = witness{lca(ends, parents, s, large.nodes[j]), small.scores[k] + large.scores[j]}
 		}
-		if i > 0 {
-			l := large[i-1]
-			cands = append(cands, witness{node: ix.lca(s.node, l.node), score: s.score + l.score})
+		if j > 0 {
+			n, sc := lca(ends, parents, s, large.nodes[j-1]), small.scores[k]+large.scores[j-1]
+			if n > c.node || n == c.node && sc > c.score {
+				c = witness{n, sc}
+			}
+		}
+		cands = append(cands, c)
+	}
+	slices.SortFunc(cands, func(x, y witness) int { return int(x.node) - int(y.node) })
+	out := makeWitnesses(len(cands))
+	for _, c := range cands {
+		if n := len(out.nodes); n > 0 && out.nodes[n-1] == c.node {
+			out.scores[n-1] = max(out.scores[n-1], c.score)
+		} else {
+			out.add(c.node, c.score)
 		}
 	}
-	sortWitnesses(cands)
-	cands = dedupMax(cands)
-	return minimalFilter(ix.doc, cands)
+	out.minimal(ends)
+	return out
 }
 
-func (ix *Index) lca(a, b xmltree.NodeID) xmltree.NodeID {
-	d := ix.doc
-	for d.Level(a) > d.Level(b) {
-		a = d.Parent(a)
+// lca returns the lowest common ancestor-or-self of a and b: the first
+// ancestor-or-self of the earlier node whose interval reaches the later.
+func lca(ends, parents []xmltree.NodeID, a, b xmltree.NodeID) xmltree.NodeID {
+	if a > b {
+		a, b = b, a
 	}
-	for d.Level(b) > d.Level(a) {
-		b = d.Parent(b)
-	}
-	for a != b {
-		a = d.Parent(a)
-		b = d.Parent(b)
+	for ends[a] < b {
+		a = parents[a]
 	}
 	return a
 }
 
-func sortWitnesses(w []witness) {
-	sort.Slice(w, func(i, j int) bool { return w[i].node < w[j].node })
-}
-
-// dedupMax collapses duplicate nodes in a sorted witness list, keeping the
-// maximum score.
-func dedupMax(w []witness) []witness {
-	if len(w) == 0 {
-		return w
-	}
-	out := w[:1]
-	for _, x := range w[1:] {
-		if x.node == out[len(out)-1].node {
-			if x.score > out[len(out)-1].score {
-				out[len(out)-1].score = x.score
-			}
-		} else {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// minimalFilter keeps only witnesses with no other witness inside their
-// subtree. In a list sorted by start position, a node's descendants are
-// contiguous immediately after it, so it suffices to test the next entry.
-func minimalFilter(doc *xmltree.Document, w []witness) []witness {
-	if len(w) <= 1 {
-		return w
-	}
-	out := w[:0:0]
-	for i := range w {
-		if i+1 < len(w) && w[i+1].node <= doc.End(w[i].node) {
-			continue
-		}
-		out = append(out, w[i])
-	}
-	return out
-}
-
-func anyWithin(doc *xmltree.Document, w []witness, x xmltree.NodeID) bool {
-	i := sort.Search(len(w), func(i int) bool { return w[i].node >= x })
-	return i < len(w) && w[i].node <= doc.End(x)
-}
-
-func normalize(w []witness) {
+func normalize(scores []float64) {
 	maxScore := 0.0
-	for _, x := range w {
-		if x.score > maxScore {
-			maxScore = x.score
+	for _, s := range scores {
+		if s > maxScore {
+			maxScore = s
 		}
 	}
 	if maxScore <= 0 {
-		for i := range w {
-			w[i].score = 1
+		for i := range scores {
+			scores[i] = 1
 		}
 		return
 	}
-	for i := range w {
-		w[i].score /= maxScore
+	for i := range scores {
+		scores[i] /= maxScore
 	}
 }

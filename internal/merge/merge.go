@@ -16,7 +16,9 @@
 package merge
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"flexpath/internal/rank"
 )
@@ -38,24 +40,28 @@ type Key struct {
 }
 
 // Less reports whether a ranks strictly before b under scheme.
-func Less(a, b Key, scheme rank.Scheme) bool {
+func Less(a, b Key, scheme rank.Scheme) bool { return compare(a, b, scheme) < 0 }
+
+// compare is Less as a three-way comparison: negative when a ranks
+// before b, positive when after, zero on a full-key tie.
+func compare(a, b Key, scheme rank.Scheme) int {
 	if c := a.Score.Compare(b.Score, scheme); c != 0 {
-		return c > 0
+		return -c
 	}
-	if a.Doc != b.Doc {
-		return a.Doc < b.Doc
+	if c := strings.Compare(a.Doc, b.Doc); c != 0 {
+		return c
 	}
-	return a.Ord < b.Ord
+	return cmp.Compare(a.Ord, b.Ord)
 }
 
 // Sort stably sorts items into global ranking order by their keys.
 // Stability matters: callers may present keys whose Ord only orders
 // answers within one source list, and a stable sort preserves each
-// source's internal order on full-key ties.
+// source's internal order on full-key ties. A stable sort's output is
+// fixed by the order and the input, so every stable sort under Less
+// yields this same ranking.
 func Sort[T any](items []T, key func(T) Key, scheme rank.Scheme) {
-	sort.SliceStable(items, func(i, j int) bool {
-		return Less(key(items[i]), key(items[j]), scheme)
-	})
+	slices.SortStableFunc(items, func(a, b T) int { return compare(key(a), key(b), scheme) })
 }
 
 // Page applies pagination to a sorted ranking: skip the first offset

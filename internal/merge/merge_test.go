@@ -3,6 +3,9 @@ package merge
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 
 	"flexpath/internal/rank"
@@ -120,6 +123,30 @@ func TestSortDeterministicUnderSourceReordering(t *testing.T) {
 		}
 		if !reflect.DeepEqual(all, want) {
 			t.Fatalf("concatenation order %v changed the merge\n got %v\nwant %v", perm, all, want)
+		}
+	}
+}
+
+// Sort orders exactly as the reflective sort.SliceStable over Less it
+// replaced, on random keys with frequent score, name and full-key ties,
+// under every scheme. The router and the collection both call Sort, so
+// their byte identity holds by construction.
+func TestSortMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 300; trial++ {
+		items := make([]item, 1+rng.Intn(80))
+		for i := range items {
+			items[i] = item{k(float64(rng.Intn(4))/4, float64(rng.Intn(3))/2,
+				[]string{"a", "b", "c"}[rng.Intn(3)], rng.Intn(5)), strconv.Itoa(i)}
+		}
+		for _, scheme := range []rank.Scheme{rank.StructureFirst, rank.KeywordFirst, rank.Combined} {
+			want := slices.Clone(items)
+			sort.SliceStable(want, func(i, j int) bool { return Less(want[i].Key, want[j].Key, scheme) })
+			got := slices.Clone(items)
+			Sort(got, func(it item) Key { return it.Key }, scheme)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d scheme %v:\n got %v\nwant %v", trial, scheme, got, want)
+			}
 		}
 	}
 }
