@@ -145,6 +145,46 @@ func TestCacheHitNamesProducingAlgorithm(t *testing.T) {
 	}
 }
 
+// TestCollectionCacheHitNamesProducingAlgorithm: a collection cache hit,
+// like a document one, names the algorithm that produced the cached
+// ranking, even when the search that filled the entry asked for no
+// metrics; its work counters are zero.
+func TestCollectionCacheHitNamesProducingAlgorithm(t *testing.T) {
+	c := NewCollection()
+	for _, name := range []string{"a.xml", "b.xml"} {
+		doc, err := LoadString(articlesXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Add(name, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetCache(8)
+	q := MustParseQuery(paperQ1)
+	for _, algo := range []Algorithm{Auto, SSO} {
+		if _, err := c.Search(q, SearchOptions{K: 3, Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+		var warm Metrics
+		if _, err := c.Search(q, SearchOptions{K: 3, Algorithm: algo, Metrics: &warm}); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case algo == SSO && (warm.Algorithm != "SSO" || warm.AlgoReason != ""):
+			t.Errorf("SSO cache hit reported %q / %q", warm.Algorithm, warm.AlgoReason)
+		case algo == Auto && (warm.Algorithm == "" || warm.Algorithm == "mixed" || warm.AlgoReason == ""):
+			t.Errorf("Auto cache hit reported %q / %q, want the planner's choice and reason", warm.Algorithm, warm.AlgoReason)
+		}
+		if warm.QueriesEvaluated != 0 || warm.PlansRun != 0 {
+			t.Errorf("%v cache hit reported work: %+v", algo, warm)
+		}
+	}
+	if s, _ := c.CacheStats(); s.Hits != 2 {
+		t.Errorf("cache hits = %d, want 2", s.Hits)
+	}
+}
+
 // TestCollectionPlannerStats: collection planner stats sum the member
 // documents' counters, and merged metrics name the common algorithm.
 func TestCollectionPlannerStats(t *testing.T) {

@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"flexpath/internal/exec"
+	"flexpath/internal/rank"
+	"flexpath/internal/topk"
 	"flexpath/internal/xmark"
 )
 
@@ -172,8 +175,7 @@ func BenchmarkFig16(b *testing.B) {
 // (Not a paper figure; see DESIGN.md, ablations.)
 func BenchmarkAblationDPOSemijoin(b *testing.B) {
 	d := benchDoc(b, 2<<10)
-	q := MustParseQuery(benchXQ3)
-	chain, err := d.chain(q, Weights{})
+	tmpl, err := d.template(MustParseQuery(benchXQ3), Weights{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func BenchmarkAblationDPOSemijoin(b *testing.B) {
 	})
 	b.Run("semijoin-DPO", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runDPOSemijoin(d, chain, 200)
+			topk.DPOSemijoin(d.ev, tmpl.Chain, topk.Options{K: 200, Scheme: rank.StructureFirst})
 		}
 	})
 }
@@ -191,12 +193,11 @@ func BenchmarkAblationDPOSemijoin(b *testing.B) {
 // for optional variables: with it disabled, every optional match
 // multiplies the tuple stream. (Design-choice ablation; see DESIGN.md.)
 func BenchmarkAblationBestOnly(b *testing.B) {
-	d := benchDoc(b, 1<<10)
-	q := MustParseQuery(benchXQ3)
-	chain, err := d.chain(q, Weights{})
+	tmpl, err := benchDoc(b, 1<<10).template(MustParseQuery(benchXQ3), Weights{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	chain := tmpl.Chain
 	// A moderate prefix: the unoptimized variant is exponential in the
 	// number of optional variables, so the full chain is unrunnable —
 	// which is the point of the optimization.
@@ -215,7 +216,7 @@ func BenchmarkAblationBestOnly(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runPlanAblation(d, plan, 200, disabled)
+				exec.Run(plan, exec.Options{K: 200, Mode: exec.ModeBuckets, DisableBestOnly: disabled})
 			}
 		})
 	}
@@ -269,7 +270,7 @@ func BenchmarkSubstrates(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Bypass the cache by varying weights marginally.
 			w := Weights{Structural: 1 + float64(i%7)*1e-9, Contains: 1}
-			if _, err := d.chain(q, w); err != nil {
+			if _, err := d.template(q, w, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -292,15 +293,15 @@ func BenchmarkIRFirstCrossover(b *testing.B) {
 		{"common", `//item[./description[.contains("xml")]]`},
 	}
 	for _, c := range cases {
-		q := MustParseQuery(c.query)
+		q := MustParseQuery(c.query).q
 		b.Run(c.name+"/structure-first", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runEvaluate(d, q, false)
+				d.ev.Evaluate(q)
 			}
 		})
 		b.Run(c.name+"/ir-first", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runEvaluate(d, q, true)
+				d.ev.EvaluateIRFirst(q)
 			}
 		})
 	}

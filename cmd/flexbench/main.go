@@ -1,22 +1,24 @@
 // Command flexbench regenerates the FleXPath paper's experiments
 // (§6, Figures 9-16): DPO vs SSO vs Hybrid across document sizes, K, and
 // number of relaxations, on XMark-style data with the paper's three
-// workload queries.
+// workload queries. Two comparisons the paper argues but does not plot
+// (Figure 17, the data-relaxation baseline; Figure 18, strict vs flexible
+// recall) and the cost-based planner's evaluation (auto) ride along.
 //
 // Usage:
 //
 //	flexbench                 # all figures at scaled-down sizes
-//	flexbench -fig 10         # one figure
+//	flexbench -fig 10         # one figure (9..18 or auto)
 //	flexbench -full           # the paper's sizes (1-100 MB, K to 600); slow
 //	flexbench -runs 5         # median of N timed runs
 //	flexbench -csv            # machine-readable output
+//	flexbench -json out.json  # also write the rows as JSON
 //
 // Absolute times are not comparable to the paper's 2004 testbed; the
 // claims under test are shape claims (who wins and how gaps grow).
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,11 +29,14 @@ import (
 	"time"
 
 	"flexpath"
-	"flexpath/internal/exec"
+	"flexpath/internal/core"
 	"flexpath/internal/inex"
-	"flexpath/internal/obs"
+	"flexpath/internal/ir"
+	"flexpath/internal/rank"
+	"flexpath/internal/stats"
+	"flexpath/internal/topk"
+	"flexpath/internal/tpq"
 	"flexpath/internal/xmark"
-	"flexpath/internal/xmltree"
 )
 
 type workload struct {
@@ -70,10 +75,7 @@ func (h *harness) doc(mb float64) *flexpath.Document {
 	}
 	fmt.Fprintf(os.Stderr, "building %.2g MB document...\n", mb)
 	tree, err := xmark.Build(xmark.Config{TargetBytes: bytes, Seed: h.seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	dieIf(err)
 	d := flexpath.NewDocument(tree)
 	h.docs[bytes] = d
 	return d
@@ -84,26 +86,18 @@ func (h *harness) doc(mb float64) *flexpath.Document {
 // top-K evaluation, as in the paper. It also returns the work counters of
 // one run — the noise-free signal behind the timings.
 func (h *harness) measure(d *flexpath.Document, w workload, algo flexpath.Algorithm, k int) (time.Duration, flexpath.Metrics) {
-	q, err := flexpath.ParseQuery(w.query)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	q := mustParse(w.query)
 	var m flexpath.Metrics
 	opts := flexpath.SearchOptions{K: k, Algorithm: algo, Metrics: &m}
-	if _, err := d.Search(q, opts); err != nil { // warm-up
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	_, err := d.Search(q, opts) // warm-up
+	dieIf(err)
 	times := make([]time.Duration, h.runs)
 	for i := range times {
 		runtime.GC()
 		start := time.Now()
-		if _, err := d.Search(q, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
+		_, err := d.Search(q, opts)
 		times[i] = time.Since(start)
+		dieIf(err)
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[len(times)/2], m
@@ -210,14 +204,8 @@ func (h *harness) writeJSON() {
 		"records":        h.records,
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(h.jsonPath, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	dieIf(err)
+	dieIf(os.WriteFile(h.jsonPath, append(b, '\n'), 0o644))
 	fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", len(h.records), h.jsonPath)
 }
 
@@ -304,24 +292,25 @@ func (h *harness) fig16() { h.kSweepFig(16, h.largeMB()) }
 // fig17 is NOT a figure of the paper: it compares the three evaluation
 // strategies the paper's §7 surveys — rewriting (DPO), plan-based
 // (Hybrid) and data relaxation (APPROXML-style shortcut-edge closure) —
-// showing why the paper dismissed data relaxation at scale.
+// showing why the paper dismissed data relaxation at scale. Data
+// relaxation is not a library algorithm: it runs here on the relaxation
+// chain the library builds for the same document, and fails once the
+// closure exceeds dataRelaxBudget shortcut edges.
 func (h *harness) fig17() {
 	h.header(17, "extra: evaluation strategies (XQ2, K=100) incl. data relaxation")
 	h.row("MB", "DPO_ms", "Hybrid_ms", "DataRelax_ms", "pairs")
-	q, err := flexpath.ParseQuery(xq2.query)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	q, err := tpq.Parse(xq2.query)
+	dieIf(err)
 	for _, mb := range h.sizesMB() {
 		d := h.doc(mb)
 		dpo, _ := h.measure(d, xq2, flexpath.DPO, 100)
 		hyb, _ := h.measure(d, xq2, flexpath.Hybrid, 100)
-		var m flexpath.Metrics
+		tree := d.Tree()
+		chain, err := core.BuildChainH(tree, ir.NewIndex(tree), stats.Collect(tree), rank.UniformWeights(), q, nil)
+		dieIf(err)
+		var m topk.Metrics
 		start := time.Now()
-		_, err := d.Search(q, flexpath.SearchOptions{
-			K: 100, Algorithm: flexpath.DataRelaxation, Metrics: &m,
-		})
+		_, err = topk.DataRelax(chain, topk.Options{K: 100, Scheme: rank.StructureFirst, Metrics: &m}, dataRelaxBudget)
 		dr := time.Since(start)
 		if err != nil {
 			h.row(mb, ms(dpo), ms(hyb), "FAILED", err.Error())
@@ -330,6 +319,10 @@ func (h *harness) fig17() {
 		h.row(mb, ms(dpo), ms(hyb), ms(dr), m.PairsMaterialized)
 	}
 }
+
+// dataRelaxBudget bounds how many shortcut edges fig17's data relaxation
+// may materialize before declaring failure.
+const dataRelaxBudget = 1 << 26
 
 // fig18 is NOT a figure of the paper: it quantifies the utility argument
 // of the paper's introduction on an INEX-like heterogeneous article
@@ -341,39 +334,21 @@ func (h *harness) fig17() {
 func (h *harness) fig18() {
 	h.header(18, "extra: strict vs flexible recall on a heterogeneous article corpus")
 	tree, err := inex.Build(inex.Config{Articles: 500, Seed: 42})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	dieIf(err)
 	d := flexpath.NewDocument(tree)
-	q, err := flexpath.ParseQuery(
-		`//article[./section[./algorithm and ./paragraph[.contains("xml" and "streaming")]]]`)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	q := mustParse(`//article[./section[./algorithm and ./paragraph[.contains("xml" and "streaming")]]]`)
 	// Ground truth: articles whose text contains both topics anywhere.
-	truth, err := flexpath.ParseQuery(`//article[.contains("xml" and "streaming")]`)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	truth := mustParse(`//article[.contains("xml" and "streaming")]`)
 	relevant := map[string]bool{}
 	ans, err := d.Search(truth, flexpath.SearchOptions{K: 1 << 20})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	dieIf(err)
 	for _, a := range ans {
 		if a.Relaxations == 0 {
 			relevant[a.ID] = true
 		}
 	}
 	flexAll, err := d.Search(q, flexpath.SearchOptions{K: 1 << 20})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	dieIf(err)
 	strict := 0
 	for _, a := range flexAll {
 		if a.Relaxations == 0 && relevant[a.ID] {
@@ -408,153 +383,14 @@ func min(a, b int) int {
 // mustParse parses a workload query or dies.
 func mustParse(src string) *flexpath.Query {
 	q, err := flexpath.ParseQuery(src)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
+	dieIf(err)
 	return q
 }
 
-// countAllocs reports heap allocations per call of fn, averaged over
-// runs calls. It is the flexbench analogue of testing.B's allocs/op.
-func countAllocs(runs int, fn func()) float64 {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		fn()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
-
-// median times fn h.runs times and returns the median.
-func (h *harness) median(fn func()) time.Duration {
-	times := make([]time.Duration, h.runs)
-	for i := range times {
-		runtime.GC()
-		start := time.Now()
-		fn()
-		times[i] = time.Since(start)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2]
-}
-
-// renderAnswers serializes a ranking for byte-identity comparison.
-func renderAnswers(answers []flexpath.CollectionAnswer) string {
-	out := ""
-	for i, a := range answers {
-		out += fmt.Sprintf("%d|%s|%s|%.9f|%.9f|%d\n",
-			i, a.DocName, a.Path, a.Structural, a.Keyword, a.Relaxations)
-	}
-	return out
-}
-
-// figParallel is NOT a figure of the paper: it measures parallel
-// Collection.Search against sequential evaluation of the same corpus.
-// The merged rankings must be byte-identical.
-func (h *harness) figParallel() {
-	const nDocs = 8
-	mb := 0.5
-	if h.full {
-		mb = 2
-	}
-	h.header(20, fmt.Sprintf("extra: collection search, sequential vs %d workers (%d docs x %gMB, XQ2, K=50)",
-		runtime.GOMAXPROCS(0), nDocs, mb))
-	h.figName = "parallel"
-	coll := flexpath.NewCollection()
-	for i := 0; i < nDocs; i++ {
-		fmt.Fprintf(os.Stderr, "building document %d/%d...\n", i+1, nDocs)
-		tree, err := xmark.Build(xmark.Config{
-			TargetBytes: int64(mb * float64(1<<20)), Seed: h.seed + int64(i),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		if err := coll.Add(fmt.Sprintf("doc%02d.xml", i), flexpath.NewDocument(tree)); err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-	}
-	q := mustParse(xq2.query)
-	seqOpts := flexpath.SearchOptions{K: 50, Workers: 1, NoCache: true}
-	parOpts := flexpath.SearchOptions{K: 50, NoCache: true} // Workers: GOMAXPROCS
-	seqAns, err := coll.Search(q, seqOpts)                  // warm chains
+func dieIf(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexbench:", err)
 		os.Exit(1)
-	}
-	parAns, err := coll.Search(q, parOpts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
-	seqT := h.median(func() {
-		var err error
-		seqAns, err = coll.Search(q, seqOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-	})
-	parT := h.median(func() {
-		var err error
-		parAns, err = coll.Search(q, parOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-	})
-	identical := renderAnswers(seqAns) == renderAnswers(parAns)
-	h.row("docs", "seq_ms", "par_ms", "speedup", "workers", "identical")
-	h.row(nDocs, ms(seqT), ms(parT), ms(seqT)/ms(parT), runtime.GOMAXPROCS(0), identical)
-}
-
-// figObs is NOT a figure of the paper: it measures the cost of the
-// observability layer by running the same searches bare and with an
-// active span recording per-stage latency into a registry. Each timed
-// sample batches several searches so the clock resolution and scheduler
-// noise don't swamp the per-query delta; the acceptance bar for the
-// serving layer is overhead below 5%.
-func (h *harness) figObs() {
-	mb := 1.0
-	const batch = 20
-	h.header(21, fmt.Sprintf("extra: observability overhead (doc=%gMB, XQ2, K=50, %d searches/sample)", mb, batch))
-	h.figName = "obs"
-	d := h.doc(mb)
-	q := mustParse(xq2.query)
-	reg := obs.NewRegistry(128, 0)
-	h.row("algo", "bare_ms", "instr_ms", "overhead_pct")
-	for _, algo := range []flexpath.Algorithm{flexpath.Hybrid, flexpath.SSO, flexpath.DPO} {
-		opts := flexpath.SearchOptions{K: 50, Algorithm: algo, NoCache: true}
-		if _, err := d.Search(q, opts); err != nil { // warm the chain cache
-			fmt.Fprintln(os.Stderr, "flexbench:", err)
-			os.Exit(1)
-		}
-		bare := h.median(func() {
-			for i := 0; i < batch; i++ {
-				if _, err := d.SearchContext(context.Background(), q, opts); err != nil {
-					fmt.Fprintln(os.Stderr, "flexbench:", err)
-					os.Exit(1)
-				}
-			}
-		})
-		instr := h.median(func() {
-			for i := 0; i < batch; i++ {
-				span := reg.StartSpan(xq2.query, algo.String(), "structure-first", 50)
-				ctx := obs.WithSpan(context.Background(), span)
-				_, err := d.SearchContext(ctx, q, opts)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "flexbench:", err)
-					os.Exit(1)
-				}
-				span.Finish("ok")
-			}
-		})
-		h.row(algo.String(), ms(bare)/batch, ms(instr)/batch,
-			100*(float64(instr)-float64(bare))/float64(bare))
 	}
 }
 
@@ -590,87 +426,8 @@ func (h *harness) figAuto() {
 	}
 }
 
-// figJoins is NOT a figure of the paper: it profiles the columnar
-// block-at-a-time join kernels against their allocating wrappers on real
-// XMark tag lists, then shows what the scratch arena buys a template-hit
-// search end to end. The arena rows should report ~0 allocs/op once the
-// arena chunk is warm; the search rows isolate the execution-dominated
-// regime (plan template warmed, result cache bypassed) where the
-// columnar core is the whole story.
-func (h *harness) figJoins() {
-	h.header(25, "extra: columnar join kernels, allocating wrapper vs arena (2MB XMark tag lists)")
-	h.figName = "joins"
-	tree, err := xmark.Build(xmark.Config{TargetBytes: 2 << 20, Seed: h.seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexbench:", err)
-		os.Exit(1)
-	}
-	items := tree.NodesWithTag("item")
-	descs := tree.NodesWithTag("description")
-	keywords := tree.NodesWithTag("keyword")
-	kernels := []struct {
-		name         string
-		batch        func(*xmltree.Document, []xmltree.NodeID, []xmltree.NodeID) []xmltree.NodeID
-		into         func(*exec.Arena, []xmltree.NodeID, *xmltree.Document, []xmltree.NodeID, []xmltree.NodeID) []xmltree.NodeID
-		outer, inner []xmltree.NodeID
-	}{
-		{"HasDescendant", exec.SemiJoinHasDescendant, exec.SemiJoinHasDescendantInto, items, keywords},
-		{"HasChild", exec.SemiJoinHasChild, exec.SemiJoinHasChildInto, items, descs},
-		{"DescendantOf", exec.SemiJoinDescendantOf, exec.SemiJoinDescendantOfInto, keywords, items},
-		{"ChildOf", exec.SemiJoinChildOf, exec.SemiJoinChildOfInto, descs, items},
-	}
-	const reps = 50 // calls per timed sample; kernels run in microseconds
-	usPer := func(d time.Duration) float64 { return float64(d) / float64(reps) / 1e3 }
-	a := exec.NewArena()
-	h.row("kernel", "alloc_us", "arena_us", "speedup", "alloc_allocs", "arena_allocs")
-	for _, kc := range kernels {
-		kc := kc
-		allocRun := func() {
-			for i := 0; i < reps; i++ {
-				kc.batch(tree, kc.outer, kc.inner)
-			}
-		}
-		arenaRun := func() {
-			for i := 0; i < reps; i++ {
-				a.Reset()
-				kc.into(a, a.Nodes(len(kc.outer)), tree, kc.outer, kc.inner)
-			}
-		}
-		allocRun() // warm-up
-		arenaRun() // ...and warm the arena chunk
-		at := h.median(allocRun)
-		bt := h.median(arenaRun)
-		aAllocs := countAllocs(200, func() { kc.batch(tree, kc.outer, kc.inner) })
-		bAllocs := countAllocs(200, func() {
-			a.Reset()
-			kc.into(a, a.Nodes(len(kc.outer)), tree, kc.outer, kc.inner)
-		})
-		h.row(kc.name, usPer(at), usPer(bt), float64(at)/float64(bt), aAllocs, bAllocs)
-	}
-	// Template-hit searches on the same document: the plan template is
-	// warmed and the result cache bypassed, so both time and allocations
-	// are dominated by the join kernels and the per-search arena.
-	d := flexpath.NewDocument(tree)
-	h.row("query", "K", "hit_ms", "hit_allocs")
-	for _, w := range []workload{xq1, xq2} {
-		q := mustParse(w.query)
-		for _, k := range []int{100, 400} {
-			opts := flexpath.SearchOptions{K: k, Algorithm: flexpath.Hybrid, NoCache: true}
-			run := func() {
-				if _, err := d.Search(q, opts); err != nil {
-					fmt.Fprintln(os.Stderr, "flexbench:", err)
-					os.Exit(1)
-				}
-			}
-			run() // prime the plan template
-			t := h.median(run)
-			h.row(w.name, k, ms(t), countAllocs(h.runs, run))
-		}
-	}
-}
-
 func main() {
-	fig := flag.String("fig", "all", "figure to run: 9..18, parallel, obs, auto, joins, or all")
+	fig := flag.String("fig", "all", "figure to run: 9..18, auto, or all")
 	full := flag.Bool("full", false, "use the paper's document sizes (1-100 MB); slow")
 	runs := flag.Int("runs", 3, "timed runs per point (median reported)")
 	csv := flag.Bool("csv", false, "CSV output")
@@ -686,28 +443,18 @@ func main() {
 		13: h.fig13, 14: h.fig14, 15: h.fig15, 16: h.fig16,
 		17: h.fig17, 18: h.fig18,
 	}
-	named := map[string]func(){
-		"parallel": h.figParallel,
-		"obs":      h.figObs,
-		"auto":     h.figAuto,
-		"joins":    h.figJoins,
-	}
-	switch {
-	case *fig == "all":
+	switch *fig {
+	case "all":
 		for i := 9; i <= 18; i++ {
 			figs[i]()
 		}
-		h.figParallel()
-		h.figObs()
 		h.figAuto()
-		h.figJoins()
-	case named[*fig] != nil:
-		named[*fig]()
+	case "auto":
+		h.figAuto()
 	default:
 		n, err := strconv.Atoi(*fig)
 		if err != nil || figs[n] == nil {
-			fmt.Fprintf(os.Stderr,
-				"flexbench: unknown figure %q (want 9..18, parallel, obs, auto, joins, or all)\n", *fig)
+			fmt.Fprintf(os.Stderr, "flexbench: unknown figure %q (want 9..18, auto, or all)\n", *fig)
 			os.Exit(2)
 		}
 		figs[n]()

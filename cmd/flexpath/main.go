@@ -11,7 +11,8 @@
 //	flexpath -doc data.xml -i                         # interactive shell
 //
 // -doc accepts XML files and FXP3 snapshots produced by -save-fxp3 or
-// xmarkgen -fxp3 (detected by magic; legacy FXP2 snapshots still load).
+// xmarkgen -fxp3 (detected by magic; an FXP2 snapshot of an older release
+// is refused: regenerate it from XML).
 //
 // -save-fxp3 PATH converts the loaded document into an FXP3 snapshot —
 // the mmap-friendly layout flexserve can serve cold — and exits:
@@ -21,7 +22,7 @@
 // The interactive shell accepts a query per line plus commands:
 //
 //	\k N           set top-K
-//	\algo NAME     auto | dpo | sso | hybrid | datarelax
+//	\algo NAME     auto | dpo | sso | hybrid
 //	\scheme NAME   structure-first | keyword-first | combined
 //	\explain Q     print the relaxation chain of Q
 //	\plan Q        print the evaluation plan of Q
@@ -30,6 +31,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -59,7 +61,7 @@ func main() {
 	docPath := flag.String("doc", "", "XML document to query (required)")
 	queryStr := flag.String("query", "", "tree pattern query")
 	k := flag.Int("k", 10, "number of answers")
-	algoStr := flag.String("algo", "auto", "algorithm: auto (cost-based), dpo, sso, hybrid, or datarelax")
+	algoStr := flag.String("algo", "auto", "algorithm: auto (cost-based), dpo, sso, or hybrid")
 	schemeStr := flag.String("scheme", "structure-first", "ranking scheme: structure-first, keyword-first, combined")
 	explain := flag.Bool("explain", false, "print the relaxation chain instead of searching")
 	plan := flag.Bool("plan", false, "print the evaluation plan instead of searching")
@@ -233,7 +235,7 @@ func (s *session) explain(src string) error {
 	if err != nil {
 		return err
 	}
-	steps, err := s.doc.Relaxations(q)
+	steps, err := s.doc.Relaxations(context.Background(), q, flexpath.SearchOptions{})
 	if err != nil {
 		return err
 	}
@@ -250,7 +252,7 @@ func (s *session) plan(src string) error {
 	if err != nil {
 		return err
 	}
-	out, err := s.doc.ExplainPlan(q, flexpath.SearchOptions{K: s.k, Algorithm: s.algo, Scheme: s.scheme})
+	out, err := s.doc.ExplainPlan(context.Background(), q, flexpath.SearchOptions{K: s.k, Algorithm: s.algo, Scheme: s.scheme})
 	if err != nil {
 		return err
 	}
@@ -263,7 +265,7 @@ func (s *session) analyze(src string) error {
 	if err != nil {
 		return err
 	}
-	out, err := s.doc.AnalyzePlan(q, flexpath.SearchOptions{K: s.k, Scheme: s.scheme})
+	out, err := s.doc.AnalyzePlan(context.Background(), q, flexpath.SearchOptions{K: s.k, Scheme: s.scheme})
 	if err != nil {
 		return err
 	}

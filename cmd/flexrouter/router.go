@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flexpath"
 	"flexpath/internal/chash"
 	"flexpath/internal/merge"
 	"flexpath/internal/obs"
@@ -24,11 +23,7 @@ import (
 	"flexpath/internal/serveutil"
 )
 
-// Request-shaping bounds, mirroring flexserve's (the router validates
-// before fanning out so a bad request costs zero shard traffic).
 const (
-	maxK      = 1000
-	maxOffset = 10000
 	// maxShardBody bounds one shard's decoded /search or /stats response.
 	maxShardBody = 32 << 20
 	// maxAdminBody bounds a proxied /admin document upload, matching the
@@ -124,134 +119,63 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if p := recover(); p != nil {
 			rt.met.panics.Add(1)
 			log.Printf("flexrouter: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal server error"})
+			serveutil.WriteJSON(w, http.StatusInternalServerError, serveutil.ErrorBody{Error: "internal server error"})
 		}
 	}()
 	rt.mux.ServeHTTP(w, r)
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about write errors here
-}
-
-// shardAnswer mirrors flexserve's searchAnswer JSON field-for-field, so
-// an answer decoded from a shard and re-encoded by the router is
-// byte-identical to the shard's own rendering (Go's float64 JSON
-// round-trip is exact).
-type shardAnswer struct {
-	Rank        int      `json:"rank"`
-	Doc         string   `json:"doc"`
-	Path        string   `json:"path"`
-	ID          string   `json:"id,omitempty"`
-	Structural  float64  `json:"structural"`
-	Keyword     float64  `json:"keyword"`
-	Relaxations int      `json:"relaxations"`
-	Relaxed     []string `json:"relaxed,omitempty"`
-	Snippet     string   `json:"snippet,omitempty"`
-}
-
-// shardResponse is the subset of flexserve's search response the router
-// consumes.
-type shardResponse struct {
-	Query      string        `json:"query"`
-	Algo       string        `json:"algo"`
-	AlgoReason string        `json:"algo_reason"`
-	Answers    []shardAnswer `json:"answers"`
-}
-
-// routerResponse is flexserve's search response shape extended with the
+// routerResponse is flexserve's search response extended with the
 // partial-result fields. shards_ok < shards_total (equivalently
 // "partial": true) marks a ranking merged from a degraded fleet.
 type routerResponse struct {
-	Query       string        `json:"query"`
-	Algo        string        `json:"algo,omitempty"`
-	AlgoReason  string        `json:"algo_reason,omitempty"`
-	Answers     []shardAnswer `json:"answers"`
-	ElapsedMS   float64       `json:"elapsed_ms"`
-	ShardsOK    int           `json:"shards_ok"`
-	ShardsTotal int           `json:"shards_total"`
-	Partial     bool          `json:"partial,omitempty"`
-	ShardErrors []string      `json:"shard_errors,omitempty"`
+	serveutil.SearchResponse
+	ShardsOK    int      `json:"shards_ok"`
+	ShardsTotal int      `json:"shards_total"`
+	Partial     bool     `json:"partial,omitempty"`
+	ShardErrors []string `json:"shard_errors,omitempty"`
 }
 
 func (rt *router) badRequest(w http.ResponseWriter, msg string) {
 	rt.met.badRequest.Add(1)
-	writeJSON(w, http.StatusBadRequest, errorBody{Error: msg})
+	serveutil.WriteJSON(w, http.StatusBadRequest, serveutil.ErrorBody{Error: msg})
 }
 
 func (rt *router) search(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	// The shards' own request rules, checked before fanning out, so a
+	// request a shard would reject costs no shard traffic.
 	qs := r.URL.Query()
-	src := qs.Get("q")
-	if src == "" {
-		rt.badRequest(w, "missing q parameter")
-		return
-	}
-	q, err := flexpath.ParseQuery(src)
+	req, err := serveutil.ParseSearch(qs)
 	if err != nil {
 		rt.badRequest(w, err.Error())
 		return
 	}
-	k := 10
-	if ks := qs.Get("k"); ks != "" {
-		if k, err = strconv.Atoi(ks); err != nil || k < 1 || k > maxK {
-			rt.badRequest(w, "k must be an integer between 1 and 1000")
-			return
-		}
-	}
-	offset := 0
-	if os := qs.Get("offset"); os != "" {
-		if offset, err = strconv.Atoi(os); err != nil || offset < 0 || offset > maxOffset {
-			rt.badRequest(w, "offset must be an integer between 0 and 10000")
-			return
-		}
-	}
-	scheme := rank.StructureFirst
-	if ss := qs.Get("scheme"); ss != "" {
-		if scheme, err = rank.ParseScheme(ss); err != nil {
-			rt.badRequest(w, err.Error())
-			return
-		}
-	}
-	if as := qs.Get("algo"); as != "" {
-		if _, err := flexpath.ParseAlgorithm(as); err != nil {
-			rt.badRequest(w, err.Error())
-			return
-		}
-	}
-	for _, p := range []string{"ws", "wc"} {
-		if v := qs.Get(p); v != "" {
-			if _, ok := serveutil.ParseWeight(v); !ok {
-				rt.badRequest(w, "ws and wc must be positive numbers")
-				return
-			}
-		}
-	}
+	k, offset := req.Opts.K, req.Opts.Offset
+	// String always names a scheme, so the parse cannot fail.
+	scheme, _ := rank.ParseScheme(req.Opts.Scheme.String())
 
 	// The per-shard K+Offset trick: a globally-skipped answer may rank
 	// anywhere within one shard, so every shard must return its full top
 	// K+Offset and the offset is applied exactly once after the merge.
 	// No offset parameter is forwarded.
 	shardQ := url.Values{}
-	shardQ.Set("q", src)
+	shardQ.Set("q", qs.Get("q"))
 	shardQ.Set("k", strconv.Itoa(k+offset))
 	for _, p := range []string{"algo", "scheme", "ws", "wc", "why", "snippet"} {
 		if v := qs.Get(p); v != "" {
 			shardQ.Set(p, v)
 		}
 	}
+	// The forwarded k is K+Offset, which the shards bound like any k.
+	if _, err := serveutil.ParseSearch(shardQ); err != nil {
+		rt.badRequest(w, "k+offset is the k sent to shards: "+err.Error())
+		return
+	}
 	results := rt.scatter(r.Context(), "/search?"+shardQ.Encode())
 
 	type mergeItem struct {
-		a   shardAnswer
+		a   serveutil.Answer
 		key merge.Key
 	}
 	var items []mergeItem
@@ -289,24 +213,26 @@ func (rt *router) search(w http.ResponseWriter, r *http.Request) {
 	}
 	if shardsOK == 0 {
 		rt.met.failed.Add(1)
-		writeJSON(w, http.StatusBadGateway, errorBody{
+		serveutil.WriteJSON(w, http.StatusBadGateway, serveutil.ErrorBody{
 			Error: "all shards failed: " + joinErrs(shardErrs),
 		})
 		return
 	}
 	merge.Sort(items, func(it mergeItem) merge.Key { return it.key }, scheme)
 	items = merge.Page(items, k, offset)
-	answers := make([]shardAnswer, 0, len(items))
+	answers := make([]serveutil.Answer, 0, len(items))
 	for i, it := range items {
 		it.a.Rank = i + 1
 		answers = append(answers, it.a)
 	}
 	resp := routerResponse{
-		Query:       q.String(),
-		Algo:        algo,
-		AlgoReason:  algoReason,
-		Answers:     answers,
-		ElapsedMS:   float64(time.Since(start)) / 1e6,
+		SearchResponse: serveutil.SearchResponse{
+			Query:      req.Query.String(),
+			Algo:       algo,
+			AlgoReason: algoReason,
+			Answers:    answers,
+			ElapsedMS:  float64(time.Since(start)) / 1e6,
+		},
 		ShardsOK:    shardsOK,
 		ShardsTotal: len(rt.shards),
 	}
@@ -317,7 +243,7 @@ func (rt *router) search(w http.ResponseWriter, r *http.Request) {
 	} else {
 		rt.met.ok.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
 func joinErrs(errs []string) string {
@@ -332,7 +258,7 @@ func joinErrs(errs []string) string {
 }
 
 type shardResult struct {
-	resp *shardResponse
+	resp *serveutil.SearchResponse
 	err  error
 }
 
@@ -421,7 +347,7 @@ func sleepJittered(ctx context.Context, d time.Duration) error {
 }
 
 // doSearch issues one GET and decodes the shard's search response.
-func (rt *router) doSearch(ctx context.Context, url string) (*shardResponse, error) {
+func (rt *router) doSearch(ctx context.Context, url string) (*serveutil.SearchResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
@@ -438,7 +364,7 @@ func (rt *router) doSearch(ctx context.Context, url string) (*shardResponse, err
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shard status %d: %s", resp.StatusCode, compactErr(body))
 	}
-	var sr shardResponse
+	var sr serveutil.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		return nil, fmt.Errorf("bad shard response: %w", err)
 	}
@@ -447,7 +373,7 @@ func (rt *router) doSearch(ctx context.Context, url string) (*shardResponse, err
 
 // compactErr extracts a shard error body's message for diagnostics.
 func compactErr(body []byte) string {
-	var eb errorBody
+	var eb serveutil.ErrorBody
 	if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
 		return eb.Error
 	}
@@ -464,7 +390,7 @@ func (rt *router) admin(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
+			serveutil.WriteJSON(w, http.StatusMethodNotAllowed, serveutil.ErrorBody{Error: "POST required"})
 			return
 		}
 		name := r.URL.Query().Get("name")
@@ -477,13 +403,13 @@ func (rt *router) admin(op string) http.HandlerFunc {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 			owner+"/admin/"+op+"?name="+url.QueryEscape(name), body)
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+			serveutil.WriteJSON(w, http.StatusInternalServerError, serveutil.ErrorBody{Error: err.Error()})
 			return
 		}
 		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 		resp, err := rt.client.Do(req)
 		if err != nil {
-			writeJSON(w, http.StatusBadGateway, errorBody{Error: owner + ": " + err.Error()})
+			serveutil.WriteJSON(w, http.StatusBadGateway, serveutil.ErrorBody{Error: owner + ": " + err.Error()})
 			return
 		}
 		defer resp.Body.Close()
@@ -562,7 +488,7 @@ func (rt *router) stats(w http.ResponseWriter, r *http.Request) {
 			out.Elements += row.Elements
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	serveutil.WriteJSON(w, http.StatusOK, out)
 }
 
 // metrics renders the flexpath_router_* families in the Prometheus text

@@ -22,9 +22,9 @@ import (
 
 // testShard serves flexserve's /search contract over a real
 // flexpath.Collection (cmd/flexserve is package main, so its handler
-// cannot be imported; this mirrors its parameter handling and answer
-// encoding). It records every request's query values for propagation
-// assertions.
+// cannot be imported; this one shares its request rules and answer
+// encoding through serveutil). It records every request's query values
+// for propagation assertions.
 type testShard struct {
 	coll *flexpath.Collection
 	mu   sync.Mutex
@@ -46,62 +46,27 @@ func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.reqs = append(s.reqs, qs)
 	s.mu.Unlock()
-	q, err := flexpath.ParseQuery(qs.Get("q"))
+	req, err := serveutil.ParseSearch(qs)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		serveutil.WriteJSON(w, http.StatusBadRequest, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
-	opts := flexpath.SearchOptions{K: 10}
-	if ks := qs.Get("k"); ks != "" {
-		opts.K, _ = strconv.Atoi(ks)
-	}
-	if os := qs.Get("offset"); os != "" {
-		opts.Offset, _ = strconv.Atoi(os)
-	}
-	if as := qs.Get("algo"); as != "" {
-		opts.Algorithm, _ = flexpath.ParseAlgorithm(as)
-	}
-	if ss := qs.Get("scheme"); ss != "" {
-		opts.Scheme, _ = flexpath.ParseScheme(ss)
-	}
-	opts.Weights.Structural, _ = serveutil.ParseWeight(qs.Get("ws"))
-	opts.Weights.Contains, _ = serveutil.ParseWeight(qs.Get("wc"))
 	var m flexpath.Metrics
-	opts.Metrics = &m
-	answers, err := s.coll.Search(q, opts)
+	req.Opts.Metrics = &m
+	answers, err := s.coll.Search(req.Query, req.Opts)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		serveutil.WriteJSON(w, http.StatusInternalServerError, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
-	snippet := 0
-	if ss := qs.Get("snippet"); ss != "" {
-		snippet, _ = strconv.Atoi(ss)
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Query   string        `json:"query"`
-		Algo    string        `json:"algo,omitempty"`
-		Answers []shardAnswer `json:"answers"`
-	}{q.String(), m.Algorithm, encodeAnswers(answers, qs.Get("why") == "1", snippet)})
+	serveutil.WriteJSON(w, http.StatusOK, serveutil.SearchResponse{
+		Query: req.Query.String(), Algo: m.Algorithm, Answers: req.Answers(answers),
+	})
 }
 
 // encodeAnswers renders collection answers exactly like flexserve's
 // search handler does.
-func encodeAnswers(answers []flexpath.CollectionAnswer, why bool, snippet int) []shardAnswer {
-	out := make([]shardAnswer, 0, len(answers))
-	for i, a := range answers {
-		sa := shardAnswer{
-			Rank: i + 1, Doc: a.DocName, Path: a.Path, ID: a.ID,
-			Structural: a.Structural, Keyword: a.Keyword, Relaxations: a.Relaxations,
-		}
-		if why {
-			sa.Relaxed = a.Relaxed
-		}
-		if snippet > 0 {
-			sa.Snippet = a.Snippet(snippet)
-		}
-		out = append(out, sa)
-	}
-	return out
+func encodeAnswers(answers []flexpath.CollectionAnswer, why bool, snippet int) []serveutil.Answer {
+	return serveutil.Search{Why: why, Snippet: snippet}.Answers(answers)
 }
 
 // corpusDoc builds one article document's XML; shape varies with kind so
@@ -228,7 +193,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		{10, 3, "combined", false, 0, 0, 0},
 		{100, 0, "", true, 32, 0, 0},
 		{2, 7, "", false, 0, 0, 0},
-		{4, 1000, "", false, 0, 0, 0}, // offset past the end: both sides empty
+		{4, 990, "", false, 0, 0, 0}, // offset past the end: both sides empty
 		// Weighted: the router must forward ws/wc, or the shards rank
 		// with unit weights.
 		{10, 0, "", true, 0, 3, 0},
@@ -394,6 +359,18 @@ func TestRouterKOffsetPropagation(t *testing.T) {
 			t.Errorf("shard %d was sent offset=%s; the offset must be applied once, post-merge", si, last.Get("offset"))
 		}
 	}
+
+	// K+Offset is the shards' k, so it is bounded like one: past the
+	// bound the router answers 400 itself instead of fanning out a
+	// request every shard would refuse.
+	sent := len(f.shards[0].requests())
+	resp, body = getJSON(t, f.srv.URL+"/search?q="+escape(corpusQuery)+"&k=4&offset=1000", nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "k+offset") {
+		t.Errorf("k=4&offset=1000: status %d, want 400 naming k+offset: %s", resp.StatusCode, body)
+	}
+	if n := len(f.shards[0].requests()); n != sent {
+		t.Errorf("an over-bound k+offset reached the shards")
+	}
 }
 
 // A failed shard must degrade the response, not the request: HTTP 200,
@@ -404,7 +381,7 @@ func TestRouterPartialResultOnFailedShard(t *testing.T) {
 	names := sortedNames(docs)
 
 	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "shard exploded"})
+		serveutil.WriteJSON(w, http.StatusInternalServerError, serveutil.ErrorBody{Error: "shard exploded"})
 	}))
 	defer failing.Close()
 	good0 := &testShard{coll: flexpath.NewCollection()}
@@ -484,7 +461,7 @@ func TestRouterShardDeadline(t *testing.T) {
 		case <-r.Context().Done():
 			return
 		}
-		writeJSON(w, http.StatusOK, shardResponse{Answers: []shardAnswer{}})
+		serveutil.WriteJSON(w, http.StatusOK, serveutil.SearchResponse{Answers: []serveutil.Answer{}})
 	}))
 	defer slow.Close()
 	good := &testShard{coll: flexpath.NewCollection()}
@@ -594,7 +571,7 @@ func TestRouterAdminRoutesByOwner(t *testing.T) {
 			mu.Lock()
 			hits[i] = append(hits[i], hit{r.URL.Path, r.URL.Query().Get("name")})
 			mu.Unlock()
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			serveutil.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		}))
 		defer srv.Close()
 		urls = append(urls, srv.URL)
@@ -682,7 +659,7 @@ func TestRouterStats(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]int{"documents": 4, "elements": 40})
+		serveutil.WriteJSON(w, http.StatusOK, map[string]int{"documents": 4, "elements": 40})
 	}))
 	defer statsSrv.Close()
 	dead := httptest.NewServer(http.NotFoundHandler())

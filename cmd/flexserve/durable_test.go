@@ -12,6 +12,7 @@ import (
 
 	"flexpath"
 	"flexpath/internal/obs"
+	"flexpath/internal/serveutil"
 )
 
 // durableServer builds a handler over a WAL-backed collection in dir and
@@ -188,7 +189,7 @@ func TestDurableAdminRecovery(t *testing.T) {
 	_, got := get(t, fmt.Sprintf("%s/search?q=%s&k=10", srv2.URL, escape(serveQuery)))
 	// Byte-identical ranking: compare the answer payloads (the response's
 	// elapsed_ms is wall time and naturally differs).
-	var wantResp, gotResp searchResponse
+	var wantResp, gotResp serveutil.SearchResponse
 	if err := json.Unmarshal(want, &wantResp); err != nil {
 		t.Fatal(err)
 	}

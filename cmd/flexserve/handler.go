@@ -146,7 +146,7 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			log.Printf("flexserve: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
 			// Best effort: if the handler already wrote headers this is a
 			// no-op and the client sees a truncated response.
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal server error"})
+			serveutil.WriteJSON(w, http.StatusInternalServerError, serveutil.ErrorBody{Error: "internal server error"})
 		}
 	}()
 	h.mux.ServeHTTP(w, r)
@@ -167,8 +167,8 @@ func (h *handler) limited(next http.HandlerFunc) http.HandlerFunc {
 			default:
 				h.srv.shed.Add(1)
 				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable,
-					errorBody{Error: "server overloaded: max in-flight queries reached, retry later"})
+				serveutil.WriteJSON(w, http.StatusServiceUnavailable,
+					serveutil.ErrorBody{Error: "server overloaded: max in-flight queries reached, retry later"})
 				return
 			}
 		}
@@ -178,20 +178,8 @@ func (h *handler) limited(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about write errors here
-}
-
 func badRequest(w http.ResponseWriter, msg string) {
-	writeJSON(w, http.StatusBadRequest, errorBody{Error: msg})
+	serveutil.WriteJSON(w, http.StatusBadRequest, serveutil.ErrorBody{Error: msg})
 }
 
 // requestContext applies the configured per-request evaluation timeout.
@@ -217,123 +205,15 @@ func searchStatus(err error) (int, string) {
 	}
 }
 
-// parseCommon extracts query, K, algorithm and scheme parameters.
-func parseCommon(r *http.Request) (*flexpath.Query, flexpath.SearchOptions, error) {
-	src := r.URL.Query().Get("q")
-	if src == "" {
-		return nil, flexpath.SearchOptions{}, errMissingQuery
-	}
-	q, err := flexpath.ParseQuery(src)
-	if err != nil {
-		return nil, flexpath.SearchOptions{}, err
-	}
-	opts := flexpath.SearchOptions{K: 10}
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		// Clamp K: an unbounded k lets one request materialize an
-		// arbitrarily large answer set.
-		k, err := strconv.Atoi(ks)
-		if err != nil || k < 1 || k > maxK {
-			return nil, opts, errBadK
-		}
-		opts.K = k
-	}
-	if os := r.URL.Query().Get("offset"); os != "" {
-		// Offset is clamped too: each member document materializes its
-		// top K+Offset answers, so offset bounds per-request work just
-		// like k does.
-		o, err := strconv.Atoi(os)
-		if err != nil || o < 0 || o > maxOffset {
-			return nil, opts, errBadOffset
-		}
-		opts.Offset = o
-	}
-	if a := r.URL.Query().Get("algo"); a != "" {
-		algo, err := flexpath.ParseAlgorithm(a)
-		if err != nil {
-			return nil, opts, err
-		}
-		opts.Algorithm = algo
-	}
-	if s := r.URL.Query().Get("scheme"); s != "" {
-		scheme, err := flexpath.ParseScheme(s)
-		if err != nil {
-			return nil, opts, err
-		}
-		opts.Scheme = scheme
-	}
-	// ws/wc set the structural and contains predicate weights; absent
-	// parameters keep the library default (uniform unit weights).
-	var ok bool
-	if ws := r.URL.Query().Get("ws"); ws != "" {
-		if opts.Weights.Structural, ok = serveutil.ParseWeight(ws); !ok {
-			return nil, opts, errBadWeight
-		}
-	}
-	if wc := r.URL.Query().Get("wc"); wc != "" {
-		if opts.Weights.Contains, ok = serveutil.ParseWeight(wc); !ok {
-			return nil, opts, errBadWeight
-		}
-	}
-	return q, opts, nil
-}
-
-// maxK bounds the k parameter of one request; maxOffset bounds how deep
-// pagination may reach into the ranking.
-const (
-	maxK      = 1000
-	maxOffset = 10000
-)
-
-var (
-	errMissingQuery = jsonError("missing q parameter")
-	errBadK         = jsonError("k must be an integer between 1 and 1000")
-	errBadOffset    = jsonError("offset must be an integer between 0 and 10000")
-	errBadWeight    = jsonError("ws and wc must be positive numbers")
-)
-
-type jsonError string
-
-func (e jsonError) Error() string { return string(e) }
-
-type searchAnswer struct {
-	Rank        int      `json:"rank"`
-	Doc         string   `json:"doc"`
-	Path        string   `json:"path"`
-	ID          string   `json:"id,omitempty"`
-	Structural  float64  `json:"structural"`
-	Keyword     float64  `json:"keyword"`
-	Relaxations int      `json:"relaxations"`
-	Relaxed     []string `json:"relaxed,omitempty"`
-	Snippet     string   `json:"snippet,omitempty"`
-}
-
-type searchResponse struct {
-	Query string `json:"query"`
-	// Algo names the algorithm that evaluated the search: the planner's
-	// per-query choice under the default Auto mode (or "mixed" when
-	// member documents chose differently), the requested algorithm
-	// otherwise. AlgoReason carries the planner's explanation.
-	Algo       string         `json:"algo,omitempty"`
-	AlgoReason string         `json:"algo_reason,omitempty"`
-	Answers    []searchAnswer `json:"answers"`
-	ElapsedMS  float64        `json:"elapsed_ms"`
-}
-
 func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 	tParse := time.Now()
-	q, opts, err := parseCommon(r)
+	req, err := serveutil.ParseSearch(r.URL.Query())
 	parseDur := time.Since(tParse)
 	if err != nil {
 		badRequest(w, err.Error())
 		return
 	}
-	withWhy := r.URL.Query().Get("why") == "1"
-	snippet := 0
-	if ss := r.URL.Query().Get("snippet"); ss != "" {
-		if n, err := strconv.Atoi(ss); err == nil && n > 0 && n <= 4096 {
-			snippet = n
-		}
-	}
+	q, opts := req.Query, req.Opts
 	// The request context carries client disconnects; the configured
 	// timeout turns runaway evaluations into 504s instead of holding a
 	// worker goroutine for an unbounded join. The span rides the same
@@ -351,30 +231,16 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 	status, spanStatus := searchStatus(err)
 	span.Finish(spanStatus)
 	if err != nil {
-		writeJSON(w, status, errorBody{Error: err.Error()})
+		serveutil.WriteJSON(w, status, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
-	resp := searchResponse{
+	serveutil.WriteJSON(w, http.StatusOK, serveutil.SearchResponse{
 		Query:      q.String(),
 		Algo:       m.Algorithm,
 		AlgoReason: m.AlgoReason,
 		ElapsedMS:  float64(time.Since(start)) / 1e6,
-		Answers:    make([]searchAnswer, 0, len(answers)),
-	}
-	for i, a := range answers {
-		sa := searchAnswer{
-			Rank: i + 1, Doc: a.DocName, Path: a.Path, ID: a.ID,
-			Structural: a.Structural, Keyword: a.Keyword, Relaxations: a.Relaxations,
-		}
-		if withWhy {
-			sa.Relaxed = a.Relaxed
-		}
-		if snippet > 0 {
-			sa.Snippet = a.Snippet(snippet)
-		}
-		resp.Answers = append(resp.Answers, sa)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Answers:    req.Answers(answers),
+	})
 }
 
 type relaxationsResponse struct {
@@ -386,10 +252,10 @@ type relaxationsResponse struct {
 }
 
 func (h *handler) relaxations(w http.ResponseWriter, r *http.Request) {
-	// parseCommon, not a bespoke parser: /relaxations accepts the same
+	// ParseSearch, not a bespoke parser: /relaxations accepts the same
 	// parameters /search does, so the chain it reports (weighted
 	// penalties included) is the chain that search evaluates.
-	q, opts, err := parseCommon(r)
+	req, err := serveutil.ParseSearch(r.URL.Query())
 	if err != nil {
 		badRequest(w, err.Error())
 		return
@@ -399,17 +265,16 @@ func (h *handler) relaxations(w http.ResponseWriter, r *http.Request) {
 	// hold this worker past the deadline.
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
-	ropts := flexpath.RelaxationsOpts{Weights: opts.Weights, Hierarchy: opts.Hierarchy}
-	resp := relaxationsResponse{Query: q.String()}
+	resp := relaxationsResponse{Query: req.Query.String()}
 	if h.eachDoc(w, func(name string, doc *flexpath.Document) error {
-		steps, err := doc.RelaxationsWithContext(ctx, q, ropts)
+		steps, err := doc.Relaxations(ctx, req.Query, req.Opts)
 		resp.Docs = append(resp.Docs, struct {
 			Doc   string                    `json:"doc"`
 			Steps []flexpath.RelaxationStep `json:"steps"`
 		}{Doc: name, Steps: steps})
 		return err
 	}) {
-		writeJSON(w, http.StatusOK, resp)
+		serveutil.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -424,12 +289,12 @@ func (h *handler) eachDoc(w http.ResponseWriter, fn func(name string, doc *flexp
 			if !h.coll.Has(name) {
 				continue
 			}
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("flexpath: document %q: unavailable (fault-in failed)", name)})
+			serveutil.WriteJSON(w, http.StatusInternalServerError, serveutil.ErrorBody{Error: fmt.Sprintf("flexpath: document %q: unavailable (fault-in failed)", name)})
 			return false
 		}
 		if err := fn(name, doc); err != nil {
 			status, _ := searchStatus(err)
-			writeJSON(w, status, errorBody{Error: err.Error()})
+			serveutil.WriteJSON(w, status, serveutil.ErrorBody{Error: err.Error()})
 			return false
 		}
 	}
@@ -437,7 +302,7 @@ func (h *handler) eachDoc(w http.ResponseWriter, fn func(name string, doc *flexp
 }
 
 func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
-	q, opts, err := parseCommon(r)
+	req, err := serveutil.ParseSearch(r.URL.Query())
 	if err != nil {
 		badRequest(w, err.Error())
 		return
@@ -450,11 +315,11 @@ func (h *handler) plan(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []planDoc
 	if h.eachDoc(w, func(name string, doc *flexpath.Document) error {
-		p, err := doc.ExplainPlanContext(ctx, q, opts)
+		p, err := doc.ExplainPlan(ctx, req.Query, req.Opts)
 		out = append(out, planDoc{Doc: name, Plan: p})
 		return err
 	}) {
-		writeJSON(w, http.StatusOK, out)
+		serveutil.WriteJSON(w, http.StatusOK, out)
 	}
 }
 
@@ -507,7 +372,7 @@ func (h *handler) stats(w http.ResponseWriter, _ *http.Request) {
 	}
 	resp.FTCache = h.coll.FullTextCacheStats()
 	resp.Planner = h.coll.PlannerStats()
-	writeJSON(w, http.StatusOK, resp)
+	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
 // metrics serves the Prometheus text exposition: the registry's query
@@ -757,7 +622,7 @@ func (h *handler) slowlog(w http.ResponseWriter, r *http.Request) {
 			TotalMS: float64(s.Sum) / 1e6,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
 // maxAdminBody bounds an /admin/add or /admin/replace document upload.
@@ -776,7 +641,7 @@ type adminResponse struct {
 func adminName(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
+		serveutil.WriteJSON(w, http.StatusMethodNotAllowed, serveutil.ErrorBody{Error: "POST required"})
 		return "", false
 	}
 	name := r.URL.Query().Get("name")
@@ -825,7 +690,7 @@ func durableStatus(err error) int {
 }
 
 func (h *handler) adminOK(w http.ResponseWriter, name string) {
-	writeJSON(w, http.StatusOK, adminResponse{
+	serveutil.WriteJSON(w, http.StatusOK, adminResponse{
 		Status: "ok", Name: name,
 		Documents: h.coll.Len(), Elements: h.coll.Nodes(),
 	})
@@ -843,7 +708,7 @@ func (h *handler) adminAdd(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := h.dur.Add(name, body); err != nil {
-			writeJSON(w, durableStatus(err), errorBody{Error: err.Error()})
+			serveutil.WriteJSON(w, durableStatus(err), serveutil.ErrorBody{Error: err.Error()})
 			return
 		}
 		h.adminOK(w, name)
@@ -854,7 +719,7 @@ func (h *handler) adminAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.coll.Add(name, doc); err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		serveutil.WriteJSON(w, http.StatusConflict, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
 	h.adminOK(w, name)
@@ -868,14 +733,14 @@ func (h *handler) adminRemove(w http.ResponseWriter, r *http.Request) {
 	}
 	if h.dur != nil {
 		if err := h.dur.Remove(name); err != nil {
-			writeJSON(w, durableStatus(err), errorBody{Error: err.Error()})
+			serveutil.WriteJSON(w, durableStatus(err), serveutil.ErrorBody{Error: err.Error()})
 			return
 		}
 		h.adminOK(w, name)
 		return
 	}
 	if err := h.coll.Remove(name); err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		serveutil.WriteJSON(w, http.StatusNotFound, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
 	h.adminOK(w, name)
@@ -893,7 +758,7 @@ func (h *handler) adminReplace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := h.dur.Replace(name, body); err != nil {
-			writeJSON(w, durableStatus(err), errorBody{Error: err.Error()})
+			serveutil.WriteJSON(w, durableStatus(err), serveutil.ErrorBody{Error: err.Error()})
 			return
 		}
 		h.adminOK(w, name)
@@ -904,7 +769,7 @@ func (h *handler) adminReplace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.coll.Replace(name, doc); err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		serveutil.WriteJSON(w, http.StatusNotFound, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
 	h.adminOK(w, name)
@@ -946,7 +811,7 @@ type bulkResponse struct {
 func (h *handler) adminBulk(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
+		serveutil.WriteJSON(w, http.StatusMethodNotAllowed, serveutil.ErrorBody{Error: "POST required"})
 		return
 	}
 	if h.bulkSem != nil {
@@ -956,8 +821,8 @@ func (h *handler) adminBulk(w http.ResponseWriter, r *http.Request) {
 		default:
 			h.srv.bulkRejected.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests,
-				errorBody{Error: "too many bulk batches in flight, retry later"})
+			serveutil.WriteJSON(w, http.StatusTooManyRequests,
+				serveutil.ErrorBody{Error: "too many bulk batches in flight, retry later"})
 			return
 		}
 	}
@@ -989,7 +854,7 @@ func (h *handler) adminBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Documents = h.coll.Len()
 	resp.Elements = h.coll.Nodes()
-	writeJSON(w, http.StatusOK, resp)
+	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
 // applyBulkOp routes one batch line through the durable collection when

@@ -11,6 +11,7 @@ import (
 
 	"flexpath"
 	"flexpath/internal/obs"
+	"flexpath/internal/serveutil"
 )
 
 const serveXML = `<lib>
@@ -60,7 +61,7 @@ func TestSearchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out searchResponse
+	var out serveutil.SearchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
@@ -118,11 +119,20 @@ func TestStatsCacheCounters(t *testing.T) {
 	srv := httptest.NewServer(newHandler(coll))
 	defer srv.Close()
 
+	// The second search is a collection cache hit, and still names the
+	// algorithm that produced the cached ranking.
 	url := srv.URL + "/search?q=" + escape(serveQuery) + "&k=5"
+	var algos []string
 	for i := 0; i < 2; i++ {
-		if resp, body := get(t, url); resp.StatusCode != http.StatusOK {
+		resp, body := get(t, url)
+		var out serveutil.SearchResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
 			t.Fatalf("search %d: status %d: %s", i, resp.StatusCode, body)
 		}
+		algos = append(algos, out.Algo)
+	}
+	if algos[0] == "" || algos[1] != algos[0] {
+		t.Errorf("algo of a miss and then a hit = %q, want the same algorithm twice", algos)
 	}
 	resp, body := get(t, srv.URL+"/stats")
 	if resp.StatusCode != http.StatusOK {
@@ -163,7 +173,7 @@ func TestSearchTimeoutReturns504(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status %d, want 504: %s", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb serveutil.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 		t.Errorf("timeout body: %s", body)
 	}
@@ -188,7 +198,7 @@ func TestRelaxationsAndPlanTimeoutReturns504(t *testing.T) {
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Errorf("%s: status %d, want 504: %s", path, resp.StatusCode, body)
 		}
-		var eb errorBody
+		var eb serveutil.ErrorBody
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s timeout body: %s", path, body)
 		}
@@ -355,7 +365,7 @@ func TestPlannerObservability(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out searchResponse
+	var out serveutil.SearchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
@@ -415,7 +425,7 @@ func TestSearchOffsetPagination(t *testing.T) {
 	// relaxed answers.
 	q := escape(`//book[./chapter/para[.contains("xml")]]`)
 	_, fullBody := get(t, srv.URL+"/search?q="+q+"&k=10")
-	var full searchResponse
+	var full serveutil.SearchResponse
 	if err := json.Unmarshal(fullBody, &full); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, fullBody)
 	}
@@ -427,7 +437,7 @@ func TestSearchOffsetPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("offset=%d: status %d: %s", offset, resp.StatusCode, body)
 		}
-		var page searchResponse
+		var page serveutil.SearchResponse
 		if err := json.Unmarshal(body, &page); err != nil {
 			t.Fatalf("offset=%d: bad JSON: %v", offset, err)
 		}

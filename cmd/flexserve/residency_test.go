@@ -12,6 +12,7 @@ import (
 
 	"flexpath"
 	"flexpath/internal/obs"
+	"flexpath/internal/serveutil"
 )
 
 // residencyServer serves a collection of n cold FXP3 members under a
@@ -187,7 +188,7 @@ func TestUnfaultableMemberIs500NotPanic(t *testing.T) {
 	defer srv.Close()
 	for _, ep := range []string{"/search", "/relaxations", "/plan"} {
 		resp, body := get(t, srv.URL+ep+"?q="+escape(serveQuery))
-		var eb errorBody
+		var eb serveutil.ErrorBody
 		if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusInternalServerError ||
 			!strings.Contains(eb.Error, `"bad.fxp3"`) {
 			t.Errorf("%s: status %d, body %s; want a 500 naming bad.fxp3", ep, resp.StatusCode, body)

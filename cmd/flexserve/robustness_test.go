@@ -11,6 +11,7 @@ import (
 
 	"flexpath"
 	"flexpath/internal/obs"
+	"flexpath/internal/serveutil"
 )
 
 func testColl(t *testing.T) *flexpath.Collection {
@@ -67,7 +68,7 @@ func TestShedBeyondMaxInFlight(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("503 response missing Retry-After")
 	}
-	var eb errorBody
+	var eb serveutil.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 		t.Errorf("shed body: %s", body)
 	}
@@ -118,7 +119,7 @@ func TestPanicRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500: %s", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb serveutil.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 		t.Errorf("panic body: %s", body)
 	}
@@ -161,7 +162,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr serveutil.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestAdminMutateWhileSearching(t *testing.T) {
 					errc <- err
 					return
 				}
-				var sr searchResponse
+				var sr serveutil.SearchResponse
 				err = json.NewDecoder(resp.Body).Decode(&sr)
 				resp.Body.Close()
 				if err != nil {

@@ -48,7 +48,7 @@ type Collection struct {
 	// purges qc after publishing the new membership under mu. A search
 	// that snapshotted the old corpus therefore read the old epoch, and
 	// its put is either dropped (after the purge) or swept by it.
-	qc atomic.Pointer[lru.Cache[[]CollectionAnswer]]
+	qc atomic.Pointer[lru.Cache[cachedSearch[[]CollectionAnswer]]]
 	// beforePut, when set (tests only), runs between a search's
 	// evaluation and its cache put.
 	beforePut func()
@@ -256,7 +256,7 @@ func (c *Collection) SetCache(capacity int) {
 		c.qc.Store(nil)
 		return
 	}
-	c.qc.Store(lru.New[[]CollectionAnswer](capacity))
+	c.qc.Store(lru.New[cachedSearch[[]CollectionAnswer]](capacity))
 }
 
 // SetDocumentCaches enables (or, with capacity <= 0, disables) a
@@ -347,12 +347,7 @@ func (c *Collection) Search(q *Query, opts SearchOptions) ([]CollectionAnswer, e
 
 // SearchContext is Search with cancellation; see Document.SearchContext.
 func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]CollectionAnswer, error) {
-	if opts.K <= 0 {
-		opts.K = 10
-	}
-	if opts.Offset < 0 {
-		opts.Offset = 0
-	}
+	opts.defaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -369,19 +364,17 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 		if span != nil {
 			tCache = time.Now()
 		}
-		v, ok := qc.Get(key)
+		cs, ok := qc.Get(key)
 		if span != nil {
 			span.Rec(obs.StageCache, time.Since(tCache))
 		}
 		if ok {
 			span.MarkCacheHit()
-			if opts.Metrics != nil {
-				*opts.Metrics = Metrics{}
-			}
+			cs.report(opts.Metrics)
 			// Hand out a deep copy: callers may re-sort or truncate the
 			// slice and mutate each answer's Relaxed strings; a shallow
 			// copy would let that poison every later hit.
-			return copyCollectionAnswers(v), nil
+			return copyCollectionAnswers(cs.results), nil
 		}
 		// Before the snapshot below: see the invariant at Collection.qc.
 		epoch = qc.Epoch()
@@ -413,10 +406,9 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 		// exactly once after the merge below.
 		sub.K = opts.K + opts.Offset
 		sub.Offset = 0
-		sub.Metrics = nil
-		if opts.Metrics != nil {
-			sub.Metrics = &perMet[i]
-		}
+		// Always collected: the merged algorithm name is cached with the
+		// ranking even when this caller does not ask for metrics.
+		sub.Metrics = &perMet[i]
 		perDoc[i], perErr[i] = d.SearchContext(ctx, q, sub)
 	}
 
@@ -457,13 +449,12 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 		tMerge = time.Now()
 	}
 	var all []CollectionAnswer
+	var met Metrics
 	for i := range members {
 		if perErr[i] != nil {
 			return nil, fmt.Errorf("flexpath: document %q: %w", names[i], perErr[i])
 		}
-		if opts.Metrics != nil {
-			opts.Metrics.add(perMet[i])
-		}
+		met.add(perMet[i])
 		for _, a := range perDoc[i] {
 			all = append(all, CollectionAnswer{Answer: a, DocName: names[i]})
 		}
@@ -481,13 +472,18 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if opts.Metrics != nil {
+		*opts.Metrics = met
+	}
 	if useCache {
 		if c.beforePut != nil {
 			c.beforePut()
 		}
 		// Store a deep copy so the caller's slice (returned below) and
 		// the cached ranking share no mutable state.
-		qc.Put(key, copyCollectionAnswers(all), epoch)
+		qc.Put(key, cachedSearch[[]CollectionAnswer]{
+			results: copyCollectionAnswers(all), algo: met.Algorithm, reason: met.AlgoReason,
+		}, epoch)
 	}
 	return all, nil
 }
@@ -515,7 +511,6 @@ func (m *Metrics) add(o Metrics) {
 	m.TuplesPruned += o.TuplesPruned
 	m.SortedTuples += o.SortedTuples
 	m.Buckets += o.Buckets
-	m.PairsMaterialized += o.PairsMaterialized
 	// Each member document plans for itself: when they agree the merged
 	// metrics name the common algorithm, otherwise "mixed".
 	if o.Algorithm != "" {

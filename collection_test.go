@@ -1,10 +1,15 @@
 package flexpath
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"flexpath/internal/fxp3"
 )
 
 const collDocA = `
@@ -187,18 +192,40 @@ func TestCollectionWithAdvancedOptions(t *testing.T) {
 	}
 }
 
+// TestCollectionSearchError: a cold member whose FXP3 file is damaged
+// fails the whole search among healthy members, with an error that names
+// the member and wraps ErrCorruptSnapshot, never a ranking without it.
 func TestCollectionSearchError(t *testing.T) {
 	c := testCollection(t)
-	// DataRelaxation with an impossible budget is the easiest way to make
-	// a per-document search fail; the collection must surface the error
-	// with the document name.
-	_, err := c.Search(MustParseQuery(`//article[./section/paragraph]`), SearchOptions{
-		K: 3, Algorithm: DataRelaxation,
-	})
-	// The default budget is large, so this succeeds; force failure via a
-	// query with enormous pair counts is impractical here — instead check
-	// the success path returns merged results.
+	defer c.Close() //nolint:errcheck
+	doc, err := LoadString(collDocA)
 	if err != nil {
-		t.Fatalf("unexpected error: %v", err)
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	healthy := filepath.Join(dir, "healthy.fxp3")
+	if err := doc.SaveFXP3SnapshotFile(healthy); err != nil {
+		t.Fatal(err)
+	}
+	// A file whose checksums pass but whose tree breaks a column
+	// invariant: it opens cold and fails only when a search faults it in.
+	secs := fxp3Sections(t, fxp3Bytes(t, doc))
+	setI32(treeColumns(secs[1].Data)["level"], 3, 9)
+	var buf bytes.Buffer
+	if err := fxp3.Write(&buf, secs); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.fxp3")
+	if err := os.WriteFile(bad, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, path := range map[string]string{"bad": bad, "healthy": healthy} {
+		if err := c.AddSnapshotFile(name, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = c.Search(MustParseQuery(paperQ1), SearchOptions{K: 3})
+	if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), `document "bad"`) {
+		t.Fatalf("err = %v, want ErrCorruptSnapshot naming document \"bad\"", err)
 	}
 }

@@ -172,7 +172,7 @@ func TestSearchContextExpiredDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	for _, algo := range []Algorithm{Hybrid, SSO, DPO, DataRelaxation} {
+	for _, algo := range []Algorithm{Auto, Hybrid, SSO, DPO} {
 		_, err := doc.SearchContext(ctx, MustParseQuery(paperQ1), SearchOptions{K: 3, Algorithm: algo})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%v: err = %v, want deadline exceeded", algo, err)

@@ -196,9 +196,7 @@ func loadDocumentBytes(b []byte) (*Document, error) {
 	switch snapshotMagic(b) {
 	case "FXP3":
 		return LoadFXP3Snapshot(bytes.NewReader(b))
-	case "FXP2":
-		return loadIndexedSnapshot(b)
-	case "FXT1":
+	case "FXP2", "FXT1":
 		return nil, ErrLegacySnapshot
 	}
 	return Load(bytes.NewReader(b))

@@ -279,19 +279,6 @@ func TestDurableSeedOnlyOnce(t *testing.T) {
 	if got := searchKey(t, dc2.Collection()); got != want {
 		t.Fatal("re-seeding overwrote a durable mutation")
 	}
-	// Seeding a binary snapshot works too (magic-routed): the legacy FXP2
-	// fixture goes through the read-only loader.
-	if err := dc2.Seed("snap.fxp2", goldenFXP2(t)); err != nil {
-		t.Fatalf("seeding snapshot bytes: %v", err)
-	}
-	if !dc2.Collection().Has("snap.fxp2") {
-		t.Fatal("snapshot seed not added")
-	}
-	// A plain FXT1 tree is a bad document, not an XML parse error.
-	err = dc2.Seed("tree.fxt", fxp2Sections(t, goldenFXP2(t))[0])
-	if !errors.Is(err, ErrBadDocument) || !errors.Is(err, ErrLegacySnapshot) {
-		t.Fatalf("seeding an FXT1 tree: %v, want ErrBadDocument wrapping ErrLegacySnapshot", err)
-	}
 }
 
 // TestDurableSeedFXP3SurvivesRestart: a seeded FXP3 file is routed to the

@@ -1,6 +1,7 @@
 package flexpath_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,7 @@ func ExampleDocument_Relaxations() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	steps, err := doc.Relaxations(q)
+	steps, err := doc.Relaxations(context.Background(), q, flexpath.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -121,7 +122,7 @@ func main() {
 	}
 
 	fmt.Println("\n=== The relaxations FleXPath applied, cheapest first ===")
-	steps, err := doc.Relaxations(q1)
+	steps, err := doc.Relaxations(context.Background(), q1, flexpath.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -72,7 +73,7 @@ func main() {
 	}
 
 	fmt.Println("\nrelaxation chain for this query on this document:")
-	steps, err := doc.Relaxations(q)
+	steps, err := doc.Relaxations(context.Background(), q, flexpath.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

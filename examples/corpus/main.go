@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -83,7 +84,7 @@ func main() {
 
 	// Show the plan the optimizer would run, for the curious.
 	fmt.Println("\n=== evaluation plan for the main query ===")
-	plan, err := restored.ExplainPlan(q, flexpath.SearchOptions{K: 8})
+	plan, err := restored.ExplainPlan(context.Background(), q, flexpath.SearchOptions{K: 8})
 	dieIf(err)
 	fmt.Print(plan)
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,7 +74,7 @@ func main() {
 
 	// Show how the engine would relax the query, cheapest first.
 	fmt.Println("\nrelaxation chain:")
-	steps, err := doc.Relaxations(q)
+	steps, err := doc.Relaxations(context.Background(), q, flexpath.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,8 +23,7 @@
 // a statically chosen set of relaxations into a single scored join plan
 // (Hybrid additionally avoids SSO's score resorting via predicate-set
 // buckets). All three return the same answers; they differ in evaluation
-// cost. A fourth strategy, DataRelaxation, reproduces the baseline the
-// paper's related work dismisses.
+// cost.
 package flexpath
 
 import (
@@ -46,6 +45,7 @@ import (
 	"flexpath/internal/planner"
 	"flexpath/internal/rank"
 	"flexpath/internal/stats"
+	"flexpath/internal/topk"
 	"flexpath/internal/tpq"
 	"flexpath/internal/xmltree"
 )
@@ -68,12 +68,6 @@ const (
 	SSO
 	// DPO evaluates one relaxation at a time until K answers accumulate.
 	DPO
-	// DataRelaxation is the baseline strategy the paper surveys (§7,
-	// APPROXML): materialize the document's shortcut-edge closure and
-	// evaluate the original query over it. It fails on large documents
-	// (the materialization exceeds its budget), reproducing the
-	// behavior the paper reports for this strategy. Auto never picks it.
-	DataRelaxation
 )
 
 // String implements fmt.Stringer.
@@ -85,8 +79,6 @@ func (a Algorithm) String() string {
 		return "SSO"
 	case DPO:
 		return "DPO"
-	case DataRelaxation:
-		return "DataRelaxation"
 	default:
 		return "Auto"
 	}
@@ -103,8 +95,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return SSO, nil
 	case "dpo":
 		return DPO, nil
-	case "datarelaxation", "datarelax", "data":
-		return DataRelaxation, nil
 	}
 	return 0, fmt.Errorf("flexpath: unknown algorithm %q", s)
 }
@@ -246,7 +236,7 @@ type Document struct {
 
 	// qc, when set, caches finished top-K result sets keyed by the
 	// normalized query and search options; see SetCache.
-	qc atomic.Pointer[lru.Cache[cachedSearch]]
+	qc atomic.Pointer[lru.Cache[cachedSearch[[]topkResult]]]
 	// beforeCachePut, when set (tests only), runs between a search's
 	// evaluation and its cache put.
 	beforeCachePut func()
@@ -287,8 +277,8 @@ func LoadFile(path string) (*Document, error) {
 }
 
 // LoadAuto loads path as a snapshot when it carries a snapshot magic and
-// as XML otherwise. FXP3 snapshots are mapped; legacy FXP2 snapshots are
-// read and decoded; a plain FXT1 tree snapshot is ErrLegacySnapshot.
+// as XML otherwise. FXP3 snapshots are mapped; an FXP2 or FXT1 snapshot
+// of an older release is ErrLegacySnapshot.
 func LoadAuto(path string) (*Document, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -312,14 +302,7 @@ func LoadAuto(path string) (*Document, error) {
 	case "FXP3":
 		// Reopen via the mmap path so the document serves file-backed.
 		return LoadFXP3SnapshotFile(path)
-	case "FXP2":
-		data, err := io.ReadAll(f)
-		if err != nil {
-			return nil, err
-		}
-		d, err := loadIndexedSnapshot(data)
-		return d, wrapSnapshotPath(path, err)
-	case "FXT1":
+	case "FXP2", "FXT1":
 		return nil, wrapSnapshotPath(path, ErrLegacySnapshot)
 	}
 	return Load(f)
@@ -425,7 +408,6 @@ type Metrics struct {
 	TuplesPruned       int
 	SortedTuples       int
 	Buckets            int
-	PairsMaterialized  int
 	// Algorithm names the algorithm that evaluated the search — under
 	// Auto, the planner's per-query choice; otherwise the requested
 	// algorithm. Collection searches whose member documents chose
@@ -483,12 +465,7 @@ func (d *Document) Search(q *Query, opts SearchOptions) ([]Answer, error) {
 // abandon the search once it is cancelled or times out, returning
 // ctx.Err(). Cancelled searches are never cached.
 func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]Answer, error) {
-	if opts.K <= 0 {
-		opts.K = 10
-	}
-	if opts.Offset < 0 {
-		opts.Offset = 0
-	}
+	opts.defaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -513,13 +490,7 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 		}
 		if ok {
 			span.MarkCacheHit()
-			// A hit performs no evaluation work, so the work counters
-			// report zero (cache effectiveness is reported via
-			// CacheStats); the algorithm that produced the cached result
-			// is still named.
-			if opts.Metrics != nil {
-				*opts.Metrics = Metrics{Algorithm: cs.algo, AlgoReason: cs.reason}
-			}
+			cs.report(opts.Metrics)
 			return d.buildAnswers(q, cs.results, opts), nil
 		}
 		// Read before evaluation starts, so a purgeCache while this
@@ -541,25 +512,19 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 		return nil, err
 	}
 	chain := tmpl.Chain
-	topts := topkOptions(ctx, opts)
-	topts.opts.Template = tmpl
+	topts := topkOptions(ctx, opts, tmpl)
 	var results []topkResult
 	algoName, algoReason := opts.Algorithm.String(), ""
 	switch opts.Algorithm {
 	case Hybrid:
-		results = runHybrid(d, chain, topts)
+		results = topk.Hybrid(chain, d.est, topts)
 	case DPO:
-		results = runDPO(d, chain, topts)
+		results = topk.DPO(d.ev, chain, topts)
 	case SSO:
-		results = runSSO(d, chain, topts)
-	case DataRelaxation:
-		results, err = runDataRelax(d, chain, topts)
-		if err != nil {
-			return nil, err
-		}
-	default: // Auto
+		results = topk.SSO(chain, d.est, topts)
+	default: // Auto: the planner's choice is reported with the results
 		var choice planner.Choice
-		results, choice = runAuto(d, chain, topts)
+		results, choice = topk.Auto(d.ev, chain, d.est, d.pl, topts)
 		algoName, algoReason = choice.Algo.String(), choice.Explain
 	}
 	// A cancelled run returns truncated results; surface the error
@@ -567,9 +532,9 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	span.SetRelaxations(topts.opts.Metrics.RelaxationsEncoded)
+	span.SetRelaxations(topts.Metrics.RelaxationsEncoded)
 	if opts.Metrics != nil {
-		*opts.Metrics = topts.export()
+		*opts.Metrics = exportMetrics(topts.Metrics)
 		opts.Metrics.Algorithm = algoName
 		opts.Metrics.AlgoReason = algoReason
 	}
@@ -577,17 +542,27 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 		if d.beforeCachePut != nil {
 			d.beforeCachePut()
 		}
-		qc.Put(key, cachedSearch{results: results, algo: algoName, reason: algoReason}, epoch)
+		qc.Put(key, cachedSearch[[]topkResult]{results: results, algo: algoName, reason: algoReason}, epoch)
 	}
 	return d.buildAnswers(q, results, opts), nil
 }
 
-// cachedSearch is a document-cache entry: the result set plus the
-// algorithm that produced it, so cache hits can still name it.
-type cachedSearch struct {
-	results []topkResult
+// cachedSearch is a result-cache entry, a document's result set or a
+// collection's merged ranking, with the algorithm that produced it, so a
+// cache hit can still name it.
+type cachedSearch[T any] struct {
+	results T
 	algo    string
 	reason  string
+}
+
+// report fills a hit's metrics: a hit performs no evaluation work, so the
+// work counters are zero (cache effectiveness is reported via CacheStats),
+// but the algorithm that produced the entry is named.
+func (c cachedSearch[T]) report(m *Metrics) {
+	if m != nil {
+		*m = Metrics{Algorithm: c.algo, AlgoReason: c.reason}
+	}
 }
 
 // PlannerStats snapshots the cost-based planner behind Auto searches:
@@ -677,7 +652,7 @@ func (d *Document) SetCache(capacity int) {
 		d.qc.Store(nil)
 		return
 	}
-	d.qc.Store(lru.New[cachedSearch](capacity))
+	d.qc.Store(lru.New[cachedSearch[[]topkResult]](capacity))
 }
 
 // purgeResults discards the document's result sets and full-text
@@ -794,58 +769,22 @@ type RelaxationStep struct {
 	Query string
 }
 
-// RelaxationsOpts configures Relaxations the same way SearchOptions
-// configures Search: the chain a search evaluates depends on both, so an
-// inspection of the chain must be able to match the search exactly. The
-// zero value means uniform unit weights and no type hierarchy.
-type RelaxationsOpts struct {
-	// Weights assigns the predicate weights the penalties and scores are
-	// computed under (the same field as SearchOptions.Weights).
-	Weights Weights
-	// Hierarchy maps tags to their supertype; see SearchOptions.Hierarchy.
-	Hierarchy map[string]string
-}
-
 // Relaxations returns the query's full relaxation chain over this
 // document: the ordered sequence of structure/contains relaxations, from
 // cheapest to most drastic, with their penalties. Level 0 (the exact
-// query) is not included. Penalties and scores use uniform unit weights;
-// use RelaxationsWith to inspect the chain a weighted search evaluates.
-func (d *Document) Relaxations(q *Query) ([]RelaxationStep, error) {
-	return d.RelaxationsWithContext(context.Background(), q, RelaxationsOpts{})
-}
-
-// RelaxationsContext is Relaxations with cancellation: the context is
-// checked before and after the (potentially expensive) chain build, so
-// a timed-out request releases its worker instead of formatting a chain
+// query) is not included. Of opts it reads only Weights and Hierarchy,
+// the two options that determine a chain, so the steps are those a
+// Search with the same options evaluates and ranks by. The context is
+// checked before and after the (potentially expensive) chain build, so a
+// timed-out request releases its worker instead of formatting a chain
 // nobody will read.
-func (d *Document) RelaxationsContext(ctx context.Context, q *Query) ([]RelaxationStep, error) {
-	return d.RelaxationsWithContext(ctx, q, RelaxationsOpts{})
-}
-
-// RelaxationsWith is Relaxations under explicit weights and hierarchy,
-// so the reported penalties and scores match what a Search with the same
-// options ranks by.
-func (d *Document) RelaxationsWith(q *Query, opts RelaxationsOpts) ([]RelaxationStep, error) {
-	return d.RelaxationsWithContext(context.Background(), q, opts)
-}
-
-// RelaxationsWithContext is RelaxationsWith with cancellation; see
-// RelaxationsContext.
-func (d *Document) RelaxationsWithContext(ctx context.Context, q *Query, opts RelaxationsOpts) ([]RelaxationStep, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tmpl, err := d.template(q, opts.Weights, opts.Hierarchy)
+func (d *Document) Relaxations(ctx context.Context, q *Query, opts SearchOptions) ([]RelaxationStep, error) {
+	tmpl, _, err := d.inspect(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	chain := tmpl.Chain
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	steps := make([]RelaxationStep, len(chain.Steps))
-	for i, s := range chain.Steps {
+	steps := make([]RelaxationStep, len(tmpl.Chain.Steps))
+	for i, s := range tmpl.Chain.Steps {
 		steps[i] = RelaxationStep{
 			Level:       i + 1,
 			Description: s.Desc,
@@ -860,47 +799,41 @@ func (d *Document) RelaxationsWithContext(ctx context.Context, q *Query, opts Re
 // ExplainPlan returns a human-readable description of the evaluation SSO
 // and Hybrid would perform for the query under the given options: which
 // relaxations the selectivity estimator decides to encode and the shape
-// of the scored join plan.
-func (d *Document) ExplainPlan(q *Query, opts SearchOptions) (string, error) {
-	return d.ExplainPlanContext(context.Background(), q, opts)
-}
-
-// ExplainPlanContext is ExplainPlan with cancellation; see
-// RelaxationsContext.
-func (d *Document) ExplainPlanContext(ctx context.Context, q *Query, opts SearchOptions) (string, error) {
-	if opts.K <= 0 {
-		opts.K = 10
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	tmpl, err := d.template(q, opts.Weights, opts.Hierarchy)
+// of the scored join plan. Cancellation is checked as in Relaxations.
+func (d *Document) ExplainPlan(ctx context.Context, q *Query, opts SearchOptions) (string, error) {
+	tmpl, topts, err := d.inspect(ctx, q, opts)
 	if err != nil {
 		return "", err
 	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	b := topkOptions(ctx, opts)
-	b.opts.Template = tmpl
-	return explainPlan(d, tmpl.Chain, b)
+	return topk.Explain(tmpl.Chain, d.est, topts)
 }
 
 // AnalyzePlan executes the plan the Hybrid algorithm would run for the
 // query and returns a per-join-step trace: candidate list sizes,
 // intermediate tuple counts, pruning and bucket activity (an EXPLAIN
-// ANALYZE for flexible queries).
-func (d *Document) AnalyzePlan(q *Query, opts SearchOptions) (string, error) {
-	if opts.K <= 0 {
-		opts.K = 10
-	}
-	tmpl, err := d.template(q, opts.Weights, opts.Hierarchy)
+// ANALYZE for flexible queries). The execution polls ctx like a search
+// and returns ctx.Err() once it is cancelled.
+func (d *Document) AnalyzePlan(ctx context.Context, q *Query, opts SearchOptions) (string, error) {
+	tmpl, topts, err := d.inspect(ctx, q, opts)
 	if err != nil {
 		return "", err
 	}
-	b := topkOptions(context.Background(), opts)
-	b.opts.Template = tmpl
-	return analyzePlan(d, tmpl.Chain, b)
+	return topk.Analyze(tmpl.Chain, d.est, topts)
+}
+
+// inspect is the shared head of the inspection verbs: the template a
+// search with opts uses, built between two cancellation checks, and the
+// options that search would hand the algorithms.
+func (d *Document) inspect(ctx context.Context, q *Query, opts SearchOptions) (*core.Template, topk.Options, error) {
+	opts.defaults()
+	if err := ctx.Err(); err != nil {
+		return nil, topk.Options{}, err
+	}
+	tmpl, err := d.template(q, opts.Weights, opts.Hierarchy)
+	if err != nil {
+		return nil, topk.Options{}, err
+	}
+	return tmpl, topkOptions(ctx, opts, tmpl), ctx.Err()
 }
 
 // DefaultPlanCacheCapacity is the plan-template cache capacity of every
@@ -978,14 +911,4 @@ func (d *Document) template(q *Query, w Weights, hierarchy map[string]string) (*
 		return pc.Do(templateKey(q, rw, hierarchy), build)
 	}
 	return build()
-}
-
-// chain returns the relaxation chain for (q, w); kept for callers that
-// need only the chain (benchmarks, Relaxations).
-func (d *Document) chain(q *Query, w Weights) (*core.Chain, error) {
-	t, err := d.template(q, w, nil)
-	if err != nil {
-		return nil, err
-	}
-	return t.Chain, nil
 }

@@ -1,6 +1,8 @@
 package flexpath
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,7 +157,7 @@ func TestRelaxationsListing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := doc.Relaxations(MustParseQuery(paperQ1))
+	steps, err := doc.Relaxations(context.Background(), MustParseQuery(paperQ1), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,18 +183,18 @@ func TestChainCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(paperQ1)
-	c1, err := doc.chain(q, Weights{})
+	c1, err := doc.template(q, Weights{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := doc.chain(MustParseQuery(paperQ1), Weights{})
+	c2, err := doc.template(MustParseQuery(paperQ1), Weights{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c1 != c2 {
 		t.Error("equal queries did not share a cached chain")
 	}
-	c3, err := doc.chain(q, Weights{Structural: 2})
+	c3, err := doc.template(q, Weights{Structural: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +401,7 @@ func TestAnalyzePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := doc.AnalyzePlan(MustParseQuery(paperQ1), SearchOptions{K: 3})
+	out, err := doc.AnalyzePlan(context.Background(), MustParseQuery(paperQ1), SearchOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,5 +409,10 @@ func TestAnalyzePlan(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("AnalyzePlan output missing %q:\n%s", want, out)
 		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := doc.AnalyzePlan(ctx, MustParseQuery(paperQ1), SearchOptions{K: 3}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled AnalyzePlan: err = %v, want context.Canceled", err)
 	}
 }

@@ -42,6 +42,10 @@ var Magic = [4]byte{'F', 'X', 'P', '3'}
 // Version is the current container version.
 const Version = 1
 
+// MaxCount caps the element counts a section payload may declare, so a
+// corrupt or malicious snapshot cannot trigger an enormous allocation.
+const MaxCount = 1 << 31
+
 // SectionID names a section in the directory.
 type SectionID uint32
 

@@ -6,7 +6,6 @@ import (
 
 	"flexpath/internal/fxp3"
 	"flexpath/internal/lru"
-	"flexpath/internal/varint"
 	"flexpath/internal/xmltree"
 )
 
@@ -69,7 +68,7 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 	if math.IsNaN(avgLen) || avgLen < 0 {
 		return nil, fmt.Errorf("ir: snapshot: invalid average length")
 	}
-	if numNodeLens > varint.MaxCount || textNodes > varint.MaxCount {
+	if numNodeLens > fxp3.MaxCount || textNodes > fxp3.MaxCount {
 		return nil, fmt.Errorf("ir: snapshot: implausible counts")
 	}
 	ix := &Index{
@@ -85,7 +84,7 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 	if err := dec.Err(); err != nil {
 		return nil, fmt.Errorf("ir: snapshot: %w", err)
 	}
-	if numTerms > varint.MaxCount {
+	if numTerms > fxp3.MaxCount {
 		return nil, fmt.Errorf("ir: snapshot: implausible term count %d", numTerms)
 	}
 	ix.termOff = fxp3.ViewU64[uint64](dec, numTerms+1)
@@ -106,7 +105,7 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 // a term's positions needs. A column that broke one would not fail a
 // search, it would answer it differently. It reads every column once, so
 // the snapshot layer runs it once per payload and not per
-// DecodeColumnar; the FXP2 reader runs it on the columns it filled.
+// DecodeColumnar.
 func (ix *Index) Validate() error {
 	nodes := xmltree.NodeID(ix.doc.Len())
 	prev := xmltree.NodeID(-1)

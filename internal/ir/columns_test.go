@@ -2,10 +2,7 @@ package ir
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,48 +57,9 @@ func (ix *Index) postings(word string) []posting {
 	return posts
 }
 
-// writeBinary is the FXI1 encoder the library no longer has. The tests
-// keep it so the legacy reader is held to arbitrary indexes, not only to
-// the golden fixture.
-func writeBinary(ix *Index) []byte {
-	b := append([]byte(nil), indexMagic[:]...)
-	uvarint := func(v uint64) { b = binary.AppendUvarint(b, v) }
-	b = append(b, byte(ix.scoring))
-	uvarint(uint64(ix.textNodes))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ix.avgLen))
-	uvarint(uint64(len(ix.nlNode)))
-	prev := uint64(0)
-	for i, n := range ix.nlNode {
-		uvarint(uint64(n) - prev)
-		prev = uint64(n)
-		uvarint(uint64(ix.nlLen[i]))
-	}
-	uvarint(uint64(len(ix.df)))
-	for i := range ix.df {
-		term := ix.termAt(i)
-		uvarint(uint64(len(term)))
-		b = append(b, term...)
-		uvarint(uint64(ix.df[i]))
-		posts := ix.posts[ix.postOff[i]:ix.postOff[i+1]]
-		uvarint(uint64(len(posts)))
-		prevNode, prevPos := uint64(0), uint64(0)
-		for _, p := range posts {
-			uvarint(uint64(p.node) - prevNode)
-			prevNode = uint64(p.node)
-			uvarint(uint64(p.pos) - prevPos)
-			prevPos = uint64(p.pos)
-		}
-	}
-	return b
-}
-
-// indexReloads returns ix with its FXP2 and its FXP3 reload.
+// indexReloads returns ix with its FXP3 reload.
 func indexReloads(t *testing.T, ix *Index) map[string]*Index {
 	t.Helper()
-	fxp2, err := ReadIndexBinary(ix.doc, bytes.NewReader(writeBinary(ix)))
-	if err != nil {
-		t.Fatalf("FXP2 reload: %v", err)
-	}
 	fxp3, err := DecodeColumnar(ix.doc, ix.EncodeColumnar())
 	if err != nil {
 		t.Fatalf("FXP3 reload: %v", err)
@@ -109,7 +67,7 @@ func indexReloads(t *testing.T, ix *Index) map[string]*Index {
 	if err := fxp3.Validate(); err != nil {
 		t.Fatalf("FXP3 reload: %v", err)
 	}
-	return map[string]*Index{"built": ix, "fxp2": fxp2, "fxp3": fxp3}
+	return map[string]*Index{"built": ix, "fxp3": fxp3}
 }
 
 func randomCorpusDoc(t *testing.T, r *rand.Rand) *xmltree.Document {
@@ -242,58 +200,14 @@ func TestValidateRejectsBrokenColumns(t *testing.T) {
 	}
 }
 
-// The FXP2 reader runs the same checks on the columns it fills: an index
-// written with a wrong df, a negative length or a disordered dictionary
-// does not load.
-func TestReadIndexBinaryValidates(t *testing.T) {
+// TestDecodeColumnarRejectsTruncation cuts an index payload at every
+// offset: no prefix may load.
+func TestDecodeColumnarRejectsTruncation(t *testing.T) {
 	doc := mustDoc(t, articleXML)
-	breaks := map[string]func(ix *Index){
-		"df off by one": func(ix *Index) { ix.df[0]++ },
-		"df of zero":    func(ix *Index) { ix.df[0] = 0 },
-		"terms out of order": func(ix *Index) {
-			ix.termBlob = bytes.Clone(ix.termBlob)
-			ix.termBlob[ix.termOff[len(ix.df)-1]] = '0' - 1
-		},
-		"positions repeating": func(ix *Index) {
-			for i := range ix.df {
-				if lo, hi := ix.postOff[i], ix.postOff[i+1]; hi-lo > 1 {
-					ix.posts[lo+1].pos = ix.posts[lo].pos
-					return
-				}
-			}
-			t.Fatal("no term occurs twice")
-		},
-		"node lengths repeating": func(ix *Index) { ix.nlNode[1] = ix.nlNode[0] },
-	}
-	for name, edit := range breaks {
-		ix := NewIndex(doc)
-		edit(ix)
-		if _, err := ReadIndexBinary(doc, bytes.NewReader(writeBinary(ix))); err == nil {
-			t.Errorf("%s: loaded", name)
-		}
-	}
-	// And on bytes an encoder of record wrote: the index section of the
-	// checked-in FXP2 fixture loads whole and at no shorter length.
-	data, err := os.ReadFile("../../testdata/golden_indexed.fxp2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var secs [3][]byte
-	rest := data[4:]
-	for i := range secs {
-		n, w := binary.Uvarint(rest)
-		secs[i], rest = rest[w:w+int(n)], rest[w+int(n):]
-	}
-	golden, err := xmltree.ReadBinary(bytes.NewReader(secs[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadIndexBinary(golden, bytes.NewReader(secs[2])); err != nil {
-		t.Fatalf("golden index section: %v", err)
-	}
-	for cut := 0; cut < len(secs[2]); cut++ {
-		if _, err := ReadIndexBinary(golden, bytes.NewReader(secs[2][:cut])); err == nil {
-			t.Errorf("accepted the golden index section cut at %d", cut)
+	data := NewIndex(doc).EncodeColumnar()
+	for cut := 0; cut < len(data); cut++ {
+		if ix, err := DecodeColumnar(doc, data[:cut]); err == nil && ix.Validate() == nil {
+			t.Errorf("accepted truncation at %d", cut)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flexpath/internal/fxp3"
-	"flexpath/internal/varint"
 	"flexpath/internal/xmltree"
 )
 
@@ -54,7 +53,7 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Stats, error) {
 		if err := dec.Err(); err != nil {
 			return nil, fmt.Errorf("stats: snapshot: %w", err)
 		}
-		if n > varint.MaxCount {
+		if n > fxp3.MaxCount {
 			return nil, fmt.Errorf("stats: snapshot: implausible count %d", n)
 		}
 		p.a = fxp3.ViewI32[xmltree.TagID](dec, n)
@@ -69,8 +68,7 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Stats, error) {
 
 // Validate checks that every pair names tags of the document and that
 // each list is strictly increasing in (a, b), which the binary search in
-// pairs.get needs. The snapshot layer runs it once per payload; the FXP2
-// reader runs it on the columns it filled.
+// pairs.get needs. The snapshot layer runs it once per payload.
 func (s *Stats) Validate() error {
 	nTags := xmltree.TagID(len(s.tagCount))
 	for _, p := range s.pairLists() {

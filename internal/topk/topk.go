@@ -385,8 +385,11 @@ func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 	var traces []exec.StepTrace
 	answers := exec.Run(plan, exec.Options{
 		K: opts.K, Scheme: opts.Scheme, Mode: exec.ModeBuckets,
-		Parallel: opts.Parallel, Stats: &m.Pipeline, Trace: &traces,
+		Parallel: opts.Parallel, Stats: &m.Pipeline, Trace: &traces, Ctx: opts.Ctx,
 	})
+	if opts.cancelled() {
+		return "", opts.Ctx.Err()
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "relaxations encoded: %d of %d; answers: %d\n", j, chain.Len(), len(answers))
 	fmt.Fprintf(&sb, "%-24s %10s %10s %10s %8s %8s\n",

@@ -45,13 +45,13 @@ func BenchmarkParseXML(b *testing.B) {
 	}
 }
 
-func BenchmarkReadBinarySnapshot(b *testing.B) {
+func BenchmarkLoadSnapshot(b *testing.B) {
 	d, xml := benchDocument(b)
-	snap := writeBinary(d)
+	snap := d.EncodeColumnar()
 	b.SetBytes(int64(len(xml))) // same logical content as the XML
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(snap)); err != nil {
+		if _, err := load(snap); err != nil {
 			b.Fatal(err)
 		}
 	}

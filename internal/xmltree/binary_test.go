@@ -1,59 +1,30 @@
 package xmltree
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// writeBinary is the FXT1 encoder the library no longer has. The tests
-// keep it so the legacy reader is held to arbitrary documents, not only
-// to the golden fixture.
-func writeBinary(d *Document) []byte {
-	b := append([]byte(nil), binaryMagic[:]...)
-	uvarint := func(v uint64) { b = binary.AppendUvarint(b, v) }
-	str := func(s string) { uvarint(uint64(len(s))); b = append(b, s...) }
-	uvarint(uint64(len(d.tags)))
-	for _, t := range d.tags {
-		str(t)
-	}
-	uvarint(uint64(len(d.nodeTag)))
-	for n := range d.nodeTag {
-		uvarint(uint64(d.nodeTag[n]))
-		uvarint(uint64(d.end[n]) - uint64(n))
-		uvarint(uint64(d.level[n]))
-		uvarint(uint64(d.parent[n] + 1))
-		str(d.Text(NodeID(n)))
-		uvarint(d.attrCnt[n+1] - d.attrCnt[n])
-		for i := d.attrCnt[n]; i < d.attrCnt[n+1]; i++ {
-			a := d.attr(i)
-			str(a.Name)
-			str(a.Value)
-		}
-	}
-	uvarint(uint64(d.size))
-	return b
-}
+// The tree's binary snapshot form is its FXP3 section payload
+// (EncodeColumnar). These tests hold the payload to round trips and
+// damaged payloads to clean errors; the container's checksums sit above
+// them and are tested in internal/fxp3.
 
-// goldenTreeSection returns the tree section of the checked-in FXP2
-// fixture, bytes written by a release that still had the encoder.
-func goldenTreeSection(t *testing.T) []byte {
-	t.Helper()
-	data, err := os.ReadFile("../../testdata/golden_indexed.fxp2")
+// load restores a document from a section payload the way the snapshot
+// layer does: decode, then validate once.
+func load(payload []byte) (*Document, error) {
+	d, err := DecodeColumnar(payload)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	n, w := binary.Uvarint(data[4:])
-	return data[4+w : 4+w+int(n)]
+	return d, d.Validate()
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
 	d := mustParse(t, sampleXML)
-	got, err := ReadBinary(bytes.NewReader(writeBinary(d)))
+	got, err := load(d.EncodeColumnar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +57,6 @@ func assertDocsEqual(t *testing.T, want, got *Document) {
 			}
 		}
 	}
-	// Tag indexes rebuilt correctly.
 	for ti := 0; ti < want.NumTags(); ti++ {
 		name := want.TagNameOf(TagID(ti))
 		if len(got.NodesWithTag(name)) != len(want.NodesWithTag(name)) {
@@ -96,41 +66,49 @@ func assertDocsEqual(t *testing.T, want, got *Document) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
+	counts := func(tags, nodes, attrs uint64) []byte {
+		var b []byte
+		for _, v := range []uint64{tags, nodes, attrs, 0} {
+			for i := 0; i < 8; i++ {
+				b = append(b, byte(v>>(8*i)))
+			}
+		}
+		return b
+	}
 	cases := map[string][]byte{
-		"empty":       {},
-		"short magic": []byte("FX"),
-		"bad magic":   []byte("NOPE1234"),
-		"truncated":   []byte("FXT1\x05"),
+		"empty":                  {},
+		"shorter than a scalar":  []byte("FX"),
+		"implausible counts":     counts(1<<40, 1, 0),
+		"counts with no columns": counts(1, 1, 0),
 	}
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if _, err := load(data); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
+// A truncated payload must fail cleanly, never panic, and never load as
+// a different document: the only cuts that may load are inside the last
+// column's zero padding, which loses nothing.
 func TestBinaryRejectsCorruptedBody(t *testing.T) {
-	data := goldenTreeSection(t)
-	if d, err := ReadBinary(bytes.NewReader(data)); err != nil || d.Len() == 0 {
-		t.Fatalf("golden tree section: %v", err)
-	}
-	// Truncations anywhere must error, not panic.
+	d := mustParse(t, sampleXML)
+	data := d.EncodeColumnar()
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := ReadBinary(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("accepted truncation at %d", cut)
+		if got, err := load(data[:cut]); err == nil {
+			if len(data)-cut >= 8 {
+				t.Fatalf("accepted truncation at %d of %d", cut, len(data))
+			}
+			assertDocsEqual(t, d, got)
 		}
 	}
 }
 
 func TestBinaryPropertyRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomTree(r)
-		got, err := ReadBinary(bytes.NewReader(writeBinary(d)))
-		if err != nil {
-			return false
-		}
-		if got.Len() != d.Len() {
+		d := randomTree(rand.New(rand.NewSource(seed)))
+		got, err := load(d.EncodeColumnar())
+		if err != nil || got.Len() != d.Len() {
 			return false
 		}
 		for n := NodeID(0); int(n) < d.Len(); n++ {
@@ -148,7 +126,7 @@ func TestBinaryPropertyRoundTrip(t *testing.T) {
 
 func TestBinarySpecialContent(t *testing.T) {
 	d := mustParse(t, `<a x="quote&quot;here">text with &lt;angle&gt; brackets &amp; unicode ☃</a>`)
-	got, err := ReadBinary(bytes.NewReader(writeBinary(d)))
+	got, err := load(d.EncodeColumnar())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"flexpath/internal/fxp3"
-	"flexpath/internal/varint"
 )
 
 // Columnar (FXP3) persistence for the node table. The tree section is
@@ -79,7 +78,7 @@ func DecodeColumnar(payload []byte) (*Document, error) {
 	if err := dec.Err(); err != nil {
 		return nil, fmt.Errorf("xmltree: snapshot: %w", err)
 	}
-	if numTags > varint.MaxCount || numNodes > varint.MaxCount || numAttrs > varint.MaxCount {
+	if numTags > fxp3.MaxCount || numNodes > fxp3.MaxCount || numAttrs > fxp3.MaxCount {
 		return nil, fmt.Errorf("xmltree: snapshot: implausible counts (%d tags, %d nodes, %d attrs)",
 			numTags, numNodes, numAttrs)
 	}
@@ -127,31 +126,6 @@ func offsetsWithin(off []uint64, limit uint64) bool {
 // query time. It reads every column once, so the snapshot layer runs it
 // once per payload, next to the checksum, and not per DecodeColumnar.
 func (d *Document) Validate() error {
-	if err := d.validateNodes(); err != nil {
-		return err
-	}
-	numNodes, numTags := len(d.nodeTag), len(d.tags)
-	if !offsetsWithin(d.byTagOff, uint64(numNodes)) || d.byTagOff[0] != 0 || d.byTagOff[numTags] != uint64(numNodes) {
-		return fmt.Errorf("xmltree: snapshot: per-tag node lists out of range")
-	}
-	// Each tag's list holds exactly the nodes of that tag in document
-	// order: the structural joins merge the lists and never look at the
-	// tag column again.
-	for t := 0; t < numTags; t++ {
-		prev := NodeID(-1)
-		for _, n := range d.byTagIDs[d.byTagOff[t]:d.byTagOff[t+1]] {
-			if n <= prev || int(n) >= numNodes || int(d.nodeTag[n]) != t {
-				return fmt.Errorf("xmltree: snapshot: per-tag node %d out of place in the list of tag %d", n, t)
-			}
-			prev = n
-		}
-	}
-	return nil
-}
-
-// validateNodes is the part of Validate that does not read the per-tag
-// lists, which the FXP2 reader derives from the columns checked here.
-func (d *Document) validateNodes() error {
 	numNodes, numTags := len(d.nodeTag), len(d.tags)
 	for n := 0; n < numNodes; n++ {
 		if t := int(d.nodeTag[n]); t < 0 || t >= numTags {
@@ -182,6 +156,21 @@ func (d *Document) validateNodes() error {
 	}
 	if !offsetsWithin(d.attrOff, uint64(len(d.attrBlob))) {
 		return fmt.Errorf("xmltree: snapshot: attribute offsets out of range")
+	}
+	if !offsetsWithin(d.byTagOff, uint64(numNodes)) || d.byTagOff[0] != 0 || d.byTagOff[numTags] != uint64(numNodes) {
+		return fmt.Errorf("xmltree: snapshot: per-tag node lists out of range")
+	}
+	// Each tag's list holds exactly the nodes of that tag in document
+	// order: the structural joins merge the lists and never look at the
+	// tag column again.
+	for t := 0; t < numTags; t++ {
+		prev := NodeID(-1)
+		for _, n := range d.byTagIDs[d.byTagOff[t]:d.byTagOff[t+1]] {
+			if n <= prev || int(n) >= numNodes || int(d.nodeTag[n]) != t {
+				return fmt.Errorf("xmltree: snapshot: per-tag node %d out of place in the list of tag %d", n, t)
+			}
+			prev = n
+		}
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -91,21 +90,14 @@ func randomMixed(r *rand.Rand) (*Document, []refNode) {
 	return d, ref.nodes
 }
 
-// reloads returns d with its FXP2 and its FXP3 reload.
+// reloads returns d with its FXP3 reload.
 func reloads(t *testing.T, d *Document) map[string]*Document {
 	t.Helper()
-	fxp2, err := ReadBinary(bytes.NewReader(writeBinary(d)))
-	if err != nil {
-		t.Fatalf("FXP2 reload: %v", err)
-	}
-	fxp3, err := DecodeColumnar(d.EncodeColumnar())
+	fxp3, err := load(d.EncodeColumnar())
 	if err != nil {
 		t.Fatalf("FXP3 reload: %v", err)
 	}
-	if err := fxp3.Validate(); err != nil {
-		t.Fatalf("FXP3 reload: %v", err)
-	}
-	return map[string]*Document{"built": d, "fxp2": fxp2, "fxp3": fxp3}
+	return map[string]*Document{"built": d, "fxp3": fxp3}
 }
 
 func TestColumnsMatchPerNodeReference(t *testing.T) {

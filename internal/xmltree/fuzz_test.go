@@ -1,12 +1,9 @@
 package xmltree
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzParse: the XML loader must never panic, and every accepted document
-// must satisfy the interval invariants and survive a binary round trip.
+// must satisfy the interval invariants and survive a snapshot round trip.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		`<a/>`, `<a><b>x</b></a>`, `<a x="1">t</a>`, `<a><a><a/></a></a>`,
@@ -30,7 +27,7 @@ func FuzzParse(f *testing.F) {
 				}
 			}
 		}
-		d2, err := ReadBinary(bytes.NewReader(writeBinary(d)))
+		d2, err := load(d.EncodeColumnar())
 		if err != nil || d2.Len() != d.Len() {
 			t.Fatalf("snapshot round trip failed: %v", err)
 		}

@@ -1,6 +1,7 @@
 package flexpath
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestRootContainsNeverRelaxed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := doc.Relaxations(MustParseQuery(`//article[.contains("xml")]`))
+	steps, err := doc.Relaxations(context.Background(), MustParseQuery(`//article[.contains("xml")]`), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestDeepChainRelaxation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(`//l0/l1/l2/l3/l4/l5/l6/l7[.contains("needle")]`)
-	steps, err := doc.Relaxations(q)
+	steps, err := doc.Relaxations(context.Background(), q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,11 +245,11 @@ func TestRelaxationsWithWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(paperQ1)
-	uniform, err := doc.Relaxations(q)
+	uniform, err := doc.Relaxations(context.Background(), q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := doc.RelaxationsWith(q, RelaxationsOpts{Weights: Weights{Structural: 2, Contains: 2}})
+	weighted, err := doc.Relaxations(context.Background(), q, SearchOptions{Weights: Weights{Structural: 2, Contains: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // Tests of the one representation: a document is its FXP3 columns,
-// whether Parse, the FXP2 reader or a mapping supplied them. The
+// whether Parse or a mapping supplied them. The
 // per-package suites (internal/{xmltree,ir,stats}/columns_test.go) hold
 // every accessor to the per-node and map forms the columns replaced;
 // these check the assembled Document and the files.
@@ -229,91 +229,11 @@ func TestFXP3RejectsDisorderedColumns(t *testing.T) {
 	}
 }
 
-// fxp2Sections splits an FXP2 container into its three sections;
-// fxp2Join is its inverse.
-func fxp2Sections(t *testing.T, data []byte) [][]byte {
-	t.Helper()
-	rest := data[4:]
-	var secs [][]byte
-	for i := 0; i < 3; i++ {
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || uint64(len(rest)-w) < n {
-			t.Fatal("malformed FXP2 fixture")
-		}
-		secs = append(secs, bytes.Clone(rest[w:w+int(n)]))
-		rest = rest[w+int(n):]
-	}
-	return secs
-}
-
-func fxp2Join(secs [][]byte) []byte {
-	out := append([]byte(nil), indexedMagic[:]...)
-	for _, s := range secs {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
-	}
-	return out
-}
-
-// TestFXP2RejectsBadFrequencyAndLength crafts, in the index section of
-// the FXP2 fixture, the two values neither snapshot reader used to
-// check: a document frequency the postings do not have (idf divides by
-// it) and a node length that is negative once narrowed to the column
-// width.
-func TestFXP2RejectsBadFrequencyAndLength(t *testing.T) {
-	secs := fxp2Sections(t, goldenFXP2(t))
-	// Index section: magic(4) scoring(1) textNodes avgLen(8) count
-	// {nodeDelta len}... termCount {term df postingCount postings}...
-	ix := secs[2]
-	at := 4 + 1
-	uvarint := func() uint64 {
-		v, w := binary.Uvarint(ix[at:])
-		if w <= 0 {
-			t.Fatal("malformed FXP2 fixture")
-		}
-		at += w
-		return v
-	}
-	uvarint() // textNodes
-	at += 8   // avgLen
-	lengths := uvarint()
-	uvarint() // the first text node
-	firstLen := at
-	uvarint()
-	for i := uint64(1); i < lengths; i++ {
-		uvarint()
-		uvarint()
-	}
-	uvarint()            // term count
-	at += int(uvarint()) // the first term
-	dfAt := at
-	if df := uvarint(); df == 0 || df >= 0x7f {
-		t.Fatalf("fixture layout moved: first df reads %d", df)
-	}
-	withDF := bytes.Clone(ix)
-	withDF[dfAt]++
-	_, w := binary.Uvarint(ix[firstLen:])
-	withLen := append(append(bytes.Clone(ix[:firstLen]), binary.AppendUvarint(nil, 1<<31)...), ix[firstLen+w:]...)
-	for name, index := range map[string][]byte{"df the postings do not have": withDF, "negative node length": withLen} {
-		data := fxp2Join([][]byte{secs[0], secs[1], index})
-		if _, err := loadIndexedSnapshot(data); err == nil {
-			t.Errorf("%s: loaded", name)
-		} else if !errors.Is(err, ErrCorruptSnapshot) {
-			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
-		}
-	}
-	if _, err := loadIndexedSnapshot(fxp2Join(secs)); err != nil {
-		t.Fatalf("re-joined clean snapshot: %v", err)
-	}
-}
-
-// TestThreeFormsOneRepresentation: a parsed document, an FXP2 reload and
-// an FXP3 reload hold the same columns. The FXP3 encoder writes the
-// columns straight out, so "the same columns" is "the same bytes when
-// saved again", for every column of the tree, the statistics and the
-// index at once; the rankings are compared on top. FXP3 is checked on
-// generated documents, FXP2 — which nothing writes any more — on the
-// checked-in fixture against a parse of the XML it was written from.
+// TestThreeFormsOneRepresentation: a parsed document and its FXP3 reload
+// hold the same columns. The FXP3 encoder writes the columns straight
+// out, so "the same columns" is "the same bytes when saved again", for
+// every column of the tree, the statistics and the index at once; the
+// rankings are compared on top.
 func TestThreeFormsOneRepresentation(t *testing.T) {
 	queries := []*Query{
 		MustParseQuery(`//item[./description/parlist and .contains("gold" or "vintage")]`),
@@ -339,16 +259,6 @@ func TestThreeFormsOneRepresentation(t *testing.T) {
 			}
 		}
 	}
-
-	articles, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from2, err := loadIndexedSnapshot(goldenFXP2(t))
-	if err != nil {
-		t.Fatalf("FXP2 reload: %v", err)
-	}
-	sameAs("the FXP2 fixture", articles, from2)
 
 	r := rand.New(rand.NewSource(23))
 	var trees []*xmltree.Document

@@ -4,44 +4,51 @@ import (
 	"context"
 
 	"flexpath/internal/core"
-	"flexpath/internal/exec"
 	"flexpath/internal/obs"
-	"flexpath/internal/planner"
 	"flexpath/internal/rank"
 	"flexpath/internal/topk"
 )
 
-// topkResult aliases the internal result type for the bridge below.
+// topkResult aliases the internal result type the algorithms return.
 type topkResult = topk.Result
 
-// bridgeOptions carries converted options plus the internal metrics sink.
-type bridgeOptions struct {
-	opts topk.Options
+// defaults applies the zero-value conventions of SearchOptions: K <= 0
+// asks for the top 10, and a negative offset is no offset.
+func (o *SearchOptions) defaults() {
+	if o.K <= 0 {
+		o.K = 10
+	}
+	if o.Offset < 0 {
+		o.Offset = 0
+	}
 }
 
-func topkOptions(ctx context.Context, o SearchOptions) *bridgeOptions {
+// topkOptions converts search options for the algorithms, which plan from
+// tmpl and report into a fresh internal metrics sink. Pagination: the
+// algorithms compute the top Offset+K answers; the public layer slices
+// the window off afterwards.
+func topkOptions(ctx context.Context, o SearchOptions, tmpl *core.Template) topk.Options {
 	// The active observability span (if any) rides the context; capture
 	// it before the background context is normalized away.
 	span := obs.SpanFrom(ctx)
-	// Pagination: the algorithms compute the top Offset+K answers; the
-	// public layer slices the window off afterwards.
 	if ctx == context.Background() {
 		// The algorithms treat a nil context as "never cancelled" and
 		// skip polling entirely.
 		ctx = nil
 	}
-	return &bridgeOptions{opts: topk.Options{
+	return topk.Options{
 		K:        o.K + o.Offset,
 		Scheme:   o.Scheme.rank(),
 		Parallel: o.Parallel,
 		Ctx:      ctx,
 		Metrics:  &topk.Metrics{},
 		Span:     span,
-	}}
+		Template: tmpl,
+	}
 }
 
-func (b *bridgeOptions) export() Metrics {
-	m := b.opts.Metrics
+// exportMetrics converts the internal work counters to the public shape.
+func exportMetrics(m *topk.Metrics) Metrics {
 	return Metrics{
 		QueriesEvaluated:   m.QueriesEvaluated,
 		PlansRun:           m.PlansRun,
@@ -51,67 +58,11 @@ func (b *bridgeOptions) export() Metrics {
 		TuplesPruned:       m.Pipeline.TuplesPruned,
 		SortedTuples:       m.Pipeline.SortedTuples,
 		Buckets:            m.Pipeline.Buckets,
-		PairsMaterialized:  m.PairsMaterialized,
 	}
-}
-
-func runDPO(d *Document, chain *core.Chain, b *bridgeOptions) []topkResult {
-	return topk.DPO(d.ev, chain, b.opts)
-}
-
-func runSSO(d *Document, chain *core.Chain, b *bridgeOptions) []topkResult {
-	return topk.SSO(chain, d.est, b.opts)
-}
-
-func runHybrid(d *Document, chain *core.Chain, b *bridgeOptions) []topkResult {
-	return topk.Hybrid(chain, d.est, b.opts)
-}
-
-// runAuto dispatches through the document's cost-based planner and
-// returns the choice alongside the results, so the public layer can
-// report which algorithm ran and why.
-func runAuto(d *Document, chain *core.Chain, b *bridgeOptions) ([]topkResult, planner.Choice) {
-	return topk.Auto(d.ev, chain, d.est, d.pl, b.opts)
-}
-
-func explainPlan(d *Document, chain *core.Chain, b *bridgeOptions) (string, error) {
-	return topk.Explain(chain, d.est, b.opts)
-}
-
-func analyzePlan(d *Document, chain *core.Chain, b *bridgeOptions) (string, error) {
-	return topk.Analyze(chain, d.est, b.opts)
 }
 
 // rankScore converts a public Answer back to the internal score pair for
 // cross-document merging.
 func rankScore(a Answer) rank.Score {
 	return rank.Score{SS: a.Structural, KS: a.Keyword}
-}
-
-// dataRelaxBudget bounds how many shortcut edges the data-relaxation
-// baseline may materialize before declaring failure.
-const dataRelaxBudget = 1 << 26
-
-func runDataRelax(d *Document, chain *core.Chain, b *bridgeOptions) ([]topkResult, error) {
-	return topk.DataRelax(chain, b.opts, dataRelaxBudget)
-}
-
-// runDPOSemijoin exposes the semijoin DPO ablation to the benchmarks.
-func runDPOSemijoin(d *Document, chain *core.Chain, k int) []topkResult {
-	return topk.DPOSemijoin(d.ev, chain, topk.Options{K: k, Scheme: rank.StructureFirst})
-}
-
-// runPlanAblation exposes the best-only ablation to the benchmarks.
-func runPlanAblation(d *Document, plan *exec.Plan, k int, disableBestOnly bool) []exec.Answer {
-	return exec.Run(plan, exec.Options{
-		K: k, Mode: exec.ModeBuckets, DisableBestOnly: disableBestOnly,
-	})
-}
-
-// runEvaluate exposes the two exact-evaluation strategies to benchmarks.
-func runEvaluate(d *Document, q *Query, irFirst bool) int {
-	if irFirst {
-		return len(d.ev.EvaluateIRFirst(q.q))
-	}
-	return len(d.ev.Evaluate(q.q))
 }

@@ -1,6 +1,7 @@
 package flexpath
 
 import (
+	"context"
 	"testing"
 
 	"flexpath/internal/xmark"
@@ -89,7 +90,7 @@ func TestSmokeRelaxations(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(paperQ1)
-	steps, err := doc.Relaxations(q)
+	steps, err := doc.Relaxations(context.Background(), q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

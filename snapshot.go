@@ -1,11 +1,8 @@
 package flexpath
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"flexpath/internal/exec"
 	"flexpath/internal/ir"
@@ -13,15 +10,6 @@ import (
 	"flexpath/internal/stats"
 	"flexpath/internal/xmltree"
 )
-
-// FXP2 is the legacy indexed snapshot: magic "FXP2", then three
-// length-prefixed sections (tree "FXT1", statistics "FXS1", index
-// "FXI1"), each a varint stream. Nothing writes it any more — FXP3
-// (snapshot_fxp3.go) is the only format saved — and this reader stays
-// for one release so existing .fxp2 files and WAL records seeded from
-// them keep loading, through LoadAuto and WAL replay only. It is pinned
-// by testdata/golden_indexed.fxp2.
-var indexedMagic = [4]byte{'F', 'X', 'P', '2'}
 
 var (
 	// ErrCorruptSnapshot reports a snapshot, or a checkpoint manifest
@@ -32,14 +20,17 @@ var (
 	// string matching. A snapshot that fails with ErrCorruptSnapshot was
 	// not partially loaded: no Document is returned.
 	ErrCorruptSnapshot = errors.New("flexpath: corrupt snapshot")
-	// ErrLegacySnapshot reports a plain FXT1 tree snapshot, a format no
-	// release reads any more: regenerate the file from its XML source
+	// ErrLegacySnapshot reports an FXP2 indexed snapshot or a plain FXT1
+	// tree snapshot, formats of older releases that this one no longer
+	// reads: regenerate the file from its XML source
 	// (flexpath -doc x.xml -save-fxp3 x.fxp3).
-	ErrLegacySnapshot = errors.New("flexpath: unsupported legacy FXT1 snapshot, regenerate it from XML")
+	ErrLegacySnapshot = errors.New("flexpath: unsupported legacy FXP2 or FXT1 snapshot, regenerate it from XML")
 )
 
-// snapshotMagic returns the snapshot magic b starts with ("FXP3", "FXP2"
-// or "FXT1"), or "" when b is not a snapshot and should parse as XML.
+// snapshotMagic returns the snapshot magic b starts with ("FXP3", or the
+// legacy "FXP2" and "FXT1"), or "" when b is not a snapshot and should
+// parse as XML. The legacy magics are recognised only to be refused with
+// ErrLegacySnapshot rather than reported as an XML syntax error.
 func snapshotMagic(b []byte) string {
 	if len(b) >= 4 {
 		switch m := string(b[:4]); m {
@@ -48,58 +39,6 @@ func snapshotMagic(b []byte) string {
 		}
 	}
 	return ""
-}
-
-// loadIndexedSnapshot restores a document with its indexes from the
-// bytes of an FXP2 snapshot. Corrupt or truncated input fails with an
-// error wrapping ErrCorruptSnapshot; a partial index is never returned.
-func loadIndexedSnapshot(data []byte) (*Document, error) {
-	if len(data) < len(indexedMagic) {
-		return nil, fmt.Errorf("%w: shorter than the magic", ErrCorruptSnapshot)
-	}
-	if [4]byte(data[:4]) != indexedMagic {
-		return nil, fmt.Errorf("%w: not an indexed snapshot (bad magic)", ErrCorruptSnapshot)
-	}
-	rest := data[4:]
-	// section slices the next length-prefixed section off rest. A length
-	// pointing past the remaining bytes is rejected here, before any
-	// parsing, not discovered as a confusing EOF deep inside a section.
-	section := func(name string) (io.Reader, error) {
-		n, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return nil, fmt.Errorf("%w: truncated before the %s section", ErrCorruptSnapshot, name)
-		}
-		if n > uint64(len(rest)-w) {
-			return nil, fmt.Errorf("%w: %s section declares %d bytes with only %d remaining",
-				ErrCorruptSnapshot, name, n, len(rest)-w)
-		}
-		sec := rest[w : w+int(n)]
-		rest = rest[w+int(n):]
-		return bytes.NewReader(sec), nil
-	}
-	sec, err := section("tree")
-	if err != nil {
-		return nil, err
-	}
-	tree, err := xmltree.ReadBinary(sec)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	if sec, err = section("stats"); err != nil {
-		return nil, err
-	}
-	st, err := stats.ReadStatsBinary(tree, sec)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	if sec, err = section("index"); err != nil {
-		return nil, err
-	}
-	ix, err := ir.ReadIndexBinary(tree, sec)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	return assembleDocument(tree, st, ix), nil
 }
 
 // assembleDocument wires a tree with its statistics and index into a

@@ -14,7 +14,7 @@ import (
 	"flexpath/internal/xmltree"
 )
 
-// FXP3 is the mmap-friendly successor to the FXP2 indexed snapshot: a
+// FXP3 is the one indexed snapshot format, written and read: a
 // checksummed section directory over offset-based, fixed-width columns
 // that are the tree, statistics and index layers' in-memory layout, so
 // loading a mapped file slices it and decodes nothing (see
@@ -226,8 +226,7 @@ func documentFromMapping(m *mmapio.Mapping) (*Document, error) {
 // LoadFXP3SnapshotFile. After Close, every string, answer and snippet
 // derived from the document is invalid — call it only when nothing
 // derived from the document is reachable. Documents that own no
-// mapping (XML loads, FXP2 snapshots, big-endian FXP3 loads, which
-// decode-copy) ignore Close. Close is idempotent.
+// mapping (XML loads and big-endian FXP3 loads, which decode-copy) ignore Close. Close is idempotent.
 func (d *Document) Close() error {
 	if d.mp == nil {
 		return nil

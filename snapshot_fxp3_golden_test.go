@@ -3,6 +3,7 @@ package flexpath
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"reflect"
 	"testing"
@@ -18,6 +19,9 @@ import (
 // maps, so a representation change that alters either direction fails
 // here. A layout change needs a new container version, not a refresh.
 const goldenFXP3Rankings = "testdata/golden_fxp3_rankings.json"
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata golden fixtures instead of checking against them")
 
 var goldenFXP3Fixtures = []struct {
 	path string

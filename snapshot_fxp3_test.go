@@ -2,6 +2,7 @@ package flexpath
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -63,11 +64,11 @@ func TestFXP3SnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Relaxation chains (penalties need stats + index) agree too.
-	sa, err := doc.Relaxations(q)
+	sa, err := doc.Relaxations(context.Background(), q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := restored.Relaxations(q)
+	sb, err := restored.Relaxations(context.Background(), q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

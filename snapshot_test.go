@@ -12,17 +12,6 @@ import (
 	"flexpath/internal/wal"
 )
 
-// goldenFXP2 returns the checked-in FXP2 snapshot of articlesXML, the
-// only FXP2 bytes there are now that nothing writes the format.
-func goldenFXP2(t *testing.T) []byte {
-	t.Helper()
-	data, err := os.ReadFile(goldenSnapshotPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func TestLoadAuto(t *testing.T) {
 	dir := t.TempDir()
 	xmlPath := filepath.Join(dir, "doc.xml")
@@ -56,176 +45,72 @@ func TestLoadAuto(t *testing.T) {
 	if _, err := LoadAuto(junk); err == nil {
 		t.Error("junk accepted")
 	}
-	// A plain FXT1 tree snapshot — the tree section of the FXP2 fixture is
-	// one — is a typed error naming the file, not an XML parse error.
-	fxt1 := fxp2Sections(t, goldenFXP2(t))[0]
-	plain := filepath.Join(dir, "doc.fxt")
-	if err := os.WriteFile(plain, fxt1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadAuto(plain); !errors.Is(err, ErrLegacySnapshot) || !strings.Contains(err.Error(), "doc.fxt") {
-		t.Errorf("FXT1 file: err = %v, want ErrLegacySnapshot naming the file", err)
-	}
-	if _, err := loadDocumentBytes(fxt1); !errors.Is(err, ErrLegacySnapshot) {
-		t.Errorf("FXT1 bytes: err = %v, want ErrLegacySnapshot", err)
-	}
 }
 
-// TestIndexedSnapshotRoundTrip: the FXP2 fixture, written from articlesXML
-// by a release that had the encoder, reloads to a document that searches
-// and relaxes like a fresh parse of the same XML.
-func TestIndexedSnapshotRoundTrip(t *testing.T) {
-	doc, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := loadIndexedSnapshot(goldenFXP2(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := MustParseQuery(paperQ1)
-	a, err := doc.Search(q, SearchOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := restored.Search(q, SearchOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("answers %d != %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Structural != b[i].Structural || a[i].Keyword != b[i].Keyword {
-			t.Errorf("answer %d differs: %+v vs %+v", i, a[i], b[i])
+// TestLegacySnapshotsAreTypedErrors: the FXP2 and FXT1 snapshots of older
+// releases are refused with ErrLegacySnapshot on every path a document's
+// bytes arrive by — a file, raw bytes, a durable seed, and a WAL record
+// an older release logged — never parsed as XML, and never leaving a
+// collection open.
+func TestLegacySnapshotsAreTypedErrors(t *testing.T) {
+	for _, magic := range []string{"FXP2", "FXT1"} {
+		data := append([]byte(magic), 0x05, 'a', 'b', 'c') // the magic alone decides
+		cases := []struct {
+			path string
+			run  func() error
+		}{
+			{"LoadAuto", func() error {
+				path := filepath.Join(t.TempDir(), "old.snap")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, err := LoadAuto(path)
+				if err != nil && !strings.Contains(err.Error(), path) {
+					t.Errorf("%s via LoadAuto: %v does not name the file", magic, err)
+				}
+				return err
+			}},
+			{"loadDocumentBytes", func() error {
+				_, err := loadDocumentBytes(data)
+				return err
+			}},
+			{"DurableCollection.Seed", func() error {
+				dc, err := OpenDurableCollection(t.TempDir(), DurableOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dc.Close()
+				err = dc.Seed("old", data)
+				if !errors.Is(err, ErrBadDocument) {
+					t.Errorf("%s via Seed: %v, want ErrBadDocument too", magic, err)
+				}
+				return err
+			}},
+			{"WAL replay", func() error {
+				dir := t.TempDir()
+				log, _, err := wal.Open(dir, wal.Options{}, func(wal.Record) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				lsn, err := log.Append(wal.OpAdd, "old", data)
+				if err == nil {
+					err = log.WaitDurable(lsn)
+				}
+				if err := errors.Join(err, log.Close()); err != nil {
+					t.Fatal(err)
+				}
+				dc, err := OpenDurableCollection(dir, DurableOptions{})
+				if dc != nil {
+					dc.Close()
+					t.Errorf("%s via WAL replay: the open returned a collection", magic)
+				}
+				return err
+			}},
 		}
-	}
-	// Relaxation chains (penalties need stats + index) agree too.
-	sa, err := doc.Relaxations(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := restored.Relaxations(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sa) != len(sb) {
-		t.Fatalf("chains differ in length: %d vs %d", len(sa), len(sb))
-	}
-	for i := range sa {
-		if sa[i].Description != sb[i].Description || sa[i].Penalty != sb[i].Penalty {
-			t.Errorf("chain step %d differs: %+v vs %+v", i, sa[i], sb[i])
-		}
-	}
-}
-
-func TestIndexedSnapshotFileAndAuto(t *testing.T) {
-	doc, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := LoadAuto(goldenSnapshotPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Nodes() != doc.Nodes() {
-		t.Errorf("auto-loaded indexed snapshot: %d nodes, want %d", auto.Nodes(), doc.Nodes())
-	}
-}
-
-func TestIndexedSnapshotRejectsGarbage(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"empty":      {},
-		"bad magic":  []byte("NOPE9999"),
-		"plain tree": []byte("FXT1whatever"),
-		"truncated":  []byte("FXP2\x05abc"),
-	} {
-		if _, err := loadIndexedSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
-		}
-	}
-}
-
-// TestIndexedSnapshotRejectsTruncationAtEveryOffset cuts a valid FXP2
-// snapshot at every possible length: no prefix may load. Regression
-// test for the loader trusting section length prefixes — a length
-// pointing past the remaining bytes used to surface as a silent short
-// read, and a snapshot cut between sections decoded
-// cleanly with missing data.
-func TestIndexedSnapshotRejectsTruncationAtEveryOffset(t *testing.T) {
-	data := goldenFXP2(t)
-	for n := 0; n < len(data); n++ {
-		if _, err := loadIndexedSnapshot(data[:n]); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("truncation to %d/%d bytes: err = %v, want ErrCorruptSnapshot", n, len(data), err)
-		}
-	}
-	// File loads see the same rejection, with the path in the error.
-	path := filepath.Join(t.TempDir(), "cut.fxp2")
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadAuto(path); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("truncated snapshot file: err = %v, want ErrCorruptSnapshot", err)
-	} else if !strings.Contains(err.Error(), "cut.fxp2") {
-		t.Errorf("error does not name the file: %v", err)
-	}
-}
-
-// A section length prefix that lies beyond the file must be rejected up
-// front (ErrCorruptSnapshot), not discovered as a short read.
-func TestIndexedSnapshotRejectsLyingSectionLength(t *testing.T) {
-	data := goldenFXP2(t)
-	// The first section's uvarint length starts right after the 4-byte
-	// magic. 0xff 0xff 0xff 0xff 0x7f declares a ~2^35-byte section: far
-	// beyond the file, so the load must reject the declaration before
-	// parsing a single tree byte.
-	lied := append([]byte{}, data[:4]...)
-	lied = append(lied, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	lied = append(lied, data[5:]...)
-	path := filepath.Join(t.TempDir(), "lied.fxp2")
-	if err := os.WriteFile(path, lied, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadAuto(path)
-	if !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
-	}
-	if !strings.Contains(err.Error(), "remaining") {
-		t.Errorf("lying length not rejected up front: %v", err)
-	}
-	// A declaration that overflows int is rejected the same way.
-	absurd := append([]byte{}, data[:4]...)
-	absurd = append(absurd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-	if _, err := loadIndexedSnapshot(absurd); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("absurd length: err = %v, want ErrCorruptSnapshot", err)
-	}
-}
-
-func TestIndexedSnapshotBM25Preserved(t *testing.T) {
-	doc, err := LoadWithOptions(strings.NewReader(articlesXML), DocumentOptions{BM25: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fixture is tf-idf; the scoring is one byte after the index
-	// section's magic, and everything BM25 needs is stored either way.
-	secs := fxp2Sections(t, goldenFXP2(t))
-	if secs[2][4] != 0 {
-		t.Fatalf("fixture layout moved: scoring byte is %d", secs[2][4])
-	}
-	secs[2][4] = 1
-	restored, err := loadIndexedSnapshot(fxp2Join(secs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := MustParseQuery(paperQ1)
-	a, _ := doc.Search(q, SearchOptions{K: 3, Scheme: KeywordFirst})
-	b, _ := restored.Search(q, SearchOptions{K: 3, Scheme: KeywordFirst})
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("answers %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Keyword != b[i].Keyword {
-			t.Errorf("BM25 scores drifted after restore: %f vs %f", a[i].Keyword, b[i].Keyword)
+		for _, c := range cases {
+			if err := c.run(); !errors.Is(err, ErrLegacySnapshot) {
+				t.Errorf("%s via %s: err = %v, want ErrLegacySnapshot", magic, c.path, err)
+			}
 		}
 	}
 }
