@@ -413,3 +413,69 @@ func BenchmarkColdCollectionSearch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCollectionSearch is the collection search path over 8 in-memory
+// members of 128 KB, configured as flexserve configures them (a result
+// cache and per-member result caches of 1024). One op is one Hybrid
+// search of XQ2 at K=10:
+//
+//   - miss: result caches bypassed, every member evaluated;
+//   - hit: the same search again, answered from the result cache;
+//   - after-replace: one member is replaced (untimed) before the search,
+//     alternating between two copies of its document.
+func BenchmarkCollectionSearch(b *testing.B) {
+	c := NewCollection()
+	c.SetCache(1024)
+	c.SetDocumentCaches(1024)
+	var spare [2]*Document
+	for i := 0; i < 8; i++ {
+		tree, err := xmark.Build(xmark.Config{TargetBytes: 128 << 10, Seed: int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Add(fmt.Sprintf("m%d", i), NewDocument(tree)); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			spare = [2]*Document{NewDocument(tree), NewDocument(tree)}
+		}
+	}
+	q := MustParseQuery(benchXQ2)
+	opts := SearchOptions{K: 10, Algorithm: Hybrid}
+	search := func(opts SearchOptions) {
+		if _, err := c.Search(q, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("miss", func(b *testing.B) {
+		nc := opts
+		nc.NoCache = true
+		search(nc)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			search(nc)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		search(opts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			search(opts)
+		}
+	})
+	b.Run("after-replace", func(b *testing.B) {
+		search(opts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := c.Replace("m0", spare[i%2]); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			search(opts)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package flexpath
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,41 +39,64 @@ func xmarkDoc(t *testing.T, kb int, seed int64) *Document {
 
 // TestCachedAnswersIdenticalToCold is the correctness contract of the
 // result cache: for every algorithm, a cache hit returns exactly the
-// ranking a cold evaluation produces.
+// ranking a cold evaluation produces. A one-member collection of the
+// document returns the same answers, cold, on a miss and on a hit, page
+// by page (an offset past the end included): a document search is the
+// one-member case of the collection path.
 func TestCachedAnswersIdenticalToCold(t *testing.T) {
 	doc := xmarkDoc(t, 200, 7)
 	doc.SetCache(64)
+	one := NewCollection()
+	one.SetCache(64)
+	if err := one.Add("doc.xml", doc); err != nil {
+		t.Fatal(err)
+	}
 	q := MustParseQuery(`//item[./description/parlist and ./mailbox/mail/text]`)
 	for _, algo := range []Algorithm{Hybrid, SSO, DPO} {
 		for _, scheme := range []Scheme{StructureFirst, KeywordFirst, Combined} {
-			opts := SearchOptions{K: 15, Algorithm: algo, Scheme: scheme}
-			coldOpts := opts
-			coldOpts.NoCache = true
-			cold, err := doc.Search(q, coldOpts)
-			if err != nil {
-				t.Fatalf("%v/%v cold: %v", algo, scheme, err)
-			}
-			if _, err := doc.Search(q, opts); err != nil { // miss, populates
-				t.Fatalf("%v/%v prime: %v", algo, scheme, err)
-			}
-			warm, err := doc.Search(q, opts) // hit
-			if err != nil {
-				t.Fatalf("%v/%v warm: %v", algo, scheme, err)
-			}
-			if renderRanking(cold) != renderRanking(warm) {
-				t.Errorf("%v/%v: cached ranking differs from cold evaluation\ncold:\n%swarm:\n%s",
-					algo, scheme, renderRanking(cold), renderRanking(warm))
+			for _, page := range []struct{ k, offset int }{{15, 0}, {5, 4}, {5, 1000}} {
+				opts := SearchOptions{K: page.k, Offset: page.offset, Algorithm: algo, Scheme: scheme}
+				name := fmt.Sprintf("%v/%v/k=%d/o=%d", algo, scheme, page.k, page.offset)
+				coldOpts := opts
+				coldOpts.NoCache = true
+				cold, err := doc.Search(q, coldOpts)
+				if err != nil {
+					t.Fatalf("%s cold: %v", name, err)
+				}
+				if _, err := doc.Search(q, opts); err != nil { // miss, populates
+					t.Fatalf("%s prime: %v", name, err)
+				}
+				warm, err := doc.Search(q, opts) // hit
+				if err != nil {
+					t.Fatalf("%s warm: %v", name, err)
+				}
+				if renderRanking(cold) != renderRanking(warm) {
+					t.Errorf("%s: cached ranking differs from cold evaluation\ncold:\n%swarm:\n%s",
+						name, renderRanking(cold), renderRanking(warm))
+				}
+				for i, o := range []SearchOptions{coldOpts, opts, opts} { // cold, miss, hit
+					got, err := one.Search(q, o)
+					if err != nil {
+						t.Fatalf("%s one-member collection: %v", name, err)
+					}
+					answers := make([]Answer, len(got))
+					for j, a := range got {
+						answers[j] = a.Answer
+					}
+					if !reflect.DeepEqual(answers, cold) {
+						t.Errorf("%s one-member collection search %d differs from the document's:\n%s\nvs\n%s",
+							name, i, renderRanking(answers), renderRanking(cold))
+					}
+				}
 			}
 		}
 	}
-	st, ok := doc.CacheStats()
-	if !ok {
-		t.Fatal("CacheStats reported no cache")
-	}
-	// 9 combinations: each primed once (miss) and hit once; NoCache runs
+	// 27 searches: each primed once (miss) and hit once; NoCache runs
 	// must not touch the cache at all.
-	if st.Misses != 9 || st.Hits != 9 {
-		t.Errorf("cache counters = %+v, want 9 misses / 9 hits", st)
+	for _, c := range []interface{ CacheStats() (CacheStats, bool) }{doc, one} {
+		if st, ok := c.CacheStats(); !ok || st.Misses != 27 || st.Hits != 27 {
+			t.Errorf("cache counters = %+v, want 27 misses / 27 hits", st)
+		}
 	}
 }
 
@@ -255,18 +279,25 @@ func TestCacheHitZeroesMetrics(t *testing.T) {
 	}
 }
 
-func TestCollectionCacheIdenticalAndPurgedOnAdd(t *testing.T) {
+// TestCollectionCacheIdenticalAndCoversAdd: a collection cache hit is the
+// cold ranking, and after an Add the cached entry is extended by the new
+// member rather than served stale. The algorithm is pinned: the ranking
+// covers Relaxed, which only the plan-based algorithms fill.
+func TestCollectionCacheIdenticalAndCoversAdd(t *testing.T) {
 	c := testCollection(t)
 	c.SetCache(16)
 	q := MustParseQuery(paperQ1)
-	cold, err := c.Search(q, SearchOptions{K: 3, NoCache: true})
+	opts := SearchOptions{K: 3, Algorithm: Hybrid}
+	nc := opts
+	nc.NoCache = true
+	cold, err := c.Search(q, nc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Search(q, SearchOptions{K: 3}); err != nil {
+	if _, err := c.Search(q, opts); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := c.Search(q, SearchOptions{K: 3})
+	warm, err := c.Search(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +310,8 @@ func TestCollectionCacheIdenticalAndPurgedOnAdd(t *testing.T) {
 		t.Errorf("collection cache stats = %+v ok=%v", st, ok)
 	}
 
-	// Adding a document purges merged rankings: the new corpus must be
-	// searched, not served from the stale entry.
+	// After an Add the new corpus is searched, not served from the entry
+	// as it was.
 	extra, err := LoadString(articlesXML)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +319,7 @@ func TestCollectionCacheIdenticalAndPurgedOnAdd(t *testing.T) {
 	if err := c.Add("extra.xml", extra); err != nil {
 		t.Fatal(err)
 	}
-	after, err := c.Search(q, SearchOptions{K: 3})
+	after, err := c.Search(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +379,9 @@ func TestCollectionCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	}
 }
 
+// TestCollectionDocumentCaches: SetDocumentCaches gives every member a
+// cache that serves direct searches of the member, and that collection
+// searches leave alone.
 func TestCollectionDocumentCaches(t *testing.T) {
 	c := testCollection(t)
 	c.SetDocumentCaches(8)
@@ -355,12 +389,18 @@ func TestCollectionDocumentCaches(t *testing.T) {
 	if _, err := c.Search(q, SearchOptions{K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Search(q, SearchOptions{K: 3}); err != nil {
-		t.Fatal(err)
+	if st, _ := c.DocumentCacheStats(); st.Hits+st.Misses != 0 {
+		t.Errorf("a collection search used the member caches: %+v", st)
+	}
+	a, _ := c.Document("a.xml")
+	for i := 0; i < 2; i++ {
+		if _, err := a.Search(q, SearchOptions{K: 3}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, ok := c.DocumentCacheStats()
-	if !ok || st.Hits == 0 {
-		t.Errorf("per-document caches unused: %+v ok=%v", st, ok)
+	if !ok || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("per-document caches after two direct searches: %+v ok=%v, want 1 hit / 1 miss", st, ok)
 	}
 	c.SetDocumentCaches(0)
 	if _, ok := c.DocumentCacheStats(); ok {

@@ -327,18 +327,21 @@ type statsResponse struct {
 	Documents int            `json:"documents"`
 	Elements  int            `json:"elements"`
 	PerDoc    map[string]int `json:"per_doc"`
-	// Cache reports the collection-level query-result cache; DocCache
-	// sums the per-document caches. Omitted when caching is disabled.
+	// Cache reports the collection's query-result cache, the one every
+	// search uses; DocCache sums the members' own result caches, which
+	// serve only direct document searches (so here they stay empty).
+	// Omitted when caching is disabled.
 	Cache    *flexpath.CacheStats `json:"cache,omitempty"`
 	DocCache *flexpath.CacheStats `json:"doc_cache,omitempty"`
 	// PlanCache sums the per-document plan-template caches (chains +
-	// memoized join plans). Omitted when disabled on every document.
+	// memoized join plans), departed documents' counters included.
+	// Omitted when disabled on every document.
 	PlanCache *flexpath.PlanCacheStats `json:"plan_cache,omitempty"`
 	// FTCache sums the per-document full-text result caches (evaluated
 	// contains expressions; bounded per index).
 	FTCache flexpath.CacheStats `json:"ft_cache"`
-	// Planner aggregates the per-document cost-based planner state
-	// behind the Auto algorithm.
+	// Planner is the collection's one calibration of the cost-based
+	// planner behind the Auto algorithm, shared by every member.
 	Planner flexpath.PlannerStats `json:"planner"`
 	// Residency reports the mmap-backed serving state (resident vs
 	// cold snapshot-backed documents, faults, evictions). Omitted when

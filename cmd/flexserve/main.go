@@ -191,9 +191,10 @@ func main() {
 		os.Exit(2)
 	}
 	if *cache > 0 {
-		// The collection cache serves repeated identical requests; the
-		// per-document caches additionally let distinct collection
-		// requests share per-document work after membership changes.
+		// The collection cache serves repeated requests, and after a
+		// mutation re-evaluates only the changed member. The members' own
+		// caches serve direct document searches only, which this server
+		// never makes; /stats doc_cache reports them.
 		coll.SetCache(*cache)
 		coll.SetDocumentCaches(*cache)
 	}

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"flexpath/internal/lru"
-	"flexpath/internal/merge"
 	"flexpath/internal/mmapio"
 	"flexpath/internal/obs"
 )
@@ -22,7 +19,9 @@ import (
 // Each member document keeps its own indexes, statistics and relaxation
 // chains (penalties are per-document properties: the same query may relax
 // differently over differently-shaped documents); a collection search
-// merges the per-document rankings into one global top-K.
+// merges the per-document rankings into one global top-K. The collection
+// is the searcher: it owns the result cache and the Auto planner's
+// calibration for every member (see search.go).
 //
 // A Collection is a live corpus: Add, Remove and Replace may run
 // concurrently with searches. Membership is guarded by an internal
@@ -41,17 +40,11 @@ type Collection struct {
 	// "explicitly disabled" (capacity <= 0 disables new documents too).
 	docCacheCap int
 	docCacheSet bool
+	// gone holds, per member cache, the counters of documents that left
+	// the corpus, so the summed counters never go backwards (see retire).
+	gone [len(memberCaches)]lru.Stats
 
-	// qc, when set, caches merged collection-level result sets; see
-	// SetCache. The invariant that keeps it fresh: a search reads qc's
-	// epoch before it snapshots the membership, and every mutation
-	// purges qc after publishing the new membership under mu. A search
-	// that snapshotted the old corpus therefore read the old epoch, and
-	// its put is either dropped (after the purge) or swept by it.
-	qc atomic.Pointer[lru.Cache[cachedSearch[[]CollectionAnswer]]]
-	// beforePut, when set (tests only), runs between a search's
-	// evaluation and its cache put.
-	beforePut func()
+	searcher
 
 	// Residency state (see residency.go): maxResident bounds how many
 	// fault-capable members stay decoded, tick is the logical LRU
@@ -73,10 +66,9 @@ func NewCollection() *Collection {
 }
 
 // Add inserts a document under a name (typically its file name). Names
-// appear in CollectionAnswer and must be unique. Adding a document purges
-// the collection-level query cache (cached merged rankings no longer
-// cover the whole corpus) and applies the collection's document-cache
-// configuration (SetDocumentCaches) to the new member.
+// appear in CollectionAnswer and must be unique. Adding a document applies
+// the collection's document-cache configuration (SetDocumentCaches) to it;
+// the next cached search evaluates only the new member.
 func (c *Collection) Add(name string, doc *Document) error {
 	mem := &member{name: name}
 	mem.doc.Store(doc)
@@ -98,28 +90,31 @@ func (c *Collection) configure(d *Document) {
 	}
 }
 
-// published finishes a membership change made under mu: it purges the
-// collection cache (see qc) and the outgoing member's document's caches,
-// even while evicted: a durable checkpoint map may still hold the member.
-func (c *Collection) published(old *member) {
-	if qc := c.qc.Load(); qc != nil {
-		qc.Purge()
-	}
-	if old != nil && old.decoded() != nil {
-		old.decoded().purgeCache()
+// retire accounts for a member leaving the corpus, under mu held for
+// writing: its document's cache counters move to gone, and its caches are
+// purged even while evicted (a durable checkpoint map may still hold the
+// member). The collection's result cache needs no purge (see part).
+func (c *Collection) retire(old *member) {
+	if d := old.decoded(); d != nil {
+		for w, of := range memberCaches {
+			if s, ok := of(d); ok {
+				s.Entries, s.Capacity = 0, 0 // gauges, not counters
+				c.gone[w] = plus(c.gone[w], s)
+			}
+		}
+		d.purgeCache()
 	}
 }
 
-// Remove deletes the named document from the collection. It purges the
-// collection-level query cache (cached merged rankings cover a corpus
-// that no longer exists) and the removed document's own cache. Searches
-// already in flight keep evaluating the membership snapshot they started
-// with, including the removed document.
+// Remove deletes the named document from the collection and purges the
+// removed document's own caches. Searches already in flight keep
+// evaluating the membership snapshot they started with, including the
+// removed document; later cached searches evaluate no member again.
 func (c *Collection) Remove(name string) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	i, ok := c.byName[name]
 	if !ok {
-		c.mu.Unlock()
 		return fmt.Errorf("flexpath: no document named %q", name)
 	}
 	old := c.members[i]
@@ -133,15 +128,14 @@ func (c *Collection) Remove(name string) error {
 	for j := i; j < len(c.names); j++ {
 		c.byName[c.names[j]] = j
 	}
-	c.mu.Unlock()
-	c.published(old)
+	c.retire(old)
 	return nil
 }
 
 // Replace swaps the named document for doc, keeping its position in the
-// ranking tie-break order. The collection-level query cache and the
-// replaced document's own cache are purged; the incoming document gets
-// the collection's document-cache configuration.
+// ranking tie-break order. The replaced document's own caches are purged,
+// the incoming one gets the collection's document-cache configuration,
+// and the next cached search evaluates only the incoming document.
 func (c *Collection) Replace(name string, doc *Document) error {
 	c.mu.Lock()
 	i, ok := c.byName[name]
@@ -155,9 +149,9 @@ func (c *Collection) Replace(name string, doc *Document) error {
 	mem := &member{name: name}
 	mem.doc.Store(doc)
 	c.members[i] = mem
+	c.retire(old)
 	c.mu.Unlock()
 	c.configure(doc)
-	c.published(old)
 	return nil
 }
 
@@ -168,20 +162,6 @@ func (c *Collection) snapshot() (names []string, members []*member) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return append([]string(nil), c.names...), append([]*member(nil), c.members...)
-}
-
-// decodedDocs returns every decoded member document, resident or
-// evicted: the set cache configuration and statistics aggregation walk.
-// Never-faulted members have no caches, and walking must not fault.
-func (c *Collection) decodedDocs() []*Document {
-	_, members := c.snapshot()
-	docs := make([]*Document, 0, len(members))
-	for _, m := range members {
-		if d := m.decoded(); d != nil {
-			docs = append(docs, d)
-		}
-	}
-	return docs
 }
 
 // AddFile loads and adds the XML document at path, named by the path.
@@ -247,24 +227,20 @@ func (c *Collection) Document(name string) (*Document, bool) {
 	return d, true
 }
 
-// SetCache enables a collection-level cache of merged top-K rankings
-// holding up to capacity result sets; capacity <= 0 disables it. Keys are
-// the same normalized search keys Document.SetCache uses. The cache is
-// purged whenever the membership changes (Add, Remove, Replace).
-func (c *Collection) SetCache(capacity int) {
-	if capacity <= 0 {
-		c.qc.Store(nil)
-		return
-	}
-	c.qc.Store(lru.New[cachedSearch[[]CollectionAnswer]](capacity))
-}
+// SetCache enables the collection's result cache holding up to capacity
+// result sets; capacity <= 0 disables it. Keys are the same normalized
+// search keys Document.SetCache uses. An entry keeps each member's top
+// K+Offset tagged with its document, so a membership change purges
+// nothing: the next search evaluates only the members new to the entry.
+func (c *Collection) SetCache(capacity int) { c.setCache(capacity) }
 
 // SetDocumentCaches enables (or, with capacity <= 0, disables) a
 // per-document result cache of the given capacity on every member
-// document. Per-document caches also serve direct Document.Search calls
-// and survive collection cache purges. The capacity is remembered:
-// documents added (or swapped in by Replace) later get the same cache
-// configuration, so DocumentCacheStats covers the whole live corpus.
+// document. Those caches serve only direct Document.Search calls on a
+// member; collection searches use the collection's cache (SetCache). The
+// capacity is remembered: documents added (or swapped in by Replace)
+// later get the same cache configuration, so DocumentCacheStats covers
+// the whole live corpus.
 func (c *Collection) SetDocumentCaches(capacity int) {
 	c.mu.Lock()
 	c.docCacheCap = capacity
@@ -272,54 +248,74 @@ func (c *Collection) SetDocumentCaches(capacity int) {
 	c.mu.Unlock()
 	// Decoded documents, evicted ones included, are reconfigured now;
 	// never-faulted ones pick the remembered capacity up at their decode.
-	for _, d := range c.decodedDocs() {
-		d.SetCache(capacity)
+	_, members := c.snapshot()
+	for _, m := range members {
+		if d := m.decoded(); d != nil {
+			d.SetCache(capacity)
+		}
 	}
 }
 
 // PlanCacheStats sums the plan-template cache counters of every member
 // document whose plan cache is enabled; ok is false when none is.
 func (c *Collection) PlanCacheStats() (s PlanCacheStats, ok bool) {
-	st, ok := c.sumStats(func(d *Document) (lru.Stats, bool) { return statsOf(d.pc.Load()) })
+	st, ok := c.sumStats(planCache)
 	return PlanCacheStats(st), ok
 }
 
-// CacheStats reports the collection-level cache counters; ok is false
-// when no collection cache is enabled.
-func (c *Collection) CacheStats() (s CacheStats, ok bool) {
-	st, ok := statsOf(c.qc.Load())
-	return cacheStatsFrom(st), ok
-}
+// CacheStats reports the collection's result cache counters; ok is false
+// when it is disabled.
+func (c *Collection) CacheStats() (s CacheStats, ok bool) { return c.cacheStats() }
 
 // DocumentCacheStats sums the cache counters of every member document
 // that has a cache enabled; ok is false when none does.
 func (c *Collection) DocumentCacheStats() (s CacheStats, ok bool) {
-	st, ok := c.sumStats(func(d *Document) (lru.Stats, bool) { return statsOf(d.qc.Load()) })
+	st, ok := c.sumStats(resultCache)
 	return cacheStatsFrom(st), ok
 }
 
 // FullTextCacheStats sums the full-text result cache counters of the
 // decoded member documents (see Document.FullTextCacheStats).
 func (c *Collection) FullTextCacheStats() CacheStats {
-	st, _ := c.sumStats(func(d *Document) (lru.Stats, bool) { return d.index.CacheStats(), true })
+	st, _ := c.sumStats(fullTextCache)
 	return cacheStatsFrom(st)
 }
 
-// sumStats adds up one cache's counters over the decoded members; ok
-// is false when no member has that cache enabled.
-func (c *Collection) sumStats(of func(*Document) (lru.Stats, bool)) (sum lru.Stats, ok bool) {
-	for _, d := range c.decodedDocs() {
-		if s, dok := of(d); dok {
-			sum.Hits += s.Hits
-			sum.Misses += s.Misses
-			sum.Evictions += s.Evictions
-			sum.Dedups += s.Dedups
-			sum.Entries += s.Entries
-			sum.Capacity += s.Capacity
-			ok = true
+const (
+	planCache = iota
+	resultCache
+	fullTextCache
+)
+
+// memberCaches reads one of a member document's caches; ok is false when
+// it is disabled.
+var memberCaches = [...]func(*Document) (lru.Stats, bool){
+	planCache:     func(d *Document) (lru.Stats, bool) { return statsOf(d.pc.Load()) },
+	resultCache:   func(d *Document) (lru.Stats, bool) { return statsOf(d.qc.Load()) },
+	fullTextCache: func(d *Document) (lru.Stats, bool) { return d.index.CacheStats(), true },
+}
+
+// sumStats adds up member cache w over the decoded members and the
+// documents that have left (gone), so its counters only grow; ok is false
+// when no member has the cache enabled. mu orders it with retire: no sum
+// sees a departing document twice or not at all.
+func (c *Collection) sumStats(w int) (sum lru.Stats, ok bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	sum = c.gone[w]
+	for _, m := range c.members {
+		if d := m.decoded(); d != nil {
+			if s, dok := memberCaches[w](d); dok {
+				sum, ok = plus(sum, s), true
+			}
 		}
 	}
 	return sum, ok
+}
+
+func plus(a, b lru.Stats) lru.Stats {
+	return lru.Stats{Hits: a.Hits + b.Hits, Misses: a.Misses + b.Misses, Evictions: a.Evictions + b.Evictions,
+		Dedups: a.Dedups + b.Dedups, Entries: a.Entries + b.Entries, Capacity: a.Capacity + b.Capacity}
 }
 
 // CollectionAnswer is an Answer tagged with the document it came from.
@@ -347,157 +343,30 @@ func (c *Collection) Search(q *Query, opts SearchOptions) ([]CollectionAnswer, e
 
 // SearchContext is Search with cancellation; see Document.SearchContext.
 func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]CollectionAnswer, error) {
-	opts.defaults()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	span := obs.SpanFrom(ctx)
-
-	qc := c.qc.Load()
-	useCache := qc != nil && !opts.NoCache
-	var key string
-	var epoch uint64
-	if useCache {
-		key = searchCacheKey(q, opts)
-		var tCache time.Time
-		if span != nil {
-			tCache = time.Now()
-		}
-		cs, ok := qc.Get(key)
-		if span != nil {
-			span.Rec(obs.StageCache, time.Since(tCache))
-		}
-		if ok {
-			span.MarkCacheHit()
-			cs.report(opts.Metrics)
-			// Hand out a deep copy: callers may re-sort or truncate the
-			// slice and mutate each answer's Relaxed strings; a shallow
-			// copy would let that poison every later hit.
-			return copyCollectionAnswers(cs.results), nil
-		}
-		// Before the snapshot below: see the invariant at Collection.qc.
-		epoch = qc.Epoch()
-	}
-
 	// One consistent membership view for the whole search: a concurrent
 	// Add/Remove/Replace neither blocks behind this search nor changes
 	// which documents it evaluates.
 	names, members := c.snapshot()
-
-	perDoc := make([][]Answer, len(members))
-	perErr := make([]error, len(members))
-	perMet := make([]Metrics, len(members))
-	runDoc := func(i int) {
-		// Fault the member in if it is cold; the returned document stays
-		// valid for this search even if the residency cap evicts the
-		// member before the search finishes (eviction drops the
-		// member's pointer, not the document or its mapping).
-		d, err := c.require(members[i], span)
-		if err != nil {
-			perErr[i] = err
-			return
-		}
-		sub := opts
-		// Pagination is a property of the merged global ranking, not of
-		// any member document's ranking: each document must contribute
-		// its full top Offset+K (a globally-skipped answer may rank
-		// anywhere within a single document), and the offset is applied
-		// exactly once after the merge below.
-		sub.K = opts.K + opts.Offset
-		sub.Offset = 0
-		// Always collected: the merged algorithm name is cached with the
-		// ranking even when this caller does not ask for metrics.
-		sub.Metrics = &perMet[i]
-		perDoc[i], perErr[i] = d.SearchContext(ctx, q, sub)
-	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(members) {
-		workers = len(members)
-	}
-	if workers <= 1 {
-		for i := range members {
-			runDoc(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(members) {
-						return
-					}
-					runDoc(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Error reporting and metrics accumulation walk documents in
-	// insertion order, so the outcome is independent of worker timing.
-	var tMerge time.Time
-	if span != nil {
-		tMerge = time.Now()
-	}
-	var all []CollectionAnswer
-	var met Metrics
-	for i := range members {
-		if perErr[i] != nil {
-			return nil, fmt.Errorf("flexpath: document %q: %w", names[i], perErr[i])
-		}
-		met.add(perMet[i])
-		for _, a := range perDoc[i] {
-			all = append(all, CollectionAnswer{Answer: a, DocName: names[i]})
-		}
-	}
-	// The comparator lives in internal/merge so flexrouter's network
-	// merge is byte-identical to this in-process one by construction.
-	merge.Sort(all, func(a CollectionAnswer) merge.Key {
-		return merge.Key{Score: rankScore(a.Answer), Doc: a.DocName, Ord: int(a.node)}
-	}, opts.Scheme.rank())
-	// Apply the global offset once, over the merged ranking.
-	all = merge.Page(all, opts.K, opts.Offset)
-	if span != nil {
-		span.Rec(obs.StageMerge, time.Since(tMerge))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if opts.Metrics != nil {
-		*opts.Metrics = met
-	}
-	if useCache {
-		if c.beforePut != nil {
-			c.beforePut()
-		}
-		// Store a deep copy so the caller's slice (returned below) and
-		// the cached ranking share no mutable state.
-		qc.Put(key, cachedSearch[[]CollectionAnswer]{
-			results: copyCollectionAnswers(all), algo: met.Algorithm, reason: met.AlgoReason,
-		}, epoch)
-	}
-	return all, nil
+	return search(ctx, &c.searcher, &membership{c, names, members}, q, opts, func(i int, a Answer) CollectionAnswer {
+		return CollectionAnswer{Answer: a, DocName: names[i]}
+	})
 }
 
-// copyCollectionAnswers clones a merged ranking including each answer's
-// Relaxed slice, the only mutable state an Answer exposes.
-func copyCollectionAnswers(src []CollectionAnswer) []CollectionAnswer {
-	out := append([]CollectionAnswer(nil), src...)
-	for i := range out {
-		if len(out[i].Relaxed) > 0 {
-			out[i].Relaxed = append([]string(nil), out[i].Relaxed...)
-		}
-	}
-	return out
+// membership is a collection's membership snapshot as a search corpus.
+type membership struct {
+	c       *Collection
+	names   []string
+	members []*member
+}
+
+func (m *membership) size() int               { return len(m.members) }
+func (m *membership) name(i int) string       { return m.names[i] }
+func (m *membership) decoded(i int) *Document { return m.members[i].decoded() }
+func (m *membership) load(i int, span *obs.Span) (*Document, error) {
+	return m.c.require(m.members[i], span)
+}
+func (m *membership) wrap(i int, err error) error {
+	return fmt.Errorf("flexpath: document %q: %w", m.names[i], err)
 }
 
 func (m *Metrics) add(o Metrics) {
@@ -511,7 +380,7 @@ func (m *Metrics) add(o Metrics) {
 	m.TuplesPruned += o.TuplesPruned
 	m.SortedTuples += o.SortedTuples
 	m.Buckets += o.Buckets
-	// Each member document plans for itself: when they agree the merged
+	// Each member's Auto choice is its own: when they agree the merged
 	// metrics name the common algorithm, otherwise "mixed".
 	if o.Algorithm != "" {
 		switch m.Algorithm {
@@ -524,51 +393,10 @@ func (m *Metrics) add(o Metrics) {
 	}
 }
 
-// PlannerStats aggregates the member documents' planner state: counters
-// sum; the calibration scales, calibration errors and the restart rate
-// average over the documents that have observed at least one Auto run.
+// PlannerStats reports the planner state of the collection's searches:
+// one calibration, shared by every member's Auto choice.
 func (c *Collection) PlannerStats() PlannerStats {
-	agg := PlannerStats{
-		Choices:          map[string]uint64{},
-		Reasons:          map[string]uint64{},
-		NsPerUnit:        map[string]float64{},
-		CalibrationError: map[string]float64{},
-	}
-	nsN := map[string]int{}
-	errN := map[string]int{}
-	restartN := 0
-	for _, d := range c.decodedDocs() {
-		s := d.PlannerStats()
-		for k, v := range s.Choices {
-			agg.Choices[k] += v
-		}
-		for k, v := range s.Reasons {
-			agg.Reasons[k] += v
-		}
-		for k, v := range s.NsPerUnit {
-			agg.NsPerUnit[k] += v
-			nsN[k]++
-		}
-		for k, v := range s.CalibrationError {
-			agg.CalibrationError[k] += v
-			errN[k]++
-		}
-		if s.Observations > 0 {
-			agg.RestartRate += s.RestartRate
-			restartN++
-		}
-		agg.Observations += s.Observations
-	}
-	for k, n := range nsN {
-		agg.NsPerUnit[k] /= float64(n)
-	}
-	for k, n := range errN {
-		agg.CalibrationError[k] /= float64(n)
-	}
-	if restartN > 0 {
-		agg.RestartRate /= float64(restartN)
-	}
-	return agg
+	return PlannerStats(c.cal.Snapshot())
 }
 
 // LoadCollectionFiles builds a collection from XML files.

@@ -34,15 +34,12 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"flexpath/internal/core"
 	"flexpath/internal/exec"
 	"flexpath/internal/ir"
 	"flexpath/internal/lru"
 	"flexpath/internal/mmapio"
-	"flexpath/internal/obs"
-	"flexpath/internal/planner"
 	"flexpath/internal/rank"
 	"flexpath/internal/stats"
 	"flexpath/internal/topk"
@@ -223,9 +220,11 @@ type Document struct {
 	stats *stats.Stats
 	est   *stats.Estimator
 	ev    *exec.Evaluator
-	// pl is the document's cost-based planner: Auto searches consult it
-	// and feed their observed run times back into its calibrator.
-	pl *planner.Planner
+	// serial identifies the document in result-cache parts (see part).
+	serial uint64
+	// searcher serves direct searches of the document; a collection
+	// searching it as a member uses its own.
+	searcher
 
 	// pc is the plan-template cache, mapping the normalized (query,
 	// weights, hierarchy) triple to a core.Template (relaxation chain +
@@ -233,13 +232,6 @@ type Document struct {
 	// shape once under concurrent misses. DefaultPlanCacheCapacity by
 	// default; nil means disabled (every search builds a fresh template).
 	pc atomic.Pointer[lru.Cache[*core.Template]]
-
-	// qc, when set, caches finished top-K result sets keyed by the
-	// normalized query and search options; see SetCache.
-	qc atomic.Pointer[lru.Cache[cachedSearch[[]topkResult]]]
-	// beforeCachePut, when set (tests only), runs between a search's
-	// evaluation and its cache put.
-	beforeCachePut func()
 
 	// mp, when the document was loaded from an mmap'd FXP3 snapshot,
 	// is the file mapping the document's columns and strings alias.
@@ -465,104 +457,7 @@ func (d *Document) Search(q *Query, opts SearchOptions) ([]Answer, error) {
 // abandon the search once it is cancelled or times out, returning
 // ctx.Err(). Cancelled searches are never cached.
 func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]Answer, error) {
-	opts.defaults()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The observability span (if the caller started one) rides the
-	// context; every use below is nil-guarded so an uninstrumented
-	// search pays only this lookup.
-	span := obs.SpanFrom(ctx)
-
-	qc := d.qc.Load()
-	useCache := qc != nil && !opts.NoCache
-	var key string
-	var epoch uint64
-	if useCache {
-		key = searchCacheKey(q, opts)
-		var tCache time.Time
-		if span != nil {
-			tCache = time.Now()
-		}
-		cs, ok := qc.Get(key)
-		if span != nil {
-			span.Rec(obs.StageCache, time.Since(tCache))
-		}
-		if ok {
-			span.MarkCacheHit()
-			cs.report(opts.Metrics)
-			return d.buildAnswers(q, cs.results, opts), nil
-		}
-		// Read before evaluation starts, so a purgeCache while this
-		// search runs drops its put.
-		epoch = qc.Epoch()
-	}
-
-	var tChain time.Time
-	if span != nil {
-		tChain = time.Now()
-	}
-	// The StageChain span prices template acquisition: on a plan-cache hit
-	// it collapses to a cache lookup, which is the point of the cache.
-	tmpl, err := d.template(q, opts.Weights, opts.Hierarchy)
-	if span != nil {
-		span.Rec(obs.StageChain, time.Since(tChain))
-	}
-	if err != nil {
-		return nil, err
-	}
-	chain := tmpl.Chain
-	topts := topkOptions(ctx, opts, tmpl)
-	var results []topkResult
-	algoName, algoReason := opts.Algorithm.String(), ""
-	switch opts.Algorithm {
-	case Hybrid:
-		results = topk.Hybrid(chain, d.est, topts)
-	case DPO:
-		results = topk.DPO(d.ev, chain, topts)
-	case SSO:
-		results = topk.SSO(chain, d.est, topts)
-	default: // Auto: the planner's choice is reported with the results
-		var choice planner.Choice
-		results, choice = topk.Auto(d.ev, chain, d.est, d.pl, topts)
-		algoName, algoReason = choice.Algo.String(), choice.Explain
-	}
-	// A cancelled run returns truncated results; surface the error
-	// instead of caching or reporting them.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	span.SetRelaxations(topts.Metrics.RelaxationsEncoded)
-	if opts.Metrics != nil {
-		*opts.Metrics = exportMetrics(topts.Metrics)
-		opts.Metrics.Algorithm = algoName
-		opts.Metrics.AlgoReason = algoReason
-	}
-	if useCache {
-		if d.beforeCachePut != nil {
-			d.beforeCachePut()
-		}
-		qc.Put(key, cachedSearch[[]topkResult]{results: results, algo: algoName, reason: algoReason}, epoch)
-	}
-	return d.buildAnswers(q, results, opts), nil
-}
-
-// cachedSearch is a result-cache entry, a document's result set or a
-// collection's merged ranking, with the algorithm that produced it, so a
-// cache hit can still name it.
-type cachedSearch[T any] struct {
-	results T
-	algo    string
-	reason  string
-}
-
-// report fills a hit's metrics: a hit performs no evaluation work, so the
-// work counters are zero (cache effectiveness is reported via CacheStats),
-// but the algorithm that produced the entry is named.
-func (c cachedSearch[T]) report(m *Metrics) {
-	if m != nil {
-		*m = Metrics{Algorithm: c.algo, AlgoReason: c.reason}
-	}
+	return search(ctx, &d.searcher, lone{d}, q, opts, func(_ int, a Answer) Answer { return a })
 }
 
 // PlannerStats snapshots the cost-based planner behind Auto searches:
@@ -579,65 +474,11 @@ type PlannerStats struct {
 	Observations     uint64             `json:"observations"`
 }
 
-// PlannerStats reports the document's planner state. All-empty maps and
-// zero counters mean no Auto search has run yet.
+// PlannerStats reports the planner state of the document's direct
+// searches (a collection calibrates its members' searches itself).
+// All-empty maps and zero counters mean no Auto search has run yet.
 func (d *Document) PlannerStats() PlannerStats {
-	return plannerStatsFrom(d.pl.Snapshot())
-}
-
-func plannerStatsFrom(s planner.Stats) PlannerStats {
-	return PlannerStats{
-		Choices:          s.Choices,
-		Reasons:          s.Reasons,
-		NsPerUnit:        s.NsPerUnit,
-		CalibrationError: s.CalibrationError,
-		RestartRate:      s.RestartRate,
-		Observations:     s.Observations,
-	}
-}
-
-// buildAnswers converts internal results into public answers, applying
-// pagination. Cached result slices are never mutated: the offset is taken
-// by re-slicing, each call allocates fresh Answer values, and the Missed
-// slices shared with the cache are copied before they are handed out as
-// Answer.Relaxed — a caller mutating Relaxed must not poison later cache
-// hits.
-func (d *Document) buildAnswers(q *Query, results []topkResult, opts SearchOptions) []Answer {
-	if opts.Offset > 0 {
-		if opts.Offset >= len(results) {
-			results = nil
-		} else {
-			results = results[opts.Offset:]
-		}
-	}
-	var snippetExpr ir.Expr
-	for i := range q.q.Nodes {
-		if len(q.q.Nodes[i].Contains) > 0 {
-			snippetExpr = q.q.Nodes[i].Contains[0]
-			break
-		}
-	}
-	answers := make([]Answer, len(results))
-	for i, r := range results {
-		id, _ := d.tree.Attr(r.Node, "id")
-		var relaxed []string
-		if len(r.Missed) > 0 {
-			relaxed = append([]string(nil), r.Missed...)
-		}
-		answers[i] = Answer{
-			Path:        d.tree.Path(r.Node),
-			Tag:         d.tree.TagName(r.Node),
-			ID:          id,
-			Structural:  r.Score.SS,
-			Keyword:     r.Score.KS,
-			Relaxations: r.Relaxations,
-			Relaxed:     relaxed,
-			node:        r.Node,
-			doc:         d,
-			expr:        snippetExpr,
-		}
-	}
-	return answers
+	return PlannerStats(d.cal.Snapshot())
 }
 
 // SetCache enables an in-memory query-result cache holding up to
@@ -646,14 +487,9 @@ func (d *Document) buildAnswers(q *Query, results []topkResult, opts SearchOptio
 // determines a result set (normalized query, algorithm, scheme, K,
 // offset, weights, hierarchy), so differently-shaped requests never
 // collide; Parallel and Workers do not affect answers and are excluded.
-// Documents are immutable, so entries never go stale.
-func (d *Document) SetCache(capacity int) {
-	if capacity <= 0 {
-		d.qc.Store(nil)
-		return
-	}
-	d.qc.Store(lru.New[cachedSearch[[]topkResult]](capacity))
-}
+// Documents are immutable, so entries never go stale. The cache serves
+// direct searches of the document only; a collection has its own.
+func (d *Document) SetCache(capacity int) { d.setCache(capacity) }
 
 // purgeResults discards the document's result sets and full-text
 // results but not its plan templates (residency eviction, see
@@ -666,10 +502,9 @@ func (d *Document) purgeResults() {
 }
 
 // purgeCache discards the entries of all three of the document's caches,
-// keeping them enabled and their counters intact. Collections call this
-// when the document leaves the corpus, so a long-gone member doesn't pin
-// result sets or join plans; the purge epoch keeps searches already
-// running from re-populating them.
+// keeping them enabled and their counters intact, when the document
+// leaves a collection; the purge epoch keeps searches already running
+// from re-populating them.
 func (d *Document) purgeCache() {
 	d.purgeResults()
 	if pc := d.pc.Load(); pc != nil {
@@ -679,10 +514,7 @@ func (d *Document) purgeCache() {
 
 // CacheStats reports the document cache's hit/miss/eviction counters;
 // ok is false when no cache is enabled.
-func (d *Document) CacheStats() (s CacheStats, ok bool) {
-	st, ok := statsOf(d.qc.Load())
-	return cacheStatsFrom(st), ok
-}
+func (d *Document) CacheStats() (s CacheStats, ok bool) { return d.cacheStats() }
 
 // FullTextCacheStats reports the counters of the document's full-text
 // result cache: the bounded LRU of evaluated contains expressions inside

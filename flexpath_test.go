@@ -3,6 +3,7 @@ package flexpath
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -414,5 +415,44 @@ func TestAnalyzePlan(t *testing.T) {
 	cancel()
 	if _, err := doc.AnalyzePlan(ctx, MustParseQuery(paperQ1), SearchOptions{K: 3}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled AnalyzePlan: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestDocumentSearchAllocs pins the allocations of a Document search on
+// the paper's path: a warm plan template, the result cache bypassed, each
+// algorithm at a small and a large K. The pins are the counts of the
+// document-only search path that preceded the shared one; going through
+// the collection path must cost a lone document nothing.
+func TestDocumentSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	doc := xmarkDoc(t, 512, 3)
+	q := MustParseQuery(`//item[./description/parlist and ./mailbox/mail/text]`)
+	for _, c := range []struct {
+		algo Algorithm
+		k    int
+		pin  float64
+	}{
+		{DPO, 10, 94}, {SSO, 10, 78}, {Hybrid, 10, 100},
+		{DPO, 700, 771}, {SSO, 700, 1917}, {Hybrid, 700, 1939},
+	} {
+		opts := SearchOptions{K: c.k, Algorithm: c.algo, NoCache: true}
+		if _, err := doc.Search(q, opts); err != nil { // warms the template
+			t.Fatal(err)
+		}
+		// The least of three rounds: a garbage collection emptying the arena pool
+		// mid-round adds allocations that are not the search's.
+		n := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			n = min(n, testing.AllocsPerRun(10, func() {
+				if _, err := doc.Search(q, opts); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if n > c.pin {
+			t.Errorf("%v K=%d: %v allocations per search, pinned at %v", c.algo, c.k, n, c.pin)
+		}
 	}
 }

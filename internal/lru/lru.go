@@ -1,11 +1,12 @@
 // Package lru is the one bounded cache behind every memo in the
-// repository: the document and collection result caches, the
-// plan-template cache and the full-text cache inside ir.Index.
+// repository: the result cache of a searcher (a collection, or a document
+// searched directly), the plan-template cache and the full-text cache
+// inside ir.Index.
 //
 // A Cache is an exact LRU over string keys behind a single mutex. One
-// lock is enough for the traffic it sees: a per-document cache is
-// touched by one collection worker at a time, and the collection cache
-// by one lookup per search. Do adds single-flight construction: a miss
+// lock is enough for the traffic it sees: a result cache takes one
+// lookup and at most one put per search, and a member's plan cache one
+// lookup each time a search evaluates the member. Do adds single-flight construction: a miss
 // runs the builder outside the lock and concurrent misses on the same
 // key wait for that one build.
 //

@@ -147,12 +147,11 @@ func (e *ewma) add(x, alpha float64) {
 	e.v = alpha*x + (1-alpha)*e.v
 }
 
-// Planner holds the per-document planning state: the estimator the cost
-// model reads and the calibration the observations feed. Safe for
-// concurrent use.
-type Planner struct {
-	est *stats.Estimator
-
+// Calibration is the online half of the model: the EWMAs and decision
+// counters. It describes the host, not a document, so a collection keeps
+// one and binds every member's Planner to it. The zero value is
+// uncalibrated. Safe for concurrent use.
+type Calibration struct {
 	mu sync.Mutex
 	// nsPerUnit calibrates predicted units to observed nanoseconds, per
 	// algorithm (units are comparable across algorithms only up to a
@@ -168,9 +167,21 @@ type Planner struct {
 	observed uint64
 }
 
-// New returns a planner reading the given estimator.
+// Planner is one document's cost model: its estimator, bound to the
+// calibration its observations feed. Safe for concurrent use.
+type Planner struct {
+	est *stats.Estimator
+	*Calibration
+}
+
+// New returns a planner reading est, with a calibration of its own.
 func New(est *stats.Estimator) *Planner {
-	return &Planner{est: est, reasons: make(map[string]uint64)}
+	return &Planner{est: est, Calibration: &Calibration{}}
+}
+
+// Bind returns a planner reading est and sharing cal.
+func Bind(est *stats.Estimator, cal *Calibration) Planner {
+	return Planner{est: est, Calibration: cal}
 }
 
 // Choose predicts the cheapest algorithm for one top-K search over the
@@ -238,52 +249,55 @@ func (p *Planner) Choose(chain *core.Chain, tmpl *core.Template, k int, scheme r
 }
 
 // record counts the decision.
-func (p *Planner) record(c *Choice) {
-	p.mu.Lock()
-	p.choices[c.Algo]++
-	p.reasons[c.Reason]++
-	p.mu.Unlock()
+func (cal *Calibration) record(c *Choice) {
+	cal.mu.Lock()
+	if cal.reasons == nil {
+		cal.reasons = make(map[string]uint64)
+	}
+	cal.choices[c.Algo]++
+	cal.reasons[c.Reason]++
+	cal.mu.Unlock()
 }
 
 // Observe feeds one finished Auto run back into the calibrator: the
 // wall time of the dispatched algorithm and the restarts its metrics
 // reported. Cancelled or truncated runs must not be observed.
-func (p *Planner) Observe(c Choice, took time.Duration, restarts int) {
+func (cal *Calibration) Observe(c Choice, took time.Duration, restarts int) {
 	ns := float64(took)
 	if ns <= 0 {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.observed++
+	cal.mu.Lock()
+	defer cal.mu.Unlock()
+	cal.observed++
 	if u := c.Units[c.Algo]; u > 0 {
-		if predicted := u * p.nsPerUnitLocked(c.Algo); predicted > 0 {
-			p.calErr[c.Algo].add(math.Abs(math.Log(ns/predicted)), calibAlpha)
+		if predicted := u * cal.nsPerUnitLocked(c.Algo); predicted > 0 {
+			cal.calErr[c.Algo].add(math.Abs(math.Log(ns/predicted)), calibAlpha)
 		}
-		p.nsPerUnit[c.Algo].add(ns/u, calibAlpha)
+		cal.nsPerUnit[c.Algo].add(ns/u, calibAlpha)
 	}
 	if c.Algo != DPO {
-		p.restarts.add(float64(restarts), restartAlpha)
+		cal.restarts.add(float64(restarts), restartAlpha)
 	}
 }
 
 // nsPerUnitLocked returns the calibrated scale for a, defaulting to 1
-// (raw unit comparison) before any observation. Callers hold p.mu.
-func (p *Planner) nsPerUnitLocked(a Algo) float64 {
-	if p.nsPerUnit[a].n == 0 {
+// (raw unit comparison) before any observation. Callers hold cal.mu.
+func (cal *Calibration) nsPerUnitLocked(a Algo) float64 {
+	if cal.nsPerUnit[a].n == 0 {
 		return 1
 	}
-	return p.nsPerUnit[a].v
+	return cal.nsPerUnit[a].v
 }
 
 // restartRate returns the restarts-per-run EWMA (0 before observations).
-func (p *Planner) restartRate() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.restarts.n == 0 {
+func (cal *Calibration) restartRate() float64 {
+	cal.mu.Lock()
+	defer cal.mu.Unlock()
+	if cal.restarts.n == 0 {
 		return 0
 	}
-	return p.restarts.v
+	return cal.restarts.v
 }
 
 // planAt builds the encoded plan for the level, through the template's
@@ -379,34 +393,34 @@ type Stats struct {
 	Observations uint64  `json:"observations"`
 }
 
-// Snapshot returns the current planner state.
-func (p *Planner) Snapshot() Stats {
+// Snapshot returns the current calibration state.
+func (cal *Calibration) Snapshot() Stats {
 	s := Stats{
 		Choices:          make(map[string]uint64),
 		Reasons:          make(map[string]uint64),
 		NsPerUnit:        make(map[string]float64),
 		CalibrationError: make(map[string]float64),
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	cal.mu.Lock()
+	defer cal.mu.Unlock()
 	for a := 0; a < numAlgos; a++ {
 		name := Algo(a).String()
-		if p.choices[a] > 0 {
-			s.Choices[name] = p.choices[a]
+		if cal.choices[a] > 0 {
+			s.Choices[name] = cal.choices[a]
 		}
-		if p.nsPerUnit[a].n > 0 {
-			s.NsPerUnit[name] = p.nsPerUnit[a].v
+		if cal.nsPerUnit[a].n > 0 {
+			s.NsPerUnit[name] = cal.nsPerUnit[a].v
 		}
-		if p.calErr[a].n > 0 {
-			s.CalibrationError[name] = p.calErr[a].v
+		if cal.calErr[a].n > 0 {
+			s.CalibrationError[name] = cal.calErr[a].v
 		}
 	}
-	for r, n := range p.reasons {
+	for r, n := range cal.reasons {
 		s.Reasons[r] = n
 	}
-	if p.restarts.n > 0 {
-		s.RestartRate = p.restarts.v
+	if cal.restarts.n > 0 {
+		s.RestartRate = cal.restarts.v
 	}
-	s.Observations = p.observed
+	s.Observations = cal.observed
 	return s
 }

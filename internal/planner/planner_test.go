@@ -140,6 +140,31 @@ func TestCalibrationPullsChoice(t *testing.T) {
 	}
 }
 
+// TestBoundPlannersShareOneCalibration: planners bound to one calibration
+// (a collection's members) count into it and choose from it, so one
+// member's observations steer another's choice; New's calibration is its
+// own.
+func TestBoundPlannersShareOneCalibration(t *testing.T) {
+	f := newFixture(t)
+	chain := f.chain(t, srcQ1)
+	var cal Calibration
+	a, b := Bind(f.est, &cal), Bind(f.est, &cal)
+	first := a.Choose(chain, nil, 3, rank.StructureFirst)
+	for i := 0; i < 20; i++ {
+		a.Observe(first, time.Second, 0)
+	}
+	if c := b.Choose(chain, nil, 3, rank.StructureFirst); c.Algo == first.Algo {
+		t.Errorf("b still chose %v after a observed it running 1s twenty times", c.Algo)
+	}
+	s := cal.Snapshot()
+	if s.Observations != 20 || s.Choices[first.Algo.String()] == 0 || len(s.Reasons) == 0 {
+		t.Errorf("shared calibration %+v, want 20 observations and both choices", s)
+	}
+	if own := New(f.est).Snapshot(); own.Observations != 0 || len(own.Choices) != 0 {
+		t.Errorf("a new planner starts calibrated: %+v", own)
+	}
+}
+
 func TestCalibrationErrorShrinksOnStableRuntimes(t *testing.T) {
 	f := newFixture(t)
 	chain := f.chain(t, srcQ1)

@@ -26,8 +26,8 @@ import (
 //
 //   - A decoded document is its mapped columns: tree, text, statistics
 //     and postings alias the mapping, whose clean pages the kernel
-//     reclaims under pressure. The heap holds headers, the tag table,
-//     the planner and the plan, result and full-text caches.
+//     reclaims under pressure. The heap holds headers, the tag table and
+//     the plan, result and full-text caches.
 //
 //   - Eviction drops the result and full-text entries — large and cheap
 //     to recompute — and keeps the plan templates, which alias only the
@@ -314,15 +314,14 @@ func (c *Collection) Close() error {
 }
 
 // register inserts a member under a name, recording its mapping (if
-// any) for Close, and applies the collection-level bookkeeping every
-// membership change shares.
+// any) for Close.
 func (c *Collection) register(name string, mem *member, mp *mmapio.Mapping) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.byName == nil {
 		c.byName = make(map[string]int)
 	}
 	if _, dup := c.byName[name]; dup {
-		c.mu.Unlock()
 		return fmt.Errorf("flexpath: duplicate document name %q", name)
 	}
 	c.byName[name] = len(c.names)
@@ -331,7 +330,5 @@ func (c *Collection) register(name string, mem *member, mp *mmapio.Mapping) erro
 	if mp != nil {
 		c.mappings = append(c.mappings, mp)
 	}
-	c.mu.Unlock()
-	c.published(nil)
 	return nil
 }

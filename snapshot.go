@@ -3,10 +3,10 @@ package flexpath
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"flexpath/internal/exec"
 	"flexpath/internal/ir"
-	"flexpath/internal/planner"
 	"flexpath/internal/stats"
 	"flexpath/internal/xmltree"
 )
@@ -41,17 +41,19 @@ func snapshotMagic(b []byte) string {
 	return ""
 }
 
+// serials numbers documents for result-cache parts.
+var serials atomic.Uint64
+
 // assembleDocument wires a tree with its statistics and index into a
 // searchable Document, the shared tail of every construction path.
 func assembleDocument(tree *xmltree.Document, st *stats.Stats, ix *ir.Index) *Document {
-	est := stats.NewEstimator(st, ix)
 	d := &Document{
-		tree:  tree,
-		index: ix,
-		stats: st,
-		est:   est,
-		pl:    planner.New(est),
-		ev:    exec.NewEvaluator(tree, ix),
+		tree:   tree,
+		index:  ix,
+		stats:  st,
+		est:    stats.NewEstimator(st, ix),
+		ev:     exec.NewEvaluator(tree, ix),
+		serial: serials.Add(1),
 	}
 	d.SetPlanCache(DefaultPlanCacheCapacity)
 	return d
