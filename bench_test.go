@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"flexpath/internal/exec"
-	"flexpath/internal/rank"
-	"flexpath/internal/topk"
 	"flexpath/internal/xmark"
 )
 
@@ -169,26 +167,6 @@ func BenchmarkFig16(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDPOSemijoin quantifies how much of DPO's cost comes
-// from materializing full match tuples per level: the semijoin variant
-// evaluates the same relaxation chain with existential two-pass joins.
-// (Not a paper figure; see DESIGN.md, ablations.)
-func BenchmarkAblationDPOSemijoin(b *testing.B) {
-	d := benchDoc(b, 2<<10)
-	tmpl, err := d.template(MustParseQuery(benchXQ3), Weights{}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("plan-DPO", func(b *testing.B) {
-		benchSearch(b, d, benchXQ3, DPO, 200)
-	})
-	b.Run("semijoin-DPO", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			topk.DPOSemijoin(d.ev, tmpl.Chain, topk.Options{K: 200, Scheme: rank.StructureFirst})
-		}
-	})
-}
-
 // BenchmarkAblationBestOnly measures the dominated-extension optimization
 // for optional variables: with it disabled, every optional match
 // multiplies the tuple stream. (Design-choice ablation; see DESIGN.md.)
@@ -275,36 +253,6 @@ func BenchmarkSubstrates(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkIRFirstCrossover compares structure-first and IR-first exact
-// evaluation (§5.1 leaves this comparison open). IR-first starts from
-// inverted-index witnesses and should win when keywords are selective;
-// structure-first scans tag lists and should win when keywords are
-// common.
-func BenchmarkIRFirstCrossover(b *testing.B) {
-	d := benchDoc(b, 4<<10)
-	cases := []struct{ name, query string }{
-		// A phrase (adjacent bigram) is rare on this corpus: few
-		// witnesses, so starting from the inverted index pays off.
-		{"selective", `//item[./description[.contains("gold silver")]]`},
-		// A hot single term has thousands of witnesses: walking their
-		// ancestor chains costs more than scanning the tag list.
-		{"common", `//item[./description[.contains("xml")]]`},
-	}
-	for _, c := range cases {
-		q := MustParseQuery(c.query).q
-		b.Run(c.name+"/structure-first", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d.ev.Evaluate(q)
-			}
-		})
-		b.Run(c.name+"/ir-first", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d.ev.EvaluateIRFirst(q)
-			}
-		})
-	}
 }
 
 // benchColdMember saves a 512 KB document as FXP3 and adds it cold to a

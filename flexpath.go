@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"flexpath/internal/core"
-	"flexpath/internal/exec"
 	"flexpath/internal/ir"
 	"flexpath/internal/lru"
 	"flexpath/internal/mmapio"
@@ -219,7 +218,6 @@ type Document struct {
 	index *ir.Index
 	stats *stats.Stats
 	est   *stats.Estimator
-	ev    *exec.Evaluator
 	// serial identifies the document in result-cache parts (see part).
 	serial uint64
 	// searcher serves direct searches of the document; a collection

@@ -363,11 +363,9 @@ type ContainsLoc struct {
 	Expr  ir.Expr
 }
 
-// ContainsLocsAt returns the keyword-score location of each contains
-// predicate of the original query after j steps, in canonical key order.
-func (c *Chain) ContainsLocsAt(j int) []ContainsLoc { return c.containsLocs(c.RemainingAt(j)) }
-
-// containsLocs is ContainsLocsAt for the given remaining set.
+// containsLocs returns the keyword-score location of each contains
+// predicate of the original query under the remaining predicate set cur,
+// in canonical key order.
 func (c *Chain) containsLocs(cur tpq.Bits) []ContainsLoc {
 	u := c.U
 	logical := u.Logical()

@@ -11,10 +11,10 @@ import (
 // small enough that a pooled idle arena stays cheap.
 const arenaChunk = 1 << 14
 
-// Arena is a per-search scratch allocator for the execution core. Join
-// kernels, candidate filters and the tuple pipeline carve their
-// intermediate buffers from it instead of allocating per call; Reset
-// recycles everything at once between relaxation levels or plan restarts.
+// Arena is a per-search scratch allocator for the join pipeline. Run
+// carves its binding blocks, tuple buffers and sort scratch from it
+// instead of allocating per call; Reset recycles everything at once
+// between relaxation levels or plan restarts.
 //
 // Contract: buffers carved from an arena are only valid until the next
 // Reset (or PutArena). Nothing carved from an arena may be returned to a
@@ -24,7 +24,7 @@ const arenaChunk = 1 << 14
 // heap allocation.
 //
 // A nil *Arena is valid everywhere and degrades to plain allocation, so
-// oracle and test paths run the exact same code without an arena.
+// test paths run the exact same code without an arena.
 type Arena struct {
 	// node is the current chunk; its length is the high-water mark of
 	// carved space. Exhausted chunks park in full (still referenced by
@@ -37,10 +37,6 @@ type Arena struct {
 	keys []float64 // ModeSorted score keys
 	idx  []int     // ModeSorted order permutation
 }
-
-// NewArena returns an empty arena. Most callers should prefer GetArena /
-// PutArena, which recycle arenas through a pool.
-func NewArena() *Arena { return &Arena{} }
 
 var arenaPool = sync.Pool{New: func() interface{} { return &Arena{} }}
 
@@ -100,19 +96,6 @@ func (a *Arena) Nodes(n int) []xmltree.NodeID {
 	off := len(a.node)
 	a.node = a.node[:off+n]
 	return a.node[off : off : off+n]
-}
-
-// nodesN carves a zeroed-length-n NodeID buffer (Nodes, pre-extended).
-func (a *Arena) nodesN(n int) []xmltree.NodeID {
-	b := a.Nodes(n)[:n]
-	if a != nil {
-		// Arena memory is recycled, not zeroed; callers of nodesN expect
-		// to overwrite every element, but clear anyway when carving from
-		// the arena so a missed write fails loudly (InvalidNode is -1,
-		// zero is the root — both deterministic).
-		clear(b)
-	}
-	return b
 }
 
 // tupleBuf pops a recycled tuple buffer (length 0), or nil when none is

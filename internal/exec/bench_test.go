@@ -6,6 +6,7 @@ import (
 
 	"flexpath/internal/ir"
 	"flexpath/internal/tpq"
+	"flexpath/internal/xmark"
 	"flexpath/internal/xmltree"
 )
 
@@ -66,36 +67,59 @@ func BenchmarkEvaluateExact(b *testing.B) {
 	}
 }
 
-func BenchmarkEvaluateIRFirst(b *testing.B) {
-	d := benchTree(b)
-	ev := NewEvaluator(d, ir.NewIndex(d))
-	q := tpq.MustParse(`//a[./b[./c[.contains("gold")]]]`)
-	ev.EvaluateIRFirst(q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.EvaluateIRFirst(q)
-	}
-}
-
-// BenchmarkEvaluateLeaf filters a tag list by a required contains
-// predicate whose witnesses sit under half of its nodes: one galloping
-// semijoin pass over the two sorted lists.
+// BenchmarkEvaluateLeaf times evaluateLeaf, the one place a plan makes
+// §5.1's choice between starting from the inverted index and starting
+// from the tag list. "half" filters a tag list by a predicate whose
+// witnesses sit under half of its nodes: one galloping semijoin pass.
+// The xmark cases hold the two arms side by side on a 4 MB XMark
+// document at both ends of the rule's threshold: walk builds the base
+// from the witnesses' ancestors (contextsOf), scan semijoins the whole
+// tag list, and leaf is whichever evaluateLeaf picks.
 func BenchmarkEvaluateLeaf(b *testing.B) {
 	d := benchTree(b)
 	v := &VarSpec{Tag: "b", Contains: []ContainsSpec{{Res: ir.NewIndex(d).Eval(ir.MustParseExpr("gold")), Required: true}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		evaluateLeaf(d, v)
+	b.Run("half", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			evaluateLeaf(d, v)
+		}
+	})
+	x, err := xmark.Build(xmark.Config{TargetBytes: 4 << 20, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := ir.NewIndex(x)
+	for _, c := range []struct{ name, expr string }{
+		{"selective", `"gold silver"`}, // a rare phrase: few witnesses
+		{"common", "xml"},              // a hot term: thousands of witnesses
+	} {
+		res := ix.Eval(ir.MustParseExpr(c.expr))
+		v := &VarSpec{Tag: "description", Contains: []ContainsSpec{{Res: res, Required: true}}}
+		tags := x.NodesWithTag(v.Tag)
+		b.Logf("%s: %d witnesses, %d %s nodes, rule walks: %v",
+			c.name, res.Len(), len(tags), v.Tag, res.Len()*16 < len(tags))
+		b.Run(c.name+"/walk", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				base := contextsOf(x, res, v)
+				res.SemiJoinInto(make([]xmltree.NodeID, 0, len(base)), base)
+			}
+		})
+		b.Run(c.name+"/scan", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res.SemiJoinInto(make([]xmltree.NodeID, 0, len(tags)), tags)
+			}
+		})
+		b.Run(c.name+"/leaf", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				evaluateLeaf(x, v)
+			}
+		})
 	}
 }
 
-// benchKernels compares each batched kernel (wrapper and arena-Into form)
-// against its retained scalar oracle on one (outer, inner) pair. Run with
-// -benchmem: the into/ variants should report 0 allocs/op once the arena
-// chunk is warm.
+// benchKernels compares each batched kernel against its retained scalar
+// oracle on one (outer, inner) pair.
 func benchKernels(b *testing.B, d *xmltree.Document, outer, inner []xmltree.NodeID) {
-	a := NewArena()
 	for _, kc := range kernelCases {
 		b.Run("scalar/"+kc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -105,13 +129,6 @@ func benchKernels(b *testing.B, d *xmltree.Document, outer, inner []xmltree.Node
 		b.Run("batch/"+kc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				kc.batch(d, outer, inner)
-			}
-		})
-		b.Run("into/"+kc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a.Reset()
-				kc.into(a, a.Nodes(len(outer)), d, outer, inner)
 			}
 		})
 	}

@@ -9,7 +9,10 @@ import (
 	"flexpath/internal/xmltree"
 )
 
-// Evaluator evaluates exact tree pattern queries against one document.
+// Evaluator evaluates exact tree pattern queries against one document with
+// the classical two-pass semijoin algorithm. No search runs it: every
+// algorithm evaluates through Run over a plan. It is the oracle tests hold
+// plans and top-K answers to.
 type Evaluator struct {
 	doc *xmltree.Document
 	ix  *ir.Index
@@ -31,24 +34,11 @@ func (ev *Evaluator) WithHierarchy(h *tpq.Hierarchy) *Evaluator {
 	return &out
 }
 
-// Doc returns the evaluator's document.
-func (ev *Evaluator) Doc() *xmltree.Document { return ev.doc }
-
-// Index returns the evaluator's full-text index.
-func (ev *Evaluator) Index() *ir.Index { return ev.ix }
-
-// Candidates returns the document nodes that satisfy query node i's local
+// candidates returns the document nodes that satisfy query node i's local
 // predicates: tag, value-based predicates, and contains predicates. The
 // result is in document order and must not be modified unless it was
 // filtered (in which case it is a fresh slice).
-func (ev *Evaluator) Candidates(q *tpq.Query, i int) []xmltree.NodeID {
-	return ev.candidatesArena(q, i, nil)
-}
-
-// candidatesArena is Candidates with the filtered list carved from an
-// arena (nil falls back to plain allocation). Filtered lists carved from
-// an arena are only valid until its next Reset.
-func (ev *Evaluator) candidatesArena(q *tpq.Query, i int, a *Arena) []xmltree.NodeID {
+func (ev *Evaluator) candidates(q *tpq.Query, i int) []xmltree.NodeID {
 	n := &q.Nodes[i]
 	var base []xmltree.NodeID
 	if ev.h == nil {
@@ -68,7 +58,7 @@ func (ev *Evaluator) candidatesArena(q *tpq.Query, i int, a *Arena) []xmltree.No
 	// As in evaluateLeaf: one forward semijoin per contains predicate,
 	// then the value filter, all but the first in place.
 	out := base
-	buf := a.Nodes(len(base))
+	buf := make([]xmltree.NodeID, 0, len(base))
 	for _, e := range n.Contains {
 		out = ev.ix.Eval(e).SemiJoinInto(buf, out)
 	}
@@ -93,16 +83,41 @@ func (ev *Evaluator) Evaluate(q *tpq.Query) []xmltree.NodeID {
 // the sub-pattern, then a top-down pass keeping only nodes reachable from
 // a match of the parent.
 func (ev *Evaluator) EvaluateFull(q *tpq.Query) [][]xmltree.NodeID {
-	return ev.evaluateFullWith(q, nil, (*Evaluator).candidatesArena)
-}
-
-// EvaluateFullArena is EvaluateFull with every intermediate list — and the
-// returned per-node lists themselves — carved from the arena. The results
-// are only valid until the arena's next Reset; callers (the DPO level
-// loop) must consume them before recycling. A nil arena behaves exactly
-// like EvaluateFull.
-func (ev *Evaluator) EvaluateFullArena(q *tpq.Query, a *Arena) [][]xmltree.NodeID {
-	return ev.evaluateFullWith(q, a, (*Evaluator).candidatesArena)
+	n := len(q.Nodes)
+	down := make([][]xmltree.NodeID, n)
+	children := make([][]int, n)
+	for i := 1; i < n; i++ {
+		p := q.Nodes[i].Parent
+		children[p] = append(children[p], i)
+	}
+	for i := n - 1; i >= 0; i-- {
+		cur := ev.candidates(q, i)
+		for _, c := range children[i] {
+			if q.Nodes[c].Axis == tpq.Child {
+				cur = SemiJoinHasChild(ev.doc, cur, down[c])
+			} else {
+				cur = SemiJoinHasDescendant(ev.doc, cur, down[c])
+			}
+			if len(cur) == 0 {
+				return nil
+			}
+		}
+		down[i] = cur
+	}
+	ok := make([][]xmltree.NodeID, n)
+	ok[0] = down[0]
+	for i := 1; i < n; i++ {
+		p := q.Nodes[i].Parent
+		if q.Nodes[i].Axis == tpq.Child {
+			ok[i] = SemiJoinChildOf(ev.doc, down[i], ok[p])
+		} else {
+			ok[i] = SemiJoinDescendantOf(ev.doc, down[i], ok[p])
+		}
+		if len(ok[i]) == 0 {
+			return nil
+		}
+	}
+	return ok
 }
 
 // EvalValuePred evaluates a value-based predicate against a node's

@@ -1,14 +1,19 @@
-// Package exec is FleXPath's query execution engine. It provides the
-// structural (semi)join primitives of Al-Khalifa et al. (ICDE 2002) over
-// sorted node lists, an exact tree-pattern evaluator used by the DPO
-// algorithm and by the test oracles, and a scored left-deep join pipeline
-// that evaluates a query with relaxations encoded as optional predicates —
-// the machinery behind the SSO and Hybrid algorithms (§5.2 of the paper).
+// Package exec is FleXPath's query execution engine: a scored left-deep
+// join pipeline (Run over a Plan) that evaluates a query with relaxations
+// encoded as optional predicates (§5.2 of the paper). It is the only
+// evaluator any search runs: SSO and Hybrid run one encoded plan, DPO one
+// exact plan per relaxation level. Each plan variable's leaf makes §5.1's
+// choice between starting from the inverted index and starting from the
+// tag list (evaluateLeaf).
+//
+// The package also keeps the structural semijoin primitives of Al-Khalifa
+// et al. (ICDE 2002) over sorted node lists and the two-pass exact
+// evaluator built on them (Evaluator), which no search runs: it is the
+// oracle tests hold plans and answers to.
 //
 // The semijoin kernels are columnar and block-at-a-time: they index the
-// document's End/Parent columns directly (no per-node accessor calls),
-// write into caller-supplied output buffers (typically carved from an
-// Arena), and advance a shared cursor over the inner list by galloping —
+// document's End/Parent columns directly (no per-node accessor calls) and
+// advance a shared cursor over the inner list by galloping —
 // exponential probe followed by binary search inside the probed window.
 // Galloping makes each semijoin a near-linear merge when the two lists
 // are comparably sized, while degrading gracefully to O(n log m) when one
@@ -29,27 +34,16 @@ const joinBlock = 512
 
 // SemiJoinHasDescendant keeps the nodes of outer whose subtree contains
 // at least one node of inner. Both lists must be sorted in document
-// order; the result is sorted. Allocating wrapper over the Into kernel.
+// order; the result is sorted.
 func SemiJoinHasDescendant(doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
-	return SemiJoinHasDescendantInto(nil, nil, doc, outer, inner)
-}
-
-// SemiJoinHasDescendantInto is the block kernel behind
-// SemiJoinHasDescendant: it appends the result to dst[:0] and returns it.
-// dst is typically carved from a (the arena is otherwise unused here);
-// both may be nil.
-func SemiJoinHasDescendantInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
-	dst = dst[:0]
+	var dst []xmltree.NodeID
 	if len(outer) == 0 || len(inner) == 0 {
 		return dst
 	}
 	ends := doc.Ends()
 	j := 0
 	for lo := 0; lo < len(outer); lo += joinBlock {
-		hi := lo + joinBlock
-		if hi > len(outer) {
-			hi = len(outer)
-		}
+		hi := min(lo+joinBlock, len(outer))
 		for _, x := range outer[lo:hi] {
 			// First inner node after x in document order; x matches iff
 			// that node still lies inside x's subtree. The probe target is
@@ -67,23 +61,16 @@ func SemiJoinHasDescendantInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Docu
 }
 
 // SemiJoinHasChild keeps the nodes of outer that have at least one child
-// in inner. Both lists must be sorted; the result is sorted. Allocating
-// wrapper over the Into kernel.
+// in inner. Both lists must be sorted; the result is sorted. The distinct
+// parents of inner are collected, sorted with a typed sort, and
+// deduplicated on the fly during a single galloped merge against outer.
 func SemiJoinHasChild(doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
-	return SemiJoinHasChildInto(nil, nil, doc, outer, inner)
-}
-
-// SemiJoinHasChildInto is the block kernel behind SemiJoinHasChild. The
-// distinct parents of inner are collected into arena scratch, sorted with
-// a typed sort, and deduplicated on the fly during a single galloped
-// merge against outer — no per-call allocation when an arena is supplied.
-func SemiJoinHasChildInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
-	dst = dst[:0]
+	var dst []xmltree.NodeID
 	if len(outer) == 0 || len(inner) == 0 {
 		return dst
 	}
 	parentCol := doc.Parents()
-	parents := a.Nodes(len(inner))
+	parents := make([]xmltree.NodeID, 0, len(inner))
 	for _, d := range inner {
 		if p := parentCol[d]; p != xmltree.InvalidNode {
 			parents = append(parents, p)
@@ -92,10 +79,7 @@ func SemiJoinHasChildInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document,
 	slices.Sort(parents)
 	j := 0
 	for lo := 0; lo < len(outer); lo += joinBlock {
-		hi := lo + joinBlock
-		if hi > len(outer) {
-			hi = len(outer)
-		}
+		hi := min(lo+joinBlock, len(outer))
 		for _, x := range outer[lo:hi] {
 			// Galloping to the first parent >= x skips duplicate parent
 			// runs in one jump: the merge pass is also the dedup pass.
@@ -113,16 +97,10 @@ func SemiJoinHasChildInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document,
 
 // SemiJoinDescendantOf keeps the nodes that are proper descendants of at
 // least one node in ancestors. Both lists must be sorted; the result is
-// sorted. Allocating wrapper over the Into kernel.
+// sorted. The ancestor cursor advances by galloping over a running-max
+// interval-end prefix.
 func SemiJoinDescendantOf(doc *xmltree.Document, nodes, ancestors []xmltree.NodeID) []xmltree.NodeID {
-	return SemiJoinDescendantOfInto(nil, nil, doc, nodes, ancestors)
-}
-
-// SemiJoinDescendantOfInto is the block kernel behind
-// SemiJoinDescendantOf. The running-max interval-end prefix lives in
-// arena scratch; the ancestor cursor advances by galloping.
-func SemiJoinDescendantOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, nodes, ancestors []xmltree.NodeID) []xmltree.NodeID {
-	dst = dst[:0]
+	var dst []xmltree.NodeID
 	if len(nodes) == 0 || len(ancestors) == 0 {
 		return dst
 	}
@@ -130,7 +108,7 @@ func SemiJoinDescendantOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Docum
 	// maxEnd[i] = max interval end among ancestors[0..i]; a node n has a
 	// containing ancestor iff some a < n has end(a) >= n, i.e. the max end
 	// among ancestors strictly before n reaches n.
-	maxEnd := a.nodesN(len(ancestors))
+	maxEnd := make([]xmltree.NodeID, len(ancestors))
 	cur := xmltree.NodeID(-1)
 	for i, an := range ancestors {
 		if e := ends[an]; e > cur {
@@ -140,10 +118,7 @@ func SemiJoinDescendantOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Docum
 	}
 	j := 0
 	for lo := 0; lo < len(nodes); lo += joinBlock {
-		hi := lo + joinBlock
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
+		hi := min(lo+joinBlock, len(nodes))
 		for _, n := range nodes[lo:hi] {
 			j = xmltree.GallopGE(ancestors, j, n)
 			if j > 0 && maxEnd[j-1] >= n {
@@ -155,30 +130,20 @@ func SemiJoinDescendantOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Docum
 }
 
 // SemiJoinChildOf keeps the nodes whose parent is in parents. Both lists
-// must be sorted; the result is sorted. Allocating wrapper over the Into
-// kernel.
+// must be sorted; the result is sorted. A node's parent is not monotone
+// in document order, so instead of a forward-only cursor the kernel
+// exploits local coherence: consecutive nodes are usually siblings, so it
+// first re-tests the previous hit, then gallops from the last position in
+// whichever direction the new parent lies.
 func SemiJoinChildOf(doc *xmltree.Document, nodes, parents []xmltree.NodeID) []xmltree.NodeID {
-	return SemiJoinChildOfInto(nil, nil, doc, nodes, parents)
-}
-
-// SemiJoinChildOfInto is the block kernel behind SemiJoinChildOf. A
-// node's parent is not monotone in document order, so instead of a
-// forward-only cursor the kernel exploits local coherence: consecutive
-// nodes are usually siblings, so it first re-tests the previous hit, then
-// gallops from the last position in whichever direction the new parent
-// lies.
-func SemiJoinChildOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, nodes, parents []xmltree.NodeID) []xmltree.NodeID {
-	dst = dst[:0]
+	var dst []xmltree.NodeID
 	if len(nodes) == 0 || len(parents) == 0 {
 		return dst
 	}
 	parentCol := doc.Parents()
 	j := 0
 	for lo := 0; lo < len(nodes); lo += joinBlock {
-		hi := lo + joinBlock
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
+		hi := min(lo+joinBlock, len(nodes))
 		for _, n := range nodes[lo:hi] {
 			p := parentCol[n]
 			if p == xmltree.InvalidNode {
@@ -198,20 +163,13 @@ func SemiJoinChildOfInto(a *Arena, dst []xmltree.NodeID, doc *xmltree.Document, 
 				// parent (the input is NOT parent-monotone): gallop
 				// backwards for the window, then settle with the same
 				// forward search.
-				k := j
-				if k > len(parents)-1 {
-					k = len(parents) - 1
-				}
+				k := min(j, len(parents)-1)
 				back := 1
 				for k-back >= 0 && parents[k-back] >= p {
 					k -= back
 					back <<= 1
 				}
-				from := k - back
-				if from < 0 {
-					from = 0
-				}
-				j = xmltree.GallopGE(parents, from, p)
+				j = xmltree.GallopGE(parents, max(k-back, 0), p)
 			}
 			if j < len(parents) && parents[j] == p {
 				dst = append(dst, n)

@@ -1,34 +1,33 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
-	"flexpath/internal/ir"
-	"flexpath/internal/tpq"
 	"flexpath/internal/xmark"
 	"flexpath/internal/xmltree"
 )
 
 // This file is the differential suite for the columnar block kernels: on
-// every input, each batched kernel (both the allocating wrapper and the
-// arena-backed Into form) must return output byte-identical to the
-// retained scalar oracle in joins_scalar_test.go, and arena reuse must never
-// alias or corrupt results that were copied out before a Reset.
+// every input, each batched kernel must return output byte-identical to
+// the retained scalar oracle in joins_scalar_test.go. It also holds Run to
+// the same answers with and without a (reused, shared-pool) arena.
 
 type kernelCase struct {
 	name   string
 	scalar func(*xmltree.Document, []xmltree.NodeID, []xmltree.NodeID) []xmltree.NodeID
 	batch  func(*xmltree.Document, []xmltree.NodeID, []xmltree.NodeID) []xmltree.NodeID
-	into   func(*Arena, []xmltree.NodeID, *xmltree.Document, []xmltree.NodeID, []xmltree.NodeID) []xmltree.NodeID
 }
 
 var kernelCases = []kernelCase{
-	{"HasDescendant", scalarSemiJoinHasDescendant, SemiJoinHasDescendant, SemiJoinHasDescendantInto},
-	{"HasChild", scalarSemiJoinHasChild, SemiJoinHasChild, SemiJoinHasChildInto},
-	{"DescendantOf", scalarSemiJoinDescendantOf, SemiJoinDescendantOf, SemiJoinDescendantOfInto},
-	{"ChildOf", scalarSemiJoinChildOf, SemiJoinChildOf, SemiJoinChildOfInto},
+	{"HasDescendant", scalarSemiJoinHasDescendant, SemiJoinHasDescendant},
+	{"HasChild", scalarSemiJoinHasChild, SemiJoinHasChild},
+	{"DescendantOf", scalarSemiJoinDescendantOf, SemiJoinDescendantOf},
+	{"ChildOf", scalarSemiJoinChildOf, SemiJoinChildOf},
 }
 
 func sameNodes(a, b []xmltree.NodeID) bool {
@@ -43,18 +42,14 @@ func sameNodes(a, b []xmltree.NodeID) bool {
 	return true
 }
 
-// checkKernels runs every kernel in wrapper and arena form against its
-// scalar oracle on one (outer, inner) pair. Returns false on divergence.
-func checkKernels(t testing.TB, d *xmltree.Document, a *Arena, outer, inner []xmltree.NodeID) bool {
+// checkKernels runs every kernel against its scalar oracle on one
+// (outer, inner) pair. Returns false on divergence.
+func checkKernels(t testing.TB, d *xmltree.Document, outer, inner []xmltree.NodeID) bool {
 	ok := true
 	for _, kc := range kernelCases {
 		want := kc.scalar(d, outer, inner)
 		if got := kc.batch(d, outer, inner); !sameNodes(got, want) {
-			t.Logf("%s wrapper: got %v want %v (outer=%v inner=%v)", kc.name, got, want, outer, inner)
-			ok = false
-		}
-		if got := kc.into(a, a.Nodes(len(outer)), d, outer, inner); !sameNodes(got, want) {
-			t.Logf("%s into: got %v want %v (outer=%v inner=%v)", kc.name, got, want, outer, inner)
+			t.Logf("%s: got %v want %v (outer=%v inner=%v)", kc.name, got, want, outer, inner)
 			ok = false
 		}
 	}
@@ -69,14 +64,12 @@ func checkKernels(t testing.TB, d *xmltree.Document, a *Arena, outer, inner []xm
 }
 
 func TestDifferentialKernelsRandom(t *testing.T) {
-	a := NewArena()
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d := randomDoc(r)
-		a.Reset()
 		outer := randomSortedNodes(r, d)
 		inner := randomSortedNodes(r, d)
-		return checkKernels(t, d, a, outer, inner)
+		return checkKernels(t, d, outer, inner)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -102,12 +95,9 @@ func TestDifferentialKernelsXMark(t *testing.T) {
 	if len(lists) < 4 {
 		t.Fatalf("xmark doc unexpectedly sparse: %d non-empty tag lists", len(lists))
 	}
-	a := GetArena()
-	defer PutArena(a)
 	for i, outer := range lists {
 		for j, inner := range lists {
-			a.Reset()
-			if !checkKernels(t, d, a, outer, inner) {
+			if !checkKernels(t, d, outer, inner) {
 				t.Fatalf("kernel divergence on xmark tag lists %d x %d", i, j)
 			}
 		}
@@ -122,11 +112,9 @@ func FuzzDifferentialJoins(f *testing.F) {
 	f.Add(int64(1), uint64(0x5555), uint64(0xaaaa))
 	f.Add(int64(42), uint64(0), uint64(^uint64(0)))
 	f.Add(int64(-7), uint64(1), uint64(1<<63))
-	a := NewArena()
 	f.Fuzz(func(t *testing.T, seed int64, outerMask, innerMask uint64) {
 		r := rand.New(rand.NewSource(seed))
 		d := randomDoc(r)
-		a.Reset()
 		pick := func(mask uint64) []xmltree.NodeID {
 			var out []xmltree.NodeID
 			for n := 0; n < d.Len(); n++ {
@@ -136,67 +124,10 @@ func FuzzDifferentialJoins(f *testing.F) {
 			}
 			return out
 		}
-		if !checkKernels(t, d, a, pick(outerMask), pick(innerMask)) {
+		if !checkKernels(t, d, pick(outerMask), pick(innerMask)) {
 			t.Fatal("batched kernel diverged from scalar oracle")
 		}
 	})
-}
-
-// TestArenaResultsNoAliasing: results computed through an arena and then
-// copied out must survive later carving, a Reset, and a full re-run on
-// the recycled arena. A violation means a kernel handed out memory that a
-// later carve re-used.
-func TestArenaResultsNoAliasing(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	var d *xmltree.Document
-	var q *tpq.Query
-	var ix *ir.Index
-	for {
-		d = randomDoc(r)
-		ix = ir.NewIndex(d)
-		q = tpq.MustParse(`//a[./b and .//c]`)
-		if NewEvaluator(d, ix).Evaluate(q) != nil {
-			break
-		}
-	}
-	ev := NewEvaluator(d, ix)
-
-	a := GetArena()
-	defer PutArena(a)
-	first := ev.EvaluateFullArena(q, a)
-	if first == nil {
-		t.Fatal("expected matches")
-	}
-	snapshot := make([][]xmltree.NodeID, len(first))
-	for i, l := range first {
-		snapshot[i] = append([]xmltree.NodeID(nil), l...)
-	}
-	// More work on the same arena (no Reset) must not disturb the lists
-	// already handed out.
-	for i := 0; i < 10; i++ {
-		ev.EvaluateFullArena(q, a)
-	}
-	for i := range first {
-		if !sameNodes(first[i], snapshot[i]) {
-			t.Fatalf("list %d changed under later carving: %v vs %v", i, first[i], snapshot[i])
-		}
-	}
-	// After Reset the arena memory is recycled; a fresh evaluation must
-	// reproduce the snapshot exactly on the recycled chunks.
-	a.Reset()
-	again := ev.EvaluateFullArena(q, a)
-	for i := range again {
-		if !sameNodes(again[i], snapshot[i]) {
-			t.Fatalf("list %d differs after arena recycle: %v vs %v", i, again[i], snapshot[i])
-		}
-	}
-	// And the arena path must agree with the plain-allocation path.
-	plain := ev.EvaluateFull(q)
-	for i := range plain {
-		if !sameNodes(plain[i], again[i]) {
-			t.Fatalf("arena vs plain mismatch at %d: %v vs %v", i, again[i], plain[i])
-		}
-	}
 }
 
 // TestRunArenaByteIdentical: Run with a caller-supplied arena — including
@@ -231,43 +162,33 @@ func TestRunArenaByteIdentical(t *testing.T) {
 	}
 }
 
-// TestArenaConcurrentSearches runs independent arena-backed evaluations
-// concurrently (each goroutine with its own pooled arena); meaningful
-// under -race, where any cross-arena sharing shows up as a data race.
+// TestArenaConcurrentSearches runs Run concurrently, each goroutine on
+// its own pooled arena, and compares every run with an arena-less one;
+// meaningful under -race, where any cross-arena sharing shows up as a
+// data race.
 func TestArenaConcurrentSearches(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	d := randomDoc(r)
-	ix := ir.NewIndex(d)
-	ev := NewEvaluator(d, ix)
-	q := tpq.MustParse(`//a[./b]`)
-	want := ev.Evaluate(q)
-	done := make(chan error, 8)
+	plan, _ := buildParallelPlan(t)
+	want := Run(plan, Options{K: 10, Mode: ModeBuckets})
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				a := GetArena()
-				full := ev.EvaluateFullArena(q, a)
-				var got []xmltree.NodeID
-				if full != nil {
-					got = full[q.Dist]
-				}
-				if !sameNodes(got, want) {
-					PutArena(a)
-					done <- &mismatchError{}
+				got := Run(plan, Options{K: 10, Mode: ModeBuckets, Arena: a})
+				PutArena(a)
+				if !slices.Equal(got, want) {
+					errs <- fmt.Sprintf("run %d: %+v, arena-less %+v", i, got, want)
 					return
 				}
-				PutArena(a)
 			}
-			done <- nil
 		}()
 	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal("concurrent arena evaluation diverged")
-		}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
-
-type mismatchError struct{}
-
-func (*mismatchError) Error() string { return "mismatch" }

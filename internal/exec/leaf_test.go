@@ -42,14 +42,14 @@ func leafDoc(r *rand.Rand) *xmltree.Document {
 // TestLeafFilterMatchesSatisfies: evaluateLeaf's galloping semijoin keeps
 // exactly the candidates a per-node Satisfies scan keeps, whether its base
 // is one tag's list, a merged multi-tag (hierarchy) list or the
-// witness-first contextsOf list; and CountSatisfyingWithTag equals a naive
-// count over the witnesses.
+// witness-first contextsOf list, for one tag and for several; and
+// CountSatisfyingWithTag equals a naive count over the witnesses.
 func TestLeafFilterMatchesSatisfies(t *testing.T) {
 	exprs := []string{"alpha", "omega", "alpha or gamma", "alpha and beta",
 		`"alpha beta"`, "gamma and not alpha", "missing"}
 	tags := []string{"a", "b", "c", "d"}
 	r := rand.New(rand.NewSource(28))
-	var single, multi, witnessFirst int
+	var single, multi, witnessFirst, witnessMulti int
 	for i := 0; i < 150; i++ {
 		d := leafDoc(r)
 		ix := ir.NewIndex(d)
@@ -90,8 +90,10 @@ func TestLeafFilterMatchesSatisfies(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("doc %d %+v: evaluateLeaf = %v, Satisfies scan = %v", i, v, got, want)
 			}
-			switch {
-			case leafStartsFromWitnesses(d, v):
+			switch walks := leafStartsFromWitnesses(d, v); {
+			case walks && len(v.Tags) > 1:
+				witnessMulti++
+			case walks:
 				witnessFirst++
 			case len(v.Tags) > 1:
 				multi++
@@ -116,8 +118,9 @@ func TestLeafFilterMatchesSatisfies(t *testing.T) {
 			}
 		}
 	}
-	if single == 0 || multi == 0 || witnessFirst == 0 {
-		t.Fatalf("bases not all exercised: %d single-tag, %d multi-tag, %d witness-first", single, multi, witnessFirst)
+	if single == 0 || multi == 0 || witnessFirst == 0 || witnessMulti == 0 {
+		t.Fatalf("bases not all exercised: %d single-tag, %d multi-tag, %d witness-first, %d witness-first multi-tag",
+			single, multi, witnessFirst, witnessMulti)
 	}
 }
 

@@ -123,10 +123,6 @@ func (p *Plan) leaves() [][]xmltree.NodeID {
 	return p.leafLists
 }
 
-// MinSS returns the lowest structural score any answer of this plan can
-// have (all encoded relaxations unsatisfied).
-func (p *Plan) MinSS() float64 { return p.Base - p.DroppedPenalty }
-
 // Mode selects the intermediate-result organization, the axis along which
 // SSO and Hybrid differ (§5.2.2-5.2.3).
 type Mode int8
@@ -574,9 +570,11 @@ func unboundBindings(n int) []xmltree.NodeID {
 // When the variable carries a required contains predicate whose witness
 // set is much smaller than the tag occurrence list, candidates are built
 // by walking up from the inverted-index witnesses instead of scanning the
-// tag list — the "tighter integration of structure and keyword indices"
-// the paper's conclusion names as future work. Both paths produce the
-// same sorted list.
+// tag list. This is §5.1's open choice between evaluating contains
+// predicates first and matching structure first, made per variable from
+// the predicate's selectivity; it is also the "tighter integration of
+// structure and keyword indices" the paper's conclusion names as future
+// work. Both paths produce the same sorted list.
 func evaluateLeaf(doc *xmltree.Document, v *VarSpec) []xmltree.NodeID {
 	var base []xmltree.NodeID
 	if len(v.Tags) <= 1 {
@@ -780,6 +778,32 @@ func kthBest(tuples []tuple, distVar, k int, total func(*tuple) float64) (float6
 	}
 	slices.Sort(vals)
 	return vals[len(vals)-k], true
+}
+
+// walkScratch is a reusable visited-marking buffer for ancestor walks.
+// Epoch counters avoid clearing the array between uses; the pool makes
+// concurrent evaluations safe.
+type walkScratch struct {
+	epoch []int32
+	cur   int32
+}
+
+var walkPool = sync.Pool{New: func() interface{} { return &walkScratch{} }}
+
+func acquireScratch(n int) *walkScratch {
+	s := walkPool.Get().(*walkScratch)
+	if len(s.epoch) < n {
+		s.epoch = make([]int32, n)
+		s.cur = 0
+	}
+	s.cur++
+	if s.cur == 0 { // wrapped: clear and restart
+		for i := range s.epoch {
+			s.epoch[i] = 0
+		}
+		s.cur = 1
+	}
+	return s
 }
 
 // contextsOf collects the distinct ancestors-or-self of the result's

@@ -15,12 +15,6 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Aliasing reports whether typed views return aliases into the snapshot
-// bytes on this host. Callers that must not outlive a mapping use this
-// to decide whether a defensive copy is needed (none is in-tree; the
-// serving layer instead keeps mappings open while aliases exist).
-func Aliasing() bool { return hostLittle }
-
 // Enc builds a section payload: fixed-width scalar fields and
 // length-prefixed byte columns, everything 8-byte aligned so typed views
 // over the decoded payload are themselves aligned.

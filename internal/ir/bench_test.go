@@ -1,8 +1,6 @@
 package ir
 
 import (
-	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -90,36 +88,4 @@ func BenchmarkSatisfies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Satisfies(books[i%len(books)])
 	}
-}
-
-// BenchmarkTopMatchesSort isolates the match-list sort that TopMatches
-// and TopContexts run, comparing the typed slices.SortStableFunc
-// comparator now in retrieval.go against the reflective sort.SliceStable
-// it replaced. Run with -benchmem: the typed variant also drops the
-// closure/interface allocations reflection needs.
-func BenchmarkTopMatchesSort(b *testing.B) {
-	_, ix := benchIndex(b)
-	r := ix.Eval(MustParseExpr("gold"))
-	src := make([]Match, r.Len())
-	for i := range src {
-		src[i] = Match{Node: r.Node(i), Score: r.Score(i)}
-	}
-	scratch := make([]Match, len(src))
-	b.Run("typed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, src)
-			slices.SortStableFunc(scratch, compareMatches)
-		}
-	})
-	b.Run("reflect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, src)
-			sort.SliceStable(scratch, func(i, j int) bool {
-				if scratch[i].Score != scratch[j].Score {
-					return scratch[i].Score > scratch[j].Score
-				}
-				return scratch[i].Node < scratch[j].Node
-			})
-		}
-	})
 }

@@ -1,68 +1,10 @@
 package ir
 
 import (
-	"slices"
 	"unicode/utf8"
 
 	"flexpath/internal/xmltree"
 )
-
-// Match is one ranked full-text retrieval result.
-type Match struct {
-	Node  xmltree.NodeID
-	Score float64
-}
-
-// TopMatches returns the best-scoring most-specific elements satisfying
-// the expression, at most limit of them (limit <= 0 means all). This is
-// the ranked (node, score) list the FleXPath architecture's IR engine
-// hands to the combination step (Figure 7 of the paper); it is also
-// usable standalone as a keyword-search API.
-func (ix *Index) TopMatches(e Expr, limit int) []Match {
-	r := ix.Eval(e)
-	out := make([]Match, r.Len())
-	for i := range out {
-		out[i] = Match{Node: r.Node(i), Score: r.Score(i)}
-	}
-	slices.SortStableFunc(out, compareMatches)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-// TopContexts returns the best-scoring elements with the given tag whose
-// subtree satisfies the expression, at most limit of them. This is the
-// "contains predicate with a tag-typed context" view the FleXPath plans
-// consume.
-func (ix *Index) TopContexts(tag string, e Expr, limit int) []Match {
-	r := ix.Eval(e)
-	var out []Match
-	for _, n := range ix.doc.NodesWithTag(tag) {
-		if s := r.ScoreWithin(n); s > 0 || r.Satisfies(n) {
-			out = append(out, Match{Node: n, Score: s})
-		}
-	}
-	slices.SortStableFunc(out, compareMatches)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-// compareMatches orders matches score-descending with document order as
-// the tie break; the typed comparator avoids sort.SliceStable's
-// per-comparison reflection (see BenchmarkTopMatchesSort).
-func compareMatches(a, b Match) int {
-	switch {
-	case a.Score > b.Score:
-		return -1
-	case a.Score < b.Score:
-		return 1
-	default:
-		return int(a.Node) - int(b.Node)
-	}
-}
 
 // Snippet returns a fragment of the node's subtree text of at most max
 // bytes, centered on the first occurrence of any of the expression's

@@ -6,48 +6,6 @@ import (
 	"unicode/utf8"
 )
 
-func TestTopMatches(t *testing.T) {
-	doc := mustDoc(t, articleXML)
-	ix := NewIndex(doc)
-	matches := ix.TopMatches(MustParseExpr("xml"), 0)
-	if len(matches) == 0 {
-		t.Fatal("no matches")
-	}
-	for i := 1; i < len(matches); i++ {
-		if matches[i].Score > matches[i-1].Score {
-			t.Errorf("matches out of order at %d", i)
-		}
-	}
-	if matches[0].Score != 1 {
-		t.Errorf("top score = %f, want 1 (normalized)", matches[0].Score)
-	}
-	limited := ix.TopMatches(MustParseExpr("xml"), 2)
-	if len(limited) != 2 {
-		t.Errorf("limit ignored: %d", len(limited))
-	}
-	if got := ix.TopMatches(MustParseExpr("absentterm"), 5); len(got) != 0 {
-		t.Errorf("matches for absent term: %v", got)
-	}
-}
-
-func TestTopContexts(t *testing.T) {
-	doc := mustDoc(t, articleXML)
-	ix := NewIndex(doc)
-	articles := ix.TopContexts("article", MustParseExpr("xml"), 0)
-	if len(articles) != 2 {
-		t.Fatalf("xml articles = %d, want 2", len(articles))
-	}
-	for _, m := range articles {
-		if doc.TagName(m.Node) != "article" {
-			t.Errorf("context has tag %q", doc.TagName(m.Node))
-		}
-	}
-	paras := ix.TopContexts("paragraph", MustParseExpr("gold"), 1)
-	if len(paras) != 1 {
-		t.Errorf("gold paragraphs (limit 1) = %d", len(paras))
-	}
-}
-
 func TestSnippet(t *testing.T) {
 	doc := mustDoc(t, `<a><b>`+strings.Repeat("filler words here ", 30)+
 		`the golden treasure appears once `+strings.Repeat("and more filler ", 30)+`</b></a>`)

@@ -6,6 +6,6 @@ import "os"
 
 func open(f *os.File, size int) (*Mapping, error) { return openFallback(f, size) }
 
-// unmap is never reached on platforms without mmap (Mapped() is always
-// false), but the symbol must exist for Close.
+// unmap is never reached on platforms without mmap (a mapping's mapped
+// field is always false), but the symbol must exist for Close.
 func unmap([]byte) error { return nil }

@@ -53,10 +53,6 @@ func (m *Mapping) Bytes() []byte { return m.data }
 // Len returns the mapped length.
 func (m *Mapping) Len() int { return len(m.data) }
 
-// Mapped reports whether the bytes are an mmap region (true) or a heap
-// copy (false, the read-file fallback).
-func (m *Mapping) Mapped() bool { return m.mapped }
-
 // Close releases the mapping. After Close no alias into Bytes may be
 // dereferenced. Close is idempotent.
 func (m *Mapping) Close() error {

@@ -59,9 +59,6 @@ func BucketBound(i int) int64 {
 	return 1 << (histMinShift + i)
 }
 
-// NumBuckets returns the number of buckets including the overflow.
-func NumBuckets() int { return histBuckets + 1 }
-
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketOf(d)].Add(1)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"flexpath/internal/core"
-	"flexpath/internal/exec"
 	"flexpath/internal/obs"
 	"flexpath/internal/planner"
 	"flexpath/internal/stats"
@@ -17,16 +16,19 @@ import (
 // only the evaluation cost (and the DPO-vs-plan difference in per-answer
 // relaxation detail) depends on the choice. Planning time is recorded
 // under obs.StagePlan.
-func Auto(ev *exec.Evaluator, chain *core.Chain, est *stats.Estimator, pl *planner.Planner, opts Options) ([]Result, planner.Choice) {
+func Auto(chain *core.Chain, est *stats.Estimator, pl *planner.Planner, opts Options) ([]Result, planner.Choice) {
 	tPlan := time.Now()
 	choice := pl.Choose(chain, opts.Template, opts.K, opts.Scheme)
 	opts.Span.Rec(obs.StagePlan, time.Since(tPlan))
 
+	// Fix the counters before dispatch: the algorithm receives opts by
+	// value, so counters it created itself would never reach Observe.
+	m := opts.metrics()
 	start := time.Now()
 	var results []Result
 	switch choice.Algo {
 	case planner.DPO:
-		results = DPO(ev, chain, opts)
+		results = DPO(nil, chain, opts)
 	case planner.SSO:
 		results = SSO(chain, est, opts)
 	default:
@@ -35,7 +37,7 @@ func Auto(ev *exec.Evaluator, chain *core.Chain, est *stats.Estimator, pl *plann
 	// A cancelled run is truncated: its wall time says nothing about the
 	// algorithm's true cost, so it must not calibrate the model.
 	if !opts.cancelled() {
-		pl.Observe(choice, time.Since(start), opts.metrics().Restarts)
+		pl.Observe(choice, time.Since(start), m.Restarts)
 	}
 	return results, choice
 }

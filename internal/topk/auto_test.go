@@ -29,7 +29,7 @@ func TestAutoMatchesChosenAlgorithm(t *testing.T) {
 					// A fresh planner per run keeps the choice static: no
 					// calibration drift between Auto and the replay below.
 					pl := planner.New(f.est)
-					got, choice := Auto(f.ev, c, f.est, pl, Options{K: k, Scheme: scheme})
+					got, choice := Auto(c, f.est, pl, Options{K: k, Scheme: scheme})
 					var want []Result
 					switch choice.Algo {
 					case planner.DPO:
@@ -62,7 +62,7 @@ func TestAutoObservesRuns(t *testing.T) {
 	c := f.chain(t, srcQ1)
 	pl := planner.New(f.est)
 	for i := 0; i < 3; i++ {
-		Auto(f.ev, c, f.est, pl, Options{K: 3, Scheme: rank.StructureFirst})
+		Auto(c, f.est, pl, Options{K: 3, Scheme: rank.StructureFirst})
 	}
 	s := pl.Snapshot()
 	if s.Observations != 3 {
@@ -77,11 +77,10 @@ func TestAutoObservesRuns(t *testing.T) {
 	}
 }
 
-// TestDPOVariantCountersAgree: plan-based and semijoin DPO walk the same
-// relaxation chain level by level, so their work counters must agree —
-// the same number of per-level queries evaluated and no restarts (DPO
-// never restarts; it stops at the admitting level). A past regression
-// had the plan-based variant counting a level as evaluated before plan
+// TestDPOVariantCountersAgree: DPO walks the relaxation chain level by
+// level and stops at the admitting level, so it never restarts and
+// evaluates exactly one query per level up to the deepest it reached. A
+// past regression counted a level as evaluated before its plan
 // construction could fail.
 func TestDPOVariantCountersAgree(t *testing.T) {
 	fixtures := map[string]*fixture{
@@ -100,23 +99,44 @@ func TestDPOVariantCountersAgree(t *testing.T) {
 			c := f.chain(t, src)
 			for _, scheme := range schemes() {
 				for _, k := range []int{1, 5, 40} {
-					var ma, mb Metrics
-					DPO(f.ev, c, Options{K: k, Scheme: scheme, Metrics: &ma})
-					DPOSemijoin(f.ev, c, Options{K: k, Scheme: scheme, Metrics: &mb})
-					if ma.QueriesEvaluated != mb.QueriesEvaluated {
-						t.Errorf("%s %s k=%d %v: QueriesEvaluated %d (plan) vs %d (semijoin)",
-							name, src, k, scheme, ma.QueriesEvaluated, mb.QueriesEvaluated)
+					var m Metrics
+					DPO(nil, c, Options{K: k, Scheme: scheme, Metrics: &m})
+					if m.QueriesEvaluated != m.RelaxationsEncoded+1 {
+						t.Errorf("%s %s k=%d %v: QueriesEvaluated %d, deepest level %d",
+							name, src, k, scheme, m.QueriesEvaluated, m.RelaxationsEncoded)
 					}
-					if ma.RelaxationsEncoded != mb.RelaxationsEncoded {
-						t.Errorf("%s %s k=%d %v: RelaxationsEncoded %d (plan) vs %d (semijoin)",
-							name, src, k, scheme, ma.RelaxationsEncoded, mb.RelaxationsEncoded)
-					}
-					if ma.Restarts != 0 || mb.Restarts != 0 {
-						t.Errorf("%s %s k=%d %v: DPO reported restarts: %d (plan), %d (semijoin)",
-							name, src, k, scheme, ma.Restarts, mb.Restarts)
+					if m.Restarts != 0 {
+						t.Errorf("%s %s k=%d %v: DPO reported %d restarts", name, src, k, scheme, m.Restarts)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestAutoRestartsReachCalibration: with no Metrics in the options, the
+// restarts of the algorithm Auto dispatched to must still reach the
+// planner's restart-rate EWMA. The chain is one whose Hybrid run
+// undershoots its first estimate at K = 1.
+func TestAutoRestartsReachCalibration(t *testing.T) {
+	f := xmarkFixture(t, 64<<10, 2)
+	c := f.chain(t, `//item[./description/parlist and ./mailbox/mail/text]`)
+	opts := Options{K: 1, Scheme: rank.StructureFirst}
+	pl := planner.New(f.est)
+	_, choice := Auto(c, f.est, pl, opts)
+	var m Metrics
+	switch choice.Algo {
+	case planner.SSO:
+		SSO(c, f.est, Options{K: opts.K, Scheme: opts.Scheme, Metrics: &m})
+	case planner.Hybrid:
+		Hybrid(c, f.est, Options{K: opts.K, Scheme: opts.Scheme, Metrics: &m})
+	default:
+		t.Fatalf("setup: planner chose %v, which never restarts", choice.Algo)
+	}
+	if m.Restarts == 0 {
+		t.Fatalf("setup: %v did not restart on this chain", choice.Algo)
+	}
+	if s := pl.Snapshot(); s.RestartRate <= 0 {
+		t.Errorf("restart rate = %v after a run with %d restarts, want > 0", s.RestartRate, m.Restarts)
 	}
 }

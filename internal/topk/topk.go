@@ -23,11 +23,9 @@ import (
 
 	"flexpath/internal/core"
 	"flexpath/internal/exec"
-	"flexpath/internal/ir"
 	"flexpath/internal/obs"
 	"flexpath/internal/rank"
 	"flexpath/internal/stats"
-	"flexpath/internal/tpq"
 	"flexpath/internal/xmltree"
 )
 
@@ -147,31 +145,18 @@ func (o *Options) cancelled() bool {
 //
 // As in the paper, each relaxed query is evaluated with the same
 // left-deep structural join plans SSO and Hybrid use (Figure 8) — DPO's
-// cost is one full plan pass per relaxation level. DPOSemijoin is a
-// faster existential-semijoin variant provided as an ablation.
-func DPO(ev *exec.Evaluator, chain *core.Chain, opts Options) []Result {
-	return dpo(ev, chain, opts, false)
-}
-
-// DPOSemijoin is DPO with each relaxed query evaluated by the two-pass
-// existential semijoin algorithm instead of full join plans. It computes
-// the same answers; it exists to quantify (ablation) how much of DPO's
-// cost in the paper's experiments comes from materializing full match
-// tuples at every relaxation level.
-func DPOSemijoin(ev *exec.Evaluator, chain *core.Chain, opts Options) []Result {
-	return dpo(ev, chain, opts, true)
-}
-
-func dpo(ev *exec.Evaluator, chain *core.Chain, opts Options, semijoin bool) []Result {
+// cost is one full plan pass per relaxation level. The evaluator argument
+// is unused and may be nil; it keeps the signature bench/layers calls.
+func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 	m := opts.metrics()
 	k := opts.K
 	var results []Result
 	seen := make(map[xmltree.NodeID]bool)
 
 	// One scratch arena serves every relaxation level: each level's
-	// intermediate lists, tuple buffers and binding blocks are carved from
-	// it and recycled wholesale by the Reset below once the level's
-	// answers have been copied into results.
+	// tuple buffers and binding blocks are carved from it and recycled
+	// wholesale by the Reset below once the level's answers have been
+	// copied into results.
 	arena := exec.GetArena()
 	defer exec.PutArena(arena)
 
@@ -186,64 +171,38 @@ func dpo(ev *exec.Evaluator, chain *core.Chain, opts Options, semijoin bool) []R
 			return nil
 		}
 		arena.Reset()
-		q := chain.QueryAt(level)
-		var block []Result
-		ss := chain.SSAt(level)
-		var plan *exec.Plan
-		if !semijoin {
-			var err error
-			plan, err = opts.exactPlanAt(chain, level)
-			if err != nil {
-				// A level whose plan cannot be built was never evaluated:
-				// bail before touching the work counters, so DPO and
-				// DPOSemijoin report identical QueriesEvaluated for the
-				// levels both actually ran.
-				return nil
-			}
+		plan, err := opts.exactPlanAt(chain, level)
+		if err != nil {
+			// A level whose plan cannot be built was never evaluated:
+			// bail before touching the work counters.
+			return nil
 		}
 		m.QueriesEvaluated++
 		m.RelaxationsEncoded = level
-		if semijoin {
-			var ok [][]xmltree.NodeID
-			opts.timeJoin(func() { ok = ev.EvaluateFullArena(q, arena) })
-			if ok != nil {
-				scorer := newKSScorer(chain, level, q, ok)
-				for _, n := range ok[q.Dist] {
-					if seen[n] {
-						continue
-					}
-					seen[n] = true
-					block = append(block, Result{
-						Node:        n,
-						Score:       rank.Score{SS: ss, KS: scorer.ks(n)},
-						Relaxations: level,
-					})
-				}
-			}
-		} else {
-			// Answers found at previous levels are excluded inside the
-			// plan (not just post-hoc), so each level's pass only
-			// explores data that can still produce new answers —
-			// the paper's avoid-recomputation device (§5.2.2).
-			var levelAnswers []exec.Answer
-			opts.timeJoin(func() {
-				levelAnswers = exec.Run(plan, exec.Options{
-					Mode: exec.ModeExhaustive, Scheme: opts.Scheme,
-					Parallel: opts.Parallel, Stats: &m.Pipeline,
-					Exclude: seen, Ctx: opts.Ctx, Arena: arena,
-				})
+		ss := chain.SSAt(level)
+		// Answers found at previous levels are excluded inside the plan
+		// (not just post-hoc), so each level's pass only explores data
+		// that can still produce new answers — the paper's
+		// avoid-recomputation device (§5.2.2).
+		var levelAnswers []exec.Answer
+		opts.timeJoin(func() {
+			levelAnswers = exec.Run(plan, exec.Options{
+				Mode: exec.ModeExhaustive, Scheme: opts.Scheme,
+				Parallel: opts.Parallel, Stats: &m.Pipeline,
+				Exclude: seen, Ctx: opts.Ctx, Arena: arena,
 			})
-			for _, a := range levelAnswers {
-				if seen[a.Node] {
-					continue
-				}
-				seen[a.Node] = true
-				block = append(block, Result{
-					Node:        a.Node,
-					Score:       rank.Score{SS: ss, KS: a.Score.KS},
-					Relaxations: level,
-				})
+		})
+		var block []Result
+		for _, a := range levelAnswers {
+			if seen[a.Node] {
+				continue
 			}
+			seen[a.Node] = true
+			block = append(block, Result{
+				Node:        a.Node,
+				Score:       rank.Score{SS: ss, KS: a.Score.KS},
+				Relaxations: level,
+			})
 		}
 		// Within a block all answers share ss; order by the secondary
 		// component so the block appends in final order.
@@ -491,76 +450,4 @@ func sortResults(rs []Result, scheme rank.Scheme) {
 		}
 		return int(a.Node) - int(b.Node)
 	})
-}
-
-// ksScorer computes DPO's per-answer keyword scores: for each contains
-// predicate of the original query, the IR score of its current context
-// (the deepest surviving contains location) restricted to the answer.
-type ksScorer struct {
-	chain *core.Chain
-	doc   *xmltree.Document
-	parts []ksPart
-}
-
-type ksPart struct {
-	res      *ir.Result
-	weight   float64
-	matches  []xmltree.NodeID
-	matchSet map[xmltree.NodeID]bool
-	isDist   bool
-}
-
-func newKSScorer(chain *core.Chain, level int, q *tpq.Query, ok [][]xmltree.NodeID) *ksScorer {
-	s := &ksScorer{chain: chain, doc: chain.Doc()}
-	w := chain.Weights()
-	for _, l := range chain.ContainsLocsAt(level) {
-		idx := q.NodeByID(l.Var)
-		if idx < 0 {
-			continue
-		}
-		part := ksPart{
-			res:     chain.Index().Eval(l.Expr),
-			weight:  w.Contains,
-			matches: ok[idx],
-			isDist:  idx == q.Dist,
-		}
-		if !part.isDist {
-			part.matchSet = make(map[xmltree.NodeID]bool, len(part.matches))
-			for _, n := range part.matches {
-				part.matchSet[n] = true
-			}
-		}
-		s.parts = append(s.parts, part)
-	}
-	return s
-}
-
-func (s *ksScorer) ks(answer xmltree.NodeID) float64 {
-	total := 0.0
-	for i := range s.parts {
-		p := &s.parts[i]
-		if p.isDist {
-			total += p.weight * p.res.ScoreWithin(answer)
-			continue
-		}
-		best := 0.0
-		for _, m := range exec.DescendantsInRange(s.doc, p.matches, answer) {
-			if sc := p.res.ScoreWithin(m); sc > best {
-				best = sc
-			}
-		}
-		if best == 0 {
-			// The context may be an ancestor of the answer (e.g. a
-			// contains promoted above the distinguished node): use the
-			// tightest containing context.
-			for a := answer; a != xmltree.InvalidNode; a = s.doc.Parent(a) {
-				if p.matchSet[a] {
-					best = p.res.ScoreWithin(a)
-					break
-				}
-			}
-		}
-		total += p.weight * best
-	}
-	return total
 }

@@ -333,8 +333,11 @@ func TestResultOrderingSchemes(t *testing.T) {
 }
 
 // TestDPOVariantsAgree: plan-based DPO (with intra-plan exclusion of
-// previous answers) and semijoin DPO must return identical results —
-// same nodes, same levels, same structural scores.
+// previous answers) must agree with the semijoin formulation of DPO, built
+// here from the two-pass exact evaluator: level by level, the answers of
+// level j not admitted at any earlier level, taken until K are gathered.
+// Both must hold the same nodes at the same levels with the same
+// structural scores; every level below the last one reached is complete.
 func TestDPOVariantsAgree(t *testing.T) {
 	f := xmarkFixture(t, 96<<10, 5)
 	for _, src := range []string{
@@ -342,16 +345,43 @@ func TestDPOVariantsAgree(t *testing.T) {
 		`//item[./description/parlist and ./mailbox/mail/text]`,
 	} {
 		c := f.chain(t, src)
-		for _, k := range []int{5, 40} {
-			a := DPO(f.ev, c, Options{K: k, Scheme: rank.StructureFirst})
-			b := DPOSemijoin(f.ev, c, Options{K: k, Scheme: rank.StructureFirst})
-			if len(a) != len(b) {
-				t.Fatalf("%s k=%d: %d vs %d results", src, k, len(a), len(b))
+		level := map[xmltree.NodeID]int{}
+		var perLevel []int
+		for j := 0; j <= c.Len(); j++ {
+			fresh := 0
+			for _, n := range f.ev.Evaluate(c.QueryAt(j)) {
+				if _, seen := level[n]; !seen {
+					level[n] = j
+					fresh++
+				}
 			}
-			for i := range a {
-				if a[i].Node != b[i].Node || a[i].Relaxations != b[i].Relaxations ||
-					a[i].Score.SS != b[i].Score.SS {
-					t.Errorf("%s k=%d rank %d: %+v vs %+v", src, k, i, a[i], b[i])
+			perLevel = append(perLevel, fresh)
+		}
+		for _, k := range []int{5, 40} {
+			want := make([]int, len(perLevel))
+			for j, left := 0, k; j < len(perLevel) && left > 0; j++ {
+				want[j] = min(perLevel[j], left)
+				left -= want[j]
+			}
+			got := make([]int, len(perLevel))
+			results := DPO(f.ev, c, Options{K: k, Scheme: rank.StructureFirst})
+			for i, r := range results {
+				if j, ok := level[r.Node]; !ok || j != r.Relaxations {
+					t.Errorf("%s k=%d rank %d: node %d at level %d, semijoin level %d (%v)",
+						src, k, i, r.Node, r.Relaxations, j, ok)
+				}
+				if r.Score.SS != c.SSAt(r.Relaxations) {
+					t.Errorf("%s k=%d rank %d: ss %f != level score %f",
+						src, k, i, r.Score.SS, c.SSAt(r.Relaxations))
+				}
+				if r.Relaxations >= 0 && r.Relaxations < len(got) {
+					got[r.Relaxations]++
+				}
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Errorf("%s k=%d level %d: DPO returned %d answers, semijoin %d",
+						src, k, j, got[j], want[j])
 				}
 			}
 		}

@@ -1,10 +1,6 @@
 package tpq
 
-import (
-	"fmt"
-
-	"flexpath/internal/ir"
-)
+import "flexpath/internal/ir"
 
 // ContainedIn reports whether q is contained in qPrime: for every document
 // D, q(D) ⊆ qPrime(D). For the wildcard-free tree pattern fragment used
@@ -91,15 +87,6 @@ func Equivalent(a, b *Query) bool {
 // to its original query.
 func StrictlyContainedIn(q, qPrime *Query) bool {
 	return ContainedIn(q, qPrime) && !ContainedIn(qPrime, q)
-}
-
-// MustTreeFromPreds is TreeFromPreds but panics on error; for tests.
-func MustTreeFromPreds(s *PredSet, distID int) *Query {
-	q, err := TreeFromPreds(s, distID)
-	if err != nil {
-		panic(fmt.Sprintf("tpq: %v", err))
-	}
-	return q
 }
 
 // Minimize returns the unique minimal query equivalent to q (Theorem 1;

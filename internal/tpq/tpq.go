@@ -332,16 +332,6 @@ func (q *Query) Canon() string {
 	return render(0)
 }
 
-// HasContains reports whether any node carries a contains predicate.
-func (q *Query) HasContains() bool {
-	for i := range q.Nodes {
-		if len(q.Nodes[i].Contains) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NumContains returns the total number of contains predicates, the "m" of
 // the Combined-scheme pruning rule in §5.1.
 func (q *Query) NumContains() int {

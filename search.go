@@ -277,13 +277,13 @@ func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, opts S
 	case Hybrid:
 		u.results = topk.Hybrid(chain, d.est, topts)
 	case DPO:
-		u.results = topk.DPO(d.ev, chain, topts)
+		u.results = topk.DPO(nil, chain, topts)
 	case SSO:
 		u.results = topk.SSO(chain, d.est, topts)
 	default: // Auto: the member's estimator, the searcher's calibration
 		pl := planner.Bind(d.est, cal)
 		var choice planner.Choice
-		u.results, choice = topk.Auto(d.ev, chain, d.est, &pl, topts)
+		u.results, choice = topk.Auto(chain, d.est, &pl, topts)
 		u.algo, u.reason = choice.Algo.String(), choice.Explain
 	}
 	span.SetRelaxations(u.met.RelaxationsEncoded)

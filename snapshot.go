@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"flexpath/internal/exec"
 	"flexpath/internal/ir"
 	"flexpath/internal/stats"
 	"flexpath/internal/xmltree"
@@ -52,7 +51,6 @@ func assembleDocument(tree *xmltree.Document, st *stats.Stats, ix *ir.Index) *Do
 		index:  ix,
 		stats:  st,
 		est:    stats.NewEstimator(st, ix),
-		ev:     exec.NewEvaluator(tree, ix),
 		serial: serials.Add(1),
 	}
 	d.SetPlanCache(DefaultPlanCacheCapacity)
