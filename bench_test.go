@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"flexpath/internal/exec"
 	"flexpath/internal/xmark"
 )
 
@@ -164,61 +163,6 @@ func BenchmarkFig16(b *testing.B) {
 				benchSearch(b, d, benchXQ3, algo, k)
 			})
 		}
-	}
-}
-
-// BenchmarkAblationBestOnly measures the dominated-extension optimization
-// for optional variables: with it disabled, every optional match
-// multiplies the tuple stream. (Design-choice ablation; see DESIGN.md.)
-func BenchmarkAblationBestOnly(b *testing.B) {
-	tmpl, err := benchDoc(b, 1<<10).template(MustParseQuery(benchXQ3), Weights{}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chain := tmpl.Chain
-	// A moderate prefix: the unoptimized variant is exponential in the
-	// number of optional variables, so the full chain is unrunnable —
-	// which is the point of the optimization.
-	steps := 10
-	if chain.Len() < steps {
-		steps = chain.Len()
-	}
-	plan, err := chain.PlanAt(steps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, disabled := range []bool{false, true} {
-		name := "bestOnly"
-		if disabled {
-			name = "materializeAll"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				exec.Run(plan, exec.Options{K: 200, Mode: exec.ModeBuckets, DisableBestOnly: disabled})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationParallel measures join-step fan-out on the encoded
-// XQ3 plan.
-func BenchmarkAblationParallel(b *testing.B) {
-	d := benchDoc(b, 4<<10)
-	q := MustParseQuery(benchXQ3)
-	opts := SearchOptions{K: 500, Algorithm: Hybrid}
-	if _, err := d.Search(q, opts); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			o := opts
-			o.Parallel = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Search(q, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -6,7 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +88,100 @@ func TestAdminBulkNonDurable(t *testing.T) {
 	resp, _ = get(t, srv.URL+"/admin/bulk")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET bulk: %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestAdminBulkNonDurableConcurrent: upsert and remove are retry-safe, so
+// concurrent batches alternating them on one name never fail, even though
+// the in-memory path checks existence and applies as two collection calls.
+func TestAdminBulkNonDurableConcurrent(t *testing.T) {
+	hh, _ := newHandlerConfig(testColl(t), handlerConfig{admin: true})
+	h := hh.(*handler)
+	const goroutines, ops, rounds = 8, 300, 5
+	for round := 0; round < rounds; round++ {
+		var failed atomic.Int64
+		var first atomic.Value
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < ops; i++ {
+					op := bulkOp{Op: "upsert", Name: "x.xml", Doc: adminXML}
+					if (g+i)%2 == 1 {
+						op = bulkOp{Op: "remove", Name: "x.xml"}
+					}
+					if err := h.applyBulkOp(op); err != nil {
+						failed.Add(1)
+						first.CompareAndSwap(nil, err.Error())
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if n := failed.Load(); n > 0 {
+			t.Fatalf("round %d: %d of %d ops failed, first: %v", round, n, goroutines*ops, first.Load())
+		}
+	}
+}
+
+// TestDirSameFilesWithWAL: -dir loads the same corpus with and without
+// -wal — .xml and .fxp3 files in any case, never other files or
+// directories — and a directory without a corpus file is an error.
+func TestDirSameFilesWithWAL(t *testing.T) {
+	dir := t.TempDir()
+	doc, err := flexpath.LoadString(adminXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a.XML"), []byte(adminXML), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.SaveFXP3SnapshotFile(filepath.Join(dir, "b.fxp3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not a corpus file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub.xml"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(dir, "a.XML"), filepath.Join(dir, "b.fxp3")}
+	paths, err := corpusFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(paths, want) {
+		t.Fatalf("corpus files %q, want %q", paths, want)
+	}
+
+	mem := flexpath.NewCollection()
+	defer mem.Close() //nolint:errcheck
+	dur, err := flexpath.OpenDurableCollection(t.TempDir(), flexpath.DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	for _, path := range paths {
+		if err := addFile(path, mem, nil); err != nil {
+			t.Fatalf("in-memory %s: %v", path, err)
+		}
+		if err := addFile(path, dur.Collection(), dur); err != nil {
+			t.Fatalf("wal %s: %v", path, err)
+		}
+	}
+	for mode, c := range map[string]*flexpath.Collection{"in-memory": mem, "wal": dur.Collection()} {
+		if got := c.Names(); !slices.Equal(got, want) {
+			t.Errorf("%s: loaded %q, want %q", mode, got, want)
+		}
+	}
+
+	empty := t.TempDir()
+	if err := os.WriteFile(filepath.Join(empty, "notes.txt"), []byte("not a corpus file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := corpusFiles(empty); err == nil {
+		t.Error("a directory without corpus files listed none without an error")
 	}
 }
 

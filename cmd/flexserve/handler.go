@@ -12,6 +12,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,6 +54,11 @@ type handler struct {
 	// endpoints write through: mutations are WAL-logged and fsync'd before
 	// the response is sent. coll aliases dur.Collection() in that case.
 	dur *flexpath.DurableCollection
+	// mu serializes the mutations that do not go through dur (whose own
+	// lock serializes the rest): a bulk upsert or remove checks Has and
+	// then applies as two collection calls, which another mutation of the
+	// same name must not interleave.
+	mu sync.Mutex
 	// bulkSem, when non-nil, bounds concurrently executing /admin/bulk
 	// batches; excess batches are rejected with 429 before their body is
 	// read, so backpressure costs the client no upload bandwidth.
@@ -721,7 +727,10 @@ func (h *handler) adminAdd(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := h.coll.Add(name, doc); err != nil {
+	h.mu.Lock()
+	err := h.coll.Add(name, doc)
+	h.mu.Unlock()
+	if err != nil {
 		serveutil.WriteJSON(w, http.StatusConflict, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
@@ -742,7 +751,10 @@ func (h *handler) adminRemove(w http.ResponseWriter, r *http.Request) {
 		h.adminOK(w, name)
 		return
 	}
-	if err := h.coll.Remove(name); err != nil {
+	h.mu.Lock()
+	err := h.coll.Remove(name)
+	h.mu.Unlock()
+	if err != nil {
 		serveutil.WriteJSON(w, http.StatusNotFound, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
@@ -771,7 +783,10 @@ func (h *handler) adminReplace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := h.coll.Replace(name, doc); err != nil {
+	h.mu.Lock()
+	err := h.coll.Replace(name, doc)
+	h.mu.Unlock()
+	if err != nil {
 		serveutil.WriteJSON(w, http.StatusNotFound, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
@@ -880,31 +895,36 @@ func (h *handler) applyBulkOp(op bulkOp) error {
 		}
 		return fmt.Errorf("unknown op %q", op.Op)
 	}
+	var doc *flexpath.Document
 	switch op.Op {
 	case "add", "replace", "upsert":
-		doc, err := flexpath.LoadString(op.Doc)
-		if err != nil {
+		var err error
+		if doc, err = flexpath.LoadString(op.Doc); err != nil {
 			return err
 		}
-		if op.Op == "add" {
-			return h.coll.Add(op.Name, doc)
-		}
-		if op.Op == "replace" {
-			return h.coll.Replace(op.Name, doc)
-		}
-		// Has, not Document: existence checks must not fault a cold
-		// member in just to overwrite or delete it.
+	case "remove":
+	default:
+		return fmt.Errorf("unknown op %q", op.Op)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// Has, not Document: existence checks must not fault a cold member in
+	// just to overwrite or delete it.
+	switch op.Op {
+	case "add":
+		return h.coll.Add(op.Name, doc)
+	case "replace":
+		return h.coll.Replace(op.Name, doc)
+	case "upsert":
 		if h.coll.Has(op.Name) {
 			return h.coll.Replace(op.Name, doc)
 		}
 		return h.coll.Add(op.Name, doc)
-	case "remove":
-		if !h.coll.Has(op.Name) {
-			return nil
-		}
-		return h.coll.Remove(op.Name)
 	}
-	return fmt.Errorf("unknown op %q", op.Op)
+	if !h.coll.Has(op.Name) {
+		return nil
+	}
+	return h.coll.Remove(op.Name)
 }
 
 func (h *handler) docNames() []string { return h.coll.Names() }

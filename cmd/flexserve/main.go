@@ -71,7 +71,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -82,7 +81,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	dir := flag.String("dir", "", "load every .xml file in this directory")
+	dir := flag.String("dir", "", "load every .xml and .fxp3 file in this directory")
 	cache := flag.Int("cache", 1024, "query-result cache capacity in entries (0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request search timeout (0 disables)")
 	slowCap := flag.Int("slowlog", 128, "slow-query log capacity in entries")
@@ -123,64 +122,16 @@ func main() {
 		log.Printf("flexserve: wal recovery: %d documents (checkpoint lsn %d, %d records replayed, %d torn bytes truncated)",
 			coll.Len(), s.CheckpointLSN, s.ReplayedRecords, s.TornBytesTruncated)
 	}
+	paths := flag.Args()
 	if *dir != "" {
-		if dur != nil {
-			paths, err := filepath.Glob(filepath.Join(*dir, "*.xml"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			sort.Strings(paths)
-			for _, path := range paths {
-				seedFile(dur, path)
-			}
-		} else {
-			// One pass over the directory: .xml files load eagerly (as
-			// LoadCollectionDir would), .fxp3 snapshots join cold —
-			// mapped and listed, decoded only when a search needs them.
-			entries, err := os.ReadDir(*dir)
-			if err != nil {
-				log.Fatal(err)
-			}
-			loaded := 0
-			for _, e := range entries {
-				if e.IsDir() {
-					continue
-				}
-				path := filepath.Join(*dir, e.Name())
-				switch ext := filepath.Ext(e.Name()); {
-				case strings.EqualFold(ext, ".xml"):
-					if err := coll.AddFile(path); err != nil {
-						log.Fatal(err)
-					}
-					loaded++
-				case strings.EqualFold(ext, ".fxp3"):
-					if err := coll.AddSnapshotFile(path, path); err != nil {
-						log.Fatal(err)
-					}
-					loaded++
-				}
-			}
-			if loaded == 0 {
-				log.Fatalf("flexserve: no .xml or .fxp3 files in %s", *dir)
-			}
-		}
-	}
-	for _, path := range flag.Args() {
-		if dur != nil {
-			seedFile(dur, path)
-			continue
-		}
-		if strings.EqualFold(filepath.Ext(path), ".fxp3") {
-			if err := coll.AddSnapshotFile(path, path); err != nil {
-				log.Fatal(err)
-			}
-			continue
-		}
-		doc, err := flexpath.LoadAuto(path)
+		files, err := corpusFiles(*dir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := coll.Add(path, doc); err != nil {
+		paths = append(files, paths...)
+	}
+	for _, path := range paths {
+		if err := addFile(path, coll, dur); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -236,15 +187,55 @@ func main() {
 	}
 }
 
-// seedFile durably ingests one command-line corpus file (XML or binary
-// snapshot) unless a document of that name already exists — recovered
-// state wins over seed files on restart.
-func seedFile(dur *flexpath.DurableCollection, path string) {
+// corpusFiles lists the corpus files of dir in name order: the entries
+// that are not directories and end in .xml or .fxp3, in any case. A
+// directory without one is an error, with or without -wal.
+func corpusFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for _, e := range entries {
+		ext := filepath.Ext(e.Name())
+		if !e.IsDir() && (strings.EqualFold(ext, ".xml") || strings.EqualFold(ext, ".fxp3")) {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("flexserve: no .xml or .fxp3 files in %s", dir)
+	}
+	return paths, nil
+}
+
+// addFile adds one corpus file under its path. With a WAL it is seeded
+// durably; otherwise an .fxp3 snapshot joins cold (mapped and listed,
+// decoded only when a search needs it) and any other file loads by its
+// magic, as XML or a snapshot.
+func addFile(path string, coll *flexpath.Collection, dur *flexpath.DurableCollection) error {
+	switch {
+	case dur != nil:
+		return seedFile(dur, path)
+	case strings.EqualFold(filepath.Ext(path), ".fxp3"):
+		return coll.AddSnapshotFile(path, path)
+	}
+	doc, err := flexpath.LoadAuto(path)
+	if err != nil {
+		return err
+	}
+	return coll.Add(path, doc)
+}
+
+// seedFile durably ingests one corpus file (XML or binary snapshot)
+// unless a document of that name already exists — recovered state wins
+// over seed files on restart.
+func seedFile(dur *flexpath.DurableCollection, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := dur.Seed(path, data); err != nil {
-		log.Fatalf("flexserve: seeding %s: %v", path, err)
+		return fmt.Errorf("flexserve: seeding %s: %w", path, err)
 	}
+	return nil
 }

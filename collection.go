@@ -256,8 +256,8 @@ func (c *Collection) SetDocumentCaches(capacity int) {
 	}
 }
 
-// PlanCacheStats sums the plan-template cache counters of every member
-// document whose plan cache is enabled; ok is false when none is.
+// PlanCacheStats sums the plan-template cache counters of the decoded
+// member documents; ok is false when no member is decoded.
 func (c *Collection) PlanCacheStats() (s PlanCacheStats, ok bool) {
 	st, ok := c.sumStats(planCache)
 	return PlanCacheStats(st), ok
@@ -290,7 +290,7 @@ const (
 // memberCaches reads one of a member document's caches; ok is false when
 // it is disabled.
 var memberCaches = [...]func(*Document) (lru.Stats, bool){
-	planCache:     func(d *Document) (lru.Stats, bool) { return statsOf(d.pc.Load()) },
+	planCache:     func(d *Document) (lru.Stats, bool) { return d.pc.Stats(), true },
 	resultCache:   func(d *Document) (lru.Stats, bool) { return statsOf(d.qc.Load()) },
 	fullTextCache: func(d *Document) (lru.Stats, bool) { return d.index.CacheStats(), true },
 }

@@ -171,11 +171,10 @@ func TestLoadCollectionFiles(t *testing.T) {
 func TestCollectionWithAdvancedOptions(t *testing.T) {
 	c := testCollection(t)
 	q := MustParseQuery(paperQ1)
-	// Hierarchy + parallel + keyword-first through the collection path.
+	// Hierarchy + keyword-first through the collection path.
 	answers, err := c.Search(q, SearchOptions{
 		K:         3,
 		Scheme:    KeywordFirst,
-		Parallel:  3,
 		Hierarchy: map[string]string{"subsection": "section"},
 	})
 	if err != nil {

@@ -33,7 +33,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"flexpath/internal/core"
 	"flexpath/internal/ir"
@@ -227,9 +226,9 @@ type Document struct {
 	// pc is the plan-template cache, mapping the normalized (query,
 	// weights, hierarchy) triple to a core.Template (relaxation chain +
 	// memoized join plans + memoized prefix levels); its Do builds each
-	// shape once under concurrent misses. DefaultPlanCacheCapacity by
-	// default; nil means disabled (every search builds a fresh template).
-	pc atomic.Pointer[lru.Cache[*core.Template]]
+	// shape once under concurrent misses. It holds
+	// DefaultPlanCacheCapacity templates.
+	pc *lru.Cache[*core.Template]
 
 	// mp, when the document was loaded from an mmap'd FXP3 snapshot,
 	// is the file mapping the document's columns and strings alias.
@@ -420,9 +419,6 @@ type SearchOptions struct {
 	Algorithm Algorithm
 	Scheme    Scheme
 	Weights   Weights
-	// Parallel fans join-plan execution out over this many goroutines;
-	// 0 or 1 runs sequentially. Results are identical either way.
-	Parallel int
 	// Workers bounds how many documents a Collection.Search evaluates
 	// concurrently: 0 uses GOMAXPROCS, 1 forces sequential evaluation.
 	// The merged ranking is identical at every setting (per-document
@@ -484,7 +480,7 @@ func (d *Document) PlannerStats() PlannerStats {
 // safe for concurrent searches. Keys cover everything that
 // determines a result set (normalized query, algorithm, scheme, K,
 // offset, weights, hierarchy), so differently-shaped requests never
-// collide; Parallel and Workers do not affect answers and are excluded.
+// collide; Workers does not affect answers and is excluded.
 // Documents are immutable, so entries never go stale. The cache serves
 // direct searches of the document only; a collection has its own.
 func (d *Document) SetCache(capacity int) { d.setCache(capacity) }
@@ -505,9 +501,7 @@ func (d *Document) purgeResults() {
 // from re-populating them.
 func (d *Document) purgeCache() {
 	d.purgeResults()
-	if pc := d.pc.Load(); pc != nil {
-		pc.Purge()
-	}
+	d.pc.Purge()
 }
 
 // CacheStats reports the document cache's hit/miss/eviction counters;
@@ -667,30 +661,17 @@ func (d *Document) inspect(ctx context.Context, q *Query, opts SearchOptions) (*
 }
 
 // DefaultPlanCacheCapacity is the plan-template cache capacity of every
-// Document; SetPlanCache overrides it. Entries are heavyweight (a
-// relaxation chain plus memoized join plans with their candidate lists),
-// so the default favors boundedness over reach.
+// Document. Entries are heavyweight (a relaxation chain plus memoized
+// join plans with their candidate lists), so it favors boundedness over
+// reach. Answers do not depend on it: the cache only amortizes chain
+// building, relaxation enumeration and plan construction across searches
+// of the same shape.
 const DefaultPlanCacheCapacity = 256
 
-// SetPlanCache resizes the document's plan-template cache to hold up to
-// capacity templates; capacity <= 0 disables it (every search then
-// builds its chain and plans from scratch). Resizing installs a fresh
-// cache, discarding current entries and counters. Answers are identical
-// at every setting; the cache only amortizes chain building, relaxation
-// enumeration and plan construction across searches of the same shape.
-func (d *Document) SetPlanCache(capacity int) {
-	if capacity <= 0 {
-		d.pc.Store(nil)
-		return
-	}
-	d.pc.Store(lru.New[*core.Template](capacity))
-}
-
-// PlanCacheStats reports the plan-template cache counters; ok is false
-// when the cache has been disabled with SetPlanCache(0).
+// PlanCacheStats reports the plan-template cache counters; every
+// document has the cache, so ok is always true.
 func (d *Document) PlanCacheStats() (s PlanCacheStats, ok bool) {
-	st, ok := statsOf(d.pc.Load())
-	return PlanCacheStats(st), ok
+	return PlanCacheStats(d.pc.Stats()), true
 }
 
 // PlanCacheStats is a snapshot of a plan-template cache's counters.
@@ -719,14 +700,13 @@ func templateKey(q *Query, rw rank.Weights, hierarchy map[string]string) string 
 }
 
 // template returns the plan template for (q, w, hierarchy): the
-// relaxation chain plus memoized per-level plans and prefix levels.
-// With the plan cache enabled the template is shared across searches of
-// the same shape and built exactly once even under concurrent misses
-// (single-flight); with it disabled a fresh template is built per call
-// (still deduplicating work within the one search that holds it).
+// relaxation chain plus memoized per-level plans and prefix levels. The
+// template is shared across searches of the same shape through the plan
+// cache and built exactly once even under concurrent misses
+// (single-flight).
 func (d *Document) template(q *Query, w Weights, hierarchy map[string]string) (*core.Template, error) {
 	rw := w.rank()
-	build := func() (*core.Template, error) {
+	return d.pc.Do(templateKey(q, rw, hierarchy), func() (*core.Template, error) {
 		var h *tpq.Hierarchy
 		if len(hierarchy) > 0 {
 			h = tpq.NewHierarchy(hierarchy)
@@ -736,9 +716,5 @@ func (d *Document) template(q *Query, w Weights, hierarchy map[string]string) (*
 			return nil, err
 		}
 		return core.NewTemplate(c), nil
-	}
-	if pc := d.pc.Load(); pc != nil {
-		return pc.Do(templateKey(q, rw, hierarchy), build)
-	}
-	return build()
+	})
 }

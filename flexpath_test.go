@@ -420,9 +420,9 @@ func TestAnalyzePlan(t *testing.T) {
 
 // TestDocumentSearchAllocs pins the allocations of a Document search on
 // the paper's path: a warm plan template, the result cache bypassed, each
-// algorithm at a small and a large K. The pins are the counts of the
-// document-only search path that preceded the shared one; going through
-// the collection path must cost a lone document nothing.
+// algorithm at a small and a large K. The pins are measured counts: a
+// change may lower them, never raise them. Going through the collection
+// path must cost a lone document nothing.
 func TestDocumentSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -434,8 +434,8 @@ func TestDocumentSearchAllocs(t *testing.T) {
 		k    int
 		pin  float64
 	}{
-		{DPO, 10, 94}, {SSO, 10, 78}, {Hybrid, 10, 100},
-		{DPO, 700, 771}, {SSO, 700, 1917}, {Hybrid, 700, 1939},
+		{DPO, 10, 86}, {SSO, 10, 70}, {Hybrid, 10, 92},
+		{DPO, 700, 681}, {SSO, 700, 1909}, {Hybrid, 700, 1931},
 	} {
 		opts := SearchOptions{K: c.k, Algorithm: c.algo, NoCache: true}
 		if _, err := doc.Search(q, opts); err != nil { // warms the template

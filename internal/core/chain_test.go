@@ -177,7 +177,7 @@ func TestPlanExactMatchesEvaluator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive})
+		answers := exec.Run(plan, exec.Options{})
 		exact := f.ev.Evaluate(c.Original)
 		if len(answers) != len(exact) {
 			t.Fatalf("%s: plan found %d answers, evaluator %d", src, len(answers), len(exact))
@@ -209,7 +209,7 @@ func TestPlanLevelsMatchEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s level %d: %v", src, j, err)
 			}
-			answers := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive})
+			answers := exec.Run(plan, exec.Options{})
 			exact := f.ev.Evaluate(c.QueryAt(j))
 			if len(answers) != len(exact) {
 				t.Errorf("%s level %d: plan %d answers, evaluator %d\nquery: %s",
@@ -240,7 +240,7 @@ func TestPlanScoresBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive})
+	answers := exec.Run(plan, exec.Options{})
 	exact := map[xmltree.NodeID]bool{}
 	for _, n := range f.ev.Evaluate(c.Original) {
 		exact[n] = true
@@ -449,7 +449,7 @@ func TestEncodingMoreRelaxationsInvariants(t *testing.T) {
 		if j > 0 {
 			stepPenalty = c.Steps[j-1].Penalty
 		}
-		answers := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive})
+		answers := exec.Run(plan, exec.Options{})
 		cur := map[xmltree.NodeID]float64{}
 		for _, a := range answers {
 			if a.Score.SS > c.Base+1e-9 {

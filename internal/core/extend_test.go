@@ -127,7 +127,7 @@ func TestHierarchySearchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(exec.Run(planP, exec.Options{Mode: exec.ModeExhaustive})); got != 1 {
+	if got := len(exec.Run(planP, exec.Options{})); got != 1 {
 		t.Fatalf("plain search found %d answers, want 1", got)
 	}
 
@@ -139,7 +139,7 @@ func TestHierarchySearchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers := exec.Run(planH, exec.Options{Mode: exec.ModeExhaustive})
+	answers := exec.Run(planH, exec.Options{})
 	if len(answers) != 2 {
 		t.Fatalf("hierarchy search found %d answers, want 2 (publication + article)", len(answers))
 	}

@@ -81,7 +81,7 @@ func TestWeightsAffectRanking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive, Scheme: rank.StructureFirst})
+		answers := exec.Run(plan, exec.Options{Scheme: rank.StructureFirst})
 		var ids []string
 		for _, a := range answers {
 			id, _ := f.doc.Attr(a.Node, "id")

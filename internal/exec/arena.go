@@ -20,11 +20,7 @@ const arenaChunk = 1 << 14
 // Reset (or PutArena). Nothing carved from an arena may be returned to a
 // caller that outlives the search — results that escape (answers, result
 // blocks) are always copied into ordinary heap slices. An Arena is NOT
-// safe for concurrent use; parallel join workers fall back to private
-// heap allocation.
-//
-// A nil *Arena is valid everywhere and degrades to plain allocation, so
-// test paths run the exact same code without an arena.
+// safe for concurrent use.
 type Arena struct {
 	// node is the current chunk; its length is the high-water mark of
 	// carved space. Exhausted chunks park in full (still referenced by
@@ -50,9 +46,6 @@ func GetArena() *Arena {
 // PutArena returns an arena to the pool. The caller must not use any
 // buffer carved from it afterwards.
 func PutArena(a *Arena) {
-	if a == nil {
-		return
-	}
 	a.Reset()
 	// Drop dangling binding pointers held by recycled tuple buffers so a
 	// pooled idle arena does not pin a past search's binding blocks.
@@ -66,9 +59,6 @@ func PutArena(a *Arena) {
 // is kept, so a search that once ballooned does not pin its peak
 // footprint forever.
 func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
 	for _, c := range a.full {
 		if cap(c) > cap(a.node) {
 			a.node = c
@@ -80,11 +70,8 @@ func (a *Arena) Reset() {
 
 // Nodes carves a NodeID buffer with length 0 and capacity n. Appending
 // within n never allocates; appending beyond n falls off the arena into
-// an ordinary heap slice (correct, just unamortized). Nil-safe.
+// an ordinary heap slice (correct, just unamortized).
 func (a *Arena) Nodes(n int) []xmltree.NodeID {
-	if a == nil {
-		return make([]xmltree.NodeID, 0, n)
-	}
 	if cap(a.node)-len(a.node) < n {
 		c := arenaChunk
 		if c < n {
@@ -102,7 +89,7 @@ func (a *Arena) Nodes(n int) []xmltree.NodeID {
 // free; append grows nil slices normally. recycleTuples returns a buffer
 // once the pipeline no longer reads it.
 func (a *Arena) tupleBuf() []tuple {
-	if a == nil || len(a.tups) == 0 {
+	if len(a.tups) == 0 {
 		return nil
 	}
 	t := a.tups[len(a.tups)-1]
@@ -111,7 +98,7 @@ func (a *Arena) tupleBuf() []tuple {
 }
 
 func (a *Arena) recycleTuples(t []tuple) {
-	if a == nil || cap(t) == 0 {
+	if cap(t) == 0 {
 		return
 	}
 	a.tups = append(a.tups, t)
@@ -120,9 +107,6 @@ func (a *Arena) recycleTuples(t []tuple) {
 // sortScratch returns reusable keys/idx buffers of length n for the
 // ModeSorted resort.
 func (a *Arena) sortScratch(n int) ([]float64, []int) {
-	if a == nil {
-		return make([]float64, n), make([]int, n)
-	}
 	if cap(a.keys) < n {
 		a.keys = make([]float64, n)
 		a.idx = make([]int, n)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestExplain(t *testing.T) {
-	plan, _ := buildParallelPlan(t)
+	plan := buildOptionalPlan(t)
 	out := plan.Explain()
 	for _, want := range []string{
 		"plan: 4 vars (2 required)",

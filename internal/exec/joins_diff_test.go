@@ -15,7 +15,7 @@ import (
 // This file is the differential suite for the columnar block kernels: on
 // every input, each batched kernel must return output byte-identical to
 // the retained scalar oracle in joins_scalar_test.go. It also holds Run to
-// the same answers with and without a (reused, shared-pool) arena.
+// the same answers with a caller's (reused) arena and a pooled one.
 
 type kernelCase struct {
 	name   string
@@ -131,30 +131,23 @@ func FuzzDifferentialJoins(f *testing.F) {
 }
 
 // TestRunArenaByteIdentical: Run with a caller-supplied arena — including
-// a reused, reset one — returns exactly the answers of an arena-less run,
-// for every mode. Run under -race this also exercises the pooled-arena
-// path against parallel workers.
+// a reused, reset one — returns exactly the answers of a run on a pooled
+// arena, exhaustive (K = 0) and in both organizations.
 func TestRunArenaByteIdentical(t *testing.T) {
-	plan, _ := buildParallelPlan(t)
-	for _, mode := range []Mode{ModeExhaustive, ModeSorted, ModeBuckets} {
-		want := Run(plan, Options{K: 10, Mode: mode})
+	plan := buildOptionalPlan(t)
+	for _, o := range []Options{{}, {K: 10, Mode: ModeSorted}, {K: 10, Mode: ModeBuckets}} {
+		want := Run(plan, o)
 		a := GetArena()
 		for i := 0; i < 3; i++ {
 			a.Reset()
-			got := Run(plan, Options{K: 10, Mode: mode, Arena: a})
+			o.Arena = a
+			got := Run(plan, o)
 			if len(got) != len(want) {
-				t.Fatalf("mode %v run %d: %d answers vs %d", mode, i, len(got), len(want))
+				t.Fatalf("K %d mode %v run %d: %d answers vs %d", o.K, o.Mode, i, len(got), len(want))
 			}
 			for j := range want {
 				if got[j] != want[j] {
-					t.Fatalf("mode %v run %d answer %d: %+v vs %+v", mode, i, j, got[j], want[j])
-				}
-			}
-			// Parallel workers must not touch the shared arena.
-			par := Run(plan, Options{K: 10, Mode: mode, Arena: a, Parallel: 4})
-			for j := range want {
-				if par[j] != want[j] {
-					t.Fatalf("mode %v parallel answer %d: %+v vs %+v", mode, j, par[j], want[j])
+					t.Fatalf("K %d mode %v run %d answer %d: %+v vs %+v", o.K, o.Mode, i, j, got[j], want[j])
 				}
 			}
 		}
@@ -163,11 +156,11 @@ func TestRunArenaByteIdentical(t *testing.T) {
 }
 
 // TestArenaConcurrentSearches runs Run concurrently, each goroutine on
-// its own pooled arena, and compares every run with an arena-less one;
+// its own arena, and compares every run with a sequential one;
 // meaningful under -race, where any cross-arena sharing shows up as a
 // data race.
 func TestArenaConcurrentSearches(t *testing.T) {
-	plan, _ := buildParallelPlan(t)
+	plan := buildOptionalPlan(t)
 	want := Run(plan, Options{K: 10, Mode: ModeBuckets})
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -180,7 +173,7 @@ func TestArenaConcurrentSearches(t *testing.T) {
 				got := Run(plan, Options{K: 10, Mode: ModeBuckets, Arena: a})
 				PutArena(a)
 				if !slices.Equal(got, want) {
-					errs <- fmt.Sprintf("run %d: %+v, arena-less %+v", i, got, want)
+					errs <- fmt.Sprintf("run %d: %+v, sequential %+v", i, got, want)
 					return
 				}
 			}

@@ -3,6 +3,7 @@ package exec
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"flexpath/internal/ir"
@@ -141,4 +142,45 @@ func leafStartsFromWitnesses(d *xmltree.Document, v *VarSpec) bool {
 		}
 	}
 	return smallest >= 0 && smallest*16 < base
+}
+
+// TestWitnessFirstLeafEquivalence: the adaptive witness-first leaf path
+// must produce exactly the candidates the tag-scan path produces, for
+// both rare and common predicates (forcing each path).
+func TestWitnessFirstLeafEquivalence(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<lib>")
+	for i := 0; i < 400; i++ {
+		sb.WriteString("<book><para>common words everywhere")
+		if i%97 == 0 {
+			sb.WriteString(" rareterm")
+		}
+		sb.WriteString("</para></book>")
+	}
+	sb.WriteString("</lib>")
+	doc, err := xmltree.ParseString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := ir.NewIndex(doc)
+	for _, term := range []string{"rareterm", "common"} {
+		res := ix.Eval(ir.MustParseExpr(term))
+		v := &VarSpec{Tag: "para", Contains: []ContainsSpec{{Res: res, Required: true}}}
+		got := evaluateLeaf(doc, v)
+		// Reference: tag scan + Satisfies filter.
+		var want []xmltree.NodeID
+		for _, n := range doc.NodesWithTag("para") {
+			if res.Satisfies(n) {
+				want = append(want, n)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d candidates, want %d", term, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: candidate %d differs", term, i)
+			}
+		}
+	}
 }

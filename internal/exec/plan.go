@@ -135,8 +135,6 @@ const (
 	// set of satisfied predicates, as Hybrid does; no score sorting is
 	// ever performed.
 	ModeBuckets
-	// ModeExhaustive disables threshold pruning (for exactness tests).
-	ModeExhaustive
 )
 
 // PipelineStats reports work counters from a plan execution.
@@ -175,19 +173,11 @@ type Options struct {
 	// Err after Run to distinguish cancellation from an empty result.
 	Ctx context.Context
 	// K enables threshold pruning against the K-th best completable
-	// answer; 0 disables pruning.
+	// answer and the Mode's organization of intermediate tuples; 0
+	// evaluates exhaustively (DPO's exact passes).
 	K      int
 	Scheme rank.Scheme
 	Mode   Mode
-	// Parallel fans each join step out over this many goroutines
-	// (<= 1 runs sequentially). Results are deterministic: worker output
-	// is concatenated in input order.
-	Parallel int
-	// DisableBestOnly turns off the dominated-extension optimization for
-	// optional variables (every match is materialized instead of only the
-	// best per tuple). Answers are unchanged; this exists to measure the
-	// optimization (ablation benchmarks).
-	DisableBestOnly bool
 	// Exclude drops candidates for the distinguished variable before they
 	// join: DPO passes the answers of previous relaxation levels here so
 	// that each level only computes new answers (the paper's §5.2.2
@@ -327,107 +317,68 @@ func Run(p *Plan, opts Options) []Answer {
 	tuples := []tuple{{bind: unboundBindings(nv)}}
 	for vi := 0; vi < nv; vi++ {
 		v := &p.Vars[vi]
-		bestOnly := v.Rel == RelOptional && !refLater[vi] && !opts.DisableBestOnly
+		bestOnly := v.Rel == RelOptional && !refLater[vi]
 		st.JoinSteps++
 		tuplesIn := len(tuples)
 		excludeHere := vi == p.DistVar && len(opts.Exclude) > 0
-		// joinChunk extends every tuple of chunk by the step variable,
-		// appending to out. chunkAr, when non-nil, supplies the binding
-		// blocks; parallel workers pass nil (an Arena is single-owner) and
-		// fall back to private heap blocks.
-		joinChunk := func(chunk, out []tuple, chunkAr *Arena) []tuple {
-			// Bindings for this chunk's output tuples are carved out of
-			// block allocations instead of one slice per tuple; binding
-			// slices are immutable once created, so sharing blocks is
-			// safe.
-			var block []xmltree.NodeID
-			newBind := func(src []xmltree.NodeID) []xmltree.NodeID {
-				if len(block) < nv {
-					if chunkAr != nil {
-						block = chunkAr.Nodes(1024 * nv)
-						block = block[:cap(block)]
-					} else {
-						block = make([]xmltree.NodeID, 1024*nv)
-					}
-				}
-				b := block[:nv:nv]
-				block = block[nv:]
-				copy(b, src)
-				return b
+		// Bindings for this step's output tuples are carved out of arena
+		// blocks instead of one slice per tuple; binding slices are
+		// immutable once created, so sharing blocks is safe.
+		var block []xmltree.NodeID
+		newBind := func(src []xmltree.NodeID) []xmltree.NodeID {
+			if len(block) < nv {
+				block = ar.Nodes(1024 * nv)
+				block = block[:cap(block)]
 			}
-			for ti := range chunk {
-				// Join loops can run millions of iterations; polling the
-				// context every 64 tuples bounds cancellation latency
-				// without measurable per-tuple cost.
-				if ti&63 == 0 && cancelled() {
-					return nil
-				}
-				t := &chunk[ti]
-				matched := false
-				var best tuple
-				// The parent filter of RelParent steps is applied inline
-				// against the Parent column; no filtered candidate list is
-				// ever materialized.
-				cands, parentAnchor := candidatesFor(doc, v, leaves[vi], t)
-				for _, m := range cands {
-					if parentAnchor != xmltree.InvalidNode && parentCol[m] != parentAnchor {
-						continue
-					}
-					if excludeHere && opts.Exclude[m] {
-						continue
-					}
-					if !checksOK(parentCol, ends, v, t, m) {
-						continue
-					}
-					nt := extend(parentCol, ends, v, t, vi, m, newBind)
-					if bestOnly {
-						if !matched || better(&nt, &best, opts.Scheme) {
-							best = nt
-						}
-						matched = true
-						continue
-					}
-					out = append(out, nt)
-					matched = true
-				}
-				if bestOnly && matched {
-					out = append(out, best)
-				}
-				if !matched && v.Rel == RelOptional {
-					nt := tuple{bind: newBind(t.bind),
-						regained: t.regained, ks: t.ks, sig: t.sig}
-					out = append(out, nt)
-				}
-			}
-			return out
+			b := block[:nv:nv]
+			block = block[nv:]
+			copy(b, src)
+			return b
 		}
-		var next []tuple
-		if workers := opts.Parallel; workers > 1 && len(tuples) >= 4*workers {
-			parts := make([][]tuple, workers)
-			var wg sync.WaitGroup
-			chunk := (len(tuples) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if lo >= len(tuples) {
-					break
-				}
-				if hi > len(tuples) {
-					hi = len(tuples)
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					parts[w] = joinChunk(tuples[lo:hi], nil, nil)
-				}(w, lo, hi)
+		next := ar.tupleBuf()
+		for ti := range tuples {
+			// Join loops can run millions of iterations; polling the
+			// context every 64 tuples bounds cancellation latency without
+			// measurable per-tuple cost.
+			if ti&63 == 0 && cancelled() {
+				return nil
 			}
-			wg.Wait()
-			next = ar.tupleBuf()
-			for _, p := range parts {
-				next = append(next, p...)
+			t := &tuples[ti]
+			matched := false
+			var best tuple
+			// The parent filter of RelParent steps is applied inline
+			// against the Parent column; no filtered candidate list is ever
+			// materialized.
+			cands, parentAnchor := candidatesFor(doc, v, leaves[vi], t)
+			for _, m := range cands {
+				if parentAnchor != xmltree.InvalidNode && parentCol[m] != parentAnchor {
+					continue
+				}
+				if excludeHere && opts.Exclude[m] {
+					continue
+				}
+				if !checksOK(parentCol, ends, v, t, m) {
+					continue
+				}
+				nt := extend(parentCol, ends, v, t, vi, m, newBind)
+				if bestOnly {
+					if !matched || better(&nt, &best, opts.Scheme) {
+						best = nt
+					}
+					matched = true
+					continue
+				}
+				next = append(next, nt)
+				matched = true
 			}
-		} else {
-			next = joinChunk(tuples, ar.tupleBuf(), ar)
+			if bestOnly && matched {
+				next = append(next, best)
+			}
+			if !matched && v.Rel == RelOptional {
+				nt := tuple{bind: newBind(t.bind),
+					regained: t.regained, ks: t.ks, sig: t.sig}
+				next = append(next, nt)
+			}
 		}
 		if cancelled() {
 			return nil
@@ -455,7 +406,7 @@ func Run(p *Plan, opts Options) []Answer {
 		// tuple is guaranteed to complete into an answer, so the K-th best
 		// current score over distinct distinguished nodes is a valid lower
 		// bound for the final top-K cut-off.
-		pruneActive := opts.K > 0 && opts.Mode != ModeExhaustive && vi+1 >= p.FirstOptional && vi+1 < nv
+		pruneActive := opts.K > 0 && vi+1 >= p.FirstOptional && vi+1 < nv
 		if pruneActive {
 			threshold, ok := kthBest(tuples, p.DistVar, opts.K, total)
 			if ok {

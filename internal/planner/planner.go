@@ -186,19 +186,23 @@ func Bind(est *stats.Estimator, cal *Calibration) Planner {
 
 // Choose predicts the cheapest algorithm for one top-K search over the
 // chain. It never fails: when the encoded plan cannot be built it falls
-// back to DPO and lets DPO surface the error. A non-nil template
-// memoizes the admitting level and the encoded plan across searches of
-// the same shape (and shares them with the dispatched algorithm within
-// one search), so repeated Auto queries skip the per-level estimator
-// loop and the plan build here — the work obs.StagePlan prices.
+// back to DPO and lets DPO surface the error. The template memoizes the
+// admitting level and the encoded plan across searches of the same shape
+// (and shares them with the dispatched algorithm within one search), so
+// repeated Auto queries skip the per-level estimator loop and the plan
+// build here — the work obs.StagePlan prices. A nil template plans
+// through a fresh one for the chain.
 func (p *Planner) Choose(chain *core.Chain, tmpl *core.Template, k int, scheme rank.Scheme) Choice {
 	if k < 1 {
 		k = 1
 	}
+	if tmpl == nil {
+		tmpl = core.NewTemplate(chain)
+	}
 	c := Choice{Level: p.admittingLevel(chain, tmpl, k, scheme)}
 	c.Units[DPO] = p.dpoUnits(chain, c.Level, scheme)
 
-	plan, err := planAt(chain, tmpl, c.Level)
+	plan, err := tmpl.PlanAt(c.Level)
 	if err != nil {
 		c.Algo, c.Reason = DPO, ReasonPlanError
 		c.Explain = fmt.Sprintf("level %d plan failed (%v); falling back to DPO", c.Level, err)
@@ -300,27 +304,16 @@ func (cal *Calibration) restartRate() float64 {
 	return cal.restarts.v
 }
 
-// planAt builds the encoded plan for the level, through the template's
-// memo when one is attached.
-func planAt(chain *core.Chain, tmpl *core.Template, level int) (*exec.Plan, error) {
-	if tmpl != nil {
-		return tmpl.PlanAt(level)
-	}
-	return chain.PlanAt(level)
-}
-
 // admittingLevel predicts the smallest chain prefix whose relaxed query
 // is estimated to produce at least k answers, mirroring the prefix rule
 // the plan-based algorithms use (keyword-first must encode the whole
 // chain; the combined scheme extends the prefix per §5.1). The rule is
-// deliberately identical to topk's choosePrefix, so with a template
-// attached the two share one memoized level per (K, scheme).
+// deliberately identical to topk's choosePrefix, so the two share one
+// memoized level per (K, scheme) on the template.
 func (p *Planner) admittingLevel(chain *core.Chain, tmpl *core.Template, k int, scheme rank.Scheme) int {
 	key := core.LevelKey{K: k, Scheme: scheme}
-	if tmpl != nil {
-		if j, ok := tmpl.Level(key); ok {
-			return j
-		}
+	if j, ok := tmpl.Level(key); ok {
+		return j
 	}
 	j := chain.Len()
 	if scheme != rank.KeywordFirst {
@@ -341,9 +334,7 @@ func (p *Planner) admittingLevel(chain *core.Chain, tmpl *core.Template, k int, 
 			}
 		}
 	}
-	if tmpl != nil {
-		tmpl.SetLevel(key, j)
-	}
+	tmpl.SetLevel(key, j)
 	return j
 }
 

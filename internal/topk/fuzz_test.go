@@ -88,7 +88,7 @@ func TestFuzzAlgorithmsConsistent(t *testing.T) {
 			t.Logf("seed %d: plan: %v", seed, err)
 			return false
 		}
-		full := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive, Scheme: scheme})
+		full := exec.Run(plan, exec.Options{Scheme: scheme})
 		pruned := exec.Run(plan, exec.Options{K: k, Scheme: scheme, Mode: exec.ModeSorted})
 		limit := k
 		if limit > len(full) {

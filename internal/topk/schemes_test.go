@@ -22,7 +22,7 @@ func TestKeywordFirstGlobal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive, Scheme: rank.KeywordFirst})
+		full := exec.Run(plan, exec.Options{Scheme: rank.KeywordFirst})
 		for _, k := range []int{1, 5, 20} {
 			got := SSO(c, f.est, Options{K: k, Scheme: rank.KeywordFirst})
 			limit := k

@@ -79,38 +79,25 @@ type Options struct {
 	// returns a truncated (possibly nil) result; callers must consult
 	// Ctx.Err to tell cancellation from a genuinely small answer set.
 	Ctx context.Context
-	// Parallel fans plan execution out over this many goroutines
-	// (<= 1 runs sequentially); results are unaffected.
-	Parallel int
 	// Metrics, when non-nil, accumulates work counters.
 	Metrics *Metrics
 	// Span, when non-nil, receives per-stage latency: the algorithms
 	// record join/plan execution time under obs.StageJoin. A nil span
 	// costs one pointer check per plan run.
 	Span *obs.Span
-	// Template, when non-nil, memoizes the per-level join plans and the
-	// estimator-chosen prefix levels across runs of the same (query,
-	// weights, hierarchy) triple (see core.Template). Answers are
-	// identical with or without it; only repeated work disappears.
+	// Template memoizes the per-level join plans and the estimator-chosen
+	// prefix levels across runs of the same (query, weights, hierarchy)
+	// triple (see core.Template); it must hold the chain the algorithm is
+	// given. A run without one plans through a fresh template of its own.
 	Template *core.Template
 }
 
-// planAt returns the scored plan for prefix j, through the template's
-// memo when one is attached.
-func (o *Options) planAt(chain *core.Chain, j int) (*exec.Plan, error) {
-	if o.Template != nil {
-		return o.Template.PlanAt(j)
+// ensureTemplate attaches a fresh template for the chain when the caller
+// passed none: the algorithms always plan through a template.
+func (o *Options) ensureTemplate(chain *core.Chain) {
+	if o.Template == nil {
+		o.Template = core.NewTemplate(chain)
 	}
-	return chain.PlanAt(j)
-}
-
-// exactPlanAt returns the exact-evaluation plan for level j, through the
-// template's memo when one is attached.
-func (o *Options) exactPlanAt(chain *core.Chain, j int) (*exec.Plan, error) {
-	if o.Template != nil {
-		return o.Template.ExactPlanAt(j)
-	}
-	return chain.ExactPlanAt(j)
 }
 
 // timeJoin runs fn, charging its duration to the span's join stage.
@@ -148,6 +135,7 @@ func (o *Options) cancelled() bool {
 // cost is one full plan pass per relaxation level. The evaluator argument
 // is unused and may be nil; it keeps the signature bench/layers calls.
 func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
+	opts.ensureTemplate(chain)
 	m := opts.metrics()
 	k := opts.K
 	var results []Result
@@ -171,7 +159,7 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 			return nil
 		}
 		arena.Reset()
-		plan, err := opts.exactPlanAt(chain, level)
+		plan, err := opts.Template.ExactPlanAt(level)
 		if err != nil {
 			// A level whose plan cannot be built was never evaluated:
 			// bail before touching the work counters.
@@ -187,8 +175,7 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 		var levelAnswers []exec.Answer
 		opts.timeJoin(func() {
 			levelAnswers = exec.Run(plan, exec.Options{
-				Mode: exec.ModeExhaustive, Scheme: opts.Scheme,
-				Parallel: opts.Parallel, Stats: &m.Pipeline,
+				Scheme: opts.Scheme, Stats: &m.Pipeline,
 				Exclude: seen, Ctx: opts.Ctx, Arena: arena,
 			})
 		})
@@ -260,6 +247,7 @@ func Hybrid(chain *core.Chain, est *stats.Estimator, opts Options) []Result {
 }
 
 func planBased(chain *core.Chain, est *stats.Estimator, opts Options, mode exec.Mode) []Result {
+	opts.ensureTemplate(chain)
 	m := opts.metrics()
 	k := opts.K
 	j := choosePrefix(chain, est, opts, m)
@@ -273,7 +261,7 @@ func planBased(chain *core.Chain, est *stats.Estimator, opts Options, mode exec.
 			return nil
 		}
 		arena.Reset()
-		plan, err := opts.planAt(chain, j)
+		plan, err := opts.Template.PlanAt(j)
 		if err != nil {
 			return nil
 		}
@@ -282,13 +270,12 @@ func planBased(chain *core.Chain, est *stats.Estimator, opts Options, mode exec.
 		var answers []exec.Answer
 		opts.timeJoin(func() {
 			answers = exec.Run(plan, exec.Options{
-				K:        k,
-				Scheme:   opts.Scheme,
-				Mode:     mode,
-				Parallel: opts.Parallel,
-				Stats:    &m.Pipeline,
-				Ctx:      opts.Ctx,
-				Arena:    arena,
+				K:      k,
+				Scheme: opts.Scheme,
+				Mode:   mode,
+				Stats:  &m.Pipeline,
+				Ctx:    opts.Ctx,
+				Arena:  arena,
 			})
 		})
 		if opts.cancelled() {
@@ -299,9 +286,7 @@ func planBased(chain *core.Chain, est *stats.Estimator, opts Options, mode exec.
 			// later search with the same K skips the restarts (the final
 			// round's plan run fully determines the output, so answers
 			// are unchanged).
-			if opts.Template != nil {
-				opts.Template.SetLevel(core.LevelKey{K: k, Scheme: opts.Scheme}, j)
-			}
+			opts.Template.SetLevel(core.LevelKey{K: k, Scheme: opts.Scheme}, j)
 			return toResults(chain, answers, opts, k)
 		}
 		// Selectivity estimate was too optimistic: drop more predicates
@@ -315,9 +300,10 @@ func planBased(chain *core.Chain, est *stats.Estimator, opts Options, mode exec.
 // would execute for the given options: the estimator-chosen relaxation
 // prefix and the per-variable join pipeline.
 func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
+	opts.ensureTemplate(chain)
 	m := opts.metrics()
 	j := choosePrefix(chain, est, opts, m)
-	plan, err := opts.planAt(chain, j)
+	plan, err := opts.Template.PlanAt(j)
 	if err != nil {
 		return "", err
 	}
@@ -335,16 +321,17 @@ func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 // plan description and a per-join-step execution trace (EXPLAIN
 // ANALYZE).
 func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
+	opts.ensureTemplate(chain)
 	m := opts.metrics()
 	j := choosePrefix(chain, est, opts, m)
-	plan, err := opts.planAt(chain, j)
+	plan, err := opts.Template.PlanAt(j)
 	if err != nil {
 		return "", err
 	}
 	var traces []exec.StepTrace
 	answers := exec.Run(plan, exec.Options{
 		K: opts.K, Scheme: opts.Scheme, Mode: exec.ModeBuckets,
-		Parallel: opts.Parallel, Stats: &m.Pipeline, Trace: &traces, Ctx: opts.Ctx,
+		Stats: &m.Pipeline, Trace: &traces, Ctx: opts.Ctx,
 	})
 	if opts.cancelled() {
 		return "", opts.Ctx.Err()
@@ -363,17 +350,15 @@ func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 // choosePrefix picks how many relaxation steps to encode: the shortest
 // prefix whose relaxed query is estimated to produce at least K answers
 // (structure-first), extended per the §5.1 rule for the combined scheme;
-// the keyword-first scheme requires encoding the whole chain. With a
-// template attached, the chosen level is memoized per (K, scheme), so
-// only the first search of a shape pays the per-level estimator loop —
-// and a restart-corrected level recorded by planBased is reused in
-// preference to re-deriving the (undershooting) estimate.
+// the keyword-first scheme requires encoding the whole chain. The chosen
+// level is memoized on the template per (K, scheme), so only the first
+// search of a shape pays the per-level estimator loop — and a
+// restart-corrected level recorded by planBased is reused in preference
+// to re-deriving the (undershooting) estimate.
 func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options, m *Metrics) int {
 	key := core.LevelKey{K: opts.K, Scheme: opts.Scheme}
-	if opts.Template != nil {
-		if j, ok := opts.Template.Level(key); ok {
-			return j
-		}
+	if j, ok := opts.Template.Level(key); ok {
+		return j
 	}
 	j := chain.Len()
 	if opts.Scheme != rank.KeywordFirst {
@@ -395,9 +380,7 @@ func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options, m *Metr
 			}
 		}
 	}
-	if opts.Template != nil {
-		opts.Template.SetLevel(key, j)
-	}
+	opts.Template.SetLevel(key, j)
 	return j
 }
 

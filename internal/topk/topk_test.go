@@ -131,7 +131,7 @@ func TestPruningCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, scheme := range schemes() {
-			full := exec.Run(plan, exec.Options{Mode: exec.ModeExhaustive, Scheme: scheme})
+			full := exec.Run(plan, exec.Options{Scheme: scheme})
 			for _, k := range []int{1, 3, 10, 50} {
 				pruned := exec.Run(plan, exec.Options{K: k, Scheme: scheme, Mode: exec.ModeSorted})
 				limit := k

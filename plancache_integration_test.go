@@ -57,19 +57,18 @@ func TestPlanCacheStampedeBuildsOnce(t *testing.T) {
 }
 
 // TestPlanCacheAnswersIdentical is the correctness contract of the plan
-// cache: for every algorithm and scheme, a template hit (and the
-// template-disabled path) return exactly the same ranking.
+// cache: for every algorithm and scheme, a template hit returns exactly
+// the ranking of a freshly built document, whose search builds its
+// template from scratch.
 func TestPlanCacheAnswersIdentical(t *testing.T) {
 	cached := xmarkDoc(t, 200, 7)
-	uncached := xmarkDoc(t, 200, 7)
-	uncached.SetPlanCache(0)
 	q := MustParseQuery(`//item[./description/parlist and ./mailbox/mail/text]`)
 	for _, algo := range []Algorithm{Auto, Hybrid, SSO, DPO} {
 		for _, scheme := range []Scheme{StructureFirst, KeywordFirst, Combined} {
 			opts := SearchOptions{K: 15, Algorithm: algo, Scheme: scheme}
-			cold, err := uncached.Search(q, opts)
+			cold, err := xmarkDoc(t, 200, 7).Search(q, opts)
 			if err != nil {
-				t.Fatalf("%v/%v uncached: %v", algo, scheme, err)
+				t.Fatalf("%v/%v cold: %v", algo, scheme, err)
 			}
 			if _, err := cached.Search(q, opts); err != nil { // populates the template
 				t.Fatalf("%v/%v prime: %v", algo, scheme, err)
@@ -88,13 +87,10 @@ func TestPlanCacheAnswersIdentical(t *testing.T) {
 				render = renderRankingNoDetail
 			}
 			if render(cold) != render(warm) {
-				t.Errorf("%v/%v: template-hit ranking differs from uncached evaluation\nuncached:\n%swarm:\n%s",
+				t.Errorf("%v/%v: template-hit ranking differs from cold evaluation\ncold:\n%swarm:\n%s",
 					algo, scheme, render(cold), render(warm))
 			}
 		}
-	}
-	if _, ok := uncached.PlanCacheStats(); ok {
-		t.Error("PlanCacheStats ok after SetPlanCache(0)")
 	}
 	st, ok := cached.PlanCacheStats()
 	if !ok || st.Hits == 0 {
@@ -103,13 +99,12 @@ func TestPlanCacheAnswersIdentical(t *testing.T) {
 }
 
 // TestPlanCacheBounded feeds far more distinct query shapes than the
-// configured capacity: the cache must stay within its bound and account
-// for every displaced template, where the old unbounded memo grew
-// without limit.
+// cache's capacity: the cache must stay within its bound and account for
+// every displaced template, where the old unbounded memo grew without
+// limit.
 func TestPlanCacheBounded(t *testing.T) {
 	doc := xmarkDoc(t, 64, 3)
-	doc.SetPlanCache(16)
-	const shapes = 500
+	const shapes = 2 * DefaultPlanCacheCapacity
 	for i := 0; i < shapes; i++ {
 		// Distinct K values produce distinct contains terms, hence
 		// distinct canonical queries and distinct template keys.
@@ -125,8 +120,8 @@ func TestPlanCacheBounded(t *testing.T) {
 	if st.Entries > st.Capacity {
 		t.Errorf("Entries = %d exceeds Capacity = %d", st.Entries, st.Capacity)
 	}
-	if st.Capacity < 16 || st.Capacity >= 2*16 {
-		t.Errorf("Capacity = %d, want within [16, 32)", st.Capacity)
+	if st.Capacity < DefaultPlanCacheCapacity || st.Capacity >= 2*DefaultPlanCacheCapacity {
+		t.Errorf("Capacity = %d, want within [%d, %d)", st.Capacity, DefaultPlanCacheCapacity, 2*DefaultPlanCacheCapacity)
 	}
 	if st.Misses != shapes {
 		t.Errorf("Misses = %d, want %d (every shape distinct)", st.Misses, shapes)

@@ -365,7 +365,6 @@ func topkOptions(ctx context.Context, o SearchOptions, tmpl *core.Template) topk
 	return topk.Options{
 		K:        o.K + o.Offset,
 		Scheme:   o.Scheme.rank(),
-		Parallel: o.Parallel,
 		Ctx:      ctx,
 		Span:     span,
 		Template: tmpl,

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"flexpath/internal/core"
 	"flexpath/internal/ir"
+	"flexpath/internal/lru"
 	"flexpath/internal/stats"
 	"flexpath/internal/xmltree"
 )
@@ -52,8 +54,8 @@ func assembleDocument(tree *xmltree.Document, st *stats.Stats, ix *ir.Index) *Do
 		stats:  st,
 		est:    stats.NewEstimator(st, ix),
 		serial: serials.Add(1),
+		pc:     lru.New[*core.Template](DefaultPlanCacheCapacity),
 	}
-	d.SetPlanCache(DefaultPlanCacheCapacity)
 	return d
 }
 
