@@ -7,9 +7,9 @@
 //
 // Usage:
 //
-//	flexserve -shard -addr :9001 &
-//	flexserve -shard -addr :9002 &
-//	flexserve -shard -addr :9003 &
+//	flexserve -admin -addr :9001 &
+//	flexserve -admin -addr :9002 &
+//	flexserve -admin -addr :9003 &
 //	flexrouter -addr :8080 -shards http://127.0.0.1:9001,http://127.0.0.1:9002,http://127.0.0.1:9003
 //
 // Endpoints:

@@ -92,8 +92,8 @@ func TestAdminBulkNonDurable(t *testing.T) {
 }
 
 // TestAdminBulkNonDurableConcurrent: upsert and remove are retry-safe, so
-// concurrent batches alternating them on one name never fail, even though
-// the in-memory path checks existence and applies as two collection calls.
+// concurrent batches alternating them on one name never fail; each line is
+// one collection call that resolves and applies under the collection's lock.
 func TestAdminBulkNonDurableConcurrent(t *testing.T) {
 	hh, _ := newHandlerConfig(testColl(t), handlerConfig{admin: true})
 	h := hh.(*handler)
@@ -258,18 +258,6 @@ func TestDurableAdminRecovery(t *testing.T) {
 	if resp, body := post(t, srv.URL+"/admin/add?name=lib.xml", serveXML); resp.StatusCode != http.StatusOK {
 		t.Fatalf("add: %d %s", resp.StatusCode, body)
 	}
-	if resp, _ := post(t, srv.URL+"/admin/add?name=lib.xml", serveXML); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("duplicate add: %d, want 409", resp.StatusCode)
-	}
-	if resp, _ := post(t, srv.URL+"/admin/replace?name=ghost.xml", serveXML); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("replace missing: %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := post(t, srv.URL+"/admin/remove?name=ghost.xml", ""); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("remove missing: %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := post(t, srv.URL+"/admin/add?name=bad.xml", "<unclosed"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad XML: %d, want 400", resp.StatusCode)
-	}
 	if resp, body := post(t, srv.URL+"/admin/bulk",
 		bulkLine("upsert", "extra.xml", adminXML)+bulkLine("remove", "nothing.xml", "")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("bulk: %d %s", resp.StatusCode, body)
@@ -314,5 +302,69 @@ func TestDurableAdminRecovery(t *testing.T) {
 	}
 	if err := obs.ValidateExposition(metrics); err != nil {
 		t.Errorf("invalid exposition with WAL families: %v", err)
+	}
+}
+
+// TestAdminSameInBothModes: the in-memory and the -wal handler answer
+// every admin request — failures and a mixed bulk batch included — with
+// the same status and the same JSON body.
+func TestAdminSameInBothModes(t *testing.T) {
+	mem, _ := newHandlerConfig(testColl(t), handlerConfig{admin: true})
+	memSrv := httptest.NewServer(mem)
+	defer memSrv.Close()
+	walSrv, dur := durableServer(t, t.TempDir(), 0)
+	defer dur.Close()
+	if err := dur.Add("lib.xml", []byte(serveXML)); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := bulkLine("add", "x.xml", adminXML) +
+		bulkLine("upsert", "y.xml", adminXML) +
+		bulkLine("replace", "x.xml", serveXML) +
+		bulkLine("remove", "y.xml", "") +
+		bulkLine("remove", "never.xml", "") +
+		bulkLine("add", "x.xml", adminXML) +
+		bulkLine("replace", "ghost.xml", adminXML) +
+		bulkLine("upsert", "bad.xml", "<unclosed") +
+		bulkLine("drop", "x.xml", "") +
+		bulkLine("add", "", adminXML)
+	for _, c := range []struct {
+		what, path, body string
+		want             int
+	}{
+		{"GET", "/admin/add?name=x.xml", "", http.StatusMethodNotAllowed},
+		{"no name", "/admin/add", adminXML, http.StatusBadRequest},
+		{"duplicate add", "/admin/add?name=lib.xml", serveXML, http.StatusConflict},
+		{"replace of a missing name", "/admin/replace?name=ghost.xml", serveXML, http.StatusNotFound},
+		{"remove of a missing name", "/admin/remove?name=ghost.xml", "", http.StatusNotFound},
+		{"bad XML", "/admin/add?name=bad.xml", "<unclosed", http.StatusBadRequest},
+		{"add", "/admin/add?name=extra.xml", adminXML, http.StatusOK},
+		{"replace", "/admin/replace?name=extra.xml", serveXML, http.StatusOK},
+		{"remove", "/admin/remove?name=extra.xml", "", http.StatusOK},
+		{"bulk", "/admin/bulk", batch, http.StatusOK},
+	} {
+		var bodies []string
+		for _, base := range []string{memSrv.URL, walSrv.URL} {
+			var resp *http.Response
+			var body []byte
+			if c.what == "GET" {
+				resp, body = get(t, base+c.path)
+			} else {
+				resp, body = post(t, base+c.path, c.body)
+			}
+			if resp.StatusCode != c.want {
+				t.Errorf("%s at %s: status %d, want %d: %s", c.what, base, resp.StatusCode, c.want, body)
+			}
+			bodies = append(bodies, string(body))
+		}
+		if bodies[0] != bodies[1] {
+			t.Errorf("%s: in-memory body\n%s\ndiffers from -wal body\n%s", c.what, bodies[0], bodies[1])
+		}
+		if c.what == "bulk" {
+			var br bulkResponse
+			if err := json.Unmarshal([]byte(bodies[0]), &br); err != nil || br.Applied != 5 || br.Failed != 5 {
+				t.Errorf("bulk: applied/failed = %d/%d (%v), want 5/5: %s", br.Applied, br.Failed, err, bodies[0])
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +13,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,15 +50,11 @@ type handler struct {
 	// its capacity is the max-in-flight limit, and a request that cannot
 	// acquire a slot immediately is shed with 503 + Retry-After.
 	sem chan struct{}
-	// dur, when non-nil, is the durable collection the admin mutation
-	// endpoints write through: mutations are WAL-logged and fsync'd before
-	// the response is sent. coll aliases dur.Collection() in that case.
+	// corpus is where every admin mutation goes, in either mode.
+	corpus corpusWriter
+	// dur, when non-nil, is the durable collection behind corpus, read
+	// only for its /metrics families. coll aliases dur.Collection().
 	dur *flexpath.DurableCollection
-	// mu serializes the mutations that do not go through dur (whose own
-	// lock serializes the rest): a bulk upsert or remove checks Has and
-	// then applies as two collection calls, which another mutation of the
-	// same name must not interleave.
-	mu sync.Mutex
 	// bulkSem, when non-nil, bounds concurrently executing /admin/bulk
 	// batches; excess batches are rejected with 429 before their body is
 	// read, so backpressure costs the client no upload bandwidth.
@@ -89,15 +85,6 @@ type handlerConfig struct {
 	maxBulk int
 }
 
-func newHandler(coll *flexpath.Collection) http.Handler {
-	return newHandlerTimeout(coll, 0)
-}
-
-func newHandlerTimeout(coll *flexpath.Collection, timeout time.Duration) http.Handler {
-	h, _ := newHandlerConfig(coll, handlerConfig{timeout: timeout})
-	return h
-}
-
 // newHandlerConfig builds the full serving handler and returns the
 // registry so the caller (main, tests) can inspect it.
 func newHandlerConfig(coll *flexpath.Collection, cfg handlerConfig) (http.Handler, *obs.Registry) {
@@ -106,7 +93,11 @@ func newHandlerConfig(coll *flexpath.Collection, cfg handlerConfig) (http.Handle
 		mux:     http.NewServeMux(),
 		timeout: cfg.timeout,
 		reg:     obs.NewRegistry(cfg.slowCap, cfg.slowThreshold),
+		corpus:  memoryCorpus{coll},
 		dur:     cfg.durable,
+	}
+	if cfg.durable != nil {
+		h.corpus = cfg.durable
 	}
 	if cfg.maxInFlight > 0 {
 		h.sem = make(chan struct{}, cfg.maxInFlight)
@@ -125,9 +116,9 @@ func newHandlerConfig(coll *flexpath.Collection, cfg handlerConfig) (http.Handle
 		w.Write([]byte("ok\n")) //nolint:errcheck
 	})
 	if cfg.admin {
-		h.mux.HandleFunc("/admin/add", h.adminAdd)
-		h.mux.HandleFunc("/admin/remove", h.adminRemove)
-		h.mux.HandleFunc("/admin/replace", h.adminReplace)
+		h.mux.HandleFunc("/admin/add", h.admin(h.corpus.Add))
+		h.mux.HandleFunc("/admin/replace", h.admin(h.corpus.Replace))
+		h.mux.HandleFunc("/admin/remove", h.admin(func(name string, _ []byte) error { return h.corpus.Remove(name) }))
 		h.mux.HandleFunc("/admin/bulk", h.adminBulk)
 	}
 	if cfg.pprof {
@@ -334,11 +325,8 @@ type statsResponse struct {
 	Elements  int            `json:"elements"`
 	PerDoc    map[string]int `json:"per_doc"`
 	// Cache reports the collection's query-result cache, the one every
-	// search uses; DocCache sums the members' own result caches, which
-	// serve only direct document searches (so here they stay empty).
-	// Omitted when caching is disabled.
-	Cache    *flexpath.CacheStats `json:"cache,omitempty"`
-	DocCache *flexpath.CacheStats `json:"doc_cache,omitempty"`
+	// search uses. Omitted when caching is disabled.
+	Cache *flexpath.CacheStats `json:"cache,omitempty"`
 	// PlanCache sums the per-document plan-template caches (chains +
 	// memoized join plans), departed documents' counters included.
 	// Omitted when disabled on every document.
@@ -373,9 +361,6 @@ func (h *handler) stats(w http.ResponseWriter, _ *http.Request) {
 	if cs, ok := h.coll.CacheStats(); ok {
 		resp.Cache = &cs
 	}
-	if ds, ok := h.coll.DocumentCacheStats(); ok {
-		resp.DocCache = &ds
-	}
 	if ps, ok := h.coll.PlanCacheStats(); ok {
 		resp.PlanCache = &ps
 	}
@@ -391,42 +376,23 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	h.reg.WritePrometheus(w)
 
-	type cacheRow struct {
-		name string
-		cs   flexpath.CacheStats
-		ok   bool
-	}
-	rows := []cacheRow{}
-	if cs, ok := h.coll.CacheStats(); ok {
-		rows = append(rows, cacheRow{"collection", cs, true})
-	}
-	if ds, ok := h.coll.DocumentCacheStats(); ok {
-		rows = append(rows, cacheRow{"document", ds, true})
-	}
-	fmt.Fprintln(w, "# HELP flexpath_cache_hits_total Query-result cache hits.")
-	fmt.Fprintln(w, "# TYPE flexpath_cache_hits_total counter")
-	for _, row := range rows {
-		fmt.Fprintf(w, "flexpath_cache_hits_total{cache=%q} %d\n", row.name, row.cs.Hits)
-	}
-	fmt.Fprintln(w, "# HELP flexpath_cache_misses_total Query-result cache misses.")
-	fmt.Fprintln(w, "# TYPE flexpath_cache_misses_total counter")
-	for _, row := range rows {
-		fmt.Fprintf(w, "flexpath_cache_misses_total{cache=%q} %d\n", row.name, row.cs.Misses)
-	}
-	fmt.Fprintln(w, "# HELP flexpath_cache_evictions_total Query-result cache LRU evictions.")
-	fmt.Fprintln(w, "# TYPE flexpath_cache_evictions_total counter")
-	for _, row := range rows {
-		fmt.Fprintf(w, "flexpath_cache_evictions_total{cache=%q} %d\n", row.name, row.cs.Evictions)
-	}
-	fmt.Fprintln(w, "# HELP flexpath_cache_entries Current query-result cache entries.")
-	fmt.Fprintln(w, "# TYPE flexpath_cache_entries gauge")
-	for _, row := range rows {
-		fmt.Fprintf(w, "flexpath_cache_entries{cache=%q} %d\n", row.name, row.cs.Entries)
-	}
-	fmt.Fprintln(w, "# HELP flexpath_cache_capacity Effective query-result cache capacity.")
-	fmt.Fprintln(w, "# TYPE flexpath_cache_capacity gauge")
-	for _, row := range rows {
-		fmt.Fprintf(w, "flexpath_cache_capacity{cache=%q} %d\n", row.name, row.cs.Capacity)
+	// Query-result cache families: one row, the collection's cache, and
+	// none while it is disabled.
+	cs, cacheOn := h.coll.CacheStats()
+	for _, f := range []struct {
+		name, typ, help string
+		v               uint64
+	}{
+		{"flexpath_cache_hits_total", "counter", "Query-result cache hits.", cs.Hits},
+		{"flexpath_cache_misses_total", "counter", "Query-result cache misses.", cs.Misses},
+		{"flexpath_cache_evictions_total", "counter", "Query-result cache LRU evictions.", cs.Evictions},
+		{"flexpath_cache_entries", "gauge", "Current query-result cache entries.", uint64(cs.Entries)},
+		{"flexpath_cache_capacity", "gauge", "Effective query-result cache capacity.", uint64(cs.Capacity)},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		if cacheOn {
+			fmt.Fprintf(w, "%s{cache=\"collection\"} %d\n", f.name, f.v)
+		}
 	}
 
 	// Plan-template cache families: unlabeled (the caches are
@@ -634,7 +600,7 @@ func (h *handler) slowlog(w http.ResponseWriter, r *http.Request) {
 	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
-// maxAdminBody bounds an /admin/add or /admin/replace document upload.
+// maxAdminBody bounds an /admin/add, /admin/replace or /admin/remove upload.
 const maxAdminBody = 64 << 20
 
 // adminResponse reports the corpus state after a mutation.
@@ -645,48 +611,10 @@ type adminResponse struct {
 	Elements  int    `json:"elements"`
 }
 
-// adminName enforces the shared preconditions of the mutation endpoints:
-// POST only, with a non-empty name parameter.
-func adminName(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		serveutil.WriteJSON(w, http.StatusMethodNotAllowed, serveutil.ErrorBody{Error: "POST required"})
-		return "", false
-	}
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		badRequest(w, "missing name parameter")
-		return "", false
-	}
-	return name, true
-}
-
-// adminDoc parses the request body as an XML document (or snapshot-free
-// XML only: uploads are always parsed, never trusted as binary).
-func (h *handler) adminDoc(w http.ResponseWriter, r *http.Request) (*flexpath.Document, bool) {
-	doc, err := flexpath.Load(http.MaxBytesReader(w, r.Body, maxAdminBody))
-	if err != nil {
-		badRequest(w, "bad document: "+err.Error())
-		return nil, false
-	}
-	return doc, true
-}
-
-// adminBody reads the raw (bounded) upload body for the durable path,
-// which logs the exact bytes before parsing them.
-func adminBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAdminBody))
-	if err != nil {
-		badRequest(w, "reading body: "+err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
-// durableStatus maps a DurableCollection mutation error to an HTTP
-// status: precondition sentinels become client errors, anything else —
-// an I/O failure in the log — is a 500.
-func durableStatus(err error) int {
+// mutationStatus maps a mutation error to an HTTP status, the same in
+// both modes: precondition sentinels become client errors, anything else
+// — an I/O failure in the log — is a 500.
+func mutationStatus(err error) int {
 	switch {
 	case errors.Is(err, flexpath.ErrDocumentExists):
 		return http.StatusConflict
@@ -698,99 +626,34 @@ func durableStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (h *handler) adminOK(w http.ResponseWriter, name string) {
-	serveutil.WriteJSON(w, http.StatusOK, adminResponse{
-		Status: "ok", Name: name,
-		Documents: h.coll.Len(), Elements: h.coll.Nodes(),
-	})
-}
-
-// adminAdd inserts the posted XML document under ?name=.
-func (h *handler) adminAdd(w http.ResponseWriter, r *http.Request) {
-	name, ok := adminName(w, r)
-	if !ok {
-		return
-	}
-	if h.dur != nil {
-		body, ok := adminBody(w, r)
-		if !ok {
+// admin serves one mutation endpoint: a POST with a non-empty ?name=,
+// whose bounded body apply receives (empty for a removal).
+func (h *handler) admin(apply func(name string, body []byte) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			serveutil.WriteJSON(w, http.StatusMethodNotAllowed, serveutil.ErrorBody{Error: "POST required"})
 			return
 		}
-		if err := h.dur.Add(name, body); err != nil {
-			serveutil.WriteJSON(w, durableStatus(err), serveutil.ErrorBody{Error: err.Error()})
+		name := r.URL.Query().Get("name")
+		if name == "" {
+			badRequest(w, "missing name parameter")
 			return
 		}
-		h.adminOK(w, name)
-		return
-	}
-	doc, ok := h.adminDoc(w, r)
-	if !ok {
-		return
-	}
-	h.mu.Lock()
-	err := h.coll.Add(name, doc)
-	h.mu.Unlock()
-	if err != nil {
-		serveutil.WriteJSON(w, http.StatusConflict, serveutil.ErrorBody{Error: err.Error()})
-		return
-	}
-	h.adminOK(w, name)
-}
-
-// adminRemove deletes the document named by ?name=.
-func (h *handler) adminRemove(w http.ResponseWriter, r *http.Request) {
-	name, ok := adminName(w, r)
-	if !ok {
-		return
-	}
-	if h.dur != nil {
-		if err := h.dur.Remove(name); err != nil {
-			serveutil.WriteJSON(w, durableStatus(err), serveutil.ErrorBody{Error: err.Error()})
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAdminBody))
+		if err != nil {
+			badRequest(w, "reading body: "+err.Error())
 			return
 		}
-		h.adminOK(w, name)
-		return
-	}
-	h.mu.Lock()
-	err := h.coll.Remove(name)
-	h.mu.Unlock()
-	if err != nil {
-		serveutil.WriteJSON(w, http.StatusNotFound, serveutil.ErrorBody{Error: err.Error()})
-		return
-	}
-	h.adminOK(w, name)
-}
-
-// adminReplace swaps the document named by ?name= for the posted XML.
-func (h *handler) adminReplace(w http.ResponseWriter, r *http.Request) {
-	name, ok := adminName(w, r)
-	if !ok {
-		return
-	}
-	if h.dur != nil {
-		body, ok := adminBody(w, r)
-		if !ok {
+		if err := apply(name, body); err != nil {
+			serveutil.WriteJSON(w, mutationStatus(err), serveutil.ErrorBody{Error: err.Error()})
 			return
 		}
-		if err := h.dur.Replace(name, body); err != nil {
-			serveutil.WriteJSON(w, durableStatus(err), serveutil.ErrorBody{Error: err.Error()})
-			return
-		}
-		h.adminOK(w, name)
-		return
+		serveutil.WriteJSON(w, http.StatusOK, adminResponse{
+			Status: "ok", Name: name,
+			Documents: h.coll.Len(), Elements: h.coll.Nodes(),
+		})
 	}
-	doc, ok := h.adminDoc(w, r)
-	if !ok {
-		return
-	}
-	h.mu.Lock()
-	err := h.coll.Replace(name, doc)
-	h.mu.Unlock()
-	if err != nil {
-		serveutil.WriteJSON(w, http.StatusNotFound, serveutil.ErrorBody{Error: err.Error()})
-		return
-	}
-	h.adminOK(w, name)
 }
 
 // maxBulkBody bounds one /admin/bulk batch upload.
@@ -875,56 +738,57 @@ func (h *handler) adminBulk(w http.ResponseWriter, r *http.Request) {
 	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
-// applyBulkOp routes one batch line through the durable collection when
-// one is configured, directly to the in-memory collection otherwise.
+// applyBulkOp applies one batch line through the corpus writer.
 func (h *handler) applyBulkOp(op bulkOp) error {
 	if op.Name == "" {
 		return errors.New("missing name")
 	}
-	if h.dur != nil {
-		switch op.Op {
-		case "add":
-			return h.dur.Add(op.Name, []byte(op.Doc))
-		case "replace":
-			return h.dur.Replace(op.Name, []byte(op.Doc))
-		case "upsert":
-			return h.dur.Upsert(op.Name, []byte(op.Doc))
-		case "remove":
-			_, err := h.dur.RemoveIfPresent(op.Name)
-			return err
-		}
-		return fmt.Errorf("unknown op %q", op.Op)
-	}
-	var doc *flexpath.Document
-	switch op.Op {
-	case "add", "replace", "upsert":
-		var err error
-		if doc, err = flexpath.LoadString(op.Doc); err != nil {
-			return err
-		}
-	case "remove":
-	default:
-		return fmt.Errorf("unknown op %q", op.Op)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	// Has, not Document: existence checks must not fault a cold member in
-	// just to overwrite or delete it.
 	switch op.Op {
 	case "add":
-		return h.coll.Add(op.Name, doc)
+		return h.corpus.Add(op.Name, []byte(op.Doc))
 	case "replace":
-		return h.coll.Replace(op.Name, doc)
+		return h.corpus.Replace(op.Name, []byte(op.Doc))
 	case "upsert":
-		if h.coll.Has(op.Name) {
-			return h.coll.Replace(op.Name, doc)
-		}
-		return h.coll.Add(op.Name, doc)
+		return h.corpus.Upsert(op.Name, []byte(op.Doc))
+	case "remove":
+		_, err := h.corpus.RemoveIfPresent(op.Name)
+		return err
 	}
-	if !h.coll.Has(op.Name) {
-		return nil
+	return fmt.Errorf("unknown op %q", op.Op)
+}
+
+// corpusWriter is how the admin endpoints and bulk lines mutate the
+// corpus, one call per request or line: *flexpath.DurableCollection with
+// -wal, memoryCorpus without. Either resolves each verb against the live
+// membership under its own lock, so the handler needs none.
+type corpusWriter interface {
+	Add(name string, body []byte) error
+	Replace(name string, body []byte) error
+	Upsert(name string, body []byte) error
+	Remove(name string) error
+	RemoveIfPresent(name string) (bool, error)
+}
+
+// memoryCorpus is the corpus writer of a server without -wal: it parses
+// an uploaded body as XML and calls the collection's own verb.
+type memoryCorpus struct{ c *flexpath.Collection }
+
+func (m memoryCorpus) Add(name string, body []byte) error     { return put(m.c.Add, name, body) }
+func (m memoryCorpus) Replace(name string, body []byte) error { return put(m.c.Replace, name, body) }
+func (m memoryCorpus) Upsert(name string, body []byte) error  { return put(m.c.Upsert, name, body) }
+func (m memoryCorpus) Remove(name string) error               { return m.c.Remove(name) }
+func (m memoryCorpus) RemoveIfPresent(name string) (bool, error) {
+	return m.c.RemoveIfPresent(name)
+}
+
+// put parses body and hands the document to verb, reporting a parse
+// failure as flexpath.ErrBadDocument the way the durable verbs do.
+func put(verb func(string, *flexpath.Document) error, name string, body []byte) error {
+	doc, err := flexpath.Load(bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("%w: %w", flexpath.ErrBadDocument, err)
 	}
-	return h.coll.Remove(op.Name)
+	return verb(name, doc)
 }
 
 func (h *handler) docNames() []string { return h.coll.Names() }

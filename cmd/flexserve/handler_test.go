@@ -29,7 +29,8 @@ func testServer(t *testing.T) *httptest.Server {
 	if err := coll.Add("lib.xml", doc); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(coll))
+	h, _ := newHandlerConfig(coll, handlerConfig{})
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -115,8 +116,8 @@ func TestStatsCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll.SetCache(16)
-	coll.SetDocumentCaches(16)
-	srv := httptest.NewServer(newHandler(coll))
+	h, _ := newHandlerConfig(coll, handlerConfig{})
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 
 	// The second search is a collection cache hit, and still names the
@@ -148,8 +149,8 @@ func TestStatsCacheCounters(t *testing.T) {
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Errorf("cache counters = %+v, want 1 hit / 1 miss", *st.Cache)
 	}
-	if st.DocCache == nil {
-		t.Errorf("stats missing doc_cache counters: %s", body)
+	if strings.Contains(string(body), `"doc_cache"`) {
+		t.Errorf("stats reports member result caches no search reads: %s", body)
 	}
 	if !strings.Contains(string(body), `"ft_cache"`) || st.FTCache.Capacity == 0 {
 		t.Errorf("stats missing ft_cache block: %s", body)
@@ -167,7 +168,8 @@ func TestSearchTimeoutReturns504(t *testing.T) {
 	if err := coll.Add("lib.xml", doc); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandlerTimeout(coll, time.Nanosecond))
+	h, _ := newHandlerConfig(coll, handlerConfig{timeout: time.Nanosecond})
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	resp, body := get(t, srv.URL+"/search?q="+escape(serveQuery)+"&k=5")
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -191,7 +193,8 @@ func TestRelaxationsAndPlanTimeoutReturns504(t *testing.T) {
 	if err := coll.Add("lib.xml", doc); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandlerTimeout(coll, time.Nanosecond))
+	h, _ := newHandlerConfig(coll, handlerConfig{timeout: time.Nanosecond})
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	for _, path := range []string{"/relaxations", "/plan"} {
 		resp, body := get(t, srv.URL+path+"?q="+escape(serveQuery))
@@ -253,8 +256,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll.SetCache(16)
-	coll.SetDocumentCaches(16)
-	srv := httptest.NewServer(newHandler(coll))
+	h, _ := newHandlerConfig(coll, handlerConfig{})
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 
 	// Two identical searches: one miss, one collection-cache hit. The

@@ -10,7 +10,7 @@
 //	flexserve -maxinflight 64 -drain 15s data.xml   # shed overload, drain on SIGTERM
 //	flexserve -admin data.xml                        # expose /admin/ mutation endpoints
 //	flexserve -pprof data.xml                        # also expose /debug/pprof/
-//	flexserve -shard -addr :9001                     # empty shard behind flexrouter
+//	flexserve -admin -addr :9001                     # empty shard behind flexrouter
 //	flexserve -wal /var/lib/flexpath data.xml        # durable corpus: WAL + checkpoints
 //	flexserve -dir corpus/ -resident-docs 8          # mmap-backed FXP3 corpus, bounded residency
 //
@@ -27,12 +27,20 @@
 //	GET /slowlog?n=32  slowest recent queries with per-stage timings
 //	GET /healthz
 //
-// With -admin, the corpus can be mutated without a restart:
+// With -admin (or -wal), the corpus can be mutated without a restart,
+// and the server may start with no documents (a shard behind flexrouter,
+// which places documents on it):
 //
 //	POST /admin/add?name=NAME       (XML document in the body)
 //	POST /admin/remove?name=NAME
 //	POST /admin/replace?name=NAME   (XML document in the body)
 //	POST /admin/bulk                (NDJSON mutation batch in the body)
+//
+// Each request or batch line is one call into the collection (or, with
+// -wal, the durable collection), which resolves it against the current
+// membership under its own lock: an add of a present name is 409, a
+// replace or remove of an absent one 404, an unparsable document 400,
+// whichever mode the server runs in.
 //
 // With -wal DIR, every mutation is appended to a write-ahead log in DIR
 // and fsync'd before the response is sent, periodic checkpoints write an
@@ -89,8 +97,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing query requests; excess is shed with 503 (0 = unlimited)")
 	drain := flag.Duration("drain", 10*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
-	admin := flag.Bool("admin", false, "expose corpus mutation endpoints under /admin/")
-	shard := flag.Bool("shard", false, "run as a shard behind flexrouter: allow starting with an empty corpus and expose the /admin/ mutation endpoints (the router places documents here)")
+	admin := flag.Bool("admin", false, "expose corpus mutation endpoints under /admin/ and allow starting with an empty corpus (a shard behind flexrouter)")
 	walDir := flag.String("wal", "", "write-ahead log directory: mutations are logged and fsync'd before they are acknowledged, checkpoints bound replay time, and startup recovers the acknowledged corpus from this directory (implies -admin)")
 	walSync := flag.Duration("walsync", 2*time.Millisecond, "WAL group-commit window: how long an acknowledgment may wait so concurrent mutations share one fsync (0 fsyncs every mutation)")
 	ckptEvery := flag.Int("checkpoint-every", 1024, "mutations between automatic WAL checkpoints (negative disables)")
@@ -136,18 +143,16 @@ func main() {
 		}
 	}
 	coll.SetResidency(*residentDocs)
-	if coll.Len() == 0 && !*shard && dur == nil {
-		fmt.Fprintln(os.Stderr, "flexserve: no documents given (use -shard to start empty behind flexrouter, or -wal to serve a durable corpus)")
+	mutable := *admin || dur != nil
+	if coll.Len() == 0 && !mutable {
+		fmt.Fprintln(os.Stderr, "flexserve: no documents given (use -admin to start empty behind flexrouter, or -wal to serve a durable corpus)")
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *cache > 0 {
 		// The collection cache serves repeated requests, and after a
-		// mutation re-evaluates only the changed member. The members' own
-		// caches serve direct document searches only, which this server
-		// never makes; /stats doc_cache reports them.
+		// mutation re-evaluates only the changed member.
 		coll.SetCache(*cache)
-		coll.SetDocumentCaches(*cache)
 	}
 	h, _ := newHandlerConfig(coll, handlerConfig{
 		timeout:       *timeout,
@@ -155,12 +160,12 @@ func main() {
 		slowThreshold: time.Duration(*slowMS) * time.Millisecond,
 		pprof:         *pprofOn,
 		maxInFlight:   *maxInFlight,
-		admin:         *admin || *shard || dur != nil,
+		admin:         mutable,
 		durable:       dur,
 		maxBulk:       *maxBulk,
 	})
-	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, shard=%v, wal=%q, resident-docs=%d)",
-		coll.Len(), coll.Nodes(), *addr, *cache, *timeout, *slowCap, *slowMS, *pprofOn, *maxInFlight, *admin || *shard || dur != nil, *shard, *walDir, *residentDocs)
+	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, wal=%q, resident-docs=%d)",
+		coll.Len(), coll.Nodes(), *addr, *cache, *timeout, *slowCap, *slowMS, *pprofOn, *maxInFlight, mutable, *walDir, *residentDocs)
 
 	srv := &http.Server{
 		Handler:           h,

@@ -37,7 +37,8 @@ func residencyServer(t *testing.T, n int) (*httptest.Server, *flexpath.Collectio
 		}
 	}
 	coll.SetResidency(1)
-	srv := httptest.NewServer(newHandler(coll))
+	h, _ := newHandlerConfig(coll, handlerConfig{})
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv, coll
 }
@@ -184,7 +185,8 @@ func TestUnfaultableMemberIs500NotPanic(t *testing.T) {
 	if err := coll.AddSnapshotFile("bad.fxp3", path); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(coll))
+	h, _ := newHandlerConfig(coll, handlerConfig{})
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	for _, ep := range []string{"/search", "/relaxations", "/plan"} {
 		resp, body := get(t, srv.URL+ep+"?q="+escape(serveQuery))

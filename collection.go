@@ -2,6 +2,7 @@ package flexpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,11 +24,12 @@ import (
 // is the searcher: it owns the result cache and the Auto planner's
 // calibration for every member (see search.go).
 //
-// A Collection is a live corpus: Add, Remove and Replace may run
-// concurrently with searches. Membership is guarded by an internal
-// RWMutex; a search snapshots the membership once at entry and evaluates
-// against that snapshot, so it sees a consistent corpus (never a
-// half-applied mutation) and never blocks behind another search.
+// A Collection is a live corpus: Add, Replace, Upsert, Remove and
+// RemoveIfPresent may run concurrently with searches and with each other.
+// Each resolves against the current membership and applies under an
+// internal RWMutex; a search snapshots the membership once at entry and
+// evaluates against that snapshot, so it sees a consistent corpus (never
+// a half-applied mutation) and never blocks behind another search.
 type Collection struct {
 	mu      sync.RWMutex
 	names   []string
@@ -65,22 +67,152 @@ func NewCollection() *Collection {
 	return &Collection{byName: make(map[string]int)}
 }
 
-// Add inserts a document under a name (typically its file name). Names
-// appear in CollectionAnswer and must be unique. Adding a document applies
-// the collection's document-cache configuration (SetDocumentCaches) to it;
-// the next cached search evaluates only the new member.
-func (c *Collection) Add(name string, doc *Document) error {
-	mem := &member{name: name}
-	mem.doc.Store(doc)
-	if err := c.register(name, mem, nil); err != nil {
-		return err
+// Membership errors: a verb that needs the name absent fails with
+// ErrDocumentExists, one that needs it present with ErrNoDocument.
+var (
+	// ErrDocumentExists reports an Add naming a document already present.
+	ErrDocumentExists = errors.New("document already exists")
+	// ErrNoDocument reports a Remove or Replace naming an absent document.
+	ErrNoDocument = errors.New("no such document")
+)
+
+// verb is a membership change. resolve decides what it does to a name
+// that is or is not present; every verb, durable or not, resolves there.
+type verb uint8
+
+const (
+	verbAdd verb = iota
+	verbReplace
+	verbRemove
+	verbUpsert
+	verbRemoveIfPresent
+	verbSeed // add if absent, leave a present name untouched
+)
+
+// resolve returns the strict verb (verbAdd, verbReplace or verbRemove)
+// that v applies to name given whether it exists; ok is false when v
+// changes nothing, with a typed error when v's precondition fails. A
+// strict verb whose precondition holds resolves to itself.
+func (v verb) resolve(name string, exists bool) (op verb, ok bool, err error) {
+	switch {
+	case v == verbAdd && exists:
+		return 0, false, fmt.Errorf("flexpath: %w: %q", ErrDocumentExists, name)
+	case (v == verbReplace || v == verbRemove) && !exists:
+		return 0, false, fmt.Errorf("flexpath: %w: %q", ErrNoDocument, name)
+	case v == verbSeed && exists, v == verbRemoveIfPresent && !exists:
+		return 0, false, nil
+	case v == verbRemove || v == verbRemoveIfPresent:
+		return verbRemove, true, nil
+	case exists:
+		return verbReplace, true, nil
 	}
-	c.configure(doc)
-	return nil
+	return verbAdd, true, nil
 }
 
-// configure applies the remembered SetDocumentCaches capacity to a
-// document joining the live corpus (Add, Replace, a cold member's decode).
+// mutate is the one membership change: under mu it resolves v against
+// whether name is present, then inserts mem, swaps it into the name's
+// slot (keeping its position in the ranking tie-break order) or removes
+// the slot. A pinned incoming document gets the collection's
+// document-cache configuration; mp, if any, is recorded for Close. It
+// reports whether the membership changed.
+func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping) (bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byName == nil {
+		c.byName = make(map[string]int)
+	}
+	i, exists := c.byName[name]
+	op, ok, err := v.resolve(name, exists)
+	if !ok {
+		return false, err
+	}
+	switch op {
+	case verbAdd:
+		c.byName[name] = len(c.names)
+		c.names = append(c.names, name)
+		c.members = append(c.members, mem)
+	case verbReplace:
+		old := c.members[i]
+		c.members[i] = mem
+		c.retire(old)
+	case verbRemove:
+		// In-flight searches are isolated by snapshot()'s copy, so the
+		// slices can be compacted in place under the exclusive lock. A
+		// removed cold member's mapping stays open (answers already handed
+		// out may alias it) and is released by Close.
+		old := c.members[i]
+		c.names = append(c.names[:i], c.names[i+1:]...)
+		c.members = append(c.members[:i], c.members[i+1:]...)
+		delete(c.byName, name)
+		for j := i; j < len(c.names); j++ {
+			c.byName[c.names[j]] = j
+		}
+		c.retire(old)
+	}
+	if mem != nil && mem.cold == nil && c.docCacheSet {
+		mem.doc.Load().SetCache(c.docCacheCap)
+	}
+	if mp != nil {
+		c.mappings = append(c.mappings, mp)
+	}
+	return true, nil
+}
+
+// pinned returns a slot holding a decoded document with no cold backing.
+func pinned(name string, doc *Document) *member {
+	mem := &member{name: name}
+	mem.doc.Store(doc)
+	return mem
+}
+
+// Add inserts a document under a name (typically its file name), failing
+// with ErrDocumentExists if the name is taken. Names appear in
+// CollectionAnswer. Adding a document applies the collection's
+// document-cache configuration (SetDocumentCaches) to it; the next cached
+// search evaluates only the new member. The same *Document may be added
+// under several names.
+func (c *Collection) Add(name string, doc *Document) error {
+	_, err := c.mutate(verbAdd, name, pinned(name, doc), nil)
+	return err
+}
+
+// Replace swaps the named document for doc, keeping its position in the
+// ranking tie-break order, and fails with ErrNoDocument if the name is
+// absent. The replaced document's own caches are purged, the incoming one
+// gets the collection's document-cache configuration, and the next cached
+// search evaluates only the incoming document. The incoming document is
+// pinned even when it replaces a cold member.
+func (c *Collection) Replace(name string, doc *Document) error {
+	_, err := c.mutate(verbReplace, name, pinned(name, doc), nil)
+	return err
+}
+
+// Upsert adds doc under name if the name is absent and replaces the named
+// document otherwise, as one atomic step: concurrent Upserts and
+// RemoveIfPresents of one name never fail.
+func (c *Collection) Upsert(name string, doc *Document) error {
+	_, err := c.mutate(verbUpsert, name, pinned(name, doc), nil)
+	return err
+}
+
+// Remove deletes the named document from the collection, failing with
+// ErrNoDocument if it is absent, and purges the removed document's own
+// caches. Searches already in flight keep evaluating the membership
+// snapshot they started with, including the removed document; later
+// cached searches evaluate no member again.
+func (c *Collection) Remove(name string) error {
+	_, err := c.mutate(verbRemove, name, nil, nil)
+	return err
+}
+
+// RemoveIfPresent deletes the named document if it is a member and reports
+// whether it was, as one atomic step.
+func (c *Collection) RemoveIfPresent(name string) (bool, error) {
+	return c.mutate(verbRemoveIfPresent, name, nil, nil)
+}
+
+// configure applies the remembered SetDocumentCaches capacity to a cold
+// member's document at its first decode.
 func (c *Collection) configure(d *Document) {
 	c.mu.RLock()
 	set, capacity := c.docCacheSet, c.docCacheCap
@@ -91,68 +223,27 @@ func (c *Collection) configure(d *Document) {
 }
 
 // retire accounts for a member leaving the corpus, under mu held for
-// writing: its document's cache counters move to gone, and its caches are
-// purged even while evicted (a durable checkpoint map may still hold the
+// writing and after its slot is gone: unless another member still holds
+// the same document, its cache counters move to gone and its caches are
+// purged, even while evicted (a durable checkpoint map may still hold the
 // member). The collection's result cache needs no purge (see part).
 func (c *Collection) retire(old *member) {
-	if d := old.decoded(); d != nil {
-		for w, of := range memberCaches {
-			if s, ok := of(d); ok {
-				s.Entries, s.Capacity = 0, 0 // gauges, not counters
-				c.gone[w] = plus(c.gone[w], s)
-			}
+	d := old.decoded()
+	if d == nil {
+		return
+	}
+	for _, m := range c.members {
+		if m.decoded() == d {
+			return
 		}
-		d.purgeCache()
 	}
-}
-
-// Remove deletes the named document from the collection and purges the
-// removed document's own caches. Searches already in flight keep
-// evaluating the membership snapshot they started with, including the
-// removed document; later cached searches evaluate no member again.
-func (c *Collection) Remove(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i, ok := c.byName[name]
-	if !ok {
-		return fmt.Errorf("flexpath: no document named %q", name)
+	for w, of := range memberCaches {
+		if s, ok := of(d); ok {
+			s.Entries, s.Capacity = 0, 0 // gauges, not counters
+			c.gone[w] = plus(c.gone[w], s)
+		}
 	}
-	old := c.members[i]
-	// In-flight searches are isolated by snapshot()'s copy, so the
-	// slices can be compacted in place under the exclusive lock. A
-	// removed cold member's mapping stays open (answers already handed
-	// out may alias it) and is released by Close.
-	c.names = append(c.names[:i], c.names[i+1:]...)
-	c.members = append(c.members[:i], c.members[i+1:]...)
-	delete(c.byName, name)
-	for j := i; j < len(c.names); j++ {
-		c.byName[c.names[j]] = j
-	}
-	c.retire(old)
-	return nil
-}
-
-// Replace swaps the named document for doc, keeping its position in the
-// ranking tie-break order. The replaced document's own caches are purged,
-// the incoming one gets the collection's document-cache configuration,
-// and the next cached search evaluates only the incoming document.
-func (c *Collection) Replace(name string, doc *Document) error {
-	c.mu.Lock()
-	i, ok := c.byName[name]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("flexpath: no document named %q", name)
-	}
-	old := c.members[i]
-	// The incoming document is pinned even when it replaces a cold
-	// member: Replace hands over a decoded document, not a snapshot.
-	mem := &member{name: name}
-	mem.doc.Store(doc)
-	c.members[i] = mem
-	c.retire(old)
-	c.mu.Unlock()
-	c.configure(doc)
-	return nil
+	d.purgeCache()
 }
 
 // snapshot returns a consistent view of the membership for one search.
@@ -295,7 +386,8 @@ var memberCaches = [...]func(*Document) (lru.Stats, bool){
 	fullTextCache: func(d *Document) (lru.Stats, bool) { return d.index.CacheStats(), true },
 }
 
-// sumStats adds up member cache w over the decoded members and the
+// sumStats adds up member cache w over the distinct decoded documents of
+// the members (a document added under two names counts once) and the
 // documents that have left (gone), so its counters only grow; ok is false
 // when no member has the cache enabled. mu orders it with retire: no sum
 // sees a departing document twice or not at all.
@@ -303,8 +395,10 @@ func (c *Collection) sumStats(w int) (sum lru.Stats, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sum = c.gone[w]
+	seen := make(map[*Document]bool, len(c.members))
 	for _, m := range c.members {
-		if d := m.decoded(); d != nil {
+		if d := m.decoded(); d != nil && !seen[d] {
+			seen[d] = true
 			if s, dok := memberCaches[w](d); dok {
 				sum, ok = plus(sum, s), true
 			}

@@ -42,8 +42,8 @@ type DurableCollection struct {
 	// automatic checkpoints (Checkpoint can still be called manually).
 	every int
 
-	// mu serializes mutations (existence check + log append + apply) and
-	// log rotation, so a rotation's sealed segments hold only applied —
+	// mu orders mutations (resolve + log append + apply) and log
+	// rotation, so a rotation's sealed segments hold only applied —
 	// hence checkpoint-visible — records.
 	mu        sync.Mutex
 	sinceCkpt int
@@ -91,13 +91,9 @@ type DurableOptions struct {
 // DurableOptions.CheckpointEvery is zero.
 const DefaultCheckpointEvery = 1024
 
-// Sentinel errors distinguishing mutation failures an API layer maps to
-// distinct statuses (conflict vs not-found vs bad input).
+// Sentinel errors that, with ErrDocumentExists and ErrNoDocument, let an
+// API layer map mutation failures to distinct statuses.
 var (
-	// ErrDocumentExists reports an Add naming a document already present.
-	ErrDocumentExists = errors.New("document already exists")
-	// ErrNoDocument reports a Remove or Replace naming an absent document.
-	ErrNoDocument = errors.New("no such document")
 	// ErrBadDocument reports a body that failed to parse; the mutation was
 	// never logged. API layers map it to a client error, unlike the I/O
 	// failures the other paths can return.
@@ -175,15 +171,10 @@ func (dc *DurableCollection) applyReplay(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("parse document %q: %w", r.Name, err)
 		}
-		if dc.c.Has(r.Name) {
-			return dc.c.Replace(r.Name, doc)
-		}
-		return dc.c.Add(r.Name, doc)
+		return dc.c.Upsert(r.Name, doc)
 	case wal.OpRemove:
-		if !dc.c.Has(r.Name) {
-			return nil
-		}
-		return dc.c.Remove(r.Name)
+		_, err := dc.c.RemoveIfPresent(r.Name)
+		return err
 	}
 	return fmt.Errorf("unknown op %d", r.Op)
 }
@@ -211,21 +202,15 @@ func (dc *DurableCollection) Collection() *Collection { return dc.c }
 // Add durably inserts an XML document under name, failing with
 // ErrDocumentExists if the name is taken.
 func (dc *DurableCollection) Add(name string, body []byte) error {
-	doc, err := Load(bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDocument, err)
-	}
-	return dc.apply(wal.OpAdd, name, body, doc)
+	_, err := dc.mutate(verbAdd, name, body, loadXML)
+	return err
 }
 
 // Replace durably swaps the named document for the posted XML, failing
 // with ErrNoDocument if the name is absent.
 func (dc *DurableCollection) Replace(name string, body []byte) error {
-	doc, err := Load(bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDocument, err)
-	}
-	return dc.apply(wal.OpReplace, name, body, doc)
+	_, err := dc.mutate(verbReplace, name, body, loadXML)
+	return err
 }
 
 // Upsert durably adds the document if the name is absent and replaces it
@@ -233,43 +218,21 @@ func (dc *DurableCollection) Replace(name string, body []byte) error {
 // unreachable server) is always safe, which makes it the right verb for
 // bulk ingest pipelines.
 func (dc *DurableCollection) Upsert(name string, body []byte) error {
-	doc, err := Load(bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDocument, err)
-	}
-	dc.mu.Lock()
-	op := wal.OpAdd
-	if dc.c.Has(name) {
-		op = wal.OpReplace
-	}
-	lsn, err := dc.stageLocked(op, name, body, doc)
-	dc.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return dc.log.WaitDurable(lsn)
+	_, err := dc.mutate(verbUpsert, name, body, loadXML)
+	return err
 }
 
 // Remove durably deletes the named document, failing with ErrNoDocument
 // if it is absent.
 func (dc *DurableCollection) Remove(name string) error {
-	return dc.apply(wal.OpRemove, name, nil, nil)
+	_, err := dc.mutate(verbRemove, name, nil, nil)
+	return err
 }
 
 // RemoveIfPresent durably deletes the named document if it exists and
 // reports whether it did. Like Upsert, it is retry-safe.
 func (dc *DurableCollection) RemoveIfPresent(name string) (bool, error) {
-	dc.mu.Lock()
-	if !dc.c.Has(name) {
-		dc.mu.Unlock()
-		return false, nil
-	}
-	lsn, err := dc.stageLocked(wal.OpRemove, name, nil, nil)
-	dc.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return true, dc.log.WaitDurable(lsn)
+	return dc.mutate(verbRemoveIfPresent, name, nil, nil)
 }
 
 // Seed durably inserts a document from raw file bytes (XML or a binary
@@ -277,74 +240,61 @@ func (dc *DurableCollection) RemoveIfPresent(name string) (bool, error) {
 // left untouched. flexserve uses it to ingest command-line corpus files
 // into a fresh WAL directory exactly once.
 func (dc *DurableCollection) Seed(name string, data []byte) error {
-	doc, err := loadDocumentBytes(data)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrBadDocument, err)
-	}
-	dc.mu.Lock()
-	if dc.c.Has(name) {
-		dc.mu.Unlock()
-		return nil
-	}
-	lsn, err := dc.stageLocked(wal.OpAdd, name, data, doc)
-	dc.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return dc.log.WaitDurable(lsn)
+	_, err := dc.mutate(verbSeed, name, data, loadDocumentBytes)
+	return err
 }
 
-// apply takes the mutation lock, runs the strict-precondition path, and
-// acknowledges once the record is durable. The durability wait happens
-// after the lock is released: concurrent mutations stage back-to-back
-// and share one group-commit fsync instead of serializing through it.
-func (dc *DurableCollection) apply(op wal.Op, name string, body []byte, doc *Document) error {
+func loadXML(b []byte) (*Document, error) { return Load(bytes.NewReader(b)) }
+
+// mutate is every durable verb. The body is parsed (by parse, nil for a
+// removal) outside the lock. Under dc.mu the verb resolves against the
+// live membership exactly as Collection resolves it, and what it resolved
+// to is appended to the log buffer and then applied, so the on-disk order
+// precedes the apply order. The durability wait happens after the lock is
+// released: concurrent mutations stage back-to-back and share one
+// group-commit fsync instead of serializing through it. It reports
+// whether the membership changed.
+func (dc *DurableCollection) mutate(v verb, name string, body []byte, parse func([]byte) (*Document, error)) (bool, error) {
+	var mem *member
+	if parse != nil {
+		doc, err := parse(body)
+		if err != nil {
+			return false, fmt.Errorf("%w: %w", ErrBadDocument, err)
+		}
+		mem = pinned(name, doc)
+	}
 	dc.mu.Lock()
-	exists := dc.c.Has(name)
-	switch op {
-	case wal.OpAdd:
-		if exists {
-			dc.mu.Unlock()
-			return fmt.Errorf("flexpath: %w: %q", ErrDocumentExists, name)
-		}
-	case wal.OpReplace, wal.OpRemove:
-		if !exists {
-			dc.mu.Unlock()
-			return fmt.Errorf("flexpath: %w: %q", ErrNoDocument, name)
-		}
+	op, ok, err := v.resolve(name, dc.c.Has(name))
+	var lsn uint64
+	if ok {
+		lsn, err = dc.stageLocked(op, name, body, mem)
 	}
-	lsn, err := dc.stageLocked(op, name, body, doc)
 	dc.mu.Unlock()
-	if err != nil {
-		return err
+	if !ok || err != nil {
+		return false, err
 	}
-	return dc.log.WaitDurable(lsn)
+	return true, dc.log.WaitDurable(lsn)
 }
 
-// stageLocked is the write path under dc.mu: append to the log buffer,
-// apply to memory, maybe trigger a checkpoint. The caller must release
-// dc.mu and then WaitDurable on the returned LSN before acknowledging.
-// Preconditions (name present/absent as the op requires) are the
-// caller's.
-func (dc *DurableCollection) stageLocked(op wal.Op, name string, body []byte, doc *Document) (uint64, error) {
+// walOps is the record each resolved verb logs.
+var walOps = [...]wal.Op{verbAdd: wal.OpAdd, verbReplace: wal.OpReplace, verbRemove: wal.OpRemove}
+
+// stageLocked is the write path under dc.mu: append the resolved op to
+// the log buffer, apply it to memory, maybe trigger a checkpoint. The
+// caller must release dc.mu and then WaitDurable on the returned LSN
+// before acknowledging.
+func (dc *DurableCollection) stageLocked(op verb, name string, body []byte, mem *member) (uint64, error) {
 	if dc.closed.Load() {
 		return 0, wal.ErrClosed
 	}
-	lsn, err := dc.log.Append(op, name, body)
+	lsn, err := dc.log.Append(walOps[op], name, body)
 	if err != nil {
 		return 0, err
 	}
-	switch op {
-	case wal.OpAdd:
-		err = dc.c.Add(name, doc)
-	case wal.OpReplace:
-		err = dc.c.Replace(name, doc)
-	case wal.OpRemove:
-		err = dc.c.Remove(name)
-	}
-	if err != nil {
-		// Unreachable if preconditions held: the record is logged but the
-		// apply failed, so fail loudly rather than acknowledge.
+	if _, err := dc.c.mutate(op, name, mem, nil); err != nil {
+		// Unreachable while dc.mu orders every mutation: the record is
+		// logged but the apply failed, so fail loudly rather than
+		// acknowledge.
 		return 0, fmt.Errorf("flexpath: logged mutation failed to apply: %w", err)
 	}
 	dc.sinceCkpt++

@@ -2,7 +2,9 @@ package flexpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -558,5 +560,139 @@ func TestSlowLogCacheHitAfterReplace(t *testing.T) {
 	}
 	if !cacheHit() {
 		t.Error("the second search after a replace was not logged as a cache hit")
+	}
+}
+
+// Every membership verb resolves in one place and fails with a typed
+// error: Add and AddSnapshotFile on a taken name, Replace and Remove on a
+// missing one. Upsert adds or replaces; RemoveIfPresent is a no-op on a
+// missing name.
+func TestCollectionMutationErrors(t *testing.T) {
+	c := testCollection(t)
+	defer c.Close() //nolint:errcheck
+	d, err := LoadString(collDocA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add("a.xml", d); !errors.Is(err, ErrDocumentExists) {
+		t.Errorf("Add of a taken name: %v, want ErrDocumentExists", err)
+	}
+	snap := residencyCorpus(t, 1)[0].path
+	if err := c.AddSnapshotFile("b.xml", snap); !errors.Is(err, ErrDocumentExists) {
+		t.Errorf("AddSnapshotFile of a taken name: %v, want ErrDocumentExists", err)
+	}
+	if err := c.Replace("zzz", d); !errors.Is(err, ErrNoDocument) {
+		t.Errorf("Replace of a missing name: %v, want ErrNoDocument", err)
+	}
+	if err := c.Remove("zzz"); !errors.Is(err, ErrNoDocument) {
+		t.Errorf("Remove of a missing name: %v, want ErrNoDocument", err)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d after failed mutations, want 2", c.Len())
+	}
+
+	if err := c.Upsert("new.xml", d); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Document("new.xml"); !ok || got != d {
+		t.Error("Upsert of an absent name did not add it")
+	}
+	e, err := LoadString(collDocB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Upsert("a.xml", e); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Document("a.xml"); got != e {
+		t.Error("Upsert of a present name did not replace it")
+	}
+	if names := c.Names(); !slices.Equal(names, []string{"a.xml", "b.xml", "new.xml"}) {
+		t.Errorf("Names = %v: Upsert moved a replaced member", names)
+	}
+	for _, want := range []bool{true, false} {
+		removed, err := c.RemoveIfPresent("new.xml")
+		if err != nil || removed != want {
+			t.Errorf("RemoveIfPresent = %v, %v; want %v, nil", removed, err, want)
+		}
+	}
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2", c.Len())
+	}
+}
+
+// Upsert and RemoveIfPresent of one name from many goroutines never fail:
+// each resolves and applies as one step under the collection's lock.
+func TestUpsertRemoveIfPresentConcurrent(t *testing.T) {
+	c := testCollection(t)
+	d, err := LoadString(collDocA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, ops, rounds = 8, 300, 5
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < ops; i++ {
+					var err error
+					if (g+i)%2 == 0 {
+						err = c.Upsert("x.xml", d)
+					} else {
+						_, err = c.RemoveIfPresent("x.xml")
+					}
+					if err != nil {
+						t.Errorf("round %d: %v", round, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	if n := c.Len(); n < 2 || n > 3 {
+		t.Errorf("Len = %d, want 2 or 3", n)
+	}
+}
+
+// The same *Document under two names is one document: its plan cache is
+// counted once, and removing one name neither purges the caches the other
+// name still uses nor moves their counters to the departed sums.
+func TestAliasedDocumentCountedOnce(t *testing.T) {
+	d, err := LoadString(collDocA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollection()
+	if err := c.Add("a", d); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add("b", d); err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery(paperQ1)
+	opts := SearchOptions{K: 10, Algorithm: Hybrid, NoCache: true}
+	if _, err := c.Search(q, opts); err != nil {
+		t.Fatal(err)
+	}
+	own, _ := d.PlanCacheStats()
+	if got, _ := c.PlanCacheStats(); got != own {
+		t.Errorf("PlanCacheStats = %+v, want the one document's %+v", got, own)
+	}
+
+	if err := c.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := c.PlanCacheStats()
+	if after != own {
+		t.Errorf("after removing one name: PlanCacheStats = %+v, want %+v", after, own)
+	}
+	if _, err := c.Search(q, opts); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := c.PlanCacheStats(); now.Misses != after.Misses {
+		t.Errorf("the remaining name rebuilt its template: misses %d -> %d", after.Misses, now.Misses)
 	}
 }

@@ -1,7 +1,6 @@
 package flexpath
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,9 +92,10 @@ func (m *member) sourceBytes() int64 {
 	return m.cold.meta.SourceBytes
 }
 
-// AddSnapshotFile adds the FXP3 snapshot at path as a cold member: the
-// file is mapped and its meta section read, but the document is not
-// decoded until a search needs it. The mapping stays open until
+// AddSnapshotFile adds the FXP3 snapshot at path as a cold member under
+// name, failing with ErrDocumentExists if the name is taken: the file is
+// mapped and its meta section read, but the document is not decoded until
+// a search needs it. The mapping stays open until
 // Collection.Close. Only FXP3 snapshots can be added cold (the other
 // formats cannot be decoded lazily); use Add(LoadAuto(...)) for them.
 func (c *Collection) AddSnapshotFile(name, path string) error {
@@ -119,7 +119,7 @@ func (c *Collection) AddSnapshotFile(name, path string) error {
 		return wrapSnapshotPath(path, err)
 	}
 	mem := &member{name: name, cold: &coldDoc{path: path, f: f, meta: meta}}
-	if err := c.register(name, mem, mp); err != nil {
+	if _, err := c.mutate(verbAdd, name, mem, mp); err != nil {
 		mp.Close()
 		return err
 	}
@@ -311,24 +311,4 @@ func (c *Collection) Close() error {
 		}
 	}
 	return first
-}
-
-// register inserts a member under a name, recording its mapping (if
-// any) for Close.
-func (c *Collection) register(name string, mem *member, mp *mmapio.Mapping) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.byName == nil {
-		c.byName = make(map[string]int)
-	}
-	if _, dup := c.byName[name]; dup {
-		return fmt.Errorf("flexpath: duplicate document name %q", name)
-	}
-	c.byName[name] = len(c.names)
-	c.names = append(c.names, name)
-	c.members = append(c.members, mem)
-	if mp != nil {
-		c.mappings = append(c.mappings, mp)
-	}
-	return nil
 }
