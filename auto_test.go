@@ -1,23 +1,6 @@
 package flexpath
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-)
-
-// renderAutoRanking serializes a ranking without the Relaxed detail —
-// Auto may dispatch to DPO, which reports only the level, so Auto
-// answers agree with fixed-algorithm answers on everything except the
-// relaxation explanations.
-func renderAutoRanking(answers []Answer) string {
-	var sb strings.Builder
-	for i, a := range answers {
-		fmt.Fprintf(&sb, "%d|%s|%s|%.12f|%.12f|%d\n",
-			i, a.Path, a.ID, a.Structural, a.Keyword, a.Relaxations)
-	}
-	return sb.String()
-}
+import "testing"
 
 // TestAutoMatchesFixedAlgorithms: for every scheme and K, the default
 // (Auto) ranking must be identical to the ranking of the algorithm the
@@ -49,7 +32,7 @@ func TestAutoMatchesFixedAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := renderAutoRanking(auto), renderAutoRanking(fixed); got != want {
+			if got, want := renderAnswers(auto, 0), renderAnswers(fixed, 0); got != want {
 				t.Errorf("%v k=%d: Auto differs from chosen %v:\n%s\nvs\n%s",
 					scheme, k, algo, got, want)
 			}

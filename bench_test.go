@@ -212,7 +212,7 @@ func benchColdMember(b *testing.B) (*Collection, *member, string) {
 	if err := c.AddSnapshotFile("m", path); err != nil {
 		b.Fatal(err)
 	}
-	_, members := c.snapshot()
+	members := c.members()
 	return c, members[0], path
 }
 
@@ -227,7 +227,7 @@ func BenchmarkFaultIn(b *testing.B) {
 		if err := c.AddSnapshotFile("m", path); err != nil {
 			b.Fatal(err)
 		}
-		_, members := c.snapshot()
+		members := c.members()
 		if _, err := c.require(members[0], nil); err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package flexpath
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,21 +10,24 @@ import (
 	"flexpath/internal/xmark"
 )
 
-// renderRanking serializes a ranking so tests can assert byte-identity.
-func renderRanking(answers []Answer) string {
+// renderAnswers serializes a ranking so tests can assert byte-identity:
+// per answer its rank, document name (collection answers only), node,
+// path, ID, both scores as float64 bit patterns, relaxation level,
+// Relaxed detail, and up to snippet bytes of snippet (none when
+// snippet <= 0).
+func renderAnswers[A Answer | CollectionAnswer](answers []A, snippet int) string {
 	var sb strings.Builder
-	for i, a := range answers {
-		fmt.Fprintf(&sb, "%d|%s|%s|%.12f|%.12f|%d|%v\n",
-			i, a.Path, a.ID, a.Structural, a.Keyword, a.Relaxations, a.Relaxed)
-	}
-	return sb.String()
-}
-
-func renderCollRanking(answers []CollectionAnswer) string {
-	var sb strings.Builder
-	for i, a := range answers {
-		fmt.Fprintf(&sb, "%d|%s|%s|%s|%.12f|%.12f|%d|%v\n",
-			i, a.DocName, a.Path, a.ID, a.Structural, a.Keyword, a.Relaxations, a.Relaxed)
+	for i, x := range answers {
+		var a Answer
+		var name string
+		switch x := any(x).(type) {
+		case Answer:
+			a = x
+		case CollectionAnswer:
+			a, name = x.Answer, x.DocName
+		}
+		fmt.Fprintf(&sb, "%d|%s|%d|%s|%s|%x|%x|%d|%q|%q\n", i, name, a.node, a.Path, a.ID,
+			math.Float64bits(a.Structural), math.Float64bits(a.Keyword), a.Relaxations, a.Relaxed, a.Snippet(snippet))
 	}
 	return sb.String()
 }
@@ -70,9 +74,9 @@ func TestCachedAnswersIdenticalToCold(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s warm: %v", name, err)
 				}
-				if renderRanking(cold) != renderRanking(warm) {
+				if renderAnswers(cold, 0) != renderAnswers(warm, 0) {
 					t.Errorf("%s: cached ranking differs from cold evaluation\ncold:\n%swarm:\n%s",
-						name, renderRanking(cold), renderRanking(warm))
+						name, renderAnswers(cold, 0), renderAnswers(warm, 0))
 				}
 				for i, o := range []SearchOptions{coldOpts, opts, opts} { // cold, miss, hit
 					got, err := one.Search(q, o)
@@ -85,7 +89,7 @@ func TestCachedAnswersIdenticalToCold(t *testing.T) {
 					}
 					if !reflect.DeepEqual(answers, cold) {
 						t.Errorf("%s one-member collection search %d differs from the document's:\n%s\nvs\n%s",
-							name, i, renderRanking(answers), renderRanking(cold))
+							name, i, renderAnswers(answers, 0), renderAnswers(cold, 0))
 					}
 				}
 			}
@@ -116,7 +120,7 @@ func TestCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderRanking(first)
+	want := renderAnswers(first, 0)
 	relaxed := false
 	for i := range first {
 		for j := range first[i].Relaxed {
@@ -131,7 +135,7 @@ func TestCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderRanking(second); got != want {
+	if got := renderAnswers(second, 0); got != want {
 		t.Errorf("mutating a miss's answers poisoned the cache\nwant:\n%sgot:\n%s", want, got)
 	}
 	// Mutating a hit's answers must not poison later hits either.
@@ -144,7 +148,7 @@ func TestCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderRanking(third); got != want {
+	if got := renderAnswers(third, 0); got != want {
 		t.Errorf("mutating a hit's answers poisoned the cache\nwant:\n%sgot:\n%s", want, got)
 	}
 }
@@ -179,7 +183,7 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderRanking(kw) != renderRanking(kwCold) {
+	if renderAnswers(kw, 0) != renderAnswers(kwCold, 0) {
 		t.Error("scheme-specific entry polluted by other scheme")
 	}
 	if st, _ := doc.CacheStats(); st.Entries != 3 {
@@ -205,8 +209,8 @@ func TestCachePaginationSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderRanking(page) != renderRanking(full[1:]) {
-		t.Errorf("cached page differs:\n%s\nvs\n%s", renderRanking(page), renderRanking(full[1:]))
+	if renderAnswers(page, 0) != renderAnswers(full[1:], 0) {
+		t.Errorf("cached page differs:\n%s\nvs\n%s", renderAnswers(page, 0), renderAnswers(full[1:], 0))
 	}
 }
 
@@ -301,9 +305,9 @@ func TestCollectionCacheIdenticalAndCoversAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderCollRanking(cold) != renderCollRanking(warm) {
+	if renderAnswers(cold, 0) != renderAnswers(warm, 0) {
 		t.Errorf("collection cache hit differs from cold run:\n%s\nvs\n%s",
-			renderCollRanking(cold), renderCollRanking(warm))
+			renderAnswers(cold, 0), renderAnswers(warm, 0))
 	}
 	st, ok := c.CacheStats()
 	if !ok || st.Hits != 1 {
@@ -330,7 +334,7 @@ func TestCollectionCacheIdenticalAndCoversAdd(t *testing.T) {
 		}
 	}
 	if !seen {
-		t.Errorf("stale cache served after Add: %s", renderCollRanking(after))
+		t.Errorf("stale cache served after Add: %s", renderAnswers(after, 0))
 	}
 }
 
@@ -347,7 +351,7 @@ func TestCollectionCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderCollRanking(first)
+	want := renderAnswers(first, 0)
 	relaxed := false
 	for i := range first {
 		for j := range first[i].Relaxed {
@@ -362,7 +366,7 @@ func TestCollectionCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderCollRanking(second); got != want {
+	if got := renderAnswers(second, 0); got != want {
 		t.Errorf("mutating a miss's answers poisoned the collection cache\nwant:\n%sgot:\n%s", want, got)
 	}
 	for i := range second {
@@ -374,7 +378,7 @@ func TestCollectionCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderCollRanking(third); got != want {
+	if got := renderAnswers(third, 0); got != want {
 		t.Errorf("mutating a hit's answers poisoned the collection cache\nwant:\n%sgot:\n%s", want, got)
 	}
 }

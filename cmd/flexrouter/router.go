@@ -496,47 +496,38 @@ func (rt *router) stats(w http.ResponseWriter, r *http.Request) {
 func (rt *router) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 
-	fmt.Fprintln(w, "# HELP flexpath_router_shards Shards configured behind this router.")
-	fmt.Fprintln(w, "# TYPE flexpath_router_shards gauge")
-	fmt.Fprintf(w, "flexpath_router_shards %d\n", len(rt.shards))
+	obs.WriteFamily(w, "flexpath_router_shards", "gauge", "Shards configured behind this router.",
+		obs.Sample{Value: len(rt.shards)})
+	status := func(s string, v *atomic.Uint64) obs.Sample {
+		return obs.Sample{Labels: []string{"status", s}, Value: v.Load()}
+	}
+	obs.WriteFamily(w, "flexpath_router_queries_total", "counter",
+		"Routed queries by outcome (ok = all shards answered, partial = some did, error = none did).",
+		status("ok", &rt.met.ok), status("partial", &rt.met.partial),
+		status("error", &rt.met.failed), status("bad_request", &rt.met.badRequest))
+	obs.WriteFamily(w, "flexpath_router_partial_results_total", "counter",
+		"Successful responses merged from a strict subset of shards.", obs.Sample{Value: rt.met.partial.Load()})
+	obs.WriteFamily(w, "flexpath_router_panics_total", "counter",
+		"Handler panics recovered into 500 responses.", obs.Sample{Value: rt.met.panics.Load()})
 
-	fmt.Fprintln(w, "# HELP flexpath_router_queries_total Routed queries by outcome (ok = all shards answered, partial = some did, error = none did).")
-	fmt.Fprintln(w, "# TYPE flexpath_router_queries_total counter")
-	fmt.Fprintf(w, "flexpath_router_queries_total{status=\"ok\"} %d\n", rt.met.ok.Load())
-	fmt.Fprintf(w, "flexpath_router_queries_total{status=\"partial\"} %d\n", rt.met.partial.Load())
-	fmt.Fprintf(w, "flexpath_router_queries_total{status=\"error\"} %d\n", rt.met.failed.Load())
-	fmt.Fprintf(w, "flexpath_router_queries_total{status=\"bad_request\"} %d\n", rt.met.badRequest.Load())
-
-	fmt.Fprintln(w, "# HELP flexpath_router_partial_results_total Successful responses merged from a strict subset of shards.")
-	fmt.Fprintln(w, "# TYPE flexpath_router_partial_results_total counter")
-	fmt.Fprintf(w, "flexpath_router_partial_results_total %d\n", rt.met.partial.Load())
-
-	fmt.Fprintln(w, "# HELP flexpath_router_panics_total Handler panics recovered into 500 responses.")
-	fmt.Fprintln(w, "# TYPE flexpath_router_panics_total counter")
-	fmt.Fprintf(w, "flexpath_router_panics_total %d\n", rt.met.panics.Load())
-
-	fmt.Fprintln(w, "# HELP flexpath_router_shard_request_duration_seconds Per-attempt shard request latency.")
-	fmt.Fprintln(w, "# TYPE flexpath_router_shard_request_duration_seconds histogram")
+	obs.WriteFamily(w, "flexpath_router_shard_request_duration_seconds", "histogram",
+		"Per-attempt shard request latency.")
 	for i, base := range rt.shards {
 		obs.WriteHistogram(w, "flexpath_router_shard_request_duration_seconds", "shard", base,
 			rt.met.shards[i].latency.Snapshot())
 	}
-
-	fmt.Fprintln(w, "# HELP flexpath_router_shard_errors_total Failed shard attempts other than deadline hits (connection errors, HTTP errors, bad responses).")
-	fmt.Fprintln(w, "# TYPE flexpath_router_shard_errors_total counter")
-	for i, base := range rt.shards {
-		fmt.Fprintf(w, "flexpath_router_shard_errors_total{shard=%q} %d\n", base, rt.met.shards[i].errors.Load())
+	perShard := func(name, help string, counter func(*shardMetrics) *atomic.Uint64) {
+		samples := make([]obs.Sample, len(rt.shards))
+		for i, base := range rt.shards {
+			samples[i] = obs.Sample{Labels: []string{"shard", base}, Value: counter(&rt.met.shards[i]).Load()}
+		}
+		obs.WriteFamily(w, name, "counter", help, samples...)
 	}
-
-	fmt.Fprintln(w, "# HELP flexpath_router_shard_timeouts_total Shard attempts that hit the per-shard deadline.")
-	fmt.Fprintln(w, "# TYPE flexpath_router_shard_timeouts_total counter")
-	for i, base := range rt.shards {
-		fmt.Fprintf(w, "flexpath_router_shard_timeouts_total{shard=%q} %d\n", base, rt.met.shards[i].timeouts.Load())
-	}
-
-	fmt.Fprintln(w, "# HELP flexpath_router_shard_retries_total Retry attempts issued after shard connection errors.")
-	fmt.Fprintln(w, "# TYPE flexpath_router_shard_retries_total counter")
-	for i, base := range rt.shards {
-		fmt.Fprintf(w, "flexpath_router_shard_retries_total{shard=%q} %d\n", base, rt.met.shards[i].retries.Load())
-	}
+	perShard("flexpath_router_shard_errors_total",
+		"Failed shard attempts other than deadline hits (connection errors, HTTP errors, bad responses).",
+		func(m *shardMetrics) *atomic.Uint64 { return &m.errors })
+	perShard("flexpath_router_shard_timeouts_total", "Shard attempts that hit the per-shard deadline.",
+		func(m *shardMetrics) *atomic.Uint64 { return &m.timeouts })
+	perShard("flexpath_router_shard_retries_total", "Retry attempts issued after shard connection errors.",
+		func(m *shardMetrics) *atomic.Uint64 { return &m.retries })
 }

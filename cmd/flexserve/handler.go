@@ -329,7 +329,7 @@ type statsResponse struct {
 	Cache *flexpath.CacheStats `json:"cache,omitempty"`
 	// PlanCache sums the per-document plan-template caches (chains +
 	// memoized join plans), departed documents' counters included.
-	// Omitted when disabled on every document.
+	// Omitted when no member is decoded.
 	PlanCache *flexpath.PlanCacheStats `json:"plan_cache,omitempty"`
 	// FTCache sums the per-document full-text result caches (evaluated
 	// contains expressions; bounded per index).
@@ -389,135 +389,110 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 		{"flexpath_cache_entries", "gauge", "Current query-result cache entries.", uint64(cs.Entries)},
 		{"flexpath_cache_capacity", "gauge", "Effective query-result cache capacity.", uint64(cs.Capacity)},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		var samples []obs.Sample
 		if cacheOn {
-			fmt.Fprintf(w, "%s{cache=\"collection\"} %d\n", f.name, f.v)
+			samples = []obs.Sample{{Labels: []string{"cache", "collection"}, Value: f.v}}
 		}
+		obs.WriteFamily(w, f.name, f.typ, f.help, samples...)
 	}
 
 	// Plan-template cache families: unlabeled (the caches are
 	// per-document but sized and operated as one corpus-wide pool).
 	pcs, _ := h.coll.PlanCacheStats()
-	fmt.Fprintln(w, "# HELP flexpath_plancache_hits_total Plan-template cache hits (searches that skipped chain and plan construction).")
-	fmt.Fprintln(w, "# TYPE flexpath_plancache_hits_total counter")
-	fmt.Fprintf(w, "flexpath_plancache_hits_total %d\n", pcs.Hits)
-	fmt.Fprintln(w, "# HELP flexpath_plancache_misses_total Plan-template cache misses (template built).")
-	fmt.Fprintln(w, "# TYPE flexpath_plancache_misses_total counter")
-	fmt.Fprintf(w, "flexpath_plancache_misses_total %d\n", pcs.Misses)
-	fmt.Fprintln(w, "# HELP flexpath_plancache_evictions_total Plan templates displaced by the LRU policy.")
-	fmt.Fprintln(w, "# TYPE flexpath_plancache_evictions_total counter")
-	fmt.Fprintf(w, "flexpath_plancache_evictions_total %d\n", pcs.Evictions)
-	fmt.Fprintln(w, "# HELP flexpath_plancache_dedups_total Lookups coalesced onto another goroutine's in-flight template build.")
-	fmt.Fprintln(w, "# TYPE flexpath_plancache_dedups_total counter")
-	fmt.Fprintf(w, "flexpath_plancache_dedups_total %d\n", pcs.Dedups)
-	fmt.Fprintln(w, "# HELP flexpath_plancache_entries Current plan templates held across all documents.")
-	fmt.Fprintln(w, "# TYPE flexpath_plancache_entries gauge")
-	fmt.Fprintf(w, "flexpath_plancache_entries %d\n", pcs.Entries)
-	fmt.Fprintln(w, "# HELP flexpath_plancache_capacity Effective plan-template capacity summed across all documents.")
-	fmt.Fprintln(w, "# TYPE flexpath_plancache_capacity gauge")
-	fmt.Fprintf(w, "flexpath_plancache_capacity %d\n", pcs.Capacity)
+	obs.WriteFamily(w, "flexpath_plancache_hits_total", "counter",
+		"Plan-template cache hits (searches that skipped chain and plan construction).", obs.Sample{Value: pcs.Hits})
+	obs.WriteFamily(w, "flexpath_plancache_misses_total", "counter",
+		"Plan-template cache misses (template built).", obs.Sample{Value: pcs.Misses})
+	obs.WriteFamily(w, "flexpath_plancache_evictions_total", "counter",
+		"Plan templates displaced by the LRU policy.", obs.Sample{Value: pcs.Evictions})
+	obs.WriteFamily(w, "flexpath_plancache_dedups_total", "counter",
+		"Lookups coalesced onto another goroutine's in-flight template build.", obs.Sample{Value: pcs.Dedups})
+	obs.WriteFamily(w, "flexpath_plancache_entries", "gauge",
+		"Current plan templates held across all documents.", obs.Sample{Value: pcs.Entries})
+	obs.WriteFamily(w, "flexpath_plancache_capacity", "gauge",
+		"Effective plan-template capacity summed across all documents.", obs.Sample{Value: pcs.Capacity})
 
 	ps := h.coll.PlannerStats()
-	fmt.Fprintln(w, "# HELP flexpath_planner_choices_total Auto-mode dispatches by chosen algorithm.")
-	fmt.Fprintln(w, "# TYPE flexpath_planner_choices_total counter")
-	for _, k := range sortedKeys(ps.Choices) {
-		fmt.Fprintf(w, "flexpath_planner_choices_total{algo=%q} %d\n", k, ps.Choices[k])
-	}
-	fmt.Fprintln(w, "# HELP flexpath_planner_reasons_total Auto-mode decisions by reason.")
-	fmt.Fprintln(w, "# TYPE flexpath_planner_reasons_total counter")
-	for _, k := range sortedKeys(ps.Reasons) {
-		fmt.Fprintf(w, "flexpath_planner_reasons_total{reason=%q} %d\n", k, ps.Reasons[k])
-	}
-	fmt.Fprintln(w, "# HELP flexpath_planner_ns_per_unit Calibrated nanoseconds per predicted work unit.")
-	fmt.Fprintln(w, "# TYPE flexpath_planner_ns_per_unit gauge")
-	for _, k := range sortedKeys(ps.NsPerUnit) {
-		fmt.Fprintf(w, "flexpath_planner_ns_per_unit{algo=%q} %g\n", k, ps.NsPerUnit[k])
-	}
-	fmt.Fprintln(w, "# HELP flexpath_planner_calibration_error Mean absolute log-ratio of actual to predicted run time (0 = exact).")
-	fmt.Fprintln(w, "# TYPE flexpath_planner_calibration_error gauge")
-	for _, k := range sortedKeys(ps.CalibrationError) {
-		fmt.Fprintf(w, "flexpath_planner_calibration_error{algo=%q} %g\n", k, ps.CalibrationError[k])
-	}
-	fmt.Fprintln(w, "# HELP flexpath_planner_restart_rate EWMA of restarts per plan-based Auto run (feeds the DPO demotion guard).")
-	fmt.Fprintln(w, "# TYPE flexpath_planner_restart_rate gauge")
-	fmt.Fprintf(w, "flexpath_planner_restart_rate %g\n", ps.RestartRate)
-	fmt.Fprintln(w, "# HELP flexpath_planner_observations_total Auto runs that fed the planner's calibrator.")
-	fmt.Fprintln(w, "# TYPE flexpath_planner_observations_total counter")
-	fmt.Fprintf(w, "flexpath_planner_observations_total %d\n", ps.Observations)
+	obs.WriteFamily(w, "flexpath_planner_choices_total", "counter",
+		"Auto-mode dispatches by chosen algorithm.", labelled("algo", ps.Choices)...)
+	obs.WriteFamily(w, "flexpath_planner_reasons_total", "counter",
+		"Auto-mode decisions by reason.", labelled("reason", ps.Reasons)...)
+	obs.WriteFamily(w, "flexpath_planner_ns_per_unit", "gauge",
+		"Calibrated nanoseconds per predicted work unit.", labelled("algo", ps.NsPerUnit)...)
+	obs.WriteFamily(w, "flexpath_planner_calibration_error", "gauge",
+		"Mean absolute log-ratio of actual to predicted run time (0 = exact).", labelled("algo", ps.CalibrationError)...)
+	obs.WriteFamily(w, "flexpath_planner_restart_rate", "gauge",
+		"EWMA of restarts per plan-based Auto run (feeds the DPO demotion guard).", obs.Sample{Value: ps.RestartRate})
+	obs.WriteFamily(w, "flexpath_planner_observations_total", "counter",
+		"Auto runs that fed the planner's calibrator.", obs.Sample{Value: ps.Observations})
 
-	fmt.Fprintln(w, "# HELP flexpath_server_inflight_requests Query requests admitted and currently executing.")
-	fmt.Fprintln(w, "# TYPE flexpath_server_inflight_requests gauge")
-	fmt.Fprintf(w, "flexpath_server_inflight_requests %d\n", h.srv.inFlight.Load())
-	fmt.Fprintln(w, "# HELP flexpath_server_max_inflight Configured admission limit for query requests (0 = unlimited).")
-	fmt.Fprintln(w, "# TYPE flexpath_server_max_inflight gauge")
-	fmt.Fprintf(w, "flexpath_server_max_inflight %d\n", cap(h.sem))
-	fmt.Fprintln(w, "# HELP flexpath_server_shed_total Query requests shed by the admission limit (503).")
-	fmt.Fprintln(w, "# TYPE flexpath_server_shed_total counter")
-	fmt.Fprintf(w, "flexpath_server_shed_total %d\n", h.srv.shed.Load())
-	fmt.Fprintln(w, "# HELP flexpath_server_panics_total Handler panics recovered into 500 responses.")
-	fmt.Fprintln(w, "# TYPE flexpath_server_panics_total counter")
-	fmt.Fprintf(w, "flexpath_server_panics_total %d\n", h.srv.panics.Load())
+	obs.WriteFamily(w, "flexpath_server_inflight_requests", "gauge",
+		"Query requests admitted and currently executing.", obs.Sample{Value: h.srv.inFlight.Load()})
+	obs.WriteFamily(w, "flexpath_server_max_inflight", "gauge",
+		"Configured admission limit for query requests (0 = unlimited).", obs.Sample{Value: cap(h.sem)})
+	obs.WriteFamily(w, "flexpath_server_shed_total", "counter",
+		"Query requests shed by the admission limit (503).", obs.Sample{Value: h.srv.shed.Load()})
+	obs.WriteFamily(w, "flexpath_server_panics_total", "counter",
+		"Handler panics recovered into 500 responses.", obs.Sample{Value: h.srv.panics.Load()})
 
-	obs.WriteMetric(w, "flexpath_server_bulk_inflight", "gauge",
-		"Bulk admin batches currently executing.", float64(h.srv.bulkInFlight.Load()))
-	obs.WriteMetric(w, "flexpath_server_bulk_max_inflight", "gauge",
-		"Configured bulk batch concurrency bound (0 = unlimited).", float64(cap(h.bulkSem)))
-	obs.WriteMetric(w, "flexpath_server_bulk_rejected_total", "counter",
-		"Bulk batches rejected by the concurrency bound (429).", float64(h.srv.bulkRejected.Load()))
-	obs.WriteMetric(w, "flexpath_server_bulk_ops_applied_total", "counter",
-		"Individual bulk operations applied.", float64(h.srv.bulkApplied.Load()))
-	obs.WriteMetric(w, "flexpath_server_bulk_ops_failed_total", "counter",
-		"Individual bulk operations that failed.", float64(h.srv.bulkFailed.Load()))
+	obs.WriteFamily(w, "flexpath_server_bulk_inflight", "gauge",
+		"Bulk admin batches currently executing.", obs.Sample{Value: h.srv.bulkInFlight.Load()})
+	obs.WriteFamily(w, "flexpath_server_bulk_max_inflight", "gauge",
+		"Configured bulk batch concurrency bound (0 = unlimited).", obs.Sample{Value: cap(h.bulkSem)})
+	obs.WriteFamily(w, "flexpath_server_bulk_rejected_total", "counter",
+		"Bulk batches rejected by the concurrency bound (429).", obs.Sample{Value: h.srv.bulkRejected.Load()})
+	obs.WriteFamily(w, "flexpath_server_bulk_ops_applied_total", "counter",
+		"Individual bulk operations applied.", obs.Sample{Value: h.srv.bulkApplied.Load()})
+	obs.WriteFamily(w, "flexpath_server_bulk_ops_failed_total", "counter",
+		"Individual bulk operations that failed.", obs.Sample{Value: h.srv.bulkFailed.Load()})
 
 	if h.dur != nil {
 		s := h.dur.Stats()
-		obs.WriteMetric(w, "flexpath_wal_appended_records_total", "counter",
-			"Mutation records appended to the write-ahead log.", float64(s.AppendedRecords))
-		obs.WriteMetric(w, "flexpath_wal_fsyncs_total", "counter",
-			"fsync calls on the write-ahead log.", float64(s.Fsyncs))
-		obs.WriteMetric(w, "flexpath_wal_fsynced_records_total", "counter",
-			"Records made durable; ahead of fsyncs_total when group commit is batching.", float64(s.FsyncedRecords))
-		obs.WriteMetric(w, "flexpath_wal_replayed_records_total", "counter",
-			"Records replayed from the log during boot recovery.", float64(s.ReplayedRecords))
-		obs.WriteMetric(w, "flexpath_wal_torn_bytes_total", "counter",
-			"Torn tail bytes truncated during boot recovery.", float64(s.TornBytesTruncated))
-		obs.WriteMetric(w, "flexpath_wal_checkpoints_total", "counter",
-			"Checkpoints completed by this process.", float64(s.Checkpoints))
-		obs.WriteMetric(w, "flexpath_wal_checkpoint_errors_total", "counter",
-			"Checkpoint attempts that failed.", float64(s.CheckpointErrors))
-		obs.WriteMetric(w, "flexpath_wal_checkpoint_lsn", "gauge",
-			"LSN of the checkpoint boot recovery started from (0 = none).", float64(s.CheckpointLSN))
-		obs.WriteMetric(w, "flexpath_wal_last_checkpoint_duration_seconds", "gauge",
-			"Wall time of the most recent checkpoint.", s.LastCheckpointDuration.Seconds())
-		obs.WriteMetric(w, "flexpath_wal_log_bytes", "gauge",
-			"Bytes across live write-ahead log segments.", float64(s.LogBytes))
-		obs.WriteMetric(w, "flexpath_wal_log_segments", "gauge",
-			"Live write-ahead log segment files.", float64(s.LogSegments))
+		obs.WriteFamily(w, "flexpath_wal_appended_records_total", "counter",
+			"Mutation records appended to the write-ahead log.", obs.Sample{Value: s.AppendedRecords})
+		obs.WriteFamily(w, "flexpath_wal_fsyncs_total", "counter",
+			"fsync calls on the write-ahead log.", obs.Sample{Value: s.Fsyncs})
+		obs.WriteFamily(w, "flexpath_wal_fsynced_records_total", "counter",
+			"Records made durable; ahead of fsyncs_total when group commit is batching.", obs.Sample{Value: s.FsyncedRecords})
+		obs.WriteFamily(w, "flexpath_wal_replayed_records_total", "counter",
+			"Records replayed from the log during boot recovery.", obs.Sample{Value: s.ReplayedRecords})
+		obs.WriteFamily(w, "flexpath_wal_torn_bytes_total", "counter",
+			"Torn tail bytes truncated during boot recovery.", obs.Sample{Value: s.TornBytesTruncated})
+		obs.WriteFamily(w, "flexpath_wal_checkpoints_total", "counter",
+			"Checkpoints completed by this process.", obs.Sample{Value: s.Checkpoints})
+		obs.WriteFamily(w, "flexpath_wal_checkpoint_errors_total", "counter",
+			"Checkpoint attempts that failed.", obs.Sample{Value: s.CheckpointErrors})
+		obs.WriteFamily(w, "flexpath_wal_checkpoint_lsn", "gauge",
+			"LSN of the checkpoint boot recovery started from (0 = none).", obs.Sample{Value: s.CheckpointLSN})
+		obs.WriteFamily(w, "flexpath_wal_last_checkpoint_duration_seconds", "gauge",
+			"Wall time of the most recent checkpoint.", obs.Sample{Value: s.LastCheckpointDuration.Seconds()})
+		obs.WriteFamily(w, "flexpath_wal_log_bytes", "gauge",
+			"Bytes across live write-ahead log segments.", obs.Sample{Value: s.LogBytes})
+		obs.WriteFamily(w, "flexpath_wal_log_segments", "gauge",
+			"Live write-ahead log segment files.", obs.Sample{Value: s.LogSegments})
 	}
 
 	rs := h.coll.ResidencyStats()
-	obs.WriteMetric(w, "flexpath_resident_docs", "gauge",
-		"Snapshot-backed documents currently decoded and searchable.", float64(rs.Resident))
-	obs.WriteMetric(w, "flexpath_resident_docs_cold", "gauge",
-		"Snapshot-backed documents currently cold (mapped, not decoded).", float64(rs.Cold))
-	obs.WriteMetric(w, "flexpath_resident_docs_pinned", "gauge",
-		"Documents with no snapshot backing (always resident, exempt from the cap).", float64(rs.Pinned))
-	obs.WriteMetric(w, "flexpath_resident_docs_max", "gauge",
-		"Configured residency cap for snapshot-backed documents (0 = unbounded).", float64(rs.Max))
-	obs.WriteMetric(w, "flexpath_resident_faults_total", "counter",
-		"Cold documents decoded on demand by a search.", float64(rs.Faults))
-	obs.WriteMetric(w, "flexpath_resident_evictions_total", "counter",
-		"Documents evicted by the residency cap (decoded state dropped, mapping kept).", float64(rs.Evictions))
-	obs.WriteMetric(w, "flexpath_resident_fault_seconds_total", "counter",
+	obs.WriteFamily(w, "flexpath_resident_docs", "gauge",
+		"Snapshot-backed documents currently decoded and searchable.", obs.Sample{Value: rs.Resident})
+	obs.WriteFamily(w, "flexpath_resident_docs_cold", "gauge",
+		"Snapshot-backed documents currently cold (mapped, not decoded).", obs.Sample{Value: rs.Cold})
+	obs.WriteFamily(w, "flexpath_resident_docs_pinned", "gauge",
+		"Documents with no snapshot backing (always resident, exempt from the cap).", obs.Sample{Value: rs.Pinned})
+	obs.WriteFamily(w, "flexpath_resident_docs_max", "gauge",
+		"Configured residency cap for snapshot-backed documents (0 = unbounded).", obs.Sample{Value: rs.Max})
+	obs.WriteFamily(w, "flexpath_resident_faults_total", "counter",
+		"Cold documents decoded on demand by a search.", obs.Sample{Value: rs.Faults})
+	obs.WriteFamily(w, "flexpath_resident_evictions_total", "counter",
+		"Documents evicted by the residency cap (decoded state dropped, mapping kept).", obs.Sample{Value: rs.Evictions})
+	obs.WriteFamily(w, "flexpath_resident_fault_seconds_total", "counter",
 		"Time callers spent faulting cold documents in (decoding, or waiting for the search that was).",
-		time.Duration(rs.FaultNanos).Seconds())
+		obs.Sample{Value: time.Duration(rs.FaultNanos).Seconds()})
 
-	fmt.Fprintln(w, "# HELP flexpath_documents Documents being served.")
-	fmt.Fprintln(w, "# TYPE flexpath_documents gauge")
-	fmt.Fprintf(w, "flexpath_documents %d\n", h.coll.Len())
-	fmt.Fprintln(w, "# HELP flexpath_elements Total indexed element nodes.")
-	fmt.Fprintln(w, "# TYPE flexpath_elements gauge")
-	fmt.Fprintf(w, "flexpath_elements %d\n", h.coll.Nodes())
+	obs.WriteFamily(w, "flexpath_documents", "gauge",
+		"Documents being served.", obs.Sample{Value: h.coll.Len()})
+	obs.WriteFamily(w, "flexpath_elements", "gauge",
+		"Total indexed element nodes.", obs.Sample{Value: h.coll.Nodes()})
 }
 
 type slowEntryJSON struct {
@@ -793,13 +768,13 @@ func put(verb func(string, *flexpath.Document) error, name string, body []byte) 
 
 func (h *handler) docNames() []string { return h.coll.Names() }
 
-// sortedKeys returns a map's keys in sorted order, for deterministic
-// metric rendering.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// labelled renders a map as one sample per key, labelled key=<map key>,
+// in sorted key order for deterministic metric rendering.
+func labelled[V any](key string, m map[string]V) []obs.Sample {
+	samples := make([]obs.Sample, 0, len(m))
+	for k, v := range m {
+		samples = append(samples, obs.Sample{Labels: []string{key, k}, Value: v})
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Slice(samples, func(i, j int) bool { return samples[i].Labels[1] < samples[j].Labels[1] })
+	return samples
 }

@@ -26,22 +26,25 @@ import (
 //
 // A Collection is a live corpus: Add, Replace, Upsert, Remove and
 // RemoveIfPresent may run concurrently with searches and with each other.
-// Each resolves against the current membership and applies under an
-// internal RWMutex; a search snapshots the membership once at entry and
-// evaluates against that snapshot, so it sees a consistent corpus (never
-// a half-applied mutation) and never blocks behind another search.
+// The membership is an immutable slice published behind an atomic
+// pointer. Each mutation resolves and publishes a new slice under one
+// writer mutex; a search loads the published slice once at entry, with no
+// lock, and evaluates against it, so it sees a consistent corpus (never a
+// half-applied mutation) and never waits for a writer or another search.
 type Collection struct {
-	mu      sync.RWMutex
-	names   []string
-	members []*member
-	byName  map[string]int
-	// docCacheCap remembers the last SetDocumentCaches capacity so
-	// documents added, swapped in or first decoded later get the same cache
-	// configuration as the members present at call time. docCacheSet
-	// distinguishes "never configured" (leave new documents alone) from
-	// "explicitly disabled" (capacity <= 0 disables new documents too).
-	docCacheCap int
-	docCacheSet bool
+	// mu orders writers (mutate, and a durable collection's log append and
+	// checkpoint cut) and guards byName, gone and mappings.
+	mu sync.Mutex
+	// live is the published membership in insertion order. A published
+	// slice is never written; mutate publishes a new one.
+	live   atomic.Pointer[[]*member]
+	byName map[string]int
+	// docCache remembers the last SetDocumentCaches capacity so documents
+	// added, swapped in or first decoded later get the same cache
+	// configuration as the members present at call time. nil means "never
+	// configured" (leave new documents alone), unlike "explicitly
+	// disabled" (capacity <= 0 disables new documents too).
+	docCache atomic.Pointer[int]
 	// gone holds, per member cache, the counters of documents that left
 	// the corpus, so the summed counters never go backwards (see retire).
 	gone [len(memberCaches)]lru.Stats
@@ -110,12 +113,14 @@ func (v verb) resolve(name string, exists bool) (op verb, ok bool, err error) {
 }
 
 // mutate is the one membership change: under mu it resolves v against
-// whether name is present, then inserts mem, swaps it into the name's
-// slot (keeping its position in the ranking tie-break order) or removes
-// the slot. A pinned incoming document gets the collection's
-// document-cache configuration; mp, if any, is recorded for Close. It
-// reports whether the membership changed.
-func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping) (bool, error) {
+// whether name is present, runs stage (if any) with the strict verb v
+// resolved to, then publishes a new membership that inserts mem, swaps it
+// into the name's slot (keeping its position in the ranking tie-break
+// order) or drops the slot. A stage error changes nothing. A pinned
+// incoming document gets the collection's document-cache configuration;
+// mp, if any, is recorded for Close. It reports whether the membership
+// changed.
+func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping, stage func(op verb) error) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byName == nil {
@@ -126,36 +131,53 @@ func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping
 	if !ok {
 		return false, err
 	}
-	switch op {
-	case verbAdd:
-		c.byName[name] = len(c.names)
-		c.names = append(c.names, name)
-		c.members = append(c.members, mem)
-	case verbReplace:
-		old := c.members[i]
-		c.members[i] = mem
-		c.retire(old)
-	case verbRemove:
-		// In-flight searches are isolated by snapshot()'s copy, so the
-		// slices can be compacted in place under the exclusive lock. A
-		// removed cold member's mapping stays open (answers already handed
-		// out may alias it) and is released by Close.
-		old := c.members[i]
-		c.names = append(c.names[:i], c.names[i+1:]...)
-		c.members = append(c.members[:i], c.members[i+1:]...)
-		delete(c.byName, name)
-		for j := i; j < len(c.names); j++ {
-			c.byName[c.names[j]] = j
+	if stage != nil {
+		if err := stage(op); err != nil {
+			return false, err
 		}
-		c.retire(old)
 	}
-	if mem != nil && mem.cold == nil && c.docCacheSet {
-		mem.doc.Load().SetCache(c.docCacheCap)
+	if mem != nil && mem.cold == nil {
+		if capacity := c.docCache.Load(); capacity != nil {
+			mem.doc.Load().SetCache(*capacity)
+		}
 	}
 	if mp != nil {
 		c.mappings = append(c.mappings, mp)
 	}
+	cur := c.members()
+	var next []*member
+	switch op {
+	case verbAdd:
+		// Appending writes past the end of every published slice, where
+		// no holder reads.
+		c.byName[name] = len(cur)
+		next = append(cur, mem)
+	case verbReplace:
+		next = append([]*member(nil), cur...)
+		next[i] = mem
+	case verbRemove:
+		// A removed cold member's mapping stays open (answers already
+		// handed out may alias it) and is released by Close.
+		next = append(cur[:i:i], cur[i+1:]...)
+		delete(c.byName, name)
+		for j := i; j < len(next); j++ {
+			c.byName[next[j].name] = j
+		}
+	}
+	c.live.Store(&next)
+	if op != verbAdd {
+		c.retire(cur[i])
+	}
 	return true, nil
+}
+
+// members returns the published membership. The slice is shared and must
+// not be written.
+func (c *Collection) members() []*member {
+	if p := c.live.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // pinned returns a slot holding a decoded document with no cold backing.
@@ -172,7 +194,7 @@ func pinned(name string, doc *Document) *member {
 // search evaluates only the new member. The same *Document may be added
 // under several names.
 func (c *Collection) Add(name string, doc *Document) error {
-	_, err := c.mutate(verbAdd, name, pinned(name, doc), nil)
+	_, err := c.mutate(verbAdd, name, pinned(name, doc), nil, nil)
 	return err
 }
 
@@ -183,7 +205,7 @@ func (c *Collection) Add(name string, doc *Document) error {
 // search evaluates only the incoming document. The incoming document is
 // pinned even when it replaces a cold member.
 func (c *Collection) Replace(name string, doc *Document) error {
-	_, err := c.mutate(verbReplace, name, pinned(name, doc), nil)
+	_, err := c.mutate(verbReplace, name, pinned(name, doc), nil, nil)
 	return err
 }
 
@@ -191,39 +213,36 @@ func (c *Collection) Replace(name string, doc *Document) error {
 // document otherwise, as one atomic step: concurrent Upserts and
 // RemoveIfPresents of one name never fail.
 func (c *Collection) Upsert(name string, doc *Document) error {
-	_, err := c.mutate(verbUpsert, name, pinned(name, doc), nil)
+	_, err := c.mutate(verbUpsert, name, pinned(name, doc), nil, nil)
 	return err
 }
 
 // Remove deletes the named document from the collection, failing with
 // ErrNoDocument if it is absent, and purges the removed document's own
 // caches. Searches already in flight keep evaluating the membership
-// snapshot they started with, including the removed document; later
+// they loaded, including the removed document; later
 // cached searches evaluate no member again.
 func (c *Collection) Remove(name string) error {
-	_, err := c.mutate(verbRemove, name, nil, nil)
+	_, err := c.mutate(verbRemove, name, nil, nil, nil)
 	return err
 }
 
 // RemoveIfPresent deletes the named document if it is a member and reports
 // whether it was, as one atomic step.
 func (c *Collection) RemoveIfPresent(name string) (bool, error) {
-	return c.mutate(verbRemoveIfPresent, name, nil, nil)
+	return c.mutate(verbRemoveIfPresent, name, nil, nil, nil)
 }
 
 // configure applies the remembered SetDocumentCaches capacity to a cold
 // member's document at its first decode.
 func (c *Collection) configure(d *Document) {
-	c.mu.RLock()
-	set, capacity := c.docCacheSet, c.docCacheCap
-	c.mu.RUnlock()
-	if set {
-		d.SetCache(capacity)
+	if capacity := c.docCache.Load(); capacity != nil {
+		d.SetCache(*capacity)
 	}
 }
 
-// retire accounts for a member leaving the corpus, under mu held for
-// writing and after its slot is gone: unless another member still holds
+// retire accounts for a member leaving the corpus, under mu and after the
+// membership without it is published: unless another member still holds
 // the same document, its cache counters move to gone and its caches are
 // purged, even while evicted (a durable checkpoint map may still hold the
 // member). The collection's result cache needs no purge (see part).
@@ -232,7 +251,7 @@ func (c *Collection) retire(old *member) {
 	if d == nil {
 		return
 	}
-	for _, m := range c.members {
+	for _, m := range c.members() {
 		if m.decoded() == d {
 			return
 		}
@@ -246,15 +265,6 @@ func (c *Collection) retire(old *member) {
 	d.purgeCache()
 }
 
-// snapshot returns a consistent view of the membership for one search.
-// The returned slices are private copies, so the holder is isolated from
-// later mutations (which compact or rewrite the originals in place).
-func (c *Collection) snapshot() (names []string, members []*member) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]string(nil), c.names...), append([]*member(nil), c.members...)
-}
-
 // AddFile loads and adds the XML document at path, named by the path.
 func (c *Collection) AddFile(path string) error {
 	doc, err := LoadFile(path)
@@ -265,19 +275,14 @@ func (c *Collection) AddFile(path string) error {
 }
 
 // Len returns the number of documents.
-func (c *Collection) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.members)
-}
+func (c *Collection) Len() int { return len(c.members()) }
 
 // Nodes returns the total number of element nodes across all documents.
 // Cold members report from their snapshot's meta section; counting
 // never faults a document in.
 func (c *Collection) Nodes() int {
-	_, members := c.snapshot()
 	total := 0
-	for _, m := range members {
+	for _, m := range c.members() {
 		total += m.nodes()
 	}
 	return total
@@ -285,15 +290,19 @@ func (c *Collection) Nodes() int {
 
 // Names returns the document names in insertion order.
 func (c *Collection) Names() []string {
-	names, _ := c.snapshot()
+	members := c.members()
+	names := make([]string, len(members))
+	for i, m := range members {
+		names[i] = m.name
+	}
 	return names
 }
 
 // Has reports whether a document with the given name is a member,
 // without faulting it in.
 func (c *Collection) Has(name string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, ok := c.byName[name]
 	return ok
 }
@@ -302,12 +311,12 @@ func (c *Collection) Has(name string) bool {
 // cold (a failed fault reports absent). Callers that only need
 // metadata should use Members, which never faults.
 func (c *Collection) Document(name string) (*Document, bool) {
-	c.mu.RLock()
+	c.mu.Lock()
 	var mem *member
 	if i, ok := c.byName[name]; ok {
-		mem = c.members[i]
+		mem = c.members()[i]
 	}
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	if mem == nil {
 		return nil, false
 	}
@@ -333,13 +342,14 @@ func (c *Collection) SetCache(capacity int) { c.setCache(capacity) }
 // later get the same cache configuration, so DocumentCacheStats covers
 // the whole live corpus.
 func (c *Collection) SetDocumentCaches(capacity int) {
+	// Under mu, every member mutate publishes either is in members or
+	// reads the new capacity.
 	c.mu.Lock()
-	c.docCacheCap = capacity
-	c.docCacheSet = true
+	c.docCache.Store(&capacity)
+	members := c.members()
 	c.mu.Unlock()
 	// Decoded documents, evicted ones included, are reconfigured now;
 	// never-faulted ones pick the remembered capacity up at their decode.
-	_, members := c.snapshot()
 	for _, m := range members {
 		if d := m.decoded(); d != nil {
 			d.SetCache(capacity)
@@ -392,11 +402,12 @@ var memberCaches = [...]func(*Document) (lru.Stats, bool){
 // when no member has the cache enabled. mu orders it with retire: no sum
 // sees a departing document twice or not at all.
 func (c *Collection) sumStats(w int) (sum lru.Stats, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	sum = c.gone[w]
-	seen := make(map[*Document]bool, len(c.members))
-	for _, m := range c.members {
+	members := c.members()
+	seen := make(map[*Document]bool, len(members))
+	for _, m := range members {
 		if d := m.decoded(); d != nil && !seen[d] {
 			seen[d] = true
 			if s, dok := memberCaches[w](d); dok {
@@ -437,30 +448,29 @@ func (c *Collection) Search(q *Query, opts SearchOptions) ([]CollectionAnswer, e
 
 // SearchContext is Search with cancellation; see Document.SearchContext.
 func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]CollectionAnswer, error) {
-	// One consistent membership view for the whole search: a concurrent
+	// One published membership for the whole search: a concurrent
 	// Add/Remove/Replace neither blocks behind this search nor changes
 	// which documents it evaluates.
-	names, members := c.snapshot()
-	return search(ctx, &c.searcher, &membership{c, names, members}, q, opts, func(i int, a Answer) CollectionAnswer {
-		return CollectionAnswer{Answer: a, DocName: names[i]}
+	members := c.members()
+	return search(ctx, &c.searcher, &membership{c, members}, q, opts, func(i int, a Answer) CollectionAnswer {
+		return CollectionAnswer{Answer: a, DocName: members[i].name}
 	})
 }
 
-// membership is a collection's membership snapshot as a search corpus.
+// membership is a published membership as a search corpus.
 type membership struct {
 	c       *Collection
-	names   []string
 	members []*member
 }
 
 func (m *membership) size() int               { return len(m.members) }
-func (m *membership) name(i int) string       { return m.names[i] }
+func (m *membership) name(i int) string       { return m.members[i].name }
 func (m *membership) decoded(i int) *Document { return m.members[i].decoded() }
 func (m *membership) load(i int, span *obs.Span) (*Document, error) {
 	return m.c.require(m.members[i], span)
 }
 func (m *membership) wrap(i int, err error) error {
-	return fmt.Errorf("flexpath: document %q: %w", m.names[i], err)
+	return fmt.Errorf("flexpath: document %q: %w", m.members[i].name, err)
 }
 
 func (m *Metrics) add(o Metrics) {

@@ -51,12 +51,12 @@ func TestConcurrentSearchStress(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantDoc[cb] = renderRanking(da)
+				wantDoc[cb] = renderAnswers(da, 0)
 				ca, err := coll.Search(queries[qi], opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantColl[cb] = renderCollRanking(ca)
+				wantColl[cb] = renderAnswers(ca, 0)
 			}
 		}
 	}
@@ -81,7 +81,7 @@ func TestConcurrentSearchStress(t *testing.T) {
 						errCh <- err
 						return
 					}
-					if got := renderRanking(a); got != wantDoc[cb] {
+					if got := renderAnswers(a, 0); got != wantDoc[cb] {
 						errCh <- fmt.Errorf("goroutine %d: document ranking diverged for %+v", g, cb)
 						return
 					}
@@ -91,7 +91,7 @@ func TestConcurrentSearchStress(t *testing.T) {
 						errCh <- err
 						return
 					}
-					if got := renderCollRanking(a); got != wantColl[cb] {
+					if got := renderAnswers(a, 0); got != wantColl[cb] {
 						errCh <- fmt.Errorf("goroutine %d: collection ranking diverged for %+v", g, cb)
 						return
 					}
@@ -131,7 +131,7 @@ func TestCollectionParallelMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				got := renderCollRanking(a)
+				got := renderAnswers(a, 0)
 				if workers == 1 {
 					want = got
 					continue
@@ -228,7 +228,7 @@ func TestSearchContextBackgroundUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderRanking(plain) != renderRanking(withCtx) {
+	if renderAnswers(plain, 0) != renderAnswers(withCtx, 0) {
 		t.Error("background context changed the ranking")
 	}
 }

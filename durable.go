@@ -31,7 +31,8 @@ import (
 // its record — so the on-disk order always precedes the apply order,
 // searches may observe a mutation slightly before its ack (acceptable
 // for a search corpus), and a crash can only lose mutations that were
-// never acknowledged. Mutations are serialized by an internal mutex;
+// never acknowledged. The append runs inside the wrapped Collection's
+// mutation, under its writer mutex, so log order is membership order;
 // searches run concurrently against the wrapped Collection as usual.
 type DurableCollection struct {
 	c   *Collection
@@ -42,10 +43,8 @@ type DurableCollection struct {
 	// automatic checkpoints (Checkpoint can still be called manually).
 	every int
 
-	// mu orders mutations (resolve + log append + apply) and log
-	// rotation, so a rotation's sealed segments hold only applied —
-	// hence checkpoint-visible — records.
-	mu        sync.Mutex
+	// sinceCkpt counts mutations since the last cut; guarded by c.mu,
+	// which also orders log appends with the cut (see checkpoint).
 	sinceCkpt int
 
 	// ckptMu is held while a checkpoint is written; TryLock on the
@@ -139,8 +138,7 @@ func OpenDurableCollection(dir string, opts DurableOptions) (_ *DurableCollectio
 			return nil, fmt.Errorf("flexpath: checkpoint member %q: %w", e.Name, corrupt(err))
 		}
 	}
-	_, members := dc.c.snapshot()
-	for i, m := range members {
+	for i, m := range dc.c.members() {
 		dc.files[m] = man.Members[i].File
 	}
 	dc.bootCkptLSN = man.LSN
@@ -247,13 +245,12 @@ func (dc *DurableCollection) Seed(name string, data []byte) error {
 func loadXML(b []byte) (*Document, error) { return Load(bytes.NewReader(b)) }
 
 // mutate is every durable verb. The body is parsed (by parse, nil for a
-// removal) outside the lock. Under dc.mu the verb resolves against the
-// live membership exactly as Collection resolves it, and what it resolved
-// to is appended to the log buffer and then applied, so the on-disk order
-// precedes the apply order. The durability wait happens after the lock is
-// released: concurrent mutations stage back-to-back and share one
-// group-commit fsync instead of serializing through it. It reports
-// whether the membership changed.
+// removal) outside any lock. The Collection resolves the verb and, under
+// its writer mutex, stages what it resolved to before publishing it, so
+// the on-disk order precedes the apply order. The durability wait happens
+// after the lock is released: concurrent mutations stage back-to-back and
+// share one group-commit fsync instead of serializing through it. It
+// reports whether the membership changed.
 func (dc *DurableCollection) mutate(v verb, name string, body []byte, parse func([]byte) (*Document, error)) (bool, error) {
 	var mem *member
 	if parse != nil {
@@ -263,14 +260,12 @@ func (dc *DurableCollection) mutate(v verb, name string, body []byte, parse func
 		}
 		mem = pinned(name, doc)
 	}
-	dc.mu.Lock()
-	op, ok, err := v.resolve(name, dc.c.Has(name))
 	var lsn uint64
-	if ok {
-		lsn, err = dc.stageLocked(op, name, body, mem)
-	}
-	dc.mu.Unlock()
-	if !ok || err != nil {
+	changed, err := dc.c.mutate(v, name, mem, nil, func(op verb) (err error) {
+		lsn, err = dc.stage(op, name, body)
+		return err
+	})
+	if !changed || err != nil {
 		return false, err
 	}
 	return true, dc.log.WaitDurable(lsn)
@@ -279,11 +274,13 @@ func (dc *DurableCollection) mutate(v verb, name string, body []byte, parse func
 // walOps is the record each resolved verb logs.
 var walOps = [...]wal.Op{verbAdd: wal.OpAdd, verbReplace: wal.OpReplace, verbRemove: wal.OpRemove}
 
-// stageLocked is the write path under dc.mu: append the resolved op to
-// the log buffer, apply it to memory, maybe trigger a checkpoint. The
-// caller must release dc.mu and then WaitDurable on the returned LSN
-// before acknowledging.
-func (dc *DurableCollection) stageLocked(op verb, name string, body []byte, mem *member) (uint64, error) {
+// stage is the write path under c.mu, before the mutation publishes:
+// append the resolved op to the log buffer and count it toward the
+// cadence. A due checkpoint starts in the background if none is in
+// flight; its cut waits for c.mu, so it runs after this mutation
+// publishes. The caller must WaitDurable on the returned LSN, after c.mu
+// is released, before acknowledging.
+func (dc *DurableCollection) stage(op verb, name string, body []byte) (uint64, error) {
 	if dc.closed.Load() {
 		return 0, wal.ErrClosed
 	}
@@ -291,50 +288,17 @@ func (dc *DurableCollection) stageLocked(op verb, name string, body []byte, mem 
 	if err != nil {
 		return 0, err
 	}
-	if _, err := dc.c.mutate(op, name, mem, nil); err != nil {
-		// Unreachable while dc.mu orders every mutation: the record is
-		// logged but the apply failed, so fail loudly rather than
-		// acknowledge.
-		return 0, fmt.Errorf("flexpath: logged mutation failed to apply: %w", err)
-	}
 	dc.sinceCkpt++
-	if dc.every > 0 && dc.sinceCkpt >= dc.every {
-		dc.maybeCheckpointLocked()
+	// One checkpoint at a time; while one runs, the next mutation retries.
+	if dc.every > 0 && dc.sinceCkpt >= dc.every && dc.ckptMu.TryLock() {
+		dc.wg.Add(1) // under c.mu, so Close's barrier sees it
+		go func() {
+			defer dc.wg.Done()
+			defer dc.ckptMu.Unlock()
+			dc.checkpoint() //nolint:errcheck // counted in ckptErrs
+		}()
 	}
 	return lsn, nil
-}
-
-// cutLocked seals the log and snapshots the membership. dc.mu held: the
-// two happen atomically with respect to mutations, so the sealed
-// segments hold exactly the records the snapshot covers. Snapshotting
-// copies two slices; it faults nothing in.
-func (dc *DurableCollection) cutLocked() (lastLSN uint64, names []string, members []*member, err error) {
-	dc.sinceCkpt = 0
-	if lastLSN, err = dc.log.Rotate(); err != nil {
-		dc.ckptErrs.Add(1)
-		return 0, nil, nil, err
-	}
-	names, members = dc.c.snapshot()
-	return lastLSN, names, members, nil
-}
-
-// maybeCheckpointLocked starts a background checkpoint if none is in
-// flight. dc.mu held.
-func (dc *DurableCollection) maybeCheckpointLocked() {
-	if !dc.ckptMu.TryLock() {
-		return // one checkpoint at a time; the next mutation retries
-	}
-	lastLSN, names, members, err := dc.cutLocked()
-	if err != nil {
-		dc.ckptMu.Unlock()
-		return
-	}
-	dc.wg.Add(1)
-	go func() {
-		defer dc.wg.Done()
-		defer dc.ckptMu.Unlock()
-		dc.writeCheckpoint(lastLSN, names, members) //nolint:errcheck // counted in ckptErrs
-	}()
 }
 
 // Checkpoint forces a checkpoint synchronously, waiting for any
@@ -342,16 +306,27 @@ func (dc *DurableCollection) maybeCheckpointLocked() {
 func (dc *DurableCollection) Checkpoint() error {
 	dc.ckptMu.Lock()
 	defer dc.ckptMu.Unlock()
-	dc.mu.Lock()
-	lastLSN, names, members, err := dc.cutLocked()
-	dc.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return dc.writeCheckpoint(lastLSN, names, members)
+	return dc.checkpoint()
 }
 
-// writeCheckpoint persists the snapshotted membership; ckptMu held. Each
+// checkpoint cuts and writes one checkpoint; ckptMu held. The cut seals
+// the log and reads the published membership under c.mu, atomically with
+// respect to mutations, so the sealed segments hold exactly the records
+// the membership covers. It faults nothing in.
+func (dc *DurableCollection) checkpoint() error {
+	dc.c.mu.Lock()
+	dc.sinceCkpt = 0
+	lastLSN, err := dc.log.Rotate()
+	members := dc.c.members()
+	dc.c.mu.Unlock()
+	if err != nil {
+		dc.ckptErrs.Add(1)
+		return err
+	}
+	return dc.writeCheckpoint(lastLSN, members)
+}
+
+// writeCheckpoint persists the cut membership; ckptMu held. Each
 // step leaves the directory recoverable if the process dies after it:
 //
 //  1. A member file is written and fsync'd for every member the current
@@ -365,7 +340,7 @@ func (dc *DurableCollection) Checkpoint() error {
 //  4. Sealed segments are pruned and files the new manifest dropped are
 //     unlinked. Crash: leftovers cost disk until the next open or
 //     checkpoint sweeps them.
-func (dc *DurableCollection) writeCheckpoint(lastLSN uint64, names []string, members []*member) (err error) {
+func (dc *DurableCollection) writeCheckpoint(lastLSN uint64, members []*member) (err error) {
 	start := time.Now()
 	defer func() {
 		if err != nil {
@@ -381,14 +356,14 @@ func (dc *DurableCollection) writeCheckpoint(lastLSN uint64, names []string, mem
 			// such members are pinned: the document is there without a fault.
 			d := m.doc.Load()
 			if d == nil {
-				return fmt.Errorf("flexpath: checkpoint %q: cold member was not added through the log", names[i])
+				return fmt.Errorf("flexpath: checkpoint %q: cold member was not added through the log", m.name)
 			}
 			file = wal.MemberFile(lastLSN, i)
 			if err := wal.WriteFileSync(filepath.Join(dc.dir, file), d.SaveFXP3Snapshot); err != nil {
-				return fmt.Errorf("flexpath: checkpoint %q: %w", names[i], err)
+				return fmt.Errorf("flexpath: checkpoint %q: %w", m.name, err)
 			}
 		}
-		man.Members[i] = wal.Member{Name: names[i], File: file}
+		man.Members[i] = wal.Member{Name: m.name, File: file}
 		files[m] = file
 	}
 	if err := wal.SyncDir(dc.dir); err != nil {
@@ -422,11 +397,11 @@ func (dc *DurableCollection) Close() error {
 	if dc.closed.Swap(true) {
 		return nil
 	}
-	// Barrier: any mutation holding the lock right now finishes staging
-	// (and possibly scheduling a checkpoint) before the wait below; later
-	// mutations fail fast on the closed flag.
-	dc.mu.Lock()
-	dc.mu.Unlock() //nolint:staticcheck // empty critical section is the point
+	// Barrier: any mutation holding the collection's lock right now
+	// finishes staging (and possibly scheduling a checkpoint) before the
+	// wait below; later mutations fail fast on the closed flag.
+	dc.c.mu.Lock()
+	dc.c.mu.Unlock() //nolint:staticcheck // empty critical section is the point
 	dc.wg.Wait()
 	return dc.log.Close()
 }

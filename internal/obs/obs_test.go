@@ -246,3 +246,58 @@ func TestStageNames(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelValuesEscapedOnce renders a label value holding a quote, a
+// backslash, a newline and a tab through a histogram and a labelled
+// counter: the exposition validates, every sample reads the value back
+// unchanged, and the counter prints as an integer.
+func TestLabelValuesEscapedOnce(t *testing.T) {
+	const v = "a\"b\\c\nd\te"
+	h := NewHistogram()
+	h.Observe(time.Millisecond)
+	var sb strings.Builder
+	WriteFamily(&sb, "m_seconds", "histogram", "A histogram.")
+	WriteHistogram(&sb, "m_seconds", "shard", v, h.Snapshot())
+	WriteFamily(&sb, "m_total", "counter", "A counter.", Sample{Labels: []string{"shard", v}, Value: uint64(12345678)})
+	out := sb.String()
+	if err := ValidateExposition([]byte(out)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, out)
+	}
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		samples++
+		_, rest, ok := strings.Cut(line, `{shard="`)
+		if !ok {
+			t.Fatalf("sample without the shard label: %q", line)
+		}
+		var got strings.Builder
+		i := 0
+		for ; i < len(rest) && rest[i] != '"'; i++ {
+			if rest[i] == '\\' {
+				i++
+				switch rest[i] {
+				case 'n':
+					got.WriteByte('\n')
+				case '\\', '"':
+					got.WriteByte(rest[i])
+				default:
+					t.Fatalf("escape \\%c is not an exposition escape: %q", rest[i], line)
+				}
+				continue
+			}
+			got.WriteByte(rest[i])
+		}
+		if got.String() != v {
+			t.Errorf("label value reads back as %q, want %q: %q", got.String(), v, line)
+		}
+	}
+	if samples == 0 {
+		t.Fatal("no samples rendered")
+	}
+	if !strings.HasSuffix(out, "} 12345678\n") {
+		t.Errorf("integer sample not printed as an integer:\n%s", out)
+	}
+}

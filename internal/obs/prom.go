@@ -14,10 +14,41 @@ import (
 // PromContentType is the Content-Type of the rendered exposition.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
+// labelEscaper escapes a label value per the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
+// Sample is one sample of a metric family: its label name/value pairs
+// and its value. An integer value prints as an integer, a float64 as %g.
+type Sample struct {
+	Labels []string // name, value, name, value, ...
+	Value  any
+}
+
+// WriteFamily renders one metric family: its HELP and TYPE lines, then
+// each sample. kind is "counter", "gauge" or "histogram" (whose series
+// follow through WriteHistogram). Every family in the system renders
+// through it, so label values are escaped once, by the exposition rules.
+func WriteFamily(w io.Writer, name, kind, help string, samples ...Sample) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	for _, s := range samples {
+		writeSample(w, name, s.Value, s.Labels...)
+	}
+}
+
+// writeSample renders one sample line.
+func writeSample(w io.Writer, name string, value any, labels ...string) {
+	fmt.Fprint(w, name)
+	for i := 0; i+1 < len(labels); i += 2 {
+		sep := ","
+		if i == 0 {
+			sep = "{"
+		}
+		fmt.Fprintf(w, `%s%s="%s"`, sep, labels[i], labelEscaper.Replace(labels[i+1]))
+	}
+	if len(labels) > 0 {
+		fmt.Fprint(w, "}")
+	}
+	fmt.Fprintf(w, " %v\n", value)
 }
 
 // promBound renders a bucket bound in seconds ("+Inf" for overflow).
@@ -29,27 +60,19 @@ func promBound(i int) string {
 	return strconv.FormatFloat(float64(b)/1e9, 'g', -1, 64)
 }
 
-// WriteHistogram renders one histogram series with the given label pair
-// applied to every sample. Serving layers that keep their own Histogram
-// families (flexrouter's per-shard latency) render them through this so
-// every exposition in the system shares one bucket geometry.
+// WriteHistogram renders one histogram series, of a family WriteFamily
+// announced, with the given label pair applied to every sample. Serving
+// layers that keep their own Histogram families (flexrouter's per-shard
+// latency) render them through this so every exposition in the system
+// shares one bucket geometry.
 func WriteHistogram(w io.Writer, name, labelKey, labelVal string, s HistogramSnapshot) {
-	lv := escapeLabel(labelVal)
 	var cum uint64
 	for i, c := range s.Counts {
 		cum += c
-		fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, labelKey, lv, promBound(i), cum)
+		writeSample(w, name+"_bucket", cum, labelKey, labelVal, "le", promBound(i))
 	}
-	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, labelKey, lv, s.Sum.Seconds())
-	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, labelKey, lv, s.Count)
-}
-
-// WriteMetric renders one unlabeled sample with its HELP and TYPE
-// headers. kind is "counter" or "gauge". Serving layers with many
-// single-sample families (flexserve's WAL counters) render them through
-// this instead of hand-writing the three-line exposition stanza.
-func WriteMetric(w io.Writer, name, kind, help string, value float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, kind, name, value)
+	writeSample(w, name+"_sum", s.Sum.Seconds(), labelKey, labelVal)
+	writeSample(w, name+"_count", s.Count, labelKey, labelVal)
 }
 
 // WritePrometheus renders the registry's counters, histograms and the
@@ -59,33 +82,30 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
-	fmt.Fprintln(w, "# HELP flexpath_queries_total Finished search queries by algorithm, ranking scheme and terminal status.")
-	fmt.Fprintln(w, "# TYPE flexpath_queries_total counter")
+	var queries []Sample
 	for _, qc := range r.QueryCounts() {
-		fmt.Fprintf(w, "flexpath_queries_total{algo=%q,scheme=%q,status=%q} %d\n",
-			escapeLabel(qc.Algo), escapeLabel(qc.Scheme), escapeLabel(qc.Status), qc.Count)
+		queries = append(queries, Sample{Labels: []string{"algo", qc.Algo, "scheme", qc.Scheme, "status", qc.Status}, Value: qc.Count})
 	}
+	WriteFamily(w, "flexpath_queries_total", "counter",
+		"Finished search queries by algorithm, ranking scheme and terminal status.", queries...)
 
-	fmt.Fprintln(w, "# HELP flexpath_inflight_queries Searches currently being evaluated.")
-	fmt.Fprintln(w, "# TYPE flexpath_inflight_queries gauge")
-	fmt.Fprintf(w, "flexpath_inflight_queries %d\n", r.InFlight())
+	WriteFamily(w, "flexpath_inflight_queries", "gauge", "Searches currently being evaluated.",
+		Sample{Value: r.InFlight()})
 
-	fmt.Fprintln(w, "# HELP flexpath_query_duration_seconds End-to-end search latency by algorithm.")
-	fmt.Fprintln(w, "# TYPE flexpath_query_duration_seconds histogram")
+	WriteFamily(w, "flexpath_query_duration_seconds", "histogram", "End-to-end search latency by algorithm.")
 	algos, hists := r.LatencyByAlgo()
 	for i, a := range algos {
 		WriteHistogram(w, "flexpath_query_duration_seconds", "algo", a, hists[i])
 	}
 
-	fmt.Fprintln(w, "# HELP flexpath_stage_duration_seconds Per-stage evaluation time (parse, chain, join, merge, cache, plan).")
-	fmt.Fprintln(w, "# TYPE flexpath_stage_duration_seconds histogram")
+	WriteFamily(w, "flexpath_stage_duration_seconds", "histogram",
+		"Per-stage evaluation time (parse, chain, join, merge, cache, plan).")
 	for i, s := range r.StageLatency() {
 		WriteHistogram(w, "flexpath_stage_duration_seconds", "stage", Stage(i).String(), s)
 	}
 
-	fmt.Fprintln(w, "# HELP flexpath_slowlog_entries Queries retained in the slow-query log.")
-	fmt.Fprintln(w, "# TYPE flexpath_slowlog_entries gauge")
-	fmt.Fprintf(w, "flexpath_slowlog_entries %d\n", r.SlowLog().Len())
+	WriteFamily(w, "flexpath_slowlog_entries", "gauge", "Queries retained in the slow-query log.",
+		Sample{Value: r.SlowLog().Len()})
 }
 
 // ValidateExposition checks that data is well-formed Prometheus text

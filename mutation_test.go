@@ -209,7 +209,8 @@ func TestDocumentCachesApplyToLateAdds(t *testing.T) {
 }
 
 // Concurrent searches and membership mutations must neither race (run
-// under -race) nor corrupt the collection.
+// under -race) nor corrupt the collection, and every search must see
+// exactly one published membership.
 func TestConcurrentMutateSearchStress(t *testing.T) {
 	c := testCollection(t)
 	c.SetCache(32)
@@ -225,6 +226,39 @@ func TestConcurrentMutateSearchStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each mutator moves its extra name through absent, A and B: rank the
+	// nine memberships the two can reach. The algorithm is pinned: Auto
+	// may pick DPO for one member and not for another, and DPO scores
+	// some relaxed answers differently and attaches no Relaxed detail.
+	opts := SearchOptions{K: 5, Algorithm: Hybrid}
+	reachable := map[string]bool{}
+	for _, docs := range [][2]*Document{{nil, nil}, {nil, extraA}, {nil, extraB},
+		{extraA, nil}, {extraA, extraA}, {extraA, extraB},
+		{extraB, nil}, {extraB, extraA}, {extraB, extraB}} {
+		for m, d := range docs {
+			if d != nil {
+				if err := c.Add(fmt.Sprintf("extra%d.xml", m), d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		uncached := opts
+		uncached.NoCache = true
+		answers, err := c.Search(q, uncached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reachable[renderAnswers(answers, 0)] = true
+		for m := range docs {
+			if _, err := c.RemoveIfPresent(fmt.Sprintf("extra%d.xml", m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(reachable) != 9 {
+		t.Fatalf("%d distinct rankings of the 9 reachable memberships", len(reachable))
+	}
+
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
 	for s := 0; s < 4; s++ {
@@ -232,8 +266,13 @@ func TestConcurrentMutateSearchStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := c.Search(q, SearchOptions{K: 5}); err != nil {
+				answers, err := c.Search(q, opts)
+				if err != nil {
 					errc <- err
+					return
+				}
+				if r := renderAnswers(answers, 0); !reachable[r] {
+					errc <- fmt.Errorf("ranking of no published membership:\n%s", r)
 					return
 				}
 			}
@@ -385,9 +424,9 @@ func TestReplaceEvaluatesOneMember(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if renderCollRanking(got) != renderCollRanking(want) {
+			if renderAnswers(got, 0) != renderAnswers(want, 0) {
 				t.Errorf("doc caches %v, %s: cached ranking differs from a cold one:\n%s\nvs\n%s",
-					docCaches, when, renderCollRanking(got), renderCollRanking(want))
+					docCaches, when, renderAnswers(got, 0), renderAnswers(want, 0))
 			}
 			if ps, _ := c.PlanCacheStats(); ps.Misses != wantMisses {
 				t.Errorf("doc caches %v, %s: %d plan-cache misses, want %d", docCaches, when, ps.Misses, wantMisses)

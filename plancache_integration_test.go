@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +30,7 @@ func TestPlanCacheStampedeBuildsOnce(t *testing.T) {
 			defer wg.Done()
 			<-start
 			answers, err := doc.Search(q, SearchOptions{K: 10, Algorithm: Hybrid})
-			errs[i], rankings[i] = err, renderRanking(answers)
+			errs[i], rankings[i] = err, renderAnswers(answers, 0)
 		}(i)
 	}
 	close(start)
@@ -77,18 +76,21 @@ func TestPlanCacheAnswersIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v warm: %v", algo, scheme, err)
 			}
-			render := renderRanking
 			if algo == Auto {
 				// Auto's algorithm choice depends on its timing-calibrated
 				// cost model, so the two documents may legitimately dispatch
 				// differently — and DPO reports relaxation levels without
 				// the per-answer Relaxed detail plan-based runs attach. The
 				// ranking itself (nodes, scores, levels) must still match.
-				render = renderRankingNoDetail
+				for _, as := range [][]Answer{cold, warm} {
+					for i := range as {
+						as[i].Relaxed = nil
+					}
+				}
 			}
-			if render(cold) != render(warm) {
+			if c, w := renderAnswers(cold, 0), renderAnswers(warm, 0); c != w {
 				t.Errorf("%v/%v: template-hit ranking differs from cold evaluation\ncold:\n%swarm:\n%s",
-					algo, scheme, render(cold), render(warm))
+					algo, scheme, c, w)
 			}
 		}
 	}
@@ -294,15 +296,4 @@ func TestRelaxationsWithWeights(t *testing.T) {
 			t.Errorf("answer %d: weighted structural score = %g, want %g", i, got, want)
 		}
 	}
-}
-
-// renderRankingNoDetail is renderRanking without the Relaxed strings,
-// for comparisons across runs that may dispatch to different algorithms.
-func renderRankingNoDetail(answers []Answer) string {
-	var sb strings.Builder
-	for i, a := range answers {
-		fmt.Fprintf(&sb, "%d|%s|%s|%.12f|%.12f|%d\n",
-			i, a.Path, a.ID, a.Structural, a.Keyword, a.Relaxations)
-	}
-	return sb.String()
 }

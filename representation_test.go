@@ -215,7 +215,7 @@ func TestFXP3RejectsDisorderedColumns(t *testing.T) {
 		if err := coll.AddSnapshotFile("bad", path); err != nil {
 			t.Fatal(err)
 		}
-		_, members := coll.snapshot()
+		members := coll.members()
 		for i := 0; i < 2; i++ {
 			_, err := coll.Search(MustParseQuery(paperQ1), SearchOptions{K: 3})
 			if !errors.Is(err, ErrCorruptSnapshot) {
@@ -254,7 +254,7 @@ func TestThreeFormsOneRepresentation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g, w := renderRankingWithSnippets(got), renderRankingWithSnippets(want); g != w {
+			if g, w := renderAnswers(got, 50), renderAnswers(want, 50); g != w {
 				t.Fatalf("%s ranks %s differently:\n%s\nvs\n%s", what, q, g, w)
 			}
 		}
@@ -297,14 +297,6 @@ func TestThreeFormsOneRepresentation(t *testing.T) {
 	}
 }
 
-func renderRankingWithSnippets(as []Answer) string {
-	var b bytes.Buffer
-	for _, a := range as {
-		fmt.Fprintf(&b, "%d|%x|%x|%d|%q\n", a.node, a.Structural, a.Keyword, a.Relaxations, a.Snippet(50))
-	}
-	return b.String()
-}
-
 // TestRefaultAllocsIndependentOfSize: faulting an evicted member back in
 // stores the document its first fault decoded — no decode, no fresh
 // caches — so it allocates nothing, for a 64 KB and a 2 MB document
@@ -329,7 +321,7 @@ func TestRefaultAllocsIndependentOfSize(t *testing.T) {
 		if err := c.AddSnapshotFile("m", path); err != nil {
 			t.Fatal(err)
 		}
-		_, members := c.snapshot()
+		members := c.members()
 		m := members[0]
 		if _, err := c.require(m, nil); err != nil { // checksums and validates
 			t.Fatal(err)

@@ -119,7 +119,7 @@ func (c *Collection) AddSnapshotFile(name, path string) error {
 		return wrapSnapshotPath(path, err)
 	}
 	mem := &member{name: name, cold: &coldDoc{path: path, f: f, meta: meta}}
-	if _, err := c.mutate(verbAdd, name, mem, mp); err != nil {
+	if _, err := c.mutate(verbAdd, name, mem, mp, nil); err != nil {
 		mp.Close()
 		return err
 	}
@@ -186,13 +186,12 @@ func (c *Collection) enforceResidency() {
 	}
 	c.evictMu.Lock()
 	defer c.evictMu.Unlock()
-	_, members := c.snapshot()
 	type cand struct {
 		m   *member
 		use int64
 	}
 	var res []cand
-	for _, m := range members {
+	for _, m := range c.members() {
 		if m.cold != nil && m.doc.Load() != nil {
 			res = append(res, cand{m, m.lastUse.Load()})
 		}
@@ -241,8 +240,7 @@ func (c *Collection) ResidencyStats() ResidencyStats {
 		Evictions:  c.evictions.Load(),
 		FaultNanos: c.faultNanos.Load(),
 	}
-	_, members := c.snapshot()
-	for _, m := range members {
+	for _, m := range c.members() {
 		switch {
 		case m.cold == nil:
 			s.Pinned++
@@ -272,7 +270,7 @@ type MemberInfo struct {
 // or not. Unlike Document, listing never faults a cold member in —
 // this is the view status endpoints should serve.
 func (c *Collection) Members() []MemberInfo {
-	_, members := c.snapshot()
+	members := c.members()
 	out := make([]MemberInfo, len(members))
 	for i, m := range members {
 		out[i] = MemberInfo{
@@ -295,7 +293,7 @@ func (c *Collection) Close() error {
 	c.mu.Lock()
 	mappings := c.mappings
 	c.mappings = nil
-	members := c.members
+	members := c.members()
 	c.mu.Unlock()
 	var first error
 	for _, mp := range mappings {

@@ -36,15 +36,6 @@ func residencyCorpus(t *testing.T, n int) [](struct{ name, path string }) {
 	return out
 }
 
-func renderCollectionAnswers(answers []CollectionAnswer) string {
-	var b strings.Builder
-	for i, a := range answers {
-		fmt.Fprintf(&b, "%d|%s|%s|%s|%.9f|%.9f|%d|%q\n",
-			i, a.DocName, a.Path, a.ID, a.Structural, a.Keyword, a.Relaxations, a.Snippet(60))
-	}
-	return b.String()
-}
-
 // TestColdCollectionByteIdentity serves a corpus under a residency cap
 // far below its size and checks the merged ranking — ids, scores,
 // snippets — is identical to an unconstrained in-memory collection.
@@ -87,9 +78,9 @@ func TestColdCollectionByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderCollectionAnswers(got) != renderCollectionAnswers(want) {
+	if renderAnswers(got, 60) != renderAnswers(want, 60) {
 		t.Fatalf("cold ranking differs from in-memory:\n%s\nvs\n%s",
-			renderCollectionAnswers(got), renderCollectionAnswers(want))
+			renderAnswers(got, 60), renderAnswers(want, 60))
 	}
 
 	s := cold.ResidencyStats()
@@ -108,7 +99,7 @@ func TestColdCollectionByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderCollectionAnswers(again) != renderCollectionAnswers(want) {
+	if renderAnswers(again, 60) != renderAnswers(want, 60) {
 		t.Fatal("ranking drifted across eviction and re-fault")
 	}
 }
@@ -214,7 +205,7 @@ func TestEvictionKeepsAnswersAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := renderCollectionAnswers(held)
+	before := renderAnswers(held, 60)
 
 	// Force evictions: cycle the other documents through the slot.
 	for i := 0; i < 3; i++ {
@@ -229,7 +220,7 @@ func TestEvictionKeepsAnswersAlive(t *testing.T) {
 	}
 	// The held answers — paths, ids, snippets — must read back
 	// unchanged: their backing mapping is still open.
-	if after := renderCollectionAnswers(held); after != before {
+	if after := renderAnswers(held, 60); after != before {
 		t.Fatalf("held answers changed after eviction:\n%s\nvs\n%s", after, before)
 	}
 }
@@ -254,6 +245,59 @@ func TestHasAndMembersDoNotFault(t *testing.T) {
 	}
 	if s := c.ResidencyStats(); s.Resident != 0 || s.Faults != 0 {
 		t.Fatalf("status inspection faulted documents in: %+v", s)
+	}
+}
+
+// TestReadersTakeNoWriterLock holds the membership mutex, as a writer
+// would, and checks that a search (with cold members' first faults and
+// an eviction) and the membership readers complete without it.
+func TestReadersTakeNoWriterLock(t *testing.T) {
+	corpus := residencyCorpus(t, 2)
+	c := NewCollection()
+	defer c.Close() //nolint:errcheck
+	for _, m := range corpus {
+		if err := c.AddSnapshotFile(m.name, m.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err := LoadString(articlesXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add("pinned", doc); err != nil {
+		t.Fatal(err)
+	}
+	c.SetCache(8)
+	c.SetDocumentCaches(4) // a first fault applies the remembered capacity
+	c.SetResidency(1)
+
+	c.mu.Lock()
+	done := make(chan string)
+	go func() {
+		answers, err := c.Search(MustParseQuery(paperQ1), SearchOptions{K: 5})
+		switch s := c.ResidencyStats(); {
+		case err != nil:
+			done <- err.Error()
+		case len(answers) == 0:
+			done <- "search found nothing"
+		case s.Faults != 2 || s.Evictions != 1:
+			done <- fmt.Sprintf("residency %+v, want 2 faults and 1 eviction", s)
+		case c.Len() != 3 || len(c.Names()) != 3 || len(c.Members()) != 3 || c.Nodes() <= 0:
+			done <- "membership readers disagree"
+		default:
+			done <- ""
+		}
+	}()
+	select {
+	case msg := <-done:
+		c.mu.Unlock()
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(5 * time.Second):
+		c.mu.Unlock()
+		<-done // the reader finishes before Close unmaps its members
+		t.Fatal("a reader waited for the membership mutex")
 	}
 }
 
@@ -316,7 +360,7 @@ func coldSearches(t *testing.T, ref *Collection, cases []coldSearch) []coldSearc
 		if len(want) == 0 {
 			t.Fatalf("%s: reference search found nothing", cases[i].name)
 		}
-		cases[i].want = renderCollectionAnswers(want)
+		cases[i].want = renderAnswers(want, 60)
 	}
 	return cases
 }
@@ -372,7 +416,7 @@ func TestResidencyConcurrentStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					if renderCollectionAnswers(got) != s.want {
+					if renderAnswers(got, 60) != s.want {
 						errs <- fmt.Errorf("worker %d iter %d: %s ranking diverged", w, i, s.name)
 						return
 					}
@@ -475,7 +519,7 @@ func TestTemplatesSurviveEviction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g := renderCollectionAnswers(got); g != s.want {
+			if g := renderAnswers(got, 60); g != s.want {
 				t.Fatalf("round %d %s: ranking differs from in-memory:\n%s\nvs\n%s", r, s.name, g, s.want)
 			}
 		}
@@ -550,7 +594,7 @@ func TestRemoveReplaceReleaseEvictedMember(t *testing.T) {
 	if _, err := c.Search(MustParseQuery(paperQ1), SearchOptions{K: 5, Algorithm: Hybrid, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	_, members := c.snapshot()
+	members := c.members()
 	var evicted []*Document
 	for _, m := range members {
 		if m.doc.Load() != nil {

@@ -55,10 +55,10 @@ type part struct {
 	algo, reason string
 }
 
-// corpus is the membership one search evaluates: a collection's snapshot,
-// or a document searched directly as its only member. Member i has a
-// name (the merge tie-break), a document if decoded (read without a
-// fault), a document to load (faulting it in when cold), and errors to
+// corpus is the membership one search evaluates: a collection's published
+// membership, or a document searched directly as its only member. Member
+// i has a name (the merge tie-break), a document if decoded (read without
+// a fault), a document to load (faulting it in when cold), and errors to
 // attribute to it.
 type corpus interface {
 	size() int

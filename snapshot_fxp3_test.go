@@ -19,22 +19,6 @@ func fxp3Bytes(t *testing.T, doc *Document) []byte {
 	return buf.Bytes()
 }
 
-// sameRanking fails the test unless two rankings agree answer for
-// answer, including scores and relaxation counts.
-func sameRanking(t *testing.T, a, b []Answer) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("answers %d != %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Path != b[i].Path || a[i].ID != b[i].ID ||
-			a[i].Structural != b[i].Structural || a[i].Keyword != b[i].Keyword ||
-			a[i].Relaxations != b[i].Relaxations {
-			t.Errorf("answer %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestFXP3SnapshotRoundTrip(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {
@@ -56,7 +40,9 @@ func TestFXP3SnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRanking(t, a, b)
+	if ra, rb := renderAnswers(a, 0), renderAnswers(b, 0); ra != rb {
+		t.Errorf("rankings differ:\n%s\nvs\n%s", ra, rb)
+	}
 	// Snippets read text through the restored tree's columns.
 	for i := range a {
 		if a[i].Snippet(40) != b[i].Snippet(40) {
@@ -112,7 +98,9 @@ func TestFXP3FileMetaAndAuto(t *testing.T) {
 	q := MustParseQuery(paperQ1)
 	a, _ := doc.Search(q, SearchOptions{K: 3})
 	b, _ := auto.Search(q, SearchOptions{K: 3})
-	sameRanking(t, a, b)
+	if ra, rb := renderAnswers(a, 0), renderAnswers(b, 0); ra != rb {
+		t.Errorf("rankings differ:\n%s\nvs\n%s", ra, rb)
+	}
 
 	// Close is idempotent, and a no-op for documents without a mapping.
 	if err := auto.Close(); err != nil {
