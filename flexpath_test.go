@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -397,6 +398,50 @@ func TestSnippetCentersOnKeywords(t *testing.T) {
 	}
 }
 
+// TestExplainPlan: EXPLAIN marks the variables that only have to exist,
+// and under a type hierarchy it lists the subtypes in one order however
+// the hierarchy map happens to be iterated.
+func TestExplainPlan(t *testing.T) {
+	doc, err := LoadString(articlesXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery(`//article[./section/algorithm]`)
+	out, err := doc.ExplainPlan(context.Background(), q, SearchOptions{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"$1 article  [root scan]\n",
+		"$2 section  child-of #0 ($1)  [exists: semijoin]\n",
+		"$3 algorithm  child-of #1 ($2)  [exists: semijoin]\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("ExplainPlan missing %q:\n%s", want, out)
+		}
+	}
+	h := map[string]string{"article": "work", "report": "work", "thesis": "work", "memo": "work"}
+	var first string
+	for i := 0; i < 50; i++ {
+		fresh, err := LoadString(articlesXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := fresh.ExplainPlan(context.Background(), MustParseQuery(`//work[./section]`), SearchOptions{K: 1, Hierarchy: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out
+			if !strings.Contains(out, "(or subtypes: article, memo, report, thesis)") {
+				t.Fatalf("ExplainPlan does not list the sorted subtypes:\n%s", out)
+			}
+		} else if out != first {
+			t.Fatalf("build %d explains differently:\n%s\nfirst:\n%s", i, out, first)
+		}
+	}
+}
+
 func TestAnalyzePlan(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {
@@ -410,6 +455,24 @@ func TestAnalyzePlan(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("AnalyzePlan output missing %q:\n%s", want, out)
 		}
+	}
+	// At K=1 the exact query suffices, and its algorithm only has to
+	// exist: the description marks it and the trace has no row for it,
+	// while the joined steps report their semijoin-reduced candidates:
+	// three articles contain the keywords, one has a section with an
+	// algorithm and a matching paragraph.
+	out, err = doc.AnalyzePlan(context.Background(), MustParseQuery(paperQ1), SearchOptions{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "$3 algorithm  child-of #1 ($2)  [exists: semijoin]") {
+		t.Errorf("AnalyzePlan does not mark the existential algorithm:\n%s", out)
+	}
+	if strings.Contains(out, "\n$3 algorithm ") {
+		t.Errorf("AnalyzePlan traces a step Run skips:\n%s", out)
+	}
+	if !regexp.MustCompile(`\n\$1 article +1 +1 +1 `).MatchString(out) {
+		t.Errorf("AnalyzePlan: article step does not report the reduced candidate list:\n%s", out)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

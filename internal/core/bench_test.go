@@ -1,0 +1,50 @@
+package core
+
+import (
+	"testing"
+
+	"flexpath/internal/exec"
+)
+
+// exactPlanQueries are the exact queries ROADMAP item 5 timed the plan
+// evaluator on against the two-pass semijoin evaluator: a selective and a
+// common full-text filter under one structural edge, and the paper's XQ2
+// and XQ3.
+var exactPlanQueries = []struct{ name, src string }{
+	{"gold-silver", `//item[./description[.contains("gold silver")]]`},
+	{"xml", `//item[./description[.contains("xml")]]`},
+	{"XQ2", `//item[./description/parlist and ./mailbox/mail/text]`},
+	{"XQ3", `//item[./description/parlist/listitem and ./mailbox/mail/text[./bold and ./keyword and ./emph] and ./name and ./incategory]`},
+}
+
+// BenchmarkExactPlanRun times one exact evaluation per op on a 4 MB
+// XMark document (seed 42): two-pass is the test oracle's
+// Evaluator.Evaluate, plan is what DPO runs per relaxation level, a fresh
+// ExactPlanAt(0) (so leaf evaluation and the semijoin reduction are paid
+// every op) and an exhaustive exec.Run. Both must find the same answers.
+func BenchmarkExactPlanRun(b *testing.B) {
+	f := xmarkFixture(b, 4<<20, 42)
+	for _, eq := range exactPlanQueries {
+		c := f.chain(b, eq.src)
+		want := len(f.ev.Evaluate(c.Original))
+		b.Run(eq.name+"/two-pass", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := len(f.ev.Evaluate(c.Original)); got != want {
+					b.Fatalf("%d answers, want %d", got, want)
+				}
+			}
+		})
+		b.Run(eq.name+"/plan", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				plan, err := c.ExactPlanAt(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := len(exec.Run(plan, exec.Options{})); got != want {
+					b.Fatalf("%d answers, want %d", got, want)
+				}
+			}
+		})
+	}
+}

@@ -8,8 +8,11 @@ import (
 // Explain renders the plan as an indented description of its join
 // pipeline, in the spirit of the paper's Figure 8 join plans: one line per
 // variable with its scope predicate, required checks, bonus (relaxed)
-// predicates and contains predicates.
+// predicates and contains predicates. A variable that only has to exist
+// is marked [exists: semijoin]: the reduction of its anchor's candidate
+// list guarantees it a match, and Run never joins it.
 func (p *Plan) Explain() string {
+	skip := p.existential()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan: %d vars (%d required), base=%.3f dropped=%.3f\n",
 		len(p.Vars), p.FirstOptional, p.Base, p.DroppedPenalty)
@@ -32,6 +35,9 @@ func (p *Plan) Explain() string {
 			fmt.Fprintf(&sb, "  descendant-of #%d ($%d)", v.Anchor, p.Vars[v.Anchor].VarID)
 		case RelOptional:
 			fmt.Fprintf(&sb, "  OPTIONAL under #%d ($%d)", v.Anchor, p.Vars[v.Anchor].VarID)
+		}
+		if skip[i] {
+			sb.WriteString("  [exists: semijoin]")
 		}
 		sb.WriteByte('\n')
 		for _, vp := range v.Values {

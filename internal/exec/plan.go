@@ -98,29 +98,112 @@ type Plan struct {
 	// variables from it onward are optional.
 	FirstOptional int
 
-	// leafOnce/leafLists memoize the per-variable candidate lists. A plan
-	// shared across searches by the plan-template cache pays leaf
-	// evaluation once; later runs of the same plan reuse the lists. The
-	// memo is sound because a plan is immutable once built, the document
-	// is immutable, and Run never mutates the lists (joins only read
-	// them). Plans must not be copied by value once used.
+	// leafOnce/leafLists memoize the per-variable candidate lists, already
+	// semijoin-reduced (see Plan.leaves), and skip marks the existential
+	// variables Run never joins. A plan shared across searches by the
+	// plan-template cache pays leaf evaluation and reduction once; later
+	// runs of the same plan reuse the lists. The memo is sound because a
+	// plan is immutable once built, the document is immutable, and Run
+	// never mutates the lists (joins only read them). Plans must not be
+	// copied by value once used.
 	leafOnce  sync.Once
 	leafLists [][]xmltree.NodeID
+	skip      []bool
 }
 
 // leaves returns the memoized per-variable candidate lists, evaluating
 // them on first use (the evaluateLeaf of the paper's Hybrid pseudo-code:
 // the sorted nodes satisfying each variable's tag, value and required
 // contains predicates).
+//
+// The required variables' lists are then reduced bottom-up, last to
+// first: each anchor keeps only the nodes with a child (RelParent) or a
+// descendant (RelAncestor) in its dependent's list. Required anchors form
+// a tree and every anchor precedes its dependents, so afterwards every
+// node left in a required list roots a complete match of the required
+// sub-pattern below it, and the join builds no tuple that dies for want
+// of a required binding further down. No top-down pass is needed:
+// candidatesFor already scopes each candidate to its bound anchor.
+// Checks are ignored, so the reduced lists are supersets of what
+// complete tuples use and a tuple failing a check still dies in the join.
+// Exclude is not applied here: it changes per DPO level, and the lists
+// are per plan.
+//
+// The lists of existential variables (Plan.existential) are dropped after
+// the reduction has used them: Run never joins those variables.
 func (p *Plan) leaves() [][]xmltree.NodeID {
 	p.leafOnce.Do(func() {
 		ls := make([][]xmltree.NodeID, len(p.Vars))
 		for vi := range p.Vars {
 			ls[vi] = evaluateLeaf(p.Doc, &p.Vars[vi])
 		}
+		for vi := p.FirstOptional - 1; vi > 0; vi-- {
+			v := &p.Vars[vi]
+			var reduced []xmltree.NodeID
+			switch v.Rel {
+			case RelParent:
+				reduced = SemiJoinHasChild(p.Doc, ls[v.Anchor], ls[vi])
+			case RelAncestor:
+				reduced = SemiJoinHasDescendant(p.Doc, ls[v.Anchor], ls[vi])
+			default:
+				continue
+			}
+			// A reduction that removes nothing keeps the original list,
+			// which may be the document's own tag column: the memo then
+			// holds no copy.
+			if len(reduced) < len(ls[v.Anchor]) {
+				ls[v.Anchor] = reduced
+			}
+		}
+		p.skip = p.existential()
+		for vi, s := range p.skip {
+			if s {
+				ls[vi] = nil
+			}
+		}
 		p.leafLists = ls
 	})
 	return p.leafLists
+}
+
+// existential reports, per variable, whether it only has to exist: a
+// required variable none of whose anchor subtree (itself included) is the
+// distinguished variable, carries checks, bonus or contains predicates,
+// is referred to by another variable's bonus or check, or anchors an
+// optional variable. Once the bound anchor's list is reduced (see
+// leaves), the anchor alone guarantees such a subtree a match, and the
+// subtree adds nothing to a tuple's score or signature; Run skips its
+// join steps. Every binding it would enumerate yields a duplicate of the
+// same tuple, and Run keeps the best tuple per distinguished node anyway.
+func (p *Plan) existential() []bool {
+	nv := len(p.Vars)
+	keep := make([]bool, nv)
+	keep[p.DistVar] = true
+	for vi := range p.Vars {
+		v := &p.Vars[vi]
+		if vi >= p.FirstOptional || v.Anchor < 0 ||
+			len(v.Checks) > 0 || len(v.Bonus) > 0 || len(v.Contains) > 0 {
+			keep[vi] = true
+		}
+		for _, b := range v.Bonus {
+			keep[b.Other] = true
+		}
+		for _, c := range v.Checks {
+			keep[c.Other] = true
+		}
+	}
+	// A kept variable keeps its anchor chain; anchors precede dependents,
+	// so one backward pass propagates it.
+	for vi := nv - 1; vi > 0; vi-- {
+		if a := p.Vars[vi].Anchor; keep[vi] && a >= 0 {
+			keep[a] = true
+		}
+	}
+	skip := make([]bool, nv)
+	for vi := range skip {
+		skip[vi] = !keep[vi]
+	}
+	return skip
 }
 
 // Mode selects the intermediate-result organization, the axis along which
@@ -313,9 +396,18 @@ func Run(p *Plan, opts Options) []Answer {
 		return nil
 	}
 	leaves := p.leaves()
+	// Every required variable is bound once the last one Run joins is:
+	// the skipped ones after it are guaranteed by the reduced lists.
+	lastRequired := p.FirstOptional - 1
+	for lastRequired > 0 && p.skip[lastRequired] {
+		lastRequired--
+	}
 
 	tuples := []tuple{{bind: unboundBindings(nv)}}
 	for vi := 0; vi < nv; vi++ {
+		if p.skip[vi] {
+			continue
+		}
 		v := &p.Vars[vi]
 		bestOnly := v.Rel == RelOptional && !refLater[vi]
 		st.JoinSteps++
@@ -406,7 +498,7 @@ func Run(p *Plan, opts Options) []Answer {
 		// tuple is guaranteed to complete into an answer, so the K-th best
 		// current score over distinct distinguished nodes is a valid lower
 		// bound for the final top-K cut-off.
-		pruneActive := opts.K > 0 && vi+1 >= p.FirstOptional && vi+1 < nv
+		pruneActive := opts.K > 0 && vi >= lastRequired && vi+1 < nv
 		if pruneActive {
 			threshold, ok := kthBest(tuples, p.DistVar, opts.K, total)
 			if ok {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,9 +9,10 @@ import (
 	"flexpath/internal/xmltree"
 )
 
-// buildOptionalPlan assembles a small plan with optional variables and
-// bonuses directly (avoiding an import cycle with internal/core).
-func buildOptionalPlan(t *testing.T) *Plan {
+// bookDoc is 120 books of one chapter each. The chapter of book i holds a
+// "gold" para unless i is a multiple of 3, and a "silver" note when i is
+// even.
+func bookDoc(t *testing.T) *xmltree.Document {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("<lib>")
@@ -29,6 +31,14 @@ func buildOptionalPlan(t *testing.T) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return doc
+}
+
+// buildOptionalPlan assembles a small plan with optional variables and
+// bonuses directly (avoiding an import cycle with internal/core).
+func buildOptionalPlan(t *testing.T) *Plan {
+	t.Helper()
+	doc := bookDoc(t)
 	ix := ir.NewIndex(doc)
 	plan := &Plan{
 		Doc: doc,
@@ -67,5 +77,63 @@ func TestRunScores(t *testing.T) {
 	last := answers[len(answers)-1]
 	if last.Score.SS != 3-1.25 {
 		t.Errorf("bottom score %f, want %f", last.Score.SS, 3-1.25)
+	}
+}
+
+// TestRunSkipsExistential: the semijoin reduction narrows each required
+// anchor to the nodes with a match below it, and a required variable that
+// only has to exist is never joined and keeps no list. A check or a
+// contains predicate anywhere in a subtree keeps the whole anchor chain
+// above it joined.
+func TestRunSkipsExistential(t *testing.T) {
+	doc := bookDoc(t)
+	gold := ir.NewIndex(doc).Eval(ir.MustParseExpr("gold"))
+	book := VarSpec{VarID: 1, Tag: "book", Rel: RelRoot}
+	chapter := VarSpec{VarID: 2, Tag: "chapter", Rel: RelParent, Anchor: 0}
+	para := VarSpec{VarID: 3, Tag: "para", Rel: RelParent, Anchor: 1}
+	goldPara := para
+	goldPara.Contains = []ContainsSpec{{Res: gold, Required: true, Weight: 1}}
+	// A note that must be a child of the bound chapter, scoped only by the
+	// book: the check refers to the chapter.
+	note := VarSpec{VarID: 4, Tag: "note", Rel: RelAncestor, Anchor: 0,
+		Checks: []StructCheck{{Other: 1, Parent: true}}}
+	for _, c := range []struct {
+		name    string
+		vars    []VarSpec
+		answers int
+		steps   []string // joined steps, in order
+		cands   []int    // their reduced candidate counts
+	}{
+		{"existential chain", []VarSpec{book, chapter, para}, 80,
+			[]string{"$1 book"}, []int{80}},
+		{"contains keeps the chain", []VarSpec{book, chapter, goldPara}, 80,
+			[]string{"$1 book", "$2 chapter", "$3 para"}, []int{80, 80, 80}},
+		{"check keeps its target", []VarSpec{book, chapter, para, note}, 40,
+			[]string{"$1 book", "$2 chapter", "$4 note"}, []int{40, 80, 60}},
+	} {
+		plan := &Plan{Doc: doc, Vars: c.vars, Base: 2, FirstOptional: len(c.vars)}
+		var trace []StepTrace
+		if got := len(Run(plan, Options{Trace: &trace})); got != c.answers {
+			t.Errorf("%s: %d answers, want %d", c.name, got, c.answers)
+		}
+		var steps []string
+		var cands []int
+		for _, st := range trace {
+			steps = append(steps, st.Var)
+			cands = append(cands, st.Candidates)
+		}
+		if !slices.Equal(steps, c.steps) || !slices.Equal(cands, c.cands) {
+			t.Errorf("%s: joined %v with candidates %v, want %v with %v", c.name, steps, cands, c.steps, c.cands)
+		}
+		joined := map[string]bool{}
+		for _, s := range steps {
+			joined[s] = true
+		}
+		for vi, l := range plan.leaves() {
+			v := &plan.Vars[vi]
+			if name := "$" + itoa(v.VarID) + " " + v.Tag; !joined[name] && l != nil {
+				t.Errorf("%s: skipped %s keeps a %d-node list", c.name, name, len(l))
+			}
+		}
 	}
 }

@@ -319,7 +319,9 @@ func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 
 // Analyze runs the plan SSO/Hybrid would execute and returns both the
 // plan description and a per-join-step execution trace (EXPLAIN
-// ANALYZE).
+// ANALYZE). The trace has one row per joined step, whose candidates are
+// the variable's semijoin-reduced list; a variable that only has to exist
+// is never joined, and the description marks it [exists: semijoin].
 func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
 	opts.ensureTemplate(chain)
 	m := opts.metrics()
@@ -338,6 +340,7 @@ func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "relaxations encoded: %d of %d; answers: %d\n", j, chain.Len(), len(answers))
+	sb.WriteString(plan.Explain())
 	fmt.Fprintf(&sb, "%-24s %10s %10s %10s %8s %8s\n",
 		"step", "candidates", "tuples-in", "tuples-out", "pruned", "buckets")
 	for _, t := range traces {

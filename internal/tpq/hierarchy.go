@@ -1,5 +1,7 @@
 package tpq
 
+import "slices"
+
 // Hierarchy is a type hierarchy over element tags (§3.4 of the paper):
 // each tag may name one supertype, e.g. article -> publication. A query
 // node constrained to a tag t matches elements whose tag is t or any
@@ -14,7 +16,9 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds a hierarchy from tag -> supertype pairs. Cycles are
-// rejected by Validate; construction itself accepts any map.
+// rejected by Validate; construction itself accepts any map. Each tag's
+// direct subtypes are kept sorted, so Subtypes does not depend on the
+// map's iteration order.
 func NewHierarchy(super map[string]string) *Hierarchy {
 	h := &Hierarchy{
 		super: make(map[string]string, len(super)),
@@ -23,6 +27,9 @@ func NewHierarchy(super map[string]string) *Hierarchy {
 	for t, s := range super {
 		h.super[t] = s
 		h.subs[s] = append(h.subs[s], t)
+	}
+	for _, subs := range h.subs {
+		slices.Sort(subs)
 	}
 	return h
 }
