@@ -1,12 +1,23 @@
 package flexpath
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// ruleAlgorithm is what Auto must run for paperQ1, which has a contains
+// predicate: Hybrid under keyword-first, DPO otherwise.
+func ruleAlgorithm(s Scheme) Algorithm {
+	if s == KeywordFirst {
+		return Hybrid
+	}
+	return DPO
+}
 
 // TestAutoMatchesFixedAlgorithms: for every scheme and K, the default
-// (Auto) ranking must be identical to the ranking of the algorithm the
-// planner dispatched to (named in Metrics.Algorithm) when that same
-// algorithm is requested explicitly — the planner picks a strategy, it
-// never alters what the strategy returns.
+// (Auto) search runs the rule's algorithm, names it in Metrics.Algorithm,
+// and returns exactly the ranking that algorithm returns when requested
+// explicitly.
 func TestAutoMatchesFixedAlgorithms(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {
@@ -14,6 +25,7 @@ func TestAutoMatchesFixedAlgorithms(t *testing.T) {
 	}
 	q := MustParseQuery(paperQ1)
 	for _, scheme := range []Scheme{StructureFirst, KeywordFirst, Combined} {
+		algo := ruleAlgorithm(scheme)
 		for _, k := range []int{1, 3, 10} {
 			var m Metrics
 			auto, err := doc.Search(q, SearchOptions{
@@ -22,9 +34,8 @@ func TestAutoMatchesFixedAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			algo, err := ParseAlgorithm(m.Algorithm)
-			if err != nil {
-				t.Fatalf("%v k=%d: unparsable chosen algorithm %q", scheme, k, m.Algorithm)
+			if m.Algorithm != algo.String() {
+				t.Fatalf("%v k=%d: Auto ran %q, want %v", scheme, k, m.Algorithm, algo)
 			}
 			fixed, err := doc.Search(q, SearchOptions{
 				K: k, Scheme: scheme, Algorithm: algo, NoCache: true,
@@ -33,36 +44,40 @@ func TestAutoMatchesFixedAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got, want := renderAnswers(auto, 0), renderAnswers(fixed, 0); got != want {
-				t.Errorf("%v k=%d: Auto differs from chosen %v:\n%s\nvs\n%s",
+				t.Errorf("%v k=%d: Auto differs from %v:\n%s\nvs\n%s",
 					scheme, k, algo, got, want)
 			}
 		}
 	}
 }
 
-// TestAutoMetricsNameAlgorithm: Auto searches must report which
-// algorithm ran and why; fixed-algorithm searches name themselves with
-// no reason.
+// TestAutoMetricsNameAlgorithm: Auto searches report the algorithm that
+// ran and the rule's branch that chose it; fixed-algorithm searches name
+// themselves with no reason.
 func TestAutoMetricsNameAlgorithm(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := MustParseQuery(paperQ1)
+	for _, tc := range []struct {
+		src          string
+		scheme       Scheme
+		algo, reason string
+	}{
+		{paperQ1, StructureFirst, "DPO", "not keyword-first with contains"},
+		{paperQ1, KeywordFirst, "Hybrid", "keyword-first with contains"},
+		{`//article[./section/algorithm]`, KeywordFirst, "DPO", "not keyword-first with contains"},
+	} {
+		var m Metrics
+		if _, err := doc.Search(MustParseQuery(tc.src), SearchOptions{K: 3, Scheme: tc.scheme, Metrics: &m}); err != nil {
+			t.Fatal(err)
+		}
+		if m.Algorithm != tc.algo || m.AlgoReason != tc.reason {
+			t.Errorf("%s %v: Auto reported %q / %q, want %q / %q", tc.src, tc.scheme, m.Algorithm, m.AlgoReason, tc.algo, tc.reason)
+		}
+	}
 	var m Metrics
-	if _, err := doc.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
-		t.Fatal(err)
-	}
-	switch m.Algorithm {
-	case "DPO", "SSO", "Hybrid":
-	default:
-		t.Errorf("Auto reported algorithm %q", m.Algorithm)
-	}
-	if m.AlgoReason == "" {
-		t.Error("Auto reported no reason")
-	}
-	m = Metrics{}
-	if _, err := doc.Search(q, SearchOptions{K: 3, Algorithm: SSO, Metrics: &m}); err != nil {
+	if _, err := doc.Search(MustParseQuery(paperQ1), SearchOptions{K: 3, Algorithm: SSO, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Algorithm != "SSO" || m.AlgoReason != "" {
@@ -70,37 +85,74 @@ func TestAutoMetricsNameAlgorithm(t *testing.T) {
 	}
 }
 
-// TestPlannerStatsAccumulate: the document's planner state must reflect
-// Auto searches — one choice and one observation per run — and ignore
-// fixed-algorithm searches.
-func TestPlannerStatsAccumulate(t *testing.T) {
-	doc, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
+// TestAutoHistoryFree: Auto's choice for one query and scheme depends on
+// nothing else. It is DPO on a fresh document, after 50 searches of other
+// queries, on every member of a collection and after a Replace, and each
+// time the ranking is byte-identical to DPO's.
+func TestAutoHistoryFree(t *testing.T) {
+	q := MustParseQuery(`//item[./description/parlist]`)
+	check := func(what string, search func(Algorithm, *Metrics) (string, error)) {
+		t.Helper()
+		var m Metrics
+		auto, err := search(Auto, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Algorithm != "DPO" {
+			t.Errorf("%s: Auto ran %q, want DPO", what, m.Algorithm)
+		}
+		fixed, err := search(DPO, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auto != fixed {
+			t.Errorf("%s: Auto ranking differs from DPO's:\n%s\nvs\n%s", what, auto, fixed)
+		}
 	}
-	q := MustParseQuery(paperQ1)
-	for i := 0; i < 4; i++ {
-		if _, err := doc.Search(q, SearchOptions{K: 3, NoCache: true}); err != nil {
+	onDoc := func(d *Document) func(Algorithm, *Metrics) (string, error) {
+		return func(a Algorithm, m *Metrics) (string, error) {
+			answers, err := d.Search(q, SearchOptions{K: 10, Algorithm: a, Metrics: m, NoCache: true})
+			return renderAnswers(answers, 0), err
+		}
+	}
+
+	c := NewCollection()
+	for i := 0; i < 3; i++ {
+		if err := c.Add(fmt.Sprintf("m%d.xml", i), xmarkDoc(t, 64, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := doc.Search(q, SearchOptions{K: 3, Algorithm: DPO, NoCache: true}); err != nil {
+	onColl := func(a Algorithm, m *Metrics) (string, error) {
+		answers, err := c.Search(q, SearchOptions{K: 10, Algorithm: a, Metrics: m, NoCache: true})
+		return renderAnswers(answers, 0), err
+	}
+	d, _ := c.Document("m0.xml")
+	check("fresh document", onDoc(d))
+
+	others := []string{
+		`//item[./description/parlist and ./mailbox/mail/text]`,
+		`//item[./description[.contains("gold")] and ./name]`,
+		`//item[./mailbox/mail/text[./bold and ./keyword]]`,
+	}
+	for i := 0; i < 50; i++ {
+		o := SearchOptions{K: 5 + 50*(i%3), Scheme: Scheme(i % 3), NoCache: true}
+		if _, err := c.Search(MustParseQuery(others[i%len(others)]), o); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Search(MustParseQuery(others[(i+1)%len(others)]), o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("document after 50 other searches", onDoc(d))
+	check("collection after 50 other searches", onColl)
+	for _, name := range c.Names() {
+		m, _ := c.Document(name)
+		check("member "+name, onDoc(m))
+	}
+	if err := c.Replace("m1.xml", xmarkDoc(t, 64, 4)); err != nil {
 		t.Fatal(err)
 	}
-	s := doc.PlannerStats()
-	if s.Observations != 4 {
-		t.Errorf("observations = %d, want 4", s.Observations)
-	}
-	total := uint64(0)
-	for _, n := range s.Choices {
-		total += n
-	}
-	if total != 4 {
-		t.Errorf("choices = %v, want 4 total", s.Choices)
-	}
-	if len(s.NsPerUnit) == 0 {
-		t.Error("no calibration state after observed runs")
-	}
+	check("collection after Replace", onColl)
 }
 
 // TestCacheHitNamesProducingAlgorithm: a cache hit reports the
@@ -130,10 +182,8 @@ func TestCacheHitNamesProducingAlgorithm(t *testing.T) {
 
 // TestCollectionCacheHitNamesProducingAlgorithm: a collection cache hit,
 // like a document one, names the algorithm that produced the cached
-// ranking, even when the search that filled the entry asked for no
-// metrics; its work counters are zero. Under Auto the members share one
-// calibration, so they may choose differently: the hit then names
-// "mixed", as the search that filled the entry did.
+// ranking (under Auto, the rule's, with its reason), even when the search
+// that filled the entry asked for no metrics; its work counters are zero.
 func TestCollectionCacheHitNamesProducingAlgorithm(t *testing.T) {
 	c := NewCollection()
 	for _, name := range []string{"a.xml", "b.xml"} {
@@ -147,22 +197,25 @@ func TestCollectionCacheHitNamesProducingAlgorithm(t *testing.T) {
 	}
 	c.SetCache(8)
 	q := MustParseQuery(paperQ1)
-	for _, algo := range []Algorithm{Auto, SSO} {
-		if _, err := c.Search(q, SearchOptions{K: 3, Algorithm: algo}); err != nil {
+	for _, tc := range []struct {
+		algo         Algorithm
+		name, reason string
+	}{
+		{Auto, "DPO", "not keyword-first with contains"},
+		{SSO, "SSO", ""},
+	} {
+		if _, err := c.Search(q, SearchOptions{K: 3, Algorithm: tc.algo}); err != nil {
 			t.Fatal(err)
 		}
 		var warm Metrics
-		if _, err := c.Search(q, SearchOptions{K: 3, Algorithm: algo, Metrics: &warm}); err != nil {
+		if _, err := c.Search(q, SearchOptions{K: 3, Algorithm: tc.algo, Metrics: &warm}); err != nil {
 			t.Fatal(err)
 		}
-		switch want := mergedChoice(c.PlannerStats()); {
-		case algo == SSO && (warm.Algorithm != "SSO" || warm.AlgoReason != ""):
-			t.Errorf("SSO cache hit reported %q / %q", warm.Algorithm, warm.AlgoReason)
-		case algo == Auto && (warm.Algorithm != want || (want != "mixed") != (warm.AlgoReason != "")):
-			t.Errorf("Auto cache hit reported %q / %q, want %q and the planner's reason", warm.Algorithm, warm.AlgoReason, want)
+		if warm.Algorithm != tc.name || warm.AlgoReason != tc.reason {
+			t.Errorf("%v cache hit reported %q / %q, want %q / %q", tc.algo, warm.Algorithm, warm.AlgoReason, tc.name, tc.reason)
 		}
 		if warm.QueriesEvaluated != 0 || warm.PlansRun != 0 {
-			t.Errorf("%v cache hit reported work: %+v", algo, warm)
+			t.Errorf("%v cache hit reported work: %+v", tc.algo, warm)
 		}
 	}
 	if s, _ := c.CacheStats(); s.Hits != 2 {
@@ -170,49 +223,22 @@ func TestCollectionCacheHitNamesProducingAlgorithm(t *testing.T) {
 	}
 }
 
-// mergedChoice is the algorithm name merged metrics report for the
-// planner's choices so far: the one algorithm chosen, or "mixed".
-func mergedChoice(s PlannerStats) string {
-	if len(s.Choices) != 1 {
-		return "mixed"
-	}
-	for a := range s.Choices {
-		return a
-	}
-	return ""
-}
-
-// TestCollectionPlannerStats: one calibration counts every member's
-// choice and observation, and merged metrics name the common algorithm
-// when the members agree and "mixed" when they do not.
-func TestCollectionPlannerStats(t *testing.T) {
-	c := NewCollection()
-	for _, name := range []string{"a.xml", "b.xml"} {
-		doc, err := LoadString(articlesXML)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Add(name, doc); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestCollectionAutoOneAlgorithm: an Auto collection search runs the
+// rule's algorithm on every member, so its merged metrics name that
+// algorithm under every scheme and count every member's work.
+func TestCollectionAutoOneAlgorithm(t *testing.T) {
+	c := pagingCollection(t)
 	q := MustParseQuery(paperQ1)
-	var m Metrics
-	if _, err := c.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
-		t.Fatal(err)
-	}
-	s := c.PlannerStats()
-	if want := mergedChoice(s); m.Algorithm != want {
-		t.Errorf("merged metrics named %q for choices %v, want %q", m.Algorithm, s.Choices, want)
-	}
-	if s.Observations != 2 {
-		t.Errorf("observations = %d, want 2 (one per document)", s.Observations)
-	}
-	total := uint64(0)
-	for _, n := range s.Choices {
-		total += n
-	}
-	if total != 2 {
-		t.Errorf("choices = %v, want 2 total", s.Choices)
+	for _, scheme := range []Scheme{StructureFirst, KeywordFirst, Combined} {
+		var m Metrics
+		if _, err := c.Search(q, SearchOptions{K: 3, Scheme: scheme, Metrics: &m}); err != nil {
+			t.Fatal(err)
+		}
+		if want := ruleAlgorithm(scheme).String(); m.Algorithm != want {
+			t.Errorf("%v: merged metrics named %q, want %q", scheme, m.Algorithm, want)
+		}
+		if n := m.QueriesEvaluated + m.PlansRun; n < c.Len() {
+			t.Errorf("%v: %d evaluations over %d members", scheme, n, c.Len())
+		}
 	}
 }

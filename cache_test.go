@@ -272,13 +272,13 @@ func TestCacheHitZeroesMetrics(t *testing.T) {
 	if _, err := doc.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
-	if m.PlansRun == 0 {
-		t.Fatal("cold run reported no plans")
+	if m.QueriesEvaluated == 0 {
+		t.Fatal("cold run reported no work")
 	}
 	if _, err := doc.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
-	if m.PlansRun != 0 {
+	if m.QueriesEvaluated != 0 || m.PlansRun != 0 {
 		t.Errorf("cache hit reported work: %+v", m)
 	}
 }
@@ -346,7 +346,8 @@ func TestCollectionCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	c := testCollection(t)
 	c.SetCache(16)
 	q := MustParseQuery(paperQ1)
-	opts := SearchOptions{K: 3}
+	// Pinned: only the plan-based algorithms fill Relaxed.
+	opts := SearchOptions{K: 3, Algorithm: Hybrid}
 	first, err := c.Search(q, opts) // miss, populates
 	if err != nil {
 		t.Fatal(err)

@@ -50,6 +50,7 @@ func TestFigureRunners(t *testing.T) {
 	h.fig13()
 	h.fig17()
 	h.fig18()
+	h.figAuto()
 }
 
 // TestJSONCapture checks the -json sidecar: rows are captured against the

@@ -61,7 +61,7 @@ func main() {
 	docPath := flag.String("doc", "", "XML document to query (required)")
 	queryStr := flag.String("query", "", "tree pattern query")
 	k := flag.Int("k", 10, "number of answers")
-	algoStr := flag.String("algo", "auto", "algorithm: auto (cost-based), dpo, sso, or hybrid")
+	algoStr := flag.String("algo", "auto", "algorithm: auto (DPO, or Hybrid for a keyword-first contains query), dpo, sso, or hybrid")
 	schemeStr := flag.String("scheme", "structure-first", "ranking scheme: structure-first, keyword-first, combined")
 	explain := flag.Bool("explain", false, "print the relaxation chain instead of searching")
 	plan := flag.Bool("plan", false, "print the evaluation plan instead of searching")
@@ -208,7 +208,7 @@ func (s *session) printJSON(answers []flexpath.Answer, elapsed time.Duration, m 
 		Scheme:    s.scheme.String(),
 	}
 	if s.algo == flexpath.Auto && m.Algorithm != "" {
-		// Name the algorithm the planner actually dispatched to.
+		// Name the algorithm Auto ran.
 		res.Algorithm = m.Algorithm
 	}
 	if s.metrics {

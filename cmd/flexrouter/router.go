@@ -188,17 +188,10 @@ func (rt *router) search(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		shardsOK++
-		// Like Collection.Search merging member documents: when every
-		// shard reports the same algorithm the router names it,
-		// otherwise "mixed".
-		if res.resp.Algo != "" {
-			switch algo {
-			case "":
-				algo, algoReason = res.resp.Algo, res.resp.AlgoReason
-			case res.resp.Algo:
-			default:
-				algo, algoReason = "mixed", ""
-			}
+		// Every shard resolves Auto by the same rule over the same query
+		// and scheme, so any shard names the algorithm that ran.
+		if algo == "" {
+			algo, algoReason = res.resp.Algo, res.resp.AlgoReason
 		}
 		for j, a := range res.resp.Answers {
 			items = append(items, mergeItem{a: a, key: merge.Key{

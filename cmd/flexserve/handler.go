@@ -13,6 +13,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,6 +37,10 @@ type serverMetrics struct {
 	bulkRejected atomic.Uint64
 	bulkApplied  atomic.Uint64
 	bulkFailed   atomic.Uint64
+	// choices counts successful Auto searches by the algorithm that ran
+	// (flexpath_planner_choices_total), under choicesMu.
+	choicesMu sync.Mutex
+	choices   map[string]uint64
 }
 
 // handler serves the JSON API over a collection.
@@ -231,6 +236,14 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 		serveutil.WriteJSON(w, status, serveutil.ErrorBody{Error: err.Error()})
 		return
 	}
+	if opts.Algorithm == flexpath.Auto {
+		h.srv.choicesMu.Lock()
+		if h.srv.choices == nil {
+			h.srv.choices = map[string]uint64{}
+		}
+		h.srv.choices[m.Algorithm]++
+		h.srv.choicesMu.Unlock()
+	}
 	serveutil.WriteJSON(w, http.StatusOK, serveutil.SearchResponse{
 		Query:      q.String(),
 		Algo:       m.Algorithm,
@@ -334,9 +347,6 @@ type statsResponse struct {
 	// FTCache sums the per-document full-text result caches (evaluated
 	// contains expressions; bounded per index).
 	FTCache flexpath.CacheStats `json:"ft_cache"`
-	// Planner is the collection's one calibration of the cost-based
-	// planner behind the Auto algorithm, shared by every member.
-	Planner flexpath.PlannerStats `json:"planner"`
 	// Residency reports the mmap-backed serving state (resident vs
 	// cold snapshot-backed documents, faults, evictions). Omitted when
 	// no member is snapshot-backed and no residency cap is set.
@@ -365,7 +375,6 @@ func (h *handler) stats(w http.ResponseWriter, _ *http.Request) {
 		resp.PlanCache = &ps
 	}
 	resp.FTCache = h.coll.FullTextCacheStats()
-	resp.Planner = h.coll.PlannerStats()
 	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -412,19 +421,11 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteFamily(w, "flexpath_plancache_capacity", "gauge",
 		"Effective plan-template capacity summed across all documents.", obs.Sample{Value: pcs.Capacity})
 
-	ps := h.coll.PlannerStats()
+	h.srv.choicesMu.Lock()
+	choices := labelled("algo", h.srv.choices)
+	h.srv.choicesMu.Unlock()
 	obs.WriteFamily(w, "flexpath_planner_choices_total", "counter",
-		"Auto-mode dispatches by chosen algorithm.", labelled("algo", ps.Choices)...)
-	obs.WriteFamily(w, "flexpath_planner_reasons_total", "counter",
-		"Auto-mode decisions by reason.", labelled("reason", ps.Reasons)...)
-	obs.WriteFamily(w, "flexpath_planner_ns_per_unit", "gauge",
-		"Calibrated nanoseconds per predicted work unit.", labelled("algo", ps.NsPerUnit)...)
-	obs.WriteFamily(w, "flexpath_planner_calibration_error", "gauge",
-		"Mean absolute log-ratio of actual to predicted run time (0 = exact).", labelled("algo", ps.CalibrationError)...)
-	obs.WriteFamily(w, "flexpath_planner_restart_rate", "gauge",
-		"EWMA of restarts per plan-based Auto run (feeds the DPO demotion guard).", obs.Sample{Value: ps.RestartRate})
-	obs.WriteFamily(w, "flexpath_planner_observations_total", "counter",
-		"Auto runs that fed the planner's calibrator.", obs.Sample{Value: ps.Observations})
+		"Auto searches by the algorithm that ran.", choices...)
 
 	obs.WriteFamily(w, "flexpath_server_inflight_requests", "gauge",
 		"Query requests admitted and currently executing.", obs.Sample{Value: h.srv.inFlight.Load()})

@@ -21,8 +21,8 @@ import (
 // chains (penalties are per-document properties: the same query may relax
 // differently over differently-shaped documents); a collection search
 // merges the per-document rankings into one global top-K. The collection
-// is the searcher: it owns the result cache and the Auto planner's
-// calibration for every member (see search.go).
+// is the searcher: it owns the result cache for every member (see
+// search.go).
 //
 // A Collection is a live corpus: Add, Replace, Upsert, Remove and
 // RemoveIfPresent may run concurrently with searches and with each other.
@@ -484,23 +484,6 @@ func (m *Metrics) add(o Metrics) {
 	m.TuplesPruned += o.TuplesPruned
 	m.SortedTuples += o.SortedTuples
 	m.Buckets += o.Buckets
-	// Each member's Auto choice is its own: when they agree the merged
-	// metrics name the common algorithm, otherwise "mixed".
-	if o.Algorithm != "" {
-		switch m.Algorithm {
-		case "":
-			m.Algorithm, m.AlgoReason = o.Algorithm, o.AlgoReason
-		case o.Algorithm:
-		default:
-			m.Algorithm, m.AlgoReason = "mixed", ""
-		}
-	}
-}
-
-// PlannerStats reports the planner state of the collection's searches:
-// one calibration, shared by every member's Auto choice.
-func (c *Collection) PlannerStats() PlannerStats {
-	return PlannerStats(c.cal.Snapshot())
 }
 
 // LoadCollectionFiles builds a collection from XML files.

@@ -49,11 +49,13 @@ import (
 type Algorithm int
 
 const (
-	// Auto is the default: a cost-based planner predicts the evaluation
-	// cost of DPO, SSO and Hybrid for each query and dispatches to the
-	// winner, calibrating its model from observed run times. The answers
-	// are identical to any fixed choice; Metrics.Algorithm reports which
-	// algorithm ran, and PlannerStats exposes the planner's state.
+	// Auto is the default. It runs Hybrid when the scheme is KeywordFirst
+	// and the query has a contains predicate, and DPO otherwise. The
+	// choice depends on nothing but the query and the scheme, so every
+	// collection member and every repeat of a search runs the same
+	// algorithm, and the ranking is exactly that algorithm's (under DPO
+	// answers carry no Relaxed detail). Metrics.Algorithm reports which
+	// algorithm ran.
 	Auto Algorithm = iota
 	// Hybrid is SSO's single-plan evaluation with bucketized (never
 	// resorted) intermediate answers.
@@ -397,20 +399,19 @@ type Metrics struct {
 	TuplesPruned       int
 	SortedTuples       int
 	Buckets            int
-	// Algorithm names the algorithm that evaluated the search — under
-	// Auto, the planner's per-query choice; otherwise the requested
-	// algorithm. Collection searches whose member documents chose
-	// differently report "mixed". Cache hits report the algorithm that
-	// produced the cached result.
+	// Algorithm names the algorithm that evaluated the search: under
+	// Auto the one the rule chose, which every member of a collection
+	// runs; otherwise the requested algorithm. Cache hits report it too.
 	Algorithm string
-	// AlgoReason explains an Auto choice (the planner's predicted level,
-	// costs and reason key); empty for fixed algorithms.
+	// AlgoReason names the branch of Auto's rule that chose Algorithm
+	// ("keyword-first with contains" or "not keyword-first with
+	// contains"); empty for fixed algorithms.
 	AlgoReason string
 }
 
 // SearchOptions configures Search. The zero value asks for the top 10
-// answers with the Auto algorithm (cost-based per-query choice among
-// DPO, SSO and Hybrid) under the structure-first scheme.
+// answers with the Auto algorithm under the structure-first scheme,
+// which runs DPO.
 type SearchOptions struct {
 	K int
 	// Offset skips the first Offset answers of the ranking (pagination):
@@ -452,27 +453,6 @@ func (d *Document) Search(q *Query, opts SearchOptions) ([]Answer, error) {
 // ctx.Err(). Cancelled searches are never cached.
 func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]Answer, error) {
 	return search(ctx, &d.searcher, lone{d}, q, opts, func(_ int, a Answer) Answer { return a })
-}
-
-// PlannerStats snapshots the cost-based planner behind Auto searches:
-// per-algorithm choice and reason counters, the calibrated
-// nanoseconds-per-unit scales with their current calibration error, and
-// the restart-rate EWMA feeding the guard that demotes plan-based
-// choices to DPO. See internal/planner for the model.
-type PlannerStats struct {
-	Choices          map[string]uint64  `json:"choices"`
-	Reasons          map[string]uint64  `json:"reasons"`
-	NsPerUnit        map[string]float64 `json:"ns_per_unit"`
-	CalibrationError map[string]float64 `json:"calibration_error"`
-	RestartRate      float64            `json:"restart_rate"`
-	Observations     uint64             `json:"observations"`
-}
-
-// PlannerStats reports the planner state of the document's direct
-// searches (a collection calibrates its members' searches itself).
-// All-empty maps and zero counters mean no Auto search has run yet.
-func (d *Document) PlannerStats() PlannerStats {
-	return PlannerStats(d.cal.Snapshot())
 }
 
 // SetCache enables an in-memory query-result cache holding up to

@@ -18,8 +18,8 @@ type LevelKey struct {
 // hierarchy) triple over one document: the relaxation chain plus lazily
 // memoized join plans and estimator-chosen prefix levels. A template hit
 // in the plan cache therefore skips not just the chain build but the
-// relaxation enumeration (the per-level estimator loop shared by the
-// plan-based algorithms and the cost planner) and the join-plan
+// relaxation enumeration (the per-level estimator loop of the
+// plan-based algorithms) and the join-plan
 // construction — and, via the plan's own candidate-list memo (exec.Run),
 // the leaf evaluation of the shared plans.
 //

@@ -41,7 +41,7 @@ const (
 	StageMerge
 	// StageCache covers query-result cache lookups.
 	StageCache
-	// StagePlan covers the cost-based algorithm choice of Auto searches.
+	// StagePlan covers resolving Auto to an algorithm.
 	StagePlan
 	// StageFault covers faulting cold collection members in: decoding a
 	// snapshot's sections, or waiting for another search that is.

@@ -151,10 +151,9 @@ type Answer struct {
 // SearchResponse is the body of a successful /search.
 type SearchResponse struct {
 	Query string `json:"query"`
-	// Algo names the algorithm that evaluated the search: the planner's
-	// per-query choice under the default Auto mode (or "mixed" when
-	// member documents chose differently), the requested algorithm
-	// otherwise. AlgoReason carries the planner's explanation.
+	// Algo names the algorithm that evaluated the search: the one Auto's
+	// rule chose under the default Auto mode, the requested algorithm
+	// otherwise. AlgoReason names the rule's branch (Auto only).
 	Algo       string   `json:"algo,omitempty"`
 	AlgoReason string   `json:"algo_reason,omitempty"`
 	Answers    []Answer `json:"answers"`

@@ -194,27 +194,6 @@ func (e *Estimator) Estimate(q *tpq.Query) float64 {
 	return est
 }
 
-// PassUnits estimates the work of one full evaluation pass of q in
-// abstract units: the candidate nodes a join plan would scan per query
-// variable (bounded by the cheapest required contains predicate, the
-// same witness-first shortcut the executor takes) plus the estimated
-// matches materialized across all variables. The cost-based planner sums
-// these per relaxation level to price DPO's level-at-a-time strategy.
-func (e *Estimator) PassUnits(q *tpq.Query) float64 {
-	units := 0.0
-	for i := range q.Nodes {
-		n := &q.Nodes[i]
-		c := float64(e.stats.Count(n.Tag))
-		for _, expr := range n.Contains {
-			if w := float64(e.index.CountSatisfyingWithTag(n.Tag, expr)); w < c {
-				c = w
-			}
-		}
-		units += c
-	}
-	return units + e.Estimate(q)*float64(len(q.Nodes))
-}
-
 // satisfaction estimates the probability that a random element with node
 // i's tag satisfies the subtree pattern rooted at i (excluding i's own
 // existence).

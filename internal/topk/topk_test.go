@@ -387,3 +387,40 @@ func TestDPOVariantsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestDPOVariantCountersAgree: DPO walks the relaxation chain level by
+// level and stops at the admitting level, so it never restarts and
+// evaluates exactly one query per level up to the deepest it reached. A
+// past regression counted a level as evaluated before its plan
+// construction could fail.
+func TestDPOVariantCountersAgree(t *testing.T) {
+	fixtures := map[string]*fixture{
+		"articles": newFixture(t, articlesXML),
+		"xmark":    xmarkFixture(t, 96<<10, 5),
+	}
+	queries := map[string][]string{
+		"articles": {srcQ1, `//article[./section/paragraph[.contains("xml")]]`},
+		"xmark": {
+			`//item[./description/parlist]`,
+			`//item[./description/parlist and ./mailbox/mail/text]`,
+		},
+	}
+	for name, f := range fixtures {
+		for _, src := range queries[name] {
+			c := f.chain(t, src)
+			for _, scheme := range schemes() {
+				for _, k := range []int{1, 5, 40} {
+					var m Metrics
+					DPO(nil, c, Options{K: k, Scheme: scheme, Metrics: &m})
+					if m.QueriesEvaluated != m.RelaxationsEncoded+1 {
+						t.Errorf("%s %s k=%d %v: QueriesEvaluated %d, deepest level %d",
+							name, src, k, scheme, m.QueriesEvaluated, m.RelaxationsEncoded)
+					}
+					if m.Restarts != 0 {
+						t.Errorf("%s %s k=%d %v: DPO reported %d restarts", name, src, k, scheme, m.Restarts)
+					}
+				}
+			}
+		}
+	}
+}

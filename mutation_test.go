@@ -227,10 +227,9 @@ func TestConcurrentMutateSearchStress(t *testing.T) {
 	}
 
 	// Each mutator moves its extra name through absent, A and B: rank the
-	// nine memberships the two can reach. The algorithm is pinned: Auto
-	// may pick DPO for one member and not for another, and DPO scores
-	// some relaxed answers differently and attaches no Relaxed detail.
-	opts := SearchOptions{K: 5, Algorithm: Hybrid}
+	// nine memberships the two can reach. Auto runs one algorithm on every
+	// member, whatever the membership.
+	opts := SearchOptions{K: 5}
 	reachable := map[string]bool{}
 	for _, docs := range [][2]*Document{{nil, nil}, {nil, extraA}, {nil, extraB},
 		{extraA, nil}, {extraA, extraA}, {extraA, extraB},
@@ -324,10 +323,7 @@ func TestStalePutAfterPurge(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(paperQ1)
-	// Pinned: under Auto the ranking depends on the planner's choice (only
-	// the plan-based algorithms fill Relaxed), which may differ between
-	// the two searches compared below.
-	opts := SearchOptions{K: 10, Algorithm: Hybrid}
+	opts := SearchOptions{K: 10}
 	for _, mutate := range []struct {
 		name string
 		do   func(c *Collection) error
@@ -498,20 +494,12 @@ func counters(c *Collection) map[string]uint64 {
 	ps, _ := c.PlanCacheStats()
 	out["plan_cache.hits"], out["plan_cache.misses"] = ps.Hits, ps.Misses
 	out["plan_cache.evictions"], out["plan_cache.dedups"] = ps.Evictions, ps.Dedups
-	pl := c.PlannerStats()
-	for a, n := range pl.Choices {
-		out["planner.choices."+a] = n
-	}
-	for r, n := range pl.Reasons {
-		out["planner.reasons."+r] = n
-	}
-	out["planner.observations"] = pl.Observations
 	return out
 }
 
 // TestCountersMonotonicAcrossMutations: the counters flexserve exports as
 // Prometheus counters never go backwards, though Add, Replace and Remove
-// change which documents' caches and planners the sums cover.
+// change which documents' caches the sums cover.
 func TestCountersMonotonicAcrossMutations(t *testing.T) {
 	c := pagingCollection(t)
 	c.SetCache(16)

@@ -17,12 +17,10 @@ import (
 )
 
 // searcher is what a search belongs to: a document searched directly, or
-// a collection. It owns the result cache (qc, see SetCache) and the Auto
-// planner's calibration; a member supplies only its tree, index,
-// estimator and plan templates.
+// a collection. It owns the result cache (qc, see SetCache); a member
+// supplies only its tree, index, estimator and plan templates.
 type searcher struct {
-	qc  atomic.Pointer[lru.Cache[[]part]]
-	cal planner.Calibration
+	qc atomic.Pointer[lru.Cache[[]part]]
 	// beforePut, when set (tests only), runs between a search's
 	// evaluation and its cache put.
 	beforePut func()
@@ -44,15 +42,14 @@ func (s *searcher) cacheStats() (CacheStats, bool) {
 }
 
 // part is one member's share of a cached result set: the top K+Offset
-// results of the document with the given serial, and the algorithm that
-// produced them. Documents are immutable, so a part is right for any
-// member whose document has its serial, whatever happened to the
-// membership since it was stored. Mutations therefore never purge the
-// cache, and an entry pins no Document: a replaced one can be collected.
+// results of the document with the given serial. Documents are
+// immutable, so a part is right for any member whose document has its
+// serial, whatever happened to the membership since it was stored.
+// Mutations therefore never purge the cache, and an entry pins no
+// Document: a replaced one can be collected.
 type part struct {
-	serial       uint64
-	results      []topk.Result
-	algo, reason string
+	serial  uint64
+	results []topk.Result
 }
 
 // corpus is the membership one search evaluates: a collection's published
@@ -129,7 +126,16 @@ func search[A any](ctx context.Context, s *searcher, set corpus, q *Query, opts 
 			}
 		}
 	}
-	fanOut(ctx, set, units, stale, q, opts, &s.cal, span)
+	// Auto is resolved once per search, after the cache key, so every
+	// member runs the same algorithm.
+	reason := ""
+	if opts.Algorithm == Auto {
+		tPlan := now(span)
+		c := planner.Rule(q.q, opts.Scheme.rank())
+		opts.Algorithm, reason = fromPlanner[c.Algo], c.Reason
+		span.Rec(obs.StagePlan, since(tPlan))
+	}
+	fanOut(ctx, set, units, stale, q, opts, span)
 	if err := ctx.Err(); err != nil {
 		// A cancelled run returns truncated results; surface the error
 		// instead of caching or reporting them.
@@ -137,18 +143,16 @@ func search[A any](ctx context.Context, s *searcher, set corpus, q *Query, opts 
 	}
 
 	// Errors and metrics walk the members in order, so the outcome is
-	// independent of worker timing. A part from the cache did no work
-	// but still names its algorithm.
-	var met Metrics
+	// independent of worker timing. A part from the cache did no work,
+	// and an Auto key's parts were all made by the algorithm chosen now.
+	met := Metrics{Algorithm: opts.Algorithm.String(), AlgoReason: reason}
 	total := 0
 	for i := range units {
 		u := &units[i]
 		if u.err != nil {
 			return nil, set.wrap(i, u.err)
 		}
-		m := exportMetrics(&u.met)
-		m.Algorithm, m.AlgoReason = u.algo, u.reason
-		met.add(m)
+		met.add(exportMetrics(&u.met))
 		total += len(u.results)
 	}
 	if opts.Metrics != nil {
@@ -219,7 +223,7 @@ func partOf(parts []part, i int, serial uint64) (part, bool) {
 
 // fanOut evaluates the stale units on a bounded worker pool
 // (SearchOptions.Workers, default GOMAXPROCS).
-func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, opts SearchOptions, cal *planner.Calibration, span *obs.Span) {
+func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, opts SearchOptions, span *obs.Span) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -227,7 +231,7 @@ func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, 
 	if workers = min(workers, stale); workers <= 1 {
 		for i := range units {
 			if units[i].doc == nil {
-				units[i].evaluate(ctx, set, i, q, opts, cal, span)
+				units[i].evaluate(ctx, set, i, q, opts, span)
 			}
 		}
 		return
@@ -244,7 +248,7 @@ func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, 
 					return
 				}
 				if units[i].doc == nil {
-					units[i].evaluate(ctx, set, i, q, opts, cal, span)
+					units[i].evaluate(ctx, set, i, q, opts, span)
 				}
 			}
 		}()
@@ -253,7 +257,7 @@ func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, 
 }
 
 // evaluate computes member i's part: its top K+Offset results.
-func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, opts SearchOptions, cal *planner.Calibration, span *obs.Span) {
+func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, opts SearchOptions, span *obs.Span) {
 	// A faulted-in document stays valid for this search even if the
 	// residency cap evicts the member meanwhile.
 	d, err := set.load(i, span)
@@ -272,22 +276,19 @@ func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, opts S
 	chain, topts := tmpl.Chain, topkOptions(ctx, opts, tmpl)
 	topts.Metrics = &u.met
 	u.doc, u.serial = d, d.serial
-	u.algo, u.reason = opts.Algorithm.String(), ""
 	switch opts.Algorithm {
 	case Hybrid:
 		u.results = topk.Hybrid(chain, d.est, topts)
-	case DPO:
-		u.results = topk.DPO(nil, chain, topts)
 	case SSO:
 		u.results = topk.SSO(chain, d.est, topts)
-	default: // Auto: the member's estimator, the searcher's calibration
-		pl := planner.Bind(d.est, cal)
-		var choice planner.Choice
-		u.results, choice = topk.Auto(chain, d.est, &pl, topts)
-		u.algo, u.reason = choice.Algo.String(), choice.Explain
+	default: // DPO; search resolved Auto before the fan-out
+		u.results = topk.DPO(nil, chain, topts)
 	}
 	span.SetRelaxations(u.met.RelaxationsEncoded)
 }
+
+// fromPlanner maps the planner's algorithms onto the public ones.
+var fromPlanner = [...]Algorithm{planner.DPO: DPO, planner.SSO: SSO, planner.Hybrid: Hybrid}
 
 // now and since time a stage only when a span records it.
 func now(span *obs.Span) time.Time {
