@@ -452,22 +452,28 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 	// Add/Remove/Replace neither blocks behind this search nor changes
 	// which documents it evaluates.
 	members := c.members()
-	return search(ctx, &c.searcher, &membership{c, members}, q, opts, func(i int, a Answer) CollectionAnswer {
+	n := int64(len(members))
+	set := &membership{c: c, members: members, tick: c.tick.Add(n) - n}
+	return search(ctx, &c.searcher, set, q, opts, func(i int, a Answer) CollectionAnswer {
 		return CollectionAnswer{Answer: a, DocName: members[i].name}
 	})
 }
 
-// membership is a published membership as a search corpus.
+// membership is a published membership as a search corpus. tick is the
+// start of a block of the LRU clock reserved for the search: member i
+// is stamped tick+i+1 whichever worker loads it first, so the members
+// that stay resident after a search do not depend on worker timing.
 type membership struct {
 	c       *Collection
 	members []*member
+	tick    int64
 }
 
 func (m *membership) size() int               { return len(m.members) }
 func (m *membership) name(i int) string       { return m.members[i].name }
 func (m *membership) decoded(i int) *Document { return m.members[i].decoded() }
 func (m *membership) load(i int, span *obs.Span) (*Document, error) {
-	return m.c.require(m.members[i], span)
+	return m.c.requireAt(m.members[i], m.tick+int64(i)+1, span)
 }
 func (m *membership) wrap(i int, err error) error {
 	return fmt.Errorf("flexpath: document %q: %w", m.members[i].name, err)

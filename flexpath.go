@@ -165,6 +165,9 @@ func (w Weights) rank() rank.Weights {
 type Query struct {
 	q   *tpq.Query
 	src string
+	// canon is q's canonical serialization, rendered once: the result
+	// cache and plan-template keys read it on every search.
+	canon string
 }
 
 // ParseQuery compiles a query in the mini-XPath syntax, e.g.
@@ -181,7 +184,7 @@ func ParseQuery(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{q: q, src: src}, nil
+	return &Query{q: q, src: src, canon: q.Canon()}, nil
 }
 
 // MustParseQuery is ParseQuery but panics on error.
@@ -202,7 +205,7 @@ func (q *Query) Minimize() (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{q: minimal, src: q.src}, nil
+	return &Query{q: minimal, src: q.src, canon: minimal.Canon()}, nil
 }
 
 // String returns the parsed query rendered back to query syntax.
@@ -535,10 +538,9 @@ func statsOf[V any](c *lru.Cache[V]) (lru.Stats, bool) {
 // two distinct searches onto one cache entry, poisoning every later hit.
 func searchCacheKey(q *Query, opts SearchOptions) string {
 	rw := opts.Weights.rank()
-	canon := q.q.Canon()
 	h := hierarchyKey(opts.Hierarchy)
 	return fmt.Sprintf("%d:%s|%s|%s|k=%d|o=%d|w=%g,%g|h=%d:%s",
-		len(canon), canon, opts.Algorithm, opts.Scheme, opts.K, opts.Offset,
+		len(q.canon), q.canon, opts.Algorithm, opts.Scheme, opts.K, opts.Offset,
 		rw.Structural, rw.Contains, len(h), h)
 }
 
@@ -675,8 +677,7 @@ type PlanCacheStats struct {
 // searchCacheKey's: a quoted term containing '|' must not alias two
 // different (query, weights, hierarchy) triples onto one template.
 func templateKey(q *Query, rw rank.Weights, hierarchy map[string]string) string {
-	canon := q.q.Canon()
-	return fmt.Sprintf("%d:%s|%g|%g|%s", len(canon), canon, rw.Structural, rw.Contains, hierarchyKey(hierarchy))
+	return fmt.Sprintf("%d:%s|%g|%g|%s", len(q.canon), q.canon, rw.Structural, rw.Contains, hierarchyKey(hierarchy))
 }
 
 // template returns the plan template for (q, w, hierarchy): the
@@ -686,7 +687,13 @@ func templateKey(q *Query, rw rank.Weights, hierarchy map[string]string) string 
 // (single-flight).
 func (d *Document) template(q *Query, w Weights, hierarchy map[string]string) (*core.Template, error) {
 	rw := w.rank()
-	return d.pc.Do(templateKey(q, rw, hierarchy), func() (*core.Template, error) {
+	return d.keyedTemplate(templateKey(q, rw, hierarchy), q, rw, hierarchy)
+}
+
+// keyedTemplate is template with the key already rendered: a search
+// renders it once for all its members.
+func (d *Document) keyedTemplate(key string, q *Query, rw rank.Weights, hierarchy map[string]string) (*core.Template, error) {
+	return d.pc.Do(key, func() (*core.Template, error) {
 		var h *tpq.Hierarchy
 		if len(hierarchy) > 0 {
 			h = tpq.NewHierarchy(hierarchy)

@@ -497,8 +497,8 @@ func TestDocumentSearchAllocs(t *testing.T) {
 		k    int
 		pin  float64
 	}{
-		{DPO, 10, 86}, {SSO, 10, 70}, {Hybrid, 10, 92},
-		{DPO, 700, 681}, {SSO, 700, 1909}, {Hybrid, 700, 1931},
+		{DPO, 10, 33}, {SSO, 10, 27}, {Hybrid, 10, 27},
+		{DPO, 700, 419}, {SSO, 700, 1854}, {Hybrid, 700, 1854},
 	} {
 		opts := SearchOptions{K: c.k, Algorithm: c.algo, NoCache: true}
 		if _, err := doc.Search(q, opts); err != nil { // warms the template

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"flexpath/internal/exec"
@@ -46,5 +47,36 @@ func BenchmarkExactPlanRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPlanRunTopK times one pruned run per op of the fully relaxed
+// plan, PlanAt(chain.Len()), in Hybrid's bucket organization on a 4 MB
+// XMark document (seed 42), for the paper's XQ2 and the common "xml"
+// filter at K = 10 and 700. The plan is built once, so its memoized
+// candidate lists are shared across ops as under the plan-template cache;
+// each op joins, aggregates and ranks on a reset arena.
+func BenchmarkPlanRunTopK(b *testing.B) {
+	f := xmarkFixture(b, 4<<20, 42)
+	for _, eq := range []struct{ name, src string }{exactPlanQueries[2], exactPlanQueries[1]} {
+		c := f.chain(b, eq.src)
+		plan, err := c.PlanAt(c.Len())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{10, 700} {
+			b.Run(fmt.Sprintf("%s/k=%d", eq.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				arena := exec.GetArena()
+				defer exec.PutArena(arena)
+				for i := 0; i < b.N; i++ {
+					arena.Reset()
+					got := exec.Run(plan, exec.Options{K: k, Mode: exec.ModeBuckets, Arena: arena})
+					if len(got) == 0 || len(got) > k {
+						b.Fatalf("%d answers at K = %d", len(got), k)
+					}
+				}
+			})
+		}
 	}
 }

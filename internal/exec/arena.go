@@ -32,6 +32,15 @@ type Arena struct {
 	tups [][]tuple // free-list of tuple buffers for the join pipeline
 	keys []float64 // ModeSorted score keys
 	idx  []int     // ModeSorted order permutation
+
+	// slot maps a distinguished node to its entry in best (Run's final
+	// aggregation) or totals (kthBest); sigs collects Hybrid's distinct
+	// signatures. The maps are cleared before each use and never
+	// reallocated, so a run aggregates without building a map per step.
+	slot   map[xmltree.NodeID]int32
+	best   []Answer
+	totals []float64
+	sigs   map[uint64]struct{}
 }
 
 var arenaPool = sync.Pool{New: func() interface{} { return &Arena{} }}
@@ -102,6 +111,24 @@ func (a *Arena) recycleTuples(t []tuple) {
 		return
 	}
 	a.tups = append(a.tups, t)
+}
+
+// slots returns the cleared node-to-slot table.
+func (a *Arena) slots() map[xmltree.NodeID]int32 {
+	if a.slot == nil {
+		a.slot = make(map[xmltree.NodeID]int32)
+	}
+	clear(a.slot)
+	return a.slot
+}
+
+// signatures returns the cleared signature set.
+func (a *Arena) signatures() map[uint64]struct{} {
+	if a.sigs == nil {
+		a.sigs = make(map[uint64]struct{})
+	}
+	clear(a.sigs)
+	return a.sigs
 }
 
 // sortScratch returns reusable keys/idx buffers of length n for the

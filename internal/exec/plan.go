@@ -256,8 +256,9 @@ type Options struct {
 	// Err after Run to distinguish cancellation from an empty result.
 	Ctx context.Context
 	// K enables threshold pruning against the K-th best completable
-	// answer and the Mode's organization of intermediate tuples; 0
-	// evaluates exhaustively (DPO's exact passes).
+	// answer and the Mode's organization of intermediate tuples, and
+	// limits the answers returned to the K best; 0 evaluates exhaustively
+	// and returns every answer (DPO's exact passes).
 	K      int
 	Scheme rank.Scheme
 	Mode   Mode
@@ -295,7 +296,9 @@ type tuple struct {
 }
 
 // Run executes the plan and returns the distinct distinguished-node
-// answers, best score first under the chosen scheme.
+// answers, best score first under the chosen scheme, ties by node. With
+// Options.K > 0 it returns only the K best of them (fewer when fewer
+// exist): exactly the first K of the exhaustive ranking.
 func Run(p *Plan, opts Options) []Answer {
 	doc := p.Doc
 	nv := len(p.Vars)
@@ -403,7 +406,10 @@ func Run(p *Plan, opts Options) []Answer {
 		lastRequired--
 	}
 
-	tuples := []tuple{{bind: unboundBindings(nv)}}
+	// Every tuple buffer, the bootstrap one included, comes from the
+	// arena's free list and goes back to it, the last one after the
+	// aggregation: a run takes out as many buffers as it returns.
+	tuples := append(ar.tupleBuf(), tuple{bind: unboundBindings(nv)})
 	for vi := 0; vi < nv; vi++ {
 		if p.skip[vi] {
 			continue
@@ -477,8 +483,7 @@ func Run(p *Plan, opts Options) []Answer {
 		}
 		st.TuplesGenerated += len(next)
 		// The step's input buffer is dead: recycle it for a later step's
-		// output (the bootstrap one-tuple literal is recycled too, which
-		// is harmless).
+		// output.
 		ar.recycleTuples(tuples)
 		tuples = next
 		trace := StepTrace{
@@ -491,6 +496,7 @@ func Run(p *Plan, opts Options) []Answer {
 			if opts.Trace != nil {
 				*opts.Trace = append(*opts.Trace, trace)
 			}
+			ar.recycleTuples(tuples)
 			return nil
 		}
 
@@ -500,7 +506,7 @@ func Run(p *Plan, opts Options) []Answer {
 		// bound for the final top-K cut-off.
 		pruneActive := opts.K > 0 && vi >= lastRequired && vi+1 < nv
 		if pruneActive {
-			threshold, ok := kthBest(tuples, p.DistVar, opts.K, total)
+			threshold, ok := kthBest(ar, tuples, p.DistVar, opts.K, total)
 			if ok {
 				g := growth(vi + 1)
 				kept := tuples[:0]
@@ -562,12 +568,12 @@ func Run(p *Plan, opts Options) []Answer {
 			// function of the signature, so the buckets are implicit: no
 			// physical reordering and no comparison sort ever happens —
 			// the organization cost is one counting pass (§5.2.3).
-			sigIdx := make(map[uint64]struct{}, 16)
+			sigs := ar.signatures()
 			for ti := range tuples {
-				sigIdx[tuples[ti].sig] = struct{}{}
+				sigs[tuples[ti].sig] = struct{}{}
 			}
-			st.Buckets += len(sigIdx)
-			trace.Buckets = len(sigIdx)
+			st.Buckets += len(sigs)
+			trace.Buckets = len(sigs)
 		}
 		if opts.Trace != nil {
 			trace.TuplesOut = len(tuples)
@@ -575,27 +581,73 @@ func Run(p *Plan, opts Options) []Answer {
 		}
 	}
 
-	// Aggregate per distinguished node, best score wins.
-	best := make(map[xmltree.NodeID]Answer, len(tuples))
+	// Aggregate per distinguished node, best score wins (the first tuple
+	// to reach it on ties), then keep the K best answers and sort only
+	// those.
+	slot, best := ar.slots(), ar.best[:0]
 	for ti := range tuples {
 		t := &tuples[ti]
 		n := t.bind[p.DistVar]
 		sc := rank.Score{SS: baseSS + t.regained, KS: t.ks}
-		if prev, ok := best[n]; !ok || sc.Compare(prev.Score, opts.Scheme) > 0 {
-			best[n] = Answer{Node: n, Score: sc, Sig: t.sig}
+		if i, ok := slot[n]; !ok {
+			slot[n] = int32(len(best))
+			best = append(best, Answer{Node: n, Score: sc, Sig: t.sig})
+		} else if sc.Compare(best[i].Score, opts.Scheme) > 0 {
+			best[i] = Answer{Node: n, Score: sc, Sig: t.sig}
 		}
 	}
-	out := make([]Answer, 0, len(best))
-	for _, a := range best {
-		out = append(out, a)
-	}
-	slices.SortFunc(out, func(x, y Answer) int {
+	ar.best = best
+	ar.recycleTuples(tuples)
+	order := func(x, y Answer) int {
 		if c := x.Score.Compare(y.Score, opts.Scheme); c != 0 {
 			return -c
 		}
 		return int(x.Node) - int(y.Node)
-	})
+	}
+	if opts.K > 0 && len(best) > opts.K {
+		best = keepBest(best, opts.K, func(x, y Answer) bool { return order(x, y) < 0 })
+	}
+	out := make([]Answer, len(best))
+	copy(out, best)
+	slices.SortFunc(out, order)
 	return out
+}
+
+// keepBest moves the k best elements of xs (k <= len(xs)), where before
+// orders better first, into xs[:k] and returns that prefix, unsorted. It
+// keeps them in a bounded heap whose root is the worst element kept, so
+// each later element costs one comparison unless it displaces the root.
+func keepBest[T any](xs []T, k int, before func(x, y T) bool) []T {
+	h := xs[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i, before)
+	}
+	for _, x := range xs[k:] {
+		if before(x, h[0]) {
+			h[0] = x
+			siftDown(h, 0, before)
+		}
+	}
+	return h
+}
+
+// siftDown restores the heap property below h[i]: no element ranks
+// before its children.
+func siftDown[T any](h []T, i int, before func(x, y T) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(h[c], h[c+1]) {
+			c++
+		}
+		if !before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func unboundBindings(n int) []xmltree.NodeID {
@@ -798,9 +850,11 @@ func extend(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, vi int, m xmlt
 }
 
 // kthBest returns the K-th best current total over distinct distinguished
-// bindings, or ok=false when fewer than K distinct bindings exist.
-func kthBest(tuples []tuple, distVar, k int, total func(*tuple) float64) (float64, bool) {
-	bestPer := make(map[xmltree.NodeID]float64, len(tuples))
+// bindings, or ok=false when fewer than K distinct bindings exist. It
+// aggregates through the arena's slot table and selects with a size-K
+// heap.
+func kthBest(ar *Arena, tuples []tuple, distVar, k int, total func(*tuple) float64) (float64, bool) {
+	slot, totals := ar.slots(), ar.totals[:0]
 	for ti := range tuples {
 		t := &tuples[ti]
 		n := t.bind[distVar]
@@ -808,19 +862,18 @@ func kthBest(tuples []tuple, distVar, k int, total func(*tuple) float64) (float6
 			continue
 		}
 		v := total(t)
-		if prev, ok := bestPer[n]; !ok || v > prev {
-			bestPer[n] = v
+		if i, ok := slot[n]; !ok {
+			slot[n] = int32(len(totals))
+			totals = append(totals, v)
+		} else if v > totals[i] {
+			totals[i] = v
 		}
 	}
-	if len(bestPer) < k {
+	ar.totals = totals
+	if len(totals) < k {
 		return 0, false
 	}
-	vals := make([]float64, 0, len(bestPer))
-	for _, v := range bestPer {
-		vals = append(vals, v)
-	}
-	slices.Sort(vals)
-	return vals[len(vals)-k], true
+	return keepBest(totals, k, func(x, y float64) bool { return x > y })[0], true
 }
 
 // walkScratch is a reusable visited-marking buffer for ancestor walks.

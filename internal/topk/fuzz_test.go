@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"flexpath/internal/core"
-	"flexpath/internal/exec"
 	"flexpath/internal/ir"
 	"flexpath/internal/rank"
 	"flexpath/internal/tpq"
@@ -82,28 +81,19 @@ func TestFuzzAlgorithmsConsistent(t *testing.T) {
 			}
 		}
 
-		// Pruned top-K scores match the exhaustive run of the full plan.
-		plan, err := chain.PlanAt(chain.Len())
-		if err != nil {
-			t.Logf("seed %d: plan: %v", seed, err)
-			return false
-		}
-		full := exec.Run(plan, exec.Options{Scheme: scheme})
-		pruned := exec.Run(plan, exec.Options{K: k, Scheme: scheme, Mode: exec.ModeSorted})
-		limit := k
-		if limit > len(full) {
-			limit = len(full)
-		}
-		if len(pruned) < limit {
-			t.Logf("seed %d q=%s: pruned %d < %d", seed, q, len(pruned), limit)
-			return false
-		}
-		for i := 0; i < limit; i++ {
-			if math.Abs(full[i].Score.SS-pruned[i].Score.SS) > 1e-9 ||
-				math.Abs(full[i].Score.KS-pruned[i].Score.KS) > 1e-9 {
-				t.Logf("seed %d q=%s: pruning changed rank-%d score (%v vs %v)",
-					seed, q, i, pruned[i].Score, full[i].Score)
+		// At every level, pruned runs are exact prefixes of the
+		// exhaustive run of the same plan.
+		for j := 0; j <= chain.Len(); j++ {
+			plan, err := chain.PlanAt(j)
+			if err != nil {
+				t.Logf("seed %d: plan: %v", seed, err)
 				return false
+			}
+			for _, pk := range append([]int{k}, pruneKs...) {
+				if err := prunedIsPrefix(plan, scheme, pk); err != nil {
+					t.Logf("seed %d q=%s level %d: %v", seed, q, j, err)
+					return false
+				}
 			}
 		}
 

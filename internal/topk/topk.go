@@ -41,10 +41,6 @@ type Result struct {
 	// plan-based algorithms, which track per-answer predicate
 	// satisfaction; DPO knows only the admitting level and leaves it nil.
 	Missed []string
-
-	// sig carries the answer's predicate-satisfaction bits between the
-	// ranking pass and the deferred Missed materialization in toResults.
-	sig uint64
 }
 
 // Metrics reports the work an algorithm performed.
@@ -179,22 +175,19 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 				Exclude: seen, Ctx: opts.Ctx, Arena: arena,
 			})
 		})
-		var block []Result
+		// Every answer of an exact plan scores the level's ss, so Run's
+		// ranking is already the level's block in final order.
 		for _, a := range levelAnswers {
 			if seen[a.Node] {
 				continue
 			}
 			seen[a.Node] = true
-			block = append(block, Result{
+			results = append(results, Result{
 				Node:        a.Node,
 				Score:       rank.Score{SS: ss, KS: a.Score.KS},
 				Relaxations: level,
 			})
 		}
-		// Within a block all answers share ss; order by the secondary
-		// component so the block appends in final order.
-		sortResults(block, opts.Scheme)
-		results = append(results, block...)
 
 		if len(results) >= k && reachedAt < 0 {
 			reachedAt = level
@@ -224,10 +217,11 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 		}
 	}
 	sortResults(results, opts.Scheme)
-	if len(results) > k {
-		results = results[:k]
-	}
-	return results
+	// Copy the top K out, so that a cached part does not pin every
+	// answer the levels found.
+	out := make([]Result, min(len(results), k))
+	copy(out, results)
+	return out
 }
 
 // SSO runs the Static Selectivity Order algorithm (§5.1.2): estimate how
@@ -321,7 +315,8 @@ func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 // plan description and a per-join-step execution trace (EXPLAIN
 // ANALYZE). The trace has one row per joined step, whose candidates are
 // the variable's semijoin-reduced list; a variable that only has to exist
-// is never joined, and the description marks it [exists: semijoin].
+// is never joined, and the description marks it [exists: semijoin]. The
+// header's "answers: N" counts what the run returned, at most K.
 func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
 	opts.ensureTemplate(chain)
 	m := opts.metrics()
@@ -387,6 +382,8 @@ func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options, m *Metr
 	return j
 }
 
+// toResults converts the at most K answers Run returned, already in final
+// order, into exactly as many results.
 func toResults(chain *core.Chain, answers []exec.Answer, opts Options, k int) []Result {
 	// Precompute per-step signature masks: an answer's minimal admitting
 	// relaxation level is the deepest chain step with an unsatisfied
@@ -396,35 +393,24 @@ func toResults(chain *core.Chain, answers []exec.Answer, opts Options, k int) []
 	for j := 1; j <= encoded; j++ {
 		masks[j] = chain.StepBits(j)
 	}
-	results := make([]Result, 0, len(answers))
-	for _, a := range answers {
-		level := 0
+	results := make([]Result, min(len(answers), k))
+	for i, a := range answers[:len(results)] {
+		r := &results[i]
+		*r = Result{Node: a.Node, Score: a.Score}
 		for j := encoded; j >= 1; j-- {
 			if a.Sig&masks[j] != masks[j] {
-				level = j
+				r.Relaxations = j
 				break
 			}
 		}
-		results = append(results, Result{Node: a.Node, Score: a.Score, Relaxations: level, sig: a.Sig})
-	}
-	sortResults(results, opts.Scheme)
-	if len(results) > k {
-		results = results[:k]
-	}
-	// Materialize the missed-predicate descriptions only for the K
-	// survivors: the candidate set can be an order of magnitude larger
-	// than K, and Missed is the lone per-answer allocation of this path.
-	for i := range results {
-		if results[i].Relaxations == 0 {
+		if r.Relaxations == 0 {
 			continue
 		}
-		var missed []string
 		for j := 1; j <= encoded; j++ {
-			if results[i].sig&masks[j] != masks[j] {
-				missed = append(missed, chain.Steps[j-1].Desc)
+			if a.Sig&masks[j] != masks[j] {
+				r.Missed = append(r.Missed, chain.Steps[j-1].Desc)
 			}
 		}
-		results[i].Missed = missed
 	}
 	return results
 }

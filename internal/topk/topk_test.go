@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -117,8 +118,38 @@ func TestSSOHybridAgree(t *testing.T) {
 	}
 }
 
-// TestPruningCorrect: threshold pruning must not change the top-K compared
-// to an exhaustive run of the maximally relaxed plan.
+// pruneKs are the K values the prefix checks run, from one answer to more
+// than the fixtures have.
+var pruneKs = []int{1, 3, 10, 50, 700}
+
+// prunedIsPrefix checks that a pruned run of plan with K = k, in both
+// organizations, returns exactly the first min(k, N) answers of the
+// exhaustive run, bit for bit: nodes and the bits of both score
+// components.
+func prunedIsPrefix(plan *exec.Plan, scheme rank.Scheme, k int) error {
+	full := exec.Run(plan, exec.Options{Scheme: scheme})
+	for _, mode := range []exec.Mode{exec.ModeSorted, exec.ModeBuckets} {
+		pruned := exec.Run(plan, exec.Options{K: k, Scheme: scheme, Mode: mode})
+		if want := min(k, len(full)); len(pruned) != want {
+			return fmt.Errorf("%v mode %d k=%d: pruned run returned %d answers, want %d",
+				scheme, mode, k, len(pruned), want)
+		}
+		for i, a := range pruned {
+			f := full[i]
+			if a.Node != f.Node ||
+				math.Float64bits(a.Score.SS) != math.Float64bits(f.Score.SS) ||
+				math.Float64bits(a.Score.KS) != math.Float64bits(f.Score.KS) {
+				return fmt.Errorf("%v mode %d k=%d: rank %d is %d %+v, exhaustive %d %+v",
+					scheme, mode, k, i, a.Node, a.Score, f.Node, f.Score)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPruningCorrect: at every relaxation level, in both organizations,
+// a pruned run's answers are exactly the top K of an exhaustive run of the
+// same plan.
 func TestPruningCorrect(t *testing.T) {
 	f := xmarkFixture(t, 64<<10, 9)
 	for _, src := range []string{
@@ -126,30 +157,47 @@ func TestPruningCorrect(t *testing.T) {
 		`//item[./description/parlist and ./mailbox/mail/text]`,
 	} {
 		c := f.chain(t, src)
-		plan, err := c.PlanAt(c.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, scheme := range schemes() {
-			full := exec.Run(plan, exec.Options{Scheme: scheme})
-			for _, k := range []int{1, 3, 10, 50} {
-				pruned := exec.Run(plan, exec.Options{K: k, Scheme: scheme, Mode: exec.ModeSorted})
-				limit := k
-				if limit > len(full) {
-					limit = len(full)
-				}
-				if len(pruned) < limit {
-					t.Fatalf("%s %v k=%d: pruned run returned %d answers, want >= %d",
-						src, scheme, k, len(pruned), limit)
-				}
-				for i := 0; i < limit; i++ {
-					// Scores must agree position by position (nodes may
-					// swap on exact score ties).
-					if math.Abs(full[i].Score.SS-pruned[i].Score.SS) > 1e-9 ||
-						math.Abs(full[i].Score.KS-pruned[i].Score.KS) > 1e-9 {
-						t.Errorf("%s %v k=%d: rank %d score %+v (pruned) vs %+v (full)",
-							src, scheme, k, i, pruned[i].Score, full[i].Score)
+		for j := 0; j <= c.Len(); j++ {
+			plan, err := c.PlanAt(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scheme := range schemes() {
+				for _, k := range pruneKs {
+					if err := prunedIsPrefix(plan, scheme, k); err != nil {
+						t.Errorf("%s level %d: %v", src, j, err)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestResultsHoldExactlyK: every algorithm returns a slice of at most K
+// results with no spare capacity, so a cached part pins only its K
+// answers, not every answer a run found.
+func TestResultsHoldExactlyK(t *testing.T) {
+	f := xmarkFixture(t, 512<<10, 3)
+	c := f.chain(t, `//item[./description/parlist and ./mailbox/mail/text]`)
+	full, err := c.PlanAt(c.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(exec.Run(full, exec.Options{})); n < 200 {
+		t.Fatalf("fixture has %d answers, want hundreds", n)
+	}
+	algos := map[string]func(Options) []Result{
+		"DPO":    func(o Options) []Result { return DPO(nil, c, o) },
+		"SSO":    func(o Options) []Result { return SSO(c, f.est, o) },
+		"Hybrid": func(o Options) []Result { return Hybrid(c, f.est, o) },
+	}
+	for name, run := range algos {
+		for _, scheme := range schemes() {
+			for _, k := range []int{1, 10, 50} {
+				rs := run(Options{K: k, Scheme: scheme})
+				if len(rs) != k || cap(rs) != len(rs) {
+					t.Errorf("%s %v k=%d: len %d cap %d, want both %d",
+						name, scheme, k, len(rs), cap(rs), k)
 				}
 			}
 		}

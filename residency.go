@@ -132,7 +132,13 @@ func (c *Collection) AddSnapshotFile(name, path string) error {
 // caller that is — is added to the collection's fault time and to
 // span's fault stage (span may be nil).
 func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
-	m.lastUse.Store(c.tick.Add(1))
+	return c.requireAt(m, c.tick.Add(1), span)
+}
+
+// requireAt is require with the member's use stamped at the given tick
+// of the LRU clock.
+func (c *Collection) requireAt(m *member, tick int64, span *obs.Span) (*Document, error) {
+	m.lastUse.Store(tick)
 	if d := m.doc.Load(); d != nil {
 		return d, nil
 	}

@@ -154,6 +154,37 @@ func TestResidencyLRUAndShrink(t *testing.T) {
 	}
 }
 
+// TestSearchResidencyIndependentOfWorkers: a search stamps its members
+// in index order whichever worker loads them first, so with two workers
+// under a cap of two the last two members stay resident after every
+// search and the next search faults every member in again. (With more
+// workers than the cap, a member can legitimately be found resident.)
+func TestSearchResidencyIndependentOfWorkers(t *testing.T) {
+	corpus := residencyCorpus(t, 4)
+	c := NewCollection()
+	defer c.Close() //nolint:errcheck
+	for _, m := range corpus {
+		if err := c.AddSnapshotFile(m.name, m.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetResidency(2)
+	q := MustParseQuery(paperQ1)
+	for i := 1; i <= 1000; i++ {
+		if _, err := c.Search(q, SearchOptions{K: 3, Workers: 2, NoCache: true}); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.ResidencyStats(); s.Faults != uint64(4*i) {
+			t.Fatalf("after search %d: %d faults, want %d", i, s.Faults, 4*i)
+		}
+		for _, mi := range c.Members() {
+			if want := mi.Name >= "doc02"; mi.Resident != want {
+				t.Fatalf("after search %d: member %s resident=%v, want %v", i, mi.Name, mi.Resident, want)
+			}
+		}
+	}
+}
+
 func TestResidencyPinnedExempt(t *testing.T) {
 	corpus := residencyCorpus(t, 2)
 	c := NewCollection()

@@ -135,7 +135,12 @@ func search[A any](ctx context.Context, s *searcher, set corpus, q *Query, opts 
 		opts.Algorithm, reason = fromPlanner[c.Algo], c.Reason
 		span.Rec(obs.StagePlan, since(tPlan))
 	}
-	fanOut(ctx, set, units, stale, q, opts, span)
+	// Every member looks up its plan template under the same key.
+	tkey := ""
+	if stale > 0 {
+		tkey = templateKey(q, opts.Weights.rank(), opts.Hierarchy)
+	}
+	fanOut(ctx, set, units, stale, q, tkey, opts, span)
 	if err := ctx.Err(); err != nil {
 		// A cancelled run returns truncated results; surface the error
 		// instead of caching or reporting them.
@@ -222,8 +227,9 @@ func partOf(parts []part, i int, serial uint64) (part, bool) {
 }
 
 // fanOut evaluates the stale units on a bounded worker pool
-// (SearchOptions.Workers, default GOMAXPROCS).
-func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, opts SearchOptions, span *obs.Span) {
+// (SearchOptions.Workers, default GOMAXPROCS); tkey is q's plan-template
+// key under opts.
+func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, tkey string, opts SearchOptions, span *obs.Span) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -231,7 +237,7 @@ func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, 
 	if workers = min(workers, stale); workers <= 1 {
 		for i := range units {
 			if units[i].doc == nil {
-				units[i].evaluate(ctx, set, i, q, opts, span)
+				units[i].evaluate(ctx, set, i, q, tkey, opts, span)
 			}
 		}
 		return
@@ -248,7 +254,7 @@ func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, 
 					return
 				}
 				if units[i].doc == nil {
-					units[i].evaluate(ctx, set, i, q, opts, span)
+					units[i].evaluate(ctx, set, i, q, tkey, opts, span)
 				}
 			}
 		}()
@@ -257,7 +263,7 @@ func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, 
 }
 
 // evaluate computes member i's part: its top K+Offset results.
-func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, opts SearchOptions, span *obs.Span) {
+func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, tkey string, opts SearchOptions, span *obs.Span) {
 	// A faulted-in document stays valid for this search even if the
 	// residency cap evicts the member meanwhile.
 	d, err := set.load(i, span)
@@ -267,7 +273,7 @@ func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, opts S
 	}
 	// StageChain prices template acquisition: a lookup on a plan-cache hit.
 	tChain := now(span)
-	tmpl, err := d.template(q, opts.Weights, opts.Hierarchy)
+	tmpl, err := d.keyedTemplate(tkey, q, opts.Weights.rank(), opts.Hierarchy)
 	span.Rec(obs.StageChain, since(tChain))
 	if err != nil {
 		u.err = err
