@@ -314,7 +314,10 @@ func BenchmarkColdCollectionSearch(b *testing.B) {
 //   - miss: result caches bypassed, every member evaluated;
 //   - hit: the same search again, answered from the result cache;
 //   - after-replace: one member is replaced (untimed) before the search,
-//     alternating between two copies of its document.
+//     alternating between two copies of its document;
+//   - adhoc: each op parses a query never seen before, in one of the
+//     frozen benchmark's coll_adhoc shapes, so every member builds a
+//     relaxation chain and a plan template.
 func BenchmarkCollectionSearch(b *testing.B) {
 	c := NewCollection()
 	c.SetCache(1024)
@@ -368,6 +371,27 @@ func BenchmarkCollectionSearch(b *testing.B) {
 			}
 			b.StartTimer()
 			search(opts)
+		}
+	})
+	b.Run("adhoc", func(b *testing.B) {
+		shapes := []string{
+			`//item[./name and ./description[.contains(%s)]]`,
+			`//mail[./from and ./text[.contains(%s)]]`,
+			`//item[./description/parlist and .contains(%s)]`,
+			`//open_auction[./bidder/date and ./annotation/description[.contains(%s)]]`,
+		}
+		words := []string{"gold", "silver", "vintage", "walnut", "rare"}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// The second, absent term makes every expression new.
+			ft := fmt.Sprintf(`"%s" or "adhoc%d"`, words[i%len(words)], i)
+			q, err := ParseQuery(fmt.Sprintf(shapes[i%len(shapes)], ft))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Search(q, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

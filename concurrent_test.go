@@ -232,3 +232,58 @@ func TestSearchContextBackgroundUnaffected(t *testing.T) {
 		t.Error("background context changed the ranking")
 	}
 }
+
+// TestSharedQueryConcurrentSearch: one parsed Query, whose relaxation
+// shape every document's chain build shares, searched from several
+// goroutines at once over documents with different statistics, ranks
+// every document exactly as a freshly parsed copy of the query does
+// (run it under -race). The twelve-node query orders its penalties
+// differently per document, so its skeletons are computed concurrently;
+// the others share one.
+func TestSharedQueryConcurrentSearch(t *testing.T) {
+	var docs []*Document
+	for i := 0; i < 4; i++ {
+		docs = append(docs, xmarkDoc(t, 60+20*i, int64(300+i)))
+	}
+	for _, src := range []string{
+		`//item[./name and ./description[.contains("gold" or "vintage")]]`,
+		`//open_auction[./bidder/date and ./annotation/description[.contains("walnut")]]`,
+		`//item[./description/parlist/listitem and ./mailbox/mail/text[./bold and ./keyword and ./emph] and ./name and ./incategory]`,
+	} {
+		for _, algo := range []Algorithm{DPO, Hybrid} {
+			opts := SearchOptions{K: 10, Algorithm: algo, NoCache: true}
+			want := make([]string, len(docs))
+			for i, d := range docs {
+				a, err := d.Search(MustParseQuery(src), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(a) == 0 {
+					t.Fatalf("%s %v doc %d: no answers", src, algo, i)
+				}
+				want[i] = renderAnswers(a, 0)
+				d.pc.Purge()
+			}
+			shared := MustParseQuery(src)
+			var wg sync.WaitGroup
+			for g := 0; g < 2*len(docs); g++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					a, err := docs[i].Search(shared, opts)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := renderAnswers(a, 0); got != want[i] {
+						t.Errorf("%s %v doc %d: shared query ranks\n%s\nfresh query\n%s", src, algo, i, got, want[i])
+					}
+				}(g % len(docs))
+			}
+			wg.Wait()
+			for _, d := range docs {
+				d.pc.Purge()
+			}
+		}
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"flexpath/internal/core"
 	"flexpath/internal/ir"
@@ -168,6 +169,13 @@ type Query struct {
 	// canon is q's canonical serialization, rendered once: the result
 	// cache and plan-template keys read it on every search.
 	canon string
+	// shape is q's closure universe and relaxation skeletons, built on
+	// the first template miss (a cached search never needs it) and
+	// shared by the chain builds of every document the query is
+	// searched over.
+	shapeOnce sync.Once
+	shape     *core.Shape
+	shapeErr  error
 }
 
 // ParseQuery compiles a query in the mini-XPath syntax, e.g.
@@ -210,6 +218,12 @@ func (q *Query) Minimize() (*Query, error) {
 
 // String returns the parsed query rendered back to query syntax.
 func (q *Query) String() string { return q.q.String() }
+
+// relaxShape returns the query's memoized relaxation shape.
+func (q *Query) relaxShape() (*core.Shape, error) {
+	q.shapeOnce.Do(func() { q.shape, q.shapeErr = core.NewShape(q.q) })
+	return q.shape, q.shapeErr
+}
 
 // Vars returns the number of query variables.
 func (q *Query) Vars() int { return q.q.Size() }
@@ -698,7 +712,11 @@ func (d *Document) keyedTemplate(key string, q *Query, rw rank.Weights, hierarch
 		if len(hierarchy) > 0 {
 			h = tpq.NewHierarchy(hierarchy)
 		}
-		c, err := core.BuildChainH(d.tree, d.index, d.stats, rw, q.q, h)
+		s, err := q.relaxShape()
+		if err != nil {
+			return nil, err
+		}
+		c, err := s.Chain(d.tree, d.index, d.stats, rw, h)
 		if err != nil {
 			return nil, err
 		}

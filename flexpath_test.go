@@ -497,8 +497,8 @@ func TestDocumentSearchAllocs(t *testing.T) {
 		k    int
 		pin  float64
 	}{
-		{DPO, 10, 33}, {SSO, 10, 27}, {Hybrid, 10, 27},
-		{DPO, 700, 419}, {SSO, 700, 1854}, {Hybrid, 700, 1854},
+		{DPO, 10, 32}, {SSO, 10, 24}, {Hybrid, 10, 24},
+		{DPO, 700, 404}, {SSO, 700, 1848}, {Hybrid, 700, 1848},
 	} {
 		opts := SearchOptions{K: c.k, Algorithm: c.algo, NoCache: true}
 		if _, err := doc.Search(q, opts); err != nil { // warms the template
@@ -514,6 +514,7 @@ func TestDocumentSearchAllocs(t *testing.T) {
 				}
 			}))
 		}
+		t.Logf("%v K=%d: %v allocations per search", c.algo, c.k, n)
 		if n > c.pin {
 			t.Errorf("%v K=%d: %v allocations per search, pinned at %v", c.algo, c.k, n, c.pin)
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"flexpath/internal/ir"
 	"flexpath/internal/rank"
@@ -41,7 +43,9 @@ type Step struct {
 // droppable predicate with the lowest penalty whose removal yields a valid
 // relaxation. DPO walks the chain one step at a time; SSO and Hybrid
 // choose a prefix with selectivity estimates and encode it into a single
-// plan.
+// plan. Chains built from one Shape share Original, U and, between
+// chains of one penalty order, each step's Dropped and Query; all of
+// them are read-only.
 type Chain struct {
 	Original *tpq.Query
 	// U indexes the predicates of the original query's closure; every
@@ -78,82 +82,203 @@ func BuildChain(doc *xmltree.Document, ix *ir.Index, st *stats.Stats, w rank.Wei
 // BuildChainH is BuildChain with a type hierarchy (§3.4 extension): plans
 // built from the chain match each tag constraint against the tag or any
 // of its subtypes. The hierarchy does not change the chain's relaxation
-// steps or penalties — it widens matching only.
+// steps or penalties — it widens matching only. It builds a fresh Shape;
+// callers that build one query's chain over several documents keep one
+// Shape instead.
 func BuildChainH(doc *xmltree.Document, ix *ir.Index, st *stats.Stats, w rank.Weights, q *tpq.Query, h *tpq.Hierarchy) (*Chain, error) {
+	s, err := NewShape(q)
+	if err != nil {
+		return nil, err
+	}
+	return s.Chain(doc, ix, st, w, h)
+}
+
+// Shape is the document-independent half of a query's relaxation chains
+// (§4.3, §5.1): the query's closure universe and, per penalty order, its
+// relaxation skeleton — the predicates each step drops, the relaxed
+// trees, distinguished IDs, descriptions and signature bits. The chain
+// builder reads the penalties only through the order in which it tries
+// the droppable predicates, so a skeleton is a pure function of that
+// order, and documents whose statistics order the penalties alike share
+// one. A Shape is safe for concurrent use; its universe, query and
+// skeletons are shared read-only by every chain built from it.
+type Shape struct {
+	q    *tpq.Query // a private copy: every chain's Original
+	u    *tpq.Universe
+	root int // dense index of the query root
+
+	mu        sync.Mutex
+	skeletons []skeleton // one per distinct order, at most maxSkeletons
+}
+
+// maxSkeletons bounds a Shape's memo: a query kept across many documents
+// with distinct penalty orders computes the overflow per chain instead of
+// holding it.
+const maxSkeletons = 64
+
+// skeleton is the relaxation chain of one candidate order without its
+// penalties: steps carry zero Penalty and SS.
+type skeleton struct {
+	order   []int32
+	steps   []Step
+	dropped [][]int32 // universe indices of steps[i].Dropped, in order
+	bit     []uint8   // signature bit per universe index, noBit if none
+	numBits int
+}
+
+// NewShape validates q and builds its closure universe.
+func NewShape(q *tpq.Query) (*Shape, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	q = q.Clone()
+	u := tpq.NewUniverse(q)
+	return &Shape{q: q, u: u, root: u.VarOf(q.Nodes[0].ID)}, nil
+}
+
+// Chain builds the shape's relaxation chain over one document: the
+// penalties come from the document's statistics, the steps from the
+// skeleton of their order, computed on first use. Each step's penalty is
+// summed in the order its predicates were dropped, so chains are bit for
+// bit those of a fresh build.
+func (s *Shape) Chain(doc *xmltree.Document, ix *ir.Index, st *stats.Stats, w rank.Weights, h *tpq.Hierarchy) (*Chain, error) {
 	if h != nil {
 		if err := h.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	w = foldQueryWeights(w, q)
-	u := tpq.NewUniverse(q)
+	u := s.u
+	w = foldQueryWeights(w, s.q)
 	pen := rank.NewPenalizer(st, ix, w, u)
-	c := &Chain{
-		Original:  q.Clone(),
-		hierarchy: h,
-		U:         u,
-		Base:      pen.BaseScore(),
-		doc:       doc,
-		ix:        ix,
-		weights:   w,
-		penalty:   make([]float64, u.Len()),
-		bit:       make([]uint8, u.Len()),
-	}
+	penalty := make([]float64, u.Len())
 	// Candidates in the order every step tries them: by penalty, ties by
-	// canonical key — which is index order. Penalties never change, so one
-	// sort serves all steps.
-	root := u.VarOf(q.Nodes[0].ID)
+	// canonical key — which is index order.
 	order := make([]int32, 0, u.Len())
 	for i := 0; i < u.Len(); i++ {
-		c.bit[i] = noBit
-		if droppable(u, i, root) {
-			c.penalty[i] = pen.Penalty(i)
+		if droppable(u, i, s.root) {
+			penalty[i] = pen.Penalty(i)
 			order = append(order, int32(i))
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return c.penalty[order[a]] < c.penalty[order[b]] })
-
-	b := chainBuilder{
-		c: c, order: order,
-		cur: u.All(), tentative: u.NewBits(), core: u.NewBits(), scratch: u.NewBits(),
-		curQuery: c.Original,
-		distID:   q.Nodes[q.Dist].ID,
+	sort.SliceStable(order, func(a, b int) bool { return penalty[order[a]] < penalty[order[b]] })
+	sk := s.skeleton(order)
+	c := &Chain{
+		Original:  s.q,
+		hierarchy: h,
+		U:         u,
+		Base:      pen.BaseScore(),
+		Steps:     make([]Step, len(sk.steps)),
+		doc:       doc,
+		ix:        ix,
+		weights:   w,
+		penalty:   penalty,
+		bit:       sk.bit,
+		numBits:   sk.numBits,
+		dropped:   sk.dropped,
 	}
 	ss := c.Base
+	for j, step := range sk.steps {
+		idx := sk.dropped[j]
+		// The chosen predicate, then the contains predicates that
+		// disappeared with its variable.
+		p := penalty[idx[0]]
+		for _, r := range idx[1:] {
+			if u.Pred(int(r)).Kind == tpq.PredContains {
+				p += penalty[r]
+			}
+		}
+		ss -= p
+		step.Penalty, step.SS = p, ss
+		c.Steps[j] = step
+	}
+	return c, nil
+}
+
+// skeleton returns the memoized skeleton of a candidate order, computing
+// it on first use (outside the lock: documents with different orders
+// build theirs in parallel).
+func (s *Shape) skeleton(order []int32) skeleton {
+	s.mu.Lock()
+	sk, ok := s.find(order)
+	s.mu.Unlock()
+	if ok {
+		return sk
+	}
+	sk = s.relax(order)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, ok := s.find(order); ok {
+		return prev
+	}
+	if len(s.skeletons) < maxSkeletons {
+		s.skeletons = append(s.skeletons, sk)
+	}
+	return sk
+}
+
+// find returns the kept skeleton of order; s.mu must be held. A Shape
+// keeps few (one per distinct order among the documents it is searched
+// over), so a linear scan finds one.
+func (s *Shape) find(order []int32) (skeleton, bool) {
+	for _, sk := range s.skeletons {
+		if slices.Equal(sk.order, order) {
+			return sk, true
+		}
+	}
+	return skeleton{}, false
+}
+
+// relax computes the skeleton of a candidate order, which it keeps:
+// starting from the closure it repeatedly drops the first candidate whose
+// removal is a valid relaxation, then assigns signature bits in chain
+// order. Every step drops at least one candidate, so the steps fit in
+// len(order).
+func (s *Shape) relax(order []int32) skeleton {
+	u := s.u
+	sk := skeleton{
+		order:   order,
+		steps:   make([]Step, 0, len(order)),
+		dropped: make([][]int32, 0, len(order)),
+		bit:     make([]uint8, u.Len()),
+	}
+	b := chainBuilder{
+		u: u, order: order,
+		cur: u.All(), tentative: u.NewBits(), core: u.NewBits(), scratch: u.NewBits(),
+		curQuery: s.q,
+		distID:   s.q.Nodes[s.q.Dist].ID,
+	}
 	for {
 		step, idx, ok := b.nextStep()
 		if !ok {
 			break
 		}
-		ss -= step.Penalty
-		step.SS = ss
-		c.Steps = append(c.Steps, step)
-		c.dropped = append(c.dropped, idx)
+		sk.steps = append(sk.steps, step)
+		sk.dropped = append(sk.dropped, idx)
 	}
 	// Assign signature bits to dropped predicates in chain order; queries
 	// large enough to exceed 64 tracked predicates share the last bit
 	// (merging buckets, which is harmless).
-	for _, idx := range c.dropped {
+	for i := range sk.bit {
+		sk.bit[i] = noBit
+	}
+	for _, idx := range sk.dropped {
 		for _, i := range idx {
 			if k := u.Pred(int(i)).Kind; k == tpq.PredTag || k == tpq.PredValue {
 				continue
 			}
-			bit := c.numBits
+			bit := sk.numBits
 			if bit > 63 {
 				bit = 63
 			} else {
-				c.numBits++
+				sk.numBits++
 			}
-			c.bit[i] = uint8(bit)
+			sk.bit[i] = uint8(bit)
 		}
 	}
-	if c.numBits > 63 {
-		c.numBits = 64
+	if sk.numBits > 63 {
+		sk.numBits = 64
 	}
-	return c, nil
+	return sk
 }
 
 // foldQueryWeights merges user-specified per-edge weights from the query
@@ -197,11 +322,11 @@ func droppable(u *tpq.Universe, i, root int) bool {
 	}
 }
 
-// chainBuilder is the state BuildChainH carries from step to step: the
+// chainBuilder is the state Shape.relax carries from step to step: the
 // predicates still in force and the scratch sets each candidate is tried
 // in.
 type chainBuilder struct {
-	c     *Chain
+	u     *tpq.Universe
 	order []int32 // droppable predicates by (penalty, key)
 	// cur is the current predicate set; tentative, core and scratch are
 	// overwritten per candidate.
@@ -210,12 +335,12 @@ type chainBuilder struct {
 	distID                        int
 }
 
-// nextStep finds the lowest-penalty droppable predicate whose removal is a
-// valid relaxation of the current predicate set, per Definition 1/2, and
-// applies it. It returns the step and the universe indices of its dropped
-// predicates.
+// nextStep finds the first droppable predicate in order whose removal is
+// a valid relaxation of the current predicate set, per Definition 1/2,
+// and applies it. It returns the step, without its penalty, and the
+// universe indices of its dropped predicates.
 func (b *chainBuilder) nextStep() (Step, []int32, bool) {
-	u := b.c.U
+	u := b.u
 	for _, oi := range b.order {
 		i := int(oi)
 		// Dropping a derivable predicate yields an equivalent query, not
@@ -227,7 +352,6 @@ func (b *chainBuilder) nextStep() (Step, []int32, bool) {
 		b.tentative.Copy(b.cur)
 		b.tentative.Clear(i)
 		dropped := []int32{oi}
-		penalty := b.c.penalty[i]
 		newDist := b.distID
 		orphaned := -1
 		if y := u.Y(i); y >= 0 && !b.tentative.Intersects(u.In(y)) {
@@ -244,9 +368,6 @@ func (b *chainBuilder) nextStep() (Step, []int32, bool) {
 				}
 				b.tentative.Clear(r)
 				dropped = append(dropped, int32(r))
-				if u.Pred(r).Kind == tpq.PredContains {
-					penalty += b.c.penalty[r]
-				}
 			}
 			if u.VarID(y) == b.distID {
 				// λ moves the distinguished node to the parent.
@@ -271,10 +392,9 @@ func (b *chainBuilder) nextStep() (Step, []int32, bool) {
 		}
 		return Step{
 			Dropped: preds,
-			Penalty: penalty,
 			Query:   relaxed,
 			DistID:  newDist,
-			Desc:    b.c.describe(i, orphaned),
+			Desc:    describe(u, i, orphaned),
 		}, dropped, true
 	}
 	return Step{}, nil, false
@@ -282,16 +402,16 @@ func (b *chainBuilder) nextStep() (Step, []int32, bool) {
 
 // describe names the relaxation operator dropping universe predicate i
 // corresponds to; orphaned is the dense variable the drop deleted, or -1.
-func (c *Chain) describe(i, orphaned int) string {
-	x := c.U.VarTag(c.U.X(i))
-	switch c.U.Pred(i).Kind {
+func describe(u *tpq.Universe, i, orphaned int) string {
+	x := u.VarTag(u.X(i))
+	switch u.Pred(i).Kind {
 	case tpq.PredPC:
-		return "generalize edge " + x + "/" + c.U.VarTag(c.U.Y(i))
+		return "generalize edge " + x + "/" + u.VarTag(u.Y(i))
 	case tpq.PredAD:
-		if orphaned == c.U.Y(i) {
-			return "delete " + c.U.VarTag(c.U.Y(i))
+		if orphaned == u.Y(i) {
+			return "delete " + u.VarTag(u.Y(i))
 		}
-		return "promote " + c.U.VarTag(c.U.Y(i)) + " above " + x
+		return "promote " + u.VarTag(u.Y(i)) + " above " + x
 	default:
 		return "promote contains from " + x
 	}

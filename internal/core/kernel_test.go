@@ -316,14 +316,16 @@ func TestChainMultiWord(t *testing.T) {
 var buildChainShapes = []struct {
 	name, src string
 	// maxAllocs is the ceiling on allocations per BuildChainH over
-	// TestBuildChainAllocs's fixture; 0 leaves the shape unpinned.
-	maxAllocs float64
+	// TestBuildChainAllocs's fixture, and maxWarmAllocs per Shape.Chain
+	// once the shape and the fixture's skeleton are warm (one document's
+	// share of a collection search); 0 leaves the shape unpinned.
+	maxAllocs, maxWarmAllocs float64
 }{
-	{"3nodes", `//item[./name and ./description[.contains("vintage" or "walnut")]]`, 114},
-	{"5nodes", `//open_auction[./bidder/date and ./annotation/description[.contains("vintage" or "walnut")]]`, 203},
-	{"8nodes", `//item[./description/parlist/listitem and ./mailbox/mail/text[.contains("gold")] and ./name]`, 0},
+	{"3nodes", `//item[./name and ./description[.contains("vintage" or "walnut")]]`, 111, 11},
+	{"5nodes", `//open_auction[./bidder/date and ./annotation/description[.contains("vintage" or "walnut")]]`, 198, 16},
+	{"8nodes", `//item[./description/parlist/listitem and ./mailbox/mail/text[.contains("gold")] and ./name]`, 0, 0},
 	{"12nodes", `//item[./description/parlist/listitem and ` +
-		`./mailbox/mail/text[./bold and ./keyword and ./emph] and ./name and ./incategory]`, 466},
+		`./mailbox/mail/text[./bold and ./keyword and ./emph] and ./name and ./incategory]`, 459, 6},
 }
 
 // TestBuildChainAllocs pins the allocations of one chain build — an
@@ -348,6 +350,19 @@ func TestBuildChainAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs per chain", sh.name, got)
 		if got > sh.maxAllocs {
 			t.Errorf("%s: %.0f allocs per chain, ceiling %.0f", sh.name, got, sh.maxAllocs)
+		}
+		s, err := NewShape(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := testing.AllocsPerRun(20, func() {
+			if _, err := s.Chain(f.doc, f.ix, f.st, w, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per warm-shape chain", sh.name, warm)
+		if warm > sh.maxWarmAllocs {
+			t.Errorf("%s: %.0f allocs per warm-shape chain, ceiling %.0f", sh.name, warm, sh.maxWarmAllocs)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // leafDoc is a random document whose text holds three common words and
 // one rare one, so that some witness lists are short enough for
-// evaluateLeaf to start from the witnesses (contextsOf).
+// evaluateLeaf's Within base to walk up from the witnesses.
 func leafDoc(r *rand.Rand) *xmltree.Document {
 	b := xmltree.NewBuilder()
 	var build func(depth int)
@@ -43,7 +43,7 @@ func leafDoc(r *rand.Rand) *xmltree.Document {
 // TestLeafFilterMatchesSatisfies: evaluateLeaf's galloping semijoin keeps
 // exactly the candidates a per-node Satisfies scan keeps, whether its base
 // is one tag's list, a merged multi-tag (hierarchy) list or the
-// witness-first contextsOf list, for one tag and for several; and
+// witness-first Within list, for one tag and for several; and
 // CountSatisfyingWithTag equals a naive count over the witnesses.
 func TestLeafFilterMatchesSatisfies(t *testing.T) {
 	exprs := []string{"alpha", "omega", "alpha or gamma", "alpha and beta",
@@ -125,28 +125,31 @@ func TestLeafFilterMatchesSatisfies(t *testing.T) {
 	}
 }
 
-// leafStartsFromWitnesses reports whether evaluateLeaf builds v's base
-// with contextsOf, by its own rule.
+// leafStartsFromWitnesses reports whether evaluateLeaf's base is a Within
+// list that walks up from the witnesses, by Within's rule.
 func leafStartsFromWitnesses(d *xmltree.Document, v *VarSpec) bool {
-	base := 0
-	if len(v.Tags) == 0 {
-		base = len(d.NodesWithTag(v.Tag))
-	}
-	for _, tag := range v.Tags {
-		base += len(d.NodesWithTag(tag))
-	}
 	smallest := -1
 	for _, c := range v.Contains {
 		if c.Required && (smallest < 0 || c.Res.Len() < smallest) {
 			smallest = c.Res.Len()
 		}
 	}
-	return smallest >= 0 && smallest*16 < base
+	tags := v.Tags
+	if len(tags) == 0 {
+		tags = []string{v.Tag}
+	}
+	for _, tag := range tags {
+		if smallest >= 0 && smallest*16 < len(d.NodesWithTag(tag)) {
+			return true
+		}
+	}
+	return false
 }
 
-// TestWitnessFirstLeafEquivalence: the adaptive witness-first leaf path
-// must produce exactly the candidates the tag-scan path produces, for
-// both rare and common predicates (forcing each path).
+// TestWitnessFirstLeafEquivalence: the leaf, and the Within list it
+// starts from, must hold exactly the candidates a tag scan keeps, for a
+// rare predicate (Within walks up from the witnesses) and a common one
+// (Within scans the tag list).
 func TestWitnessFirstLeafEquivalence(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<lib>")
@@ -176,6 +179,9 @@ func TestWitnessFirstLeafEquivalence(t *testing.T) {
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d candidates, want %d", term, len(got), len(want))
+		}
+		if within := res.Within("para"); !slices.Equal(within, want) {
+			t.Fatalf("%s: Within = %d nodes, want %d", term, len(within), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {

@@ -487,13 +487,13 @@ func Run(p *Plan, opts Options) []Answer {
 		ar.recycleTuples(tuples)
 		tuples = next
 		trace := StepTrace{
-			Var:        "$" + itoa(v.VarID) + " " + v.Tag,
 			Candidates: len(leaves[vi]),
 			TuplesIn:   tuplesIn,
 			TuplesOut:  len(tuples),
 		}
 		if len(tuples) == 0 {
 			if opts.Trace != nil {
+				trace.Var = traceName(v)
 				*opts.Trace = append(*opts.Trace, trace)
 			}
 			ar.recycleTuples(tuples)
@@ -576,6 +576,7 @@ func Run(p *Plan, opts Options) []Answer {
 			trace.Buckets = len(sigs)
 		}
 		if opts.Trace != nil {
+			trace.Var = traceName(v)
 			trace.TuplesOut = len(tuples)
 			*opts.Trace = append(*opts.Trace, trace)
 		}
@@ -662,57 +663,55 @@ func unboundBindings(n int) []xmltree.NodeID {
 // nodes with one of its tags that satisfy its value predicates and
 // required contains predicates.
 //
-// When the variable carries a required contains predicate whose witness
-// set is much smaller than the tag occurrence list, candidates are built
-// by walking up from the inverted-index witnesses instead of scanning the
-// tag list. This is §5.1's open choice between evaluating contains
-// predicates first and matching structure first, made per variable from
-// the predicate's selectivity; it is also the "tighter integration of
-// structure and keyword indices" the paper's conclusion names as future
-// work. Both paths produce the same sorted list.
+// With a required contains predicate the list starts from the smallest
+// such predicate's Within list of each tag, which chooses between
+// walking up from the witnesses and scanning the tag list (§5.1's open
+// choice between evaluating contains predicates first and matching
+// structure first); the other required predicates and the value
+// predicates then narrow it. Without one it starts from the tag lists.
 func evaluateLeaf(doc *xmltree.Document, v *VarSpec) []xmltree.NodeID {
+	first := -1
+	for i := range v.Contains {
+		if c := &v.Contains[i]; c.Required && (first < 0 || c.Res.Len() < v.Contains[first].Res.Len()) {
+			first = i
+		}
+	}
+	list := doc.NodesWithTag
+	if first >= 0 {
+		list = v.Contains[first].Res.Within
+	}
 	var base []xmltree.NodeID
 	if len(v.Tags) <= 1 {
 		tag := v.Tag
 		if len(v.Tags) == 1 {
 			tag = v.Tags[0]
 		}
-		base = doc.NodesWithTag(tag)
+		base = list(tag)
 	} else {
 		lists := make([][]xmltree.NodeID, 0, len(v.Tags))
 		for _, t := range v.Tags {
-			if l := doc.NodesWithTag(t); len(l) > 0 {
+			if l := list(t); len(l) > 0 {
 				lists = append(lists, l)
 			}
 		}
 		base = mergeSorted(lists)
 	}
-	var smallest *ir.Result
-	for i := range v.Contains {
-		if c := &v.Contains[i]; c.Required {
-			if smallest == nil || c.Res.Len() < smallest.Len() {
-				smallest = c.Res
-			}
-		}
-	}
-	// Witness-first leaf construction: profitable when walking every
-	// witness ancestor chain touches fewer nodes than scanning the tag
-	// list (the factor 16 over-approximates typical document depth).
-	if smallest != nil && smallest.Len()*16 < len(base) {
-		base = contextsOf(doc, smallest, v)
-	}
-	if smallest == nil && len(v.Values) == 0 {
-		return base
-	}
-	// Each required predicate is one forward semijoin of the sorted list
-	// against its witness column: the first reads base into a fresh
-	// buffer, the rest and the value filter narrow that buffer in place.
+	// Each further required predicate is one forward semijoin of the
+	// sorted list against its witness column: the first reads base into a
+	// fresh buffer, the rest and the value filter narrow that buffer in
+	// place. base itself may be shared and is never written.
 	out := base
-	buf := make([]xmltree.NodeID, 0, len(base))
-	for _, c := range v.Contains {
-		if c.Required {
+	var buf []xmltree.NodeID
+	for i, c := range v.Contains {
+		if c.Required && i != first {
+			if buf == nil {
+				buf = make([]xmltree.NodeID, 0, len(base))
+			}
 			out = c.Res.SemiJoinInto(buf, out)
 		}
+	}
+	if buf == nil && len(v.Values) > 0 {
+		buf = make([]xmltree.NodeID, 0, len(base))
 	}
 	return filterValues(doc, buf, out, v.Values)
 }
@@ -876,68 +875,9 @@ func kthBest(ar *Arena, tuples []tuple, distVar, k int, total func(*tuple) float
 	return keepBest(totals, k, func(x, y float64) bool { return x > y })[0], true
 }
 
-// walkScratch is a reusable visited-marking buffer for ancestor walks.
-// Epoch counters avoid clearing the array between uses; the pool makes
-// concurrent evaluations safe.
-type walkScratch struct {
-	epoch []int32
-	cur   int32
-}
-
-var walkPool = sync.Pool{New: func() interface{} { return &walkScratch{} }}
-
-func acquireScratch(n int) *walkScratch {
-	s := walkPool.Get().(*walkScratch)
-	if len(s.epoch) < n {
-		s.epoch = make([]int32, n)
-		s.cur = 0
-	}
-	s.cur++
-	if s.cur == 0 { // wrapped: clear and restart
-		for i := range s.epoch {
-			s.epoch[i] = 0
-		}
-		s.cur = 1
-	}
-	return s
-}
-
-// contextsOf collects the distinct ancestors-or-self of the result's
-// witnesses that carry one of the variable's tags, sorted in document
-// order.
-func contextsOf(doc *xmltree.Document, r *ir.Result, v *VarSpec) []xmltree.NodeID {
-	want := map[xmltree.TagID]bool{}
-	if len(v.Tags) == 0 {
-		if id := doc.TagByName(v.Tag); id != xmltree.InvalidTag {
-			want[id] = true
-		}
-	} else {
-		for _, t := range v.Tags {
-			if id := doc.TagByName(t); id != xmltree.InvalidTag {
-				want[id] = true
-			}
-		}
-	}
-	if len(want) == 0 {
-		return nil
-	}
-	scratch := acquireScratch(doc.Len())
-	var out []xmltree.NodeID
-	for wi := 0; wi < r.Len(); wi++ {
-		for a := r.Node(wi); a != xmltree.InvalidNode; a = doc.Parent(a) {
-			if scratch.epoch[a] == scratch.cur {
-				break
-			}
-			scratch.epoch[a] = scratch.cur
-			if want[doc.Tag(a)] {
-				out = append(out, a)
-			}
-		}
-	}
-	walkPool.Put(scratch)
-	slices.Sort(out)
-	return out
-}
+// traceName is a join step's StepTrace.Var. It is rendered only when a
+// trace is kept: Run must not build a string per step otherwise.
+func traceName(v *VarSpec) string { return "$" + itoa(v.VarID) + " " + v.Tag }
 
 // itoa is strconv.Itoa without the import churn in this hot file.
 func itoa(v int) string {

@@ -205,8 +205,8 @@ type Result struct {
 	nodes  []xmltree.NodeID
 	scores []float64
 
-	mu        sync.Mutex
-	tagCounts map[string]int // memo of CountSatisfyingWithTag
+	mu     sync.Mutex
+	within map[string][]xmltree.NodeID // memo of Within
 }
 
 // Len returns the number of witness elements.
@@ -316,31 +316,90 @@ func (ix *Index) CountSatisfyingWithTag(tag string, e Expr) int {
 
 // CountSatisfyingWithTag counts the elements with the given tag whose
 // subtree contains a witness: #contains(tag, E) of the penalty formulas.
-// The count is computed once per tag — the denominator of one closure
-// predicate's penalty is the numerator of its parent's, and the estimator
-// asks again — by the semijoin cursor over the tag's node list.
+// It is len(Within(tag)), so the penalties, the estimator and the plan
+// leaves share one list.
 func (r *Result) CountSatisfyingWithTag(tag string) int {
+	return len(r.Within(tag))
+}
+
+// walkFactor is Within's direction rule: walking up from the witnesses
+// beats scanning the tag list when the tag list is more than walkFactor
+// times longer than the witness list (it over-approximates the depth of
+// a typical document, i.e. the length of one ancestor walk).
+const walkFactor = 16
+
+// Within returns the elements with the given tag whose subtree contains a
+// witness, in document order: the #contains(tag, E) list. It is computed
+// once per tag — the denominator of one closure predicate's penalty is
+// the numerator of its parent's, the estimator asks again, and a plan
+// leaf starts from it — and held at exactly its length. The returned
+// slice is shared and must not be modified.
+//
+// This is §5.1's choice between evaluating the contains predicate first
+// and matching structure first, made in one place: when the witnesses are
+// few against the tag list it walks up from each witness, otherwise it
+// gallops the tag list against the witnesses.
+func (r *Result) Within(tag string) []xmltree.NodeID {
 	r.mu.Lock()
-	count, ok := r.tagCounts[tag]
+	out, ok := r.within[tag]
 	r.mu.Unlock()
 	if ok {
-		return count
+		return out
 	}
-	c := cursor{nodes: r.nodes, ends: r.doc.Ends()}
-	for _, n := range r.doc.NodesWithTag(tag) {
-		if c.satisfies(n) {
-			count++
-		} else if c.at == len(c.nodes) { // no later node can be satisfied
-			break
+	t := r.doc.TagByName(tag)
+	out = r.within1(t, len(r.nodes)*walkFactor < len(r.doc.NodesWithTagID(t)))
+	r.mu.Lock()
+	if prev, ok := r.within[tag]; ok {
+		out = prev
+	} else {
+		if r.within == nil {
+			r.within = make(map[string][]xmltree.NodeID)
+		}
+		r.within[tag] = out
+	}
+	r.mu.Unlock()
+	return out
+}
+
+// within1 computes Within for tag t, walking up from the witnesses when
+// walk is set and galloping the tag list otherwise.
+func (r *Result) within1(t xmltree.TagID, walk bool) []xmltree.NodeID {
+	if t == xmltree.InvalidTag || len(r.nodes) == 0 {
+		return nil
+	}
+	var out []xmltree.NodeID
+	if walk {
+		// Witnesses are minimal, so an ancestor of witness w that is not
+		// after the previous witness prev is also an ancestor of prev and
+		// was collected by an earlier walk. Each walk therefore stops at
+		// prev (or above the root: InvalidNode is -1), visits every element
+		// once, and collects a descending run of ids after every earlier
+		// run: reversed, the runs concatenate in document order.
+		parents, prev := r.doc.Parents(), xmltree.InvalidNode
+		for _, w := range r.nodes {
+			run := len(out)
+			for a := w; a > prev; a = parents[a] {
+				if r.doc.Tag(a) == t {
+					out = append(out, a)
+				}
+			}
+			slices.Reverse(out[run:])
+			prev = w
+		}
+	} else {
+		c := cursor{nodes: r.nodes, ends: r.doc.Ends()}
+		for _, n := range r.doc.NodesWithTagID(t) {
+			if c.satisfies(n) {
+				out = append(out, n)
+			} else if c.at == len(c.nodes) { // no later node can be satisfied
+				break
+			}
 		}
 	}
-	r.mu.Lock()
-	if r.tagCounts == nil {
-		r.tagCounts = make(map[string]int)
+	if cap(out) > len(out) {
+		out = append(make([]xmltree.NodeID, 0, len(out)), out...)
 	}
-	r.tagCounts[tag] = count
-	r.mu.Unlock()
-	return count
+	return out
 }
 
 // witnesses is a witness list during evaluation, as two columns: nodes in
