@@ -127,7 +127,9 @@ func TestAdminBulkNonDurableConcurrent(t *testing.T) {
 
 // TestDirSameFilesWithWAL: -dir loads the same corpus with and without
 // -wal — .xml and .fxp3 files in any case, never other files or
-// directories — and a directory without a corpus file is an error.
+// directories — and a directory without a corpus file is an error. The
+// magic, not the extension, decides a file's format: FXP3 bytes named
+// .xml join cold like an upper-case .FXP3 snapshot.
 func TestDirSameFilesWithWAL(t *testing.T) {
 	dir := t.TempDir()
 	doc, err := flexpath.LoadString(adminXML)
@@ -137,8 +139,10 @@ func TestDirSameFilesWithWAL(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "a.XML"), []byte(adminXML), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := doc.SaveFXP3SnapshotFile(filepath.Join(dir, "b.fxp3")); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"b.FXP3", "c.xml"} {
+		if err := doc.SaveFXP3SnapshotFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not a corpus file"), 0o644); err != nil {
 		t.Fatal(err)
@@ -146,8 +150,8 @@ func TestDirSameFilesWithWAL(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "sub.xml"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{filepath.Join(dir, "a.XML"), filepath.Join(dir, "b.fxp3")}
-	paths, err := corpusFiles(dir)
+	want := []string{filepath.Join(dir, "a.XML"), filepath.Join(dir, "b.FXP3"), filepath.Join(dir, "c.xml")}
+	paths, err := flexpath.CorpusFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +167,15 @@ func TestDirSameFilesWithWAL(t *testing.T) {
 	}
 	defer dur.Close()
 	for _, path := range paths {
-		if err := addFile(path, mem, nil); err != nil {
+		if err := mem.AddFile(path); err != nil {
 			t.Fatalf("in-memory %s: %v", path, err)
 		}
-		if err := addFile(path, dur.Collection(), dur); err != nil {
+		if err := seedFile(dur, path); err != nil {
 			t.Fatalf("wal %s: %v", path, err)
 		}
+	}
+	if rs := mem.ResidencyStats(); rs.Cold != 2 || rs.Resident != 0 {
+		t.Errorf("in-memory residency before any search: %+v, want the two FXP3 files cold", rs)
 	}
 	for mode, c := range map[string]*flexpath.Collection{"in-memory": mem, "wal": dur.Collection()} {
 		if got := c.Names(); !slices.Equal(got, want) {
@@ -180,7 +187,7 @@ func TestDirSameFilesWithWAL(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(empty, "notes.txt"), []byte("not a corpus file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := corpusFiles(empty); err == nil {
+	if _, err := flexpath.CorpusFiles(empty); err == nil {
 		t.Error("a directory without corpus files listed none without an error")
 	}
 }

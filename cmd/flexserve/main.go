@@ -62,12 +62,14 @@
 // stops accepting connections, drains in-flight requests for up to
 // -drain, and exits.
 //
-// Documents may be XML files or binary snapshots (detected by magic).
-// FXP3 snapshots (.fxp3, written by flexpath -save-fxp3) are mmap'd and
-// served cold: a document is decoded only when a search needs it, and
-// -resident-docs bounds how many decoded documents stay hot — evicted
-// documents fall back to their file-backed mapping, so a corpus much
-// larger than RAM serves from whatever working set fits.
+// Documents may be XML files or binary snapshots: each file's magic
+// decides which, never its extension (-dir only selects the files ending
+// in .xml or .fxp3, in any case). FXP3 snapshots (written by flexpath
+// -save-fxp3) are mmap'd and served cold: a document is decoded only
+// when a search needs it, and -resident-docs bounds how many decoded
+// documents stay hot — evicted documents fall back to their file-backed
+// mapping, so a corpus much larger than RAM serves from whatever working
+// set fits.
 package main
 
 import (
@@ -78,8 +80,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -131,14 +131,20 @@ func main() {
 	}
 	paths := flag.Args()
 	if *dir != "" {
-		files, err := corpusFiles(*dir)
+		files, err := flexpath.CorpusFiles(*dir)
 		if err != nil {
 			log.Fatal(err)
 		}
 		paths = append(files, paths...)
 	}
 	for _, path := range paths {
-		if err := addFile(path, coll, dur); err != nil {
+		var err error
+		if dur != nil {
+			err = seedFile(dur, path)
+		} else {
+			err = coll.AddFile(path)
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -190,45 +196,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// corpusFiles lists the corpus files of dir in name order: the entries
-// that are not directories and end in .xml or .fxp3, in any case. A
-// directory without one is an error, with or without -wal.
-func corpusFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, e := range entries {
-		ext := filepath.Ext(e.Name())
-		if !e.IsDir() && (strings.EqualFold(ext, ".xml") || strings.EqualFold(ext, ".fxp3")) {
-			paths = append(paths, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("flexserve: no .xml or .fxp3 files in %s", dir)
-	}
-	return paths, nil
-}
-
-// addFile adds one corpus file under its path. With a WAL it is seeded
-// durably; otherwise an .fxp3 snapshot joins cold (mapped and listed,
-// decoded only when a search needs it) and any other file loads by its
-// magic, as XML or a snapshot.
-func addFile(path string, coll *flexpath.Collection, dur *flexpath.DurableCollection) error {
-	switch {
-	case dur != nil:
-		return seedFile(dur, path)
-	case strings.EqualFold(filepath.Ext(path), ".fxp3"):
-		return coll.AddSnapshotFile(path, path)
-	}
-	doc, err := flexpath.LoadAuto(path)
-	if err != nil {
-		return err
-	}
-	return coll.Add(path, doc)
 }
 
 // seedFile durably ingests one corpus file (XML or binary snapshot)

@@ -265,13 +265,47 @@ func (c *Collection) retire(old *member) {
 	d.purgeCache()
 }
 
-// AddFile loads and adds the XML document at path, named by the path.
+// AddFile adds the corpus file at path, named by the path, deciding its
+// format by its magic and never by its extension: an FXP3 snapshot joins
+// cold (see AddSnapshotFile), an FXP2 or FXT1 snapshot is
+// ErrLegacySnapshot naming the file, and anything else parses as XML and
+// is added pinned.
 func (c *Collection) AddFile(path string) error {
-	doc, err := LoadFile(path)
+	f, isFXP3, err := openFile(path)
 	if err != nil {
 		return err
 	}
+	defer f.Close()
+	if isFXP3 {
+		return c.AddSnapshotFile(path, path)
+	}
+	doc, err := Load(f)
+	if err != nil {
+		return fmt.Errorf("flexpath: %s: %w", path, err)
+	}
 	return c.Add(path, doc)
+}
+
+// CorpusFiles lists the corpus files of dir in name order: the entries
+// that are not directories and end in .xml or .fxp3, in any case. A
+// directory without one is an error. The extension only selects the
+// files; AddFile decides each one's format by its magic.
+func CorpusFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for _, e := range entries {
+		ext := filepath.Ext(e.Name())
+		if !e.IsDir() && (strings.EqualFold(ext, ".xml") || strings.EqualFold(ext, ".fxp3")) {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("flexpath: no .xml or .fxp3 files in %s", dir)
+	}
+	return paths, nil
 }
 
 // Len returns the number of documents.
@@ -490,38 +524,4 @@ func (m *Metrics) add(o Metrics) {
 	m.TuplesPruned += o.TuplesPruned
 	m.SortedTuples += o.SortedTuples
 	m.Buckets += o.Buckets
-}
-
-// LoadCollectionFiles builds a collection from XML files.
-func LoadCollectionFiles(paths ...string) (*Collection, error) {
-	c := NewCollection()
-	for _, p := range paths {
-		if err := c.AddFile(p); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// LoadCollectionDir builds a collection from every .xml file directly
-// inside dir. The extension match is case-insensitive (".XML" files
-// written by case-preserving filesystems load too).
-func LoadCollectionDir(dir string) (*Collection, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	c := NewCollection()
-	for _, e := range entries {
-		if e.IsDir() || !strings.EqualFold(filepath.Ext(e.Name()), ".xml") {
-			continue
-		}
-		if err := c.AddFile(filepath.Join(dir, e.Name())); err != nil {
-			return nil, err
-		}
-	}
-	if c.Len() == 0 {
-		return nil, fmt.Errorf("flexpath: no .xml files in %s", dir)
-	}
-	return c, nil
 }

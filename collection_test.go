@@ -116,6 +116,8 @@ func TestCollectionMetricsAccumulate(t *testing.T) {
 	}
 }
 
+// TestLoadCollectionDir: CorpusFiles selects a directory's corpus files
+// and AddFile loads each, the way flexserve -dir does.
 func TestLoadCollectionDir(t *testing.T) {
 	dir := t.TempDir()
 	for i, src := range []string{collDocA, collDocB} {
@@ -132,9 +134,15 @@ func TestLoadCollectionDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "UPPER.XML"), []byte(collDocA), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := LoadCollectionDir(dir)
+	paths, err := CorpusFiles(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	c := NewCollection()
+	for _, p := range paths {
+		if err := c.AddFile(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.Len() != 3 {
 		t.Errorf("loaded %d documents, want 3", c.Len())
@@ -142,29 +150,42 @@ func TestLoadCollectionDir(t *testing.T) {
 	if _, ok := c.Document(filepath.Join(dir, "UPPER.XML")); !ok {
 		t.Errorf("UPPER.XML not loaded; names: %v", c.Names())
 	}
-	if _, err := LoadCollectionDir(t.TempDir()); err == nil {
+	if _, err := CorpusFiles(t.TempDir()); err == nil {
 		t.Error("empty dir accepted")
 	}
-	if _, err := LoadCollectionDir("/nonexistent"); err == nil {
+	if _, err := CorpusFiles("/nonexistent"); err == nil {
 		t.Error("missing dir accepted")
 	}
 }
 
+// TestLoadCollectionFiles: AddFile parses an XML file, named by its path;
+// a missing or malformed file is an error that names the file and adds
+// nothing.
 func TestLoadCollectionFiles(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "a.xml")
 	if err := os.WriteFile(p, []byte(collDocA), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := LoadCollectionFiles(p)
-	if err != nil {
+	c := NewCollection()
+	if err := c.AddFile(p); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	if _, err := LoadCollectionFiles(p, "/missing.xml"); err == nil {
+	if err := c.AddFile("/missing.xml"); err == nil {
 		t.Error("missing file accepted")
+	}
+	bad := filepath.Join(dir, "bad.xml")
+	if err := os.WriteFile(bad, []byte("<a><b></a>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddFile(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("malformed XML: err = %v, want an error naming the file", err)
+	}
+	if c.Len() != 1 || c.Nodes() == 0 {
+		t.Errorf("Len = %d, Nodes = %d", c.Len(), c.Nodes())
+	}
+	if _, ok := c.Document(p); !ok {
+		t.Errorf("%s not loaded under its path; names: %v", p, c.Names())
 	}
 }
 

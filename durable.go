@@ -177,16 +177,19 @@ func (dc *DurableCollection) applyReplay(r wal.Record) error {
 	return fmt.Errorf("unknown op %d", r.Op)
 }
 
-// loadDocumentBytes builds a Document from raw bytes, routing binary
-// snapshots by magic the way LoadAuto does for files. WAL records from
-// admin uploads always hold XML; records seeded from command-line files
-// may hold snapshots.
+// loadDocumentBytes builds a Document from raw bytes, deciding their
+// format by snapshotMagic the way LoadAuto and AddFile do for files. WAL
+// records from admin uploads always hold XML; records seeded from
+// command-line files may hold snapshots, which are decoded in place (the
+// document aliases b; the WAL hands out every record's bytes as a fresh
+// copy).
 func loadDocumentBytes(b []byte) (*Document, error) {
-	switch snapshotMagic(b) {
-	case "FXP3":
-		return LoadFXP3Snapshot(bytes.NewReader(b))
-	case "FXP2", "FXT1":
-		return nil, ErrLegacySnapshot
+	isFXP3, err := snapshotMagic(b)
+	switch {
+	case err != nil:
+		return nil, err
+	case isFXP3:
+		return decodeFXP3(b)
 	}
 	return Load(bytes.NewReader(b))
 }
@@ -235,8 +238,10 @@ func (dc *DurableCollection) RemoveIfPresent(name string) (bool, error) {
 
 // Seed durably inserts a document from raw file bytes (XML or a binary
 // snapshot, routed by magic) if the name is absent; present names are
-// left untouched. flexserve uses it to ingest command-line corpus files
-// into a fresh WAL directory exactly once.
+// left untouched. A snapshot is decoded in place, so the document
+// aliases data, which must not be modified afterwards. flexserve uses it
+// to ingest command-line corpus files into a fresh WAL directory exactly
+// once.
 func (dc *DurableCollection) Seed(name string, data []byte) error {
 	_, err := dc.mutate(verbSeed, name, data, loadDocumentBytes)
 	return err

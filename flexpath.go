@@ -13,7 +13,7 @@
 //
 // Basic use:
 //
-//	doc, err := flexpath.LoadFile("articles.xml")
+//	doc, err := flexpath.LoadAuto("articles.xml")
 //	q, err := flexpath.ParseQuery(
 //	    `//article[./section[./paragraph and .contains("XML" and "streaming")]]`)
 //	answers, err := doc.Search(q, flexpath.SearchOptions{K: 10})
@@ -274,25 +274,31 @@ func LoadString(s string) (*Document, error) {
 	return NewDocument(t), nil
 }
 
-// LoadFile parses the XML document at path.
-func LoadFile(path string) (*Document, error) {
-	f, err := os.Open(path)
+// LoadAuto loads the document at path, deciding its format by its magic
+// (see openFile): an FXP3 snapshot is mapped, an FXP2 or FXT1 snapshot
+// of an older release is ErrLegacySnapshot, and anything else parses as
+// XML.
+func LoadAuto(path string) (*Document, error) {
+	f, isFXP3, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	if isFXP3 {
+		// Reopen via the mmap path so the document serves file-backed.
+		return LoadFXP3SnapshotFile(path)
+	}
 	return Load(f)
 }
 
-// LoadAuto loads path as a snapshot when it carries a snapshot magic and
-// as XML otherwise. FXP3 snapshots are mapped; an FXP2 or FXT1 snapshot
-// of an older release is ErrLegacySnapshot.
-func LoadAuto(path string) (*Document, error) {
-	f, err := os.Open(path)
+// openFile opens path and reads its magic with snapshotMagic, leaving
+// the file at its start; a legacy snapshot is ErrLegacySnapshot naming
+// the file. The extension plays no part. The caller closes f.
+func openFile(path string) (f *os.File, isFXP3 bool, err error) {
+	f, err = os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	defer f.Close()
 	// io.ReadFull, not Read: a plain Read may legally return fewer than 4
 	// bytes without an error even on a longer file, which would misroute
 	// a genuine snapshot to the XML parser. Files shorter than the magic
@@ -300,20 +306,19 @@ func LoadAuto(path string) (*Document, error) {
 	// and fall through to XML parsing, which reports its own error.
 	var magic [4]byte
 	n, err := io.ReadFull(f, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, err
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		_, err = f.Seek(0, io.SeekStart)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+	if err == nil {
+		if isFXP3, err = snapshotMagic(magic[:n]); err != nil {
+			err = wrapSnapshotPath(path, err)
+		}
 	}
-	switch snapshotMagic(magic[:n]) {
-	case "FXP3":
-		// Reopen via the mmap path so the document serves file-backed.
-		return LoadFXP3SnapshotFile(path)
-	case "FXP2", "FXT1":
-		return nil, wrapSnapshotPath(path, ErrLegacySnapshot)
+	if err != nil {
+		f.Close()
+		return nil, false, err
 	}
-	return Load(f)
+	return f, isFXP3, nil
 }
 
 // DocumentOptions configures index construction.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -56,22 +54,8 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := LoadString("not xml at all"); err == nil {
 		t.Error("accepted invalid XML")
 	}
-	if _, err := LoadFile("/nonexistent/file.xml"); err == nil {
+	if _, err := LoadAuto("/nonexistent/file.xml"); err == nil {
 		t.Error("accepted missing file")
-	}
-}
-
-func TestLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "doc.xml")
-	if err := os.WriteFile(path, []byte(articlesXML), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Nodes() == 0 {
-		t.Error("empty document")
 	}
 }
 

@@ -199,7 +199,7 @@ func TestFXP3RejectsDisorderedColumns(t *testing.T) {
 		if err := fxp3.Write(&buf, secs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadFXP3Snapshot(bytes.NewReader(buf.Bytes())); err == nil {
+		if _, err := loadDocumentBytes(buf.Bytes()); err == nil {
 			t.Errorf("%s: loaded", c.name)
 		} else if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", c.name, err)
@@ -289,7 +289,7 @@ func TestThreeFormsOneRepresentation(t *testing.T) {
 	}
 	for i, tr := range trees {
 		parsed := newDocument(tr, DocumentOptions{BM25: i%2 == 1})
-		from3, err := LoadFXP3Snapshot(bytes.NewReader(fxp3Bytes(t, parsed)))
+		from3, err := loadDocumentBytes(fxp3Bytes(t, parsed))
 		if err != nil {
 			t.Fatalf("tree %d: FXP3 reload: %v", i, err)
 		}

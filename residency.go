@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flexpath/internal/fxp3"
-	"flexpath/internal/mmapio"
 	"flexpath/internal/obs"
 )
 
@@ -41,9 +40,10 @@ import (
 
 // member is one collection slot: the name-keyed pairing of an optional
 // cold backing (an open FXP3 mapping) with the currently resident
-// decoded document, if any. Members added with Add/AddFile have no cold
-// backing and are pinned: they cannot be re-faulted, so they are never
-// evicted and do not count against the residency cap.
+// decoded document, if any. Members added with Add (or from an XML file
+// with AddFile) have no cold backing and are pinned: they cannot be
+// re-faulted, so they are never evicted and do not count against the
+// residency cap.
 type member struct {
 	name string
 	// doc is the resident decoded document; nil while cold.
@@ -95,28 +95,12 @@ func (m *member) sourceBytes() int64 {
 // AddSnapshotFile adds the FXP3 snapshot at path as a cold member under
 // name, failing with ErrDocumentExists if the name is taken: the file is
 // mapped and its meta section read, but the document is not decoded until
-// a search needs it. The mapping stays open until
-// Collection.Close. Only FXP3 snapshots can be added cold (the other
-// formats cannot be decoded lazily); use Add(LoadAuto(...)) for them.
+// a search needs it. The mapping stays open until Collection.Close.
+// AddFile takes any corpus file, deciding its format by its magic.
 func (c *Collection) AddSnapshotFile(name, path string) error {
-	mp, err := mmapio.Open(path)
+	mp, f, meta, err := openFXP3(path)
 	if err != nil {
 		return err
-	}
-	f, err := fxp3.Parse(mp.Bytes())
-	if err != nil {
-		mp.Close()
-		return wrapSnapshotPath(path, corrupt(err))
-	}
-	payload, err := f.Section(fxp3.SectionMeta)
-	if err != nil {
-		mp.Close()
-		return wrapSnapshotPath(path, corrupt(err))
-	}
-	meta, err := decodeFXP3Meta(payload)
-	if err != nil {
-		mp.Close()
-		return wrapSnapshotPath(path, err)
 	}
 	mem := &member{name: name, cold: &coldDoc{path: path, f: f, meta: meta}}
 	if _, err := c.mutate(verbAdd, name, mem, mp, nil); err != nil {
@@ -175,8 +159,8 @@ func (c *Collection) requireAt(m *member, tick int64, span *obs.Span) (*Document
 // SetResidency bounds how many fault-capable members stay resident:
 // beyond max, the least recently used are evicted (their results
 // dropped, see the package comment above). max <= 0 removes the bound.
-// Pinned members (added with Add/AddFile) are not counted and never
-// evicted.
+// Pinned members (added with Add, or from an XML file with AddFile) are
+// not counted and never evicted.
 func (c *Collection) SetResidency(max int) {
 	c.maxResident.Store(int64(max))
 	c.enforceResidency()

@@ -28,18 +28,21 @@ var (
 	ErrLegacySnapshot = errors.New("flexpath: unsupported legacy FXP2 or FXT1 snapshot, regenerate it from XML")
 )
 
-// snapshotMagic returns the snapshot magic b starts with ("FXP3", or the
-// legacy "FXP2" and "FXT1"), or "" when b is not a snapshot and should
-// parse as XML. The legacy magics are recognised only to be refused with
-// ErrLegacySnapshot rather than reported as an XML syntax error.
-func snapshotMagic(b []byte) string {
+// snapshotMagic is the one rule that decides a file's format from its
+// first bytes: it reports whether b starts with the FXP3 magic, fails
+// with ErrLegacySnapshot on the FXP2 and FXT1 magics of older releases
+// (recognised only to be refused rather than reported as an XML syntax
+// error), and otherwise leaves b to parse as XML.
+func snapshotMagic(b []byte) (isFXP3 bool, err error) {
 	if len(b) >= 4 {
-		switch m := string(b[:4]); m {
-		case "FXP3", "FXP2", "FXT1":
-			return m
+		switch string(b[:4]) {
+		case "FXP3":
+			return true, nil
+		case "FXP2", "FXT1":
+			return false, ErrLegacySnapshot
 		}
 	}
-	return ""
+	return false, nil
 }
 
 // serials numbers documents for result-cache parts.

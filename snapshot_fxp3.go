@@ -1,7 +1,6 @@
 package flexpath
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -103,24 +102,36 @@ func decodeFXP3Meta(payload []byte) (SnapshotMeta, error) {
 // and postings are neither decoded nor faulted in. This is what a cold
 // collection member costs at open.
 func ReadFXP3Meta(path string) (SnapshotMeta, error) {
-	m, err := mmapio.Open(path)
+	m, _, meta, err := openFXP3(path)
 	if err != nil {
 		return SnapshotMeta{}, err
 	}
-	defer m.Close()
-	f, err := fxp3.Parse(m.Bytes())
-	if err != nil {
-		return SnapshotMeta{}, wrapSnapshotPath(path, corrupt(err))
-	}
-	payload, err := f.Section(fxp3.SectionMeta)
-	if err != nil {
-		return SnapshotMeta{}, wrapSnapshotPath(path, corrupt(err))
-	}
-	meta, err := decodeFXP3Meta(payload)
-	if err != nil {
-		return SnapshotMeta{}, wrapSnapshotPath(path, err)
-	}
+	m.Close()
 	return meta, nil
+}
+
+// openFXP3 maps the FXP3 snapshot at path, parses its directory and
+// decodes its meta section, the one meta read of ReadFXP3Meta and
+// AddSnapshotFile. Errors name the file. On success the caller owns the
+// mapping, which f aliases.
+func openFXP3(path string) (*mmapio.Mapping, *fxp3.File, SnapshotMeta, error) {
+	m, err := mmapio.Open(path)
+	if err != nil {
+		return nil, nil, SnapshotMeta{}, err
+	}
+	var meta SnapshotMeta
+	f, err := fxp3.Parse(m.Bytes())
+	if err == nil {
+		var payload []byte
+		if payload, err = f.Section(fxp3.SectionMeta); err == nil {
+			meta, err = decodeFXP3Meta(payload)
+		}
+	}
+	if err != nil {
+		m.Close()
+		return nil, nil, SnapshotMeta{}, wrapSnapshotPath(path, corrupt(err))
+	}
+	return m, f, meta, nil
 }
 
 // corrupt folds lower-layer corruption sentinels (fxp3.ErrCorrupt, the
@@ -174,15 +185,10 @@ func documentFromFXP3(f *fxp3.File) (*Document, error) {
 	return assembleDocument(tree, st, ix), nil
 }
 
-// LoadFXP3Snapshot restores a document from an FXP3 snapshot stream.
-// The stream is buffered in memory; prefer LoadFXP3SnapshotFile, which
-// maps the file and lets the kernel own the bytes.
-func LoadFXP3Snapshot(r io.Reader) (*Document, error) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("flexpath: snapshot: %w", err)
-	}
-	f, err := fxp3.Parse(buf.Bytes())
+// decodeFXP3 parses and decodes FXP3 bytes in place: the document
+// aliases b (see documentFromFXP3).
+func decodeFXP3(b []byte) (*Document, error) {
+	f, err := fxp3.Parse(b)
 	if err != nil {
 		return nil, corrupt(err)
 	}
@@ -199,24 +205,10 @@ func LoadFXP3SnapshotFile(path string) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := documentFromMapping(m)
+	d, err := decodeFXP3(m.Bytes())
 	if err != nil {
 		m.Close()
 		return nil, wrapSnapshotPath(path, err)
-	}
-	return d, nil
-}
-
-// documentFromMapping parses and decodes an open mapping into a
-// document that owns it. On error the caller closes the mapping.
-func documentFromMapping(m *mmapio.Mapping) (*Document, error) {
-	f, err := fxp3.Parse(m.Bytes())
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	d, err := documentFromFXP3(f)
-	if err != nil {
-		return nil, err
 	}
 	d.mp = m
 	return d, nil

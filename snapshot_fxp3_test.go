@@ -24,7 +24,7 @@ func TestFXP3SnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadFXP3Snapshot(bytes.NewReader(fxp3Bytes(t, doc)))
+	restored, err := loadDocumentBytes(fxp3Bytes(t, doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,8 @@ func TestFXP3BM25Preserved(t *testing.T) {
 // every possible length: no prefix may load. (The section directory
 // covers the whole payload and each section is checksummed, so any cut
 // lands in a failed directory check, a missing section or a checksum
-// mismatch.)
+// mismatch.) A cut inside the 4-byte magic leaves bytes that are not a
+// snapshot by the magic rule: they parse as XML and fail there.
 func TestFXP3RejectsTruncationAtEveryOffset(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {
@@ -161,9 +162,13 @@ func TestFXP3RejectsTruncationAtEveryOffset(t *testing.T) {
 	}
 	data := fxp3Bytes(t, doc)
 	for n := 0; n < len(data); n++ {
-		if _, err := LoadFXP3Snapshot(bytes.NewReader(data[:n])); err == nil {
+		_, err := loadDocumentBytes(data[:n])
+		switch {
+		case err == nil:
 			t.Fatalf("truncation to %d/%d bytes loaded", n, len(data))
-		} else if !errors.Is(err, ErrCorruptSnapshot) {
+		case n < 4 && errors.Is(err, ErrCorruptSnapshot):
+			t.Fatalf("truncation to %d bytes, inside the magic: err = %v, want an XML error", n, err)
+		case n >= 4 && !errors.Is(err, ErrCorruptSnapshot):
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrCorruptSnapshot", n, err)
 		}
 	}
@@ -177,13 +182,19 @@ func TestFXP3RejectsBitFlips(t *testing.T) {
 	data := fxp3Bytes(t, doc)
 	// Flipping any single bit must be caught: header and directory by
 	// Parse, payloads by the per-section checksum. Sampling every 97th
-	// byte keeps the test fast while walking all regions of the file.
+	// byte keeps the test fast while walking all regions of the file. A
+	// flip in the magic (offset 0) leaves no snapshot: the bytes parse as
+	// XML and fail there.
 	for off := 0; off < len(data); off += 97 {
 		b := bytes.Clone(data)
 		b[off] ^= 0x10
-		if _, err := LoadFXP3Snapshot(bytes.NewReader(b)); err == nil {
+		_, err := loadDocumentBytes(b)
+		switch {
+		case err == nil:
 			t.Fatalf("bit flip at offset %d loaded", off)
-		} else if !errors.Is(err, ErrCorruptSnapshot) {
+		case off < 4 && errors.Is(err, ErrCorruptSnapshot):
+			t.Fatalf("bit flip at offset %d, in the magic: err = %v, want an XML error", off, err)
+		case off >= 4 && !errors.Is(err, ErrCorruptSnapshot):
 			t.Fatalf("bit flip at offset %d: err = %v, want ErrCorruptSnapshot", off, err)
 		}
 	}
@@ -200,6 +211,7 @@ func TestFXP3FileErrorsNameTheFile(t *testing.T) {
 		func() error { _, err := ReadFXP3Meta(path); return err },
 		func() error { _, err := LoadAuto(path); return err },
 		func() error { return NewCollection().AddSnapshotFile("broken", path) },
+		func() error { return NewCollection().AddFile(path) },
 	} {
 		err := load()
 		if err == nil {

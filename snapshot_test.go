@@ -49,7 +49,8 @@ func TestLoadAuto(t *testing.T) {
 
 // TestLegacySnapshotsAreTypedErrors: the FXP2 and FXT1 snapshots of older
 // releases are refused with ErrLegacySnapshot on every path a document's
-// bytes arrive by — a file, raw bytes, a durable seed, and a WAL record
+// bytes arrive by — a file (loaded, or added to a collection whatever its
+// extension), raw bytes, a durable seed, and a WAL record
 // an older release logged — never parsed as XML, and never leaving a
 // collection open.
 func TestLegacySnapshotsAreTypedErrors(t *testing.T) {
@@ -67,6 +68,24 @@ func TestLegacySnapshotsAreTypedErrors(t *testing.T) {
 				_, err := LoadAuto(path)
 				if err != nil && !strings.Contains(err.Error(), path) {
 					t.Errorf("%s via LoadAuto: %v does not name the file", magic, err)
+				}
+				return err
+			}},
+			{"Collection.AddFile", func() error {
+				// The magic decides, not the .fxp3 name: this is a legacy
+				// snapshot, not a corrupt FXP3 one.
+				path := filepath.Join(t.TempDir(), "old.fxp3")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				c := NewCollection()
+				defer c.Close()
+				err := c.AddFile(path)
+				if err != nil && !strings.Contains(err.Error(), path) {
+					t.Errorf("%s via AddFile: %v does not name the file", magic, err)
+				}
+				if c.Len() != 0 {
+					t.Errorf("%s via AddFile: the collection holds %v", magic, c.Names())
 				}
 				return err
 			}},
