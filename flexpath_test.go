@@ -481,8 +481,8 @@ func TestDocumentSearchAllocs(t *testing.T) {
 		k    int
 		pin  float64
 	}{
-		{DPO, 10, 32}, {SSO, 10, 24}, {Hybrid, 10, 24},
-		{DPO, 700, 404}, {SSO, 700, 1848}, {Hybrid, 700, 1848},
+		{DPO, 10, 31}, {SSO, 10, 22}, {Hybrid, 10, 22},
+		{DPO, 700, 389}, {SSO, 700, 659}, {Hybrid, 700, 659},
 	} {
 		opts := SearchOptions{K: c.k, Algorithm: c.algo, NoCache: true}
 		if _, err := doc.Search(q, opts); err != nil { // warms the template

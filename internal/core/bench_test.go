@@ -50,14 +50,33 @@ func BenchmarkExactPlanRun(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanRunTopK times one pruned run per op of the fully relaxed
-// plan, PlanAt(chain.Len()), in Hybrid's bucket organization on a 4 MB
-// XMark document (seed 42), for the paper's XQ2 and the common "xml"
-// filter at K = 10 and 700. The plan is built once, so its memoized
-// candidate lists are shared across ops as under the plan-template cache;
-// each op joins, aggregates and ranks on a reset arena.
+// BenchmarkPlanRunTopK times one pruned run per op on a 4 MB XMark
+// document (seed 42). The XQ2 and "xml" arms run the fully relaxed plan,
+// PlanAt(chain.Len()), in Hybrid's bucket organization at K = 10 and 700.
+// The XQ3 arm runs the plan SSO chooses at K = 500 (the shortest prefix
+// the estimator expects to give 500 answers) in both organizations and
+// reports the tuples each run builds. Each plan is built once, so its
+// memoized candidate lists are shared across ops as under the
+// plan-template cache; each op joins, aggregates and ranks on a reset
+// arena.
 func BenchmarkPlanRunTopK(b *testing.B) {
 	f := xmarkFixture(b, 4<<20, 42)
+	run := func(name string, plan *exec.Plan, k int, mode exec.Mode) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			arena := exec.GetArena()
+			defer exec.PutArena(arena)
+			var st exec.PipelineStats
+			for i := 0; i < b.N; i++ {
+				arena.Reset()
+				got := exec.Run(plan, exec.Options{K: k, Mode: mode, Arena: arena, Stats: &st})
+				if len(got) == 0 || len(got) > k {
+					b.Fatalf("%d answers at K = %d", len(got), k)
+				}
+			}
+			b.ReportMetric(float64(st.TuplesGenerated)/float64(b.N), "tuples/op")
+		})
+	}
 	for _, eq := range []struct{ name, src string }{exactPlanQueries[2], exactPlanQueries[1]} {
 		c := f.chain(b, eq.src)
 		plan, err := c.PlanAt(c.Len())
@@ -65,18 +84,18 @@ func BenchmarkPlanRunTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, k := range []int{10, 700} {
-			b.Run(fmt.Sprintf("%s/k=%d", eq.name, k), func(b *testing.B) {
-				b.ReportAllocs()
-				arena := exec.GetArena()
-				defer exec.PutArena(arena)
-				for i := 0; i < b.N; i++ {
-					arena.Reset()
-					got := exec.Run(plan, exec.Options{K: k, Mode: exec.ModeBuckets, Arena: arena})
-					if len(got) == 0 || len(got) > k {
-						b.Fatalf("%d answers at K = %d", len(got), k)
-					}
-				}
-			})
+			run(fmt.Sprintf("%s/k=%d", eq.name, k), plan, k, exec.ModeBuckets)
 		}
 	}
+	c := f.chain(b, exactPlanQueries[3].src)
+	j := 0
+	for j < c.Len() && f.est.Estimate(c.QueryAt(j)) < 500 {
+		j++
+	}
+	plan, err := c.PlanAt(j)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("XQ3/k=500/sorted", plan, 500, exec.ModeSorted)
+	run("XQ3/k=500/buckets", plan, 500, exec.ModeBuckets)
 }

@@ -10,9 +10,14 @@ import (
 // variable with its scope predicate, required checks, bonus (relaxed)
 // predicates and contains predicates. A variable that only has to exist
 // is marked [exists: semijoin]: the reduction of its anchor's candidate
-// list guarantees it a match, and Run never joins it.
+// list guarantees it a match, and Run never joins it. A variable no later
+// one reads is marked [best: scored in place]: Run keeps only its best
+// candidate per tuple and joins it neither. After a variable marked
+// [then best per ...], only the best tuple per binding of the variables
+// listed goes on.
 func (p *Plan) Explain() string {
 	skip := p.existential()
+	steps := planSteps(p, skip)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan: %d vars (%d required), base=%.3f dropped=%.3f\n",
 		len(p.Vars), p.FirstOptional, p.Base, p.DroppedPenalty)
@@ -36,8 +41,18 @@ func (p *Plan) Explain() string {
 		case RelOptional:
 			fmt.Fprintf(&sb, "  OPTIONAL under #%d ($%d)", v.Anchor, p.Vars[v.Anchor].VarID)
 		}
-		if skip[i] {
+		switch {
+		case skip[i]:
 			sb.WriteString("  [exists: semijoin]")
+		case steps[i].inPlace:
+			sb.WriteString("  [best: scored in place]")
+		}
+		if g := steps[i].group; g != nil {
+			sb.WriteString("  [then best per")
+			for _, u := range g {
+				fmt.Fprintf(&sb, " $%d", p.Vars[u].VarID)
+			}
+			sb.WriteByte(']')
 		}
 		sb.WriteByte('\n')
 		for _, vp := range v.Values {

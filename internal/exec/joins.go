@@ -184,7 +184,13 @@ func SemiJoinChildOf(doc *xmltree.Document, nodes, parents []xmltree.NodeID) []x
 // galloping binary search, so cost is logarithmic in the list size (the
 // scalar version scanned linearly for the upper bound).
 func DescendantsInRange(doc *xmltree.Document, nodes []xmltree.NodeID, a xmltree.NodeID) []xmltree.NodeID {
-	lo := xmltree.GallopGE(nodes, 0, a+1)
-	hi := xmltree.GallopGE(nodes, lo, doc.End(a)+1)
+	lo, hi := descendantsFrom(doc, nodes, a, 0)
 	return nodes[lo:hi]
+}
+
+// descendantsFrom returns the bounds of DescendantsInRange's sub-slice,
+// searching from index from, which must not lie past its start.
+func descendantsFrom(doc *xmltree.Document, nodes []xmltree.NodeID, a xmltree.NodeID, from int) (lo, hi int) {
+	lo = xmltree.GallopGE(nodes, from, a+1)
+	return lo, xmltree.GallopGE(nodes, lo, doc.End(a)+1)
 }

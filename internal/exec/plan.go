@@ -99,16 +99,18 @@ type Plan struct {
 	FirstOptional int
 
 	// leafOnce/leafLists memoize the per-variable candidate lists, already
-	// semijoin-reduced (see Plan.leaves), and skip marks the existential
-	// variables Run never joins. A plan shared across searches by the
+	// semijoin-reduced (see Plan.leaves); skip marks the existential
+	// variables Run never joins and steps says what Run does at each
+	// variable (see planSteps). A plan shared across searches by the
 	// plan-template cache pays leaf evaluation and reduction once; later
 	// runs of the same plan reuse the lists. The memo is sound because a
-	// plan is immutable once built, the document is immutable, and Run
-	// never mutates the lists (joins only read them). Plans must not be
-	// copied by value once used.
+	// plan is immutable once built, the document is immutable, and Run never
+	// mutates the lists (joins only read them). Plans must not be copied
+	// by value once used.
 	leafOnce  sync.Once
 	leafLists [][]xmltree.NodeID
 	skip      []bool
+	steps     []step
 }
 
 // leaves returns the memoized per-variable candidate lists, evaluating
@@ -161,6 +163,7 @@ func (p *Plan) leaves() [][]xmltree.NodeID {
 				ls[vi] = nil
 			}
 		}
+		p.steps = planSteps(p, p.skip)
 		p.leafLists = ls
 	})
 	return p.leafLists
@@ -204,6 +207,111 @@ func (p *Plan) existential() []bool {
 		skip[vi] = !keep[vi]
 	}
 	return skip
+}
+
+// step is what Run does at one variable beyond joining it, derived from
+// which later variables read which bindings (planSteps).
+type step struct {
+	// inPlace: no later variable reads this variable's binding, and it is
+	// not the distinguished one. All of a tuple's extensions then agree on
+	// every binding a later step reads and gain the same from it, so only
+	// the best can end up best; Run scores the candidates in place and
+	// keeps the tuple with the winner's gains instead of building a tuple
+	// per candidate.
+	inPlace bool
+	// capped: every gain of the variable is a non-negative penalty and it
+	// adds no keyword score, so a candidate that earns all of them back
+	// cannot be beaten and ends the scan.
+	capped bool
+	// group, when non-nil, lists the variables whose bindings are still
+	// read after this one: the distinguished variable and every variable
+	// a later anchor, check or bonus refers to. It is set where this
+	// variable is the last reader of an earlier one (never at the last
+	// variable, where the answers are aggregated). Tuples that agree on
+	// the group's bindings are then interchangeable, and Run keeps only
+	// the best of each group.
+	group []int
+}
+
+// planSteps derives each variable's step. A variable reads its anchor and
+// the other side of each check and bonus predicate; the answer reads the
+// distinguished variable. Existential variables count as readers too, so
+// where tuples are grouped depends on the plan alone, not on which steps
+// Run skips. Only a step after which a joined variable (not one in skip)
+// is read no more groups: Run binds no skipped variable, so tuples that
+// differ in nothing else are already distinct.
+func planSteps(p *Plan, skip []bool) []step {
+	nv := len(p.Vars)
+	scratch := make([]int, 2*nv)
+	// last is the last variable reading each one, or -1; grouped[vi] is 1
+	// when vi is the last reader of a joined variable.
+	last, grouped := scratch[:nv], scratch[nv:]
+	for i := range last {
+		last[i] = -1
+	}
+	for vi := range p.Vars {
+		v := &p.Vars[vi]
+		if v.Anchor >= 0 {
+			last[v.Anchor] = vi
+		}
+		for _, c := range v.Checks {
+			last[c.Other] = vi
+		}
+		for _, b := range v.Bonus {
+			last[b.Other] = vi
+		}
+	}
+	last[p.DistVar] = nv
+	// A step groups after a joined variable it read last; its group is
+	// every variable read after it. One slice holds all the groups.
+	size := 0
+	for u, l := range last {
+		if l > u && l < nv-1 && !skip[u] {
+			grouped[l] = 1
+		}
+	}
+	for vi, g := range grouped {
+		for u := 0; g == 1 && u <= vi; u++ {
+			if last[u] > vi {
+				size++
+			}
+		}
+	}
+	keys := make([]int, 0, size)
+	steps := make([]step, nv)
+	for vi := range p.Vars {
+		s := &steps[vi]
+		s.inPlace = last[vi] < 0
+		s.capped = capped(&p.Vars[vi])
+		if grouped[vi] == 0 {
+			continue
+		}
+		from := len(keys)
+		for u := 0; u <= vi; u++ {
+			if last[u] > vi {
+				keys = append(keys, u)
+			}
+		}
+		s.group = keys[from:len(keys):len(keys)]
+	}
+	return steps
+}
+
+// capped reports whether v's gains are all non-negative structural
+// penalties: then earning every one of them back is the most a candidate
+// can reach.
+func capped(v *VarSpec) bool {
+	for _, b := range v.Bonus {
+		if !(b.Penalty >= 0) {
+			return false
+		}
+	}
+	for _, c := range v.Contains {
+		if c.Required || !(c.Penalty >= 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Mode selects the intermediate-result organization, the axis along which
@@ -299,6 +407,19 @@ type tuple struct {
 // answers, best score first under the chosen scheme, ties by node. With
 // Options.K > 0 it returns only the K best of them (fewer when fewer
 // exist): exactly the first K of the exhaustive ranking.
+//
+// An answer's score is the best over its bindings, and Run takes that
+// maximum step by step instead of over every complete binding: a variable
+// no later step reads is scored in place (step.inPlace), and where a
+// variable is the last reader of an earlier one, the tuples that agree on
+// every binding still read keep only the best (step.group). In exact
+// arithmetic this is the maximum over every complete binding. In floats,
+// addition is monotone in each score component alone, so an answer's
+// first component under a lexicographic scheme is that maximum bit for
+// bit; where rounding decides (a few-ulp lead under Combined, or a lead
+// in the first component that adding Base absorbs), the ranking may
+// differ from full enumeration's by that much. Ties go to the tuple first
+// in document order, the lexicographically least binding vector.
 func Run(p *Plan, opts Options) []Answer {
 	doc := p.Doc
 	nv := len(p.Vars)
@@ -333,18 +454,24 @@ func Run(p *Plan, opts Options) []Answer {
 	// Per-variable maximum future gains, for threshold pruning.
 	ssGain := make([]float64, nv+1)
 	ksGain := make([]float64, nv+1)
+	hasRelax := false
 	for i := nv - 1; i >= 0; i-- {
 		v := &p.Vars[i]
 		ss, ks := 0.0, 0.0
 		for _, b := range v.Bonus {
 			ss += b.Penalty
+			hasRelax = true
 		}
 		for _, c := range v.Contains {
 			if c.Required {
 				ks += c.Weight
 			} else {
 				ss += c.Penalty
+				hasRelax = true
 			}
+		}
+		if v.Rel == RelOptional {
+			hasRelax = true
 		}
 		ssGain[i] = ssGain[i+1] + ss
 		ksGain[i] = ksGain[i+1] + ks
@@ -365,32 +492,10 @@ func Run(p *Plan, opts Options) []Answer {
 		s := rank.Score{SS: baseSS + t.regained, KS: t.ks}
 		return s.Total(opts.Scheme)
 	}
-
-	// An optional variable whose binding no later variable refers to only
-	// contributes its own score gains; among the matches for one tuple,
-	// every extension except the best-scoring one is dominated, so only
-	// the best is kept. Variables referenced by later bonus predicates or
-	// checks must keep all their bindings.
-	refLater := make([]bool, nv)
-	hasRelax := false
-	for vi := range p.Vars {
-		v := &p.Vars[vi]
-		for _, b := range v.Bonus {
-			refLater[b.Other] = true
-			hasRelax = true
-		}
-		for _, c := range v.Checks {
-			refLater[c.Other] = true
-		}
-		if v.Rel == RelOptional {
-			hasRelax = true
-		}
-		for _, c := range v.Contains {
-			if !c.Required {
-				hasRelax = true
-			}
-		}
-	}
+	// Steps compare what tuples gained so far; the answers compare final
+	// scores.
+	gained := ranker{scheme: opts.Scheme}
+	final := ranker{scheme: opts.Scheme, base: baseSS}
 
 	// The candidate lists are memoized on the plan (see Plan.leaves):
 	// the first run of a template-cached plan evaluates them, later runs
@@ -406,86 +511,169 @@ func Run(p *Plan, opts Options) []Answer {
 		lastRequired--
 	}
 
+	x := stepper{p: p, leaves: leaves, ends: ends, parents: parentCol, gained: gained}
 	// Every tuple buffer, the bootstrap one included, comes from the
 	// arena's free list and goes back to it, the last one after the
 	// aggregation: a run takes out as many buffers as it returns.
 	tuples := append(ar.tupleBuf(), tuple{bind: unboundBindings(nv)})
+	aggregated := false
+	var scratch []xmltree.NodeID // a binding being extended, in fused steps
 	for vi := 0; vi < nv; vi++ {
+		sp := &p.steps[vi]
 		if p.skip[vi] {
+			if sp.group != nil {
+				tuples = collapse(ar, tuples, sp.group, gained)
+			}
 			continue
 		}
 		v := &p.Vars[vi]
-		bestOnly := v.Rel == RelOptional && !refLater[vi]
 		st.JoinSteps++
 		tuplesIn := len(tuples)
-		excludeHere := vi == p.DistVar && len(opts.Exclude) > 0
-		// Bindings for this step's output tuples are carved out of arena
-		// blocks instead of one slice per tuple; binding slices are
-		// immutable once created, so sharing blocks is safe.
-		var block []xmltree.NodeID
-		newBind := func(src []xmltree.NodeID) []xmltree.NodeID {
-			if len(block) < nv {
-				block = ar.Nodes(1024 * nv)
-				block = block[:cap(block)]
+		first, end := vi, vi
+		var fused []fusedStep
+		if sp.inPlace {
+			// Each tuple keeps its place and takes the gains of its best
+			// candidate; a required variable with no candidate drops it,
+			// an optional one leaves it as it is.
+			var sc scope
+			kept := tuples[:0]
+			for ti := range tuples {
+				if ti&63 == 0 && cancelled() {
+					return nil
+				}
+				t := tuples[ti]
+				if x.score(vi, &t, &sc) {
+					kept = append(kept, t)
+				}
 			}
-			b := block[:nv:nv]
-			block = block[nv:]
-			copy(b, src)
-			return b
-		}
-		next := ar.tupleBuf()
-		for ti := range tuples {
-			// Join loops can run millions of iterations; polling the
-			// context every 64 tuples bounds cancellation latency without
-			// measurable per-tuple cost.
-			if ti&63 == 0 && cancelled() {
-				return nil
+			tuples = kept
+			if sp.group != nil {
+				tuples = collapse(ar, tuples, sp.group, gained)
 			}
-			t := &tuples[ti]
-			matched := false
-			var best tuple
-			// The parent filter of RelParent steps is applied inline
-			// against the Parent column; no filtered candidate list is ever
-			// materialized.
-			cands, parentAnchor := candidatesFor(doc, v, leaves[vi], t)
-			for _, m := range cands {
-				if parentAnchor != xmltree.InvalidNode && parentCol[m] != parentAnchor {
-					continue
+		} else {
+			// A join is fused with the variables scored in place right
+			// after it, up to the first one that groups: each candidate's
+			// extension is scored through them and goes straight into its
+			// group, so only the groups' best tuples are ever built.
+			for end+1 < nv && p.steps[end].group == nil && !p.skip[end+1] && p.steps[end+1].inPlace {
+				end++
+			}
+			fused = ar.fusedSteps(end - vi)
+			var sink *groups
+			switch {
+			case p.steps[end].group != nil:
+				sink = ar.groups(p.steps[end].group, gained, len(tuples), ar.tupleBuf())
+			case end == nv-1:
+				sink = ar.groups(ar.distKey(p.DistVar), final, len(tuples), ar.tupleBuf())
+				aggregated = true
+			}
+			excludeHere := vi == p.DistVar && len(opts.Exclude) > 0
+			// Bindings for the step's output tuples are carved out of
+			// arena blocks instead of one slice per tuple; each binding
+			// belongs to one tuple, so sharing blocks is safe. The first
+			// block holds as many bindings as the step has input tuples,
+			// and each further one twice the last, up to 1024.
+			var block []xmltree.NodeID
+			blockLen := min(max(tuplesIn, 16), 1024)
+			newBind := func(src []xmltree.NodeID) []xmltree.NodeID {
+				if len(block) < nv {
+					block = ar.Nodes(blockLen * nv)
+					block = block[:cap(block)]
+					blockLen = min(2*blockLen, 1024)
 				}
-				if excludeHere && opts.Exclude[m] {
-					continue
-				}
-				if !checksOK(parentCol, ends, v, t, m) {
-					continue
-				}
-				nt := extend(parentCol, ends, v, t, vi, m, newBind)
-				if bestOnly {
-					if !matched || better(&nt, &best, opts.Scheme) {
-						best = nt
+				b := block[:nv:nv]
+				block = block[nv:]
+				copy(b, src)
+				return b
+			}
+			if scratch == nil {
+				scratch = ar.Nodes(nv)[:nv]
+			}
+			// emit scores an extension through the fused steps and hands
+			// it on: to its group when the steps end in one, else to the
+			// step's output.
+			next := ar.tupleBuf()
+			emit := func(nt *tuple) {
+				for i := range fused {
+					f := &fused[i]
+					f.in++
+					if !x.score(first+1+i, nt, &f.sc) {
+						return
 					}
-					matched = true
-					continue
 				}
-				next = append(next, nt)
-				matched = true
+				if sink != nil {
+					sink.offer(nt, newBind)
+					return
+				}
+				nt.bind = newBind(nt.bind)
+				next = append(next, *nt)
 			}
-			if bestOnly && matched {
-				next = append(next, best)
+			var sc scope
+			for ti := range tuples {
+				// Join loops can run millions of iterations; polling the
+				// context every 64 tuples bounds cancellation latency
+				// without measurable per-tuple cost.
+				if ti&63 == 0 && cancelled() {
+					return nil
+				}
+				t := &tuples[ti]
+				copy(scratch, t.bind)
+				matched := false
+				// The parent filter of RelParent steps is applied inline
+				// against the Parent column; no filtered candidate list is
+				// ever materialized.
+				cands, parentAnchor := sc.candidates(doc, v, leaves[vi], t)
+				for _, m := range cands {
+					if parentAnchor != xmltree.InvalidNode && parentCol[m] != parentAnchor {
+						continue
+					}
+					if excludeHere && opts.Exclude[m] {
+						continue
+					}
+					if !checksOK(parentCol, ends, v, t, m) {
+						continue
+					}
+					nt := gain(parentCol, ends, v, t, m)
+					scratch[vi] = m
+					nt.bind = scratch
+					emit(&nt)
+					matched = true
+				}
+				if !matched && v.Rel == RelOptional {
+					scratch[vi] = xmltree.InvalidNode
+					nt := *t
+					nt.bind = scratch
+					emit(&nt)
+				}
 			}
-			if !matched && v.Rel == RelOptional {
-				nt := tuple{bind: newBind(t.bind),
-					regained: t.regained, ks: t.ks, sig: t.sig}
-				next = append(next, nt)
+			if sink != nil {
+				ar.recycleTuples(next)
+				next = sink.out
 			}
+			st.TuplesGenerated += len(next)
+			// The step's input buffer is dead: recycle it for a later
+			// step's output.
+			ar.recycleTuples(tuples)
+			tuples = next
 		}
 		if cancelled() {
 			return nil
 		}
-		st.TuplesGenerated += len(next)
-		// The step's input buffer is dead: recycle it for a later step's
-		// output.
-		ar.recycleTuples(tuples)
-		tuples = next
+		if len(fused) > 0 {
+			// The fused steps' rows: the join's own, then each step
+			// scored in place but the last, which the row below reports.
+			if opts.Trace != nil {
+				*opts.Trace = append(*opts.Trace, StepTrace{Var: traceName(v),
+					Candidates: len(leaves[vi]), TuplesIn: tuplesIn, TuplesOut: fused[0].in})
+				for i := range fused[:len(fused)-1] {
+					w := &p.Vars[first+1+i]
+					*opts.Trace = append(*opts.Trace, StepTrace{Var: traceName(w),
+						Candidates: len(leaves[first+1+i]), TuplesIn: fused[i].in, TuplesOut: fused[i+1].in})
+				}
+			}
+			tuplesIn = fused[len(fused)-1].in
+			vi, v = end, &p.Vars[end]
+		}
 		trace := StepTrace{
 			Candidates: len(leaves[vi]),
 			TuplesIn:   tuplesIn,
@@ -526,14 +714,23 @@ func Run(p *Plan, opts Options) []Answer {
 		// plan encodes relaxations (scores vary, so the K-th score must
 		// be tracked for pruning, §5.2.2); this resort at every join is
 		// the cost Hybrid's buckets avoid. A plan with no relaxations
-		// encoded has nothing to sort or group for either algorithm.
+		// encoded has nothing to sort or group for either algorithm. Ties
+		// are broken by binding, never by position, so the order does not
+		// change the answers.
 		organize := opts.K > 0 && hasRelax && vi+1 < nv
 		switch {
 		case opts.Mode == ModeSorted && organize:
 			keys, idx := ar.sortScratch(len(tuples))
+			inOrder := true
 			for i := range tuples {
 				keys[i] = total(&tuples[i])
 				idx[i] = i
+				inOrder = inOrder && (i == 0 || keys[i] <= keys[i-1])
+			}
+			if inOrder {
+				// Nothing to move: the step kept every tuple's rank (as a
+				// step that earns nothing back does).
+				break
 			}
 			// Score-descending; ties break on input position so the resort
 			// is deterministic (sort.Slice here was unstable).
@@ -582,20 +779,16 @@ func Run(p *Plan, opts Options) []Answer {
 		}
 	}
 
-	// Aggregate per distinguished node, best score wins (the first tuple
-	// to reach it on ties), then keep the K best answers and sort only
-	// those.
-	slot, best := ar.slots(), ar.best[:0]
+	// Aggregate per distinguished node, best score wins (unless the last
+	// join did), then keep the K best answers and sort only those.
+	if !aggregated {
+		tuples = collapse(ar, tuples, ar.distKey(p.DistVar), final)
+	}
+	best := ar.best[:0]
 	for ti := range tuples {
 		t := &tuples[ti]
-		n := t.bind[p.DistVar]
-		sc := rank.Score{SS: baseSS + t.regained, KS: t.ks}
-		if i, ok := slot[n]; !ok {
-			slot[n] = int32(len(best))
-			best = append(best, Answer{Node: n, Score: sc, Sig: t.sig})
-		} else if sc.Compare(best[i].Score, opts.Scheme) > 0 {
-			best[i] = Answer{Node: n, Score: sc, Sig: t.sig}
-		}
+		best = append(best, Answer{Node: t.bind[p.DistVar],
+			Score: rank.Score{SS: baseSS + t.regained, KS: t.ks}, Sig: t.sig})
 	}
 	ar.best = best
 	ar.recycleTuples(tuples)
@@ -612,6 +805,162 @@ func Run(p *Plan, opts Options) []Answer {
 	copy(out, best)
 	slices.SortFunc(out, order)
 	return out
+}
+
+// ranker orders tuples by score under a scheme, base added to what they
+// regained.
+type ranker struct {
+	scheme rank.Scheme
+	base   float64
+}
+
+func (r ranker) compare(a, b *tuple) int {
+	return rank.Score{SS: r.base + a.regained, KS: a.ks}.Compare(rank.Score{SS: r.base + b.regained, KS: b.ks}, r.scheme)
+}
+
+// collapse keeps, of the tuples that agree on the bindings of the
+// variables in key, the one r ranks best. It works in place.
+func collapse(ar *Arena, tuples []tuple, key []int, r ranker) []tuple {
+	g := ar.groups(key, r, len(tuples), tuples[:0]) // out stays at or before every tuple offered
+	for ti := range tuples {
+		g.offer(&tuples[ti], nil)
+	}
+	return g.out
+}
+
+// groups gathers tuples that agree on the bindings of key, keeping the
+// one r ranks best of each group, the least binding vector on ties, in
+// order of the groups' first tuples.
+type groups struct {
+	ar  *Arena
+	key []int
+	r   ranker
+	tab []int32 // open addressing: one more than a group's index in out; 0 is free
+	out []tuple
+}
+
+// offer adds t to its group. carve, when not nil, copies a binding t
+// does not own: a new group's tuple takes a carved copy, and a better
+// tuple is copied into its group's binding.
+func (g *groups) offer(t *tuple, carve func([]xmltree.NodeID) []xmltree.NodeID) {
+	if 2*(len(g.out)+1) > len(g.tab) {
+		g.grow()
+	}
+	mask := uint64(len(g.tab) - 1)
+	for i := hashKey(t.bind, g.key) & mask; ; i = (i + 1) & mask {
+		s := g.tab[i]
+		if s == 0 {
+			nt := *t
+			if carve != nil {
+				nt.bind = carve(t.bind)
+			}
+			g.out = append(g.out, nt)
+			g.tab[i] = int32(len(g.out))
+			return
+		}
+		o := &g.out[s-1]
+		if !sameKey(o.bind, t.bind, g.key) {
+			continue
+		}
+		if c := g.r.compare(t, o); c > 0 || c == 0 && slices.Compare(t.bind, o.bind) < 0 {
+			if carve != nil {
+				copy(o.bind, t.bind)
+				o.regained, o.ks, o.sig = t.regained, t.ks, t.sig
+			} else {
+				*o = *t
+			}
+		}
+		return
+	}
+}
+
+// grow doubles the table and places the groups again.
+func (g *groups) grow() {
+	g.tab = g.ar.table(len(g.tab))
+	mask := uint64(len(g.tab) - 1)
+	for j := range g.out {
+		i := hashKey(g.out[j].bind, g.key) & mask
+		for g.tab[i] != 0 {
+			i = (i + 1) & mask
+		}
+		g.tab[i] = int32(j + 1)
+	}
+}
+
+// stepper scores variables in place (step.inPlace).
+type stepper struct {
+	p       *Plan
+	leaves  [][]xmltree.NodeID
+	ends    []xmltree.NodeID
+	parents []xmltree.NodeID
+	gained  ranker
+}
+
+// score gives t the gains of variable vi's best candidate under t's
+// bindings, the first on ties. It reports false when a required variable
+// has no candidate; an optional one without any leaves t as it is. When
+// the variable's gains are capped, a candidate that earns them all back
+// ends the scan.
+func (x *stepper) score(vi int, t *tuple, sc *scope) bool {
+	v := &x.p.Vars[vi]
+	limit := t.regained
+	capped := x.p.steps[vi].capped
+	if capped {
+		for _, b := range v.Bonus {
+			limit += b.Penalty
+		}
+		for _, c := range v.Contains {
+			limit += c.Penalty
+		}
+	}
+	found := false
+	var best tuple
+	cands, parentAnchor := sc.candidates(x.p.Doc, v, x.leaves[vi], t)
+	for _, m := range cands {
+		if parentAnchor != xmltree.InvalidNode && x.parents[m] != parentAnchor {
+			continue
+		}
+		if !checksOK(x.parents, x.ends, v, t, m) {
+			continue
+		}
+		g := gain(x.parents, x.ends, v, t, m)
+		if !found || x.gained.compare(&g, &best) > 0 {
+			best, found = g, true
+			if capped && best.regained == limit {
+				break
+			}
+		}
+	}
+	if found {
+		t.regained, t.ks, t.sig = best.regained, best.ks, best.sig
+	}
+	return found || v.Rel == RelOptional
+}
+
+// fusedStep is the scope of a variable scored in place within a fused
+// join, and the number of tuples it scored.
+type fusedStep struct {
+	sc scope
+	in int
+}
+
+// hashKey hashes the bindings of the variables in key.
+func hashKey(bind []xmltree.NodeID, key []int) uint64 {
+	h := uint64(len(key))
+	for _, u := range key {
+		h = (h ^ uint64(uint32(bind[u]))) * 0x9e3779b97f4a7c15
+	}
+	return h ^ h>>32
+}
+
+// sameKey reports whether a and b bind the variables in key alike.
+func sameKey(a, b []xmltree.NodeID, key []int) bool {
+	for _, u := range key {
+		if a[u] != b[u] {
+			return false
+		}
+	}
+	return true
 }
 
 // keepBest moves the k best elements of xs (k <= len(xs)), where before
@@ -768,30 +1117,37 @@ func mergeSorted(lists [][]xmltree.NodeID) []xmltree.NodeID {
 	}
 }
 
-// candidatesFor returns the slice of the variable's leaf that can bind it
+// scope finds one step's candidates under each tuple's anchor binding.
+type scope struct {
+	lo     int            // where the previous anchor's range began
+	anchor xmltree.NodeID // the previous anchor (zero before the first)
+}
+
+// candidates returns the slice of the variable's leaf that can bind it
 // given the tuple's anchor binding, plus a parent filter: when
 // parentAnchor is not InvalidNode the caller must additionally require
 // Parent(m) == parentAnchor. Returning the filter instead of a filtered
 // copy keeps this allocation-free — the join loop applies it inline
-// against the Parent column.
-func candidatesFor(doc *xmltree.Document, v *VarSpec, leaf []xmltree.NodeID, t *tuple) (cands []xmltree.NodeID, parentAnchor xmltree.NodeID) {
-	switch v.Rel {
-	case RelRoot:
+// against the Parent column. Tuples mostly arrive in document order of
+// their anchors, so the search starts where the previous anchor's range
+// began unless the anchor moved back.
+func (s *scope) candidates(doc *xmltree.Document, v *VarSpec, leaf []xmltree.NodeID, t *tuple) (cands []xmltree.NodeID, parentAnchor xmltree.NodeID) {
+	if v.Rel == RelRoot {
 		return leaf, xmltree.InvalidNode
-	case RelParent:
-		anchor := t.bind[v.Anchor]
-		return DescendantsInRange(doc, leaf, anchor), anchor
-	default: // RelAncestor, RelOptional
-		return DescendantsInRange(doc, leaf, t.bind[v.Anchor]), xmltree.InvalidNode
 	}
-}
-
-// better orders two candidate extensions of the same tuple: higher
-// (regained, ks) under the scheme's primary component first.
-func better(a, b *tuple, scheme rank.Scheme) bool {
-	sa := rank.Score{SS: a.regained, KS: a.ks}
-	sb := rank.Score{SS: b.regained, KS: b.ks}
-	return sa.Compare(sb, scheme) > 0
+	a := t.bind[v.Anchor]
+	from := 0
+	if a >= s.anchor {
+		from = s.lo
+	}
+	lo, hi := descendantsFrom(doc, leaf, a, from)
+	s.lo, s.anchor = lo, a
+	if v.Rel == RelParent {
+		parentAnchor = a
+	} else {
+		parentAnchor = xmltree.InvalidNode
+	}
+	return leaf[lo:hi], parentAnchor
 }
 
 // checksOK evaluates the variable's structural checks against the columns
@@ -813,10 +1169,12 @@ func checksOK(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, m xmltree.No
 	return true
 }
 
-func extend(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, vi int, m xmltree.NodeID, newBind func([]xmltree.NodeID) []xmltree.NodeID) tuple {
-	bind := newBind(t.bind)
-	bind[vi] = m
-	nt := tuple{bind: bind, regained: t.regained, ks: t.ks, sig: t.sig}
+// gain returns t's score and signature after binding v to m: the
+// penalties of the bonus and optional contains predicates m satisfies are
+// earned back and the required contains predicates add m's keyword score,
+// each in spec order. The result has no binding.
+func gain(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, m xmltree.NodeID) tuple {
+	nt := tuple{regained: t.regained, ks: t.ks, sig: t.sig}
 	for _, b := range v.Bonus {
 		o := t.bind[b.Other]
 		if o == xmltree.InvalidNode {
@@ -850,10 +1208,13 @@ func extend(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, vi int, m xmlt
 
 // kthBest returns the K-th best current total over distinct distinguished
 // bindings, or ok=false when fewer than K distinct bindings exist. It
-// aggregates through the arena's slot table and selects with a size-K
+// aggregates through the arena's hash table and selects with a size-K
 // heap.
 func kthBest(ar *Arena, tuples []tuple, distVar, k int, total func(*tuple) float64) (float64, bool) {
-	slot, totals := ar.slots(), ar.totals[:0]
+	table := ar.table(len(tuples))
+	mask := uint64(len(table) - 1)
+	totals, nodes := ar.totals[:0], ar.nodes[:0]
+	key := ar.distKey(distVar)
 	for ti := range tuples {
 		t := &tuples[ti]
 		n := t.bind[distVar]
@@ -861,14 +1222,20 @@ func kthBest(ar *Arena, tuples []tuple, distVar, k int, total func(*tuple) float
 			continue
 		}
 		v := total(t)
-		if i, ok := slot[n]; !ok {
-			slot[n] = int32(len(totals))
-			totals = append(totals, v)
-		} else if v > totals[i] {
-			totals[i] = v
+		for i := hashKey(t.bind, key) & mask; ; i = (i + 1) & mask {
+			s := table[i]
+			if s == 0 {
+				totals, nodes = append(totals, v), append(nodes, n)
+				table[i] = int32(len(totals))
+				break
+			}
+			if nodes[s-1] == n {
+				totals[s-1] = max(totals[s-1], v)
+				break
+			}
 		}
 	}
-	ar.totals = totals
+	ar.totals, ar.nodes = totals, nodes
 	if len(totals) < k {
 		return 0, false
 	}

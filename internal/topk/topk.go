@@ -312,11 +312,14 @@ func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 }
 
 // Analyze runs the plan SSO/Hybrid would execute and returns both the
-// plan description and a per-join-step execution trace (EXPLAIN
-// ANALYZE). The trace has one row per joined step, whose candidates are
-// the variable's semijoin-reduced list; a variable that only has to exist
-// is never joined, and the description marks it [exists: semijoin]. The
-// header's "answers: N" counts what the run returned, at most K.
+// plan description and a per-step execution trace (EXPLAIN ANALYZE). The
+// trace has one row per step Run takes, whose candidates are the
+// variable's semijoin-reduced list; a variable that only has to exist is
+// never joined, and the description marks it [exists: semijoin]. A
+// variable marked [best: scored in place] is not joined either: its row
+// counts the tuples it scored, and they leave it one for one or, at a
+// step marked [then best per ...], one per group. The header's
+// "answers: N" counts what the run returned, at most K.
 func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
 	opts.ensureTemplate(chain)
 	m := opts.metrics()
@@ -383,34 +386,68 @@ func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options, m *Metr
 }
 
 // toResults converts the at most K answers Run returned, already in final
-// order, into exactly as many results.
+// order, into exactly as many results. Answers that satisfy the same
+// encoded predicates share one Missed list, built once: the results must
+// not be written to.
 func toResults(chain *core.Chain, answers []exec.Answer, opts Options, k int) []Result {
 	// Precompute per-step signature masks: an answer's minimal admitting
 	// relaxation level is the deepest chain step with an unsatisfied
 	// dropped predicate.
 	encoded := opts.metrics().RelaxationsEncoded
 	masks := make([]uint64, encoded+1)
+	var all uint64
 	for j := 1; j <= encoded; j++ {
 		masks[j] = chain.StepBits(j)
+		all |= masks[j]
 	}
+	// The first signatures seen are searched in a short list on the
+	// stack; past its size a map indexes them all, so a lookup costs at
+	// most len(few) comparisons however many signatures there are.
+	type level struct {
+		sig         uint64
+		relaxations int
+		missed      []string
+	}
+	var few [16]level
+	levels := few[:0]
+	var index map[uint64]int
 	results := make([]Result, min(len(answers), k))
 	for i, a := range answers[:len(results)] {
-		r := &results[i]
-		*r = Result{Node: a.Node, Score: a.Score}
-		for j := encoded; j >= 1; j-- {
-			if a.Sig&masks[j] != masks[j] {
-				r.Relaxations = j
-				break
+		sig := a.Sig & all
+		li := -1
+		if index != nil {
+			if j, ok := index[sig]; ok {
+				li = j
+			}
+		} else {
+			li = slices.IndexFunc(levels, func(l level) bool { return l.sig == sig })
+		}
+		if li < 0 {
+			l := level{sig: sig}
+			for j := encoded; j >= 1; j-- {
+				if sig&masks[j] != masks[j] {
+					l.relaxations = j
+					break
+				}
+			}
+			for j := 1; j <= l.relaxations; j++ {
+				if sig&masks[j] != masks[j] {
+					l.missed = append(l.missed, chain.Steps[j-1].Desc)
+				}
+			}
+			if len(levels) == len(few) {
+				index = make(map[uint64]int, 2*len(few))
+				for j, l := range levels {
+					index[l.sig] = j
+				}
+			}
+			li, levels = len(levels), append(levels, l)
+			if index != nil {
+				index[sig] = li
 			}
 		}
-		if r.Relaxations == 0 {
-			continue
-		}
-		for j := 1; j <= encoded; j++ {
-			if a.Sig&masks[j] != masks[j] {
-				r.Missed = append(r.Missed, chain.Steps[j-1].Desc)
-			}
-		}
+		l := &levels[li]
+		results[i] = Result{Node: a.Node, Score: a.Score, Relaxations: l.relaxations, Missed: l.missed}
 	}
 	return results
 }

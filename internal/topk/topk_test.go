@@ -3,6 +3,8 @@ package topk
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"flexpath/internal/core"
@@ -469,6 +471,79 @@ func TestDPOVariantCountersAgree(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRelaxedPlanTuplesBounded: SSO and Hybrid take an answer's best over
+// its bindings without building every binding. On a 1 MB XMark document
+// (seed 42), the plan they run for XQ3 at K = 500 built 40 128 tuples
+// when every binding of a variable read only to earn a penalty back was
+// joined; DPO's levels build 586. The pin is a quarter of the former.
+func TestRelaxedPlanTuplesBounded(t *testing.T) {
+	f := xmarkFixture(t, 1<<20, 42)
+	c := f.chain(t, `//item[./description/parlist/listitem and ./mailbox/mail/text[./bold and ./keyword and ./emph] and ./name and ./incategory]`)
+	for name, run := range map[string]func(Options) []Result{
+		"SSO":    func(o Options) []Result { return SSO(c, f.est, o) },
+		"Hybrid": func(o Options) []Result { return Hybrid(c, f.est, o) },
+	} {
+		var m Metrics
+		if rs := run(Options{K: 500, Metrics: &m}); len(rs) != 500 {
+			t.Fatalf("%s: %d results, want 500", name, len(rs))
+		}
+		t.Logf("%s: %d tuples", name, m.Pipeline.TuplesGenerated)
+		if m.Pipeline.TuplesGenerated > 10_032 {
+			t.Errorf("%s built %d tuples, pinned at 10 032", name, m.Pipeline.TuplesGenerated)
+		}
+	}
+}
+
+// TestToResultsManySignatures: toResults shares one Missed list per
+// signature, found in a short list and past it through a map. Over
+// answers with 40 distinct signatures, in an order that revisits early
+// ones after the map took over, every result's level and Missed list must
+// be those its own signature gives.
+func TestToResultsManySignatures(t *testing.T) {
+	f := xmarkFixture(t, 64<<10, 5)
+	c := f.chain(t, `//item[./description/parlist/listitem and ./mailbox/mail/text[./bold and ./keyword and ./emph] and ./name and ./incategory]`)
+	encoded := min(c.Len(), 20)
+	r := rand.New(rand.NewSource(3))
+	var all uint64
+	for j := 1; j <= encoded; j++ {
+		all |= c.StepBits(j)
+	}
+	// Three draws OR-ed set 7 bits in 8, so some steps are met in full.
+	sigs := make([]uint64, 40)
+	distinct := map[uint64]bool{}
+	for i := range sigs {
+		sigs[i] = r.Uint64() | r.Uint64() | r.Uint64()
+		distinct[sigs[i]&all] = true
+	}
+	if len(distinct) <= 16 {
+		t.Fatalf("%d distinct signatures over %d encoded steps: the map is not reached", len(distinct), encoded)
+	}
+	answers := make([]exec.Answer, 300)
+	for i := range answers {
+		answers[i] = exec.Answer{Node: xmltree.NodeID(i), Sig: sigs[(i*7)%len(sigs)]}
+	}
+	opts := Options{Metrics: &Metrics{RelaxationsEncoded: encoded}}
+	results := toResults(c, answers, opts, len(answers))
+	for i, a := range answers {
+		level := 0
+		for j := encoded; j >= 1; j-- {
+			if a.Sig&c.StepBits(j) != c.StepBits(j) {
+				level = j
+				break
+			}
+		}
+		var missed []string
+		for j := 1; j <= level; j++ {
+			if a.Sig&c.StepBits(j) != c.StepBits(j) {
+				missed = append(missed, c.Steps[j-1].Desc)
+			}
+		}
+		if got := results[i]; got.Node != a.Node || got.Relaxations != level || !slices.Equal(got.Missed, missed) {
+			t.Fatalf("answer %d: got level %d, missed %q; want %d, %q", i, got.Relaxations, got.Missed, level, missed)
 		}
 	}
 }

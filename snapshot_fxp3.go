@@ -112,12 +112,17 @@ func ReadFXP3Meta(path string) (SnapshotMeta, error) {
 
 // openFXP3 maps the FXP3 snapshot at path, parses its directory and
 // decodes its meta section, the one meta read of ReadFXP3Meta and
-// AddSnapshotFile. Errors name the file. On success the caller owns the
+// AddSnapshotFile. Errors name the file; a legacy snapshot is
+// ErrLegacySnapshot. On success the caller owns the
 // mapping, which f aliases.
 func openFXP3(path string) (*mmapio.Mapping, *fxp3.File, SnapshotMeta, error) {
 	m, err := mmapio.Open(path)
 	if err != nil {
 		return nil, nil, SnapshotMeta{}, err
+	}
+	if _, err := snapshotMagic(m.Bytes()); err != nil {
+		m.Close()
+		return nil, nil, SnapshotMeta{}, wrapSnapshotPath(path, err)
 	}
 	var meta SnapshotMeta
 	f, err := fxp3.Parse(m.Bytes())
@@ -199,11 +204,15 @@ func decodeFXP3(b []byte) (*Document, error) {
 // path by mapping it: the decoded document aliases the mapping, whose
 // pages stay file-backed and kernel-reclaimable. The mapping is owned
 // by the returned document; Document.Close releases it. Load errors
-// name the file.
+// name the file; a legacy snapshot is ErrLegacySnapshot.
 func LoadFXP3SnapshotFile(path string) (*Document, error) {
 	m, err := mmapio.Open(path)
 	if err != nil {
 		return nil, err
+	}
+	if _, err := snapshotMagic(m.Bytes()); err != nil {
+		m.Close()
+		return nil, wrapSnapshotPath(path, err)
 	}
 	d, err := decodeFXP3(m.Bytes())
 	if err != nil {

@@ -49,8 +49,9 @@ func TestLoadAuto(t *testing.T) {
 
 // TestLegacySnapshotsAreTypedErrors: the FXP2 and FXT1 snapshots of older
 // releases are refused with ErrLegacySnapshot on every path a document's
-// bytes arrive by — a file (loaded, or added to a collection whatever its
-// extension), raw bytes, a durable seed, and a WAL record
+// bytes arrive by — a file (loaded, added to a collection whatever its
+// extension, or given to an entry point that takes FXP3 only), raw
+// bytes, a durable seed, and a WAL record
 // an older release logged — never parsed as XML, and never leaving a
 // collection open.
 func TestLegacySnapshotsAreTypedErrors(t *testing.T) {
@@ -86,6 +87,44 @@ func TestLegacySnapshotsAreTypedErrors(t *testing.T) {
 				}
 				if c.Len() != 0 {
 					t.Errorf("%s via AddFile: the collection holds %v", magic, c.Names())
+				}
+				return err
+			}},
+			{"LoadFXP3SnapshotFile", func() error {
+				path := filepath.Join(t.TempDir(), "old.fxp3")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, err := LoadFXP3SnapshotFile(path)
+				if err != nil && !strings.Contains(err.Error(), path) {
+					t.Errorf("%s via LoadFXP3SnapshotFile: %v does not name the file", magic, err)
+				}
+				return err
+			}},
+			{"ReadFXP3Meta", func() error {
+				path := filepath.Join(t.TempDir(), "old.fxp3")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, err := ReadFXP3Meta(path)
+				if err != nil && !strings.Contains(err.Error(), path) {
+					t.Errorf("%s via ReadFXP3Meta: %v does not name the file", magic, err)
+				}
+				return err
+			}},
+			{"Collection.AddSnapshotFile", func() error {
+				path := filepath.Join(t.TempDir(), "old.fxp3")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				c := NewCollection()
+				defer c.Close()
+				err := c.AddSnapshotFile("old", path)
+				if err != nil && !strings.Contains(err.Error(), path) {
+					t.Errorf("%s via AddSnapshotFile: %v does not name the file", magic, err)
+				}
+				if c.Len() != 0 {
+					t.Errorf("%s via AddSnapshotFile: the collection holds %v", magic, c.Names())
 				}
 				return err
 			}},
