@@ -21,15 +21,14 @@ import (
 )
 
 // durableServer builds a handler over a WAL-backed collection in dir and
-// returns the server plus the durable handle (for Close between
-// "restarts").
-func durableServer(t *testing.T, dir string, maxBulk int) (*httptest.Server, *flexpath.DurableCollection) {
+// returns the server plus the collection (for Close between "restarts").
+func durableServer(t *testing.T, dir string, maxBulk int) (*httptest.Server, *flexpath.Collection) {
 	t.Helper()
 	dur, err := flexpath.OpenDurableCollection(dir, flexpath.DurableOptions{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _ := newHandlerConfig(dur.Collection(), handlerConfig{admin: true, durable: dur, maxBulk: maxBulk})
+	h, _ := newHandlerConfig(dur, handlerConfig{admin: true, maxBulk: maxBulk})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv, dur
@@ -129,7 +128,7 @@ func TestAdminBulkNonDurableConcurrent(t *testing.T) {
 // -wal — .xml and .fxp3 files in any case, never other files or
 // directories — and a directory without a corpus file is an error. The
 // magic, not the extension, decides a file's format: FXP3 bytes named
-// .xml join cold like an upper-case .FXP3 snapshot.
+// .xml join cold like an upper-case .FXP3 snapshot, in both modes.
 func TestDirSameFilesWithWAL(t *testing.T) {
 	dir := t.TempDir()
 	doc, err := flexpath.LoadString(adminXML)
@@ -166,20 +165,15 @@ func TestDirSameFilesWithWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dur.Close()
-	for _, path := range paths {
-		if err := mem.AddFile(path); err != nil {
-			t.Fatalf("in-memory %s: %v", path, err)
+	for mode, c := range map[string]*flexpath.Collection{"in-memory": mem, "wal": dur} {
+		if err := addFiles(c, paths); err != nil {
+			t.Fatalf("%s: %v", mode, err)
 		}
-		if err := seedFile(dur, path); err != nil {
-			t.Fatalf("wal %s: %v", path, err)
-		}
-	}
-	if rs := mem.ResidencyStats(); rs.Cold != 2 || rs.Resident != 0 {
-		t.Errorf("in-memory residency before any search: %+v, want the two FXP3 files cold", rs)
-	}
-	for mode, c := range map[string]*flexpath.Collection{"in-memory": mem, "wal": dur.Collection()} {
 		if got := c.Names(); !slices.Equal(got, want) {
 			t.Errorf("%s: loaded %q, want %q", mode, got, want)
+		}
+		if rs := c.ResidencyStats(); rs != (flexpath.ResidencyStats{Cold: 2, Pinned: 1}) {
+			t.Errorf("%s: residency before any search: %+v, want the two FXP3 files cold", mode, rs)
 		}
 	}
 
@@ -277,7 +271,7 @@ func TestDurableAdminRecovery(t *testing.T) {
 
 	srv2, dur2 := durableServer(t, dir, 0)
 	defer dur2.Close()
-	if s := dur2.Stats(); s.ReplayedRecords == 0 {
+	if s, _ := dur2.DurableStats(); s.ReplayedRecords == 0 {
 		t.Fatal("no records replayed on restart")
 	}
 	_, got := get(t, fmt.Sprintf("%s/search?q=%s&k=10", srv2.URL, escape(serveQuery)))
@@ -321,7 +315,7 @@ func TestAdminSameInBothModes(t *testing.T) {
 	defer memSrv.Close()
 	walSrv, dur := durableServer(t, t.TempDir(), 0)
 	defer dur.Close()
-	if err := dur.Add("lib.xml", []byte(serveXML)); err != nil {
+	if err := put(dur.Add)("lib.xml", []byte(serveXML)); err != nil {
 		t.Fatal(err)
 	}
 

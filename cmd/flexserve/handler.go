@@ -55,11 +55,6 @@ type handler struct {
 	// its capacity is the max-in-flight limit, and a request that cannot
 	// acquire a slot immediately is shed with 503 + Retry-After.
 	sem chan struct{}
-	// corpus is where every admin mutation goes, in either mode.
-	corpus corpusWriter
-	// dur, when non-nil, is the durable collection behind corpus, read
-	// only for its /metrics families. coll aliases dur.Collection().
-	dur *flexpath.DurableCollection
 	// bulkSem, when non-nil, bounds concurrently executing /admin/bulk
 	// batches; excess batches are rejected with 429 before their body is
 	// read, so backpressure costs the client no upload bandwidth.
@@ -82,9 +77,6 @@ type handlerConfig struct {
 	maxInFlight int
 	// admin exposes the corpus-mutation endpoints under /admin/.
 	admin bool
-	// durable, when set, routes admin mutations through the write-ahead
-	// log; coll must be durable.Collection().
-	durable *flexpath.DurableCollection
 	// maxBulk caps concurrently executing /admin/bulk batches; excess is
 	// rejected with 429. 0 means unlimited.
 	maxBulk int
@@ -98,11 +90,6 @@ func newHandlerConfig(coll *flexpath.Collection, cfg handlerConfig) (http.Handle
 		mux:     http.NewServeMux(),
 		timeout: cfg.timeout,
 		reg:     obs.NewRegistry(cfg.slowCap, cfg.slowThreshold),
-		corpus:  memoryCorpus{coll},
-		dur:     cfg.durable,
-	}
-	if cfg.durable != nil {
-		h.corpus = cfg.durable
 	}
 	if cfg.maxInFlight > 0 {
 		h.sem = make(chan struct{}, cfg.maxInFlight)
@@ -121,9 +108,9 @@ func newHandlerConfig(coll *flexpath.Collection, cfg handlerConfig) (http.Handle
 		w.Write([]byte("ok\n")) //nolint:errcheck
 	})
 	if cfg.admin {
-		h.mux.HandleFunc("/admin/add", h.admin(h.corpus.Add))
-		h.mux.HandleFunc("/admin/replace", h.admin(h.corpus.Replace))
-		h.mux.HandleFunc("/admin/remove", h.admin(func(name string, _ []byte) error { return h.corpus.Remove(name) }))
+		h.mux.HandleFunc("/admin/add", h.admin(put(coll.Add)))
+		h.mux.HandleFunc("/admin/replace", h.admin(put(coll.Replace)))
+		h.mux.HandleFunc("/admin/remove", h.admin(func(name string, _ []byte) error { return coll.Remove(name) }))
 		h.mux.HandleFunc("/admin/bulk", h.adminBulk)
 	}
 	if cfg.pprof {
@@ -447,8 +434,7 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteFamily(w, "flexpath_server_bulk_ops_failed_total", "counter",
 		"Individual bulk operations that failed.", obs.Sample{Value: h.srv.bulkFailed.Load()})
 
-	if h.dur != nil {
-		s := h.dur.Stats()
+	if s, ok := h.coll.DurableStats(); ok {
 		obs.WriteFamily(w, "flexpath_wal_appended_records_total", "counter",
 			"Mutation records appended to the write-ahead log.", obs.Sample{Value: s.AppendedRecords})
 		obs.WriteFamily(w, "flexpath_wal_fsyncs_total", "counter",
@@ -587,16 +573,20 @@ type adminResponse struct {
 	Elements  int    `json:"elements"`
 }
 
+// errBadDocument reports a body that failed to parse; the collection
+// never saw it.
+var errBadDocument = errors.New("bad document")
+
 // mutationStatus maps a mutation error to an HTTP status, the same in
-// both modes: precondition sentinels become client errors, anything else
-// — an I/O failure in the log — is a 500.
+// both modes: precondition sentinels and unparsable bodies become client
+// errors, anything else — an I/O failure in the log — is a 500.
 func mutationStatus(err error) int {
 	switch {
 	case errors.Is(err, flexpath.ErrDocumentExists):
 		return http.StatusConflict
 	case errors.Is(err, flexpath.ErrNoDocument):
 		return http.StatusNotFound
-	case errors.Is(err, flexpath.ErrBadDocument):
+	case errors.Is(err, errBadDocument):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
@@ -714,57 +704,39 @@ func (h *handler) adminBulk(w http.ResponseWriter, r *http.Request) {
 	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 
-// applyBulkOp applies one batch line through the corpus writer.
+// applyBulkOp applies one batch line: one call into the collection.
 func (h *handler) applyBulkOp(op bulkOp) error {
 	if op.Name == "" {
 		return errors.New("missing name")
 	}
+	doc := []byte(op.Doc)
 	switch op.Op {
 	case "add":
-		return h.corpus.Add(op.Name, []byte(op.Doc))
+		return put(h.coll.Add)(op.Name, doc)
 	case "replace":
-		return h.corpus.Replace(op.Name, []byte(op.Doc))
+		return put(h.coll.Replace)(op.Name, doc)
 	case "upsert":
-		return h.corpus.Upsert(op.Name, []byte(op.Doc))
+		return put(h.coll.Upsert)(op.Name, doc)
 	case "remove":
-		_, err := h.corpus.RemoveIfPresent(op.Name)
+		_, err := h.coll.RemoveIfPresent(op.Name)
 		return err
 	}
 	return fmt.Errorf("unknown op %q", op.Op)
 }
 
-// corpusWriter is how the admin endpoints and bulk lines mutate the
-// corpus, one call per request or line: *flexpath.DurableCollection with
-// -wal, memoryCorpus without. Either resolves each verb against the live
-// membership under its own lock, so the handler needs none.
-type corpusWriter interface {
-	Add(name string, body []byte) error
-	Replace(name string, body []byte) error
-	Upsert(name string, body []byte) error
-	Remove(name string) error
-	RemoveIfPresent(name string) (bool, error)
-}
-
-// memoryCorpus is the corpus writer of a server without -wal: it parses
-// an uploaded body as XML and calls the collection's own verb.
-type memoryCorpus struct{ c *flexpath.Collection }
-
-func (m memoryCorpus) Add(name string, body []byte) error     { return put(m.c.Add, name, body) }
-func (m memoryCorpus) Replace(name string, body []byte) error { return put(m.c.Replace, name, body) }
-func (m memoryCorpus) Upsert(name string, body []byte) error  { return put(m.c.Upsert, name, body) }
-func (m memoryCorpus) Remove(name string) error               { return m.c.Remove(name) }
-func (m memoryCorpus) RemoveIfPresent(name string) (bool, error) {
-	return m.c.RemoveIfPresent(name)
-}
-
-// put parses body and hands the document to verb, reporting a parse
-// failure as flexpath.ErrBadDocument the way the durable verbs do.
-func put(verb func(string, *flexpath.Document) error, name string, body []byte) error {
-	doc, err := flexpath.Load(bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("%w: %w", flexpath.ErrBadDocument, err)
+// put returns the writer of a document verb: it parses an uploaded body
+// as XML, reporting a failure as errBadDocument, and hands the document
+// to the collection's own verb, which resolves it against the live
+// membership under the collection's lock (and, with -wal, logs it), so
+// the handler needs no lock and both modes answer alike.
+func put(verb func(string, *flexpath.Document) error) func(name string, body []byte) error {
+	return func(name string, body []byte) error {
+		doc, err := flexpath.Load(bytes.NewReader(body))
+		if err != nil {
+			return fmt.Errorf("%w: %w", errBadDocument, err)
+		}
+		return verb(name, doc)
 	}
-	return verb(name, doc)
 }
 
 func (h *handler) docNames() []string { return h.coll.Names() }

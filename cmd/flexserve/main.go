@@ -36,18 +36,22 @@
 //	POST /admin/replace?name=NAME   (XML document in the body)
 //	POST /admin/bulk                (NDJSON mutation batch in the body)
 //
-// Each request or batch line is one call into the collection (or, with
-// -wal, the durable collection), which resolves it against the current
-// membership under its own lock: an add of a present name is 409, a
-// replace or remove of an absent one 404, an unparsable document 400,
-// whichever mode the server runs in.
+// Each request or batch line parses its document and makes one call into
+// the collection's own verb, which resolves it against the current
+// membership under its own lock (and, with -wal, logs it): an add of a
+// present name is 409, a replace or remove of an absent one 404, an
+// unparsable document 400, whichever mode the server runs in.
 //
-// With -wal DIR, every mutation is appended to a write-ahead log in DIR
-// and fsync'd before the response is sent, periodic checkpoints write an
+// With -wal DIR, the collection is durable: every mutation is appended
+// to a write-ahead log in DIR, as the document's FXP3 snapshot, and
+// fsync'd before the response is sent; periodic checkpoints write an
 // FXP3 file for each document changed since the last one plus a manifest
 // so replay stays bounded, and on startup the acknowledged corpus is
 // recovered from DIR (kill -9 safe): checkpointed documents come back
 // cold, mapped from their files, so -wal composes with -resident-docs.
+// Corpus files are added after recovery, in either mode, except those
+// whose name is already a member, so a recovered document wins over its
+// file; each one added with -wal is logged like a mutation.
 // Bulk batches carry one JSON object per line —
 //
 //	{"op":"upsert","name":"doc.xml","doc":"<a>...</a>"}
@@ -106,9 +110,7 @@ func main() {
 	flag.Parse()
 
 	// With a WAL, recovery runs before command-line corpus files are
-	// seeded: acknowledged mutations (including removals of seeded
-	// documents) always win over the seed files.
-	var dur *flexpath.DurableCollection
+	// added, so a recovered document wins over its file.
 	coll := flexpath.NewCollection()
 	if *walDir != "" {
 		if *ckptEvery == 0 {
@@ -116,16 +118,15 @@ func main() {
 			// reads as "never", not "default".
 			*ckptEvery = -1
 		}
-		d, err := flexpath.OpenDurableCollection(*walDir, flexpath.DurableOptions{
+		var err error
+		coll, err = flexpath.OpenDurableCollection(*walDir, flexpath.DurableOptions{
 			SyncWindow:      *walSync,
 			CheckpointEvery: *ckptEvery,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		dur = d
-		coll = d.Collection()
-		s := d.Stats()
+		s, _ := coll.DurableStats()
 		log.Printf("flexserve: wal recovery: %d documents (checkpoint lsn %d, %d records replayed, %d torn bytes truncated)",
 			coll.Len(), s.CheckpointLSN, s.ReplayedRecords, s.TornBytesTruncated)
 	}
@@ -137,19 +138,11 @@ func main() {
 		}
 		paths = append(files, paths...)
 	}
-	for _, path := range paths {
-		var err error
-		if dur != nil {
-			err = seedFile(dur, path)
-		} else {
-			err = coll.AddFile(path)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	if err := addFiles(coll, paths); err != nil {
+		log.Fatal(err)
 	}
 	coll.SetResidency(*residentDocs)
-	mutable := *admin || dur != nil
+	mutable := *admin || *walDir != ""
 	if coll.Len() == 0 && !mutable {
 		fmt.Fprintln(os.Stderr, "flexserve: no documents given (use -admin to start empty behind flexrouter, or -wal to serve a durable corpus)")
 		flag.Usage()
@@ -167,7 +160,6 @@ func main() {
 		pprof:         *pprofOn,
 		maxInFlight:   *maxInFlight,
 		admin:         mutable,
-		durable:       dur,
 		maxBulk:       *maxBulk,
 	})
 	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, wal=%q, resident-docs=%d)",
@@ -186,28 +178,28 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	err = serveutil.Serve("flexserve", srv, ln, sig, *drain)
-	if dur != nil {
-		// After drain: no handler is mid-mutation, so Close only waits for
-		// a background checkpoint before sealing the log.
-		if cerr := dur.Close(); cerr != nil {
-			log.Printf("flexserve: wal close: %v", cerr)
-		}
-	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Drained: no handler is mid-request, so Close only waits for a
+	// background checkpoint before closing the log and unmapping.
+	if err := coll.Close(); err != nil {
+		log.Printf("flexserve: close: %v", err)
+	}
 }
 
-// seedFile durably ingests one corpus file (XML or binary snapshot)
-// unless a document of that name already exists — recovered state wins
-// over seed files on restart.
-func seedFile(dur *flexpath.DurableCollection, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := dur.Seed(path, data); err != nil {
-		return fmt.Errorf("flexserve: seeding %s: %w", path, err)
+// addFiles adds each corpus file with Collection.AddFile, skipping a
+// name that is already a member: with -wal, a document recovered from
+// the log (replaced since it was first added, say) wins over its file,
+// though a file whose document was removed is added again.
+func addFiles(c *flexpath.Collection, paths []string) error {
+	for _, path := range paths {
+		if c.Has(path) {
+			continue
+		}
+		if err := c.AddFile(path); err != nil {
+			return err
+		}
 	}
 	return nil
 }

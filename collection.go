@@ -1,6 +1,7 @@
 package flexpath
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -26,6 +27,8 @@ import (
 //
 // A Collection is a live corpus: Add, Replace, Upsert, Remove and
 // RemoveIfPresent may run concurrently with searches and with each other.
+// One opened with OpenDurableCollection also logs every mutation before it
+// returns (see durable.go).
 // The membership is an immutable slice published behind an atomic
 // pointer. Each mutation resolves and publishes a new slice under one
 // writer mutex; a search loads the published slice once at entry, with no
@@ -33,8 +36,12 @@ import (
 // half-applied mutation) and never waits for a writer or another search.
 type Collection struct {
 	// mu orders writers (mutate, and a durable collection's log append and
-	// checkpoint cut) and guards byName, gone and mappings.
+	// checkpoint cut) and guards byName, gone, mappings and dur's
+	// cadence.
 	mu sync.Mutex
+	// dur is the durability state, set by OpenDurableCollection before
+	// the collection is returned and never changed; nil when in memory.
+	dur *durability
 	// live is the published membership in insertion order. A published
 	// slice is never written; mutate publishes a new one.
 	live   atomic.Pointer[[]*member]
@@ -89,7 +96,6 @@ const (
 	verbRemove
 	verbUpsert
 	verbRemoveIfPresent
-	verbSeed // add if absent, leave a present name untouched
 )
 
 // resolve returns the strict verb (verbAdd, verbReplace or verbRemove)
@@ -102,7 +108,7 @@ func (v verb) resolve(name string, exists bool) (op verb, ok bool, err error) {
 		return 0, false, fmt.Errorf("flexpath: %w: %q", ErrDocumentExists, name)
 	case (v == verbReplace || v == verbRemove) && !exists:
 		return 0, false, fmt.Errorf("flexpath: %w: %q", ErrNoDocument, name)
-	case v == verbSeed && exists, v == verbRemoveIfPresent && !exists:
+	case v == verbRemoveIfPresent && !exists:
 		return 0, false, nil
 	case v == verbRemove || v == verbRemoveIfPresent:
 		return verbRemove, true, nil
@@ -112,15 +118,28 @@ func (v verb) resolve(name string, exists bool) (op verb, ok bool, err error) {
 	return verbAdd, true, nil
 }
 
-// mutate is the one membership change: under mu it resolves v against
-// whether name is present, runs stage (if any) with the strict verb v
-// resolved to, then publishes a new membership that inserts mem, swaps it
-// into the name's slot (keeping its position in the ranking tie-break
-// order) or drops the slot. A stage error changes nothing. A pinned
-// incoming document gets the collection's document-cache configuration;
-// mp, if any, is recorded for Close. It reports whether the membership
-// changed.
-func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping, stage func(op verb) error) (bool, error) {
+// mutate is the one membership change, and the one place that decides
+// durability. Under mu it resolves v against whether name is present; on
+// a durable collection it appends the strict verb v resolved to, with
+// rec (the incoming member's FXP3 bytes, nil for a removal), to the log;
+// then it publishes a new membership that inserts mem, swaps it into the
+// name's slot (keeping its position in the ranking tie-break order) or
+// drops the slot. A failed append changes nothing. A pinned incoming
+// document gets the collection's document-cache configuration; mp, if
+// any, is recorded for Close. The durability wait happens after mu is
+// released, so concurrent mutations append back-to-back and share one
+// group-commit fsync instead of serializing through it. It reports
+// whether the membership changed.
+func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping, rec []byte) (bool, error) {
+	changed, lsn, err := c.publish(v, name, mem, mp, rec)
+	if !changed || err != nil || c.dur == nil {
+		return changed, err
+	}
+	return true, c.dur.log.WaitDurable(lsn)
+}
+
+// publish is mutate under mu; lsn is the appended record's.
+func (c *Collection) publish(v verb, name string, mem *member, mp *mmapio.Mapping, rec []byte) (changed bool, lsn uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byName == nil {
@@ -129,11 +148,11 @@ func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping
 	i, exists := c.byName[name]
 	op, ok, err := v.resolve(name, exists)
 	if !ok {
-		return false, err
+		return false, 0, err
 	}
-	if stage != nil {
-		if err := stage(op); err != nil {
-			return false, err
+	if c.dur != nil {
+		if lsn, err = c.appendRecord(op, name, rec); err != nil {
+			return false, 0, err
 		}
 	}
 	if mem != nil && mem.cold == nil {
@@ -168,7 +187,7 @@ func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping
 	if op != verbAdd {
 		c.retire(cur[i])
 	}
-	return true, nil
+	return true, lsn, nil
 }
 
 // members returns the published membership. The slice is shared and must
@@ -194,8 +213,7 @@ func pinned(name string, doc *Document) *member {
 // search evaluates only the new member. The same *Document may be added
 // under several names.
 func (c *Collection) Add(name string, doc *Document) error {
-	_, err := c.mutate(verbAdd, name, pinned(name, doc), nil, nil)
-	return err
+	return c.put(verbAdd, name, doc)
 }
 
 // Replace swaps the named document for doc, keeping its position in the
@@ -205,15 +223,28 @@ func (c *Collection) Add(name string, doc *Document) error {
 // search evaluates only the incoming document. The incoming document is
 // pinned even when it replaces a cold member.
 func (c *Collection) Replace(name string, doc *Document) error {
-	_, err := c.mutate(verbReplace, name, pinned(name, doc), nil, nil)
-	return err
+	return c.put(verbReplace, name, doc)
 }
 
 // Upsert adds doc under name if the name is absent and replaces the named
 // document otherwise, as one atomic step: concurrent Upserts and
-// RemoveIfPresents of one name never fail.
+// RemoveIfPresents of one name never fail. Retrying an upsert after an
+// ambiguous failure (a crashed or unreachable server) is always safe,
+// which makes it the right verb for bulk ingest pipelines.
 func (c *Collection) Upsert(name string, doc *Document) error {
-	_, err := c.mutate(verbUpsert, name, pinned(name, doc), nil, nil)
+	return c.put(verbUpsert, name, doc)
+}
+
+// put is the verbs that bring a document. A durable collection logs
+// the document's FXP3 snapshot, encoded before mutate takes the lock.
+func (c *Collection) put(v verb, name string, doc *Document) error {
+	var rec bytes.Buffer
+	if c.dur != nil {
+		if err := doc.SaveFXP3Snapshot(&rec); err != nil {
+			return err
+		}
+	}
+	_, err := c.mutate(v, name, pinned(name, doc), nil, rec.Bytes())
 	return err
 }
 
@@ -228,7 +259,7 @@ func (c *Collection) Remove(name string) error {
 }
 
 // RemoveIfPresent deletes the named document if it is a member and reports
-// whether it was, as one atomic step.
+// whether it was, as one atomic step. Like Upsert, it is retry-safe.
 func (c *Collection) RemoveIfPresent(name string) (bool, error) {
 	return c.mutate(verbRemoveIfPresent, name, nil, nil, nil)
 }

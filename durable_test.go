@@ -20,6 +20,25 @@ func durableDoc(i, rev int) []byte {
 		i, rev, i))
 }
 
+// durableDocument parses durableDoc(i, rev).
+func durableDocument(i, rev int) *Document {
+	d, err := LoadString(string(durableDoc(i, rev)))
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// durableStats returns c's durability counters.
+func durableStats(t *testing.T, c *Collection) DurableStats {
+	t.Helper()
+	s, ok := c.DurableStats()
+	if !ok {
+		t.Fatal("the collection is not durable")
+	}
+	return s
+}
+
 var durableQuery = MustParseQuery(`//article[./section[./paragraph and .contains("XML" and "streaming")]]`)
 
 // searchKey flattens a ranking into a comparable signature. Auto's
@@ -45,18 +64,18 @@ func TestDurableRecoverFromLogOnly(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDoc(i, 1)); err != nil {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 1)); err != nil {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	if err := dc.Replace("doc2.xml", durableDoc(2, 2)); err != nil {
+	if err := dc.Replace("doc2.xml", durableDocument(2, 2)); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
 	if err := dc.Remove("doc4.xml"); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
-	want := searchKey(t, dc.Collection())
-	wantNames := dc.Collection().Names()
+	want := searchKey(t, dc)
+	wantNames := dc.Names()
 	// No Close: simulate a crash by abandoning the handle (records are
 	// durable the moment each mutation returned).
 	dc2, err := OpenDurableCollection(dir, DurableOptions{CheckpointEvery: -1})
@@ -64,13 +83,13 @@ func TestDurableRecoverFromLogOnly(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	defer dc2.Close()
-	if s := dc2.Stats(); s.ReplayedRecords != 7 {
+	if s := durableStats(t, dc2); s.ReplayedRecords != 7 {
 		t.Fatalf("replayed %d records, want 7", s.ReplayedRecords)
 	}
-	if got := dc2.Collection().Names(); !reflect.DeepEqual(got, wantNames) {
+	if got := dc2.Names(); !reflect.DeepEqual(got, wantNames) {
 		t.Fatalf("recovered names %v, want %v", got, wantNames)
 	}
-	if got := searchKey(t, dc2.Collection()); got != want {
+	if got := searchKey(t, dc2); got != want {
 		t.Fatalf("recovered ranking differs:\n%s\nvs\n%s", got, want)
 	}
 }
@@ -82,28 +101,28 @@ func TestDurableRecoverFromCheckpointAndTail(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDoc(i, 1)); err != nil {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := dc.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if s := dc.Stats(); s.Checkpoints != 1 || s.LogSegments != 1 {
+	if s := durableStats(t, dc); s.Checkpoints != 1 || s.LogSegments != 1 {
 		t.Fatalf("after checkpoint: %+v, want 1 checkpoint and only the active segment", s)
 	}
 	// Tail mutations after the checkpoint.
-	if err := dc.Replace("doc1.xml", durableDoc(1, 9)); err != nil {
+	if err := dc.Replace("doc1.xml", durableDocument(1, 9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Add("doc9.xml", durableDoc(9, 1)); err != nil {
+	if err := dc.Add("doc9.xml", durableDocument(9, 1)); err != nil {
 		t.Fatal(err)
 	}
-	want := searchKey(t, dc.Collection())
+	want := searchKey(t, dc)
 	// An in-memory rebuild of the same corpus: what recovery must rank
 	// like, byte for byte, under every algorithm and scheme.
 	rebuilt := NewCollection()
-	for _, name := range dc.Collection().Names() {
+	for _, name := range dc.Names() {
 		var i, rev int
 		fmt.Sscanf(name, "doc%d.xml", &i) //nolint:errcheck
 		if rev = 1; i == 1 {
@@ -124,17 +143,17 @@ func TestDurableRecoverFromCheckpointAndTail(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	defer dc2.Close()
-	s := dc2.Stats()
+	s := durableStats(t, dc2)
 	if s.CheckpointLSN == 0 {
 		t.Fatal("recovery did not boot from the checkpoint")
 	}
 	if s.ReplayedRecords != 2 {
 		t.Fatalf("replayed %d records, want only the 2 post-checkpoint ones", s.ReplayedRecords)
 	}
-	if got := searchKey(t, dc2.Collection()); got != want {
+	if got := searchKey(t, dc2); got != want {
 		t.Fatalf("recovered ranking differs:\n%s\nvs\n%s", got, want)
 	}
-	if got := rankingMatrix(t, dc2.Collection()); got != wantMatrix {
+	if got := rankingMatrix(t, dc2); got != wantMatrix {
 		t.Fatalf("manifest recovery ranks differently from an in-memory rebuild:\n%s\nvs\n%s", got, wantMatrix)
 	}
 }
@@ -146,23 +165,23 @@ func TestDurableAutomaticCheckpointAndPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDoc(i, 1)); err != nil {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := dc.Stats().Checkpoints; n == 0 {
+	if n := durableStats(t, dc).Checkpoints; n == 0 {
 		t.Fatal("no automatic checkpoint ran")
 	}
-	want := searchKey(t, dc.Collection())
+	want := searchKey(t, dc)
 	dc2, err := OpenDurableCollection(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	defer dc2.Close()
-	if got := searchKey(t, dc2.Collection()); got != want {
+	if got := searchKey(t, dc2); got != want {
 		t.Fatal("recovered ranking differs after automatic checkpoints")
 	}
 }
@@ -174,7 +193,7 @@ func TestDurableTornTailRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDoc(i, 1)); err != nil {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,11 +222,11 @@ func TestDurableTornTailRecovers(t *testing.T) {
 		t.Fatalf("recovery after torn tail: %v", err)
 	}
 	defer dc2.Close()
-	s := dc2.Stats()
+	s := durableStats(t, dc2)
 	if s.ReplayedRecords != 2 || s.TornBytesTruncated == 0 {
 		t.Fatalf("stats = %+v, want 2 replayed with torn bytes counted", s)
 	}
-	if got := dc2.Collection().Names(); !reflect.DeepEqual(got, []string{"doc0.xml", "doc1.xml"}) {
+	if got := dc2.Names(); !reflect.DeepEqual(got, []string{"doc0.xml", "doc1.xml"}) {
 		t.Fatalf("recovered names %v, want the first two docs", got)
 	}
 }
@@ -218,31 +237,35 @@ func TestDurablePreconditionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dc.Close()
-	if err := dc.Add("a.xml", durableDoc(0, 1)); err != nil {
+	if err := dc.Add("a.xml", durableDocument(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Add("a.xml", durableDoc(0, 2)); !errors.Is(err, ErrDocumentExists) {
+	if err := dc.Add("a.xml", durableDocument(0, 2)); !errors.Is(err, ErrDocumentExists) {
 		t.Fatalf("duplicate add: %v, want ErrDocumentExists", err)
 	}
-	if err := dc.Replace("missing.xml", durableDoc(1, 1)); !errors.Is(err, ErrNoDocument) {
+	if err := dc.Replace("missing.xml", durableDocument(1, 1)); !errors.Is(err, ErrNoDocument) {
 		t.Fatalf("replace missing: %v, want ErrNoDocument", err)
 	}
 	if err := dc.Remove("missing.xml"); !errors.Is(err, ErrNoDocument) {
 		t.Fatalf("remove missing: %v, want ErrNoDocument", err)
 	}
-	if err := dc.Add("bad.xml", []byte("<unclosed")); err == nil {
+	bad := filepath.Join(t.TempDir(), "bad.xml")
+	if err := os.WriteFile(bad, []byte("<unclosed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.AddFile(bad); err == nil {
 		t.Fatal("malformed XML accepted")
 	}
 	// Failed mutations must not have been logged: recovery sees one doc.
-	appended := dc.Stats().AppendedRecords
+	appended := durableStats(t, dc).AppendedRecords
 	if appended != 1 {
 		t.Fatalf("appended %d records, want 1 (failures must not log)", appended)
 	}
 	// Idempotent variants.
-	if err := dc.Upsert("a.xml", durableDoc(0, 3)); err != nil {
+	if err := dc.Upsert("a.xml", durableDocument(0, 3)); err != nil {
 		t.Fatalf("upsert existing: %v", err)
 	}
-	if err := dc.Upsert("b.xml", durableDoc(2, 1)); err != nil {
+	if err := dc.Upsert("b.xml", durableDocument(2, 1)); err != nil {
 		t.Fatalf("upsert new: %v", err)
 	}
 	if removed, err := dc.RemoveIfPresent("b.xml"); err != nil || !removed {
@@ -253,54 +276,69 @@ func TestDurablePreconditionErrors(t *testing.T) {
 	}
 }
 
+// seedFile adds the corpus file at path unless a member has its name,
+// the way flexserve seeds its command-line files, and returns path.
+func seedFile(t *testing.T, c *Collection, path string) string {
+	t.Helper()
+	if !c.Has(path) {
+		if err := c.AddFile(path); err != nil {
+			t.Fatalf("seeding %s: %v", path, err)
+		}
+	}
+	return path
+}
+
+// writeFile writes data to a fresh file name in a temporary directory
+// and returns its path.
+func writeFile(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestDurableSeedOnlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	dc, err := OpenDurableCollection(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Seed("seed.xml", durableDoc(0, 1)); err != nil {
-		t.Fatal(err)
-	}
+	seed := seedFile(t, dc, writeFile(t, "seed.xml", durableDoc(0, 1)))
 	// Durably mutate the seeded document, then "restart" and re-seed: the
 	// mutation must win over the seed file.
-	if err := dc.Replace("seed.xml", durableDoc(0, 2)); err != nil {
+	if err := dc.Replace(seed, durableDocument(0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	want := searchKey(t, dc.Collection())
+	want := searchKey(t, dc)
 	dc.Close()
 	dc2, err := OpenDurableCollection(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dc2.Close()
-	if err := dc2.Seed("seed.xml", durableDoc(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := searchKey(t, dc2.Collection()); got != want {
+	seedFile(t, dc2, seed)
+	if got := searchKey(t, dc2); got != want {
 		t.Fatal("re-seeding overwrote a durable mutation")
 	}
 }
 
-// TestDurableSeedFXP3SurvivesRestart: a seeded FXP3 file is routed to the
-// FXP3 loader (it used to reach the XML parser and die as a bad
-// document), its bytes replay from the log after a crash, and after a
-// checkpoint it recovers from its member file, ranking identically.
+// TestDurableSeedFXP3SurvivesRestart: a seeded FXP3 file joins cold, the
+// mapped bytes it logged replay after a crash, and after a checkpoint it
+// recovers from its member file, ranking identically.
 func TestDurableSeedFXP3SurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	doc, err := LoadString(string(durableDoc(7, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := fxp3Bytes(t, doc)
+	raw := fxp3Bytes(t, durableDocument(7, 1))
 	dc, err := OpenDurableCollection(dir, DurableOptions{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Seed("corpus/doc.fxp3", raw); err != nil {
-		t.Fatalf("seeding FXP3 bytes: %v", err)
+	seed := seedFile(t, dc, writeFile(t, "doc.fxp3", raw))
+	if rs := dc.ResidencyStats(); rs.Cold != 1 {
+		t.Fatalf("residency after seeding %+v, want the FXP3 file cold", rs)
 	}
-	want := searchKey(t, dc.Collection())
+	want := searchKey(t, dc)
 	if want == "" {
 		t.Fatal("seeded document does not answer the query")
 	}
@@ -316,10 +354,8 @@ func TestDurableSeedFXP3SurvivesRestart(t *testing.T) {
 			t.Fatalf("recover (checkpointed=%v): %v", checkpoint, err)
 		}
 		defer dc.Close()
-		if err := dc.Seed("corpus/doc.fxp3", raw); err != nil {
-			t.Fatal(err)
-		}
-		if got := searchKey(t, dc.Collection()); got != want {
+		seedFile(t, dc, seed)
+		if got := searchKey(t, dc); got != want {
 			t.Fatalf("checkpointed=%v: recovered ranking differs:\n%s\nvs\n%s", checkpoint, got, want)
 		}
 	}
@@ -335,7 +371,7 @@ func TestDurableMutateWhileCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDoc(i, 0)); err != nil {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,13 +387,13 @@ func TestDurableMutateWhileCheckpointing(t *testing.T) {
 			defer wg.Done()
 			for r := 1; r <= rounds; r++ {
 				name := fmt.Sprintf("doc%d.xml", m)
-				if err := dc.Upsert(name, durableDoc(m, r)); err != nil {
+				if err := dc.Upsert(name, durableDocument(m, r)); err != nil {
 					errCh <- fmt.Errorf("mutator %d round %d: %w", m, r, err)
 					return
 				}
 				extra := fmt.Sprintf("extra-%d.xml", m)
 				if r%2 == 0 {
-					if err := dc.Upsert(extra, durableDoc(100+m, r)); err != nil {
+					if err := dc.Upsert(extra, durableDocument(100+m, r)); err != nil {
 						errCh <- err
 						return
 					}
@@ -374,7 +410,7 @@ func TestDurableMutateWhileCheckpointing(t *testing.T) {
 	go func() { // searches racing the mutations
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if _, err := dc.Collection().Search(durableQuery, SearchOptions{K: 10}); err != nil {
+			if _, err := dc.Search(durableQuery, SearchOptions{K: 10}); err != nil {
 				errCh <- fmt.Errorf("search: %w", err)
 				return
 			}
@@ -395,7 +431,7 @@ func TestDurableMutateWhileCheckpointing(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	want := searchKey(t, dc.Collection())
+	want := searchKey(t, dc)
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +440,7 @@ func TestDurableMutateWhileCheckpointing(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer dc2.Close()
-	if got := searchKey(t, dc2.Collection()); got != want {
+	if got := searchKey(t, dc2); got != want {
 		t.Fatalf("recovered ranking differs from pre-crash state:\n%s\nvs\n%s", got, want)
 	}
 }
@@ -414,17 +450,17 @@ func TestDurableClosedRejectsMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Add("a.xml", durableDoc(0, 1)); err != nil {
+	if err := dc.Add("a.xml", durableDocument(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Add("b.xml", durableDoc(1, 1)); err == nil {
+	if err := dc.Add("b.xml", durableDocument(1, 1)); err == nil {
 		t.Fatal("mutation accepted after Close")
 	}
 	// Searches keep working on the closed collection.
-	if _, err := dc.Collection().Search(durableQuery, SearchOptions{K: 5}); err != nil {
+	if _, err := dc.Search(durableQuery, SearchOptions{K: 5}); err != nil {
 		t.Fatalf("search after close: %v", err)
 	}
 }
@@ -482,7 +518,7 @@ func TestCheckpointIncrementalAndRecoveryCold(t *testing.T) {
 	ref := NewCollection() // the same corpus, never persisted
 	name := func(i int) string { return fmt.Sprintf("doc%02d.xml", i) }
 	for i := 0; i < n; i++ {
-		if err := dc.Add(name(i), durableDoc(i, 1)); err != nil {
+		if err := dc.Add(name(i), durableDocument(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 		d, _ := LoadString(string(durableDoc(i, 1)))
@@ -496,7 +532,7 @@ func TestCheckpointIncrementalAndRecoveryCold(t *testing.T) {
 		t.Fatalf("first checkpoint wrote %d member files, want %d", len(first), n)
 	}
 	for _, i := range []int{3, 11, 17} {
-		if err := dc.Replace(name(i), durableDoc(i, 2)); err != nil {
+		if err := dc.Replace(name(i), durableDocument(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 		d, _ := LoadString(string(durableDoc(i, 2)))
@@ -528,7 +564,7 @@ func TestCheckpointIncrementalAndRecoveryCold(t *testing.T) {
 		t.Fatalf("idle checkpoint changed the member files: %v vs %v", keys(third), keys(second))
 	}
 	// The live collection never faulted: its members are all pinned.
-	if rs := dc.Collection().ResidencyStats(); rs.Faults != 0 || rs.Pinned != n {
+	if rs := dc.ResidencyStats(); rs.Faults != 0 || rs.Pinned != n {
 		t.Fatalf("live residency %+v, want %d pinned and no faults", rs, n)
 	}
 
@@ -538,26 +574,26 @@ func TestCheckpointIncrementalAndRecoveryCold(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	defer dc2.Close()
-	if rs := dc2.Collection().ResidencyStats(); rs.Cold != n || rs.Resident != 0 || rs.Pinned != 0 || rs.Faults != 0 {
+	if rs := dc2.ResidencyStats(); rs.Cold != n || rs.Resident != 0 || rs.Pinned != 0 || rs.Faults != 0 {
 		t.Fatalf("residency after recovery %+v, want %d cold and no faults", rs, n)
 	}
-	if s := dc2.Stats(); s.ReplayedRecords != 0 || s.CheckpointLSN == 0 {
+	if s := durableStats(t, dc2); s.ReplayedRecords != 0 || s.CheckpointLSN == 0 {
 		t.Fatalf("recovery stats %+v, want the checkpoint and an empty tail", s)
 	}
 	// Preconditions test membership, not documents: 20 upserts of other
 	// names, and every strict verb on a recovered name, fault nothing.
 	for i := 0; i < 20; i++ {
-		if err := dc2.Upsert(fmt.Sprintf("other%02d.xml", i), durableDoc(100+i, 1)); err != nil {
+		if err := dc2.Upsert(fmt.Sprintf("other%02d.xml", i), durableDocument(100+i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := dc2.Add(name(5), durableDoc(5, 9)); !errors.Is(err, ErrDocumentExists) {
+	if err := dc2.Add(name(5), durableDocument(5, 9)); !errors.Is(err, ErrDocumentExists) {
 		t.Fatalf("Add of a recovered name: %v, want ErrDocumentExists", err)
 	}
-	if err := dc2.Seed(name(6), durableDoc(6, 9)); err != nil {
-		t.Fatal(err)
+	if !dc2.Has(name(6)) {
+		t.Fatalf("Has(%s) = false for a recovered member", name(6))
 	}
-	if rs := dc2.Collection().ResidencyStats(); rs.Faults != 0 || rs.Cold != n {
+	if rs := dc2.ResidencyStats(); rs.Faults != 0 || rs.Cold != n {
 		t.Fatalf("residency after preconditions %+v, want no faults and %d cold", rs, n)
 	}
 	for i := 0; i < 20; i++ {
@@ -566,23 +602,23 @@ func TestCheckpointIncrementalAndRecoveryCold(t *testing.T) {
 		}
 	}
 	// First searches fault the members in and rank like the rebuild.
-	if got, want := rankingMatrix(t, dc2.Collection()), rankingMatrix(t, ref); got != want {
+	if got, want := rankingMatrix(t, dc2), rankingMatrix(t, ref); got != want {
 		t.Fatalf("recovered rankings differ from the in-memory rebuild:\n%s\nvs\n%s", got, want)
 	}
-	if rs := dc2.Collection().ResidencyStats(); rs.Faults != n || rs.Resident != n {
+	if rs := dc2.ResidencyStats(); rs.Faults != n || rs.Resident != n {
 		t.Fatalf("residency after searching %+v, want %d faults", rs, n)
 	}
 	// The recovered members obey the residency cap (-wal composes with
 	// -resident-docs), and a checkpoint of a cold corpus faults nothing.
-	dc2.Collection().SetResidency(4)
-	faults := dc2.Collection().ResidencyStats().Faults
-	if err := dc2.Replace(name(0), durableDoc(0, 3)); err != nil {
+	dc2.SetResidency(4)
+	faults := dc2.ResidencyStats().Faults
+	if err := dc2.Replace(name(0), durableDocument(0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if rs := dc2.Collection().ResidencyStats(); rs.Resident > 4 || rs.Faults != faults {
+	if rs := dc2.ResidencyStats(); rs.Resident > 4 || rs.Faults != faults {
 		t.Fatalf("residency after a capped checkpoint %+v, want <= 4 resident and %d faults", rs, faults)
 	}
 }
@@ -607,7 +643,7 @@ func TestDurableCrashBeforeManifestRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDoc(i, 1)); err != nil {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -621,24 +657,24 @@ func TestDurableCrashBeforeManifestRename(t *testing.T) {
 	}
 	// The tail: a replace, a remove and an add the old manifest knows
 	// nothing about.
-	if err := dc.Replace("doc1.xml", durableDoc(1, 2)); err != nil {
+	if err := dc.Replace("doc1.xml", durableDocument(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.Remove("doc4.xml"); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Add("doc9.xml", durableDoc(9, 1)); err != nil {
+	if err := dc.Add("doc9.xml", durableDocument(9, 1)); err != nil {
 		t.Fatal(err)
 	}
-	want := rankingMatrix(t, dc.Collection())
-	wantNames := dc.Collection().Names()
+	want := rankingMatrix(t, dc)
+	wantNames := dc.Names()
 
 	crash := errors.New("killed before the manifest rename")
-	dc.beforeManifest = func() error { return crash }
+	dc.dur.beforeManifest = func() error { return crash }
 	if err := dc.Checkpoint(); !errors.Is(err, crash) {
 		t.Fatalf("checkpoint: %v, want the injected crash", err)
 	}
-	if s := dc.Stats(); s.Checkpoints != 1 || s.CheckpointErrors != 1 {
+	if s := durableStats(t, dc); s.Checkpoints != 1 || s.CheckpointErrors != 1 {
 		t.Fatalf("stats after the aborted checkpoint: %+v", s)
 	}
 	orphans := 0
@@ -655,10 +691,10 @@ func TestDurableCrashBeforeManifestRename(t *testing.T) {
 	}
 	// A mutation acknowledged after the aborted checkpoint is in the new
 	// active segment; it must survive too.
-	if err := dc.Upsert("doc0.xml", durableDoc(0, 5)); err != nil {
+	if err := dc.Upsert("doc0.xml", durableDocument(0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	want2 := rankingMatrix(t, dc.Collection())
+	want2 := rankingMatrix(t, dc)
 	if want2 == want {
 		t.Fatal("the post-abort upsert does not show in the ranking; the test is blind to it")
 	}
@@ -669,13 +705,13 @@ func TestDurableCrashBeforeManifestRename(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	defer dc2.Close()
-	if s := dc2.Stats(); s.ReplayedRecords != 4 {
+	if s := durableStats(t, dc2); s.ReplayedRecords != 4 {
 		t.Fatalf("replayed %d records, want the 4 acknowledged after the last manifest", s.ReplayedRecords)
 	}
-	if got := dc2.Collection().Names(); !reflect.DeepEqual(got, wantNames) {
+	if got := dc2.Names(); !reflect.DeepEqual(got, wantNames) {
 		t.Fatalf("recovered names %v, want %v", got, wantNames)
 	}
-	if got := rankingMatrix(t, dc2.Collection()); got != want2 {
+	if got := rankingMatrix(t, dc2); got != want2 {
 		t.Fatalf("recovered rankings differ from the acknowledged state:\n%s\nvs\n%s", got, want2)
 	}
 	if after := memberFiles(t, dir); !reflect.DeepEqual(keys(after), keys(before)) {
@@ -690,8 +726,8 @@ func TestDurableCrashBeforeManifestRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dc3.Close()
-	if got := rankingMatrix(t, dc3.Collection()); got != want2 || dc3.Stats().ReplayedRecords != 0 {
-		t.Fatalf("recovery from the retried checkpoint diverged (replayed %d)", dc3.Stats().ReplayedRecords)
+	if got := rankingMatrix(t, dc3); got != want2 || durableStats(t, dc3).ReplayedRecords != 0 {
+		t.Fatalf("recovery from the retried checkpoint diverged (replayed %d)", durableStats(t, dc3).ReplayedRecords)
 	}
 }
 
@@ -707,7 +743,7 @@ func TestDurableDamagedCheckpointIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDoc(i, 1)); err != nil {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -726,7 +762,7 @@ func TestDurableDamagedCheckpointIsAnError(t *testing.T) {
 		t.Helper()
 		dc, err := OpenDurableCollection(dir, DurableOptions{CheckpointEvery: -1})
 		if err == nil {
-			names := dc.Collection().Names()
+			names := dc.Names()
 			dc.Close()
 			t.Fatalf("%s: opened with documents %v", what, names)
 		}
@@ -788,7 +824,7 @@ func TestDurableDamagedCheckpointIsAnError(t *testing.T) {
 		t.Fatalf("restored directory: %v", err)
 	}
 	defer dc.Close()
-	if got := dc.Collection().Len(); got != 3 {
+	if got := dc.Len(); got != 3 {
 		t.Fatalf("restored directory holds %d documents, want 3", got)
 	}
 }
@@ -804,7 +840,7 @@ func TestDurablePreconditionOnUnfaultableMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Add("a.xml", durableDoc(0, 1)); err != nil {
+	if err := dc.Add("a.xml", durableDocument(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.Checkpoint(); err != nil {
@@ -827,19 +863,158 @@ func TestDurablePreconditionOnUnfaultableMember(t *testing.T) {
 		t.Fatalf("a member damaged past its header must open cold: %v", err)
 	}
 	defer dc2.Close()
-	if _, err := dc2.Collection().Search(durableQuery, SearchOptions{K: 5}); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := dc2.Search(durableQuery, SearchOptions{K: 5}); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("search over the damaged member: %v, want ErrCorruptSnapshot", err)
 	}
-	if err := dc2.Add("a.xml", durableDoc(0, 2)); !errors.Is(err, ErrDocumentExists) {
+	if err := dc2.Add("a.xml", durableDocument(0, 2)); !errors.Is(err, ErrDocumentExists) {
 		t.Fatalf("Add over the damaged member: %v, want ErrDocumentExists", err)
 	}
-	if n := dc2.Stats().AppendedRecords; n != 0 {
+	if n := durableStats(t, dc2).AppendedRecords; n != 0 {
 		t.Fatalf("the refused Add was logged (%d records)", n)
 	}
-	if err := dc2.Replace("a.xml", durableDoc(0, 2)); err != nil {
+	if err := dc2.Replace("a.xml", durableDocument(0, 2)); err != nil {
 		t.Fatalf("Replace of the damaged member: %v", err)
 	}
-	if searchKey(t, dc2.Collection()) == "" {
+	if searchKey(t, dc2) == "" {
 		t.Fatal("the replaced member does not answer")
+	}
+}
+
+// fxp3Of returns each member's FXP3 snapshot bytes by name.
+func fxp3Of(t *testing.T, c *Collection) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, name := range c.Names() {
+		d, ok := c.Document(name)
+		if !ok {
+			t.Fatalf("member %s does not load", name)
+		}
+		out[name] = fxp3Bytes(t, d)
+	}
+	return out
+}
+
+// copyDir copies the regular files of src into a fresh temporary
+// directory and returns it: the image of src a crash would leave.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestDurableCollectionVerbs: a durable collection's own verbs are
+// durable — Add, Replace, AddSnapshotFile of an FXP3 file no search has
+// faulted in, and Remove — so a reopen from the log alone, and again
+// after a checkpoint that writes the cold member from its mapping, gives
+// the same names in the same order and every member the same FXP3 bytes.
+func TestDurableCollectionVerbs(t *testing.T) {
+	dir := t.TempDir()
+	dc, err := OpenDurableCollection(dir, DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := dc.Add(fmt.Sprintf("doc%d.xml", i), durableDocument(i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dc.Replace("doc1.xml", durableDocument(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	cold := fxp3Bytes(t, durableDocument(5, 1))
+	if err := dc.AddSnapshotFile("cold.fxp3", writeFile(t, "cold.fxp3", cold)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.Remove("doc0.xml"); err != nil {
+		t.Fatal(err)
+	}
+	wantNames := []string{"doc1.xml", "doc2.xml", "cold.fxp3"}
+	want := map[string][]byte{
+		"doc1.xml":  fxp3Bytes(t, durableDocument(1, 2)),
+		"doc2.xml":  fxp3Bytes(t, durableDocument(2, 1)),
+		"cold.fxp3": cold,
+	}
+	check := func(when string, c *Collection, replayed uint64) {
+		t.Helper()
+		if got := c.Names(); !reflect.DeepEqual(got, wantNames) {
+			t.Fatalf("%s: names %v, want %v", when, got, wantNames)
+		}
+		if s := durableStats(t, c); s.ReplayedRecords != replayed {
+			t.Fatalf("%s: replayed %d records, want %d", when, s.ReplayedRecords, replayed)
+		}
+		for name, b := range fxp3Of(t, c) {
+			if !bytes.Equal(b, want[name]) {
+				t.Errorf("%s: %s recovered with other FXP3 bytes", when, name)
+			}
+		}
+	}
+
+	// A crash image before any checkpoint: everything replays.
+	logOnly, err := OpenDurableCollection(copyDir(t, dir), DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logOnly.Close()
+	check("from the log", logOnly, 6)
+
+	if err := dc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := dc.ResidencyStats(); rs.Cold != 1 || rs.Faults != 0 {
+		t.Fatalf("residency after the checkpoint %+v, want the snapshot member cold and never faulted", rs)
+	}
+	// No Close: a crash.
+	fromCkpt, err := OpenDurableCollection(dir, DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fromCkpt.Close()
+	check("from the checkpoint", fromCkpt, 0)
+	check("before the restart", dc, 0)
+}
+
+// TestDurableRecoversXMLRecords: logs whose records hold XML — every log
+// written before records held FXP3 — still recover. The fixture
+// testdata/wal-xml-records was written by OpenDurableCollection at the
+// commit before that change (a git archive of it), through its byte
+// verbs: Add doc0..doc2.xml as durableDoc(i, 1), Checkpoint, Replace
+// doc1.xml with durableDoc(1, 2), Add doc3.xml as durableDoc(3, 1),
+// Remove doc0.xml, Close. So it holds a manifest with three members and
+// a log of three XML records.
+func TestDurableRecoversXMLRecords(t *testing.T) {
+	dc, err := OpenDurableCollection(copyDir(t, filepath.Join("testdata", "wal-xml-records")), DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	if s := durableStats(t, dc); s.ReplayedRecords != 3 || s.CheckpointLSN == 0 {
+		t.Fatalf("recovery stats %+v, want the checkpoint and 3 replayed records", s)
+	}
+	wantNames := []string{"doc1.xml", "doc2.xml", "doc3.xml"}
+	if got := dc.Names(); !reflect.DeepEqual(got, wantNames) {
+		t.Fatalf("names %v, want %v", got, wantNames)
+	}
+	want := map[string][]byte{
+		"doc1.xml": fxp3Bytes(t, durableDocument(1, 2)),
+		"doc2.xml": fxp3Bytes(t, durableDocument(2, 1)),
+		"doc3.xml": fxp3Bytes(t, durableDocument(3, 1)),
+	}
+	for name, b := range fxp3Of(t, dc) {
+		if !bytes.Equal(b, want[name]) {
+			t.Errorf("%s recovered with other FXP3 bytes", name)
+		}
 	}
 }

@@ -134,6 +134,9 @@ type File struct {
 	verr []error
 }
 
+// Bytes returns the container's bytes, header to last section.
+func (f *File) Bytes() []byte { return f.data }
+
 // Parse validates the header and section directory of data. Payload
 // bytes are not touched (and, over mmap, not faulted in).
 func Parse(data []byte) (*File, error) {

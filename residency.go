@@ -95,15 +95,16 @@ func (m *member) sourceBytes() int64 {
 // AddSnapshotFile adds the FXP3 snapshot at path as a cold member under
 // name, failing with ErrDocumentExists if the name is taken: the file is
 // mapped and its meta section read, but the document is not decoded until
-// a search needs it. The mapping stays open until Collection.Close.
-// AddFile takes any corpus file, deciding its format by its magic.
+// a search needs it (a durable collection logs the mapped bytes). The
+// mapping stays open until Collection.Close. AddFile takes any corpus
+// file, deciding its format by its magic.
 func (c *Collection) AddSnapshotFile(name, path string) error {
 	mp, f, meta, err := openFXP3(path)
 	if err != nil {
 		return err
 	}
 	mem := &member{name: name, cold: &coldDoc{path: path, f: f, meta: meta}}
-	if _, err := c.mutate(verbAdd, name, mem, mp, nil); err != nil {
+	if _, err := c.mutate(verbAdd, name, mem, mp, f.Bytes()); err != nil {
 		mp.Close()
 		return err
 	}
@@ -276,16 +277,29 @@ func (c *Collection) Members() []MemberInfo {
 
 // Close releases every mapping the collection holds: cold members'
 // snapshot mappings and the mappings of documents (added with Add)
-// that own one. After Close every answer, snippet and document derived
-// from the collection is invalid; call it only on shutdown, when
-// nothing derived is reachable. Close is idempotent.
+// that own one. A durable collection first refuses further mutations,
+// waits for an in-flight checkpoint and closes its log. After Close
+// every answer, snippet and document derived from the collection is
+// invalid; call it only on shutdown, when nothing derived is reachable.
+// Close is idempotent.
 func (c *Collection) Close() error {
 	c.mu.Lock()
 	mappings := c.mappings
 	c.mappings = nil
 	members := c.members()
+	d := c.dur
+	logOpen := d != nil && !d.closed
+	if logOpen {
+		d.closed = true
+	}
 	c.mu.Unlock()
 	var first error
+	if logOpen {
+		// A checkpoint reads mapped members: it ends before the unmapping.
+		d.ckptMu.Lock()
+		first = d.log.Close()
+		d.ckptMu.Unlock()
+	}
 	for _, mp := range mappings {
 		if err := mp.Close(); err != nil && first == nil {
 			first = err

@@ -132,15 +132,28 @@ func TestLegacySnapshotsAreTypedErrors(t *testing.T) {
 				_, err := loadDocumentBytes(data)
 				return err
 			}},
-			{"DurableCollection.Seed", func() error {
-				dc, err := OpenDurableCollection(t.TempDir(), DurableOptions{})
+			{"durable Collection.AddFile", func() error {
+				dir := t.TempDir()
+				path := filepath.Join(t.TempDir(), "old.fxp3")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				dc, err := OpenDurableCollection(dir, DurableOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
+				err = dc.AddFile(path)
+				if err != nil && !strings.Contains(err.Error(), path) {
+					t.Errorf("%s via durable AddFile: %v does not name the file", magic, err)
+				}
+				dc.Close()
+				dc, reopenErr := OpenDurableCollection(dir, DurableOptions{})
+				if reopenErr != nil {
+					t.Fatal(reopenErr)
+				}
 				defer dc.Close()
-				err = dc.Seed("old", data)
-				if !errors.Is(err, ErrBadDocument) {
-					t.Errorf("%s via Seed: %v, want ErrBadDocument too", magic, err)
+				if dc.Len() != 0 {
+					t.Errorf("%s via durable AddFile: the reopened collection holds %v", magic, dc.Names())
 				}
 				return err
 			}},
