@@ -129,7 +129,8 @@ func (v verb) resolve(name string, exists bool) (op verb, ok bool, err error) {
 // any, is recorded for Close. The durability wait happens after mu is
 // released, so concurrent mutations append back-to-back and share one
 // group-commit fsync instead of serializing through it. It reports
-// whether the membership changed.
+// whether the membership changed: a failed wait reports true with its
+// error, since the change is published, though not acknowledged.
 func (c *Collection) mutate(v verb, name string, mem *member, mp *mmapio.Mapping, rec []byte) (bool, error) {
 	changed, lsn, err := c.publish(v, name, mem, mp, rec)
 	if !changed || err != nil || c.dur == nil {

@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flexpath/internal/fxp3"
+	"flexpath/internal/wal"
 )
 
 func durableDoc(i, rev int) []byte {
@@ -358,6 +361,88 @@ func TestDurableSeedFXP3SurvivesRestart(t *testing.T) {
 		if got := searchKey(t, dc); got != want {
 			t.Fatalf("checkpointed=%v: recovered ranking differs:\n%s\nvs\n%s", checkpoint, got, want)
 		}
+	}
+}
+
+// TestDurableSnapshotFileVerifiedBeforeLogging: a durable AddFile of an
+// FXP3 file whose header and meta section are intact but whose tree
+// section is damaged fails with ErrCorruptSnapshot and logs nothing, so
+// the directory still opens (a logged record that failed to apply would
+// fail every later open).
+func TestDurableSnapshotFileVerifiedBeforeLogging(t *testing.T) {
+	raw := fxp3Bytes(t, durableDocument(7, 1))
+	f, err := fxp3.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := f.Section(fxp3.SectionTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Clone(raw)
+	raw[bytes.Index(raw, tree)+len(tree)/2] ^= 0xFF
+	path := writeFile(t, "damaged.fxp3", raw)
+
+	dir := t.TempDir()
+	dc, err := OpenDurableCollection(dir, DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.AddFile(path); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("durable AddFile of a damaged snapshot: %v, want ErrCorruptSnapshot naming the file", err)
+	}
+	if s := durableStats(t, dc); s.AppendedRecords != 0 || s.LogBytes != 0 {
+		t.Fatalf("the refused file was logged: %+v", s)
+	}
+	if dc.Len() != 0 {
+		t.Fatalf("the refused file is a member: %v", dc.Names())
+	}
+	if err := dc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dc, err = OpenDurableCollection(dir, DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatalf("reopen after the refused file: %v", err)
+	}
+	defer dc.Close()
+	if dc.Len() != 0 {
+		t.Fatalf("reopened with %v, want empty", dc.Names())
+	}
+}
+
+// TestDurableFailedWaitKeepsMapping: when the log fails after a snapshot
+// member's record is appended and published — here it is closed inside
+// the group-commit window, as a failed fsync poisons it — AddSnapshotFile
+// reports the error, but the member stays published with its mapping
+// open: a search faults it in, and Close releases the mapping once.
+func TestDurableFailedWaitKeepsMapping(t *testing.T) {
+	dc, err := OpenDurableCollection(t.TempDir(), DurableOptions{CheckpointEvery: -1, SyncWindow: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeFile(t, "cold.fxp3", fxp3Bytes(t, durableDocument(7, 1)))
+	errc := make(chan error, 1)
+	go func() { errc <- dc.AddSnapshotFile("cold.fxp3", path) }()
+	for deadline := time.Now().Add(10 * time.Second); durableStats(t, dc).AppendedRecords == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the record was never appended")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := dc.dur.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("AddSnapshotFile with the log closed in its wait: %v, want wal.ErrClosed", err)
+	}
+	if !dc.Has("cold.fxp3") {
+		t.Fatal("the published member is gone")
+	}
+	if searchKey(t, dc) == "" {
+		t.Fatal("the published member does not answer")
+	}
+	if err := dc.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

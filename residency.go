@@ -95,7 +95,9 @@ func (m *member) sourceBytes() int64 {
 // AddSnapshotFile adds the FXP3 snapshot at path as a cold member under
 // name, failing with ErrDocumentExists if the name is taken: the file is
 // mapped and its meta section read, but the document is not decoded until
-// a search needs it (a durable collection logs the mapped bytes). The
+// a search needs it. A durable collection logs the mapped bytes, so it
+// first checksums and validates every section (decoding once and dropping
+// the document): a record, once logged, must apply at replay. The
 // mapping stays open until Collection.Close. AddFile takes any corpus
 // file, deciding its format by its magic.
 func (c *Collection) AddSnapshotFile(name, path string) error {
@@ -103,12 +105,20 @@ func (c *Collection) AddSnapshotFile(name, path string) error {
 	if err != nil {
 		return err
 	}
-	mem := &member{name: name, cold: &coldDoc{path: path, f: f, meta: meta}}
-	if _, err := c.mutate(verbAdd, name, mem, mp, f.Bytes()); err != nil {
-		mp.Close()
-		return err
+	if c.dur != nil {
+		if _, err := documentFromFXP3(f); err != nil {
+			mp.Close()
+			return wrapSnapshotPath(path, err)
+		}
 	}
-	return nil
+	mem := &member{name: name, cold: &coldDoc{path: path, f: f, meta: meta}}
+	changed, err := c.mutate(verbAdd, name, mem, mp, f.Bytes())
+	if err != nil && !changed {
+		// Nothing published: the mapping is still this call's. Once
+		// published (a durable wait failed after it), Close releases it.
+		mp.Close()
+	}
+	return err
 }
 
 // require returns the member's document, faulting it in when cold (a
