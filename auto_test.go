@@ -162,14 +162,14 @@ func TestCacheHitNamesProducingAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.SetCache(8)
+	one := cachedOne(t, doc, 8)
 	q := MustParseQuery(paperQ1)
 	var cold Metrics
-	if _, err := doc.Search(q, SearchOptions{K: 3, Metrics: &cold}); err != nil {
+	if _, err := one.Search(q, SearchOptions{K: 3, Metrics: &cold}); err != nil {
 		t.Fatal(err)
 	}
 	var warm Metrics
-	if _, err := doc.Search(q, SearchOptions{K: 3, Metrics: &warm}); err != nil {
+	if _, err := one.Search(q, SearchOptions{K: 3, Metrics: &warm}); err != nil {
 		t.Fatal(err)
 	}
 	if warm.Algorithm != cold.Algorithm {
@@ -180,8 +180,8 @@ func TestCacheHitNamesProducingAlgorithm(t *testing.T) {
 	}
 }
 
-// TestCollectionCacheHitNamesProducingAlgorithm: a collection cache hit,
-// like a document one, names the algorithm that produced the cached
+// TestCollectionCacheHitNamesProducingAlgorithm: a cache hit on a
+// two-member collection names the algorithm that produced the cached
 // ranking (under Auto, the rule's, with its reason), even when the search
 // that filled the entry asked for no metrics; its work counters are zero.
 func TestCollectionCacheHitNamesProducingAlgorithm(t *testing.T) {

@@ -307,8 +307,8 @@ func BenchmarkColdCollectionSearch(b *testing.B) {
 }
 
 // BenchmarkCollectionSearch is the collection search path over 8 in-memory
-// members of 128 KB, configured as flexserve configures them (a result
-// cache and per-member result caches of 1024). One op is one Hybrid
+// members of 128 KB with a result cache of 1024, as flexserve configures
+// them. One op is one Hybrid
 // search of XQ2 at K=10:
 //
 //   - miss: result caches bypassed, every member evaluated;
@@ -321,7 +321,6 @@ func BenchmarkColdCollectionSearch(b *testing.B) {
 func BenchmarkCollectionSearch(b *testing.B) {
 	c := NewCollection()
 	c.SetCache(1024)
-	c.SetDocumentCaches(1024)
 	var spare [2]*Document
 	for i := 0; i < 8; i++ {
 		tree, err := xmark.Build(xmark.Config{TargetBytes: 128 << 10, Seed: int64(i + 1)})

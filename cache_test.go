@@ -41,20 +41,36 @@ func xmarkDoc(t *testing.T, kb int, seed int64) *Document {
 	return NewDocument(tree)
 }
 
-// TestCachedAnswersIdenticalToCold is the correctness contract of the
-// result cache: for every algorithm, a cache hit returns exactly the
-// ranking a cold evaluation produces. A one-member collection of the
-// document returns the same answers, cold, on a miss and on a hit, page
-// by page (an offset past the end included): a document search is the
-// one-member case of the collection path.
-func TestCachedAnswersIdenticalToCold(t *testing.T) {
-	doc := xmarkDoc(t, 200, 7)
-	doc.SetCache(64)
-	one := NewCollection()
-	one.SetCache(64)
-	if err := one.Add("doc.xml", doc); err != nil {
+// cachedOne returns a one-member collection of doc with a result cache
+// of the given capacity: the collection is the only owner of a result
+// cache.
+func cachedOne(t *testing.T, doc *Document, capacity int) *Collection {
+	t.Helper()
+	c := NewCollection()
+	c.SetCache(capacity)
+	if err := c.Add("doc.xml", doc); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// plain strips the document names from collection answers.
+func plain(got []CollectionAnswer) []Answer {
+	answers := make([]Answer, len(got))
+	for i, a := range got {
+		answers[i] = a.Answer
+	}
+	return answers
+}
+
+// TestCachedAnswersIdenticalToCold is the correctness contract of the
+// result cache: for every algorithm, scheme and page (an offset past the
+// end included), a one-member collection of a document returns exactly
+// the document's direct (uncached) ranking, cold, on a miss and on a hit:
+// a document search is the one-member case of the collection path.
+func TestCachedAnswersIdenticalToCold(t *testing.T) {
+	doc := xmarkDoc(t, 200, 7)
+	one := cachedOne(t, doc, 64)
 	q := MustParseQuery(`//item[./description/parlist and ./mailbox/mail/text]`)
 	for _, algo := range []Algorithm{Hybrid, SSO, DPO} {
 		for _, scheme := range []Scheme{StructureFirst, KeywordFirst, Combined} {
@@ -63,33 +79,18 @@ func TestCachedAnswersIdenticalToCold(t *testing.T) {
 				name := fmt.Sprintf("%v/%v/k=%d/o=%d", algo, scheme, page.k, page.offset)
 				coldOpts := opts
 				coldOpts.NoCache = true
-				cold, err := doc.Search(q, coldOpts)
+				direct, err := doc.Search(q, opts)
 				if err != nil {
-					t.Fatalf("%s cold: %v", name, err)
-				}
-				if _, err := doc.Search(q, opts); err != nil { // miss, populates
-					t.Fatalf("%s prime: %v", name, err)
-				}
-				warm, err := doc.Search(q, opts) // hit
-				if err != nil {
-					t.Fatalf("%s warm: %v", name, err)
-				}
-				if renderAnswers(cold, 0) != renderAnswers(warm, 0) {
-					t.Errorf("%s: cached ranking differs from cold evaluation\ncold:\n%swarm:\n%s",
-						name, renderAnswers(cold, 0), renderAnswers(warm, 0))
+					t.Fatalf("%s direct: %v", name, err)
 				}
 				for i, o := range []SearchOptions{coldOpts, opts, opts} { // cold, miss, hit
 					got, err := one.Search(q, o)
 					if err != nil {
 						t.Fatalf("%s one-member collection: %v", name, err)
 					}
-					answers := make([]Answer, len(got))
-					for j, a := range got {
-						answers[j] = a.Answer
-					}
-					if !reflect.DeepEqual(answers, cold) {
+					if answers := plain(got); !reflect.DeepEqual(answers, direct) {
 						t.Errorf("%s one-member collection search %d differs from the document's:\n%s\nvs\n%s",
-							name, i, renderAnswers(answers, 0), renderAnswers(cold, 0))
+							name, i, renderAnswers(answers, 0), renderAnswers(direct, 0))
 					}
 				}
 			}
@@ -97,59 +98,96 @@ func TestCachedAnswersIdenticalToCold(t *testing.T) {
 	}
 	// 27 searches: each primed once (miss) and hit once; NoCache runs
 	// must not touch the cache at all.
-	for _, c := range []interface{ CacheStats() (CacheStats, bool) }{doc, one} {
-		if st, ok := c.CacheStats(); !ok || st.Misses != 27 || st.Hits != 27 {
-			t.Errorf("cache counters = %+v, want 27 misses / 27 hits", st)
+	if st, ok := one.CacheStats(); !ok || st.Misses != 27 || st.Hits != 27 {
+		t.Errorf("cache counters = %+v, want 27 misses / 27 hits", st)
+	}
+}
+
+// TestDocumentsCacheNoResults: a document has no result cache.
+// SetDocumentCaches does nothing, so after it neither collection searches
+// nor direct searches give a member, pinned or faulted in from a
+// snapshot, a result cache.
+func TestDocumentsCacheNoResults(t *testing.T) {
+	c := NewCollection()
+	defer c.Close() //nolint:errcheck
+	for _, m := range residencyCorpus(t, 2) {
+		if err := c.AddSnapshotFile(m.name, m.path); err != nil {
+			t.Fatal(err)
 		}
+	}
+	doc, err := LoadString(articlesXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add("pinned", doc); err != nil {
+		t.Fatal(err)
+	}
+	c.SetCache(8)
+	c.SetDocumentCaches(8)
+	q := MustParseQuery(paperQ1)
+	for _, nc := range []bool{false, true, false} {
+		if _, err := c.Search(q, SearchOptions{K: 5, NoCache: nc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range c.Names() {
+		d, _ := c.Document(name)
+		for i := 0; i < 2; i++ {
+			if _, err := d.Search(q, SearchOptions{K: 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st, ok := d.CacheStats(); ok {
+			t.Errorf("member %s reports a result cache: %+v", name, st)
+		}
+	}
+	if st, ok := c.CacheStats(); !ok || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("collection cache counters = %+v ok=%v, want 1 hit / 1 miss", st, ok)
 	}
 }
 
 // TestCacheHitNotPoisonedByCallerMutation is the regression test for
 // the cache aliasing bug: cached results were handed to callers without
 // copying the Relaxed explanation slices, so a caller mutating its
-// answers silently rewrote the cache entry for every later hit.
+// answers silently rewrote the cache entry for every later hit. This is
+// the one-member case of checkNotPoisoned.
 func TestCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.SetCache(16)
+	checkNotPoisoned(t, cachedOne(t, doc, 16))
+}
+
+// checkNotPoisoned searches c (with a result cache) three times with one
+// Hybrid search, rewriting the Relaxed slices of the first two results,
+// and fails unless every ranking is the first's.
+func checkNotPoisoned(t *testing.T, c *Collection) {
+	t.Helper()
 	q := MustParseQuery(paperQ1)
-	opts := SearchOptions{K: 5, Algorithm: Hybrid}
-	first, err := doc.Search(q, opts) // miss, populates the cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderAnswers(first, 0)
-	relaxed := false
-	for i := range first {
-		for j := range first[i].Relaxed {
-			first[i].Relaxed[j] = "CLOBBERED"
-			relaxed = true
+	// Pinned: only the plan-based algorithms fill Relaxed.
+	opts := SearchOptions{K: 3, Algorithm: Hybrid}
+	want := ""
+	for i, when := range []string{"miss", "hit", "second hit"} {
+		got, err := c.Search(q, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !relaxed {
-		t.Fatal("workload produced no relaxed answers; test exercises nothing")
-	}
-	second, err := doc.Search(q, opts) // hit
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderAnswers(second, 0); got != want {
-		t.Errorf("mutating a miss's answers poisoned the cache\nwant:\n%sgot:\n%s", want, got)
-	}
-	// Mutating a hit's answers must not poison later hits either.
-	for i := range second {
-		for j := range second[i].Relaxed {
-			second[i].Relaxed[j] = "CLOBBERED"
+		if i == 0 {
+			want = renderAnswers(got, 0)
+		} else if r := renderAnswers(got, 0); r != want {
+			t.Fatalf("answers mutated by the caller poisoned the %s\nwant:\n%sgot:\n%s", when, want, r)
 		}
-	}
-	third, err := doc.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderAnswers(third, 0); got != want {
-		t.Errorf("mutating a hit's answers poisoned the cache\nwant:\n%sgot:\n%s", want, got)
+		relaxed := false
+		for _, a := range got {
+			for j := range a.Relaxed {
+				a.Relaxed[j] = "CLOBBERED"
+				relaxed = true
+			}
+		}
+		if !relaxed {
+			t.Fatal("workload produced no relaxed answers; test exercises nothing")
+		}
 	}
 }
 
@@ -158,35 +196,34 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.SetCache(64)
+	one := cachedOne(t, doc, 64)
 	q := MustParseQuery(paperQ1)
-	a2, err := doc.Search(q, SearchOptions{K: 2})
+	a2, err := one.Search(q, SearchOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a3, err := doc.Search(q, SearchOptions{K: 3})
+	a3, err := one.Search(q, SearchOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a2) != 2 || len(a3) != 3 {
 		t.Fatalf("K confusion across cache entries: %d, %d", len(a2), len(a3))
 	}
-	// Different scheme must not collide either. The algorithm is pinned
+	// A different scheme must not collide either. The algorithm is pinned
 	// because the byte-identity check covers Relaxed, which only the
-	// plan-based algorithms populate: the adaptive Auto mode may switch
-	// to DPO between the two searches as its calibration evolves.
-	kw, err := doc.Search(q, SearchOptions{K: 2, Scheme: KeywordFirst, Algorithm: Hybrid})
+	// plan-based algorithms populate.
+	kw, err := one.Search(q, SearchOptions{K: 2, Scheme: KeywordFirst, Algorithm: Hybrid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kwCold, err := doc.Search(q, SearchOptions{K: 2, Scheme: KeywordFirst, Algorithm: Hybrid, NoCache: true})
+	kwCold, err := one.Search(q, SearchOptions{K: 2, Scheme: KeywordFirst, Algorithm: Hybrid, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if renderAnswers(kw, 0) != renderAnswers(kwCold, 0) {
 		t.Error("scheme-specific entry polluted by other scheme")
 	}
-	if st, _ := doc.CacheStats(); st.Entries != 3 {
+	if st, _ := one.CacheStats(); st.Entries != 3 {
 		t.Errorf("entries = %d, want 3 distinct", st.Entries)
 	}
 }
@@ -196,21 +233,21 @@ func TestCachePaginationSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.SetCache(64)
+	one := cachedOne(t, doc, 64)
 	q := MustParseQuery(paperQ1)
-	full, err := doc.Search(q, SearchOptions{K: 3, NoCache: true})
+	full, err := doc.Search(q, SearchOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := doc.Search(q, SearchOptions{K: 2, Offset: 1}); err != nil {
+	if _, err := one.Search(q, SearchOptions{K: 2, Offset: 1}); err != nil {
 		t.Fatal(err)
 	}
-	page, err := doc.Search(q, SearchOptions{K: 2, Offset: 1}) // hit
+	page, err := one.Search(q, SearchOptions{K: 2, Offset: 1}) // hit
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderAnswers(page, 0) != renderAnswers(full[1:], 0) {
-		t.Errorf("cached page differs:\n%s\nvs\n%s", renderAnswers(page, 0), renderAnswers(full[1:], 0))
+	if renderAnswers(plain(page), 0) != renderAnswers(full[1:], 0) {
+		t.Errorf("cached page differs:\n%s\nvs\n%s", renderAnswers(plain(page), 0), renderAnswers(full[1:], 0))
 	}
 }
 
@@ -219,14 +256,14 @@ func TestCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.SetCache(1)
+	one := cachedOne(t, doc, 1)
 	q := MustParseQuery(paperQ1)
 	for k := 1; k <= 4; k++ {
-		if _, err := doc.Search(q, SearchOptions{K: k}); err != nil {
+		if _, err := one.Search(q, SearchOptions{K: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, _ := doc.CacheStats()
+	st, _ := one.CacheStats()
 	if st.Evictions == 0 {
 		t.Errorf("no evictions in a capacity-1 cache: %+v", st)
 	}
@@ -234,7 +271,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Errorf("capacity-1 cache holds %d entries", st.Entries)
 	}
 	// Post-eviction correctness: the evicted query re-evaluates cleanly.
-	a, err := doc.Search(q, SearchOptions{K: 1})
+	a, err := one.Search(q, SearchOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,19 +281,16 @@ func TestCacheEviction(t *testing.T) {
 }
 
 func TestCacheDisabledByDefault(t *testing.T) {
-	doc, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
+	c := NewCollection()
+	if _, ok := c.CacheStats(); ok {
+		t.Error("cache reported enabled on a fresh collection")
 	}
-	if _, ok := doc.CacheStats(); ok {
-		t.Error("cache reported enabled on a fresh document")
-	}
-	doc.SetCache(8)
-	if _, ok := doc.CacheStats(); !ok {
+	c.SetCache(8)
+	if _, ok := c.CacheStats(); !ok {
 		t.Error("SetCache did not enable the cache")
 	}
-	doc.SetCache(0)
-	if _, ok := doc.CacheStats(); ok {
+	c.SetCache(0)
+	if _, ok := c.CacheStats(); ok {
 		t.Error("SetCache(0) did not disable the cache")
 	}
 }
@@ -266,16 +300,16 @@ func TestCacheHitZeroesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.SetCache(8)
+	one := cachedOne(t, doc, 8)
 	q := MustParseQuery(paperQ1)
 	var m Metrics
-	if _, err := doc.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
+	if _, err := one.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
 	if m.QueriesEvaluated == 0 {
 		t.Fatal("cold run reported no work")
 	}
-	if _, err := doc.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
+	if _, err := one.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
 	if m.QueriesEvaluated != 0 || m.PlansRun != 0 {
@@ -345,70 +379,5 @@ func TestCollectionCacheIdenticalAndCoversAdd(t *testing.T) {
 func TestCollectionCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	c := testCollection(t)
 	c.SetCache(16)
-	q := MustParseQuery(paperQ1)
-	// Pinned: only the plan-based algorithms fill Relaxed.
-	opts := SearchOptions{K: 3, Algorithm: Hybrid}
-	first, err := c.Search(q, opts) // miss, populates
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderAnswers(first, 0)
-	relaxed := false
-	for i := range first {
-		for j := range first[i].Relaxed {
-			first[i].Relaxed[j] = "CLOBBERED"
-			relaxed = true
-		}
-	}
-	if !relaxed {
-		t.Fatal("workload produced no relaxed answers; test exercises nothing")
-	}
-	second, err := c.Search(q, opts) // hit
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderAnswers(second, 0); got != want {
-		t.Errorf("mutating a miss's answers poisoned the collection cache\nwant:\n%sgot:\n%s", want, got)
-	}
-	for i := range second {
-		for j := range second[i].Relaxed {
-			second[i].Relaxed[j] = "CLOBBERED"
-		}
-	}
-	third, err := c.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderAnswers(third, 0); got != want {
-		t.Errorf("mutating a hit's answers poisoned the collection cache\nwant:\n%sgot:\n%s", want, got)
-	}
-}
-
-// TestCollectionDocumentCaches: SetDocumentCaches gives every member a
-// cache that serves direct searches of the member, and that collection
-// searches leave alone.
-func TestCollectionDocumentCaches(t *testing.T) {
-	c := testCollection(t)
-	c.SetDocumentCaches(8)
-	q := MustParseQuery(paperQ1)
-	if _, err := c.Search(q, SearchOptions{K: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := c.DocumentCacheStats(); st.Hits+st.Misses != 0 {
-		t.Errorf("a collection search used the member caches: %+v", st)
-	}
-	a, _ := c.Document("a.xml")
-	for i := 0; i < 2; i++ {
-		if _, err := a.Search(q, SearchOptions{K: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, ok := c.DocumentCacheStats()
-	if !ok || st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("per-document caches after two direct searches: %+v ok=%v, want 1 hit / 1 miss", st, ok)
-	}
-	c.SetDocumentCaches(0)
-	if _, ok := c.DocumentCacheStats(); ok {
-		t.Error("SetDocumentCaches(0) did not disable")
-	}
+	checkNotPoisoned(t, c)
 }

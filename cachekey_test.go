@@ -53,16 +53,16 @@ func TestSearchCacheKeyCollisionResistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.SetCache(16)
+	one := cachedOne(t, doc, 16)
 	h1 := map[string]string{"a": "b;c>d"}
 	h2 := map[string]string{"a": "b", "c": "d"}
-	if _, err := doc.Search(q, SearchOptions{K: 5, Hierarchy: h1}); err != nil {
+	if _, err := one.Search(q, SearchOptions{K: 5, Hierarchy: h1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := doc.Search(q, SearchOptions{K: 5, Hierarchy: h2}); err != nil {
+	if _, err := one.Search(q, SearchOptions{K: 5, Hierarchy: h2}); err != nil {
 		t.Fatal(err)
 	}
-	cs, ok := doc.CacheStats()
+	cs, ok := one.CacheStats()
 	if !ok {
 		t.Fatal("no cache stats")
 	}

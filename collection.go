@@ -22,8 +22,8 @@ import (
 // chains (penalties are per-document properties: the same query may relax
 // differently over differently-shaped documents); a collection search
 // merges the per-document rankings into one global top-K. The collection
-// is the searcher: it owns the result cache for every member (see
-// search.go).
+// is the only owner of a result cache (see search.go); a member document
+// caches only its full-text results and plan templates.
 //
 // A Collection is a live corpus: Add, Replace, Upsert, Remove and
 // RemoveIfPresent may run concurrently with searches and with each other.
@@ -46,17 +46,15 @@ type Collection struct {
 	// slice is never written; mutate publishes a new one.
 	live   atomic.Pointer[[]*member]
 	byName map[string]int
-	// docCache remembers the last SetDocumentCaches capacity so documents
-	// added, swapped in or first decoded later get the same cache
-	// configuration as the members present at call time. nil means "never
-	// configured" (leave new documents alone), unlike "explicitly
-	// disabled" (capacity <= 0 disables new documents too).
-	docCache atomic.Pointer[int]
 	// gone holds, per member cache, the counters of documents that left
 	// the corpus, so the summed counters never go backwards (see retire).
 	gone [len(memberCaches)]lru.Stats
 
-	searcher
+	// qc is the result cache (see SetCache); nil when disabled.
+	qc atomic.Pointer[lru.Cache[[]part]]
+	// beforePut, when set (tests only), runs between a search's
+	// evaluation and its cache put.
+	beforePut func()
 
 	// Residency state (see residency.go): maxResident bounds how many
 	// fault-capable members stay decoded, tick is the logical LRU
@@ -124,10 +122,9 @@ func (v verb) resolve(name string, exists bool) (op verb, ok bool, err error) {
 // rec (the incoming member's FXP3 bytes, nil for a removal), to the log;
 // then it publishes a new membership that inserts mem, swaps it into the
 // name's slot (keeping its position in the ranking tie-break order) or
-// drops the slot. A failed append changes nothing. A pinned incoming
-// document gets the collection's document-cache configuration; mp, if
-// any, is recorded for Close. The durability wait happens after mu is
-// released, so concurrent mutations append back-to-back and share one
+// drops the slot. A failed append changes nothing. mp, if any, is
+// recorded for Close. The durability wait happens after mu is released,
+// so concurrent mutations append back-to-back and share one
 // group-commit fsync instead of serializing through it. It reports
 // whether the membership changed: a failed wait reports true with its
 // error, since the change is published, though not acknowledged.
@@ -154,11 +151,6 @@ func (c *Collection) publish(v verb, name string, mem *member, mp *mmapio.Mappin
 	if c.dur != nil {
 		if lsn, err = c.appendRecord(op, name, rec); err != nil {
 			return false, 0, err
-		}
-	}
-	if mem != nil && mem.cold == nil {
-		if capacity := c.docCache.Load(); capacity != nil {
-			mem.doc.Load().SetCache(*capacity)
 		}
 	}
 	if mp != nil {
@@ -209,20 +201,17 @@ func pinned(name string, doc *Document) *member {
 
 // Add inserts a document under a name (typically its file name), failing
 // with ErrDocumentExists if the name is taken. Names appear in
-// CollectionAnswer. Adding a document applies the collection's
-// document-cache configuration (SetDocumentCaches) to it; the next cached
-// search evaluates only the new member. The same *Document may be added
-// under several names.
+// CollectionAnswer. The next cached search evaluates only the new member.
+// The same *Document may be added under several names.
 func (c *Collection) Add(name string, doc *Document) error {
 	return c.put(verbAdd, name, doc)
 }
 
 // Replace swaps the named document for doc, keeping its position in the
 // ranking tie-break order, and fails with ErrNoDocument if the name is
-// absent. The replaced document's own caches are purged, the incoming one
-// gets the collection's document-cache configuration, and the next cached
-// search evaluates only the incoming document. The incoming document is
-// pinned even when it replaces a cold member.
+// absent. The replaced document's own caches are purged, and the next
+// cached search evaluates only the incoming document. The incoming
+// document is pinned even when it replaces a cold member.
 func (c *Collection) Replace(name string, doc *Document) error {
 	return c.put(verbReplace, name, doc)
 }
@@ -265,14 +254,6 @@ func (c *Collection) RemoveIfPresent(name string) (bool, error) {
 	return c.mutate(verbRemoveIfPresent, name, nil, nil, nil)
 }
 
-// configure applies the remembered SetDocumentCaches capacity to a cold
-// member's document at its first decode.
-func (c *Collection) configure(d *Document) {
-	if capacity := c.docCache.Load(); capacity != nil {
-		d.SetCache(*capacity)
-	}
-}
-
 // retire accounts for a member leaving the corpus, under mu and after the
 // membership without it is published: unless another member still holds
 // the same document, its cache counters move to gone and its caches are
@@ -289,10 +270,9 @@ func (c *Collection) retire(old *member) {
 		}
 	}
 	for w, of := range memberCaches {
-		if s, ok := of(d); ok {
-			s.Entries, s.Capacity = 0, 0 // gauges, not counters
-			c.gone[w] = plus(c.gone[w], s)
-		}
+		s := of(d)
+		s.Entries, s.Capacity = 0, 0 // gauges, not counters
+		c.gone[w] = plus(c.gone[w], s)
 	}
 	d.purgeCache()
 }
@@ -394,34 +374,26 @@ func (c *Collection) Document(name string) (*Document, bool) {
 }
 
 // SetCache enables the collection's result cache holding up to capacity
-// result sets; capacity <= 0 disables it. Keys are the same normalized
-// search keys Document.SetCache uses. An entry keeps each member's top
-// K+Offset tagged with its document, so a membership change purges
-// nothing: the next search evaluates only the members new to the entry.
-func (c *Collection) SetCache(capacity int) { c.setCache(capacity) }
-
-// SetDocumentCaches enables (or, with capacity <= 0, disables) a
-// per-document result cache of the given capacity on every member
-// document. Those caches serve only direct Document.Search calls on a
-// member; collection searches use the collection's cache (SetCache). The
-// capacity is remembered: documents added (or swapped in by Replace)
-// later get the same cache configuration, so DocumentCacheStats covers
-// the whole live corpus.
-func (c *Collection) SetDocumentCaches(capacity int) {
-	// Under mu, every member mutate publishes either is in members or
-	// reads the new capacity.
-	c.mu.Lock()
-	c.docCache.Store(&capacity)
-	members := c.members()
-	c.mu.Unlock()
-	// Decoded documents, evicted ones included, are reconfigured now;
-	// never-faulted ones pick the remembered capacity up at their decode.
-	for _, m := range members {
-		if d := m.decoded(); d != nil {
-			d.SetCache(capacity)
-		}
+// result sets; capacity <= 0 disables it. It is the only result cache:
+// documents have none. Keys cover everything that determines a result set
+// (normalized query, algorithm, scheme, K, offset, weights, hierarchy), so
+// differently-shaped requests never collide; Workers does not affect
+// answers and is excluded. An entry keeps each member's top K+Offset
+// tagged with its document, so a membership change purges nothing: the
+// next search evaluates only the members new to the entry.
+func (c *Collection) SetCache(capacity int) {
+	if capacity <= 0 {
+		c.qc.Store(nil)
+		return
 	}
+	c.qc.Store(lru.New[[]part](capacity))
 }
+
+// SetDocumentCaches does nothing. Documents no longer cache results (the
+// collection's cache, SetCache, is the only result cache); the method is
+// kept only because the frozen benchmark harness still calls it, and goes
+// with that call.
+func (c *Collection) SetDocumentCaches(capacity int) {}
 
 // PlanCacheStats sums the plan-template cache counters of the decoded
 // member documents; ok is false when no member is decoded.
@@ -432,12 +404,8 @@ func (c *Collection) PlanCacheStats() (s PlanCacheStats, ok bool) {
 
 // CacheStats reports the collection's result cache counters; ok is false
 // when it is disabled.
-func (c *Collection) CacheStats() (s CacheStats, ok bool) { return c.cacheStats() }
-
-// DocumentCacheStats sums the cache counters of every member document
-// that has a cache enabled; ok is false when none does.
-func (c *Collection) DocumentCacheStats() (s CacheStats, ok bool) {
-	st, ok := c.sumStats(resultCache)
+func (c *Collection) CacheStats() (s CacheStats, ok bool) {
+	st, ok := statsOf(c.qc.Load())
 	return cacheStatsFrom(st), ok
 }
 
@@ -450,23 +418,20 @@ func (c *Collection) FullTextCacheStats() CacheStats {
 
 const (
 	planCache = iota
-	resultCache
 	fullTextCache
 )
 
-// memberCaches reads one of a member document's caches; ok is false when
-// it is disabled.
-var memberCaches = [...]func(*Document) (lru.Stats, bool){
-	planCache:     func(d *Document) (lru.Stats, bool) { return d.pc.Stats(), true },
-	resultCache:   func(d *Document) (lru.Stats, bool) { return statsOf(d.qc.Load()) },
-	fullTextCache: func(d *Document) (lru.Stats, bool) { return d.index.CacheStats(), true },
+// memberCaches reads one of a member document's caches.
+var memberCaches = [...]func(*Document) lru.Stats{
+	planCache:     func(d *Document) lru.Stats { return d.pc.Stats() },
+	fullTextCache: func(d *Document) lru.Stats { return d.index.CacheStats() },
 }
 
 // sumStats adds up member cache w over the distinct decoded documents of
 // the members (a document added under two names counts once) and the
 // documents that have left (gone), so its counters only grow; ok is false
-// when no member has the cache enabled. mu orders it with retire: no sum
-// sees a departing document twice or not at all.
+// when no member is decoded. mu orders it with retire: no sum sees a
+// departing document twice or not at all.
 func (c *Collection) sumStats(w int) (sum lru.Stats, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -476,9 +441,7 @@ func (c *Collection) sumStats(w int) (sum lru.Stats, ok bool) {
 	for _, m := range members {
 		if d := m.decoded(); d != nil && !seen[d] {
 			seen[d] = true
-			if s, dok := memberCaches[w](d); dok {
-				sum, ok = plus(sum, s), true
-			}
+			sum, ok = plus(sum, memberCaches[w](d)), true
 		}
 	}
 	return sum, ok
@@ -513,6 +476,7 @@ func (c *Collection) Search(q *Query, opts SearchOptions) ([]CollectionAnswer, e
 }
 
 // SearchContext is Search with cancellation; see Document.SearchContext.
+// Cancelled searches are never cached.
 func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]CollectionAnswer, error) {
 	// One published membership for the whole search: a concurrent
 	// Add/Remove/Replace neither blocks behind this search nor changes
@@ -520,7 +484,7 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 	members := c.members()
 	n := int64(len(members))
 	set := &membership{c: c, members: members, tick: c.tick.Add(n) - n}
-	return search(ctx, &c.searcher, set, q, opts, func(i int, a Answer) CollectionAnswer {
+	return search(ctx, c, set, q, opts, func(i int, a Answer) CollectionAnswer {
 		return CollectionAnswer{Answer: a, DocName: members[i].name}
 	})
 }

@@ -9,14 +9,15 @@ import (
 	"time"
 )
 
-// TestConcurrentSearchStress hammers one shared Document (with a result
-// cache) and one shared Collection from many goroutines running a mix of
-// queries, algorithms and schemes, and checks every result against a
-// sequentially precomputed expectation. Run under -race this covers the
-// cache shards, the chain cache, and the collection worker pool.
+// TestConcurrentSearchStress hammers one shared Document (searched
+// directly and as a one-member collection with a result cache) and one
+// shared Collection from many goroutines running a mix of queries,
+// algorithms and schemes, and checks every result against a sequentially
+// precomputed expectation. Run under -race this covers the result cache,
+// the chain cache, and the collection worker pool.
 func TestConcurrentSearchStress(t *testing.T) {
 	doc := xmarkDoc(t, 120, 11)
-	doc.SetCache(32)
+	one := cachedOne(t, doc, 32)
 
 	coll := NewCollection()
 	for i := 0; i < 4; i++ {
@@ -25,7 +26,6 @@ func TestConcurrentSearchStress(t *testing.T) {
 		}
 	}
 	coll.SetCache(32)
-	coll.SetDocumentCaches(16)
 
 	queries := []*Query{
 		MustParseQuery(`//item[./description/parlist]`),
@@ -75,26 +75,30 @@ func TestConcurrentSearchStress(t *testing.T) {
 				// Odd iterations bypass the caches so cached and
 				// uncached evaluations race against each other.
 				opts.NoCache = i%2 == 1
-				if g%2 == 0 {
-					a, err := doc.SearchContext(context.Background(), queries[cb.qi], opts)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if got := renderAnswers(a, 0); got != wantDoc[cb] {
-						errCh <- fmt.Errorf("goroutine %d: document ranking diverged for %+v", g, cb)
-						return
-					}
-				} else {
-					a, err := coll.SearchContext(context.Background(), queries[cb.qi], opts)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if got := renderAnswers(a, 0); got != wantColl[cb] {
-						errCh <- fmt.Errorf("goroutine %d: collection ranking diverged for %+v", g, cb)
-						return
-					}
+				ctx, q := context.Background(), queries[cb.qi]
+				var got, want string
+				var err error
+				switch g % 4 {
+				case 0:
+					var a []Answer
+					a, err = doc.SearchContext(ctx, q, opts)
+					got, want = renderAnswers(a, 0), wantDoc[cb]
+				case 2:
+					var a []CollectionAnswer
+					a, err = one.SearchContext(ctx, q, opts)
+					got, want = renderAnswers(plain(a), 0), wantDoc[cb]
+				default:
+					var a []CollectionAnswer
+					a, err = coll.SearchContext(ctx, q, opts)
+					got, want = renderAnswers(a, 0), wantColl[cb]
+				}
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if got != want {
+					errCh <- fmt.Errorf("goroutine %d: ranking diverged for %+v", g, cb)
+					return
 				}
 			}
 		}(g)

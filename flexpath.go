@@ -238,9 +238,6 @@ type Document struct {
 	est   *stats.Estimator
 	// serial identifies the document in result-cache parts (see part).
 	serial uint64
-	// searcher serves direct searches of the document; a collection
-	// searching it as a member uses its own.
-	searcher
 
 	// pc is the plan-template cache, mapping the normalized (query,
 	// weights, hierarchy) triple to a core.Template (relaxation chain +
@@ -448,9 +445,10 @@ type SearchOptions struct {
 	// results are combined in insertion order with deterministic
 	// tie-breaking). Document.Search ignores this field.
 	Workers int
-	// NoCache bypasses any query-result cache enabled with SetCache for
-	// this call: the search is evaluated from scratch and its result is
-	// not stored. Benchmarks measuring algorithm cost set this.
+	// NoCache bypasses the collection's result cache (Collection.SetCache)
+	// for this call: the search is evaluated from scratch and its result
+	// is not stored. Document.Search has no result cache, so it ignores
+	// this field. Benchmarks measuring algorithm cost set this.
 	NoCache bool
 	// Hierarchy maps tags to their supertype (§3.4 of the paper). When
 	// set, a query node constrained to a tag also matches elements whose
@@ -472,43 +470,24 @@ func (d *Document) Search(q *Query, opts SearchOptions) ([]Answer, error) {
 // SearchContext is Search with cancellation: the evaluation loops of all
 // algorithms (join pipelines, DPO's per-relaxation loop) poll ctx and
 // abandon the search once it is cancelled or times out, returning
-// ctx.Err(). Cancelled searches are never cached.
+// ctx.Err(). A direct search caches no results; a Collection does.
 func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptions) ([]Answer, error) {
-	return search(ctx, &d.searcher, lone{d}, q, opts, func(_ int, a Answer) Answer { return a })
+	return search(ctx, nil, lone{d}, q, opts, func(_ int, a Answer) Answer { return a })
 }
 
-// SetCache enables an in-memory query-result cache holding up to
-// capacity result sets; capacity <= 0 disables caching. The cache is
-// safe for concurrent searches. Keys cover everything that
-// determines a result set (normalized query, algorithm, scheme, K,
-// offset, weights, hierarchy), so differently-shaped requests never
-// collide; Workers does not affect answers and is excluded.
-// Documents are immutable, so entries never go stale. The cache serves
-// direct searches of the document only; a collection has its own.
-func (d *Document) SetCache(capacity int) { d.setCache(capacity) }
-
-// purgeResults discards the document's result sets and full-text
-// results but not its plan templates (residency eviction, see
-// residency.go).
-func (d *Document) purgeResults() {
-	if qc := d.qc.Load(); qc != nil {
-		qc.Purge()
-	}
-	d.index.PurgeCache()
-}
-
-// purgeCache discards the entries of all three of the document's caches,
-// keeping them enabled and their counters intact, when the document
-// leaves a collection; the purge epoch keeps searches already running
-// from re-populating them.
+// purgeCache discards the entries of both of the document's caches, the
+// full-text results and the plan templates, keeping their counters
+// intact, when the document leaves a collection; the purge epoch keeps
+// searches already running from re-populating them.
 func (d *Document) purgeCache() {
-	d.purgeResults()
+	d.index.PurgeCache()
 	d.pc.Purge()
 }
 
-// CacheStats reports the document cache's hit/miss/eviction counters;
-// ok is false when no cache is enabled.
-func (d *Document) CacheStats() (s CacheStats, ok bool) { return d.cacheStats() }
+// CacheStats always reports ok=false: a document has no result cache
+// (Collection.SetCache is the only one). It is kept only because the
+// frozen benchmark harness still calls it, and goes with that call.
+func (d *Document) CacheStats() (s CacheStats, ok bool) { return CacheStats{}, false }
 
 // FullTextCacheStats reports the counters of the document's full-text
 // result cache: the bounded LRU of evaluated contains expressions inside

@@ -474,3 +474,43 @@ func TestEncodingMoreRelaxationsInvariants(t *testing.T) {
 		prev = cur
 	}
 }
+
+// TestHierarchySearchEndToEnd: a chain built with a hierarchy matches
+// subtype elements.
+func TestHierarchySearchEndToEnd(t *testing.T) {
+	doc, err := xmltree.ParseString(`<lib>
+	  <publication><section><p>gold coins</p></section></publication>
+	  <article><section><p>gold rings</p></section></article>
+	  <book><section><p>silver</p></section></book>
+	</lib>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fixtureFor(doc)
+	q := tpq.MustParse(`//publication[./section[.contains("gold")]]`)
+	h := tpq.NewHierarchy(map[string]string{"article": "publication", "book": "publication"})
+	for _, c := range []struct {
+		h    *tpq.Hierarchy
+		want int
+	}{{nil, 1}, {h, 2}} { // publication, then publication + article
+		chain, err := BuildChainH(f.doc, f.ix, f.st, rank.UniformWeights(), q, c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := chain.PlanAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(exec.Run(plan, exec.Options{})); got != c.want {
+			t.Errorf("hierarchy %v: %d answers, want %d", c.h != nil, got, c.want)
+		}
+	}
+}
+
+func TestBuildChainHRejectsCyclicHierarchy(t *testing.T) {
+	f := newFixture(t, articlesXML)
+	h := tpq.NewHierarchy(map[string]string{"a": "b", "b": "a"})
+	if _, err := BuildChainH(f.doc, f.ix, f.st, rank.UniformWeights(), tpq.MustParse(srcQ1), h); err == nil {
+		t.Error("accepted cyclic hierarchy")
+	}
+}

@@ -16,7 +16,6 @@ import (
 type Evaluator struct {
 	doc *xmltree.Document
 	ix  *ir.Index
-	h   *tpq.Hierarchy
 }
 
 // NewEvaluator builds an exact evaluator over a document and its full-text
@@ -25,33 +24,13 @@ func NewEvaluator(doc *xmltree.Document, ix *ir.Index) *Evaluator {
 	return &Evaluator{doc: doc, ix: ix}
 }
 
-// WithHierarchy returns an evaluator that interprets tag constraints
-// against the given type hierarchy: a node constrained to tag t matches
-// elements carrying t or any of its subtypes (§3.4 of the paper).
-func (ev *Evaluator) WithHierarchy(h *tpq.Hierarchy) *Evaluator {
-	out := *ev
-	out.h = h
-	return &out
-}
-
 // candidates returns the document nodes that satisfy query node i's local
 // predicates: tag, value-based predicates, and contains predicates. The
 // result is in document order and must not be modified unless it was
 // filtered (in which case it is a fresh slice).
 func (ev *Evaluator) candidates(q *tpq.Query, i int) []xmltree.NodeID {
 	n := &q.Nodes[i]
-	var base []xmltree.NodeID
-	if ev.h == nil {
-		base = ev.doc.NodesWithTag(n.Tag)
-	} else {
-		var lists [][]xmltree.NodeID
-		for _, t := range ev.h.Subtypes(n.Tag) {
-			if l := ev.doc.NodesWithTag(t); len(l) > 0 {
-				lists = append(lists, l)
-			}
-		}
-		base = mergeSorted(lists)
-	}
+	base := ev.doc.NodesWithTag(n.Tag)
 	if len(n.Values) == 0 && len(n.Contains) == 0 {
 		return base
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"slices"
+	"strconv"
 	"sync"
 
 	"flexpath/internal/ir"
@@ -1244,27 +1245,4 @@ func kthBest(ar *Arena, tuples []tuple, distVar, k int, total func(*tuple) float
 
 // traceName is a join step's StepTrace.Var. It is rendered only when a
 // trace is kept: Run must not build a string per step otherwise.
-func traceName(v *VarSpec) string { return "$" + itoa(v.VarID) + " " + v.Tag }
-
-// itoa is strconv.Itoa without the import churn in this hot file.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+func traceName(v *VarSpec) string { return "$" + strconv.Itoa(v.VarID) + " " + v.Tag }

@@ -131,7 +131,7 @@ func TestRunSkipsExistential(t *testing.T) {
 		}
 		for vi, l := range plan.leaves() {
 			v := &plan.Vars[vi]
-			if name := "$" + itoa(v.VarID) + " " + v.Tag; !joined[name] && l != nil {
+			if name := traceName(v); !joined[name] && l != nil {
 				t.Errorf("%s: skipped %s keeps a %d-node list", c.name, name, len(l))
 			}
 		}

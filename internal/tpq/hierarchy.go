@@ -7,9 +7,9 @@ import "slices"
 // node constrained to a tag t matches elements whose tag is t or any
 // (transitive) subtype of t.
 //
-// Hierarchies enable the tag-relaxation extension: replacing a node's tag
-// with its supertype is a relaxation, because the supertype matches a
-// superset of elements.
+// A hierarchy only widens tag matching: the chain and plans match a node
+// against Subtypes of its tag. Tag relaxation (replacing a tag with its
+// supertype) is not an operator here.
 type Hierarchy struct {
 	super map[string]string
 	subs  map[string][]string
@@ -54,32 +54,6 @@ func (e *cycleError) Error() string {
 	return "tpq: type hierarchy has a cycle through " + e.tag
 }
 
-// Supertype returns the immediate supertype of t, if any.
-func (h *Hierarchy) Supertype(t string) (string, bool) {
-	if h == nil {
-		return "", false
-	}
-	s, ok := h.super[t]
-	return s, ok
-}
-
-// IsSubtypeOf reports whether a is b or a (transitive) subtype of b. A
-// nil hierarchy means plain tag equality.
-func (h *Hierarchy) IsSubtypeOf(a, b string) bool {
-	if a == b {
-		return true
-	}
-	if h == nil {
-		return false
-	}
-	for s, ok := h.super[a]; ok; s, ok = h.super[s] {
-		if s == b {
-			return true
-		}
-	}
-	return false
-}
-
 // Subtypes returns t plus all transitive subtypes of t, the tags an
 // element may carry to satisfy the constraint "tag = t".
 func (h *Hierarchy) Subtypes(t string) []string {
@@ -91,72 +65,4 @@ func (h *Hierarchy) Subtypes(t string) []string {
 		out = append(out, h.subs[out[i]]...)
 	}
 	return out
-}
-
-// ContainedInWith is ContainedIn generalized to a type hierarchy: a
-// homomorphism may map a query node with tag t onto a node whose tag is a
-// subtype of t (the subtype query asks for less-general elements, so the
-// subtype-constrained query is contained in the supertype-constrained
-// one). Passing a nil hierarchy reduces to ContainedIn.
-func ContainedInWith(q, qPrime *Query, h *Hierarchy) bool {
-	cl := ClosureOf(q)
-	cand := make([]map[int]bool, len(qPrime.Nodes))
-
-	localOK := func(pi, qi int) bool {
-		pn := &qPrime.Nodes[pi]
-		qn := &q.Nodes[qi]
-		if !h.IsSubtypeOf(qn.Tag, pn.Tag) {
-			return false
-		}
-		if pi == qPrime.Dist && qi != q.Dist {
-			return false
-		}
-		for _, e := range pn.Contains {
-			if !cl.HasKey((Pred{Kind: PredContains, X: qn.ID, Expr: e}).Key()) {
-				return false
-			}
-		}
-		for _, v := range pn.Values {
-			if !cl.HasKey((Pred{Kind: PredValue, X: qn.ID, VP: v}).Key()) {
-				return false
-			}
-		}
-		return true
-	}
-
-	edgeOK := func(axis Axis, parentQI, childQI int) bool {
-		px, cy := q.Nodes[parentQI].ID, q.Nodes[childQI].ID
-		if axis == Child {
-			return cl.HasKey((Pred{Kind: PredPC, X: px, Y: cy}).Key())
-		}
-		return cl.HasKey((Pred{Kind: PredAD, X: px, Y: cy}).Key())
-	}
-
-	for pi := len(qPrime.Nodes) - 1; pi >= 0; pi-- {
-		cand[pi] = map[int]bool{}
-		children := qPrime.Children(pi)
-		for qi := range q.Nodes {
-			if !localOK(pi, qi) {
-				continue
-			}
-			ok := true
-			for _, c := range children {
-				found := false
-				for qc := range cand[c] {
-					if edgeOK(qPrime.Nodes[c].Axis, qi, qc) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				cand[pi][qi] = true
-			}
-		}
-	}
-	return len(cand[0]) > 0
 }

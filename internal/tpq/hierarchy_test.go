@@ -19,27 +19,17 @@ func TestHierarchyBasics(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s, ok := h.Supertype("article"); !ok || s != "publication" {
-		t.Errorf("Supertype(article) = %q, %v", s, ok)
-	}
-	if _, ok := h.Supertype("publication"); ok {
-		t.Error("publication should have no supertype")
-	}
 	cases := []struct {
-		a, b string
-		want bool
+		tag  string
+		want []string
 	}{
-		{"article", "article", true},
-		{"article", "publication", true},
-		{"thesis", "publication", true}, // transitive
-		{"thesis", "book", true},
-		{"publication", "article", false}, // wrong direction
-		{"article", "book", false},        // siblings
-		{"unknown", "publication", false},
+		{"book", []string{"book", "thesis"}},
+		{"article", []string{"article"}}, // no subtypes; siblings excluded
+		{"unknown", []string{"unknown"}},
 	}
 	for _, c := range cases {
-		if got := h.IsSubtypeOf(c.a, c.b); got != c.want {
-			t.Errorf("IsSubtypeOf(%s,%s) = %v, want %v", c.a, c.b, got, c.want)
+		if got := h.Subtypes(c.tag); !slices.Equal(got, c.want) {
+			t.Errorf("Subtypes(%s) = %v, want %v", c.tag, got, c.want)
 		}
 	}
 }
@@ -62,12 +52,6 @@ func TestHierarchySubtypes(t *testing.T) {
 
 func TestHierarchyNil(t *testing.T) {
 	var h *Hierarchy
-	if !h.IsSubtypeOf("a", "a") {
-		t.Error("nil hierarchy should still treat equal tags as subtypes")
-	}
-	if h.IsSubtypeOf("a", "b") {
-		t.Error("nil hierarchy related distinct tags")
-	}
 	if got := h.Subtypes("a"); len(got) != 1 {
 		t.Errorf("nil Subtypes = %v", got)
 	}
@@ -77,29 +61,5 @@ func TestHierarchyCycle(t *testing.T) {
 	h := NewHierarchy(map[string]string{"a": "b", "b": "c", "c": "a"})
 	if err := h.Validate(); err == nil {
 		t.Error("cycle not detected")
-	}
-}
-
-// TestContainedInWith: the tag-relaxed query (supertype) contains the
-// original (subtype).
-func TestContainedInWith(t *testing.T) {
-	h := testHierarchy()
-	sub := MustParse(`//article[./section]`)
-	super := MustParse(`//publication[./section]`)
-	if !ContainedInWith(sub, super, h) {
-		t.Error("//article should be contained in //publication under the hierarchy")
-	}
-	if ContainedInWith(super, sub, h) {
-		t.Error("//publication must not be contained in //article")
-	}
-	// Without the hierarchy, no containment either way.
-	if ContainedInWith(sub, super, nil) {
-		t.Error("containment without hierarchy should fail")
-	}
-	// Reduces to ContainedIn for nil hierarchies.
-	a := MustParse(`//a[./b]`)
-	b := MustParse(`//a[.//b]`)
-	if ContainedInWith(a, b, nil) != ContainedIn(a, b) {
-		t.Error("nil-hierarchy ContainedInWith disagrees with ContainedIn")
 	}
 }

@@ -86,22 +86,17 @@ func TestCollectionReplace(t *testing.T) {
 }
 
 // After a mutation the collection cache must not serve the departed
-// corpus, and the departing document's own cache is released.
+// corpus, and the departing document's own caches are released.
 func TestCollectionCacheInvalidatedOnMutation(t *testing.T) {
 	c := testCollection(t)
 	c.SetCache(16)
-	c.SetDocumentCaches(16)
 	q := MustParseQuery(paperQ1)
 	if _, err := c.Search(q, SearchOptions{K: 10}); err != nil {
 		t.Fatal(err)
 	}
 	old, _ := c.Document("a.xml")
-	// Only a direct search fills a member's own cache.
-	if _, err := old.Search(q, SearchOptions{K: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if cs, ok := old.CacheStats(); !ok || cs.Entries == 0 {
-		t.Fatalf("document cache not populated before remove: %+v", cs)
+	if fs := old.FullTextCacheStats(); fs.Entries == 0 {
+		t.Fatalf("full-text cache not populated before remove: %+v", fs)
 	}
 	if err := c.Remove("a.xml"); err != nil {
 		t.Fatal(err)
@@ -117,8 +112,8 @@ func TestCollectionCacheInvalidatedOnMutation(t *testing.T) {
 		}
 	}
 	// The departed document's cache entries are released.
-	if cs, ok := old.CacheStats(); !ok || cs.Entries != 0 {
-		t.Errorf("removed document's cache not purged: %+v", cs)
+	if fs, ps := old.FullTextCacheStats(), old.pc.Stats(); fs.Entries != 0 || ps.Entries != 0 {
+		t.Errorf("removed document's caches not purged: full text %+v, plans %+v", fs, ps)
 	}
 
 	// Replace likewise: the old ranking for b.xml must not survive.
@@ -141,80 +136,12 @@ func TestCollectionCacheInvalidatedOnMutation(t *testing.T) {
 	}
 }
 
-// Regression: SetDocumentCaches used to configure only the documents
-// present at call time, so later Adds silently ran uncached and
-// DocumentCacheStats underreported the live corpus.
-func TestDocumentCachesApplyToLateAdds(t *testing.T) {
-	c := NewCollection()
-	a, err := LoadString(collDocA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add("a.xml", a); err != nil {
-		t.Fatal(err)
-	}
-	c.SetDocumentCaches(16)
-
-	late, err := LoadString(collDocB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add("late.xml", late); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := late.CacheStats(); !ok {
-		t.Fatal("document added after SetDocumentCaches has no cache")
-	}
-	q := MustParseQuery(paperQ1)
-	for i := 0; i < 2; i++ {
-		for _, d := range []*Document{a, late} {
-			if _, err := d.Search(q, SearchOptions{K: 5}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ds, ok := c.DocumentCacheStats()
-	if !ok {
-		t.Fatal("no document cache stats")
-	}
-	// Both members served their second direct search from cache.
-	if ds.Hits != 2 || ds.Misses != 2 {
-		t.Errorf("doc cache counters = %+v, want 2 hits / 2 misses across both members", ds)
-	}
-
-	// Replace applies the remembered configuration too.
-	repl, err := LoadString(collDocB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Replace("late.xml", repl); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := repl.CacheStats(); !ok {
-		t.Error("document swapped in by Replace has no cache")
-	}
-
-	// An explicit disable applies to future members as well.
-	c.SetDocumentCaches(0)
-	another, err := LoadString(collDocA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add("another.xml", another); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := another.CacheStats(); ok {
-		t.Error("document added after disabling caches got one anyway")
-	}
-}
-
 // Concurrent searches and membership mutations must neither race (run
 // under -race) nor corrupt the collection, and every search must see
 // exactly one published membership.
 func TestConcurrentMutateSearchStress(t *testing.T) {
 	c := testCollection(t)
 	c.SetCache(32)
-	c.SetDocumentCaches(8)
 	q := MustParseQuery(paperQ1)
 
 	extraA, err := LoadString(collDocA)
@@ -374,109 +301,79 @@ func TestStalePutAfterPurge(t *testing.T) {
 	}
 }
 
-// The per-document cache has the same window: a document that left its
-// collection (purgeCache) must not be re-populated by a search that was
-// already evaluating against it.
-func TestDocumentStalePutAfterPurge(t *testing.T) {
-	d, err := LoadString(collDocA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetCache(16)
-	d.beforePut = func() {
-		d.beforePut = nil
-		d.purgeCache()
-	}
-	if _, err := d.Search(MustParseQuery(paperQ1), SearchOptions{K: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if cs, _ := d.CacheStats(); cs.Entries != 0 {
-		t.Fatalf("straddling search left %d entries in the purged document cache", cs.Entries)
-	}
-}
-
 // TestReplaceEvaluatesOneMember: the collection cache keeps each member's
 // part, so after a warm Replace the next search evaluates the incoming
-// document alone, and after a Remove it evaluates nothing — with or
-// without per-member caches, which collection searches never read.
+// document alone, and after a Remove it evaluates nothing.
 func TestReplaceEvaluatesOneMember(t *testing.T) {
-	for _, docCaches := range []bool{false, true} {
-		c := pagingCollection(t)
-		c.SetCache(16)
-		if docCaches {
-			c.SetDocumentCaches(16)
-		}
-		q := MustParseQuery(paperQ1)
-		opts := SearchOptions{K: 10, Algorithm: Hybrid}
-		check := func(when string, wantMisses uint64) {
-			t.Helper()
-			got, err := c.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nc := opts
-			nc.NoCache = true
-			want, err := c.Search(q, nc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if renderAnswers(got, 0) != renderAnswers(want, 0) {
-				t.Errorf("doc caches %v, %s: cached ranking differs from a cold one:\n%s\nvs\n%s",
-					docCaches, when, renderAnswers(got, 0), renderAnswers(want, 0))
-			}
-			if ps, _ := c.PlanCacheStats(); ps.Misses != wantMisses {
-				t.Errorf("doc caches %v, %s: %d plan-cache misses, want %d", docCaches, when, ps.Misses, wantMisses)
-			}
-		}
-		memberHits := func() map[string]uint64 {
-			hits := map[string]uint64{}
-			for _, name := range c.Names() {
-				d, _ := c.Document(name)
-				ps, _ := d.PlanCacheStats()
-				hits[name] = ps.Hits
-			}
-			return hits
-		}
-		// A cached search and its cold twin: one template per member.
-		check("warm-up", 4)
-		before := memberHits()
-		fresh, err := LoadString(`<journal><article id="r1"><section><algorithm>q</algorithm>
-		  <paragraph>XML streaming replacement</paragraph></section></article></journal>`)
+	c := pagingCollection(t)
+	c.SetCache(16)
+	q := MustParseQuery(paperQ1)
+	opts := SearchOptions{K: 10, Algorithm: Hybrid}
+	check := func(when string, wantMisses uint64) {
+		t.Helper()
+		got, err := c.Search(q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Replace("doc1.xml", fresh); err != nil {
+		nc := opts
+		nc.NoCache = true
+		want, err := c.Search(q, nc)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var m Metrics
-		if _, err := c.Search(q, SearchOptions{K: 10, Algorithm: Hybrid, Metrics: &m}); err != nil {
-			t.Fatal(err)
+		if renderAnswers(got, 0) != renderAnswers(want, 0) {
+			t.Errorf("%s: cached ranking differs from a cold one:\n%s\nvs\n%s",
+				when, renderAnswers(got, 0), renderAnswers(want, 0))
 		}
-		if ps, _ := c.PlanCacheStats(); ps.Misses != 5 || m.PlansRun != 1 {
-			t.Errorf("doc caches %v: after a replace %d plan-cache misses (want 5) and %d plans run (want 1)",
-				docCaches, ps.Misses, m.PlansRun)
+		if ps, _ := c.PlanCacheStats(); ps.Misses != wantMisses {
+			t.Errorf("%s: %d plan-cache misses, want %d", when, ps.Misses, wantMisses)
 		}
-		after := memberHits()
-		for name, h := range before {
-			if name != "doc1.xml" && after[name] != h {
-				t.Errorf("doc caches %v: untouched member %s was evaluated (plan-cache hits %d -> %d)",
-					docCaches, name, h, after[name])
-			}
-		}
-		check("after replace", 5)
-		if err := c.Remove("doc2.xml"); err != nil {
-			t.Fatal(err)
-		}
-		ps, _ := c.PlanCacheStats()
-		if _, err := c.Search(q, SearchOptions{K: 10, Algorithm: Hybrid, Metrics: &m}); err != nil {
-			t.Fatal(err)
-		}
-		if now, _ := c.PlanCacheStats(); now.Hits != ps.Hits || now.Misses != ps.Misses || m.PlansRun != 0 {
-			t.Errorf("doc caches %v: a search after a remove evaluated a member: plan cache %+v -> %+v, %d plans run",
-				docCaches, ps, now, m.PlansRun)
-		}
-		check("after remove", 5)
 	}
+	memberHits := func() map[string]uint64 {
+		hits := map[string]uint64{}
+		for _, name := range c.Names() {
+			d, _ := c.Document(name)
+			ps, _ := d.PlanCacheStats()
+			hits[name] = ps.Hits
+		}
+		return hits
+	}
+	// A cached search and its cold twin: one template per member.
+	check("warm-up", 4)
+	before := memberHits()
+	fresh, err := LoadString(`<journal><article id="r1"><section><algorithm>q</algorithm>
+	  <paragraph>XML streaming replacement</paragraph></section></article></journal>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Replace("doc1.xml", fresh); err != nil {
+		t.Fatal(err)
+	}
+	var m Metrics
+	if _, err := c.Search(q, SearchOptions{K: 10, Algorithm: Hybrid, Metrics: &m}); err != nil {
+		t.Fatal(err)
+	}
+	if ps, _ := c.PlanCacheStats(); ps.Misses != 5 || m.PlansRun != 1 {
+		t.Errorf("after a replace %d plan-cache misses (want 5) and %d plans run (want 1)", ps.Misses, m.PlansRun)
+	}
+	after := memberHits()
+	for name, h := range before {
+		if name != "doc1.xml" && after[name] != h {
+			t.Errorf("untouched member %s was evaluated (plan-cache hits %d -> %d)", name, h, after[name])
+		}
+	}
+	check("after replace", 5)
+	if err := c.Remove("doc2.xml"); err != nil {
+		t.Fatal(err)
+	}
+	ps, _ := c.PlanCacheStats()
+	if _, err := c.Search(q, SearchOptions{K: 10, Algorithm: Hybrid, Metrics: &m}); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := c.PlanCacheStats(); now.Hits != ps.Hits || now.Misses != ps.Misses || m.PlansRun != 0 {
+		t.Errorf("a search after a remove evaluated a member: plan cache %+v -> %+v, %d plans run", ps, now, m.PlansRun)
+	}
+	check("after remove", 5)
 }
 
 // counters snapshots every counter a collection exports as a Prometheus
@@ -488,8 +385,6 @@ func counters(c *Collection) map[string]uint64 {
 	}
 	cs, _ := c.CacheStats()
 	add("cache.", cs)
-	ds, _ := c.DocumentCacheStats()
-	add("doc_cache.", ds)
 	add("ft_cache.", c.FullTextCacheStats())
 	ps, _ := c.PlanCacheStats()
 	out["plan_cache.hits"], out["plan_cache.misses"] = ps.Hits, ps.Misses
@@ -503,22 +398,12 @@ func counters(c *Collection) map[string]uint64 {
 func TestCountersMonotonicAcrossMutations(t *testing.T) {
 	c := pagingCollection(t)
 	c.SetCache(16)
-	c.SetDocumentCaches(16)
 	queries := []*Query{MustParseQuery(paperQ1), MustParseQuery(`//article[.contains("streaming")]`)}
 	work := func() {
 		for _, q := range queries {
 			for _, k := range []int{2, 5} {
 				if _, err := c.Search(q, SearchOptions{K: k}); err != nil {
 					t.Fatal(err)
-				}
-			}
-			// Direct searches fill the members' own result caches.
-			for _, name := range c.Names() {
-				d, _ := c.Document(name)
-				for i := 0; i < 2; i++ {
-					if _, err := d.Search(q, SearchOptions{K: 3}); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 		}
@@ -555,13 +440,11 @@ func TestCountersMonotonicAcrossMutations(t *testing.T) {
 }
 
 // TestSlowLogCacheHitAfterReplace: a search is logged as a cache hit only
-// when no member was evaluated. With the caches configured as flexserve
-// configures them, the search after a Replace evaluates the incoming
-// member and is a miss; the one after it is a hit.
+// when no member was evaluated. The search after a Replace evaluates the
+// incoming member and is a miss; the one after it is a hit.
 func TestSlowLogCacheHitAfterReplace(t *testing.T) {
 	c := pagingCollection(t)
 	c.SetCache(16)
-	c.SetDocumentCaches(16)
 	q := MustParseQuery(paperQ1)
 	cacheHit := func() bool {
 		reg := obs.NewRegistry(1, 0)

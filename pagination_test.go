@@ -96,7 +96,6 @@ func TestCollectionGlobalPagination(t *testing.T) {
 func TestCollectionPaginationWithCaches(t *testing.T) {
 	c := pagingCollection(t)
 	c.SetCache(32)
-	c.SetDocumentCaches(32)
 	q := MustParseQuery(paperQ1)
 
 	full, err := c.Search(q, SearchOptions{K: 7, NoCache: true, Algorithm: SSO})

@@ -25,10 +25,10 @@ import (
 //   - A decoded document is its mapped columns: tree, text, statistics
 //     and postings alias the mapping, whose clean pages the kernel
 //     reclaims under pressure. The heap holds headers, the tag table and
-//     the plan, result and full-text caches.
+//     the plan and full-text caches.
 //
-//   - Eviction drops the result and full-text entries — large and cheap
-//     to recompute — and keeps the plan templates, which alias only the
+//   - Eviction drops the full-text entries — large and cheap to
+//     recompute — and keeps the plan templates, which alias only the
 //     member's own immutable columns and are bounded per member by
 //     DefaultPlanCacheCapacity, as for a pinned member. So template heap
 //     grows with members × shapes, not with the cap, and a re-fault
@@ -154,7 +154,6 @@ func (c *Collection) requireAt(m *member, tick int64, span *obs.Span) (*Document
 		if d, cd.err = documentFromFXP3(cd.f); cd.err != nil {
 			cd.err = wrapSnapshotPath(cd.path, cd.err)
 		} else {
-			c.configure(d)
 			cd.doc.Store(d)
 		}
 	}
@@ -168,10 +167,10 @@ func (c *Collection) requireAt(m *member, tick int64, span *obs.Span) (*Document
 }
 
 // SetResidency bounds how many fault-capable members stay resident:
-// beyond max, the least recently used are evicted (their results
-// dropped, see the package comment above). max <= 0 removes the bound.
-// Pinned members (added with Add, or from an XML file with AddFile) are
-// not counted and never evicted.
+// beyond max, the least recently used are evicted (their full-text
+// results dropped, see the package comment above). max <= 0 removes the
+// bound. Pinned members (added with Add, or from an XML file with
+// AddFile) are not counted and never evicted.
 func (c *Collection) SetResidency(max int) {
 	c.maxResident.Store(int64(max))
 	c.enforceResidency()
@@ -205,7 +204,7 @@ func (c *Collection) enforceResidency() {
 			}
 		}
 		if old := res[j].m.doc.Swap(nil); old != nil {
-			old.purgeResults() // templates stay: see the package comment
+			old.index.PurgeCache() // templates stay: see the package comment
 			c.evictions.Add(1)
 		}
 		res = append(res[:j], res[j+1:]...)

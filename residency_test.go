@@ -299,7 +299,6 @@ func TestReadersTakeNoWriterLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetCache(8)
-	c.SetDocumentCaches(4) // a first fault applies the remembered capacity
 	c.SetResidency(1)
 
 	c.mu.Lock()
@@ -603,12 +602,7 @@ func TestPlanCacheCountersSurviveEviction(t *testing.T) {
 	if s := c.ResidencyStats(); s.Resident != 1 || s.Faults < 20 {
 		t.Fatalf("members did not cycle: %+v", s)
 	}
-	// SetDocumentCaches reaches the evicted members too, and their
-	// full-text counters count.
-	c.SetDocumentCaches(8)
-	if ds, ok := c.DocumentCacheStats(); !ok || ds.Capacity != 3*8 {
-		t.Fatalf("document caches %+v, want capacity %d over all three members", ds, 3*8)
-	}
+	// The evicted members' full-text counters count.
 	if fs := c.FullTextCacheStats(); fs.Misses < 3 {
 		t.Fatalf("full-text counters %+v, want a miss per member", fs)
 	}

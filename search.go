@@ -16,31 +16,6 @@ import (
 	"flexpath/internal/topk"
 )
 
-// searcher is what a search belongs to: a document searched directly, or
-// a collection. It owns the result cache (qc, see SetCache); a member
-// supplies only its tree, index, estimator and plan templates.
-type searcher struct {
-	qc atomic.Pointer[lru.Cache[[]part]]
-	// beforePut, when set (tests only), runs between a search's
-	// evaluation and its cache put.
-	beforePut func()
-}
-
-// setCache installs a result cache of the given capacity; capacity <= 0
-// disables it.
-func (s *searcher) setCache(capacity int) {
-	if capacity <= 0 {
-		s.qc.Store(nil)
-		return
-	}
-	s.qc.Store(lru.New[[]part](capacity))
-}
-
-func (s *searcher) cacheStats() (CacheStats, bool) {
-	st, ok := statsOf(s.qc.Load())
-	return cacheStatsFrom(st), ok
-}
-
 // part is one member's share of a cached result set: the top K+Offset
 // results of the document with the given serial. Documents are
 // immutable, so a part is right for any member whose document has its
@@ -89,9 +64,10 @@ type unit struct {
 // search is the one search path, for a document searched directly and
 // for a collection alike: look up one result-cache entry, evaluate the
 // members whose part is missing or stale, merge the parts, and build the
-// page's answers only. answer converts member i's answer to the caller's
-// answer type.
-func search[A any](ctx context.Context, s *searcher, set corpus, q *Query, opts SearchOptions, answer func(i int, a Answer) A) ([]A, error) {
+// page's answers only. c is the collection that owns the result cache;
+// nil for a document searched directly, which has none. answer converts
+// member i's answer to the caller's answer type.
+func search[A any](ctx context.Context, c *Collection, set corpus, q *Query, opts SearchOptions, answer func(i int, a Answer) A) ([]A, error) {
 	opts.defaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -102,7 +78,10 @@ func search[A any](ctx context.Context, s *searcher, set corpus, q *Query, opts 
 	span := obs.SpanFrom(ctx)
 	units := make([]unit, set.size())
 
-	qc := s.qc.Load()
+	var qc *lru.Cache[[]part]
+	if c != nil {
+		qc = c.qc.Load()
+	}
 	useCache := qc != nil && !opts.NoCache
 	var key string
 	var epoch uint64
@@ -168,8 +147,8 @@ func search[A any](ctx context.Context, s *searcher, set corpus, q *Query, opts 
 			span.MarkCacheHit()
 		}
 		if stale > 0 || !found || len(cached) != len(units) {
-			if s.beforePut != nil {
-				s.beforePut()
+			if c.beforePut != nil {
+				c.beforePut()
 			}
 			parts := make([]part, len(units))
 			for i := range units {
