@@ -435,10 +435,16 @@ func TestAnalyzePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"relaxations encoded", "tuples-in", "article", "paragraph"} {
+	for _, want := range []string{"relaxations encoded", "tuples-in", "scored", "article", "paragraph"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("AnalyzePlan output missing %q:\n%s", want, out)
 		}
+	}
+	// The optional algorithm is scored in place for each of the three
+	// sections joined, and two of them have one to score: a3's algorithm
+	// is in its appendix.
+	if !regexp.MustCompile(`\n\$3 algorithm +3 +3 +3 +2 `).MatchString(out) {
+		t.Errorf("AnalyzePlan: the algorithm step does not report the candidates it scored:\n%s", out)
 	}
 	// At K=1 the exact query suffices, and its algorithm only has to
 	// exist: the description marks it and the trace has no row for it,

@@ -55,8 +55,11 @@ func BenchmarkExactPlanRun(b *testing.B) {
 // PlanAt(chain.Len()), in Hybrid's bucket organization at K = 10 and 700.
 // The XQ3 arm runs the plan SSO chooses at K = 500 (the shortest prefix
 // the estimator expects to give 500 answers) in both organizations and
-// reports the tuples each run builds. Each plan is built once, so its
-// memoized candidate lists are shared across ops as under the
+// reports the tuples each run builds. The article arm runs the fully
+// relaxed plan of serve_mixed's costliest query shape on one generated
+// 128 KB article at K = 10 in both organizations. Every arm reports the
+// tuples and the candidates scored per op. Each plan is built once, so
+// its memoized candidate lists are shared across ops as under the
 // plan-template cache; each op joins, aggregates and ranks on a reset
 // arena.
 func BenchmarkPlanRunTopK(b *testing.B) {
@@ -75,6 +78,7 @@ func BenchmarkPlanRunTopK(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(st.TuplesGenerated)/float64(b.N), "tuples/op")
+			b.ReportMetric(float64(st.Scored)/float64(b.N), "scored/op")
 		})
 	}
 	for _, eq := range []struct{ name, src string }{exactPlanQueries[2], exactPlanQueries[1]} {
@@ -98,4 +102,10 @@ func BenchmarkPlanRunTopK(b *testing.B) {
 	}
 	run("XQ3/k=500/sorted", plan, 500, exec.ModeSorted)
 	run("XQ3/k=500/buckets", plan, 500, exec.ModeBuckets)
+	c = articleFixture(b, 1, 128<<10).chain(b, articleQuery)
+	if plan, err = c.PlanAt(c.Len()); err != nil {
+		b.Fatal(err)
+	}
+	run("article/k=10/sorted", plan, 10, exec.ModeSorted)
+	run("article/k=10/buckets", plan, 10, exec.ModeBuckets)
 }

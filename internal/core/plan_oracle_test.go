@@ -450,7 +450,13 @@ func sampledXMarkTPQ(r *rand.Rand, doc *xmltree.Document) *tpq.Query {
 // required one may be scoped by the twig root alone and only carry
 // bonuses (as XQ3's keyword after promotions). Any variable may carry a
 // required or an optional contains predicate. Penalties include 0 and
-// 1e-12, so ties and rounding are exercised.
+// 1e-12, so ties and rounding are exercised. Half the plans end with an
+// optional variable no other one reads, scored in place over every node
+// under the root binding with the tag of some node below a root-tagged
+// one, with bonuses to other variables on both sides (its candidates in
+// their subtrees and on their paths to the root), half of them with
+// penalty 0, so that candidates earning a bonus tie with those earning
+// none.
 func randomPlan(r *rand.Rand, f *fixture) *exec.Plan {
 	q := sampledXMarkTPQ(r, f.doc)
 	gold := f.ix.Eval(ir.MustParseExpr(`"gold"`))
@@ -513,6 +519,30 @@ func randomPlan(r *rand.Rand, f *fixture) *exec.Plan {
 				v.Contains = append(v.Contains, exec.ContainsSpec{Res: gold, Penalty: pen, Bit: bit})
 				bit++
 			}
+		}
+		plan.Vars = append(plan.Vars, v)
+	}
+	if r.Intn(2) == 0 {
+		// The tag of a node below one with the root's tag.
+		roots := f.doc.NodesWithTag(q.Nodes[0].Tag)
+		a := roots[r.Intn(len(roots))]
+		tag := q.Nodes[len(q.Nodes)-1].Tag
+		if f.doc.End(a) > a {
+			tag = f.doc.TagName(a + 1 + xmltree.NodeID(r.Intn(int(f.doc.End(a)-a))))
+		}
+		v := exec.VarSpec{VarID: len(q.Nodes) + 1, Tag: tag, Anchor: 0, Rel: exec.RelOptional}
+		for other := range plan.Vars {
+			if r.Intn(3) == 0 {
+				continue
+			}
+			pen := 0.0
+			if r.Intn(2) == 0 {
+				pen = penalties[r.Intn(len(penalties))]
+			}
+			plan.DroppedPenalty += pen
+			v.Bonus = append(v.Bonus, exec.BonusPred{Other: other, OtherIsAncestor: r.Intn(2) == 0,
+				Parent: r.Intn(3) == 0, Penalty: pen, Bit: bit})
+			bit++
 		}
 		plan.Vars = append(plan.Vars, v)
 	}

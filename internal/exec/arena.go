@@ -50,6 +50,7 @@ type Arena struct {
 	dist   [1]int
 	grp    groups
 	fused  []fusedStep
+	spans  []span // stepper.regions
 	best   []Answer
 	totals []float64
 	nodes  []xmltree.NodeID

@@ -224,6 +224,12 @@ type step struct {
 	// adds no keyword score, so a candidate that earns all of them back
 	// cannot be beaten and ends the scan.
 	capped bool
+	// sparse: the variable is scored in place and its gains come from
+	// bonus predicates alone, with no check or parent filter to pass, so
+	// a candidate no bound bonus partner tells apart gains what every
+	// other such candidate gains, and only the first of them need be
+	// scored (stepper.regions).
+	sparse bool
 	// group, when non-nil, lists the variables whose bindings are still
 	// read after this one: the distinguished variable and every variable
 	// a later anchor, check or bonus refers to. It is set where this
@@ -282,8 +288,10 @@ func planSteps(p *Plan, skip []bool) []step {
 	steps := make([]step, nv)
 	for vi := range p.Vars {
 		s := &steps[vi]
+		v := &p.Vars[vi]
 		s.inPlace = last[vi] < 0
-		s.capped = capped(&p.Vars[vi])
+		s.capped = capped(v)
+		s.sparse = s.inPlace && len(v.Contains) == 0 && len(v.Checks) == 0 && v.Rel != RelParent
 		if grouped[vi] == 0 {
 			continue
 		}
@@ -337,6 +345,8 @@ type PipelineStats struct {
 	SortOps         int
 	SortedTuples    int
 	Buckets         int
+	// Scored is the total of the steps' StepTrace.Scored.
+	Scored int
 }
 
 // StepTrace records what one join step of a plan execution did, for
@@ -351,6 +361,10 @@ type StepTrace struct {
 	TuplesOut int
 	// Pruned counts tuples dropped by the score threshold at this step.
 	Pruned int
+	// Scored counts the candidates whose gains the step evaluated, one
+	// per extension a join builds and one per candidate a step scored in
+	// place visits.
+	Scored int
 	// Sorted reports whether the step re-sorted intermediates (SSO);
 	// Buckets is the number of distinct signatures grouped (Hybrid).
 	Sorted  bool
@@ -512,7 +526,7 @@ func Run(p *Plan, opts Options) []Answer {
 		lastRequired--
 	}
 
-	x := stepper{p: p, leaves: leaves, ends: ends, parents: parentCol, gained: gained}
+	x := stepper{p: p, ar: ar, leaves: leaves, ends: ends, parents: parentCol, gained: gained}
 	// Every tuple buffer, the bootstrap one included, comes from the
 	// arena's free list and goes back to it, the last one after the
 	// aggregation: a run takes out as many buffers as it returns.
@@ -530,6 +544,7 @@ func Run(p *Plan, opts Options) []Answer {
 		v := &p.Vars[vi]
 		st.JoinSteps++
 		tuplesIn := len(tuples)
+		scored := 0 // the Scored of the step's last row
 		first, end := vi, vi
 		var fused []fusedStep
 		if sp.inPlace {
@@ -543,7 +558,7 @@ func Run(p *Plan, opts Options) []Answer {
 					return nil
 				}
 				t := tuples[ti]
-				if x.score(vi, &t, &sc) {
+				if x.score(vi, &t, &sc, &scored) {
 					kept = append(kept, t)
 				}
 			}
@@ -598,7 +613,7 @@ func Run(p *Plan, opts Options) []Answer {
 				for i := range fused {
 					f := &fused[i]
 					f.in++
-					if !x.score(first+1+i, nt, &f.sc) {
+					if !x.score(first+1+i, nt, &f.sc, &f.scored) {
 						return
 					}
 				}
@@ -634,6 +649,7 @@ func Run(p *Plan, opts Options) []Answer {
 					if !checksOK(parentCol, ends, v, t, m) {
 						continue
 					}
+					scored++
 					nt := gain(parentCol, ends, v, t, m)
 					scratch[vi] = m
 					nt.bind = scratch
@@ -660,25 +676,31 @@ func Run(p *Plan, opts Options) []Answer {
 		if cancelled() {
 			return nil
 		}
+		st.Scored += scored
 		if len(fused) > 0 {
 			// The fused steps' rows: the join's own, then each step
 			// scored in place but the last, which the row below reports.
 			if opts.Trace != nil {
 				*opts.Trace = append(*opts.Trace, StepTrace{Var: traceName(v),
-					Candidates: len(leaves[vi]), TuplesIn: tuplesIn, TuplesOut: fused[0].in})
+					Candidates: len(leaves[vi]), TuplesIn: tuplesIn, TuplesOut: fused[0].in, Scored: scored})
 				for i := range fused[:len(fused)-1] {
 					w := &p.Vars[first+1+i]
 					*opts.Trace = append(*opts.Trace, StepTrace{Var: traceName(w),
-						Candidates: len(leaves[first+1+i]), TuplesIn: fused[i].in, TuplesOut: fused[i+1].in})
+						Candidates: len(leaves[first+1+i]), TuplesIn: fused[i].in, TuplesOut: fused[i+1].in,
+						Scored: fused[i].scored})
 				}
 			}
-			tuplesIn = fused[len(fused)-1].in
+			for i := range fused {
+				st.Scored += fused[i].scored
+			}
+			tuplesIn, scored = fused[len(fused)-1].in, fused[len(fused)-1].scored
 			vi, v = end, &p.Vars[end]
 		}
 		trace := StepTrace{
 			Candidates: len(leaves[vi]),
 			TuplesIn:   tuplesIn,
 			TuplesOut:  len(tuples),
+			Scored:     scored,
 		}
 		if len(tuples) == 0 {
 			if opts.Trace != nil {
@@ -891,6 +913,7 @@ func (g *groups) grow() {
 // stepper scores variables in place (step.inPlace).
 type stepper struct {
 	p       *Plan
+	ar      *Arena
 	leaves  [][]xmltree.NodeID
 	ends    []xmltree.NodeID
 	parents []xmltree.NodeID
@@ -898,11 +921,11 @@ type stepper struct {
 }
 
 // score gives t the gains of variable vi's best candidate under t's
-// bindings, the first on ties. It reports false when a required variable
-// has no candidate; an optional one without any leaves t as it is. When
-// the variable's gains are capped, a candidate that earns them all back
-// ends the scan.
-func (x *stepper) score(vi int, t *tuple, sc *scope) bool {
+// bindings, the first on ties, and adds the candidates it scored to
+// scored. It reports false when a required variable has no candidate; an
+// optional one without any leaves t as it is. When the variable's gains
+// are capped, a candidate that earns them all back ends the scan.
+func (x *stepper) score(vi int, t *tuple, sc *scope, scored *int) bool {
 	v := &x.p.Vars[vi]
 	limit := t.regained
 	capped := x.p.steps[vi].capped
@@ -916,33 +939,137 @@ func (x *stepper) score(vi int, t *tuple, sc *scope) bool {
 	}
 	found := false
 	var best tuple
+	visited := 0
 	cands, parentAnchor := sc.candidates(x.p.Doc, v, x.leaves[vi], t)
-	for _, m := range cands {
-		if parentAnchor != xmltree.InvalidNode && x.parents[m] != parentAnchor {
-			continue
-		}
-		if !checksOK(x.parents, x.ends, v, t, m) {
-			continue
-		}
-		g := gain(x.parents, x.ends, v, t, m)
-		if !found || x.gained.compare(&g, &best) > 0 {
-			best, found = g, true
-			if capped && best.regained == limit {
-				break
+scan:
+	for _, s := range x.regions(vi, t, cands) {
+		for _, m := range cands[s.lo:s.hi] {
+			if parentAnchor != xmltree.InvalidNode && x.parents[m] != parentAnchor {
+				continue
+			}
+			if !checksOK(x.parents, x.ends, v, t, m) {
+				continue
+			}
+			visited++
+			g := gain(x.parents, x.ends, v, t, m)
+			if !found || x.gained.compare(&g, &best) > 0 {
+				best, found = g, true
+				if capped && best.regained == limit {
+					break scan
+				}
 			}
 		}
 	}
+	*scored += visited
 	if found {
 		t.regained, t.ks, t.sig = best.regained, best.ks, best.sig
 	}
 	return found || v.Rel == RelOptional
 }
 
+// span is the positions [lo, hi) of a candidate list.
+type span struct{ lo, hi int }
+
+// regions returns the positions of cands that score visits for t, as
+// disjoint spans in document order: all of them, unless the variable's
+// step is sparse. Then a candidate's gain depends only on which bonus
+// predicates it satisfies, and a bonus with an unbound partner o earns
+// nothing, so only the candidates a bound partner can tell apart need a
+// look: those in o's subtree when o is on the ancestor side (a gallop
+// locates them; for a pc bonus a superset of o's children) and those on
+// o's path to the root when it is on the descendant side. A bonus every
+// candidate earns tells none apart and is left out; a pc bonus whose
+// partner's subtree holds every candidate needs a look at each of them,
+// and all are visited. Every candidate outside the regions gains exactly
+// what the first of them gains, summed in the same order, and comes
+// after it: under score's strict comparison and its cap, it can neither
+// win nor end the scan first. So the regions and that first candidate,
+// visited in document order, give score the result of the full scan bit
+// for bit. The spans live in the arena until the next call.
+func (x *stepper) regions(vi int, t *tuple, cands []xmltree.NodeID) []span {
+	n := len(cands)
+	sp := x.ar.spans[:0]
+	if !x.p.steps[vi].sparse || n <= 1 {
+		x.ar.spans = append(sp, span{0, n})
+		return x.ar.spans
+	}
+	for _, b := range x.p.Vars[vi].Bonus {
+		o := t.bind[b.Other]
+		switch {
+		case o == xmltree.InvalidNode:
+		case b.OtherIsAncestor:
+			if o >= cands[n-1] || x.ends[o] < cands[0] {
+				continue // no candidate in o's subtree
+			}
+			if o < cands[0] && x.ends[o] >= cands[n-1] {
+				if !b.Parent {
+					continue // every candidate earns it
+				}
+				// Only o's children earn it, and telling them apart
+				// takes a look at every candidate.
+				x.ar.spans = append(sp[:0], span{0, n})
+				return x.ar.spans
+			}
+			lo := xmltree.GallopGE(cands, 0, o+1)
+			sp = append(sp, span{lo, xmltree.GallopGE(cands, lo, x.ends[o]+1)})
+		default:
+			// Ancestors are smaller than o in document order, so the walk
+			// ends below the first candidate; a pc bonus needs only the
+			// parent. Every candidate earning it tells none apart.
+			from := len(sp)
+			for a := x.parents[o]; a != xmltree.InvalidNode && a >= cands[0]; a = x.parents[a] {
+				if i, ok := slices.BinarySearch(cands, a); ok {
+					sp = append(sp, span{i, i + 1})
+				}
+				if b.Parent {
+					break
+				}
+			}
+			if len(sp)-from == n {
+				sp = sp[:from]
+			}
+		}
+	}
+	sp = mergeSpans(sp)
+	first := 0 // the first candidate outside every region
+	if len(sp) > 0 && sp[0].lo == 0 {
+		first = sp[0].hi
+	}
+	if first < n {
+		sp = mergeSpans(append(sp, span{first, first + 1}))
+	}
+	x.ar.spans = sp
+	return sp
+}
+
+// mergeSpans sorts sp by start and merges the spans that overlap or
+// touch, in place, leaving out empty ones. The spans are few and mostly
+// in order, so an insertion sort does.
+func mergeSpans(sp []span) []span {
+	for i := 1; i < len(sp); i++ {
+		for j := i; j > 0 && sp[j].lo < sp[j-1].lo; j-- {
+			sp[j], sp[j-1] = sp[j-1], sp[j]
+		}
+	}
+	out := sp[:0]
+	for _, s := range sp {
+		switch k := len(out) - 1; {
+		case s.lo >= s.hi:
+		case k >= 0 && s.lo <= out[k].hi:
+			out[k].hi = max(out[k].hi, s.hi)
+		default:
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // fusedStep is the scope of a variable scored in place within a fused
-// join, and the number of tuples it scored.
+// join, the number of tuples it scored and the candidates it visited.
 type fusedStep struct {
-	sc scope
-	in int
+	sc     scope
+	in     int
+	scored int
 }
 
 // hashKey hashes the bindings of the variables in key.

@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"flexpath/internal/ir"
+	"flexpath/internal/rank"
 	"flexpath/internal/xmltree"
 )
 
@@ -136,4 +139,118 @@ func TestRunSkipsExistential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomTree builds a document of about n elements with the tags a, b
+// and c, nested up to eight deep, so that below one node a tag occurs as
+// a child and deeper, in either order.
+func randomTree(t *testing.T, r *rand.Rand, n int) *xmltree.Document {
+	t.Helper()
+	b := xmltree.NewBuilder()
+	count := 0
+	var grow func(depth int)
+	grow = func(depth int) {
+		b.Open(string(rune('a' + r.Intn(3))))
+		count++
+		for k := r.Intn(4); k > 0 && depth < 8 && count < n; k-- {
+			grow(depth + 1)
+		}
+		b.Close()
+	}
+	b.Open("r")
+	for count < n {
+		grow(1)
+	}
+	b.Close()
+	doc, err := b.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// randomRegionPlan draws a plan over randomTree's tags whose optional
+// variables carry only bonus predicates, so each one no later variable
+// reads is scored in place under the region rule: a required root and a
+// required variable below it, then two optional variables under either,
+// each with bonuses to the variables before it, ad or pc, on either side,
+// with penalties that include 0 and 1e-12.
+func randomRegionPlan(r *rand.Rand, doc *xmltree.Document) *Plan {
+	tag := func() string { return string(rune('a' + r.Intn(3))) }
+	p := &Plan{Doc: doc, Base: 4, FirstOptional: 2}
+	p.Vars = []VarSpec{
+		{VarID: 1, Tag: tag(), Rel: RelRoot, Anchor: -1},
+		{VarID: 2, Tag: tag(), Rel: RelAncestor, Anchor: 0},
+	}
+	penalties := []float64{0, 0, 1e-12, 0.5, 1}
+	bit := uint(0)
+	for vi := 2; vi < 4; vi++ {
+		v := VarSpec{VarID: vi + 1, Tag: tag(), Rel: RelOptional, Anchor: r.Intn(2)}
+		for other := range vi {
+			if r.Intn(3) == 0 {
+				continue
+			}
+			pen := penalties[r.Intn(len(penalties))]
+			p.DroppedPenalty += pen
+			v.Bonus = append(v.Bonus, BonusPred{Other: other, OtherIsAncestor: r.Intn(2) == 0,
+				Parent: r.Intn(2) == 0, Penalty: pen, Bit: bit})
+			bit++
+		}
+		p.Vars = append(p.Vars, v)
+	}
+	p.NumBits = int(bit)
+	return p
+}
+
+// TestRegionsMatchFullScan holds Run to Run with every candidate of a
+// variable scored in place visited (the region rule off), bit for bit,
+// at K = 0, 1 and 3 in both organizations and every scheme, on random
+// trees where a tag nests below itself and below the others. XMark's
+// shapes never put a candidate below a non-candidate ahead of a
+// candidate child of the same node, which a pc bonus to the anchor must
+// tell apart.
+func TestRegionsMatchFullScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var doc *xmltree.Document
+	sparse, full := 0, 0
+	for i := range 200 {
+		if i%10 == 0 {
+			doc = randomTree(t, r, 60+r.Intn(200))
+		}
+		seed := r.Int63()
+		plan := randomRegionPlan(rand.New(rand.NewSource(seed)), doc)
+		dense := randomRegionPlan(rand.New(rand.NewSource(seed)), doc)
+		dense.leaves()
+		for vi := range dense.steps {
+			dense.steps[vi].sparse = false
+		}
+		for _, scheme := range []rank.Scheme{rank.StructureFirst, rank.KeywordFirst, rank.Combined} {
+			for _, k := range []int{0, 1, 3} {
+				for _, mode := range []Mode{ModeSorted, ModeBuckets} {
+					var st, dst PipelineStats
+					got := Run(plan, Options{K: k, Scheme: scheme, Mode: mode, Stats: &st})
+					want := Run(dense, Options{K: k, Scheme: scheme, Mode: mode, Stats: &dst})
+					if !sameAnswers(got, want) {
+						t.Fatalf("plan %d, scheme %v, K = %d, mode %d:\n got %v\nwant %v\n%s",
+							i, scheme, k, mode, got, want, plan.Explain())
+					}
+					sparse += st.Scored
+					full += dst.Scored
+				}
+			}
+		}
+	}
+	t.Logf("candidates scored: %d under the region rule, %d without", sparse, full)
+	if sparse >= full {
+		t.Errorf("the region rule scored %d candidates, the full scan %d", sparse, full)
+	}
+}
+
+// sameAnswers reports whether a and b agree bit for bit.
+func sameAnswers(a, b []Answer) bool {
+	return slices.EqualFunc(a, b, func(x, y Answer) bool {
+		return x.Node == y.Node && x.Sig == y.Sig &&
+			math.Float64bits(x.Score.SS) == math.Float64bits(y.Score.SS) &&
+			math.Float64bits(x.Score.KS) == math.Float64bits(y.Score.KS)
+	})
 }

@@ -318,7 +318,8 @@ func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 // never joined, and the description marks it [exists: semijoin]. A
 // variable marked [best: scored in place] is not joined either: its row
 // counts the tuples it scored, and they leave it one for one or, at a
-// step marked [then best per ...], one per group. The header's
+// step marked [then best per ...], one per group. A row's scored column
+// counts the candidates whose gains the step evaluated. The header's
 // "answers: N" counts what the run returned, at most K.
 func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
 	opts.ensureTemplate(chain)
@@ -339,11 +340,11 @@ func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "relaxations encoded: %d of %d; answers: %d\n", j, chain.Len(), len(answers))
 	sb.WriteString(plan.Explain())
-	fmt.Fprintf(&sb, "%-24s %10s %10s %10s %8s %8s\n",
-		"step", "candidates", "tuples-in", "tuples-out", "pruned", "buckets")
+	fmt.Fprintf(&sb, "%-24s %10s %10s %10s %10s %8s %8s\n",
+		"step", "candidates", "tuples-in", "tuples-out", "scored", "pruned", "buckets")
 	for _, t := range traces {
-		fmt.Fprintf(&sb, "%-24s %10d %10d %10d %8d %8d\n",
-			t.Var, t.Candidates, t.TuplesIn, t.TuplesOut, t.Pruned, t.Buckets)
+		fmt.Fprintf(&sb, "%-24s %10d %10d %10d %10d %8d %8d\n",
+			t.Var, t.Candidates, t.TuplesIn, t.TuplesOut, t.Scored, t.Pruned, t.Buckets)
 	}
 	return sb.String(), nil
 }
