@@ -228,6 +228,32 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	}
 }
 
+// The result-cache and plan-template keys are built by appends; their
+// bytes are exactly the fmt renderings they replaced, weights in %g
+// (+Inf, which ws=Inf requests, and exponents included).
+func TestCacheKeyBytes(t *testing.T) {
+	q := MustParseQuery(`//article[./section[.contains("a|b" and "x")]]`)
+	for _, opts := range []SearchOptions{
+		{K: 10},
+		{K: 1000, Offset: 10000, Algorithm: Hybrid, Scheme: KeywordFirst},
+		{K: 3, Algorithm: SSO, Scheme: Combined, Weights: Weights{Structural: 2.5, Contains: 1e-7}},
+		{K: 5, Weights: Weights{Structural: math.Inf(1), Contains: 1e21}, Hierarchy: map[string]string{"b;c": "d>e", "a": "x"}},
+		{K: 7, Weights: Weights{Structural: 0.1 + 0.2, Contains: 123456789}},
+	} {
+		rw, h := opts.Weights.rank(), hierarchyKey(opts.Hierarchy)
+		want := fmt.Sprintf("%d:%s|%s|%s|k=%d|o=%d|w=%g,%g|h=%d:%s",
+			len(q.canon), q.canon, opts.Algorithm, opts.Scheme, opts.K, opts.Offset,
+			rw.Structural, rw.Contains, len(h), h)
+		if got := searchCacheKey(q, opts); got != want {
+			t.Errorf("searchCacheKey = %q, want %q", got, want)
+		}
+		want = fmt.Sprintf("%d:%s|%g|%g|%s", len(q.canon), q.canon, rw.Structural, rw.Contains, h)
+		if got := templateKey(q, rw, opts.Hierarchy); got != want {
+			t.Errorf("templateKey = %q, want %q", got, want)
+		}
+	}
+}
+
 func TestCachePaginationSharing(t *testing.T) {
 	doc, err := LoadString(articlesXML)
 	if err != nil {

@@ -209,7 +209,8 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 	// context so the library layers record per-stage latency into it.
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
-	span := h.reg.StartSpan(q.String(), opts.Algorithm.String(), opts.Scheme.String(), opts.K)
+	qs := q.String()
+	span := h.reg.StartSpan(qs, opts.Algorithm.String(), opts.Scheme.String(), opts.K)
 	span.Rec(obs.StageParse, parseDur)
 	ctx = obs.WithSpan(ctx, span)
 
@@ -232,7 +233,7 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 		h.srv.choicesMu.Unlock()
 	}
 	serveutil.WriteJSON(w, http.StatusOK, serveutil.SearchResponse{
-		Query:      q.String(),
+		Query:      qs,
 		Algo:       m.Algorithm,
 		AlgoReason: m.AlgoReason,
 		ElapsedMS:  float64(time.Since(start)) / 1e6,

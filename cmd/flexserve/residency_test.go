@@ -135,24 +135,26 @@ func TestStatsOmitResidencyWhenUnused(t *testing.T) {
 func TestSearchServesColdCorpusIdentically(t *testing.T) {
 	srv, coll := residencyServer(t, 3)
 	url := srv.URL + "/search?q=" + escape(serveQuery) + "&k=10&algo=hybrid&nocache=1"
-	// The response is byte-identical across passes except for the
-	// timing field.
-	stripTiming := func(body []byte) string {
-		var lines []string
-		for _, l := range strings.Split(string(body), "\n") {
-			if !strings.Contains(l, `"elapsed_ms"`) {
-				lines = append(lines, l)
-			}
+	// The ranking is byte-identical across passes: compare the answer
+	// payloads (the response's elapsed_ms is wall time).
+	answers := func(body []byte) string {
+		var resp serveutil.SearchResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
 		}
-		return strings.Join(lines, "\n")
+		if len(resp.Answers) == 0 {
+			t.Fatalf("no answers: %s", body)
+		}
+		b, _ := json.Marshal(resp.Answers)
+		return string(b)
 	}
 	_, first := get(t, url)
-	want := stripTiming(first)
+	want := answers(first)
 	// Re-searching after evictions (the cap is 1, so every pass evicts)
 	// returns identical rankings.
 	for i := 0; i < 3; i++ {
-		if _, body := get(t, url); stripTiming(body) != want {
-			t.Fatalf("response drifted on pass %d:\n%s\nvs\n%s", i, stripTiming(body), want)
+		if _, body := get(t, url); answers(body) != want {
+			t.Fatalf("response drifted on pass %d:\n%s\nvs\n%s", i, answers(body), want)
 		}
 	}
 	if s := coll.ResidencyStats(); s.Evictions == 0 {

@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -169,6 +170,11 @@ type Query struct {
 	// canon is q's canonical serialization, rendered once: the result
 	// cache and plan-template keys read it on every search.
 	canon string
+	// str is q rendered back to query syntax, on the first String call
+	// (a server echoes it in every response; a library search never
+	// reads it).
+	strOnce sync.Once
+	str     string
 	// shape is q's closure universe and relaxation skeletons, built on
 	// the first template miss (a cached search never needs it) and
 	// shared by the chain builds of every document the query is
@@ -217,7 +223,10 @@ func (q *Query) Minimize() (*Query, error) {
 }
 
 // String returns the parsed query rendered back to query syntax.
-func (q *Query) String() string { return q.q.String() }
+func (q *Query) String() string {
+	q.strOnce.Do(func() { q.str = q.q.String() })
+	return q.str
+}
 
 // relaxShape returns the query's memoized relaxation shape.
 func (q *Query) relaxShape() (*core.Shape, error) {
@@ -537,9 +546,30 @@ func statsOf[V any](c *lru.Cache[V]) (lru.Stats, bool) {
 func searchCacheKey(q *Query, opts SearchOptions) string {
 	rw := opts.Weights.rank()
 	h := hierarchyKey(opts.Hierarchy)
-	return fmt.Sprintf("%d:%s|%s|%s|k=%d|o=%d|w=%g,%g|h=%d:%s",
-		len(q.canon), q.canon, opts.Algorithm, opts.Scheme, opts.K, opts.Offset,
-		rw.Structural, rw.Contains, len(h), h)
+	var buf [256]byte // on the stack; a longer key grows onto the heap
+	b := appendPrefixed(buf[:0], q.canon)
+	b = append(b, '|')
+	b = append(b, opts.Algorithm.String()...)
+	b = append(b, '|')
+	b = append(b, opts.Scheme.String()...)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(opts.K), 10)
+	b = append(b, "|o="...)
+	b = strconv.AppendInt(b, int64(opts.Offset), 10)
+	b = append(b, "|w="...)
+	b = strconv.AppendFloat(b, rw.Structural, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, rw.Contains, 'g', -1, 64)
+	b = append(b, "|h="...)
+	return string(appendPrefixed(b, h))
+}
+
+// appendPrefixed appends s length-prefixed, "len:s", as the cache keys
+// encode user-controlled text.
+func appendPrefixed(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
 }
 
 // hierarchyKey canonicalizes a type-hierarchy map (order-independent).
@@ -675,7 +705,15 @@ type PlanCacheStats struct {
 // searchCacheKey's: a quoted term containing '|' must not alias two
 // different (query, weights, hierarchy) triples onto one template.
 func templateKey(q *Query, rw rank.Weights, hierarchy map[string]string) string {
-	return fmt.Sprintf("%d:%s|%g|%g|%s", len(q.canon), q.canon, rw.Structural, rw.Contains, hierarchyKey(hierarchy))
+	h := hierarchyKey(hierarchy)
+	var buf [256]byte
+	b := appendPrefixed(buf[:0], q.canon)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, rw.Structural, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, rw.Contains, 'g', -1, 64)
+	b = append(b, '|')
+	return string(append(b, h...))
 }
 
 // template returns the plan template for (q, w, hierarchy): the

@@ -571,17 +571,17 @@ func TestPlanRunMatchesNestedLoop(t *testing.T) {
 	check := func(what string, plan *exec.Plan) {
 		t.Helper()
 		for _, scheme := range []rank.Scheme{rank.StructureFirst, rank.KeywordFirst, rank.Combined} {
-			want, ok := nestedLoop(plan, scheme, 20_000)
-			if !ok {
+			ref := newReferences(plan, scheme)
+			if !ref.nestedOK {
 				tooBig++
 				continue
 			}
 			checked++
 			got := exec.Run(plan, exec.Options{Scheme: scheme})
-			if d := diffAnswers(got, want); d != "" {
+			if d := diffAnswers(got, ref.nested); d != "" {
 				t.Fatalf("%s, scheme %v: %s\n%s", what, scheme, d, plan.Explain())
 			}
-			if d := full.check(plan, scheme, 0, got); d != "" {
+			if d := full.check(ref, scheme, 0, got); d != "" {
 				t.Fatalf("%s, scheme %v: %s\n%s", what, scheme, d, plan.Explain())
 			}
 		}
@@ -629,23 +629,41 @@ func diffAnswers(got, want []exec.Answer) string {
 	return ""
 }
 
+// references are the two reference rankings of one (plan, scheme):
+// nestedLoop's, and fullEnumeration's when the nested loop's fits (only
+// then is it compared). Neither depends on K or the organization, so one
+// pair serves every run of the plan under the scheme.
+type references struct {
+	nested, full     []exec.Answer
+	nestedOK, fullOK bool
+}
+
+func newReferences(plan *exec.Plan, scheme rank.Scheme) references {
+	var ref references
+	ref.nested, ref.nestedOK = nestedLoop(plan, scheme, 20_000)
+	if ref.nestedOK {
+		ref.full, ref.fullOK = fullEnumeration(plan, scheme, 200_000)
+	}
+	return ref
+}
+
 // topKMismatch runs plan with K = k in one organization and compares the
-// answers with the first k of nestedLoop's (all of them when k is 0), bit
-// for bit, and with fullEnumeration's within a few ulps (full counts
-// them). It reports "" when they agree or the plan is too large for the
-// nested loop.
-func topKMismatch(plan *exec.Plan, scheme rank.Scheme, k int, mode exec.Mode, full *fullTally) string {
-	want, ok := nestedLoop(plan, scheme, 20_000)
-	if !ok {
+// answers with the first k of ref's nested-loop ranking (all of them when
+// k is 0), bit for bit, and with its full enumeration within a few ulps
+// (full counts them). It reports "" when they agree or the plan is too
+// large for the nested loop.
+func topKMismatch(plan *exec.Plan, scheme rank.Scheme, ref references, k int, mode exec.Mode, full *fullTally) string {
+	if !ref.nestedOK {
 		return ""
 	}
+	want := ref.nested
 	if k > 0 && len(want) > k {
 		want = want[:k]
 	}
 	got := exec.Run(plan, exec.Options{K: k, Scheme: scheme, Mode: mode})
 	d := diffAnswers(got, want)
 	if d == "" {
-		d = full.check(plan, scheme, k, got)
+		d = full.check(ref, scheme, k, got)
 	}
 	if d != "" {
 		return fmt.Sprintf("scheme %v, K = %d, mode %d: %s\n%s", scheme, k, mode, d, plan.Explain())
@@ -666,15 +684,15 @@ func nearTotal(a, b float64) bool {
 // that differ within rounding, and the plans too large to enumerate.
 type fullTally struct{ answers, rounded, tooBig int }
 
-// check holds got, Run's answers at K = k, to fullEnumeration's ranking
-// or its first k. At each rank the two agree bit for bit, or their scheme
+// check holds got, Run's answers at K = k, to ref's full enumeration or
+// its first k. At each rank the two agree bit for bit, or their scheme
 // totals are a few ulps apart; in that case got's node must be one full
 // enumeration ranks, with a total a few ulps from its own there and a
 // score no better than it (fullEnumeration takes the maximum). Such ranks
 // are counted in rounded.
-func (f *fullTally) check(plan *exec.Plan, scheme rank.Scheme, k int, got []exec.Answer) string {
-	all, ok := fullEnumeration(plan, scheme, 200_000)
-	if !ok {
+func (f *fullTally) check(ref references, scheme rank.Scheme, k int, got []exec.Answer) string {
+	all := ref.full
+	if !ref.fullOK {
 		f.tooBig++
 		return ""
 	}
@@ -725,9 +743,10 @@ func TestPlanRunTopKMatchesNestedLoop(t *testing.T) {
 	for i := range plans {
 		plan := randomPlan(r, f)
 		for _, scheme := range []rank.Scheme{rank.StructureFirst, rank.KeywordFirst, rank.Combined} {
+			ref := newReferences(plan, scheme)
 			for _, k := range []int{0, 1, 10} {
 				for _, mode := range []exec.Mode{exec.ModeSorted, exec.ModeBuckets} {
-					if d := topKMismatch(plan, scheme, k, mode, &full); d != "" {
+					if d := topKMismatch(plan, scheme, ref, k, mode, &full); d != "" {
 						t.Fatalf("random plan %d, %s", i, d)
 					}
 				}
@@ -748,8 +767,8 @@ func FuzzPlanRunMatchesNestedLoop(f *testing.F) {
 	schemes := []rank.Scheme{rank.StructureFirst, rank.KeywordFirst, rank.Combined}
 	f.Fuzz(func(t *testing.T, seed int64, scheme, k uint8) {
 		plan := randomPlan(rand.New(rand.NewSource(seed)), fx)
-		mode := exec.Mode(k >> 7)
-		if d := topKMismatch(plan, schemes[int(scheme)%len(schemes)], int(k&127)%12, mode, &fullTally{}); d != "" {
+		mode, sc := exec.Mode(k>>7), schemes[int(scheme)%len(schemes)]
+		if d := topKMismatch(plan, sc, newReferences(plan, sc), int(k&127)%12, mode, &fullTally{}); d != "" {
 			t.Fatal(d)
 		}
 	})

@@ -1300,7 +1300,9 @@ func checksOK(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, m xmltree.No
 // gain returns t's score and signature after binding v to m: the
 // penalties of the bonus and optional contains predicates m satisfies are
 // earned back and the required contains predicates add m's keyword score,
-// each in spec order. The result has no binding.
+// each in spec order. A required contains of weight 0 (one the closure
+// implies) adds 0 to any finite score, so its score is never looked up.
+// The result has no binding.
 func gain(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, m xmltree.NodeID) tuple {
 	nt := tuple{regained: t.regained, ks: t.ks, sig: t.sig}
 	for _, b := range v.Bonus {
@@ -1325,7 +1327,9 @@ func gain(parents, ends []xmltree.NodeID, v *VarSpec, t *tuple, m xmltree.NodeID
 	}
 	for _, c := range v.Contains {
 		if c.Required {
-			nt.ks += c.Weight * c.Res.ScoreWithin(m)
+			if c.Weight != 0 {
+				nt.ks += c.Weight * c.Res.ScoreWithin(m)
+			}
 		} else if c.Res.Satisfies(m) {
 			nt.regained += c.Penalty
 			nt.sig |= 1 << c.Bit

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"flexpath"
+	"flexpath/internal/lru"
 )
 
 // maxK bounds the k parameter of one request and maxOffset how deep
@@ -31,7 +32,22 @@ const (
 	maxOffset = 10000
 	// maxSnippet bounds the snippet parameter, in bytes.
 	maxSnippet = 4096
+	// queryMemoCapacity bounds the parsed-query memo; it is flexserve's
+	// default result-cache size, so a server that answers its hot
+	// queries from that cache also parses none of them.
+	queryMemoCapacity = 1024
+	// maxMemoText is the longest q text the memo keeps, so that it pins
+	// at most a few megabytes whatever the clients send; a longer text
+	// is parsed on every request.
+	maxMemoText = 4096
 )
+
+// queries memoizes q text → parsed query for ParseSearch. A *Query is
+// immutable and safe to share (it memoizes its canonical key and, on
+// the first template miss, its relaxation shape), so a repeated text
+// skips parsing, and after a mutation it skips rebuilding the shape.
+// Parse errors are never stored.
+var queries = lru.New[*flexpath.Query](queryMemoCapacity)
 
 var (
 	errMissingQuery = errors.New("missing q parameter")
@@ -60,7 +76,7 @@ func ParseSearch(v url.Values) (Search, error) {
 	if src == "" {
 		return Search{}, errMissingQuery
 	}
-	q, err := flexpath.ParseQuery(src)
+	q, err := parseQuery(src)
 	if err != nil {
 		return Search{}, err
 	}
@@ -104,6 +120,15 @@ func ParseSearch(v url.Values) (Search, error) {
 		s.Snippet = n
 	}
 	return s, nil
+}
+
+// parseQuery parses a q text through the memo, unless it is too long to
+// keep.
+func parseQuery(src string) (*flexpath.Query, error) {
+	if len(src) > maxMemoText {
+		return flexpath.ParseQuery(src)
+	}
+	return queries.Do(src, func() (*flexpath.Query, error) { return flexpath.ParseQuery(src) })
 }
 
 // parseWeight parses a ws or wc parameter, a predicate weight: valid
@@ -165,13 +190,12 @@ type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON writes v as an indented JSON response with the given status.
+// WriteJSON writes v as a compact, one-line JSON response with the given
+// status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about write errors here
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // nothing to do about write errors here
 }
 
 // Serve runs srv on ln until it fails or a shutdown signal arrives, then
