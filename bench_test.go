@@ -9,6 +9,7 @@ package flexpath
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -372,6 +373,7 @@ func BenchmarkCollectionSearch(b *testing.B) {
 			search(opts)
 		}
 	})
+	ops := 0
 	b.Run("adhoc", func(b *testing.B) {
 		shapes := []string{
 			`//item[./name and ./description[.contains(%s)]]`,
@@ -379,11 +381,34 @@ func BenchmarkCollectionSearch(b *testing.B) {
 			`//item[./description/parlist and .contains(%s)]`,
 			`//open_auction[./bidder/date and ./annotation/description[.contains(%s)]]`,
 		}
-		words := []string{"gold", "silver", "vintage", "walnut", "rare"}
+		// Both terms of an expression occur in every member, so each op
+		// merges two witness lists as coll_adhoc's expressions do; the
+		// words are the 56 of ordinary frequency that coll_adhoc draws
+		// from. Shape and ordered pair vary together, and the op counter
+		// carries on across the benchmark's rounds: the first
+		// 4 · 56 · 55 = 12320 ops are distinct queries, so each misses
+		// every cache.
+		words := strings.Fields(`rare antique auction bid price ship mint
+			condition original signed limited edition collector estate
+			market value appraisal certificate authentic restored pristine
+			damaged worn fragile heavy light large small medium ornate plain
+			carved painted glazed ceramic porcelain brass copper bronze iron
+			steel wooden oak maple walnut leather silk cotton wool linen
+			velvet crystal glass stone marble granite`)
+		var pairs [][2]string
+		for x := range words {
+			for y := range words {
+				if x != y {
+					pairs = append(pairs, [2]string{words[x], words[y]})
+				}
+			}
+		}
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// The second, absent term makes every expression new.
-			ft := fmt.Sprintf(`"%s" or "adhoc%d"`, words[i%len(words)], i)
+		for n := 0; n < b.N; n++ {
+			i := ops
+			ops++
+			p := pairs[(i/len(shapes))%len(pairs)]
+			ft := fmt.Sprintf(`"%s" or "%s"`, p[0], p[1])
 			q, err := ParseQuery(fmt.Sprintf(shapes[i%len(shapes)], ft))
 			if err != nil {
 				b.Fatal(err)

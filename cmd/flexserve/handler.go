@@ -210,7 +210,9 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
 	qs := q.String()
-	span := h.reg.StartSpan(qs, opts.Algorithm.String(), opts.Scheme.String(), opts.K)
+	// The span starts where parsing did, so the parse stage recorded
+	// into it lies inside its duration.
+	span := h.reg.StartSpan(tParse, qs, opts.Algorithm.String(), opts.Scheme.String(), opts.K)
 	span.Rec(obs.StageParse, parseDur)
 	ctx = obs.WithSpan(ctx, span)
 
@@ -332,9 +334,6 @@ type statsResponse struct {
 	// memoized join plans), departed documents' counters included.
 	// Omitted when no member is decoded.
 	PlanCache *flexpath.PlanCacheStats `json:"plan_cache,omitempty"`
-	// FTCache sums the per-document full-text result caches (evaluated
-	// contains expressions; bounded per index).
-	FTCache flexpath.CacheStats `json:"ft_cache"`
 	// Residency reports the mmap-backed serving state (resident vs
 	// cold snapshot-backed documents, faults, evictions). Omitted when
 	// no member is snapshot-backed and no residency cap is set.
@@ -362,7 +361,6 @@ func (h *handler) stats(w http.ResponseWriter, _ *http.Request) {
 	if ps, ok := h.coll.PlanCacheStats(); ok {
 		resp.PlanCache = &ps
 	}
-	resp.FTCache = h.coll.FullTextCacheStats()
 	serveutil.WriteJSON(w, http.StatusOK, resp)
 }
 

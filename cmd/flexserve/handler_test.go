@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -153,8 +154,46 @@ func TestStatsCacheCounters(t *testing.T) {
 	if strings.Contains(string(body), `"doc_cache"`) {
 		t.Errorf("stats reports member result caches no search reads: %s", body)
 	}
-	if !strings.Contains(string(body), `"ft_cache"`) || st.FTCache.Capacity == 0 {
-		t.Errorf("stats missing ft_cache block: %s", body)
+	if strings.Contains(string(body), `"ft_cache"`) {
+		t.Errorf("stats reports a full-text result cache the index no longer has: %s", body)
+	}
+}
+
+// TestSpanStagesWithinDuration: every stage /search records, parse
+// included, lies inside its span, so a slowlog entry's stages sum to no
+// more than its total. Each query text is new and long, so each parse
+// misses the memo and costs more than the handler's own unrecorded work:
+// a span started after parsing fails here. One member, so no two stages
+// overlap.
+func TestSpanStagesWithinDuration(t *testing.T) {
+	srv := testServer(t)
+	const n = 20
+	for i := 0; i < n; i++ {
+		words := make([]string, 60)
+		for j := range words {
+			words[j] = fmt.Sprintf(`"w%dx%d"`, i, j)
+		}
+		q := `//book[./chapter[./para[.contains("xml" or ` + strings.Join(words, " or ") + `)]]]`
+		if resp, body := get(t, srv.URL+"/search?q="+escape(q)+"&k=5"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("search: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	_, body := get(t, srv.URL+"/slowlog?n=100")
+	var out slowlogResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
+	}
+	if len(out.Entries) != n {
+		t.Fatalf("entries = %d, want %d", len(out.Entries), n)
+	}
+	for _, e := range out.Entries {
+		sum := 0.0
+		for _, ms := range e.StagesMS {
+			sum += ms
+		}
+		if sum > e.TotalMS+1e-6 {
+			t.Errorf("%s: stages sum to %v ms, span lasted %v ms: %v", e.Query, sum, e.TotalMS, e.StagesMS)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func main() {
 	walSync := flag.Duration("walsync", 2*time.Millisecond, "WAL group-commit window: how long an acknowledgment may wait so concurrent mutations share one fsync (0 fsyncs every mutation)")
 	ckptEvery := flag.Int("checkpoint-every", 1024, "mutations between automatic WAL checkpoints (negative disables)")
 	maxBulk := flag.Int("maxbulk", 4, "max concurrently executing /admin/bulk requests; excess is rejected with 429 (0 = unlimited)")
-	residentDocs := flag.Int("resident-docs", 0, "max FXP3 snapshot-backed documents resident at once; least-recently-searched beyond the cap are evicted back to their mmap, dropping their full-text caches but keeping plan templates (0 = unlimited)")
+	residentDocs := flag.Int("resident-docs", 0, "max FXP3 snapshot-backed documents resident at once; least-recently-searched beyond the cap are evicted back to their mmap, keeping their plan templates (0 = unlimited)")
 	flag.Parse()
 
 	// With a WAL, recovery runs before command-line corpus files are

@@ -46,9 +46,9 @@ type Collection struct {
 	// slice is never written; mutate publishes a new one.
 	live   atomic.Pointer[[]*member]
 	byName map[string]int
-	// gone holds, per member cache, the counters of documents that left
-	// the corpus, so the summed counters never go backwards (see retire).
-	gone [len(memberCaches)]lru.Stats
+	// gone holds the plan-cache counters of documents that left the
+	// corpus, so the summed counters never go backwards (see retire).
+	gone lru.Stats
 
 	// qc is the result cache (see SetCache); nil when disabled.
 	qc atomic.Pointer[lru.Cache[[]part]]
@@ -256,8 +256,8 @@ func (c *Collection) RemoveIfPresent(name string) (bool, error) {
 
 // retire accounts for a member leaving the corpus, under mu and after the
 // membership without it is published: unless another member still holds
-// the same document, its cache counters move to gone and its caches are
-// purged, even while evicted (a durable checkpoint map may still hold the
+// the same document, its plan-cache counters move to gone and its plan
+// cache is purged, even while evicted (a durable checkpoint map may still hold the
 // member). The collection's result cache needs no purge (see part).
 func (c *Collection) retire(old *member) {
 	d := old.decoded()
@@ -269,11 +269,9 @@ func (c *Collection) retire(old *member) {
 			return
 		}
 	}
-	for w, of := range memberCaches {
-		s := of(d)
-		s.Entries, s.Capacity = 0, 0 // gauges, not counters
-		c.gone[w] = plus(c.gone[w], s)
-	}
+	s := d.pc.Stats()
+	s.Entries, s.Capacity = 0, 0 // gauges, not counters
+	c.gone = plus(c.gone, s)
 	d.purgeCache()
 }
 
@@ -398,7 +396,7 @@ func (c *Collection) SetDocumentCaches(capacity int) {}
 // PlanCacheStats sums the plan-template cache counters of the decoded
 // member documents; ok is false when no member is decoded.
 func (c *Collection) PlanCacheStats() (s PlanCacheStats, ok bool) {
-	st, ok := c.sumStats(planCache)
+	st, ok := c.sumPlanStats()
 	return PlanCacheStats(st), ok
 }
 
@@ -409,39 +407,21 @@ func (c *Collection) CacheStats() (s CacheStats, ok bool) {
 	return cacheStatsFrom(st), ok
 }
 
-// FullTextCacheStats sums the full-text result cache counters of the
-// decoded member documents (see Document.FullTextCacheStats).
-func (c *Collection) FullTextCacheStats() CacheStats {
-	st, _ := c.sumStats(fullTextCache)
-	return cacheStatsFrom(st)
-}
-
-const (
-	planCache = iota
-	fullTextCache
-)
-
-// memberCaches reads one of a member document's caches.
-var memberCaches = [...]func(*Document) lru.Stats{
-	planCache:     func(d *Document) lru.Stats { return d.pc.Stats() },
-	fullTextCache: func(d *Document) lru.Stats { return d.index.CacheStats() },
-}
-
-// sumStats adds up member cache w over the distinct decoded documents of
-// the members (a document added under two names counts once) and the
-// documents that have left (gone), so its counters only grow; ok is false
-// when no member is decoded. mu orders it with retire: no sum sees a
-// departing document twice or not at all.
-func (c *Collection) sumStats(w int) (sum lru.Stats, ok bool) {
+// sumPlanStats adds up the plan-cache counters of the distinct decoded
+// documents of the members (a document added under two names counts once)
+// and of the documents that have left (gone), so its counters only grow;
+// ok is false when no member is decoded. mu orders it with retire: no sum
+// sees a departing document twice or not at all.
+func (c *Collection) sumPlanStats() (sum lru.Stats, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sum = c.gone[w]
+	sum = c.gone
 	members := c.members()
 	seen := make(map[*Document]bool, len(members))
 	for _, m := range members {
 		if d := m.decoded(); d != nil && !seen[d] {
 			seen[d] = true
-			sum, ok = plus(sum, memberCaches[w](d)), true
+			sum, ok = plus(sum, d.pc.Stats()), true
 		}
 	}
 	return sum, ok

@@ -484,12 +484,11 @@ func (d *Document) SearchContext(ctx context.Context, q *Query, opts SearchOptio
 	return search(ctx, nil, lone{d}, q, opts, func(_ int, a Answer) Answer { return a })
 }
 
-// purgeCache discards the entries of both of the document's caches, the
-// full-text results and the plan templates, keeping their counters
-// intact, when the document leaves a collection; the purge epoch keeps
-// searches already running from re-populating them.
+// purgeCache discards the document's plan templates, and with them the
+// full-text results their chains hold, keeping the counters intact, when
+// the document leaves a collection; the purge epoch keeps searches
+// already running from re-populating them.
 func (d *Document) purgeCache() {
-	d.index.PurgeCache()
 	d.pc.Purge()
 }
 
@@ -497,13 +496,6 @@ func (d *Document) purgeCache() {
 // (Collection.SetCache is the only one). It is kept only because the
 // frozen benchmark harness still calls it, and goes with that call.
 func (d *Document) CacheStats() (s CacheStats, ok bool) { return CacheStats{}, false }
-
-// FullTextCacheStats reports the counters of the document's full-text
-// result cache: the bounded LRU of evaluated contains expressions inside
-// its index, which NoCache does not bypass (plans hold its entries).
-func (d *Document) FullTextCacheStats() CacheStats {
-	return cacheStatsFrom(d.index.CacheStats())
-}
 
 // CacheStats is a snapshot of a query-result cache's counters.
 type CacheStats struct {

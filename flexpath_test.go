@@ -487,8 +487,8 @@ func TestDocumentSearchAllocs(t *testing.T) {
 		k    int
 		pin  float64
 	}{
-		{DPO, 10, 31}, {SSO, 10, 22}, {Hybrid, 10, 22},
-		{DPO, 700, 389}, {SSO, 700, 659}, {Hybrid, 700, 659},
+		{DPO, 10, 28}, {SSO, 10, 19}, {Hybrid, 10, 19},
+		{DPO, 700, 386}, {SSO, 700, 656}, {Hybrid, 700, 656},
 	} {
 		opts := SearchOptions{K: c.k, Algorithm: c.algo, NoCache: true}
 		if _, err := doc.Search(q, opts); err != nil { // warms the template

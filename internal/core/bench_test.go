@@ -93,7 +93,7 @@ func BenchmarkPlanRunTopK(b *testing.B) {
 	}
 	c := f.chain(b, exactPlanQueries[3].src)
 	j := 0
-	for j < c.Len() && f.est.Estimate(c.QueryAt(j)) < 500 {
+	for j < c.Len() && f.est.Estimate(c.QueryAt(j), c.FullText) < 500 {
 		j++
 	}
 	plan, err := c.PlanAt(j)

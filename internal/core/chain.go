@@ -46,6 +46,12 @@ type Step struct {
 // plan. Chains built from one Shape share Original, U and, between
 // chains of one penalty order, each step's Dropped and Query; all of
 // them are read-only.
+//
+// A chain evaluates each distinct contains expression of its universe
+// once, when it is built, and holds the results: its penalties are
+// computed from them, and its plans, the estimator and data relaxation
+// read them (FullText). A result therefore lives exactly as long as the
+// chain, or the plan template, that holds it.
 type Chain struct {
 	Original *tpq.Query
 	// U indexes the predicates of the original query's closure; every
@@ -55,8 +61,9 @@ type Chain struct {
 	Base  float64
 	Steps []Step
 
-	doc       *xmltree.Document
-	ix        *ir.Index
+	doc *xmltree.Document
+	// ft[k] is the evaluated expression of U's expression class k.
+	ft        []*ir.Result
 	weights   rank.Weights
 	hierarchy *tpq.Hierarchy
 	// Per universe index: the penalty of each droppable predicate, and the
@@ -149,7 +156,8 @@ func (s *Shape) Chain(doc *xmltree.Document, ix *ir.Index, st *stats.Stats, w ra
 	}
 	u := s.u
 	w = foldQueryWeights(w, s.q)
-	pen := rank.NewPenalizer(st, ix, w, u)
+	ft := fullText(ix, u)
+	pen := rank.NewPenalizer(st, ft, w, u)
 	penalty := make([]float64, u.Len())
 	// Candidates in the order every step tries them: by penalty, ties by
 	// canonical key — which is index order.
@@ -169,7 +177,7 @@ func (s *Shape) Chain(doc *xmltree.Document, ix *ir.Index, st *stats.Stats, w ra
 		Base:      pen.BaseScore(),
 		Steps:     make([]Step, len(sk.steps)),
 		doc:       doc,
-		ix:        ix,
+		ft:        ft,
 		weights:   w,
 		penalty:   penalty,
 		bit:       sk.bit,
@@ -192,6 +200,24 @@ func (s *Shape) Chain(doc *xmltree.Document, ix *ir.Index, st *stats.Stats, w ra
 		c.Steps[j] = step
 	}
 	return c, nil
+}
+
+// fullText evaluates each expression class of u once, indexed by class.
+func fullText(ix *ir.Index, u *tpq.Universe) []*ir.Result {
+	var ft []*ir.Result
+	for i := 0; i < u.Len(); i++ {
+		if u.Pred(i).Kind != tpq.PredContains {
+			continue
+		}
+		k := u.Class(i)
+		if k >= len(ft) {
+			ft = append(ft, make([]*ir.Result, k+1-len(ft))...)
+		}
+		if ft[k] == nil {
+			ft[k] = ix.Eval(u.Pred(i).Expr)
+		}
+	}
+	return ft
 }
 
 // skeleton returns the memoized skeleton of a candidate order, computing
@@ -514,8 +540,12 @@ func (c *Chain) containsLocs(cur tpq.Bits) []ContainsLoc {
 // Weights returns the weight assignment the chain was built with.
 func (c *Chain) Weights() rank.Weights { return c.weights }
 
-// Index returns the full-text index the chain was built against.
-func (c *Chain) Index() *ir.Index { return c.ix }
+// FullText returns the chain's evaluation of e, which must be an
+// expression of its universe: a contains expression of the original query
+// or of any relaxation of it.
+func (c *Chain) FullText(e ir.Expr) *ir.Result {
+	return c.ft[c.U.ClassOf(e.Canon())]
+}
 
 // Doc returns the document the chain was built against.
 func (c *Chain) Doc() *xmltree.Document { return c.doc }

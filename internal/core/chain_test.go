@@ -389,8 +389,15 @@ func TestChainAccessors(t *testing.T) {
 	if c.Weights().Structural != 1 || c.Weights().Contains != 1 {
 		t.Errorf("weights: %+v", c.Weights())
 	}
-	if c.Index() != f.ix || c.Doc() != f.doc {
-		t.Error("index/doc accessors wrong")
+	if c.Doc() != f.doc {
+		t.Error("doc accessor wrong")
+	}
+	for i := 0; i < c.U.Len(); i++ {
+		if p := c.U.Pred(i); p.Kind == tpq.PredContains {
+			if r := c.FullText(ir.MustParseExpr(p.Expr.Canon())); r != c.ft[c.U.Class(i)] {
+				t.Errorf("FullText(%s) is not the chain's result", p.Expr.Canon())
+			}
+		}
 	}
 	if c.Hierarchy() != nil {
 		t.Error("hierarchy should be nil")

@@ -162,7 +162,7 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 		}
 		v := planIdx[p.X]
 		vars[v].Contains = append(vars[v].Contains, exec.ContainsSpec{
-			Res:      c.ix.Eval(p.Expr),
+			Res:      c.ft[u.Class(i)],
 			Required: true,
 			Weight:   ksWeight[ksKey{p.X, u.Class(i)}],
 		})
@@ -173,7 +173,7 @@ func (c *Chain) PlanAt(j int) (*exec.Plan, error) {
 		case tpq.PredContains:
 			v := planIdx[p.X]
 			vars[v].Contains = append(vars[v].Contains, exec.ContainsSpec{
-				Res:     c.ix.Eval(p.Expr),
+				Res:     c.ft[u.Class(i)],
 				Penalty: c.penalty[i],
 				Bit:     uint(c.bit[i]),
 			})
@@ -262,10 +262,11 @@ func (c *Chain) ExactPlanAt(j int) (*exec.Plan, error) {
 			v.Rel = exec.RelAncestor
 		}
 		for _, e := range n.Contains {
+			k := c.U.ClassOf(e.Canon())
 			v.Contains = append(v.Contains, exec.ContainsSpec{
-				Res:      c.ix.Eval(e),
+				Res:      c.ft[k],
 				Required: true,
-				Weight:   ksWeight[ksKey{n.ID, c.U.ClassOf(e.Canon())}],
+				Weight:   ksWeight[ksKey{n.ID, k}],
 			})
 		}
 		vars[i] = v

@@ -17,7 +17,8 @@ type LevelKey struct {
 // Template is a reusable evaluation skeleton for one (query, weights,
 // hierarchy) triple over one document: the relaxation chain plus lazily
 // memoized join plans and estimator-chosen prefix levels. A template hit
-// in the plan cache therefore skips not just the chain build but the
+// in the plan cache therefore skips not just the chain build and its
+// full-text evaluations (the chain holds their results) but the
 // relaxation enumeration (the per-level estimator loop of the
 // plan-based algorithms) and the join-plan
 // construction — and, via the plan's own candidate-list memo (exec.Run),

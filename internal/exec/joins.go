@@ -23,6 +23,7 @@ package exec
 
 import (
 	"slices"
+	"sync"
 
 	"flexpath/internal/xmltree"
 )
@@ -32,31 +33,78 @@ import (
 // kernels a natural point to notice an exhausted inner cursor and stop.
 const joinBlock = 512
 
+// joinScratch is the working memory of the HasChild and HasDescendant
+// semijoins: the parent column HasChild sorts and the list both collect
+// before copying it out at its final size. It is pooled, so a kernel
+// allocates only the list it returns.
+type joinScratch struct {
+	parents, dst []xmltree.NodeID
+}
+
+// joinKeep bounds, in IDs, each buffer a pooled joinScratch keeps (1 MiB),
+// so that an idle one does not pin an outsized join's peak.
+const joinKeep = 1 << 20 / 4
+
+var joinPool = sync.Pool{New: func() any { return new(joinScratch) }}
+
+func getJoinScratch() *joinScratch { return joinPool.Get().(*joinScratch) }
+
+func putJoinScratch(js *joinScratch) {
+	if cap(js.parents) > joinKeep {
+		js.parents = nil
+	}
+	if cap(js.dst) > joinKeep {
+		js.dst = nil
+	}
+	joinPool.Put(js)
+}
+
+// exactCopy returns xs at its length in a new slice, or nil when it is
+// empty, so a returned list never aliases scratch.
+func exactCopy(xs []xmltree.NodeID) []xmltree.NodeID {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]xmltree.NodeID, len(xs))
+	copy(out, xs)
+	return out
+}
+
 // SemiJoinHasDescendant keeps the nodes of outer whose subtree contains
 // at least one node of inner. Both lists must be sorted in document
 // order; the result is sorted.
 func SemiJoinHasDescendant(doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
-	var dst []xmltree.NodeID
-	if len(outer) == 0 || len(inner) == 0 {
-		return dst
-	}
-	ends := doc.Ends()
-	j := 0
-	for lo := 0; lo < len(outer); lo += joinBlock {
-		hi := min(lo+joinBlock, len(outer))
-		for _, x := range outer[lo:hi] {
-			// First inner node after x in document order; x matches iff
-			// that node still lies inside x's subtree. The probe target is
-			// monotone in x, so the cursor only moves forward.
-			j = xmltree.GallopGE(inner, j, x+1)
-			if j >= len(inner) {
-				return dst
-			}
-			if inner[j] <= ends[x] {
-				dst = append(dst, x)
+	js := getJoinScratch()
+	dst := exactCopy(js.hasDescendant(doc, outer, inner))
+	putJoinScratch(js)
+	return dst
+}
+
+// hasDescendant is SemiJoinHasDescendant into js.dst, which it returns.
+func (js *joinScratch) hasDescendant(doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
+	dst := js.dst[:0]
+	if len(outer) > 0 && len(inner) > 0 {
+		ends := doc.Ends()
+		j := 0
+	blocks:
+		for lo := 0; lo < len(outer); lo += joinBlock {
+			hi := min(lo+joinBlock, len(outer))
+			for _, x := range outer[lo:hi] {
+				// First inner node after x in document order; x matches
+				// iff that node still lies inside x's subtree. The probe
+				// target is monotone in x, so the cursor only moves
+				// forward.
+				j = xmltree.GallopGE(inner, j, x+1)
+				if j >= len(inner) {
+					break blocks
+				}
+				if inner[j] <= ends[x] {
+					dst = append(dst, x)
+				}
 			}
 		}
 	}
+	js.dst = dst[:0]
 	return dst
 }
 
@@ -65,33 +113,44 @@ func SemiJoinHasDescendant(doc *xmltree.Document, outer, inner []xmltree.NodeID)
 // parents of inner are collected, sorted with a typed sort, and
 // deduplicated on the fly during a single galloped merge against outer.
 func SemiJoinHasChild(doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
-	var dst []xmltree.NodeID
-	if len(outer) == 0 || len(inner) == 0 {
-		return dst
-	}
-	parentCol := doc.Parents()
-	parents := make([]xmltree.NodeID, 0, len(inner))
-	for _, d := range inner {
-		if p := parentCol[d]; p != xmltree.InvalidNode {
-			parents = append(parents, p)
-		}
-	}
-	slices.Sort(parents)
-	j := 0
-	for lo := 0; lo < len(outer); lo += joinBlock {
-		hi := min(lo+joinBlock, len(outer))
-		for _, x := range outer[lo:hi] {
-			// Galloping to the first parent >= x skips duplicate parent
-			// runs in one jump: the merge pass is also the dedup pass.
-			j = xmltree.GallopGE(parents, j, x)
-			if j >= len(parents) {
-				return dst
-			}
-			if parents[j] == x {
-				dst = append(dst, x)
+	js := getJoinScratch()
+	dst := exactCopy(js.hasChild(doc, outer, inner))
+	putJoinScratch(js)
+	return dst
+}
+
+// hasChild is SemiJoinHasChild into js.dst, which it returns.
+func (js *joinScratch) hasChild(doc *xmltree.Document, outer, inner []xmltree.NodeID) []xmltree.NodeID {
+	dst := js.dst[:0]
+	if len(outer) > 0 && len(inner) > 0 {
+		parentCol := doc.Parents()
+		parents := js.parents[:0]
+		for _, d := range inner {
+			if p := parentCol[d]; p != xmltree.InvalidNode {
+				parents = append(parents, p)
 			}
 		}
+		js.parents = parents[:0]
+		slices.Sort(parents)
+		j := 0
+	blocks:
+		for lo := 0; lo < len(outer); lo += joinBlock {
+			hi := min(lo+joinBlock, len(outer))
+			for _, x := range outer[lo:hi] {
+				// Galloping to the first parent >= x skips duplicate
+				// parent runs in one jump: the merge pass is also the
+				// dedup pass.
+				j = xmltree.GallopGE(parents, j, x)
+				if j >= len(parents) {
+					break blocks
+				}
+				if parents[j] == x {
+					dst = append(dst, x)
+				}
+			}
+		}
 	}
+	js.dst = dst[:0]
 	return dst
 }
 

@@ -140,24 +140,26 @@ func (p *Plan) leaves() [][]xmltree.NodeID {
 		for vi := range p.Vars {
 			ls[vi] = evaluateLeaf(p.Doc, &p.Vars[vi])
 		}
+		js := getJoinScratch()
 		for vi := p.FirstOptional - 1; vi > 0; vi-- {
 			v := &p.Vars[vi]
 			var reduced []xmltree.NodeID
 			switch v.Rel {
 			case RelParent:
-				reduced = SemiJoinHasChild(p.Doc, ls[v.Anchor], ls[vi])
+				reduced = js.hasChild(p.Doc, ls[v.Anchor], ls[vi])
 			case RelAncestor:
-				reduced = SemiJoinHasDescendant(p.Doc, ls[v.Anchor], ls[vi])
+				reduced = js.hasDescendant(p.Doc, ls[v.Anchor], ls[vi])
 			default:
 				continue
 			}
 			// A reduction that removes nothing keeps the original list,
 			// which may be the document's own tag column: the memo then
-			// holds no copy.
+			// holds no copy. Only a shorter list is copied out of scratch.
 			if len(reduced) < len(ls[v.Anchor]) {
-				ls[v.Anchor] = reduced
+				ls[v.Anchor] = exactCopy(reduced)
 			}
 		}
+		putJoinScratch(js)
 		p.skip = p.existential()
 		for vi, s := range p.skip {
 			if s {

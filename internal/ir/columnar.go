@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"flexpath/internal/fxp3"
-	"flexpath/internal/lru"
 	"flexpath/internal/xmltree"
 )
 
@@ -78,7 +77,6 @@ func DecodeColumnar(doc *xmltree.Document, payload []byte) (*Index, error) {
 		avgLen:    avgLen,
 		textNodes: int(textNodes),
 		scoring:   Scoring(scoring),
-		cache:     lru.New[*Result](resultCacheEntries),
 	}
 	numTerms := int(dec.U64())
 	if err := dec.Err(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"flexpath/internal/fxp3"
-	"flexpath/internal/lru"
 	"flexpath/internal/xmltree"
 )
 
@@ -41,16 +40,10 @@ type IndexOptions struct {
 	Scoring Scoring
 }
 
-// resultCacheEntries bounds the evaluated-expression cache of one index.
-// A stream of never-repeated expressions used to grow it without limit;
-// a relaxation chain and its plans touch a handful of expressions, so a
-// thousand keeps every live query's results resident.
-const resultCacheEntries = 1024
-
 // Index is an element-level inverted index over a document. It is built
-// once and safe for concurrent readers; expression evaluations are cached
-// by canonical form in an LRU of resultCacheEntries results, and
-// concurrent evaluations of one expression run once.
+// once, never changes and is safe for concurrent readers. It keeps no
+// evaluated expressions: a query's relaxation chain evaluates each of its
+// expressions once and holds the results for as long as its plans live.
 //
 // Its only representation is the column layout an FXP3 index section
 // stores (see columnar.go): a sorted term dictionary looked up by binary
@@ -74,8 +67,6 @@ type Index struct {
 	avgLen    float64
 	textNodes int
 	scoring   Scoring
-
-	cache *lru.Cache[*Result] // keyed by canonical expression
 }
 
 // NewIndex tokenizes the direct text of every element and builds the
@@ -86,7 +77,7 @@ func NewIndex(doc *xmltree.Document) *Index {
 
 // NewIndexOptions is NewIndex with explicit options.
 func NewIndexOptions(doc *xmltree.Document, opt IndexOptions) *Index {
-	ix := &Index{doc: doc, scoring: opt.Scoring, cache: lru.New[*Result](resultCacheEntries)}
+	ix := &Index{doc: doc, scoring: opt.Scoring}
 	// One pass over the text assigns term ids in first-seen order and
 	// records the id of every token; the posting array is then scattered
 	// from that column, so the postings exist once.
@@ -289,29 +280,18 @@ func (r *Result) SemiJoinInto(dst, xs []xmltree.NodeID) []xmltree.NodeID {
 	return dst
 }
 
-// Eval evaluates a full-text expression, returning its witness set.
-// Results are cached per canonical form.
+// Eval evaluates a full-text expression, returning its witness set. Every
+// call evaluates: the operators build into pooled scratch, and only the
+// returned Result, sized to its witnesses, is allocated.
 func (ix *Index) Eval(e Expr) *Result {
-	r, _ := ix.cache.Do(e.Canon(), func() (*Result, error) {
-		w := ix.eval(e)
-		w.minimal(ix.doc.Ends())
-		normalize(w.scores)
-		return &Result{doc: ix.doc, nodes: w.nodes, scores: w.scores}, nil
-	})
+	s := getScratch()
+	w := ix.eval(s, e)
+	w.minimal(ix.doc.Ends())
+	normalize(w.scores)
+	r := &Result{doc: ix.doc, nodes: exact(w.nodes), scores: exact(w.scores)}
+	s.put(w)
+	putScratch(s)
 	return r
-}
-
-// CacheStats reports the evaluated-expression cache's counters.
-func (ix *Index) CacheStats() lru.Stats { return ix.cache.Stats() }
-
-// PurgeCache drops every evaluated expression, keeping the counters.
-func (ix *Index) PurgeCache() { ix.cache.Purge() }
-
-// CountSatisfyingWithTag counts the elements with the given tag that
-// satisfy e. It backs the #contains statistics used in contains-promotion
-// penalties.
-func (ix *Index) CountSatisfyingWithTag(tag string, e Expr) int {
-	return ix.Eval(e).CountSatisfyingWithTag(tag)
 }
 
 // CountSatisfyingWithTag counts the elements with the given tag whose
@@ -362,12 +342,14 @@ func (r *Result) Within(tag string) []xmltree.NodeID {
 }
 
 // within1 computes Within for tag t, walking up from the witnesses when
-// walk is set and galloping the tag list otherwise.
+// walk is set and galloping the tag list otherwise. The list is collected
+// in pooled scratch and returned as an exactly sized copy.
 func (r *Result) within1(t xmltree.TagID, walk bool) []xmltree.NodeID {
 	if t == xmltree.InvalidTag || len(r.nodes) == 0 {
 		return nil
 	}
-	var out []xmltree.NodeID
+	s := getScratch()
+	out := s.ids[:0]
 	if walk {
 		// Witnesses are minimal, so an ancestor of witness w that is not
 		// after the previous witness prev is also an ancestor of prev and
@@ -396,10 +378,10 @@ func (r *Result) within1(t xmltree.TagID, walk bool) []xmltree.NodeID {
 			}
 		}
 	}
-	if cap(out) > len(out) {
-		out = append(make([]xmltree.NodeID, 0, len(out)), out...)
-	}
-	return out
+	list := exact(out)
+	s.ids = out[:0]
+	putScratch(s)
+	return list
 }
 
 // witnesses is a witness list during evaluation, as two columns: nodes in
@@ -413,6 +395,78 @@ type witnesses struct {
 
 func makeWitnesses(capacity int) witnesses {
 	return witnesses{nodes: make([]xmltree.NodeID, 0, capacity), scores: make([]float64, 0, capacity)}
+}
+
+// fits reports whether n witnesses can be added without growing a column.
+func (w witnesses) fits(n int) bool { return min(cap(w.nodes), cap(w.scores)) >= n }
+
+// exact returns a copy of xs at its length, or nil when it is empty, so a
+// kept list never aliases scratch.
+func exact[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
+}
+
+// scratch is the working memory of one evaluation: the witness columns
+// the operators build into and hand back once consumed, the SLCA
+// candidates, and Within's node list. Nothing built in it is ever
+// returned: Eval and Within copy their answers out at their final size.
+type scratch struct {
+	free  []witnesses
+	cands []witness
+	ids   []xmltree.NodeID
+}
+
+// scratchFree bounds the columns a scratch keeps between evaluations, and
+// scratchKeep the witnesses in one of them (3 MB), so that a pooled idle
+// scratch does not pin an outsized evaluation's peak.
+const (
+	scratchFree = 8
+	scratchKeep = 1 << 18
+)
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(s *scratch) {
+	if cap(s.cands) > scratchKeep {
+		s.cands = nil
+	}
+	if cap(s.ids) > scratchKeep {
+		s.ids = nil
+	}
+	scratchPool.Put(s)
+}
+
+// get returns empty columns with room for n witnesses: the smallest kept
+// pair that fits, or a new one.
+func (s *scratch) get(n int) witnesses {
+	best := -1
+	for i, w := range s.free {
+		if w.fits(n) && (best < 0 || cap(w.nodes) < cap(s.free[best].nodes)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return makeWitnesses(n)
+	}
+	w := s.free[best]
+	s.free[best] = s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	return witnesses{nodes: w.nodes[:0], scores: w.scores[:0]}
+}
+
+// put hands w's columns back for reuse; the caller must not read w again.
+func (s *scratch) put(w witnesses) {
+	if cap(w.nodes) == 0 || cap(w.nodes) > scratchKeep || len(s.free) == scratchFree {
+		return
+	}
+	s.free = append(s.free, w)
 }
 
 func (w *witnesses) add(n xmltree.NodeID, score float64) {
@@ -442,44 +496,49 @@ type witness struct {
 	score float64
 }
 
-func (ix *Index) eval(e Expr) witnesses {
+// eval evaluates e into columns of s, which the caller consumes and puts
+// back.
+func (ix *Index) eval(s *scratch, e Expr) witnesses {
 	switch t := e.(type) {
 	case Term:
-		return ix.evalTerm(t.Word)
+		return ix.evalTerm(s, t.Word)
 	case Phrase:
-		return ix.evalPhrase(t.Words)
+		return ix.evalPhrase(s, t.Words)
 	case Near:
-		return ix.evalNear(t.Words, t.Window)
+		return ix.evalNear(s, t.Words, t.Window)
 	case And:
 		var cur witnesses
 		for i, c := range t.Exprs {
-			w := ix.eval(c)
+			w := ix.eval(s, c)
 			w.minimal(ix.doc.Ends())
 			if i == 0 {
 				cur = w
 			} else {
-				cur = ix.slca(cur, w)
+				cur = ix.slca(s, cur, w)
 			}
 			if len(cur.nodes) == 0 {
+				s.put(cur)
 				return witnesses{}
 			}
 		}
 		return cur
 	case Or:
-		lists := make([]witnesses, len(t.Exprs))
-		for i, c := range t.Exprs {
-			lists[i] = ix.eval(c)
+		var operands [4]witnesses
+		lists := operands[:0]
+		for _, c := range t.Exprs {
+			lists = append(lists, ix.eval(s, c))
 		}
-		return mergeMax(lists)
+		return s.mergeMax(lists)
 	case AndNot:
-		pos := ix.eval(t.Pos)
+		pos := ix.eval(s, t.Pos)
 		if len(pos.nodes) == 0 {
 			return pos
 		}
 		pos.minimal(ix.doc.Ends())
 		// A Neg witness lies inside p's subtree iff a minimal one does, so
 		// Neg is joined unfiltered; pos is filtered in place.
-		neg := cursor{nodes: ix.eval(t.Neg).nodes, ends: ix.doc.Ends()}
+		negW := ix.eval(s, t.Neg)
+		neg := cursor{nodes: negW.nodes, ends: ix.doc.Ends()}
 		k := 0
 		for i, p := range pos.nodes {
 			if !neg.satisfies(p) {
@@ -487,6 +546,7 @@ func (ix *Index) eval(e Expr) witnesses {
 				k++
 			}
 		}
+		s.put(negW)
 		return witnesses{nodes: pos.nodes[:k], scores: pos.scores[:k]}
 	default:
 		return witnesses{}
@@ -495,12 +555,12 @@ func (ix *Index) eval(e Expr) witnesses {
 
 // evalTerm turns a term's postings, which are in node order, into one
 // witness per distinct node: exactly df of them.
-func (ix *Index) evalTerm(word string) witnesses {
+func (ix *Index) evalTerm(s *scratch, word string) witnesses {
 	posts, df, idf := ix.lookup(word)
 	if len(posts) == 0 {
 		return witnesses{}
 	}
-	out := makeWitnesses(df)
+	out := s.get(df)
 	lens := 0 // cursor into the node-length column, for BM25
 	for i := 0; i < len(posts); {
 		n := posts[i].node
@@ -564,12 +624,12 @@ func (ix *Index) lookupAll(words []string) ([]termCursor, float64) {
 
 // evalPhrase walks the first word's postings in order; the words after it
 // must sit at the following positions, which their cursors seek.
-func (ix *Index) evalPhrase(words []string) witnesses {
+func (ix *Index) evalPhrase(s *scratch, words []string) witnesses {
 	if len(words) == 0 {
 		return witnesses{}
 	}
 	terms, idfSum := ix.lookupAll(words)
-	var out witnesses
+	out := s.get(len(terms[0].posts))
 	for _, p := range terms[0].posts {
 		if n := len(out.nodes); n > 0 && out.nodes[n-1] == p.node {
 			continue // already a witness, at the same score
@@ -595,7 +655,7 @@ func (ix *Index) evalPhrase(words []string) witnesses {
 // participant satisfies the expression. Each distinct word anchors one
 // walk over its postings in order, the other words' cursors seeking the
 // window's start; the walks' lists are merged.
-func (ix *Index) evalNear(words []string, window int) witnesses {
+func (ix *Index) evalNear(s *scratch, words []string, window int) witnesses {
 	if len(words) == 0 {
 		return witnesses{}
 	}
@@ -603,7 +663,8 @@ func (ix *Index) evalNear(words []string, window int) witnesses {
 	// admits nothing more; clamping keeps pos±window from overflowing.
 	window = min(window, len(ix.posts))
 	terms, idfSum := ix.lookupAll(words)
-	lists := make([]witnesses, 0, len(words))
+	var walks [4]witnesses
+	lists := walks[:0]
 	for ai, anchor := range words {
 		if slices.Contains(words[:ai], anchor) {
 			continue // a repeated word anchors the same walk
@@ -611,7 +672,7 @@ func (ix *Index) evalNear(words []string, window int) witnesses {
 		for i := range terms {
 			terms[i].at = 0
 		}
-		var w witnesses
+		w := s.get(len(terms[ai].posts))
 	anchors:
 		for _, p := range terms[ai].posts {
 			if n := len(w.nodes); n > 0 && w.nodes[n-1] == p.node {
@@ -634,13 +695,13 @@ func (ix *Index) evalNear(words []string, window int) witnesses {
 		}
 		lists = append(lists, w)
 	}
-	return mergeMax(lists)
+	return s.mergeMax(lists)
 }
 
 // mergeMax merges witness lists into one, keeping the higher score of a
 // node found in several: a k-way merge as a balanced tree of two-way
-// merges.
-func mergeMax(lists []witnesses) witnesses {
+// merges. It consumes the lists.
+func (s *scratch) mergeMax(lists []witnesses) witnesses {
 	switch len(lists) {
 	case 0:
 		return witnesses{}
@@ -648,17 +709,20 @@ func mergeMax(lists []witnesses) witnesses {
 		return lists[0]
 	}
 	h := len(lists) / 2
-	return merge2(mergeMax(lists[:h]), mergeMax(lists[h:]))
+	return s.merge2(s.mergeMax(lists[:h]), s.mergeMax(lists[h:]))
 }
 
-func merge2(a, b witnesses) witnesses {
+// merge2 merges two witness lists into one, consuming both.
+func (s *scratch) merge2(a, b witnesses) witnesses {
 	if len(a.nodes) == 0 {
+		s.put(a)
 		return b
 	}
 	if len(b.nodes) == 0 {
+		s.put(b)
 		return a
 	}
-	out := makeWitnesses(len(a.nodes) + len(b.nodes))
+	out := s.get(len(a.nodes) + len(b.nodes))
 	i, j := 0, 0
 	for i < len(a.nodes) && j < len(b.nodes) {
 		switch x, y := a.nodes[i], b.nodes[j]; {
@@ -676,15 +740,19 @@ func merge2(a, b witnesses) witnesses {
 	}
 	out.nodes = append(append(out.nodes, a.nodes[i:]...), b.nodes[j:]...)
 	out.scores = append(append(out.scores, a.scores[i:]...), b.scores[j:]...)
+	s.put(a)
+	s.put(b)
 	return out
 }
 
 // slca computes the smallest lowest common ancestors of one witness from
-// each minimal input (Xu & Papakonstantinou): each witness of the smaller
-// list meets its two neighbours in the larger, found by galloping. The
-// LCAs come out unordered: the one list evaluation sorts.
-func (ix *Index) slca(a, b witnesses) witnesses {
+// each minimal input (Xu & Papakonstantinou), consuming both: each witness
+// of the smaller list meets its two neighbours in the larger, found by
+// galloping. The LCAs come out unordered: the one list evaluation sorts.
+func (ix *Index) slca(s *scratch, a, b witnesses) witnesses {
 	if len(a.nodes) == 0 || len(b.nodes) == 0 {
+		s.put(a)
+		s.put(b)
 		return witnesses{}
 	}
 	small, large := a, b
@@ -692,27 +760,29 @@ func (ix *Index) slca(a, b witnesses) witnesses {
 		small, large = b, a
 	}
 	ends, parents := ix.doc.Ends(), ix.doc.Parents()
-	cands := make([]witness, 0, len(small.nodes))
+	cands := s.cands[:0]
 	j := 0
-	for k, s := range small.nodes {
-		j = xmltree.GallopGE(large.nodes, j, s)
-		// Both neighbours' LCAs are ancestors-or-self of s. When they
+	for k, sn := range small.nodes {
+		j = xmltree.GallopGE(large.nodes, j, sn)
+		// Both neighbours' LCAs are ancestors-or-self of sn. When they
 		// differ the shallower encloses the deeper and cannot be minimal,
 		// so only the deeper (larger) one is a candidate.
 		c := witness{node: -1}
 		if j < len(large.nodes) {
-			c = witness{lca(ends, parents, s, large.nodes[j]), small.scores[k] + large.scores[j]}
+			c = witness{lca(ends, parents, sn, large.nodes[j]), small.scores[k] + large.scores[j]}
 		}
 		if j > 0 {
-			n, sc := lca(ends, parents, s, large.nodes[j-1]), small.scores[k]+large.scores[j-1]
+			n, sc := lca(ends, parents, sn, large.nodes[j-1]), small.scores[k]+large.scores[j-1]
 			if n > c.node || n == c.node && sc > c.score {
 				c = witness{n, sc}
 			}
 		}
 		cands = append(cands, c)
 	}
+	s.put(a)
+	s.put(b)
 	slices.SortFunc(cands, func(x, y witness) int { return int(x.node) - int(y.node) })
-	out := makeWitnesses(len(cands))
+	out := s.get(len(cands))
 	for _, c := range cands {
 		if n := len(out.nodes); n > 0 && out.nodes[n-1] == c.node {
 			out.scores[n-1] = max(out.scores[n-1], c.score)
@@ -720,6 +790,7 @@ func (ix *Index) slca(a, b witnesses) witnesses {
 			out.add(c.node, c.score)
 		}
 	}
+	s.cands = cands[:0]
 	out.minimal(ends)
 	return out
 }

@@ -228,38 +228,30 @@ func TestCountSatisfyingWithTag(t *testing.T) {
 	doc := mustDoc(t, articleXML)
 	ix := NewIndex(doc)
 	e := MustParseExpr("xml")
-	if got := ix.CountSatisfyingWithTag("article", e); got != 2 {
+	r := ix.Eval(e)
+	if got := r.CountSatisfyingWithTag("article"); got != 2 {
 		t.Errorf("articles containing xml = %d, want 2", got)
 	}
-	if got := ix.CountSatisfyingWithTag("paragraph", e); got != 1 {
+	if got := r.CountSatisfyingWithTag("paragraph"); got != 1 {
 		t.Errorf("paragraphs containing xml = %d, want 1", got)
 	}
-	if got := ix.CountSatisfyingWithTag("nosuch", e); got != 0 {
+	if got := r.CountSatisfyingWithTag("nosuch"); got != 0 {
 		t.Errorf("nosuch = %d", got)
 	}
 }
 
-func TestEvalCache(t *testing.T) {
+// TestEvalUncached: the index keeps no results. Each evaluation is a
+// fresh Result with the same witnesses and scores.
+func TestEvalUncached(t *testing.T) {
 	doc := mustDoc(t, articleXML)
 	ix := NewIndex(doc)
-	e := MustParseExpr("xml and gold")
-	r1 := ix.Eval(e)
+	r1 := ix.Eval(MustParseExpr("xml and gold"))
 	r2 := ix.Eval(MustParseExpr("xml and gold"))
-	if r1 != r2 {
-		t.Error("identical expressions were not cached")
+	if r1 == r2 {
+		t.Fatal("identical expressions share one Result: the index caches")
 	}
-	// PurgeCache empties the cache but keeps its counters; the next
-	// evaluation is a miss that yields the same witnesses.
-	ix.PurgeCache()
-	if st := ix.CacheStats(); st.Entries != 0 || st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("after purge: %+v, want 0 entries, 1 miss, 1 hit", st)
-	}
-	r3 := ix.Eval(e)
-	if r3 == r1 || !reflect.DeepEqual(r3.nodes, r1.nodes) {
-		t.Error("purged expression was not re-evaluated to the same witnesses")
-	}
-	if st := ix.CacheStats(); st.Misses != 2 || st.Entries != 1 {
-		t.Errorf("after re-evaluation: %+v, want 2 misses, 1 entry", st)
+	if !reflect.DeepEqual(r1.nodes, r2.nodes) || !reflect.DeepEqual(r1.scores, r2.scores) {
+		t.Errorf("re-evaluation differs: %v %v, then %v %v", r1.nodes, r1.scores, r2.nodes, r2.scores)
 	}
 }
 
@@ -354,46 +346,6 @@ func TestPropertyUpwardClosure(t *testing.T) {
 	}
 }
 
-// TestEvalCacheBounded: a stream of distinct expressions must not grow
-// the result cache past its capacity, and an evicted expression must
-// evaluate to the same answer as before.
-func TestEvalCacheBounded(t *testing.T) {
-	doc := randomTextDoc(rand.New(rand.NewSource(5)))
-	ix := NewIndex(doc)
-	words := []string{"alpha", "beta", "gamma", "delta", "omega"}
-	first := map[string][]xmltree.NodeID{}
-	expr := func(i int) Expr {
-		// Distinct canonical forms over few words: proximity windows.
-		return Near{Words: []string{words[i%5], words[(i/5)%5]}, Window: 1 + i/25}
-	}
-	const n = 10000
-	for i := 0; i < n; i++ {
-		r := ix.Eval(expr(i))
-		if i < 50 {
-			first[expr(i).Canon()] = append([]xmltree.NodeID(nil), r.nodes...)
-		}
-	}
-	st := ix.CacheStats()
-	if st.Entries > st.Capacity || st.Capacity != resultCacheEntries {
-		t.Fatalf("cache holds %d entries, capacity %d (want %d)", st.Entries, st.Capacity, resultCacheEntries)
-	}
-	if st.Misses != n || st.Evictions < n-uint64(st.Capacity) {
-		t.Errorf("stats %+v: want %d misses and at least %d evictions", st, n, n-st.Capacity)
-	}
-	for i := 0; i < 50; i++ {
-		got := ix.Eval(expr(i)).nodes
-		want := first[expr(i).Canon()]
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d witnesses after eviction, %d before", expr(i).Canon(), len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("%s: witness %d changed after eviction", expr(i).Canon(), k)
-			}
-		}
-	}
-}
-
 // TestCountSatisfyingWithTagMatchesScan: the memoised merge count equals
 // the per-node Satisfies scan it replaced, on every tag.
 func TestCountSatisfyingWithTagMatchesScan(t *testing.T) {
@@ -411,7 +363,7 @@ func TestCountSatisfyingWithTagMatchesScan(t *testing.T) {
 					}
 				}
 				for pass := 0; pass < 2; pass++ { // computed, then memoised
-					if got := ix.CountSatisfyingWithTag(name, MustParseExpr(src)); got != want {
+					if got := r.CountSatisfyingWithTag(name); got != want {
 						t.Fatalf("seed %d %q tag %s pass %d: %d, scan says %d", seed, src, name, pass, got, want)
 					}
 				}

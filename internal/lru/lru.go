@@ -1,6 +1,6 @@
 // Package lru is the one bounded cache behind every memo in the
 // repository: a collection's result cache, the plan-template cache and
-// the full-text cache inside ir.Index.
+// flexserve's parsed-query memo.
 //
 // A Cache is an exact LRU over string keys behind a single mutex. One
 // lock is enough for the traffic it sees: a result cache takes one

@@ -188,15 +188,17 @@ func NewRegistry(slowCap int, slowThreshold time.Duration) *Registry {
 	return r
 }
 
-// StartSpan opens a span for one query evaluation and bumps the
-// in-flight gauge. On a nil registry it returns a nil span, which every
-// downstream layer accepts.
-func (r *Registry) StartSpan(query, algo, scheme string, k int) *Span {
+// StartSpan opens a span for one query evaluation that began at start
+// and bumps the in-flight gauge. A caller that timed a stage before it
+// knew the query (the server's parse) passes that stage's start, so the
+// span's duration covers every stage recorded into it. On a nil registry
+// it returns a nil span, which every downstream layer accepts.
+func (r *Registry) StartSpan(start time.Time, query, algo, scheme string, k int) *Span {
 	if r == nil {
 		return nil
 	}
 	r.inFlight.Add(1)
-	return &Span{query: query, algo: algo, scheme: scheme, k: k, start: time.Now(), reg: r}
+	return &Span{query: query, algo: algo, scheme: scheme, k: k, start: start, reg: r}
 }
 
 func (r *Registry) finish(sp *Span, status string) {

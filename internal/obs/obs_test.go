@@ -12,7 +12,7 @@ func TestNilSafety(t *testing.T) {
 	// The whole layer must be inert when disabled: nil registry, nil
 	// span, nil slowlog.
 	var r *Registry
-	sp := r.StartSpan("//a", "Hybrid", "StructureFirst", 10)
+	sp := r.StartSpan(time.Now(), "//a", "Hybrid", "StructureFirst", 10)
 	if sp != nil {
 		t.Fatalf("nil registry produced a span")
 	}
@@ -33,7 +33,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestSpanRoundTrip(t *testing.T) {
 	r := NewRegistry(8, 0)
-	sp := r.StartSpan(`//item[./a]`, "DPO", "Combined", 50)
+	sp := r.StartSpan(time.Now(), `//item[./a]`, "DPO", "Combined", 50)
 	if r.InFlight() != 1 {
 		t.Fatalf("in-flight = %d, want 1", r.InFlight())
 	}
@@ -74,7 +74,7 @@ func TestSpanRoundTrip(t *testing.T) {
 
 func TestSpanConcurrentRec(t *testing.T) {
 	r := NewRegistry(8, 0)
-	sp := r.StartSpan("q", "Hybrid", "StructureFirst", 10)
+	sp := r.StartSpan(time.Now(), "q", "Hybrid", "StructureFirst", 10)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -186,11 +186,11 @@ func TestSlowLogRingAndThreshold(t *testing.T) {
 func TestWritePrometheusValidates(t *testing.T) {
 	r := NewRegistry(8, 0)
 	for _, algo := range []string{"Hybrid", "DPO"} {
-		sp := r.StartSpan(`//a[.contains("x")]`, algo, "StructureFirst", 10)
+		sp := r.StartSpan(time.Now(), `//a[.contains("x")]`, algo, "StructureFirst", 10)
 		sp.Rec(StageJoin, 3*time.Millisecond)
 		sp.Finish("ok")
 	}
-	sp := r.StartSpan("//b", "Hybrid", "KeywordFirst", 5)
+	sp := r.StartSpan(time.Now(), "//b", "Hybrid", "KeywordFirst", 5)
 	sp.Finish("timeout")
 
 	var sb strings.Builder

@@ -144,14 +144,16 @@ func (w Weights) Of(p tpq.Pred) float64 {
 // tags and query parents the formulas need.
 type Penalizer struct {
 	st *stats.Stats
-	ix *ir.Index
+	ft []*ir.Result
 	w  Weights
 	u  *tpq.Universe
 }
 
-// NewPenalizer builds a Penalizer for the query u was built from.
-func NewPenalizer(st *stats.Stats, ix *ir.Index, w Weights, u *tpq.Universe) *Penalizer {
-	return &Penalizer{st: st, ix: ix, w: w, u: u}
+// NewPenalizer builds a Penalizer for the query u was built from. ft
+// holds the evaluated expression of each of u's expression classes,
+// indexed by class: the #contains statistics are read from it.
+func NewPenalizer(st *stats.Stats, ft []*ir.Result, w Weights, u *tpq.Universe) *Penalizer {
+	return &Penalizer{st: st, ft: ft, w: w, u: u}
 }
 
 // weight is Weights.Of for universe predicate i; the key is formatted
@@ -198,7 +200,7 @@ func (p *Penalizer) Penalty(i int) float64 {
 			// full-weight penalty keeps scores monotone if it ever is.
 			return w
 		}
-		res := p.ix.Eval(pred.Expr)
+		res := p.ft[p.u.Class(i)]
 		num := res.CountSatisfyingWithTag(p.u.VarTag(x))
 		den := res.CountSatisfyingWithTag(p.u.VarTag(parent))
 		return ratio(num, den) * w

@@ -28,6 +28,21 @@ func fixture(t testing.TB) (*xmltree.Document, *stats.Stats, *ir.Index) {
 	return doc, stats.Collect(doc), ir.NewIndex(doc)
 }
 
+// fullText evaluates each expression class of u, indexed by class, as a
+// relaxation chain does for its penalizer.
+func fullText(ix *ir.Index, u *tpq.Universe) []*ir.Result {
+	var ft []*ir.Result
+	for i := 0; i < u.Len(); i++ {
+		if u.Pred(i).Kind == tpq.PredContains {
+			ft = append(ft, make([]*ir.Result, max(0, u.Class(i)+1-len(ft)))...)
+			if ft[u.Class(i)] == nil {
+				ft[u.Class(i)] = ix.Eval(u.Pred(i).Expr)
+			}
+		}
+	}
+	return ft
+}
+
 func TestSchemeCompare(t *testing.T) {
 	a := Score{SS: 3, KS: 0.2}
 	b := Score{SS: 2, KS: 0.9}
@@ -75,7 +90,7 @@ func TestPenaltyFormulas(t *testing.T) {
 	_ = doc
 	q := tpq.MustParse(`//book[./chapter[./para[.contains("gold")]]]`)
 	u := tpq.NewUniverse(q)
-	pen := NewPenalizer(st, ix, UniformWeights(), u)
+	pen := NewPenalizer(st, fullText(ix, u), UniformWeights(), u)
 
 	// π(pc(book,chapter)) = #pc/#ad * w = 2/3.
 	got := pen.Penalty(u.Index(tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2}))
@@ -102,7 +117,7 @@ func TestPenaltyZeroDenominator(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./nosuch]`)
 	u := tpq.NewUniverse(q)
-	pen := NewPenalizer(st, ix, UniformWeights(), u)
+	pen := NewPenalizer(st, fullText(ix, u), UniformWeights(), u)
 	// Tags that never co-occur degrade to the full weight.
 	if got := pen.Penalty(u.Index(tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2})); got != 1 {
 		t.Errorf("degenerate pc penalty = %f, want 1", got)
@@ -118,7 +133,7 @@ func TestPenaltiesInUnitInterval(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./chapter[./para[.contains("gold")]] and ./title]`)
 	u := tpq.NewUniverse(q)
-	pen := NewPenalizer(st, ix, UniformWeights(), u)
+	pen := NewPenalizer(st, fullText(ix, u), UniformWeights(), u)
 	for _, p := range tpq.ClosureOf(q).List() {
 		if p.Kind == tpq.PredTag || p.Kind == tpq.PredValue {
 			continue
@@ -134,14 +149,14 @@ func TestBaseScore(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./chapter[./para] and .//title]`)
 	u := tpq.NewUniverse(q)
-	pen := NewPenalizer(st, ix, UniformWeights(), u)
+	pen := NewPenalizer(st, fullText(ix, u), UniformWeights(), u)
 	// Three edges, uniform weight 1.
 	if got := pen.BaseScore(); got != 3 {
 		t.Errorf("BaseScore = %f, want 3", got)
 	}
 	w := UniformWeights()
 	w.Structural = 2
-	pen = NewPenalizer(st, ix, w, u)
+	pen = NewPenalizer(st, fullText(ix, u), w, u)
 	if got := pen.BaseScore(); got != 6 {
 		t.Errorf("BaseScore with weight 2 = %f, want 6", got)
 	}
@@ -167,7 +182,7 @@ func TestOrderInvariance(t *testing.T) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./chapter[./para[.contains("gold")]] and ./title]`)
 	u := tpq.NewUniverse(q)
-	pen := NewPenalizer(st, ix, UniformWeights(), u)
+	pen := NewPenalizer(st, fullText(ix, u), UniformWeights(), u)
 	preds := tpq.ClosureOf(q).List()
 	var droppable []tpq.Pred
 	for _, p := range preds {

@@ -183,9 +183,16 @@ func NewEstimator(s *Stats, ix *ir.Index) *Estimator {
 // distinguished node. It assumes element distribution is uniform and
 // branch satisfactions are independent, multiplying per-edge fractions
 // down the pattern. Estimates for paths that do not occur return 0.
-func (e *Estimator) Estimate(q *tpq.Query) float64 {
+//
+// ft supplies the evaluated contains expressions, so a caller that holds
+// them (a relaxation chain) does not evaluate them again; with a nil ft
+// each one is evaluated against the estimator's index.
+func (e *Estimator) Estimate(q *tpq.Query, ft func(ir.Expr) *ir.Result) float64 {
+	if ft == nil {
+		ft = e.index.Eval
+	}
 	root := q.Root()
-	est := float64(e.stats.Count(q.Nodes[root].Tag)) * e.satisfaction(q, root)
+	est := float64(e.stats.Count(q.Nodes[root].Tag)) * e.satisfaction(q, root, ft)
 	if q.Dist != root {
 		// Scale from root matches to distinguished-node matches by the
 		// average fan-out along the root→distinguished path.
@@ -197,7 +204,7 @@ func (e *Estimator) Estimate(q *tpq.Query) float64 {
 // satisfaction estimates the probability that a random element with node
 // i's tag satisfies the subtree pattern rooted at i (excluding i's own
 // existence).
-func (e *Estimator) satisfaction(q *tpq.Query, i int) float64 {
+func (e *Estimator) satisfaction(q *tpq.Query, i int, ft func(ir.Expr) *ir.Result) float64 {
 	n := &q.Nodes[i]
 	p := 1.0
 	tagN := e.stats.Count(n.Tag)
@@ -205,7 +212,7 @@ func (e *Estimator) satisfaction(q *tpq.Query, i int) float64 {
 		return 0
 	}
 	for _, expr := range n.Contains {
-		sat := float64(e.index.CountSatisfyingWithTag(n.Tag, expr)) / float64(tagN)
+		sat := float64(ft(expr).CountSatisfyingWithTag(n.Tag)) / float64(tagN)
 		p *= sat
 	}
 	for _, c := range q.Children(i) {
@@ -229,7 +236,7 @@ func (e *Estimator) satisfaction(q *tpq.Query, i int) float64 {
 			fracParents = 1
 		}
 		avg := float64(pairs) / float64(parents)
-		sat := e.satisfaction(q, c)
+		sat := e.satisfaction(q, c, ft)
 		p *= fracParents * (1 - math.Pow(1-sat, avg))
 	}
 	return p

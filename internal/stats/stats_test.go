@@ -132,7 +132,7 @@ func TestEstimatorSinglePath(t *testing.T) {
 	// should be within a factor of ~2 for XMark-shaped data (the paper's
 	// uniform-distribution technique "worked well for our dataset").
 	q := tpq.MustParse(`//item[./description/parlist]`)
-	got := est.Estimate(q)
+	got := est.Estimate(q, nil)
 	truth := 0
 	for _, it := range doc.NodesWithTag("item") {
 		found := false
@@ -168,7 +168,7 @@ func TestEstimatorMonotoneUnderRelaxation(t *testing.T) {
 	strict := tpq.MustParse(`//item[./description/parlist]`)
 	relaxed := tpq.MustParse(`//item[./description//parlist]`)
 	dropped := tpq.MustParse(`//item[./description]`)
-	a, b, c := est.Estimate(strict), est.Estimate(relaxed), est.Estimate(dropped)
+	a, b, c := est.Estimate(strict, nil), est.Estimate(relaxed, nil), est.Estimate(dropped, nil)
 	if !(a <= b+1e-9 && b <= c+1e-9) {
 		t.Errorf("estimates not monotone under relaxation: %f, %f, %f", a, b, c)
 	}
@@ -180,10 +180,10 @@ func TestEstimatorMissingTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewEstimator(Collect(doc), ir.NewIndex(doc))
-	if got := est.Estimate(tpq.MustParse(`//nosuch[./item]`)); got != 0 {
+	if got := est.Estimate(tpq.MustParse(`//nosuch[./item]`), nil); got != 0 {
 		t.Errorf("estimate for missing tag = %f", got)
 	}
-	if got := est.Estimate(tpq.MustParse(`//item[./nosuch]`)); got != 0 {
+	if got := est.Estimate(tpq.MustParse(`//item[./nosuch]`), nil); got != 0 {
 		t.Errorf("estimate for missing child = %f", got)
 	}
 }
@@ -196,8 +196,8 @@ func TestEstimatorContains(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewEstimator(Collect(doc), ir.NewIndex(doc))
-	all := est.Estimate(tpq.MustParse(`//a[./t]`))
-	some := est.Estimate(tpq.MustParse(`//a[./t and .contains("gold")]`))
+	all := est.Estimate(tpq.MustParse(`//a[./t]`), nil)
+	some := est.Estimate(tpq.MustParse(`//a[./t and .contains("gold")]`), nil)
 	if all != 4 {
 		t.Errorf("baseline estimate = %f, want 4", all)
 	}
@@ -227,7 +227,7 @@ func TestEstimatorAccuracyAcrossChainLevels(t *testing.T) {
 	}
 	for _, src := range queries {
 		q := tpq.MustParse(src)
-		got := est.Estimate(q)
+		got := est.Estimate(q, nil)
 		truth := naiveCount(doc, q)
 		if truth == 0 {
 			t.Fatalf("%s: no true matches; recalibrate the test", src)

@@ -75,7 +75,7 @@ func DataRelax(chain *core.Chain, opts Options, maxPairs int) ([]Result, error) 
 	contains := make([][]*ir.Result, len(q.Nodes))
 	for i := range q.Nodes {
 		for _, e := range q.Nodes[i].Contains {
-			contains[i] = append(contains[i], chain.Index().Eval(e))
+			contains[i] = append(contains[i], chain.FullText(e))
 		}
 	}
 	type pt struct {

@@ -367,7 +367,7 @@ func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options, m *Metr
 		j = 0
 		for ; j <= chain.Len(); j++ {
 			m.EstimatorCalls++
-			if est.Estimate(chain.QueryAt(j)) >= float64(opts.K) {
+			if est.Estimate(chain.QueryAt(j), chain.FullText) >= float64(opts.K) {
 				break
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"flexpath/internal/obs"
 )
@@ -95,8 +96,8 @@ func TestCollectionCacheInvalidatedOnMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	old, _ := c.Document("a.xml")
-	if fs := old.FullTextCacheStats(); fs.Entries == 0 {
-		t.Fatalf("full-text cache not populated before remove: %+v", fs)
+	if ps := old.pc.Stats(); ps.Entries == 0 {
+		t.Fatalf("plan cache not populated before remove: %+v", ps)
 	}
 	if err := c.Remove("a.xml"); err != nil {
 		t.Fatal(err)
@@ -112,8 +113,8 @@ func TestCollectionCacheInvalidatedOnMutation(t *testing.T) {
 		}
 	}
 	// The departed document's cache entries are released.
-	if fs, ps := old.FullTextCacheStats(), old.pc.Stats(); fs.Entries != 0 || ps.Entries != 0 {
-		t.Errorf("removed document's caches not purged: full text %+v, plans %+v", fs, ps)
+	if ps := old.pc.Stats(); ps.Entries != 0 {
+		t.Errorf("removed document's plan cache not purged: %+v", ps)
 	}
 
 	// Replace likewise: the old ranking for b.xml must not survive.
@@ -385,7 +386,6 @@ func counters(c *Collection) map[string]uint64 {
 	}
 	cs, _ := c.CacheStats()
 	add("cache.", cs)
-	add("ft_cache.", c.FullTextCacheStats())
 	ps, _ := c.PlanCacheStats()
 	out["plan_cache.hits"], out["plan_cache.misses"] = ps.Hits, ps.Misses
 	out["plan_cache.evictions"], out["plan_cache.dedups"] = ps.Evictions, ps.Dedups
@@ -448,7 +448,7 @@ func TestSlowLogCacheHitAfterReplace(t *testing.T) {
 	q := MustParseQuery(paperQ1)
 	cacheHit := func() bool {
 		reg := obs.NewRegistry(1, 0)
-		span := reg.StartSpan(q.String(), "Hybrid", "structure-first", 10)
+		span := reg.StartSpan(time.Now(), q.String(), "Hybrid", "structure-first", 10)
 		if _, err := c.SearchContext(obs.WithSpan(context.Background(), span), q, SearchOptions{K: 10, Algorithm: Hybrid}); err != nil {
 			t.Fatal(err)
 		}

@@ -143,7 +143,7 @@ func TestPlanCacheSkipsChainAndPlanStages(t *testing.T) {
 	search := func() obs.SlowEntry {
 		t.Helper()
 		reg := obs.NewRegistry(4, 0)
-		span := reg.StartSpan(q.String(), "Auto", "structure-first", 10)
+		span := reg.StartSpan(time.Now(), q.String(), "Auto", "structure-first", 10)
 		ctx := obs.WithSpan(context.Background(), span)
 		if _, err := doc.SearchContext(ctx, q, SearchOptions{K: 10}); err != nil {
 			t.Fatal(err)

@@ -25,14 +25,13 @@ import (
 //   - A decoded document is its mapped columns: tree, text, statistics
 //     and postings alias the mapping, whose clean pages the kernel
 //     reclaims under pressure. The heap holds headers, the tag table and
-//     the plan and full-text caches.
+//     the plan templates, whose chains hold their full-text results.
 //
-//   - Eviction drops the full-text entries — large and cheap to
-//     recompute — and keeps the plan templates, which alias only the
-//     member's own immutable columns and are bounded per member by
-//     DefaultPlanCacheCapacity, as for a pinned member. So template heap
-//     grows with members × shapes, not with the cap, and a re-fault
-//     rebuilds nothing.
+//   - Eviction keeps the plan templates, full-text results included:
+//     they alias only the member's own immutable columns and are bounded
+//     per member by DefaultPlanCacheCapacity, as for a pinned member. So
+//     template heap grows with members × shapes, not with the cap, and a
+//     re-fault rebuilds and re-evaluates nothing.
 //
 //   - Eviction never unmaps: earlier answers and snippets alias the
 //     mapping. Mappings are released only by Collection.Close, when the
@@ -203,8 +202,7 @@ func (c *Collection) enforceResidency() {
 				j = i
 			}
 		}
-		if old := res[j].m.doc.Swap(nil); old != nil {
-			old.index.PurgeCache() // templates stay: see the package comment
+		if res[j].m.doc.Swap(nil) != nil { // templates stay: see the package comment
 			c.evictions.Add(1)
 		}
 		res = append(res[:j], res[j+1:]...)
