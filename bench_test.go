@@ -238,23 +238,6 @@ func BenchmarkFaultIn(b *testing.B) {
 	}
 }
 
-// BenchmarkRefault times what coll_cold pays 32 times per search: an
-// already decoded member is evicted and faulted again.
-func BenchmarkRefault(b *testing.B) {
-	c, m, _ := benchColdMember(b)
-	if _, err := c.require(m, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.doc.Store(nil)
-		if _, err := c.require(m, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // coldShapes are coll_cold's seven query shapes: six light ones and XQ2,
 // with fixed keyword pairs standing in for the benchmark's seeded draws.
 var coldShapes = []string{
@@ -268,10 +251,9 @@ var coldShapes = []string{
 }
 
 // BenchmarkColdCollectionSearch is coll_cold in small: 8 members of
-// 128 KB saved as FXP3 and added cold under a residency cap of 2, so each
-// search faults every member in and evicts six. One op is one Hybrid
-// search, result caches bypassed, cycling through coldShapes after a
-// warm-up round that pays the members' first faults.
+// 128 KB saved as FXP3 and added cold. One op is one Hybrid search,
+// result caches bypassed, cycling through coldShapes after a warm-up
+// round that pays the members' only faults and builds their templates.
 func BenchmarkColdCollectionSearch(b *testing.B) {
 	dir := b.TempDir()
 	c := NewCollection()
@@ -289,7 +271,6 @@ func BenchmarkColdCollectionSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	c.SetResidency(2)
 	opts := SearchOptions{K: 10, Algorithm: Hybrid, NoCache: true}
 	qs := make([]*Query, len(coldShapes))
 	for i, s := range coldShapes {

@@ -334,9 +334,9 @@ type statsResponse struct {
 	// memoized join plans), departed documents' counters included.
 	// Omitted when no member is decoded.
 	PlanCache *flexpath.PlanCacheStats `json:"plan_cache,omitempty"`
-	// Residency reports the mmap-backed serving state (resident vs
-	// cold snapshot-backed documents, faults, evictions). Omitted when
-	// no member is snapshot-backed and no residency cap is set.
+	// Residency reports the mmap-backed serving state (decoded vs cold
+	// snapshot-backed documents, faults). Omitted when no member is
+	// snapshot-backed.
 	Residency *flexpath.ResidencyStats `json:"residency,omitempty"`
 }
 
@@ -347,12 +347,11 @@ func (h *handler) stats(w http.ResponseWriter, _ *http.Request) {
 		PerDoc:    map[string]int{},
 	}
 	// Members, not Document-per-name: a stats scrape must not fault
-	// every cold document in (that would defeat the residency cap on
-	// each scrape).
+	// every cold document in.
 	for _, m := range h.coll.Members() {
 		resp.PerDoc[m.Name] = m.Nodes
 	}
-	if rs := h.coll.ResidencyStats(); rs.Resident+rs.Cold > 0 || rs.Max > 0 {
+	if rs := h.coll.ResidencyStats(); rs.Resident+rs.Cold > 0 {
 		resp.Residency = &rs
 	}
 	if cs, ok := h.coll.CacheStats(); ok {
@@ -460,17 +459,13 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 
 	rs := h.coll.ResidencyStats()
 	obs.WriteFamily(w, "flexpath_resident_docs", "gauge",
-		"Snapshot-backed documents currently decoded and searchable.", obs.Sample{Value: rs.Resident})
+		"Snapshot-backed documents decoded by a search.", obs.Sample{Value: rs.Resident})
 	obs.WriteFamily(w, "flexpath_resident_docs_cold", "gauge",
-		"Snapshot-backed documents currently cold (mapped, not decoded).", obs.Sample{Value: rs.Cold})
+		"Snapshot-backed documents not yet searched (mapped, not decoded).", obs.Sample{Value: rs.Cold})
 	obs.WriteFamily(w, "flexpath_resident_docs_pinned", "gauge",
-		"Documents with no snapshot backing (always resident, exempt from the cap).", obs.Sample{Value: rs.Pinned})
-	obs.WriteFamily(w, "flexpath_resident_docs_max", "gauge",
-		"Configured residency cap for snapshot-backed documents (0 = unbounded).", obs.Sample{Value: rs.Max})
+		"Documents with no snapshot backing (always resident).", obs.Sample{Value: rs.Pinned})
 	obs.WriteFamily(w, "flexpath_resident_faults_total", "counter",
 		"Cold documents decoded on demand by a search.", obs.Sample{Value: rs.Faults})
-	obs.WriteFamily(w, "flexpath_resident_evictions_total", "counter",
-		"Documents evicted by the residency cap (decoded state dropped, mapping kept).", obs.Sample{Value: rs.Evictions})
 	obs.WriteFamily(w, "flexpath_resident_fault_seconds_total", "counter",
 		"Time callers spent faulting cold documents in (decoding, or waiting for the search that was).",
 		obs.Sample{Value: time.Duration(rs.FaultNanos).Seconds()})

@@ -12,7 +12,7 @@
 //	flexserve -pprof data.xml                        # also expose /debug/pprof/
 //	flexserve -admin -addr :9001                     # empty shard behind flexrouter
 //	flexserve -wal /var/lib/flexpath data.xml        # durable corpus: WAL + checkpoints
-//	flexserve -dir corpus/ -resident-docs 8          # mmap-backed FXP3 corpus, bounded residency
+//	flexserve -dir corpus/                           # mmap-backed FXP3 corpus, decoded on demand
 //
 // Endpoints:
 //
@@ -48,7 +48,7 @@
 // FXP3 file for each document changed since the last one plus a manifest
 // so replay stays bounded, and on startup the acknowledged corpus is
 // recovered from DIR (kill -9 safe): checkpointed documents come back
-// cold, mapped from their files, so -wal composes with -resident-docs.
+// cold, mapped from their files, and are decoded by their first search.
 // Corpus files are added after recovery, in either mode, except those
 // whose name is already a member, so a recovered document wins over its
 // file; each one added with -wal is logged like a mutation.
@@ -69,11 +69,9 @@
 // Documents may be XML files or binary snapshots: each file's magic
 // decides which, never its extension (-dir only selects the files ending
 // in .xml or .fxp3, in any case). FXP3 snapshots (written by flexpath
-// -save-fxp3) are mmap'd and served cold: a document is decoded only
-// when a search needs it, and -resident-docs bounds how many decoded
-// documents stay hot — evicted documents fall back to their file-backed
-// mapping, so a corpus much larger than RAM serves from whatever working
-// set fits.
+// -save-fxp3) are mmap'd and served cold: a document is decoded once,
+// by the first search that needs it, and its columns stay file-backed
+// mapped pages, which the kernel reclaims under memory pressure.
 package main
 
 import (
@@ -106,7 +104,6 @@ func main() {
 	walSync := flag.Duration("walsync", 2*time.Millisecond, "WAL group-commit window: how long an acknowledgment may wait so concurrent mutations share one fsync (0 fsyncs every mutation)")
 	ckptEvery := flag.Int("checkpoint-every", 1024, "mutations between automatic WAL checkpoints (negative disables)")
 	maxBulk := flag.Int("maxbulk", 4, "max concurrently executing /admin/bulk requests; excess is rejected with 429 (0 = unlimited)")
-	residentDocs := flag.Int("resident-docs", 0, "max FXP3 snapshot-backed documents resident at once; least-recently-searched beyond the cap are evicted back to their mmap, keeping their plan templates (0 = unlimited)")
 	flag.Parse()
 
 	// With a WAL, recovery runs before command-line corpus files are
@@ -141,7 +138,6 @@ func main() {
 	if err := addFiles(coll, paths); err != nil {
 		log.Fatal(err)
 	}
-	coll.SetResidency(*residentDocs)
 	mutable := *admin || *walDir != ""
 	if coll.Len() == 0 && !mutable {
 		fmt.Fprintln(os.Stderr, "flexserve: no documents given (use -admin to start empty behind flexrouter, or -wal to serve a durable corpus)")
@@ -162,8 +158,8 @@ func main() {
 		admin:         mutable,
 		maxBulk:       *maxBulk,
 	})
-	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, wal=%q, resident-docs=%d)",
-		coll.Len(), coll.Nodes(), *addr, *cache, *timeout, *slowCap, *slowMS, *pprofOn, *maxInFlight, mutable, *walDir, *residentDocs)
+	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, wal=%q)",
+		coll.Len(), coll.Nodes(), *addr, *cache, *timeout, *slowCap, *slowMS, *pprofOn, *maxInFlight, mutable, *walDir)
 
 	srv := &http.Server{
 		Handler:           h,

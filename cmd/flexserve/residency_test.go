@@ -15,8 +15,7 @@ import (
 	"flexpath/internal/serveutil"
 )
 
-// residencyServer serves a collection of n cold FXP3 members under a
-// residency cap of 1.
+// residencyServer serves a collection of n cold FXP3 members.
 func residencyServer(t *testing.T, n int) (*httptest.Server, *flexpath.Collection) {
 	t.Helper()
 	dir := t.TempDir()
@@ -36,7 +35,6 @@ func residencyServer(t *testing.T, n int) (*httptest.Server, *flexpath.Collectio
 			t.Fatal(err)
 		}
 	}
-	coll.SetResidency(1)
 	h, _ := newHandlerConfig(coll, handlerConfig{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
@@ -59,7 +57,7 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 	if st.Residency == nil {
 		t.Fatalf("residency block missing: %s", body)
 	}
-	if st.Residency.Cold != 3 || st.Residency.Resident != 0 || st.Residency.Max != 1 {
+	if st.Residency.Cold != 3 || st.Residency.Resident != 0 {
 		t.Fatalf("residency before search: %+v", st.Residency)
 	}
 	if st.Documents != 3 || len(st.PerDoc) != 3 {
@@ -71,7 +69,7 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 		}
 	}
 
-	// A search faults documents in; the cap keeps at most one resident.
+	// A search faults every document in, once.
 	if resp, body := get(t, srv.URL+"/search?q="+escape(serveQuery)+"&k=10&algo=hybrid"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: status %d: %s", resp.StatusCode, body)
 	}
@@ -79,7 +77,7 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Residency.Resident > 1 || st.Residency.Faults != 3 || st.Residency.Evictions < 2 {
+	if st.Residency.Resident != 3 || st.Residency.Cold != 0 || st.Residency.Faults != 3 {
 		t.Fatalf("residency after search: %+v", st.Residency)
 	}
 	if st.Residency.FaultNanos <= 0 || !strings.Contains(string(body), `"fault_nanos"`) {
@@ -95,7 +93,8 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"flexpath_resident_docs_max 1",
+		"flexpath_resident_docs 3",
+		"flexpath_resident_docs_cold 0",
 		"flexpath_resident_docs_pinned 0",
 		"flexpath_resident_faults_total 3",
 		"flexpath_documents 3",
@@ -104,17 +103,19 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// Gauges whose value moves with the working set are present even
-	// when we can't pin the exact number.
-	for _, want := range []string{"flexpath_resident_docs ", "flexpath_resident_docs_cold ", "flexpath_resident_evictions_total ",
-		"flexpath_resident_fault_seconds_total ", `flexpath_stage_duration_seconds_count{stage="fault"} 1`} {
+	for _, want := range []string{"flexpath_resident_fault_seconds_total ", `flexpath_stage_duration_seconds_count{stage="fault"} 1`} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing family %q", want)
 		}
 	}
+	for _, gone := range []string{"flexpath_resident_docs_max", "flexpath_resident_evictions_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still export %q: there is no residency cap", gone)
+		}
+	}
 }
 
-// An all-pinned collection (no snapshot members, no cap) reports no
+// An all-pinned collection (no snapshot members) reports no
 // residency block: the field is for mmap-backed serving only.
 func TestStatsOmitResidencyWhenUnused(t *testing.T) {
 	srv := testServer(t)
@@ -150,15 +151,15 @@ func TestSearchServesColdCorpusIdentically(t *testing.T) {
 	}
 	_, first := get(t, url)
 	want := answers(first)
-	// Re-searching after evictions (the cap is 1, so every pass evicts)
-	// returns identical rankings.
+	// Re-searching the decoded members returns identical rankings and
+	// decodes nothing again.
 	for i := 0; i < 3; i++ {
 		if _, body := get(t, url); answers(body) != want {
 			t.Fatalf("response drifted on pass %d:\n%s\nvs\n%s", i, answers(body), want)
 		}
 	}
-	if s := coll.ResidencyStats(); s.Evictions == 0 {
-		t.Fatalf("cap never exercised: %+v", s)
+	if s := coll.ResidencyStats(); s.Faults != 3 || s.Resident != 3 {
+		t.Fatalf("members decoded more than once: %+v", s)
 	}
 }
 

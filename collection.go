@@ -23,7 +23,8 @@ import (
 // differently over differently-shaped documents); a collection search
 // merges the per-document rankings into one global top-K. The collection
 // is the only owner of a result cache (see search.go); a member document
-// caches only its full-text results and plan templates.
+// caches only its plan templates, which hold their chains' full-text
+// results.
 //
 // A Collection is a live corpus: Add, Replace, Upsert, Remove and
 // RemoveIfPresent may run concurrently with searches and with each other.
@@ -56,18 +57,12 @@ type Collection struct {
 	// evaluation and its cache put.
 	beforePut func()
 
-	// Residency state (see residency.go): maxResident bounds how many
-	// fault-capable members stay decoded, tick is the logical LRU
-	// clock, faults/evictions count residency traffic, evictMu
-	// serializes eviction sweeps, and mappings records every open file
+	// Residency state (see residency.go): faults and faultNanos count
+	// cold members' decodes, and mappings records every open file
 	// mapping for Close.
-	maxResident atomic.Int64
-	tick        atomic.Int64
-	faults      atomic.Uint64
-	evictions   atomic.Uint64
-	faultNanos  atomic.Int64
-	evictMu     sync.Mutex
-	mappings    []*mmapio.Mapping
+	faults     atomic.Uint64
+	faultNanos atomic.Int64
+	mappings   []*mmapio.Mapping
 }
 
 // NewCollection returns an empty collection.
@@ -257,15 +252,15 @@ func (c *Collection) RemoveIfPresent(name string) (bool, error) {
 // retire accounts for a member leaving the corpus, under mu and after the
 // membership without it is published: unless another member still holds
 // the same document, its plan-cache counters move to gone and its plan
-// cache is purged, even while evicted (a durable checkpoint map may still hold the
-// member). The collection's result cache needs no purge (see part).
+// cache is purged (a durable checkpoint map may still hold the member).
+// The collection's result cache needs no purge (see part).
 func (c *Collection) retire(old *member) {
-	d := old.decoded()
+	d := old.doc.Load()
 	if d == nil {
 		return
 	}
 	for _, m := range c.members() {
-		if m.decoded() == d {
+		if m.doc.Load() == d {
 			return
 		}
 	}
@@ -419,7 +414,7 @@ func (c *Collection) sumPlanStats() (sum lru.Stats, ok bool) {
 	members := c.members()
 	seen := make(map[*Document]bool, len(members))
 	for _, m := range members {
-		if d := m.decoded(); d != nil && !seen[d] {
+		if d := m.doc.Load(); d != nil && !seen[d] {
 			seen[d] = true
 			sum, ok = plus(sum, d.pc.Stats()), true
 		}
@@ -462,28 +457,23 @@ func (c *Collection) SearchContext(ctx context.Context, q *Query, opts SearchOpt
 	// Add/Remove/Replace neither blocks behind this search nor changes
 	// which documents it evaluates.
 	members := c.members()
-	n := int64(len(members))
-	set := &membership{c: c, members: members, tick: c.tick.Add(n) - n}
+	set := &membership{c: c, members: members}
 	return search(ctx, c, set, q, opts, func(i int, a Answer) CollectionAnswer {
 		return CollectionAnswer{Answer: a, DocName: members[i].name}
 	})
 }
 
-// membership is a published membership as a search corpus. tick is the
-// start of a block of the LRU clock reserved for the search: member i
-// is stamped tick+i+1 whichever worker loads it first, so the members
-// that stay resident after a search do not depend on worker timing.
+// membership is a published membership as a search corpus.
 type membership struct {
 	c       *Collection
 	members []*member
-	tick    int64
 }
 
 func (m *membership) size() int               { return len(m.members) }
 func (m *membership) name(i int) string       { return m.members[i].name }
-func (m *membership) decoded(i int) *Document { return m.members[i].decoded() }
+func (m *membership) decoded(i int) *Document { return m.members[i].doc.Load() }
 func (m *membership) load(i int, span *obs.Span) (*Document, error) {
-	return m.c.requireAt(m.members[i], m.tick+int64(i)+1, span)
+	return m.c.require(m.members[i], span)
 }
 func (m *membership) wrap(i int, err error) error {
 	return fmt.Errorf("flexpath: document %q: %w", m.members[i].name, err)

@@ -31,7 +31,7 @@ import (
 // cover. Only members changed since the previous checkpoint are written;
 // the rest keep their files. Recovery adds every manifest member cold
 // (AddSnapshotFile: mapped, not decoded), so a restart costs pages, not
-// the corpus, and the recovered members obey SetResidency.
+// the corpus: a recovered member is decoded by its first search.
 //
 // Ordering: a mutation is appended to the log buffer under the
 // collection's writer mutex, published, and only then acknowledged once

@@ -693,18 +693,15 @@ func TestCheckpointIncrementalAndRecoveryCold(t *testing.T) {
 	if rs := dc2.ResidencyStats(); rs.Faults != n || rs.Resident != n {
 		t.Fatalf("residency after searching %+v, want %d faults", rs, n)
 	}
-	// The recovered members obey the residency cap (-wal composes with
-	// -resident-docs), and a checkpoint of a cold corpus faults nothing.
-	dc2.SetResidency(4)
-	faults := dc2.ResidencyStats().Faults
+	// A checkpoint of a cold corpus faults nothing.
 	if err := dc2.Replace(name(0), durableDocument(0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if rs := dc2.ResidencyStats(); rs.Resident > 4 || rs.Faults != faults {
-		t.Fatalf("residency after a capped checkpoint %+v, want <= 4 resident and %d faults", rs, faults)
+	if rs := dc2.ResidencyStats(); rs.Faults != n {
+		t.Fatalf("residency after a checkpoint %+v, want %d faults", rs, n)
 	}
 }
 

@@ -9,9 +9,8 @@
 // A Mapping's bytes may be aliased by long-lived structures (interned
 // strings, posting arrays), so Close must only be called once no such
 // alias can be dereferenced again. The serving layer therefore keeps
-// mappings open for the lifetime of the collection member, even across
-// residency evictions — eviction drops decoded heap structures, never
-// the mapping itself.
+// every mapping open until the collection is closed, even after its
+// member is removed or replaced.
 package mmapio
 
 import (

@@ -296,49 +296,3 @@ func TestThreeFormsOneRepresentation(t *testing.T) {
 		sameAs(fmt.Sprintf("tree %d: the FXP3 reload", i), parsed, from3)
 	}
 }
-
-// TestRefaultAllocsIndependentOfSize: faulting an evicted member back in
-// stores the document its first fault decoded — no decode, no fresh
-// caches — so it allocates nothing, for a 64 KB and a 2 MB document
-// alike.
-func TestRefaultAllocsIndependentOfSize(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
-	const ceiling = 0
-	var counts []float64
-	for _, size := range []int64{64 << 10, 2 << 20} {
-		tree, err := xmark.Build(xmark.Config{TargetBytes: size, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "m.fxp3")
-		if err := NewDocument(tree).SaveFXP3SnapshotFile(path); err != nil {
-			t.Fatal(err)
-		}
-		c := NewCollection()
-		defer c.Close() //nolint:errcheck
-		if err := c.AddSnapshotFile("m", path); err != nil {
-			t.Fatal(err)
-		}
-		members := c.members()
-		m := members[0]
-		if _, err := c.require(m, nil); err != nil { // checksums and validates
-			t.Fatal(err)
-		}
-		n := testing.AllocsPerRun(20, func() {
-			m.doc.Store(nil)
-			if _, err := c.require(m, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if n > ceiling {
-			t.Errorf("%d KB member: %v allocations per re-fault, ceiling %d", size>>10, n, ceiling)
-		}
-		counts = append(counts, n)
-		t.Logf("%d KB member: %v allocations per re-fault", size>>10, n)
-	}
-	if counts[0] != counts[1] {
-		t.Errorf("re-fault allocations grow with the document: %v for 64 KB, %v for 2 MB", counts[0], counts[1])
-	}
-}

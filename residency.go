@@ -17,41 +17,35 @@ import (
 // decoded nor faulted in. The first search that needs the document
 // faults it in: each section is checksummed, every column value
 // validated and the columns sliced in place over the mapping. The
-// decoded *Document (or the decode error) is kept while the mapping is
-// open. SetResidency bounds how many faulted-in documents stay hot,
-// evicting the least recently used beyond the cap; a re-fault stores
-// the kept document back and allocates nothing. The memory math:
+// decoded *Document (or the decode error) is the member's from then on:
+// a cold member is decoded at most once. The memory math:
 //
 //   - A decoded document is its mapped columns: tree, text, statistics
 //     and postings alias the mapping, whose clean pages the kernel
 //     reclaims under pressure. The heap holds headers, the tag table and
-//     the plan templates, whose chains hold their full-text results.
+//     the plan templates, whose chains hold their full-text results,
+//     bounded per member by DefaultPlanCacheCapacity as for a pinned
+//     member.
 //
-//   - Eviction keeps the plan templates, full-text results included:
-//     they alias only the member's own immutable columns and are bounded
-//     per member by DefaultPlanCacheCapacity, as for a pinned member. So
-//     template heap grows with members × shapes, not with the cap, and a
-//     re-fault rebuilds and re-evaluates nothing.
+//   - Nothing is unmapped before Collection.Close: answers and snippets
+//     alias the mapping, so Close runs only when the caller asserts
+//     nothing derived from the collection is reachable.
 //
-//   - Eviction never unmaps: earlier answers and snippets alias the
-//     mapping. Mappings are released only by Collection.Close, when the
-//     caller asserts nothing derived from the collection is reachable.
+// Nothing caps how many members stay decoded: a decoded member's plan
+// templates and handed-out answers keep it reachable anyway, so memory
+// is bounded by how the columns are stored, not by a count.
 
-// member is one collection slot: the name-keyed pairing of an optional
-// cold backing (an open FXP3 mapping) with the currently resident
-// decoded document, if any. Members added with Add (or from an XML file
-// with AddFile) have no cold backing and are pinned: they cannot be
-// re-faulted, so they are never evicted and do not count against the
-// residency cap.
+// member is one collection slot: a name and its document, with an
+// optional cold backing (an open FXP3 mapping). Members added with Add
+// (or from an XML file with AddFile) have no cold backing and are
+// pinned: their document is set when they join.
 type member struct {
 	name string
-	// doc is the resident decoded document; nil while cold.
+	// doc is the decoded document; nil until a cold member's first
+	// fault, and never changed once set.
 	doc atomic.Pointer[Document]
 	// cold is the snapshot backing for fault-in; nil when pinned.
 	cold *coldDoc
-	// lastUse is the collection's logical clock at the member's last
-	// search, driving LRU eviction.
-	lastUse atomic.Int64
 }
 
 // coldDoc is a member's snapshot backing: the parsed container over an
@@ -60,19 +54,10 @@ type coldDoc struct {
 	path string
 	f    *fxp3.File
 	meta SnapshotMeta
-	// mu single-flights fault-in. doc (or err) is the one decode's
-	// outcome, written under mu; doc is also read without it.
+	// mu single-flights the one decode; err is its failure, kept so
+	// every later fault fails the same way.
 	mu  sync.Mutex
-	doc atomic.Pointer[Document]
 	err error
-}
-
-// decoded returns the member's document if ever decoded, resident or not.
-func (m *member) decoded() *Document {
-	if m.cold != nil {
-		return m.cold.doc.Load()
-	}
-	return m.doc.Load()
 }
 
 // nodes returns the member's node count without faulting it in.
@@ -120,19 +105,12 @@ func (c *Collection) AddSnapshotFile(name, path string) error {
 	return err
 }
 
-// require returns the member's document, faulting it in when cold (a
-// failed first decode fails every fault the same way). The time a
-// caller spends past the resident check — decoding, or waiting for the
-// caller that is — is added to the collection's fault time and to
-// span's fault stage (span may be nil).
+// require returns the member's document, decoding it on a cold
+// member's first fault (a failed decode fails every fault the same way).
+// The time a caller spends past the decoded check — decoding, or waiting
+// for the caller that is — is added to the collection's fault time and
+// to span's fault stage (span may be nil).
 func (c *Collection) require(m *member, span *obs.Span) (*Document, error) {
-	return c.requireAt(m, c.tick.Add(1), span)
-}
-
-// requireAt is require with the member's use stamped at the given tick
-// of the LRU clock.
-func (c *Collection) requireAt(m *member, tick int64, span *obs.Span) (*Document, error) {
-	m.lastUse.Store(tick)
 	if d := m.doc.Load(); d != nil {
 		return d, nil
 	}
@@ -148,94 +126,47 @@ func (c *Collection) requireAt(m *member, tick int64, span *obs.Span) (*Document
 	if d := m.doc.Load(); d != nil {
 		return d, nil
 	}
-	d := cd.doc.Load()
-	if d == nil && cd.err == nil {
-		if d, cd.err = documentFromFXP3(cd.f); cd.err != nil {
-			cd.err = wrapSnapshotPath(cd.path, cd.err)
-		} else {
-			cd.doc.Store(d)
-		}
-	}
 	if cd.err != nil {
+		return nil, cd.err
+	}
+	d, err := documentFromFXP3(cd.f)
+	if err != nil {
+		cd.err = wrapSnapshotPath(cd.path, err)
 		return nil, cd.err
 	}
 	m.doc.Store(d)
 	c.faults.Add(1)
-	c.enforceResidency()
 	return d, nil
 }
 
-// SetResidency bounds how many fault-capable members stay resident:
-// beyond max, the least recently used are evicted (their full-text
-// results dropped, see the package comment above). max <= 0 removes the
-// bound. Pinned members (added with Add, or from an XML file with
-// AddFile) are not counted and never evicted.
-func (c *Collection) SetResidency(max int) {
-	c.maxResident.Store(int64(max))
-	c.enforceResidency()
-}
-
-// enforceResidency evicts least-recently-used resident members until
-// the residency cap holds. Eviction races benignly with require: a
-// member evicted mid-fault is simply re-faulted by its next search.
-func (c *Collection) enforceResidency() {
-	max := int(c.maxResident.Load())
-	if max <= 0 {
-		return
-	}
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	type cand struct {
-		m   *member
-		use int64
-	}
-	var res []cand
-	for _, m := range c.members() {
-		if m.cold != nil && m.doc.Load() != nil {
-			res = append(res, cand{m, m.lastUse.Load()})
-		}
-	}
-	for len(res) > max {
-		j := 0
-		for i := range res {
-			if res[i].use < res[j].use {
-				j = i
-			}
-		}
-		if res[j].m.doc.Swap(nil) != nil { // templates stay: see the package comment
-			c.evictions.Add(1)
-		}
-		res = append(res[:j], res[j+1:]...)
-	}
-}
+// SetResidency does nothing. A cold member is decoded on its first
+// search and stays decoded (see the package comment above); the method
+// is kept only because the frozen benchmark harness still calls it, and
+// goes with that call.
+func (c *Collection) SetResidency(max int) {}
 
 // ResidencyStats snapshots the collection's residency state.
 type ResidencyStats struct {
-	// Resident counts fault-capable members currently faulted in; Cold
-	// those currently not (never decoded, or evicted); Pinned the members
-	// with no snapshot backing (always resident, exempt from the cap).
+	// Resident counts snapshot-backed members already decoded; Cold
+	// those not yet searched; Pinned the members with no snapshot
+	// backing (decoded when they join).
 	Resident int `json:"resident"`
 	Cold     int `json:"cold"`
 	Pinned   int `json:"pinned"`
-	// Max is the SetResidency cap; 0 means unbounded.
-	Max int `json:"max"`
-	// Faults counts cold documents faulted in on demand; Evictions counts
-	// residency-cap evictions. Faults > Cold+Resident means documents
-	// are cycling: the cap is too tight for the working set.
-	Faults    uint64 `json:"faults"`
-	Evictions uint64 `json:"evictions"`
+	// Faults counts cold members decoded on demand, each at most once.
+	Faults uint64 `json:"faults"`
+	// Evictions is always 0: nothing is evicted. It is kept only because
+	// the frozen benchmark harness reads it, and goes with that read.
+	Evictions uint64 `json:"-"`
 	// FaultNanos is the total time callers have spent faulting members
-	// in: decoding a snapshot (first faults only), or waiting for the
-	// search that was.
+	// in: decoding a snapshot, or waiting for the search that was.
 	FaultNanos int64 `json:"fault_nanos"`
 }
 
 // ResidencyStats reports the collection's residency counters.
 func (c *Collection) ResidencyStats() ResidencyStats {
 	s := ResidencyStats{
-		Max:        int(c.maxResident.Load()),
 		Faults:     c.faults.Load(),
-		Evictions:  c.evictions.Load(),
 		FaultNanos: c.faultNanos.Load(),
 	}
 	for _, m := range c.members() {
@@ -254,8 +185,8 @@ func (c *Collection) ResidencyStats() ResidencyStats {
 // MemberInfo describes one collection member without faulting it in.
 type MemberInfo struct {
 	Name string `json:"name"`
-	// Resident reports whether the member is currently faulted in;
-	// Pinned whether it has no snapshot backing (always resident).
+	// Resident reports whether the member is decoded; Pinned whether it
+	// has no snapshot backing (always decoded).
 	Resident bool `json:"resident"`
 	Pinned   bool `json:"pinned"`
 	// Nodes and SourceBytes come from the decoded document when

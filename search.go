@@ -243,8 +243,6 @@ func fanOut(ctx context.Context, set corpus, units []unit, stale int, q *Query, 
 
 // evaluate computes member i's part: its top K+Offset results.
 func (u *unit) evaluate(ctx context.Context, set corpus, i int, q *Query, tkey string, opts SearchOptions, span *obs.Span) {
-	// A faulted-in document stays valid for this search even if the
-	// residency cap evicts the member meanwhile.
 	d, err := set.load(i, span)
 	if err != nil {
 		u.err = err

@@ -26,16 +26,15 @@ import (
 //
 //   - A loaded document is its mapped columns: text bytes, node
 //     columns, statistics and postings stay file-backed, and the heap
-//     holds headers, the tag table and caches. The pages are clean and
-//     the kernel reclaims them under pressure, so a collection larger
-//     than RAM serves from whatever working set fits (see
-//     Collection.SetResidency).
+//     holds headers, the tag table and plan templates. The pages are
+//     clean and the kernel reclaims them under pressure, so a collection
+//     larger than RAM serves from whatever working set fits.
 //
 // The cost of the aliasing is a lifetime rule: answers, snippets and
 // the document's own strings point into the mapping, so the mapping
 // must stay open as long as anything derived from the document is
-// reachable. Document.Close releases it; the residency layer never
-// unmaps on eviction for exactly this reason.
+// reachable. Document.Close releases it; a collection unmaps only in
+// Collection.Close for exactly this reason.
 
 // SaveFXP3Snapshot writes an FXP3 snapshot of the document.
 func (d *Document) SaveFXP3Snapshot(w io.Writer) error {
