@@ -55,7 +55,10 @@ func BenchmarkExactPlanRun(b *testing.B) {
 // PlanAt(chain.Len()), in Hybrid's bucket organization at K = 10 and 700.
 // The XQ3 arm runs the plan SSO chooses at K = 500 (the shortest prefix
 // the estimator expects to give 500 answers) in both organizations and
-// reports the tuples each run builds. The article arm runs the fully
+// reports the tuples each run builds. The exact arms run the exact plans
+// of XQ1 and XQ2, ExactPlanAt(0), at K = 10, as DPO runs a level that
+// would be its last should it fill K: every answer ties, so the root scan
+// stops at its tenth. The article arm runs the fully
 // relaxed plan of serve_mixed's costliest query shape on one generated
 // 128 KB article at K = 10 in both organizations. Every arm reports the
 // tuples and the candidates scored per op. Each plan is built once, so
@@ -90,6 +93,13 @@ func BenchmarkPlanRunTopK(b *testing.B) {
 		for _, k := range []int{10, 700} {
 			run(fmt.Sprintf("%s/k=%d", eq.name, k), plan, k, exec.ModeBuckets)
 		}
+	}
+	for _, eq := range []struct{ name, src string }{{"XQ1", `//item[./description/parlist]`}, exactPlanQueries[2]} {
+		plan, err := f.chain(b, eq.src).ExactPlanAt(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(eq.name+"/exact/k=10", plan, 10, exec.ModeBuckets)
 	}
 	c := f.chain(b, exactPlanQueries[3].src)
 	j := 0

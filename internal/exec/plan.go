@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -468,23 +469,31 @@ func Run(p *Plan, opts Options) []Answer {
 		}
 	}
 
-	// Per-variable maximum future gains, for threshold pruning.
+	// Per-variable maximum future gains, for threshold pruning. flat: no
+	// predicate earns a tuple anything, so every answer scores alike.
+	// slack bounds the rounding of any sum of the plan's score terms, far
+	// above it: sums taken in another order may differ by that much.
 	ssGain := make([]float64, nv+1)
 	ksGain := make([]float64, nv+1)
-	hasRelax := false
+	hasRelax, flat := false, true
+	slack := math.Abs(p.Base) + math.Abs(p.DroppedPenalty)
 	for i := nv - 1; i >= 0; i-- {
 		v := &p.Vars[i]
 		ss, ks := 0.0, 0.0
 		for _, b := range v.Bonus {
 			ss += b.Penalty
-			hasRelax = true
+			slack += math.Abs(b.Penalty)
+			hasRelax, flat = true, flat && b.Penalty == 0
 		}
 		for _, c := range v.Contains {
 			if c.Required {
 				ks += c.Weight
+				slack += math.Abs(c.Weight)
+				flat = flat && c.Weight == 0
 			} else {
 				ss += c.Penalty
-				hasRelax = true
+				slack += math.Abs(c.Penalty)
+				hasRelax, flat = true, flat && c.Penalty == 0
 			}
 		}
 		if v.Rel == RelOptional {
@@ -493,6 +502,7 @@ func Run(p *Plan, opts Options) []Answer {
 		ssGain[i] = ssGain[i+1] + ss
 		ksGain[i] = ksGain[i+1] + ks
 	}
+	slack *= 1e-9
 	growth := func(nextVar int) float64 {
 		switch opts.Scheme {
 		case rank.StructureFirst:
@@ -586,6 +596,17 @@ func Run(p *Plan, opts Options) []Answer {
 				aggregated = true
 			}
 			excludeHere := vi == p.DistVar && len(opts.Exclude) > 0
+			// settled: the root scan can stop at its K-th answer. When the
+			// root is the distinguished variable, no predicate earns
+			// anything and only existential variables follow the fused
+			// steps, every answer ties and nothing after this step drops
+			// one; ties go to the least node and the root's candidates are
+			// in document order, so the first K the fused steps let
+			// through are the top K.
+			settled := 0
+			if opts.K > 0 && vi == 0 && p.DistVar == 0 && flat && !slices.Contains(p.skip[end+1:], false) {
+				settled = opts.K
+			}
 			// Bindings for the step's output tuples are carved out of
 			// arena blocks instead of one slice per tuple; each binding
 			// belongs to one tuple, so sharing blocks is safe. The first
@@ -657,6 +678,9 @@ func Run(p *Plan, opts Options) []Answer {
 					nt.bind = scratch
 					emit(&nt)
 					matched = true
+					if settled > 0 && (sink != nil && len(sink.out) >= settled || sink == nil && len(next) >= settled) {
+						break
+					}
 				}
 				if !matched && v.Rel == RelOptional {
 					scratch[vi] = xmltree.InvalidNode
@@ -721,10 +745,12 @@ func Run(p *Plan, opts Options) []Answer {
 		if pruneActive {
 			threshold, ok := kthBest(ar, tuples, p.DistVar, opts.K, total)
 			if ok {
+				// A tuple whose bound only rounds below the threshold may
+				// still tie the K-th best and, the lesser node, displace it.
 				g := growth(vi + 1)
 				kept := tuples[:0]
 				for ti := range tuples {
-					if total(&tuples[ti])+g < threshold {
+					if total(&tuples[ti])+g < threshold-slack {
 						st.TuplesPruned++
 						trace.Pruned++
 						continue

@@ -254,3 +254,80 @@ func sameAnswers(a, b []Answer) bool {
 			math.Float64bits(x.Score.KS) == math.Float64bits(y.Score.KS)
 	})
 }
+
+// randomFlatPlan draws a plan over randomTree's tags whose predicates
+// mostly earn nothing: a root, one to three required variables below it,
+// some of which only have to exist, and up to two optional variables with
+// bonuses to the variables before them whose penalties are 0 twice in
+// three. The distinguished variable is the root in two plans of three,
+// else a required variable below it.
+func randomFlatPlan(r *rand.Rand, doc *xmltree.Document) *Plan {
+	tag := func() string { return string(rune('a' + r.Intn(3))) }
+	p := &Plan{Doc: doc, Base: 3}
+	p.Vars = []VarSpec{{VarID: 1, Tag: tag(), Rel: RelRoot, Anchor: -1}}
+	required := 1 + r.Intn(3)
+	for vi := 1; vi < required; vi++ {
+		rel := []Rel{RelParent, RelAncestor}[r.Intn(2)]
+		p.Vars = append(p.Vars, VarSpec{VarID: vi + 1, Tag: tag(), Rel: rel, Anchor: r.Intn(vi)})
+	}
+	p.FirstOptional = required
+	if r.Intn(3) == 0 {
+		p.DistVar = r.Intn(required)
+	}
+	bit := uint(0)
+	for vi := required; vi < required+r.Intn(3); vi++ {
+		v := VarSpec{VarID: vi + 1, Tag: tag(), Rel: RelOptional, Anchor: r.Intn(required)}
+		for other := range vi {
+			if r.Intn(2) == 0 {
+				continue
+			}
+			pen := []float64{0, 0, 0.5}[r.Intn(3)]
+			p.DroppedPenalty += pen
+			v.Bonus = append(v.Bonus, BonusPred{Other: other, OtherIsAncestor: r.Intn(2) == 0,
+				Parent: r.Intn(2) == 0, Penalty: pen, Bit: bit})
+			bit++
+		}
+		p.Vars = append(p.Vars, v)
+	}
+	p.NumBits = int(bit)
+	return p
+}
+
+// TestSettledStopMatchesFullRun: a run with K > 0 whose root scan may stop
+// at its K-th answer (the root distinguished, nothing earned, only
+// existential variables after the fused steps) returns the exhaustive
+// run's first K answers bit for bit, signatures included. The random
+// trees nest every tag below itself, so roots share answers below a
+// non-root distinguished variable, and plans with a bonus worth a penalty
+// rank a later root first.
+func TestSettledStopMatchesFullRun(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var doc *xmltree.Document
+	stopped := 0
+	for i := range 400 {
+		if i%10 == 0 {
+			doc = randomTree(t, r, 60+r.Intn(200))
+		}
+		plan := randomFlatPlan(r, doc)
+		for _, scheme := range []rank.Scheme{rank.StructureFirst, rank.KeywordFirst, rank.Combined} {
+			full := Run(plan, Options{Scheme: scheme})
+			for _, k := range []int{1, 2, 3, 5, 8} {
+				for _, mode := range []Mode{ModeSorted, ModeBuckets} {
+					var trace []StepTrace
+					got := Run(plan, Options{K: k, Scheme: scheme, Mode: mode, Trace: &trace})
+					if want := full[:min(k, len(full))]; !sameAnswers(got, want) {
+						t.Fatalf("plan %d, scheme %v, K = %d, mode %d:\n got %v\nwant %v\n%s",
+							i, scheme, k, mode, got, want, plan.Explain())
+					}
+					if len(trace) > 0 && trace[0].Scored < trace[0].Candidates {
+						stopped++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d runs stopped their root scan early", stopped)
+	if stopped == 0 {
+		t.Error("no run stopped its root scan early")
+	}
+}

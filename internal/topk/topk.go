@@ -144,9 +144,34 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 	arena := exec.GetArena()
 	defer exec.PutArena(arena)
 
-	stopLevel := chain.Len()
-	reachedAt := -1
+	// lastIfFilled is the last level DPO runs once it holds K answers at
+	// level.
 	m0 := chain.Original.NumContains()
+	lastIfFilled := func(level int) int {
+		j := level
+		switch opts.Scheme {
+		case rank.StructureFirst:
+			// Later levels have strictly lower structural scores except
+			// for zero-penalty steps; keep going through ties.
+			for j < chain.Len() && chain.SSAt(j+1) >= chain.SSAt(level) {
+				j++
+			}
+		case rank.Combined:
+			// §5.1 pruning rule: with m contains predicates, answers of
+			// relaxations whose ss drops below ss(i) - m cannot reach the
+			// top-K.
+			for j < chain.Len() && chain.SSAt(j+1) > chain.SSAt(level)-float64(m0) {
+				j++
+			}
+		case rank.KeywordFirst:
+			// An answer with the worst structural score might still make
+			// the top-K: all relaxations must be evaluated.
+			j = chain.Len()
+		}
+		return j
+	}
+	stopLevel := chain.Len()
+	reached := false
 	for level := 0; level <= stopLevel; level++ {
 		// DPO's per-relaxation loop is the algorithm's dominant cost;
 		// observe cancellation between levels so a timed-out request
@@ -164,6 +189,22 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 		m.QueriesEvaluated++
 		m.RelaxationsEncoded = level
 		ss := chain.SSAt(level)
+		// A level that would be the last one run should it fill K needs
+		// only its K best answers: the overall top K lie among them and
+		// the earlier levels' answers. Any other level runs exhaustively,
+		// since a later level must exclude every answer it found; a level
+		// run with K that returns fewer than K has returned them all. K
+		// less the answers held would not do: an earlier answer can rank
+		// below this level's, by keyword score under Combined or by node
+		// on a tie.
+		last := stopLevel
+		if !reached {
+			last = lastIfFilled(level)
+		}
+		levelK := 0
+		if last == level {
+			levelK = k
+		}
 		// Answers found at previous levels are excluded inside the plan
 		// (not just post-hoc), so each level's pass only explores data
 		// that can still produce new answers — the paper's
@@ -171,7 +212,7 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 		var levelAnswers []exec.Answer
 		opts.timeJoin(func() {
 			levelAnswers = exec.Run(plan, exec.Options{
-				Scheme: opts.Scheme, Stats: &m.Pipeline,
+				K: levelK, Scheme: opts.Scheme, Stats: &m.Pipeline,
 				Exclude: seen, Ctx: opts.Ctx, Arena: arena,
 			})
 		})
@@ -188,32 +229,8 @@ func DPO(_ *exec.Evaluator, chain *core.Chain, opts Options) []Result {
 				Relaxations: level,
 			})
 		}
-
-		if len(results) >= k && reachedAt < 0 {
-			reachedAt = level
-			switch opts.Scheme {
-			case rank.StructureFirst:
-				// Later levels have strictly lower structural scores
-				// except for zero-penalty steps; keep going through ties.
-				j := level
-				for j < chain.Len() && chain.SSAt(j+1) >= chain.SSAt(level) {
-					j++
-				}
-				stopLevel = j
-			case rank.Combined:
-				// §5.1 pruning rule: with m contains predicates, answers
-				// of relaxations whose ss drops below ss(i) - m cannot
-				// reach the top-K.
-				j := level
-				for j < chain.Len() && chain.SSAt(j+1) > chain.SSAt(level)-float64(m0) {
-					j++
-				}
-				stopLevel = j
-			case rank.KeywordFirst:
-				// An answer with the worst structural score might still
-				// make the top-K: all relaxations must be evaluated.
-				stopLevel = chain.Len()
-			}
+		if len(results) >= k && !reached {
+			reached, stopLevel = true, last
 		}
 	}
 	sortResults(results, opts.Scheme)
@@ -319,7 +336,9 @@ func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 // variable marked [best: scored in place] is not joined either: its row
 // counts the tuples it scored, and they leave it one for one or, at a
 // step marked [then best per ...], one per group. A row's scored column
-// counts the candidates whose gains the step evaluated. The header's
+// counts the candidates whose gains the step evaluated; a root row that
+// scored fewer than its candidates stopped at its K-th answer, every
+// answer tying. The header's
 // "answers: N" counts what the run returned, at most K.
 func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
 	opts.ensureTemplate(chain)
