@@ -211,7 +211,7 @@ func TestAdminBulkBackpressure(t *testing.T) {
 	}()
 	// Wait until the held batch occupies the semaphore.
 	deadline := time.Now().Add(5 * time.Second)
-	for h.srv.bulkInFlight.Load() == 0 {
+	for len(h.bulkSem) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first batch never started")
 		}
@@ -295,7 +295,7 @@ func TestDurableAdminRecovery(t *testing.T) {
 		"flexpath_wal_appended_records_total",
 		"flexpath_wal_replayed_records_total",
 		"flexpath_wal_fsynced_records_total",
-		"flexpath_wal_log_bytes",
+		"flexpath_wal_fsyncs_total",
 	} {
 		if !strings.Contains(string(metrics), family) {
 			t.Errorf("metrics missing %s", family)

@@ -30,10 +30,9 @@ type serverMetrics struct {
 	inFlight atomic.Int64
 	shed     atomic.Uint64
 	panics   atomic.Uint64
-	// bulk ingest counters (flexpath_server_bulk_*): batches currently
-	// executing, batches rejected by the concurrency bound, and individual
-	// operations applied / failed across all batches.
-	bulkInFlight atomic.Int64
+	// bulk ingest counters (flexpath_server_bulk_*): batches rejected by
+	// the concurrency bound, and individual operations applied / failed
+	// across all batches.
 	bulkRejected atomic.Uint64
 	bulkApplied  atomic.Uint64
 	bulkFailed   atomic.Uint64
@@ -65,10 +64,6 @@ type handler struct {
 // handlerConfig configures optional serving features.
 type handlerConfig struct {
 	timeout time.Duration
-	// slowCap and slowThreshold shape the slow-query log; zero values
-	// pick the obs defaults (128 entries, log everything).
-	slowCap       int
-	slowThreshold time.Duration
 	// pprof exposes net/http/pprof under /debug/pprof/.
 	pprof bool
 	// maxInFlight caps concurrently executing query requests (/search,
@@ -89,7 +84,7 @@ func newHandlerConfig(coll *flexpath.Collection, cfg handlerConfig) (http.Handle
 		coll:    coll,
 		mux:     http.NewServeMux(),
 		timeout: cfg.timeout,
-		reg:     obs.NewRegistry(cfg.slowCap, cfg.slowThreshold),
+		reg:     obs.NewRegistry(),
 	}
 	if cfg.maxInFlight > 0 {
 		h.sem = make(chan struct{}, cfg.maxInFlight)
@@ -364,8 +359,9 @@ func (h *handler) stats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // metrics serves the Prometheus text exposition: the registry's query
-// counters, latency histograms, stage histograms and in-flight gauge,
-// followed by cache counter families assembled from the collection.
+// counters, latency histograms and stage histograms, followed by the
+// cache, server, WAL and residency families. Each family is one fact
+// that a reader needs (README "Observability" names the reader).
 func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	h.reg.WritePrometheus(w)
@@ -379,9 +375,6 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	}{
 		{"flexpath_cache_hits_total", "counter", "Query-result cache hits.", cs.Hits},
 		{"flexpath_cache_misses_total", "counter", "Query-result cache misses.", cs.Misses},
-		{"flexpath_cache_evictions_total", "counter", "Query-result cache LRU evictions.", cs.Evictions},
-		{"flexpath_cache_entries", "gauge", "Current query-result cache entries.", uint64(cs.Entries)},
-		{"flexpath_cache_capacity", "gauge", "Effective query-result cache capacity.", uint64(cs.Capacity)},
 	} {
 		var samples []obs.Sample
 		if cacheOn {
@@ -397,10 +390,6 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 		"Plan-template cache hits (searches that skipped chain and plan construction).", obs.Sample{Value: pcs.Hits})
 	obs.WriteFamily(w, "flexpath_plancache_misses_total", "counter",
 		"Plan-template cache misses (template built).", obs.Sample{Value: pcs.Misses})
-	obs.WriteFamily(w, "flexpath_plancache_evictions_total", "counter",
-		"Plan templates displaced by the LRU policy.", obs.Sample{Value: pcs.Evictions})
-	obs.WriteFamily(w, "flexpath_plancache_dedups_total", "counter",
-		"Lookups coalesced onto another goroutine's in-flight template build.", obs.Sample{Value: pcs.Dedups})
 	obs.WriteFamily(w, "flexpath_plancache_entries", "gauge",
 		"Current plan templates held across all documents.", obs.Sample{Value: pcs.Entries})
 	obs.WriteFamily(w, "flexpath_plancache_capacity", "gauge",
@@ -421,10 +410,6 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteFamily(w, "flexpath_server_panics_total", "counter",
 		"Handler panics recovered into 500 responses.", obs.Sample{Value: h.srv.panics.Load()})
 
-	obs.WriteFamily(w, "flexpath_server_bulk_inflight", "gauge",
-		"Bulk admin batches currently executing.", obs.Sample{Value: h.srv.bulkInFlight.Load()})
-	obs.WriteFamily(w, "flexpath_server_bulk_max_inflight", "gauge",
-		"Configured bulk batch concurrency bound (0 = unlimited).", obs.Sample{Value: cap(h.bulkSem)})
 	obs.WriteFamily(w, "flexpath_server_bulk_rejected_total", "counter",
 		"Bulk batches rejected by the concurrency bound (429).", obs.Sample{Value: h.srv.bulkRejected.Load()})
 	obs.WriteFamily(w, "flexpath_server_bulk_ops_applied_total", "counter",
@@ -451,29 +436,16 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 			"LSN of the checkpoint boot recovery started from (0 = none).", obs.Sample{Value: s.CheckpointLSN})
 		obs.WriteFamily(w, "flexpath_wal_last_checkpoint_duration_seconds", "gauge",
 			"Wall time of the most recent checkpoint.", obs.Sample{Value: s.LastCheckpointDuration.Seconds()})
-		obs.WriteFamily(w, "flexpath_wal_log_bytes", "gauge",
-			"Bytes across live write-ahead log segments.", obs.Sample{Value: s.LogBytes})
-		obs.WriteFamily(w, "flexpath_wal_log_segments", "gauge",
-			"Live write-ahead log segment files.", obs.Sample{Value: s.LogSegments})
 	}
 
 	rs := h.coll.ResidencyStats()
 	obs.WriteFamily(w, "flexpath_resident_docs", "gauge",
 		"Snapshot-backed documents decoded by a search.", obs.Sample{Value: rs.Resident})
-	obs.WriteFamily(w, "flexpath_resident_docs_cold", "gauge",
-		"Snapshot-backed documents not yet searched (mapped, not decoded).", obs.Sample{Value: rs.Cold})
-	obs.WriteFamily(w, "flexpath_resident_docs_pinned", "gauge",
-		"Documents with no snapshot backing (always resident).", obs.Sample{Value: rs.Pinned})
 	obs.WriteFamily(w, "flexpath_resident_faults_total", "counter",
 		"Cold documents decoded on demand by a search.", obs.Sample{Value: rs.Faults})
 	obs.WriteFamily(w, "flexpath_resident_fault_seconds_total", "counter",
 		"Time callers spent faulting cold documents in (decoding, or waiting for the search that was).",
 		obs.Sample{Value: time.Duration(rs.FaultNanos).Seconds()})
-
-	obs.WriteFamily(w, "flexpath_documents", "gauge",
-		"Documents being served.", obs.Sample{Value: h.coll.Len()})
-	obs.WriteFamily(w, "flexpath_elements", "gauge",
-		"Total indexed element nodes.", obs.Sample{Value: h.coll.Nodes()})
 }
 
 type slowEntryJSON struct {
@@ -489,25 +461,13 @@ type slowEntryJSON struct {
 	StagesMS    map[string]float64 `json:"stages_ms"`
 }
 
-type latencySummaryJSON struct {
-	Algo    string  `json:"algo"`
-	Count   uint64  `json:"count"`
-	P50MS   float64 `json:"p50_ms"`
-	P95MS   float64 `json:"p95_ms"`
-	P99MS   float64 `json:"p99_ms"`
-	MeanMS  float64 `json:"mean_ms"`
-	TotalMS float64 `json:"total_ms"`
-}
-
 type slowlogResponse struct {
-	ThresholdMS float64              `json:"threshold_ms"`
-	Entries     []slowEntryJSON      `json:"entries"`
-	Latency     []latencySummaryJSON `json:"latency"`
+	Entries []slowEntryJSON `json:"entries"`
 }
 
 // slowlog serves the N slowest recent queries with their per-stage time
-// breakdown, plus per-algorithm latency quantiles (p50/p95/p99 are
-// bucket upper bounds, exact within a factor of two).
+// breakdown. Latency by algorithm is /metrics'
+// flexpath_query_duration_seconds.
 func (h *handler) slowlog(w http.ResponseWriter, r *http.Request) {
 	n := 32
 	if ns := r.URL.Query().Get("n"); ns != "" {
@@ -515,14 +475,9 @@ func (h *handler) slowlog(w http.ResponseWriter, r *http.Request) {
 			n = v
 		}
 	}
-	log := h.reg.SlowLog()
-	resp := slowlogResponse{
-		ThresholdMS: float64(log.Threshold()) / 1e6,
-		Entries:     []slowEntryJSON{},
-		Latency:     []latencySummaryJSON{},
-	}
+	resp := slowlogResponse{Entries: []slowEntryJSON{}}
 	stageNames := obs.StageNames()
-	for _, e := range log.Top(n) {
+	for _, e := range h.reg.SlowLog().Top(n) {
 		stages := make(map[string]float64, len(stageNames))
 		for i, name := range stageNames {
 			stages[name] = float64(e.Stages[i]) / 1e6
@@ -538,19 +493,6 @@ func (h *handler) slowlog(w http.ResponseWriter, r *http.Request) {
 			CacheHit:    e.CacheHit,
 			TotalMS:     float64(e.Total) / 1e6,
 			StagesMS:    stages,
-		})
-	}
-	algos, hists := h.reg.LatencyByAlgo()
-	for i, algo := range algos {
-		s := hists[i]
-		resp.Latency = append(resp.Latency, latencySummaryJSON{
-			Algo:    algo,
-			Count:   s.Count,
-			P50MS:   float64(s.Quantile(0.50)) / 1e6,
-			P95MS:   float64(s.Quantile(0.95)) / 1e6,
-			P99MS:   float64(s.Quantile(0.99)) / 1e6,
-			MeanMS:  float64(s.Mean()) / 1e6,
-			TotalMS: float64(s.Sum) / 1e6,
 		})
 	}
 	serveutil.WriteJSON(w, http.StatusOK, resp)
@@ -667,9 +609,6 @@ func (h *handler) adminBulk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h.srv.bulkInFlight.Add(1)
-	defer h.srv.bulkInFlight.Add(-1)
-
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBulkBody))
 	var resp bulkResponse
 	for line := 1; ; line++ {

@@ -322,13 +322,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`flexpath_queries_total{algo="Hybrid",scheme="structure-first",status="ok"} 2`,
-		"flexpath_inflight_queries 0",
+		"flexpath_server_inflight_requests 0",
 		`flexpath_query_duration_seconds_count{algo="Hybrid"} 2`,
 		"flexpath_stage_duration_seconds_bucket",
 		`flexpath_cache_hits_total{cache="collection"} 1`,
 		`flexpath_cache_misses_total{cache="collection"} 1`,
-		"flexpath_documents 1",
-		"flexpath_elements",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
@@ -364,8 +362,10 @@ func TestSlowlogEndpoint(t *testing.T) {
 			t.Errorf("stages_ms missing %q: %+v", stage, e.StagesMS)
 		}
 	}
-	if len(out.Latency) != 1 || out.Latency[0].Count != 1 || out.Latency[0].P50MS <= 0 {
-		t.Errorf("latency summary: %+v", out.Latency)
+	// Latency by algorithm is /metrics' alone: the entries are the body.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil || len(keys) != 1 || keys["entries"] == nil {
+		t.Errorf("slowlog body has keys other than entries: %s", body)
 	}
 }
 
@@ -594,8 +594,6 @@ func TestPlanCacheObservability(t *testing.T) {
 	for _, want := range []string{
 		"flexpath_plancache_hits_total 1",
 		"flexpath_plancache_misses_total 1",
-		"flexpath_plancache_evictions_total 0",
-		"flexpath_plancache_dedups_total 0",
 		"flexpath_plancache_entries 1",
 		"# TYPE flexpath_plancache_capacity gauge",
 	} {

@@ -6,7 +6,7 @@
 //
 //	flexserve -addr :8080 data1.xml data2.xml
 //	flexserve -addr :8080 -dir corpus/
-//	flexserve -cache 4096 -timeout 10s -slowlog 256 -slowms 100 data.xml
+//	flexserve -cache 4096 -timeout 10s data.xml
 //	flexserve -maxinflight 64 -drain 15s data.xml   # shed overload, drain on SIGTERM
 //	flexserve -admin data.xml                        # expose /admin/ mutation endpoints
 //	flexserve -pprof data.xml                        # also expose /debug/pprof/
@@ -24,7 +24,8 @@
 //	                   algorithm/scheme/status, latency and per-stage
 //	                   histograms, cache counters, in-flight/shed/panic
 //	                   server counters
-//	GET /slowlog?n=32  slowest recent queries with per-stage timings
+//	GET /slowlog?n=32  slowest of the 128 most recent queries, with
+//	                   per-stage timings
 //	GET /healthz
 //
 // With -admin (or -wal), the corpus can be mutated without a restart,
@@ -94,8 +95,6 @@ func main() {
 	dir := flag.String("dir", "", "load every .xml and .fxp3 file in this directory")
 	cache := flag.Int("cache", 1024, "query-result cache capacity in entries (0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request search timeout (0 disables)")
-	slowCap := flag.Int("slowlog", 128, "slow-query log capacity in entries")
-	slowMS := flag.Int("slowms", 0, "only log queries at least this many milliseconds long (0 logs all)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing query requests; excess is shed with 503 (0 = unlimited)")
 	drain := flag.Duration("drain", 10*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
@@ -150,16 +149,14 @@ func main() {
 		coll.SetCache(*cache)
 	}
 	h, _ := newHandlerConfig(coll, handlerConfig{
-		timeout:       *timeout,
-		slowCap:       *slowCap,
-		slowThreshold: time.Duration(*slowMS) * time.Millisecond,
-		pprof:         *pprofOn,
-		maxInFlight:   *maxInFlight,
-		admin:         mutable,
-		maxBulk:       *maxBulk,
+		timeout:     *timeout,
+		pprof:       *pprofOn,
+		maxInFlight: *maxInFlight,
+		admin:       mutable,
+		maxBulk:     *maxBulk,
 	})
-	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, slowlog=%d@%dms, pprof=%v, maxinflight=%d, admin=%v, wal=%q)",
-		coll.Len(), coll.Nodes(), *addr, *cache, *timeout, *slowCap, *slowMS, *pprofOn, *maxInFlight, mutable, *walDir)
+	log.Printf("serving %d documents (%d elements) on %s (cache=%d, timeout=%v, pprof=%v, maxinflight=%d, admin=%v, wal=%q)",
+		coll.Len(), coll.Nodes(), *addr, *cache, *timeout, *pprofOn, *maxInFlight, mutable, *walDir)
 
 	srv := &http.Server{
 		Handler:           h,

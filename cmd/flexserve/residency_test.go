@@ -94,10 +94,7 @@ func TestStatsAndMetricsReportResidency(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"flexpath_resident_docs 3",
-		"flexpath_resident_docs_cold 0",
-		"flexpath_resident_docs_pinned 0",
 		"flexpath_resident_faults_total 3",
-		"flexpath_documents 3",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -133,7 +133,7 @@ func BenchmarkDescendantsInRange(b *testing.B) {
 	})
 	b.Run("narrow/gallop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			DescendantsInRange(d, list, anchors[i%len(anchors)])
+			descendantsFrom(d, list, anchors[i%len(anchors)], 0)
 		}
 	})
 	// wide: the anchor is the document root, so the linear scan walks the
@@ -146,7 +146,7 @@ func BenchmarkDescendantsInRange(b *testing.B) {
 	})
 	b.Run("wide/gallop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			DescendantsInRange(d, list, root)
+			descendantsFrom(d, list, root, 0)
 		}
 	})
 }

@@ -118,7 +118,8 @@ func TestDescendantsInRange(t *testing.T) {
 		all[i] = xmltree.NodeID(i)
 	}
 	for n := xmltree.NodeID(0); int(n) < d.Len(); n++ {
-		got := DescendantsInRange(d, all, n)
+		lo, hi := descendantsFrom(d, all, n, 0)
+		got := all[lo:hi]
 		var want []xmltree.NodeID
 		for _, m := range all {
 			if d.IsAncestor(n, m) {

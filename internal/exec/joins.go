@@ -238,17 +238,11 @@ func SemiJoinChildOf(doc *xmltree.Document, nodes, parents []xmltree.NodeID) []x
 	return dst
 }
 
-// DescendantsInRange returns the sub-slice of the sorted list nodes that
-// lies strictly inside a's subtree: (a, end(a)]. Both bounds are found by
-// galloping binary search, so cost is logarithmic in the list size (the
-// scalar version scanned linearly for the upper bound).
-func DescendantsInRange(doc *xmltree.Document, nodes []xmltree.NodeID, a xmltree.NodeID) []xmltree.NodeID {
-	lo, hi := descendantsFrom(doc, nodes, a, 0)
-	return nodes[lo:hi]
-}
-
-// descendantsFrom returns the bounds of DescendantsInRange's sub-slice,
-// searching from index from, which must not lie past its start.
+// descendantsFrom returns the bounds of the sub-slice of the sorted list
+// nodes that lies strictly inside a's subtree, (a, end(a)], searching
+// from index from, which must not lie past its start. Both bounds are
+// found by galloping binary search, so cost is logarithmic in the list
+// size (the scalar version scanned linearly for the upper bound).
 func descendantsFrom(doc *xmltree.Document, nodes []xmltree.NodeID, a xmltree.NodeID, from int) (lo, hi int) {
 	lo = xmltree.GallopGE(nodes, from, a+1)
 	return lo, xmltree.GallopGE(nodes, lo, doc.End(a)+1)

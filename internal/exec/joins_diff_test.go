@@ -55,8 +55,9 @@ func checkKernels(t testing.TB, d *xmltree.Document, outer, inner []xmltree.Node
 	}
 	for _, n := range outer {
 		want := scalarDescendantsInRange(d, inner, n)
-		if got := DescendantsInRange(d, inner, n); !sameNodes(got, want) {
-			t.Logf("DescendantsInRange(%d): got %v want %v (list=%v)", n, got, want, inner)
+		lo, hi := descendantsFrom(d, inner, n, 0)
+		if got := inner[lo:hi]; !sameNodes(got, want) {
+			t.Logf("descendantsFrom(%d): got %v want %v (list=%v)", n, got, want, inner)
 			ok = false
 		}
 	}

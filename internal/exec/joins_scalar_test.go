@@ -100,7 +100,7 @@ func scalarSemiJoinChildOf(doc *xmltree.Document, nodes, parents []xmltree.NodeI
 }
 
 // scalarDescendantsInRange is the retained scalar oracle for
-// DescendantsInRange (linear upper-bound scan).
+// descendantsFrom (linear upper-bound scan).
 func scalarDescendantsInRange(doc *xmltree.Document, nodes []xmltree.NodeID, a xmltree.NodeID) []xmltree.NodeID {
 	lo := sort.Search(len(nodes), func(i int) bool { return nodes[i] > a })
 	end := doc.End(a)

@@ -342,10 +342,8 @@ const (
 
 // PipelineStats reports work counters from a plan execution.
 type PipelineStats struct {
-	JoinSteps       int
 	TuplesGenerated int
 	TuplesPruned    int
-	SortOps         int
 	SortedTuples    int
 	Buckets         int
 	// Scored is the total of the steps' StepTrace.Scored.
@@ -368,9 +366,7 @@ type StepTrace struct {
 	// per extension a join builds and one per candidate a step scored in
 	// place visits.
 	Scored int
-	// Sorted reports whether the step re-sorted intermediates (SSO);
 	// Buckets is the number of distinct signatures grouped (Hybrid).
-	Sorted  bool
 	Buckets int
 }
 
@@ -554,7 +550,6 @@ func Run(p *Plan, opts Options) []Answer {
 			continue
 		}
 		v := &p.Vars[vi]
-		st.JoinSteps++
 		tuplesIn := len(tuples)
 		scored := 0 // the Scored of the step's last row
 		first, end := vi, vi
@@ -806,9 +801,7 @@ func Run(p *Plan, opts Options) []Answer {
 			}
 			ar.recycleTuples(tuples)
 			tuples = sorted
-			st.SortOps++
 			st.SortedTuples += len(tuples)
-			trace.Sorted = true
 		case opts.Mode == ModeBuckets && organize:
 			// Hybrid groups tuples into buckets keyed by their
 			// satisfied-predicate signature. Each tuple already carries

@@ -199,16 +199,6 @@ func (f *File) Has(id SectionID) bool {
 	return false
 }
 
-// SectionSize returns the byte length of a section, or 0 when absent.
-func (f *File) SectionSize(id SectionID) int {
-	for i := range f.dir {
-		if f.dir[i].id == id {
-			return int(f.dir[i].length)
-		}
-	}
-	return 0
-}
-
 // Section returns a section's payload as a subslice of the parsed data
 // (zero-copy). The payload's checksum is verified on the first access —
 // over mmap, that read is what faults the section's pages in — and the

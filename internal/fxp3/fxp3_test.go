@@ -31,9 +31,6 @@ func TestContainerRoundTrip(t *testing.T) {
 		if !f.Has(s.ID) {
 			t.Fatalf("section %d missing", s.ID)
 		}
-		if got := f.SectionSize(s.ID); got != len(s.Data) {
-			t.Fatalf("section %d size %d, want %d", s.ID, got, len(s.Data))
-		}
 		p, err := f.Section(s.ID)
 		if err != nil {
 			t.Fatal(err)

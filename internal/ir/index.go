@@ -238,18 +238,6 @@ func (r *Result) ScoreWithin(x xmltree.NodeID) float64 {
 	return best
 }
 
-// CountWithin returns the number of witnesses inside x's subtree. This is
-// the #contains(x, FTExp) statistic of the paper's penalty formulas.
-func (r *Result) CountWithin(x xmltree.NodeID) int {
-	end := r.doc.End(x)
-	i := r.firstWithin(x)
-	j := i
-	for j < len(r.nodes) && r.nodes[j] <= end {
-		j++
-	}
-	return j - i
-}
-
 // cursor is the self-or-descendant semijoin of context nodes, presented
 // in document order, against a witness column: satisfies(x) reports
 // whether x's subtree holds one of nodes. The witness position only

@@ -207,23 +207,6 @@ func TestScoreWithinMonotone(t *testing.T) {
 	}
 }
 
-func TestCountWithin(t *testing.T) {
-	doc := mustDoc(t, articleXML)
-	ix := NewIndex(doc)
-	r := ix.Eval(MustParseExpr("xml"))
-	root := doc.Root()
-	if got := r.CountWithin(root); got != r.Len() {
-		t.Errorf("CountWithin(root) = %d, want %d", got, r.Len())
-	}
-	total := 0
-	for _, a := range doc.NodesWithTag("article") {
-		total += r.CountWithin(a)
-	}
-	if total != r.Len() {
-		t.Errorf("article counts sum to %d, want %d", total, r.Len())
-	}
-}
-
 func TestCountSatisfyingWithTag(t *testing.T) {
 	doc := mustDoc(t, articleXML)
 	ix := NewIndex(doc)

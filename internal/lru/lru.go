@@ -9,10 +9,9 @@
 // runs the builder outside the lock and concurrent misses on the same
 // key wait for that one build.
 //
-// Purge bumps an epoch. A value whose computation began before a purge —
-// a Put stamped with an older Epoch, or a Do build that was already
-// running — is returned to its caller but never inserted, so a purge
-// cannot be undone by work that was in flight across it.
+// Purge bumps an epoch. A Do build that was already running across a
+// purge returns its value to its caller but never inserts it, so a
+// purge cannot be undone by work that was in flight across it.
 package lru
 
 import (
@@ -92,29 +91,17 @@ func (c *Cache[V]) hit(key string) (v V, ok bool) {
 	return v, ok
 }
 
-// Epoch returns the current purge epoch. A caller that computes a value
-// to Put reads it before it starts, so a Purge in between drops the put.
-func (c *Cache[V]) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
 // Put stores val under key, evicting the least recently used entry when
-// the cache is full, unless the cache has been purged since epoch (a
-// value returned by Epoch). Storing an existing key refreshes its value
-// and recency.
-func (c *Cache[V]) Put(key string, val V, epoch uint64) {
+// the cache is full. Storing an existing key refreshes its value and
+// recency.
+func (c *Cache[V]) Put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insert(key, val, epoch)
+	c.insert(key, val)
 }
 
 // insert is Put with c.mu held.
-func (c *Cache[V]) insert(key string, val V, epoch uint64) {
-	if epoch != c.epoch {
-		return
-	}
+func (c *Cache[V]) insert(key string, val V) {
 	if el, ok := c.items[key]; ok {
 		el.Value.(*entry[V]).val = val
 		c.order.MoveToFront(el)
@@ -177,16 +164,16 @@ func (c *Cache[V]) complete(key string, cl *call[V], epoch uint64) {
 	if c.inflight[key] == cl {
 		delete(c.inflight, key)
 	}
-	if cl.err == nil {
-		c.insert(key, cl.val, epoch)
+	if cl.err == nil && epoch == c.epoch {
+		c.insert(key, cl.val)
 	}
 	c.mu.Unlock()
 	close(cl.done)
 }
 
-// Purge discards every entry and starts a new epoch: puts stamped
-// earlier and builds already running are not inserted, and later Do
-// calls do not wait for those builds. Counters are preserved.
+// Purge discards every entry and starts a new epoch: builds already
+// running are not inserted, and later Do calls do not wait for them.
+// Counters are preserved.
 func (c *Cache[V]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

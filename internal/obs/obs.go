@@ -152,12 +152,10 @@ func SpanFrom(ctx context.Context) *Span {
 
 // Registry aggregates finished spans: query counters keyed by
 // (algorithm, scheme, status), per-algorithm latency histograms,
-// per-stage latency histograms, an in-flight gauge and the slow-query
-// log. All methods are safe for concurrent use and on a nil receiver —
-// a nil *Registry produces nil spans, turning the whole layer off.
+// per-stage latency histograms and the slow-query log. All methods are
+// safe for concurrent use and on a nil receiver — a nil *Registry
+// produces nil spans, turning the whole layer off.
 type Registry struct {
-	inFlight atomic.Int64
-
 	mu      sync.Mutex
 	queries map[queryKey]uint64
 	latency map[string]*Histogram // by algorithm
@@ -170,17 +168,17 @@ type queryKey struct {
 	algo, scheme, status string
 }
 
-// NewRegistry returns a registry whose slow-query log keeps the slowCap
-// most recent queries at least slowThreshold long (slowCap <= 0 picks a
-// default of 128; a zero threshold logs every query).
-func NewRegistry(slowCap int, slowThreshold time.Duration) *Registry {
-	if slowCap <= 0 {
-		slowCap = 128
-	}
+// slowLogCap is how many finished spans a registry's slow-query log
+// keeps: the most recent ones, whatever their latency.
+const slowLogCap = 128
+
+// NewRegistry returns a registry whose slow-query log keeps the
+// slowLogCap most recent queries.
+func NewRegistry() *Registry {
 	r := &Registry{
 		queries: make(map[queryKey]uint64),
 		latency: make(map[string]*Histogram),
-		slow:    NewSlowLog(slowCap, slowThreshold),
+		slow:    NewSlowLog(slowLogCap),
 	}
 	for i := range r.stages {
 		r.stages[i] = NewHistogram()
@@ -188,8 +186,8 @@ func NewRegistry(slowCap int, slowThreshold time.Duration) *Registry {
 	return r
 }
 
-// StartSpan opens a span for one query evaluation that began at start
-// and bumps the in-flight gauge. A caller that timed a stage before it
+// StartSpan opens a span for one query evaluation that began at start.
+// A caller that timed a stage before it
 // knew the query (the server's parse) passes that stage's start, so the
 // span's duration covers every stage recorded into it. On a nil registry
 // it returns a nil span, which every downstream layer accepts.
@@ -197,7 +195,6 @@ func (r *Registry) StartSpan(start time.Time, query, algo, scheme string, k int)
 	if r == nil {
 		return nil
 	}
-	r.inFlight.Add(1)
 	return &Span{query: query, algo: algo, scheme: scheme, k: k, start: start, reg: r}
 }
 
@@ -206,7 +203,6 @@ func (r *Registry) finish(sp *Span, status string) {
 		return
 	}
 	total := time.Since(sp.start)
-	r.inFlight.Add(-1)
 
 	var stages [NumStages]time.Duration
 	for i := range stages {
@@ -236,14 +232,6 @@ func (r *Registry) finish(sp *Span, status string) {
 		Total:       total,
 		Stages:      stages,
 	})
-}
-
-// InFlight returns the number of open spans.
-func (r *Registry) InFlight() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.inFlight.Load()
 }
 
 // QueryCount is one (algorithm, scheme, status) counter cell.

@@ -20,7 +20,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetRelaxations(3)
 	sp.MarkCacheHit()
 	sp.Finish("ok")
-	if r.InFlight() != 0 || r.QueryCounts() != nil || r.SlowLog().Len() != 0 {
+	if r.QueryCounts() != nil || r.SlowLog().Top(0) != nil {
 		t.Fatal("nil registry not inert")
 	}
 	if got := SpanFrom(nil); got != nil {
@@ -32,11 +32,8 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSpanRoundTrip(t *testing.T) {
-	r := NewRegistry(8, 0)
+	r := NewRegistry()
 	sp := r.StartSpan(time.Now(), `//item[./a]`, "DPO", "Combined", 50)
-	if r.InFlight() != 1 {
-		t.Fatalf("in-flight = %d, want 1", r.InFlight())
-	}
 	ctx := WithSpan(context.Background(), sp)
 	if SpanFrom(ctx) != sp {
 		t.Fatal("span not carried by context")
@@ -48,9 +45,6 @@ func TestSpanRoundTrip(t *testing.T) {
 	sp.SetRelaxations(1) // keeps the deeper level
 	sp.Finish("ok")
 
-	if r.InFlight() != 0 {
-		t.Errorf("in-flight after finish = %d", r.InFlight())
-	}
 	counts := r.QueryCounts()
 	if len(counts) != 1 || counts[0] != (QueryCount{Algo: "DPO", Scheme: "Combined", Status: "ok", Count: 1}) {
 		t.Errorf("query counts = %+v", counts)
@@ -73,7 +67,7 @@ func TestSpanRoundTrip(t *testing.T) {
 }
 
 func TestSpanConcurrentRec(t *testing.T) {
-	r := NewRegistry(8, 0)
+	r := NewRegistry()
 	sp := r.StartSpan(time.Now(), "q", "Hybrid", "StructureFirst", 10)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -159,32 +153,30 @@ func TestBucketMonotone(t *testing.T) {
 	}
 }
 
-func TestSlowLogRingAndThreshold(t *testing.T) {
-	l := NewSlowLog(3, 10*time.Millisecond)
-	l.Add(SlowEntry{Query: "fast", Total: time.Millisecond})
-	if l.Len() != 0 {
-		t.Fatalf("fast query retained")
-	}
-	for i, d := range []time.Duration{20, 40, 30, 50} {
+// The ring keeps the most recent entries, however fast, and Top ranks
+// them slowest first.
+func TestSlowLogRing(t *testing.T) {
+	l := NewSlowLog(3)
+	for i, d := range []time.Duration{1, 20, 40, 30, 50} {
 		l.Add(SlowEntry{Query: string(rune('a' + i)), Total: d * time.Millisecond})
 	}
-	if l.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (ring capacity)", l.Len())
+	if n := len(l.Top(0)); n != 3 {
+		t.Fatalf("len = %d, want 3 (ring capacity)", n)
 	}
 	top := l.Top(2)
 	if len(top) != 2 || top[0].Total != 50*time.Millisecond || top[1].Total != 40*time.Millisecond {
 		t.Errorf("top = %+v", top)
 	}
-	// The oldest entry (20ms, "a") was displaced by the ring.
+	// The two oldest entries ("a", 1ms and "b", 20ms) were displaced.
 	for _, e := range l.Top(0) {
-		if e.Query == "a" {
-			t.Error("oldest entry not displaced")
+		if e.Query == "a" || e.Query == "b" {
+			t.Errorf("oldest entry %q not displaced", e.Query)
 		}
 	}
 }
 
 func TestWritePrometheusValidates(t *testing.T) {
-	r := NewRegistry(8, 0)
+	r := NewRegistry()
 	for _, algo := range []string{"Hybrid", "DPO"} {
 		sp := r.StartSpan(time.Now(), `//a[.contains("x")]`, algo, "StructureFirst", 10)
 		sp.Rec(StageJoin, 3*time.Millisecond)
@@ -202,7 +194,6 @@ func TestWritePrometheusValidates(t *testing.T) {
 	for _, want := range []string{
 		`flexpath_queries_total{algo="Hybrid",scheme="StructureFirst",status="ok"} 1`,
 		`flexpath_queries_total{algo="Hybrid",scheme="KeywordFirst",status="timeout"} 1`,
-		"flexpath_inflight_queries 0",
 		`flexpath_query_duration_seconds_count{algo="DPO"} 1`,
 		`flexpath_stage_duration_seconds_bucket{stage="join",le="+Inf"} 3`,
 	} {

@@ -75,8 +75,8 @@ func WriteHistogram(w io.Writer, name, labelKey, labelVal string, s HistogramSna
 	writeSample(w, name+"_count", s.Count, labelKey, labelVal)
 }
 
-// WritePrometheus renders the registry's counters, histograms and the
-// in-flight gauge in the Prometheus text exposition format. Serving
+// WritePrometheus renders the registry's query counters and latency
+// histograms in the Prometheus text exposition format. Serving
 // callers append their own families (e.g. cache counters) after it.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
@@ -89,9 +89,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	WriteFamily(w, "flexpath_queries_total", "counter",
 		"Finished search queries by algorithm, ranking scheme and terminal status.", queries...)
 
-	WriteFamily(w, "flexpath_inflight_queries", "gauge", "Searches currently being evaluated.",
-		Sample{Value: r.InFlight()})
-
 	WriteFamily(w, "flexpath_query_duration_seconds", "histogram", "End-to-end search latency by algorithm.")
 	algos, hists := r.LatencyByAlgo()
 	for i, a := range algos {
@@ -103,9 +100,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for i, s := range r.StageLatency() {
 		WriteHistogram(w, "flexpath_stage_duration_seconds", "stage", Stage(i).String(), s)
 	}
-
-	WriteFamily(w, "flexpath_slowlog_entries", "gauge", "Queries retained in the slow-query log.",
-		Sample{Value: r.SlowLog().Len()})
 }
 
 // ValidateExposition checks that data is well-formed Prometheus text

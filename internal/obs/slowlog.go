@@ -20,50 +20,31 @@ type SlowEntry struct {
 	Stages      [NumStages]time.Duration
 }
 
-// SlowLog is a fixed-capacity ring buffer of the most recent queries
-// whose total latency met a threshold. The ring bounds memory under
-// sustained slow traffic; Top ranks the retained window by latency, so
-// "the N slowest recent queries" is one mutex-guarded copy.
+// SlowLog is a fixed-capacity ring buffer of the most recent finished
+// queries. The ring bounds memory under sustained traffic; Top ranks the
+// retained window by latency, so "the N slowest recent queries" is one
+// mutex-guarded copy.
 type SlowLog struct {
-	mu        sync.Mutex
-	threshold time.Duration
-	entries   []SlowEntry // ring storage, len == written capacity
-	next      int         // ring write cursor
-	capacity  int
-	dropped   uint64 // fast queries below the threshold (not logged)
+	mu       sync.Mutex
+	entries  []SlowEntry // ring storage, len == written capacity
+	next     int         // ring write cursor
+	capacity int
 }
 
 // NewSlowLog returns a slow-query log keeping the capacity most recent
-// entries at least threshold long. Capacity below 1 is treated as 1; a
-// zero threshold logs every finished query.
-func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SlowLog{capacity: capacity, threshold: threshold}
-}
-
-// Threshold returns the minimum latency for a query to be logged.
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
+// entries. Capacity below 1 is treated as 1.
+func NewSlowLog(capacity int) *SlowLog {
+	return &SlowLog{capacity: max(capacity, 1)}
 }
 
 // Add logs one finished query, displacing the oldest retained entry
-// once the ring is full. Queries faster than the threshold are counted
-// but not stored.
+// once the ring is full.
 func (l *SlowLog) Add(e SlowEntry) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e.Total < l.threshold {
-		l.dropped++
-		return
-	}
 	if len(l.entries) < l.capacity {
 		l.entries = append(l.entries, e)
 		l.next = len(l.entries) % l.capacity
@@ -92,14 +73,4 @@ func (l *SlowLog) Top(n int) []SlowEntry {
 		out = out[:n]
 	}
 	return out
-}
-
-// Len returns the number of retained entries.
-func (l *SlowLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
 }

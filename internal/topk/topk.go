@@ -56,8 +56,6 @@ type Metrics struct {
 	// Restarts counts SSO/Hybrid re-executions after an estimate
 	// undershot K.
 	Restarts int
-	// EstimatorCalls counts selectivity estimations.
-	EstimatorCalls int
 	// PairsMaterialized counts shortcut edges materialized by the
 	// data-relaxation baseline.
 	PairsMaterialized int
@@ -261,7 +259,7 @@ func planBased(chain *core.Chain, est *stats.Estimator, opts Options, mode exec.
 	opts.ensureTemplate(chain)
 	m := opts.metrics()
 	k := opts.K
-	j := choosePrefix(chain, est, opts, m)
+	j := choosePrefix(chain, est, opts)
 	// One arena serves the initial run and any restarts; each restart
 	// re-executes a larger plan from scratch, so everything the previous
 	// round carved is recycled by the Reset below.
@@ -312,8 +310,7 @@ func planBased(chain *core.Chain, est *stats.Estimator, opts Options, mode exec.
 // prefix and the per-variable join pipeline.
 func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
 	opts.ensureTemplate(chain)
-	m := opts.metrics()
-	j := choosePrefix(chain, est, opts, m)
+	j := choosePrefix(chain, est, opts)
 	plan, err := opts.Template.PlanAt(j)
 	if err != nil {
 		return "", err
@@ -343,7 +340,7 @@ func Explain(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, error) {
 	opts.ensureTemplate(chain)
 	m := opts.metrics()
-	j := choosePrefix(chain, est, opts, m)
+	j := choosePrefix(chain, est, opts)
 	plan, err := opts.Template.PlanAt(j)
 	if err != nil {
 		return "", err
@@ -376,7 +373,7 @@ func Analyze(chain *core.Chain, est *stats.Estimator, opts Options) (string, err
 // search of a shape pays the per-level estimator loop — and a
 // restart-corrected level recorded by planBased is reused in preference
 // to re-deriving the (undershooting) estimate.
-func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options, m *Metrics) int {
+func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options) int {
 	key := core.LevelKey{K: opts.K, Scheme: opts.Scheme}
 	if j, ok := opts.Template.Level(key); ok {
 		return j
@@ -385,7 +382,6 @@ func choosePrefix(chain *core.Chain, est *stats.Estimator, opts Options, m *Metr
 	if opts.Scheme != rank.KeywordFirst {
 		j = 0
 		for ; j <= chain.Len(); j++ {
-			m.EstimatorCalls++
 			if est.Estimate(chain.QueryAt(j), chain.FullText) >= float64(opts.K) {
 				break
 			}

@@ -336,10 +336,10 @@ func TestMetricsSeparateAlgorithms(t *testing.T) {
 	if ms.PlansRun < 1 || mh.PlansRun < 1 {
 		t.Error("SSO/Hybrid did not run a plan")
 	}
-	if ms.Pipeline.SortOps == 0 {
+	if ms.Pipeline.SortedTuples == 0 {
 		t.Error("SSO never sorted intermediate results")
 	}
-	if mh.Pipeline.SortOps != 0 {
+	if mh.Pipeline.SortedTuples != 0 {
 		t.Error("Hybrid sorted intermediate results")
 	}
 	if mh.Pipeline.Buckets == 0 {

@@ -82,13 +82,6 @@ func Equivalent(a, b *Query) bool {
 	return ContainedIn(a, b) && ContainedIn(b, a)
 }
 
-// StrictlyContainedIn reports whether q ⊂ qPrime (containment without
-// equivalence); this is the relationship every valid relaxation must have
-// to its original query.
-func StrictlyContainedIn(q, qPrime *Query) bool {
-	return ContainedIn(q, qPrime) && !ContainedIn(qPrime, q)
-}
-
 // Minimize returns the unique minimal query equivalent to q (Theorem 1;
 // Flesca et al., VLDB 2003): first the predicate-level core of the
 // closure removes redundant derived predicates, then subtrees whose

@@ -48,7 +48,7 @@ func TestSelfContainment(t *testing.T) {
 func TestContainmentAxis(t *testing.T) {
 	pc := MustParse(`//a[./b]`)
 	ad := MustParse(`//a[.//b]`)
-	if !StrictlyContainedIn(pc, ad) {
+	if !(ContainedIn(pc, ad) && !ContainedIn(ad, pc)) {
 		t.Error("//a[./b] should be strictly contained in //a[.//b]")
 	}
 }
@@ -66,10 +66,10 @@ func TestContainmentContains(t *testing.T) {
 	with := MustParse(`//a[./b[.contains("gold")]]`)
 	promoted := MustParse(`//a[./b and .contains("gold")]`)
 	without := MustParse(`//a[./b]`)
-	if !StrictlyContainedIn(with, promoted) {
+	if !(ContainedIn(with, promoted) && !ContainedIn(promoted, with)) {
 		t.Error("contains promotion must strictly contain the original")
 	}
-	if !StrictlyContainedIn(with, without) {
+	if !(ContainedIn(with, without) && !ContainedIn(without, with)) {
 		t.Error("dropping contains must contain the original")
 	}
 	if ContainedIn(without, with) {
@@ -80,7 +80,7 @@ func TestContainmentContains(t *testing.T) {
 func TestContainmentValuePreds(t *testing.T) {
 	a := MustParse(`//a[@x = 1 and ./b]`)
 	b := MustParse(`//a[./b]`)
-	if !StrictlyContainedIn(a, b) {
+	if !(ContainedIn(a, b) && !ContainedIn(b, a)) {
 		t.Error("dropping a value predicate must relax")
 	}
 }

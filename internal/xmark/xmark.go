@@ -46,11 +46,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a 1 MB, seed-42 configuration.
-func DefaultConfig() Config {
-	return Config{TargetBytes: 1 << 20, Seed: 42}
-}
-
 // Generate writes an XMark-shaped document of roughly cfg.TargetBytes to w.
 func Generate(w io.Writer, cfg Config) error {
 	bw := bufio.NewWriterSize(w, 1<<16)

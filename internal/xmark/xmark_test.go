@@ -178,12 +178,8 @@ func TestSectionsPresent(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.TargetBytes != 1<<20 || cfg.Seed != 42 {
-		t.Errorf("unexpected default config %+v", cfg)
-	}
-	// Zero target falls back to a small document rather than nothing.
+// A zero target falls back to a small document rather than nothing.
+func TestZeroConfig(t *testing.T) {
 	d, err := Build(Config{})
 	if err != nil {
 		t.Fatal(err)

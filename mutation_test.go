@@ -447,7 +447,7 @@ func TestSlowLogCacheHitAfterReplace(t *testing.T) {
 	c.SetCache(16)
 	q := MustParseQuery(paperQ1)
 	cacheHit := func() bool {
-		reg := obs.NewRegistry(1, 0)
+		reg := obs.NewRegistry()
 		span := reg.StartSpan(time.Now(), q.String(), "Hybrid", "structure-first", 10)
 		if _, err := c.SearchContext(obs.WithSpan(context.Background(), span), q, SearchOptions{K: 10, Algorithm: Hybrid}); err != nil {
 			t.Fatal(err)

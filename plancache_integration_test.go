@@ -142,7 +142,7 @@ func TestPlanCacheSkipsChainAndPlanStages(t *testing.T) {
 	q := MustParseQuery(`//item[./description/parlist and ./mailbox/mail/text]`)
 	search := func() obs.SlowEntry {
 		t.Helper()
-		reg := obs.NewRegistry(4, 0)
+		reg := obs.NewRegistry()
 		span := reg.StartSpan(time.Now(), q.String(), "Auto", "structure-first", 10)
 		ctx := obs.WithSpan(context.Background(), span)
 		if _, err := doc.SearchContext(ctx, q, SearchOptions{K: 10}); err != nil {

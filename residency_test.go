@@ -393,7 +393,7 @@ func TestFaultTimeIsAccounted(t *testing.T) {
 	q := MustParseQuery(paperQ1)
 	search := func() time.Duration {
 		t.Helper()
-		reg := obs.NewRegistry(4, 0)
+		reg := obs.NewRegistry()
 		span := reg.StartSpan(time.Now(), q.String(), "Hybrid", "structure-first", 5)
 		ctx := obs.WithSpan(context.Background(), span)
 		if _, err := c.SearchContext(ctx, q, SearchOptions{K: 5, Algorithm: Hybrid, NoCache: true}); err != nil {

@@ -84,15 +84,11 @@ func search[A any](ctx context.Context, c *Collection, set corpus, q *Query, opt
 	}
 	useCache := qc != nil && !opts.NoCache
 	var key string
-	var epoch uint64
 	var cached []part
 	found := false
 	if useCache {
 		key = searchCacheKey(q, opts)
 		tCache := now(span)
-		// Read before the lookup, so a purge while this search runs drops
-		// its put.
-		epoch = qc.Epoch()
 		cached, found = qc.Get(key)
 		span.Rec(obs.StageCache, since(tCache))
 	}
@@ -154,7 +150,7 @@ func search[A any](ctx context.Context, c *Collection, set corpus, q *Query, opt
 			for i := range units {
 				parts[i] = units[i].part
 			}
-			qc.Put(key, parts, epoch)
+			qc.Put(key, parts)
 		}
 	}
 
