@@ -16,7 +16,7 @@ import (
 )
 
 // residencyServer serves a collection of n cold FXP3 members.
-func residencyServer(t *testing.T, n int) (*httptest.Server, *flexpath.Collection) {
+func residencyServer(t *testing.T, n int) *httptest.Server {
 	t.Helper()
 	dir := t.TempDir()
 	coll := flexpath.NewCollection()
@@ -38,11 +38,11 @@ func residencyServer(t *testing.T, n int) (*httptest.Server, *flexpath.Collectio
 	h, _ := newHandlerConfig(coll, handlerConfig{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	return srv, coll
+	return srv
 }
 
 func TestStatsAndMetricsReportResidency(t *testing.T) {
-	srv, _ := residencyServer(t, 3)
+	srv := residencyServer(t, 3)
 
 	// Before any search: all members cold, and reading stats must not
 	// fault them in.
@@ -127,36 +127,6 @@ func TestStatsOmitResidencyWhenUnused(t *testing.T) {
 	_, body = get(t, srv.URL+"/metrics")
 	if !strings.Contains(string(body), "flexpath_resident_docs") {
 		t.Error("resident metric families should always be exported")
-	}
-}
-
-func TestSearchServesColdCorpusIdentically(t *testing.T) {
-	srv, coll := residencyServer(t, 3)
-	url := srv.URL + "/search?q=" + escape(serveQuery) + "&k=10&algo=hybrid&nocache=1"
-	// The ranking is byte-identical across passes: compare the answer
-	// payloads (the response's elapsed_ms is wall time).
-	answers := func(body []byte) string {
-		var resp serveutil.SearchResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Answers) == 0 {
-			t.Fatalf("no answers: %s", body)
-		}
-		b, _ := json.Marshal(resp.Answers)
-		return string(b)
-	}
-	_, first := get(t, url)
-	want := answers(first)
-	// Re-searching the decoded members returns identical rankings and
-	// decodes nothing again.
-	for i := 0; i < 3; i++ {
-		if _, body := get(t, url); answers(body) != want {
-			t.Fatalf("response drifted on pass %d:\n%s\nvs\n%s", i, answers(body), want)
-		}
-	}
-	if s := coll.ResidencyStats(); s.Faults != 3 || s.Resident != 3 {
-		t.Fatalf("members decoded more than once: %+v", s)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/tpq"
 )
@@ -160,49 +159,55 @@ func TestSoundness(t *testing.T) {
 	}
 }
 
+// randomQuery draws a query of two to five variables over tags a to d.
+func randomQuery(r *rand.Rand) *tpq.Query {
+	tags := []string{"a", "b", "c", "d"}
+	n := 2 + r.Intn(4)
+	q := &tpq.Query{}
+	for i := 0; i < n; i++ {
+		node := tpq.Node{ID: i + 1, Tag: tags[r.Intn(len(tags))], Parent: -1}
+		if i > 0 {
+			node.Parent = r.Intn(i)
+			if r.Intn(3) == 0 {
+				node.Axis = tpq.Descendant
+			}
+		}
+		q.Nodes = append(q.Nodes, node)
+	}
+	q.Dist = 0
+	q.Normalize()
+	return q
+}
+
 // TestPropertySoundnessRandom applies random operator sequences to random
 // queries and checks containment is preserved transitively.
 func TestPropertySoundnessRandom(t *testing.T) {
-	tags := []string{"a", "b", "c", "d"}
-	randomQuery := func(r *rand.Rand) *tpq.Query {
-		n := 2 + r.Intn(4)
-		q := &tpq.Query{}
-		for i := 0; i < n; i++ {
-			node := tpq.Node{ID: i + 1, Tag: tags[r.Intn(len(tags))], Parent: -1}
-			if i > 0 {
-				node.Parent = r.Intn(i)
-				if r.Intn(3) == 0 {
-					node.Axis = tpq.Descendant
-				}
-			}
-			q.Nodes = append(q.Nodes, node)
-		}
-		q.Dist = 0
-		q.Normalize()
-		return q
+	for seed := int64(1); seed <= 120 && !t.Failed(); seed++ {
+		operatorsSound(t, seed)
 	}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		orig := randomQuery(r)
-		cur := orig
-		for step := 0; step < 4; step++ {
-			ops := ApplicableOps(cur)
-			if len(ops) == 0 {
-				break
-			}
-			next, err := ops[r.Intn(len(ops))].Apply(cur)
-			if err != nil {
-				return false
-			}
-			if !tpq.ContainedIn(orig, next) || !tpq.ContainedIn(cur, next) {
-				return false
-			}
-			cur = next
+}
+
+func FuzzPropertySoundnessRandom(f *testing.F) { f.Fuzz(operatorsSound) }
+
+// operatorsSound applies up to four random applicable operators to a
+// random query, all drawn from seed: each step must relax the query.
+func operatorsSound(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	orig := randomQuery(r)
+	cur := orig
+	for step := 0; step < 4; step++ {
+		ops := ApplicableOps(cur)
+		if len(ops) == 0 {
+			break
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
+		next, err := ops[r.Intn(len(ops))].Apply(cur)
+		if err != nil {
+			t.Fatalf("seed %d: %s: %v", seed, cur, err)
+		}
+		if !tpq.ContainedIn(orig, next) || !tpq.ContainedIn(cur, next) {
+			t.Fatalf("seed %d: %s relaxed to %s, which does not contain it", seed, cur, next)
+		}
+		cur = next
 	}
 }
 

@@ -2,9 +2,9 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/ir"
 	"flexpath/internal/tpq"
@@ -47,66 +47,73 @@ func randomSortedNodes(r *rand.Rand, d *xmltree.Document) []xmltree.NodeID {
 }
 
 func TestPropertySemiJoins(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDoc(r)
-		outer := randomSortedNodes(r, d)
-		inner := randomSortedNodes(r, d)
+	for seed := int64(1); seed <= 120 && !t.Failed(); seed++ {
+		semiJoinsMatchNaive(t, seed)
+	}
+}
 
-		check := func(got []xmltree.NodeID, keep func(a xmltree.NodeID) bool) bool {
-			var want []xmltree.NodeID
-			for _, a := range outer {
-				if keep(a) {
-					want = append(want, a)
-				}
+func FuzzPropertySemiJoins(f *testing.F) { f.Fuzz(semiJoinsMatchNaive) }
+
+// semiJoinsMatchNaive holds the four semijoins to a naive scan on a
+// random document and node lists drawn from seed.
+func semiJoinsMatchNaive(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	d := randomDoc(r)
+	outer := randomSortedNodes(r, d)
+	inner := randomSortedNodes(r, d)
+
+	check := func(got []xmltree.NodeID, keep func(a xmltree.NodeID) bool) bool {
+		var want []xmltree.NodeID
+		for _, a := range outer {
+			if keep(a) {
+				want = append(want, a)
 			}
-			if len(got) != len(want) {
+		}
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
 				return false
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-			return true
 		}
-
-		ok := check(SemiJoinHasDescendant(d, outer, inner), func(a xmltree.NodeID) bool {
-			for _, x := range inner {
-				if d.IsAncestor(a, x) {
-					return true
-				}
-			}
-			return false
-		})
-		ok = ok && check(SemiJoinHasChild(d, outer, inner), func(a xmltree.NodeID) bool {
-			for _, x := range inner {
-				if d.Parent(x) == a {
-					return true
-				}
-			}
-			return false
-		})
-		ok = ok && check(SemiJoinDescendantOf(d, outer, inner), func(a xmltree.NodeID) bool {
-			for _, x := range inner {
-				if d.IsAncestor(x, a) {
-					return true
-				}
-			}
-			return false
-		})
-		ok = ok && check(SemiJoinChildOf(d, outer, inner), func(a xmltree.NodeID) bool {
-			for _, x := range inner {
-				if d.Parent(a) == x {
-					return true
-				}
-			}
-			return false
-		})
-		return ok
+		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
+
+	ok := check(SemiJoinHasDescendant(d, outer, inner), func(a xmltree.NodeID) bool {
+		for _, x := range inner {
+			if d.IsAncestor(a, x) {
+				return true
+			}
+		}
+		return false
+	})
+	ok = ok && check(SemiJoinHasChild(d, outer, inner), func(a xmltree.NodeID) bool {
+		for _, x := range inner {
+			if d.Parent(x) == a {
+				return true
+			}
+		}
+		return false
+	})
+	ok = ok && check(SemiJoinDescendantOf(d, outer, inner), func(a xmltree.NodeID) bool {
+		for _, x := range inner {
+			if d.IsAncestor(x, a) {
+				return true
+			}
+		}
+		return false
+	})
+	ok = ok && check(SemiJoinChildOf(d, outer, inner), func(a xmltree.NodeID) bool {
+		for _, x := range inner {
+			if d.Parent(a) == x {
+				return true
+			}
+		}
+		return false
+	})
+	if !ok {
+		t.Fatalf("seed %d: a semijoin differs from the naive scan", seed)
 	}
 }
 
@@ -204,28 +211,27 @@ var testQueries = []string{
 }
 
 func TestPropertyEvaluateMatchesNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDoc(r)
-		ix := ir.NewIndex(d)
-		ev := NewEvaluator(d, ix)
-		for _, src := range testQueries {
-			q := tpq.MustParse(src)
-			got := ev.Evaluate(q)
-			want := naiveMatches(d, ix, q)
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
+	for seed := int64(1); seed <= 60 && !t.Failed(); seed++ {
+		evaluateMatchesNaive(t, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzPropertyEvaluateMatchesNaive(f *testing.F) { f.Fuzz(evaluateMatchesNaive) }
+
+// evaluateMatchesNaive holds the evaluator to naiveMatches for every
+// test query on a random document drawn from seed.
+func evaluateMatchesNaive(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	d := randomDoc(r)
+	ix := ir.NewIndex(d)
+	ev := NewEvaluator(d, ix)
+	for _, src := range testQueries {
+		q := tpq.MustParse(src)
+		got := ev.Evaluate(q)
+		want := naiveMatches(d, ix, q)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: %s: evaluator %v, naive %v", seed, src, got, want)
+		}
 	}
 }
 

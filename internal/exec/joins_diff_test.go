@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/xmark"
 	"flexpath/internal/xmltree"
@@ -65,15 +64,22 @@ func checkKernels(t testing.TB, d *xmltree.Document, outer, inner []xmltree.Node
 }
 
 func TestDifferentialKernelsRandom(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDoc(r)
-		outer := randomSortedNodes(r, d)
-		inner := randomSortedNodes(r, d)
-		return checkKernels(t, d, outer, inner)
+	for seed := int64(1); seed <= 200 && !t.Failed(); seed++ {
+		differentialKernels(t, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzDifferentialKernelsRandom(f *testing.F) { f.Fuzz(differentialKernels) }
+
+// differentialKernels runs every kernel against its scalar oracle on a
+// random document and node lists drawn from seed.
+func differentialKernels(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	d := randomDoc(r)
+	outer := randomSortedNodes(r, d)
+	inner := randomSortedNodes(r, d)
+	if !checkKernels(t, d, outer, inner) {
+		t.Fatalf("seed %d: the kernels diverge", seed)
 	}
 }
 

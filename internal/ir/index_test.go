@@ -1,11 +1,9 @@
 package ir
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/xmltree"
 )
@@ -272,60 +270,71 @@ func randomTextDoc(r *rand.Rand) *xmltree.Document {
 	return d
 }
 
+// satisfiesExprs cover every operator satisfiesMatchesNaive checks.
+var satisfiesExprs = []Expr{
+	MustParseExpr("alpha"),
+	MustParseExpr("alpha and beta"),
+	MustParseExpr("alpha and beta and gamma"),
+	MustParseExpr("alpha or omega"),
+	MustParseExpr(`"alpha beta"`),
+	MustParseExpr("near(alpha gamma, 3)"),
+	MustParseExpr("alpha and not beta"),
+}
+
 func TestPropertySatisfiesMatchesNaive(t *testing.T) {
-	exprs := []Expr{
-		MustParseExpr("alpha"),
-		MustParseExpr("alpha and beta"),
-		MustParseExpr("alpha and beta and gamma"),
-		MustParseExpr("alpha or omega"),
-		MustParseExpr(`"alpha beta"`),
-		MustParseExpr("near(alpha gamma, 3)"),
-		MustParseExpr("alpha and not beta"),
-	}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		doc := randomTextDoc(r)
-		ix := NewIndex(doc)
-		for _, e := range exprs {
-			res := ix.Eval(e)
-			for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
-				if res.Satisfies(n) != naiveSatisfies(ix, n, e) {
-					fmt.Printf("seed=%d expr=%s node=%d\n", seed, e.Canon(), n)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 60 && !t.Failed(); seed++ {
+		satisfiesMatchesNaive(t, seed)
 	}
 }
 
-func TestPropertyUpwardClosure(t *testing.T) {
-	// Satisfaction must be upward closed (required by the paper's
-	// contains inference rule: ad(x,y) ∧ contains(y,e) ⊢ contains(x,e)).
-	exprs := []Expr{
-		MustParseExpr("alpha and beta"),
-		MustParseExpr("alpha and not beta"),
-		MustParseExpr(`"alpha beta"`),
-	}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		doc := randomTextDoc(r)
-		ix := NewIndex(doc)
-		for _, e := range exprs {
-			res := ix.Eval(e)
-			for n := xmltree.NodeID(1); int(n) < doc.Len(); n++ {
-				if res.Satisfies(n) && !res.Satisfies(doc.Parent(n)) {
-					return false
-				}
+func FuzzPropertySatisfiesMatchesNaive(f *testing.F) { f.Fuzz(satisfiesMatchesNaive) }
+
+// satisfiesMatchesNaive holds Satisfies to naiveSatisfies for every
+// satisfiesExprs expression on a random document drawn from seed.
+func satisfiesMatchesNaive(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	doc := randomTextDoc(r)
+	ix := NewIndex(doc)
+	for _, e := range satisfiesExprs {
+		res := ix.Eval(e)
+		for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
+			if res.Satisfies(n) != naiveSatisfies(ix, n, e) {
+				t.Fatalf("seed %d: %s at node %d differs from the naive check", seed, e.Canon(), n)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+}
+
+// upwardExprs are checked for upward closure, which the paper's
+// contains inference rule requires: ad(x,y) ∧ contains(y,e) ⊢
+// contains(x,e).
+var upwardExprs = []Expr{
+	MustParseExpr("alpha and beta"),
+	MustParseExpr("alpha and not beta"),
+	MustParseExpr(`"alpha beta"`),
+}
+
+func TestPropertyUpwardClosure(t *testing.T) {
+	for seed := int64(1); seed <= 60 && !t.Failed(); seed++ {
+		upwardClosed(t, seed)
+	}
+}
+
+func FuzzPropertyUpwardClosure(f *testing.F) { f.Fuzz(upwardClosed) }
+
+// upwardClosed checks every upwardExprs expression on a random document
+// drawn from seed.
+func upwardClosed(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	doc := randomTextDoc(r)
+	ix := NewIndex(doc)
+	for _, e := range upwardExprs {
+		res := ix.Eval(e)
+		for n := xmltree.NodeID(1); int(n) < doc.Len(); n++ {
+			if res.Satisfies(n) && !res.Satisfies(doc.Parent(n)) {
+				t.Fatalf("seed %d: %s holds at node %d but not at its parent", seed, e.Canon(), n)
+			}
+		}
 	}
 }
 

@@ -18,10 +18,10 @@ const (
 )
 
 // Histogram is a bounded log2-bucket latency histogram. Observations
-// are lock-free atomic increments; snapshots and quantiles read the
-// counters without stopping writers (a snapshot is weakly consistent,
-// which is fine for monitoring). The zero value is not usable;
-// construct with NewHistogram.
+// are lock-free atomic increments; snapshots read the counters without
+// stopping writers (a snapshot is weakly consistent, which is fine for
+// monitoring). The zero value is not usable; construct with
+// NewHistogram.
 type Histogram struct {
 	counts [histBuckets + 1]atomic.Uint64
 	sum    atomic.Int64 // nanoseconds
@@ -87,44 +87,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Sum = time.Duration(h.sum.Load())
 	s.Count = h.count.Load()
 	return s
-}
-
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) of the
-// observed durations: the upper bound of the bucket in which the
-// quantile falls (so the true quantile is within one power of two).
-// It returns 0 when the histogram is empty; a quantile landing in the
-// overflow bucket reports the largest finite bound.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(s.Count))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= target {
-			if b := BucketBound(i); b >= 0 {
-				return time.Duration(b)
-			}
-			return time.Duration(BucketBound(histBuckets - 1))
-		}
-	}
-	return time.Duration(BucketBound(histBuckets - 1))
-}
-
-// Mean returns the mean observed duration (0 when empty).
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
 }

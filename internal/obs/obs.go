@@ -1,9 +1,8 @@
 // Package obs is the stdlib-only observability layer of the serving
-// stack: atomic counters, bounded log2-bucket latency histograms with
-// quantile extraction, a ring-buffer slow-query log, and a lightweight
-// per-query Span that accumulates per-stage timings as a search moves
-// through parsing, chain building, join execution, merging and cache
-// lookups.
+// stack: atomic counters, bounded log2-bucket latency histograms, a
+// ring-buffer slow-query log, and a lightweight per-query Span that
+// accumulates per-stage timings as a search moves through parsing, chain
+// building, join execution, merging and cache lookups.
 //
 // The design constraint is that instrumentation must cost ~nothing when
 // disabled: the library layers obtain a *Span from the request context

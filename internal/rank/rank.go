@@ -124,17 +124,6 @@ func UniformWeights() Weights {
 	return Weights{Structural: 1, Contains: 1}
 }
 
-// Of returns the weight of predicate p.
-func (w Weights) Of(p tpq.Pred) float64 {
-	if v, ok := w.PerPred[p.Key()]; ok {
-		return v
-	}
-	if p.Kind == tpq.PredContains {
-		return w.Contains
-	}
-	return w.Structural
-}
-
 // Penalizer computes the penalty π(p) of dropping each predicate of a
 // query's closure, using document statistics (§4.3.1). A penalty measures
 // the context an answer loses by not satisfying the predicate: the higher
@@ -156,7 +145,8 @@ func NewPenalizer(st *stats.Stats, ft []*ir.Result, w Weights, u *tpq.Universe) 
 	return &Penalizer{st: st, ft: ft, w: w, u: u}
 }
 
-// weight is Weights.Of for universe predicate i; the key is formatted
+// weight returns the weight of universe predicate i: its PerPred
+// override, else the Contains or Structural weight. The key is formatted
 // only once per universe, and looked up only when overrides exist.
 func (p *Penalizer) weight(i int) float64 {
 	if len(p.w.PerPred) > 0 {

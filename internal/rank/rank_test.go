@@ -3,7 +3,6 @@ package rank
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/ir"
 	"flexpath/internal/stats"
@@ -162,15 +161,17 @@ func TestBaseScore(t *testing.T) {
 	}
 }
 
+// TestPerPredWeightOverride: a PerPred weight replaces its predicate's
+// weight in the penalizer, and only that one: on TestBaseScore's query,
+// the book/chapter edge weighted 5 beside two unit edges gives 7.
 func TestPerPredWeightOverride(t *testing.T) {
+	_, st, ix := fixture(t)
+	q := tpq.MustParse(`//book[./chapter[./para] and .//title]`)
+	u := tpq.NewUniverse(q)
 	w := UniformWeights()
-	p := tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2}
-	w.PerPred = map[string]float64{p.Key(): 5}
-	if got := w.Of(p); got != 5 {
-		t.Errorf("override weight = %f", got)
-	}
-	if got := w.Of(tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 3}); got != 1 {
-		t.Errorf("non-overridden weight = %f", got)
+	w.PerPred = map[string]float64{tpq.Pred{Kind: tpq.PredPC, X: 1, Y: 2}.Key(): 5}
+	if got := NewPenalizer(st, fullText(ix, u), w, u).BaseScore(); got != 7 {
+		t.Errorf("BaseScore with one edge weighted 5 = %f, want 7", got)
 	}
 }
 
@@ -179,35 +180,50 @@ func TestPerPredWeightOverride(t *testing.T) {
 // verify the contract directly: summing weights/penalties over a shuffled
 // predicate multiset yields identical scores.
 func TestOrderInvariance(t *testing.T) {
+	n, score := dropScorer(t)
+	for seed := int64(1); seed <= 200 && !t.Failed(); seed++ {
+		orderInvariant(t, n, score, seed)
+	}
+}
+
+func FuzzOrderInvariance(f *testing.F) {
+	n, score := dropScorer(f)
+	f.Fuzz(func(t *testing.T, seed int64) { orderInvariant(t, n, score, seed) })
+}
+
+// dropScorer returns the number of droppable predicates of a query over
+// the fixture, and the score left after dropping some of them in order.
+func dropScorer(t testing.TB) (int, func(order []int) float64) {
 	_, st, ix := fixture(t)
 	q := tpq.MustParse(`//book[./chapter[./para[.contains("gold")]] and ./title]`)
 	u := tpq.NewUniverse(q)
 	pen := NewPenalizer(st, fullText(ix, u), UniformWeights(), u)
-	preds := tpq.ClosureOf(q).List()
 	var droppable []tpq.Pred
-	for _, p := range preds {
+	for _, p := range tpq.ClosureOf(q).List() {
 		if p.Kind == tpq.PredPC || p.Kind == tpq.PredAD || p.Kind == tpq.PredContains {
 			droppable = append(droppable, p)
 		}
 	}
-	score := func(order []int, k int) float64 {
+	return len(droppable), func(order []int) float64 {
 		ss := pen.BaseScore()
-		for _, i := range order[:k] {
+		for _, i := range order {
 			ss -= pen.Penalty(u.Index(droppable[i]))
 		}
 		return ss
 	}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(len(droppable))
-		orderA := r.Perm(len(droppable))[:k]
-		// Same subset, different order.
-		orderB := append([]int(nil), orderA...)
-		r.Shuffle(len(orderB), func(i, j int) { orderB[i], orderB[j] = orderB[j], orderB[i] })
-		return close(score(orderA, k), score(orderB, k))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+// orderInvariant drops a subset of the n predicates, drawn from seed, in
+// two orders.
+func orderInvariant(t *testing.T, n int, score func([]int) float64, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	k := 1 + r.Intn(n)
+	orderA := r.Perm(n)[:k]
+	// Same subset, different order.
+	orderB := append([]int(nil), orderA...)
+	r.Shuffle(len(orderB), func(i, j int) { orderB[i], orderB[j] = orderB[j], orderB[i] })
+	if a, b := score(orderA), score(orderB); !close(a, b) {
+		t.Fatalf("seed %d: dropping %v scores %v, in the order %v %v", seed, orderA, a, orderB, b)
 	}
 }
 

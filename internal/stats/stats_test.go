@@ -3,7 +3,6 @@ package stats
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/ir"
 	"flexpath/internal/tpq"
@@ -55,67 +54,75 @@ func TestCounts(t *testing.T) {
 	}
 }
 
+// randomTags are the tags randomDoc draws from.
+var randomTags = []string{"a", "b", "c"}
+
+// randomDoc draws a document of up to six levels over randomTags.
+func randomDoc(r *rand.Rand) *xmltree.Document {
+	b := xmltree.NewBuilder()
+	var build func(depth int)
+	build = func(depth int) {
+		b.Open(randomTags[r.Intn(len(randomTags))])
+		if depth < 5 {
+			for i := 0; i < r.Intn(3); i++ {
+				build(depth + 1)
+			}
+		}
+		b.Close()
+	}
+	build(0)
+	d, err := b.Document()
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // TestPropertyCountsMatchNaive compares the collected statistics against a
 // brute-force recount on random documents.
 func TestPropertyCountsMatchNaive(t *testing.T) {
-	tags := []string{"a", "b", "c"}
-	randomDoc := func(r *rand.Rand) *xmltree.Document {
-		b := xmltree.NewBuilder()
-		var build func(depth int)
-		build = func(depth int) {
-			b.Open(tags[r.Intn(len(tags))])
-			if depth < 5 {
-				for i := 0; i < r.Intn(3); i++ {
-					build(depth + 1)
-				}
-			}
-			b.Close()
-		}
-		build(0)
-		d, err := b.Document()
-		if err != nil {
-			panic(err)
-		}
-		return d
+	for seed := int64(1); seed <= 60 && !t.Failed(); seed++ {
+		countsMatchNaive(t, seed)
 	}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomDoc(r)
-		s := Collect(d)
-		for _, t1 := range tags {
-			nt := 0
+}
+
+func FuzzPropertyCountsMatchNaive(f *testing.F) { f.Fuzz(countsMatchNaive) }
+
+// countsMatchNaive recounts the statistics of a random document drawn
+// from seed by brute force.
+func countsMatchNaive(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	d := randomDoc(r)
+	s := Collect(d)
+	for _, t1 := range randomTags {
+		nt := 0
+		for n := xmltree.NodeID(0); int(n) < d.Len(); n++ {
+			if d.TagName(n) == t1 {
+				nt++
+			}
+		}
+		if s.Count(t1) != nt {
+			t.Fatalf("seed %d: Count(%s) = %d, want %d", seed, t1, s.Count(t1), nt)
+		}
+		for _, t2 := range randomTags {
+			pc, ad := 0, 0
 			for n := xmltree.NodeID(0); int(n) < d.Len(); n++ {
-				if d.TagName(n) == t1 {
-					nt++
+				if d.TagName(n) != t2 {
+					continue
+				}
+				if p := d.Parent(n); p != xmltree.InvalidNode && d.TagName(p) == t1 {
+					pc++
+				}
+				for a := d.Parent(n); a != xmltree.InvalidNode; a = d.Parent(a) {
+					if d.TagName(a) == t1 {
+						ad++
+					}
 				}
 			}
-			if s.Count(t1) != nt {
-				return false
-			}
-			for _, t2 := range tags {
-				pc, ad := 0, 0
-				for n := xmltree.NodeID(0); int(n) < d.Len(); n++ {
-					if d.TagName(n) != t2 {
-						continue
-					}
-					if p := d.Parent(n); p != xmltree.InvalidNode && d.TagName(p) == t1 {
-						pc++
-					}
-					for a := d.Parent(n); a != xmltree.InvalidNode; a = d.Parent(a) {
-						if d.TagName(a) == t1 {
-							ad++
-						}
-					}
-				}
-				if s.PC(t1, t2) != pc || s.AD(t1, t2) != ad {
-					return false
-				}
+			if s.PC(t1, t2) != pc || s.AD(t1, t2) != ad {
+				t.Fatalf("seed %d: PC, AD(%s, %s) = %d, %d, want %d, %d", seed, t1, t2, s.PC(t1, t2), s.AD(t1, t2), pc, ad)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/core"
 	"flexpath/internal/ir"
@@ -53,10 +52,14 @@ func randomTPQ(r *rand.Rand) *tpq.Query {
 // pruning machinery on random queries over a small xmark document.
 func TestFuzzAlgorithmsConsistent(t *testing.T) {
 	f := xmarkFixture(t, 48<<10, 99)
-	prop := func(seed int64) bool { return algorithmsConsistent(t, f, seed) }
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 40 && !t.Failed(); seed++ {
+		algorithmsConsistent(t, f, seed)
 	}
+}
+
+func FuzzAlgorithmsConsistent(fz *testing.F) {
+	f := xmarkFixture(fz, 48<<10, 99)
+	fz.Fuzz(func(t *testing.T, seed int64) { algorithmsConsistent(t, f, seed) })
 }
 
 // TestAlgorithmsConsistentSeeds replays the seeds TestFuzzAlgorithmsConsistent
@@ -67,26 +70,23 @@ func TestFuzzAlgorithmsConsistent(t *testing.T) {
 func TestAlgorithmsConsistentSeeds(t *testing.T) {
 	f := xmarkFixture(t, 48<<10, 99)
 	for _, seed := range []int64{2946612023726348998} {
-		if !algorithmsConsistent(t, f, seed) {
-			t.Errorf("seed %d: algorithms disagree", seed)
-		}
+		algorithmsConsistent(t, f, seed)
 	}
 }
 
 // algorithmsConsistent draws a random query, K and scheme from seed and
-// reports whether SSO and Hybrid agree, every pruned run of every chain
-// level is a prefix of the exhaustive one, and every DPO answer carries its
-// minimal admitting level; it logs the first disagreement.
-func algorithmsConsistent(t *testing.T, f *fixture, seed int64) bool {
+// checks that SSO and Hybrid agree, every pruned run of every chain level
+// is a prefix of the exhaustive one, and every DPO answer carries its
+// minimal admitting level.
+func algorithmsConsistent(t *testing.T, f *fixture, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	q := randomTPQ(r)
 	if q.Validate() != nil {
-		return true // skip malformed
+		return // skip malformed
 	}
 	chain, err := core.BuildChain(f.doc, f.ix, f.st, rank.UniformWeights(), q)
 	if err != nil {
-		t.Logf("seed %d: chain: %v", seed, err)
-		return false
+		t.Fatalf("seed %d: chain: %v", seed, err)
 	}
 	k := 1 + r.Intn(20)
 	scheme := []rank.Scheme{rank.StructureFirst, rank.KeywordFirst, rank.Combined}[r.Intn(3)]
@@ -95,13 +95,11 @@ func algorithmsConsistent(t *testing.T, f *fixture, seed int64) bool {
 	sso := SSO(chain, f.est, opts())
 	hyb := Hybrid(chain, f.est, opts())
 	if len(sso) != len(hyb) {
-		t.Logf("seed %d q=%s: SSO %d vs Hybrid %d", seed, q, len(sso), len(hyb))
-		return false
+		t.Fatalf("seed %d q=%s: SSO %d vs Hybrid %d", seed, q, len(sso), len(hyb))
 	}
 	for i := range sso {
 		if sso[i].Node != hyb[i].Node || sso[i].Score != hyb[i].Score {
-			t.Logf("seed %d q=%s: rank %d differs", seed, q, i)
-			return false
+			t.Fatalf("seed %d q=%s: rank %d differs", seed, q, i)
 		}
 	}
 
@@ -110,13 +108,11 @@ func algorithmsConsistent(t *testing.T, f *fixture, seed int64) bool {
 	for j := 0; j <= chain.Len(); j++ {
 		plan, err := chain.PlanAt(j)
 		if err != nil {
-			t.Logf("seed %d: plan: %v", seed, err)
-			return false
+			t.Fatalf("seed %d: plan: %v", seed, err)
 		}
 		for _, pk := range append([]int{k}, pruneKs...) {
 			if err := prunedIsPrefix(plan, scheme, pk); err != nil {
-				t.Logf("seed %d q=%s level %d: %v", seed, q, j, err)
-				return false
+				t.Fatalf("seed %d q=%s level %d: %v", seed, q, j, err)
 			}
 		}
 	}
@@ -134,52 +130,55 @@ func algorithmsConsistent(t *testing.T, f *fixture, seed int64) bool {
 			}
 		}
 		if min != res.Relaxations {
-			t.Logf("seed %d q=%s: node %d DPO level %d, minimal %d",
+			t.Fatalf("seed %d q=%s: node %d DPO level %d, minimal %d",
 				seed, q, res.Node, res.Relaxations, min)
-			return false
 		}
 	}
-	return true
 }
 
 // TestFuzzExactAnswersKeepBaseScore: on random queries, every exact
 // answer returned by any algorithm carries the full base score.
 func TestFuzzExactAnswersKeepBaseScore(t *testing.T) {
 	f := xmarkFixture(t, 48<<10, 5)
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		q := randomTPQ(r)
-		if q.Validate() != nil {
-			return true
-		}
-		chain, err := core.BuildChain(f.doc, f.ix, f.st, rank.UniformWeights(), q)
-		if err != nil {
-			return false
-		}
-		exact := map[int64]bool{}
-		for _, n := range f.ev.Evaluate(q) {
-			exact[int64(n)] = true
-		}
-		// Exact answers carry the full base score; all answers stay at or
-		// below it. (The converse — non-exact strictly below base — does
-		// not hold in general: relaxing a predicate the data never
-		// satisfies in its strong form costs a zero penalty under the
-		// paper's formulas, e.g. π(pc) = #pc/#ad = 0 when no
-		// parent-child pair of those tags exists.)
-		for _, res := range Hybrid(chain, f.est, Options{K: 50, Scheme: rank.StructureFirst}) {
-			if exact[int64(res.Node)] && math.Abs(res.Score.SS-chain.Base) > 1e-9 {
-				t.Logf("seed %d q=%s: exact answer %d scored %f, base %f",
-					seed, q, res.Node, res.Score.SS, chain.Base)
-				return false
-			}
-			if res.Score.SS > chain.Base+1e-9 {
-				t.Logf("seed %d q=%s: answer %d above base score", seed, q, res.Node)
-				return false
-			}
-		}
-		return true
+	for seed := int64(1); seed <= 40 && !t.Failed(); seed++ {
+		exactAnswersKeepBaseScore(t, f, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzExactAnswersKeepBaseScore(fz *testing.F) {
+	f := xmarkFixture(fz, 48<<10, 5)
+	fz.Fuzz(func(t *testing.T, seed int64) { exactAnswersKeepBaseScore(t, f, seed) })
+}
+
+// exactAnswersKeepBaseScore draws a random query from seed and checks
+// Hybrid's answers to it against the base score.
+func exactAnswersKeepBaseScore(t *testing.T, f *fixture, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	q := randomTPQ(r)
+	if q.Validate() != nil {
+		return
+	}
+	chain, err := core.BuildChain(f.doc, f.ix, f.st, rank.UniformWeights(), q)
+	if err != nil {
+		t.Fatalf("seed %d: chain: %v", seed, err)
+	}
+	exact := map[int64]bool{}
+	for _, n := range f.ev.Evaluate(q) {
+		exact[int64(n)] = true
+	}
+	// Exact answers carry the full base score; all answers stay at or
+	// below it. (The converse — non-exact strictly below base — does
+	// not hold in general: relaxing a predicate the data never
+	// satisfies in its strong form costs a zero penalty under the
+	// paper's formulas, e.g. π(pc) = #pc/#ad = 0 when no
+	// parent-child pair of those tags exists.)
+	for _, res := range Hybrid(chain, f.est, Options{K: 50, Scheme: rank.StructureFirst}) {
+		if exact[int64(res.Node)] && math.Abs(res.Score.SS-chain.Base) > 1e-9 {
+			t.Fatalf("seed %d q=%s: exact answer %d scored %f, base %f",
+				seed, q, res.Node, res.Score.SS, chain.Base)
+		}
+		if res.Score.SS > chain.Base+1e-9 {
+			t.Fatalf("seed %d q=%s: answer %d above base score", seed, q, res.Node)
+		}
 	}
 }

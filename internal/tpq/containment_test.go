@@ -3,7 +3,6 @@ package tpq
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // TestFigure1Lattice verifies the containment relationships the paper
@@ -108,77 +107,95 @@ func randomQuery(r *rand.Rand) *Query {
 // TestPropertyContainmentReflexiveTransitive samples random query triples
 // and checks reflexivity plus transitivity of the containment test.
 func TestPropertyContainmentReflexiveTransitive(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b, c := randomQuery(r), randomQuery(r), randomQuery(r)
-		if !ContainedIn(a, a) {
-			return false
-		}
-		if ContainedIn(a, b) && ContainedIn(b, c) && !ContainedIn(a, c) {
-			return false
-		}
-		return true
+	for seed := int64(1); seed <= 200 && !t.Failed(); seed++ {
+		containmentReflexiveTransitive(t, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzPropertyContainmentReflexiveTransitive(f *testing.F) { f.Fuzz(containmentReflexiveTransitive) }
+
+// containmentReflexiveTransitive checks ContainedIn on a random query
+// triple drawn from seed.
+func containmentReflexiveTransitive(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	a, b, c := randomQuery(r), randomQuery(r), randomQuery(r)
+	if !ContainedIn(a, a) {
+		t.Fatalf("seed %d: %s is not contained in itself", seed, a)
+	}
+	if ContainedIn(a, b) && ContainedIn(b, c) && !ContainedIn(a, c) {
+		t.Fatalf("seed %d: %s ⊆ %s ⊆ %s, but not %s ⊆ %s", seed, a, b, c, a, c)
+	}
+}
+
+// coreRandomOrder removes derivable predicates from the closure of s one
+// at a time, in an order r draws, until none is left.
+func coreRandomOrder(s *PredSet, r *rand.Rand) *PredSet {
+	cur := Closure(s)
+	for {
+		preds := cur.List()
+		r.Shuffle(len(preds), func(i, j int) { preds[i], preds[j] = preds[j], preds[i] })
+		removed := false
+		for _, p := range preds {
+			if p.Kind != PredPC && p.Kind != PredAD && p.Kind != PredContains {
+				continue
+			}
+			if Derivable(cur, p) {
+				cur.Remove(p)
+				removed = true
+				break
+			}
+		}
+		if !removed {
+			return cur
+		}
 	}
 }
 
 // TestPropertyCoreUnique removes redundant predicates in random orders and
 // checks the result is always the same set (Theorem 1).
 func TestPropertyCoreUnique(t *testing.T) {
-	coreRandomOrder := func(s *PredSet, r *rand.Rand) *PredSet {
-		cur := Closure(s)
-		for {
-			preds := cur.List()
-			r.Shuffle(len(preds), func(i, j int) { preds[i], preds[j] = preds[j], preds[i] })
-			removed := false
-			for _, p := range preds {
-				if p.Kind != PredPC && p.Kind != PredAD && p.Kind != PredContains {
-					continue
-				}
-				if Derivable(cur, p) {
-					cur.Remove(p)
-					removed = true
-					break
-				}
-			}
-			if !removed {
-				return cur
-			}
-		}
+	for seed := int64(1); seed <= 60 && !t.Failed(); seed++ {
+		coreUnique(t, seed)
 	}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		q := randomQuery(r)
-		want := CoreOf(q)
-		for trial := 0; trial < 4; trial++ {
-			got := coreRandomOrder(Logical(q), r)
-			if !got.Equal(want) {
-				return false
-			}
+}
+
+func FuzzPropertyCoreUnique(f *testing.F) { f.Fuzz(coreUnique) }
+
+// coreUnique checks that every removal order reaches the core of a
+// random query drawn from seed.
+func coreUnique(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	q := randomQuery(r)
+	want := CoreOf(q)
+	for trial := 0; trial < 4; trial++ {
+		got := coreRandomOrder(Logical(q), r)
+		if !got.Equal(want) {
+			t.Fatalf("seed %d: %s: a removal order reached %s, not the core %s", seed, q, got, want)
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestPropertyClosureEquivalence: a query rebuilt from the core of its
 // closure is equivalent to the original.
 func TestPropertyClosureEquivalence(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		q := randomQuery(r)
-		rebuilt, err := TreeFromPreds(CoreOf(q), q.Nodes[q.Dist].ID)
-		if err != nil {
-			return false
-		}
-		return Equivalent(q, rebuilt)
+	for seed := int64(1); seed <= 120 && !t.Failed(); seed++ {
+		closureEquivalence(t, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzPropertyClosureEquivalence(f *testing.F) { f.Fuzz(closureEquivalence) }
+
+// closureEquivalence rebuilds a random query drawn from seed from its
+// core and checks the two are equivalent.
+func closureEquivalence(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	q := randomQuery(r)
+	rebuilt, err := TreeFromPreds(CoreOf(q), q.Nodes[q.Dist].ID)
+	if err != nil {
+		t.Fatalf("seed %d: %s: %v", seed, q, err)
+	}
+	if !Equivalent(q, rebuilt) {
+		t.Fatalf("seed %d: %s rebuilt from its core as %s", seed, q, rebuilt)
 	}
 }
 
@@ -228,23 +245,28 @@ func TestMinimizeKeepsDistinguished(t *testing.T) {
 
 // TestPropertyMinimizeIdempotentAndEquivalent on random queries.
 func TestPropertyMinimizeIdempotentAndEquivalent(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		q := randomQuery(r)
-		m, err := Minimize(q)
-		if err != nil {
-			return false
-		}
-		if !Equivalent(q, m) {
-			return false
-		}
-		m2, err := Minimize(m)
-		if err != nil {
-			return false
-		}
-		return m2.Size() == m.Size() && Equivalent(m, m2)
+	for seed := int64(1); seed <= 80 && !t.Failed(); seed++ {
+		minimizeIdempotentAndEquivalent(t, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzPropertyMinimizeIdempotentAndEquivalent(f *testing.F) {
+	f.Fuzz(minimizeIdempotentAndEquivalent)
+}
+
+// minimizeIdempotentAndEquivalent minimizes a random query drawn from
+// seed twice.
+func minimizeIdempotentAndEquivalent(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	q := randomQuery(r)
+	m, err := Minimize(q)
+	if err != nil {
+		t.Fatalf("seed %d: %s: %v", seed, q, err)
+	}
+	if !Equivalent(q, m) {
+		t.Fatalf("seed %d: %s minimized to the inequivalent %s", seed, q, m)
+	}
+	if m2, err := Minimize(m); err != nil || m2.Size() != m.Size() || !Equivalent(m, m2) {
+		t.Fatalf("seed %d: minimizing %s again gave %s, %v", seed, m, m2, err)
 	}
 }

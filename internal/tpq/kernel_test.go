@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"flexpath/internal/ir"
 )
@@ -220,71 +219,81 @@ func TestKernelMatchesOracleAlongChains(t *testing.T) {
 // closure — sets no chain would visit, with variables cut off from the
 // root and several parents per variable.
 func TestKernelMatchesOracleOnSubsets(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		q := randomTPQ(r)
-		u := NewUniverse(q)
-		set, ps := u.NewBits(), NewPredSet()
-		for i := 0; i < u.Len(); i++ {
-			if r.Intn(3) > 0 {
-				set.Set(i)
-				ps.Add(u.Pred(i))
-			}
+	for seed := int64(1); seed <= 300 && !t.Failed(); seed++ {
+		kernelMatchesOracleOnSubset(t, seed)
+	}
+}
+
+func FuzzKernelMatchesOracleOnSubsets(f *testing.F) { f.Fuzz(kernelMatchesOracleOnSubset) }
+
+// kernelMatchesOracleOnSubset checks a random subset of the closure of
+// a random query, both drawn from seed.
+func kernelMatchesOracleOnSubset(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	q := randomTPQ(r)
+	u := NewUniverse(q)
+	set, ps := u.NewBits(), NewPredSet()
+	for i := 0; i < u.Len(); i++ {
+		if r.Intn(3) > 0 {
+			set.Set(i)
+			ps.Add(u.Pred(i))
 		}
-		checkSet(t, u, set, ps, q.Nodes[q.Dist].ID, fmt.Sprintf("%s subset (seed %d)", q, seed))
-		return !t.Failed()
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	checkSet(t, u, set, ps, q.Nodes[q.Dist].ID, fmt.Sprintf("%s subset (seed %d)", q, seed))
 }
 
 // TestWrappersMatchOracleOnArbitrarySets feeds Closure, Core, Derivable
 // and TreeFromPreds predicate sets that come from no query at all:
 // cycles, self-loops, two tags on a variable, duplicate expressions.
 func TestWrappersMatchOracleOnArbitrarySets(t *testing.T) {
-	exprs := []ir.Expr{ir.MustParseExpr(`"gold"`), ir.MustParseExpr(`"xml" and "query"`)}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := NewPredSet()
-		nv := 1 + r.Intn(5)
-		for n := r.Intn(12); n > 0; n-- {
-			x, y := 1+r.Intn(nv), 1+r.Intn(nv)
-			switch r.Intn(5) {
-			case 0:
-				s.Add(Pred{Kind: PredPC, X: x, Y: y})
-			case 1:
-				s.Add(Pred{Kind: PredAD, X: x, Y: y})
-			case 2:
-				s.Add(Pred{Kind: PredTag, X: x, Tag: string(rune('a' + r.Intn(2)))})
-			case 3:
-				s.Add(Pred{Kind: PredContains, X: x, Expr: exprs[r.Intn(len(exprs))]})
-			default:
-				s.Add(Pred{Kind: PredValue, X: x, VP: ValuePred{Attr: "k", Op: OpEq, Value: "1"}})
-			}
-		}
-		if got, want := keysOf(Closure(s)), keysOf(oracleClosure(s)); !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: Closure(%s)\n got %v\nwant %v", seed, s, got, want)
-		}
-		if got, want := keysOf(Core(s)), keysOf(oracleCore(s)); !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: Core(%s)\n got %v\nwant %v", seed, s, got, want)
-		}
-		for _, p := range oracleClosure(s).List() {
-			if got, want := Derivable(s, p), oracleDerivable(s, p); got != want {
-				t.Errorf("seed %d: Derivable(%s, %s) = %v, oracle %v", seed, s, p.Key(), got, want)
-			}
-		}
-		gq, gerr := TreeFromPreds(s, 1)
-		wq, werr := oracleTreeFromPreds(s, 1)
-		if (gerr == nil) != (werr == nil) {
-			t.Errorf("seed %d: TreeFromPreds(%s) error %v, oracle %v", seed, s, gerr, werr)
-		} else if gerr == nil && !reflect.DeepEqual(gq, wq) {
-			t.Errorf("seed %d: TreeFromPreds(%s) = %s, oracle %s", seed, s, gq.Canon(), wq.Canon())
-		}
-		return !t.Failed()
+	for seed := int64(1); seed <= 2000 && !t.Failed(); seed++ {
+		wrappersMatchOracle(t, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzWrappersMatchOracleOnArbitrarySets(f *testing.F) { f.Fuzz(wrappersMatchOracle) }
+
+// arbitraryExprs are the contains expressions of arbitrary sets.
+var arbitraryExprs = []ir.Expr{ir.MustParseExpr(`"gold"`), ir.MustParseExpr(`"xml" and "query"`)}
+
+// wrappersMatchOracle checks the wrappers on a predicate set drawn from
+// seed.
+func wrappersMatchOracle(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	s := NewPredSet()
+	nv := 1 + r.Intn(5)
+	for n := r.Intn(12); n > 0; n-- {
+		x, y := 1+r.Intn(nv), 1+r.Intn(nv)
+		switch r.Intn(5) {
+		case 0:
+			s.Add(Pred{Kind: PredPC, X: x, Y: y})
+		case 1:
+			s.Add(Pred{Kind: PredAD, X: x, Y: y})
+		case 2:
+			s.Add(Pred{Kind: PredTag, X: x, Tag: string(rune('a' + r.Intn(2)))})
+		case 3:
+			s.Add(Pred{Kind: PredContains, X: x, Expr: arbitraryExprs[r.Intn(len(arbitraryExprs))]})
+		default:
+			s.Add(Pred{Kind: PredValue, X: x, VP: ValuePred{Attr: "k", Op: OpEq, Value: "1"}})
+		}
+	}
+	if got, want := keysOf(Closure(s)), keysOf(oracleClosure(s)); !reflect.DeepEqual(got, want) {
+		t.Errorf("seed %d: Closure(%s)\n got %v\nwant %v", seed, s, got, want)
+	}
+	if got, want := keysOf(Core(s)), keysOf(oracleCore(s)); !reflect.DeepEqual(got, want) {
+		t.Errorf("seed %d: Core(%s)\n got %v\nwant %v", seed, s, got, want)
+	}
+	for _, p := range oracleClosure(s).List() {
+		if got, want := Derivable(s, p), oracleDerivable(s, p); got != want {
+			t.Errorf("seed %d: Derivable(%s, %s) = %v, oracle %v", seed, s, p.Key(), got, want)
+		}
+	}
+	gq, gerr := TreeFromPreds(s, 1)
+	wq, werr := oracleTreeFromPreds(s, 1)
+	if (gerr == nil) != (werr == nil) {
+		t.Errorf("seed %d: TreeFromPreds(%s) error %v, oracle %v", seed, s, gerr, werr)
+	} else if gerr == nil && !reflect.DeepEqual(gq, wq) {
+		t.Errorf("seed %d: TreeFromPreds(%s) = %s, oracle %s", seed, s, gq.Canon(), wq.Canon())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // The tree's binary snapshot form is its FXP3 section payload
@@ -105,22 +104,28 @@ func TestBinaryRejectsCorruptedBody(t *testing.T) {
 }
 
 func TestBinaryPropertyRoundTrip(t *testing.T) {
-	prop := func(seed int64) bool {
-		d := randomTree(rand.New(rand.NewSource(seed)))
-		got, err := load(d.EncodeColumnar())
-		if err != nil || got.Len() != d.Len() {
-			return false
-		}
-		for n := NodeID(0); int(n) < d.Len(); n++ {
-			if got.TagName(n) != d.TagName(n) || got.Parent(n) != d.Parent(n) ||
-				got.End(n) != d.End(n) || got.Text(n) != d.Text(n) {
-				return false
-			}
-		}
-		return true
+	for seed := int64(1); seed <= 50 && !t.Failed(); seed++ {
+		binaryRoundTrip(t, seed)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzBinaryPropertyRoundTrip(f *testing.F) { f.Fuzz(binaryRoundTrip) }
+
+// binaryRoundTrip encodes and reloads a random tree drawn from seed.
+func binaryRoundTrip(t *testing.T, seed int64) {
+	d := randomTree(rand.New(rand.NewSource(seed)))
+	got, err := load(d.EncodeColumnar())
+	if err != nil {
+		t.Fatalf("seed %d: reload: %v", seed, err)
+	}
+	if got.Len() != d.Len() {
+		t.Fatalf("seed %d: reloaded %d nodes of %d", seed, got.Len(), d.Len())
+	}
+	for n := NodeID(0); int(n) < d.Len(); n++ {
+		if got.TagName(n) != d.TagName(n) || got.Parent(n) != d.Parent(n) ||
+			got.End(n) != d.End(n) || got.Text(n) != d.Text(n) {
+			t.Fatalf("seed %d: node %d reloads differently", seed, n)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 const sampleXML = `<site>
@@ -237,62 +236,68 @@ func randomTree(r *rand.Rand) *Document {
 }
 
 func TestPropertyIntervalInvariants(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomTree(r)
-		// (1) end is within bounds and >= self.
-		for n := NodeID(0); int(n) < d.Len(); n++ {
-			if d.End(n) < n || int(d.End(n)) >= d.Len() {
-				return false
-			}
-		}
-		// (2) siblings have disjoint intervals; children nest in parents.
-		for n := NodeID(1); int(n) < d.Len(); n++ {
-			p := d.Parent(n)
-			if !(p < n && n <= d.End(p)) {
-				return false
-			}
-		}
-		// (3) document order within tag lists.
-		for ti := 0; ti < d.NumTags(); ti++ {
-			l := d.NodesWithTagID(TagID(ti))
-			for i := 1; i < len(l); i++ {
-				if l[i-1] >= l[i] {
-					return false
-				}
-			}
-		}
-		return true
+	for seed := int64(1); seed <= 60 && !t.Failed(); seed++ {
+		intervalInvariants(t, seed)
 	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
+}
+
+func FuzzPropertyIntervalInvariants(f *testing.F) { f.Fuzz(intervalInvariants) }
+
+// intervalInvariants checks the interval encoding of a random tree
+// drawn from seed.
+func intervalInvariants(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	d := randomTree(r)
+	// (1) end is within bounds and >= self.
+	for n := NodeID(0); int(n) < d.Len(); n++ {
+		if d.End(n) < n || int(d.End(n)) >= d.Len() {
+			t.Fatalf("seed %d: node %d ends at %d of %d", seed, n, d.End(n), d.Len())
+		}
+	}
+	// (2) siblings have disjoint intervals; children nest in parents.
+	for n := NodeID(1); int(n) < d.Len(); n++ {
+		p := d.Parent(n)
+		if !(p < n && n <= d.End(p)) {
+			t.Fatalf("seed %d: node %d is outside its parent %d's interval", seed, n, p)
+		}
+	}
+	// (3) document order within tag lists.
+	for ti := 0; ti < d.NumTags(); ti++ {
+		l := d.NodesWithTagID(TagID(ti))
+		for i := 1; i < len(l); i++ {
+			if l[i-1] >= l[i] {
+				t.Fatalf("seed %d: tag %d's list is out of document order at %d", seed, ti, i)
+			}
+		}
 	}
 }
 
 func TestPropertyContains(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 40}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomTree(r)
-		for trial := 0; trial < 50; trial++ {
-			a := NodeID(r.Intn(d.Len()))
-			b := NodeID(r.Intn(d.Len()))
-			want := a == b
-			for p := b; p != InvalidNode; p = d.Parent(p) {
-				if p == a {
-					want = true
-					break
-				}
-			}
-			if d.Contains(a, b) != want {
-				return false
+	for seed := int64(1); seed <= 40 && !t.Failed(); seed++ {
+		containsMatchesParents(t, seed)
+	}
+}
+
+func FuzzPropertyContains(f *testing.F) { f.Fuzz(containsMatchesParents) }
+
+// containsMatchesParents holds Contains to a walk up the parents on
+// node pairs of a random tree, all drawn from seed.
+func containsMatchesParents(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	d := randomTree(r)
+	for trial := 0; trial < 50; trial++ {
+		a := NodeID(r.Intn(d.Len()))
+		b := NodeID(r.Intn(d.Len()))
+		want := a == b
+		for p := b; p != InvalidNode; p = d.Parent(p) {
+			if p == a {
+				want = true
+				break
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
+		if d.Contains(a, b) != want {
+			t.Fatalf("seed %d: Contains(%d, %d) = %v", seed, a, b, !want)
+		}
 	}
 }
 

@@ -13,14 +13,20 @@ import (
 	"flexpath/internal/obs"
 )
 
+// coldFile is a member name, the FXP3 file it is served from, and the
+// XML-built document the file was saved from.
+type coldFile struct {
+	name, path string
+	doc        *Document
+}
+
 // residencyCorpus writes n FXP3 snapshots of distinct articles documents
-// into a temp dir and returns their (name, path) pairs. Each document's
-// article ids carry the document number, so rankings across the corpus
-// are distinguishable.
-func residencyCorpus(t *testing.T, n int) [](struct{ name, path string }) {
+// into a temp dir. Each document's article ids carry the document
+// number, so rankings across the corpus are distinguishable.
+func residencyCorpus(t *testing.T, n int) []coldFile {
 	t.Helper()
 	dir := t.TempDir()
-	out := make([]struct{ name, path string }, n)
+	out := make([]coldFile, n)
 	for i := range out {
 		xml := strings.ReplaceAll(articlesXML, `id="a`, fmt.Sprintf(`id="d%d-a`, i))
 		doc, err := LoadString(xml)
@@ -31,58 +37,31 @@ func residencyCorpus(t *testing.T, n int) [](struct{ name, path string }) {
 		if err := doc.SaveFXP3SnapshotFile(path); err != nil {
 			t.Fatal(err)
 		}
-		out[i] = struct{ name, path string }{fmt.Sprintf("doc%02d", i), path}
+		out[i] = coldFile{fmt.Sprintf("doc%02d", i), path, doc}
 	}
 	return out
 }
 
-// TestColdCollectionByteIdentity serves a corpus from cold FXP3 members
-// and checks the merged ranking — ids, scores, snippets — is identical
-// to an in-memory collection's on every pass, while each member is
-// decoded once: SetResidency bounds nothing.
+// TestColdCollectionByteIdentity: every member of a cold collection
+// saves to the same FXP3 bytes as the XML-built document, on every pass,
+// and is decoded once: Document returns the one decode on every pass,
+// Faults equals the member count, and SetResidency bounds nothing.
 func TestColdCollectionByteIdentity(t *testing.T) {
 	corpus := residencyCorpus(t, 6)
-	q := MustParseQuery(paperQ1)
-	opts := SearchOptions{K: 20, Algorithm: Hybrid, NoCache: true}
-
-	hot := NewCollection()
-	for _, c := range corpus {
-		doc, err := LoadFXP3SnapshotFile(c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := hot.Add(c.name, doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := hot.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("reference search found nothing")
-	}
-
-	cold := NewCollection()
-	defer cold.Close() //nolint:errcheck
-	for _, c := range corpus {
-		if err := cold.AddSnapshotFile(c.name, c.path); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cold, ref := coldAndReference(t, corpus)
 	cold.SetResidency(2)
 	if s := cold.ResidencyStats(); s.Cold != 6 || s.Resident != 0 {
-		t.Fatalf("before first search: %+v, want 6 cold", s)
+		t.Fatalf("before the first read: %+v, want 6 cold", s)
 	}
-
+	first := map[string]*Document{}
 	for pass := 0; pass < 3; pass++ {
-		got, err := cold.Search(q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if renderAnswers(got, 60) != renderAnswers(want, 60) {
-			t.Fatalf("pass %d: cold ranking differs from in-memory:\n%s\nvs\n%s",
-				pass, renderAnswers(got, 60), renderAnswers(want, 60))
+		sameMembers(t, cold, ref)
+		for _, c := range corpus {
+			d, _ := cold.Document(c.name)
+			if prev, ok := first[c.name]; ok && prev != d {
+				t.Fatalf("pass %d: %s decoded again (%p, first %p)", pass, c.name, d, prev)
+			}
+			first[c.name] = d
 		}
 		s := cold.ResidencyStats()
 		if s.Faults != 6 || s.Evictions != 0 || s.Resident != 6 || s.Cold != 0 {
@@ -247,8 +226,8 @@ func TestAddSnapshotFileRejectsDuplicates(t *testing.T) {
 }
 
 // coldAndReference adds corpus to a fresh collection cold and, as an
-// in-memory reference, to a second one with every member loaded.
-func coldAndReference(t *testing.T, corpus []struct{ name, path string }) (cold, ref *Collection) {
+// in-memory reference, its XML-built documents to a second one.
+func coldAndReference(t *testing.T, corpus []coldFile) (cold, ref *Collection) {
 	t.Helper()
 	cold, ref = NewCollection(), NewCollection()
 	t.Cleanup(func() { cold.Close(); ref.Close() }) //nolint:errcheck
@@ -256,11 +235,7 @@ func coldAndReference(t *testing.T, corpus []struct{ name, path string }) (cold,
 		if err := cold.AddSnapshotFile(m.name, m.path); err != nil {
 			t.Fatal(err)
 		}
-		doc, err := LoadFXP3SnapshotFile(m.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Add(m.name, doc); err != nil {
+		if err := ref.Add(m.name, m.doc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +243,7 @@ func coldAndReference(t *testing.T, corpus []struct{ name, path string }) (cold,
 }
 
 // coldSearch is one query shape run against a cold collection, with the
-// ranking the in-memory reference gives it.
+// ranking a sequential search of a second cold collection gives it.
 type coldSearch struct {
 	name string
 	q    *Query
@@ -276,14 +251,14 @@ type coldSearch struct {
 	want string
 }
 
-// coldSearches pairs each (query, options) with the rendering of the
-// reference's sequential, uncached answer to it.
-func coldSearches(t *testing.T, ref *Collection, cases []coldSearch) []coldSearch {
+// coldSearches pairs each (query, options) with the rendering of seq's
+// sequential, uncached answer to it.
+func coldSearches(t *testing.T, seq *Collection, cases []coldSearch) []coldSearch {
 	t.Helper()
 	for i := range cases {
 		o := cases[i].opts
 		o.Workers, o.NoCache = 1, true
-		want, err := ref.Search(cases[i].q, o)
+		want, err := seq.Search(cases[i].q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,13 +281,14 @@ var weightedOpts = SearchOptions{
 // TestResidencyConcurrentStress hammers a cold collection from many
 // goroutines — searches of three shapes (one weighted) and
 // single-document lookups, racing on every member's first fault — under
-// the race detector. Every search must return the ranking the in-memory
-// collection does, each member must be decoded exactly once, and every
-// lookup must return that one decode's document.
+// the race detector. Every search must return the ranking a sequential
+// search of the same cold corpus does, each member must be decoded
+// exactly once, and every lookup must return that one decode's document.
 func TestResidencyConcurrentStress(t *testing.T) {
 	corpus := residencyCorpus(t, 4)
-	c, ref := coldAndReference(t, corpus)
-	searches := coldSearches(t, ref, []coldSearch{
+	c, _ := coldAndReference(t, corpus)
+	seq, _ := coldAndReference(t, corpus)
+	searches := coldSearches(t, seq, []coldSearch{
 		{name: "Q1", q: MustParseQuery(paperQ1), opts: SearchOptions{K: 20, Algorithm: Hybrid, NoCache: true}},
 		{name: "titled", q: MustParseQuery(`//article[./title and ./section/paragraph[.contains("XML")]]`),
 			opts: SearchOptions{K: 20, Algorithm: SSO, NoCache: true}},

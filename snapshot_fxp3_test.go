@@ -2,7 +2,6 @@ package flexpath
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,55 +16,6 @@ func fxp3Bytes(t *testing.T, doc *Document) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func TestFXP3SnapshotRoundTrip(t *testing.T) {
-	doc, err := LoadString(articlesXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := loadDocumentBytes(fxp3Bytes(t, doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Nodes() != doc.Nodes() {
-		t.Fatalf("nodes %d != %d", restored.Nodes(), doc.Nodes())
-	}
-	q := MustParseQuery(paperQ1)
-	a, err := doc.Search(q, SearchOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := restored.Search(q, SearchOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra, rb := renderAnswers(a, 0), renderAnswers(b, 0); ra != rb {
-		t.Errorf("rankings differ:\n%s\nvs\n%s", ra, rb)
-	}
-	// Snippets read text through the restored tree's columns.
-	for i := range a {
-		if a[i].Snippet(40) != b[i].Snippet(40) {
-			t.Errorf("snippet %d differs: %q vs %q", i, a[i].Snippet(40), b[i].Snippet(40))
-		}
-	}
-	// Relaxation chains (penalties need stats + index) agree too.
-	sa, err := doc.Relaxations(context.Background(), q, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := restored.Relaxations(context.Background(), q, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sa) != len(sb) {
-		t.Fatalf("chains differ in length: %d vs %d", len(sa), len(sb))
-	}
-	for i := range sa {
-		if sa[i].Description != sb[i].Description || sa[i].Penalty != sb[i].Penalty {
-			t.Errorf("chain step %d differs: %+v vs %+v", i, sa[i], sb[i])
-		}
-	}
 }
 
 func TestFXP3FileMetaAndAuto(t *testing.T) {
@@ -95,11 +45,8 @@ func TestFXP3FileMetaAndAuto(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer auto.Close() //nolint:errcheck
-	q := MustParseQuery(paperQ1)
-	a, _ := doc.Search(q, SearchOptions{K: 3})
-	b, _ := auto.Search(q, SearchOptions{K: 3})
-	if ra, rb := renderAnswers(a, 0), renderAnswers(b, 0); ra != rb {
-		t.Errorf("rankings differ:\n%s\nvs\n%s", ra, rb)
+	if diff := fxp3Diff(t, fxp3Bytes(t, auto), fxp3Bytes(t, doc)); diff != "" {
+		t.Errorf("LoadAuto of the FXP3 file: %s differs", diff)
 	}
 
 	// Close is idempotent, and a no-op for documents without a mapping.
@@ -133,19 +80,6 @@ func TestFXP3BM25Preserved(t *testing.T) {
 	}
 	if !meta.BM25 {
 		t.Fatal("meta lost the BM25 flag")
-	}
-	restored, err := LoadFXP3SnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close() //nolint:errcheck
-	q := MustParseQuery(paperQ1)
-	a, _ := doc.Search(q, SearchOptions{K: 3, Scheme: KeywordFirst})
-	b, _ := restored.Search(q, SearchOptions{K: 3, Scheme: KeywordFirst})
-	for i := range a {
-		if a[i].Keyword != b[i].Keyword {
-			t.Errorf("BM25 scores drifted after restore: %f vs %f", a[i].Keyword, b[i].Keyword)
-		}
 	}
 }
 
