@@ -66,8 +66,9 @@ func plain(got []CollectionAnswer) []Answer {
 // TestCachedAnswersIdenticalToCold is the correctness contract of the
 // result cache: for every algorithm, scheme and page (an offset past the
 // end included), a one-member collection of a document returns exactly
-// the document's direct (uncached) ranking, cold, on a miss and on a hit:
-// a document search is the one-member case of the collection path.
+// the document's direct (uncached) ranking, cold, on both misses (the
+// first only sights the key, the second fills the entry) and on a hit: a
+// document search is the one-member case of the collection path.
 func TestCachedAnswersIdenticalToCold(t *testing.T) {
 	doc := xmarkDoc(t, 200, 7)
 	one := cachedOne(t, doc, 64)
@@ -83,7 +84,7 @@ func TestCachedAnswersIdenticalToCold(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s direct: %v", name, err)
 				}
-				for i, o := range []SearchOptions{coldOpts, opts, opts} { // cold, miss, hit
+				for i, o := range []SearchOptions{coldOpts, opts, opts, opts} { // cold, miss, miss, hit
 					got, err := one.Search(q, o)
 					if err != nil {
 						t.Fatalf("%s one-member collection: %v", name, err)
@@ -96,10 +97,10 @@ func TestCachedAnswersIdenticalToCold(t *testing.T) {
 			}
 		}
 	}
-	// 27 searches: each primed once (miss) and hit once; NoCache runs
+	// 27 searches: each primed twice (miss) and hit once; NoCache runs
 	// must not touch the cache at all.
-	if st, ok := one.CacheStats(); !ok || st.Misses != 27 || st.Hits != 27 {
-		t.Errorf("cache counters = %+v, want 27 misses / 27 hits", st)
+	if st, ok := one.CacheStats(); !ok || st.Misses != 54 || st.Hits != 27 {
+		t.Errorf("cache counters = %+v, want 54 misses / 27 hits", st)
 	}
 }
 
@@ -125,7 +126,7 @@ func TestDocumentsCacheNoResults(t *testing.T) {
 	c.SetCache(8)
 	c.SetDocumentCaches(8)
 	q := MustParseQuery(paperQ1)
-	for _, nc := range []bool{false, true, false} {
+	for _, nc := range []bool{false, false, true, false} {
 		if _, err := c.Search(q, SearchOptions{K: 5, NoCache: nc}); err != nil {
 			t.Fatal(err)
 		}
@@ -141,8 +142,8 @@ func TestDocumentsCacheNoResults(t *testing.T) {
 			t.Errorf("member %s reports a result cache: %+v", name, st)
 		}
 	}
-	if st, ok := c.CacheStats(); !ok || st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("collection cache counters = %+v ok=%v, want 1 hit / 1 miss", st, ok)
+	if st, ok := c.CacheStats(); !ok || st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("collection cache counters = %+v ok=%v, want 1 hit / 2 misses", st, ok)
 	}
 }
 
@@ -159,16 +160,17 @@ func TestCacheHitNotPoisonedByCallerMutation(t *testing.T) {
 	checkNotPoisoned(t, cachedOne(t, doc, 16))
 }
 
-// checkNotPoisoned searches c (with a result cache) three times with one
-// Hybrid search, rewriting the Relaxed slices of the first two results,
-// and fails unless every ranking is the first's.
+// checkNotPoisoned searches c (with a result cache) four times with one
+// Hybrid search (two misses, the second filling the entry, then two
+// hits), rewriting the Relaxed slices of the first three results, and
+// fails unless every ranking is the first's.
 func checkNotPoisoned(t *testing.T, c *Collection) {
 	t.Helper()
 	q := MustParseQuery(paperQ1)
 	// Pinned: only the plan-based algorithms fill Relaxed.
 	opts := SearchOptions{K: 3, Algorithm: Hybrid}
 	want := ""
-	for i, when := range []string{"miss", "hit", "second hit"} {
+	for i, when := range []string{"miss", "second miss", "hit", "second hit"} {
 		got, err := c.Search(q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -198,24 +200,26 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	}
 	one := cachedOne(t, doc, 64)
 	q := MustParseQuery(paperQ1)
-	a2, err := one.Search(q, SearchOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
+	// Each key is searched twice, so that its second search fills an entry.
+	twice := func(opts SearchOptions) []CollectionAnswer {
+		t.Helper()
+		if _, err := one.Search(q, opts); err != nil {
+			t.Fatal(err)
+		}
+		got, err := one.Search(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	a3, err := one.Search(q, SearchOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2, a3 := twice(SearchOptions{K: 2}), twice(SearchOptions{K: 3})
 	if len(a2) != 2 || len(a3) != 3 {
 		t.Fatalf("K confusion across cache entries: %d, %d", len(a2), len(a3))
 	}
 	// A different scheme must not collide either. The algorithm is pinned
 	// because the byte-identity check covers Relaxed, which only the
 	// plan-based algorithms populate.
-	kw, err := one.Search(q, SearchOptions{K: 2, Scheme: KeywordFirst, Algorithm: Hybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kw := twice(SearchOptions{K: 2, Scheme: KeywordFirst, Algorithm: Hybrid})
 	kwCold, err := one.Search(q, SearchOptions{K: 2, Scheme: KeywordFirst, Algorithm: Hybrid, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +269,10 @@ func TestCachePaginationSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := one.Search(q, SearchOptions{K: 2, Offset: 1}); err != nil {
-		t.Fatal(err)
+	for range 2 { // the second search of the key fills its entry
+		if _, err := one.Search(q, SearchOptions{K: 2, Offset: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	page, err := one.Search(q, SearchOptions{K: 2, Offset: 1}) // hit
 	if err != nil {
@@ -285,8 +291,10 @@ func TestCacheEviction(t *testing.T) {
 	one := cachedOne(t, doc, 1)
 	q := MustParseQuery(paperQ1)
 	for k := 1; k <= 4; k++ {
-		if _, err := one.Search(q, SearchOptions{K: k}); err != nil {
-			t.Fatal(err)
+		for range 2 { // the second search of a key fills its entry
+			if _, err := one.Search(q, SearchOptions{K: k}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	st, _ := one.CacheStats()
@@ -329,11 +337,13 @@ func TestCacheHitZeroesMetrics(t *testing.T) {
 	one := cachedOne(t, doc, 8)
 	q := MustParseQuery(paperQ1)
 	var m Metrics
-	if _, err := one.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
-		t.Fatal(err)
-	}
-	if m.QueriesEvaluated == 0 {
-		t.Fatal("cold run reported no work")
+	for range 2 { // the second search of the key fills its entry
+		if _, err := one.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
+			t.Fatal(err)
+		}
+		if m.QueriesEvaluated == 0 {
+			t.Fatal("cold run reported no work")
+		}
 	}
 	if _, err := one.Search(q, SearchOptions{K: 3, Metrics: &m}); err != nil {
 		t.Fatal(err)
@@ -358,8 +368,10 @@ func TestCollectionCacheIdenticalAndCoversAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Search(q, opts); err != nil {
-		t.Fatal(err)
+	for range 2 { // the second search of the key fills its entry
+		if _, err := c.Search(q, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	warm, err := c.Search(q, opts)
 	if err != nil {

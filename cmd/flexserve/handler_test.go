@@ -122,11 +122,12 @@ func TestStatsCacheCounters(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	// The second search is a collection cache hit, and still names the
+	// The first search sights the key and the second keeps its ranking,
+	// so the third is a collection cache hit, and still names the
 	// algorithm that produced the cached ranking.
 	url := srv.URL + "/search?q=" + escape(serveQuery) + "&k=5"
 	var algos []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		resp, body := get(t, url)
 		var out serveutil.SearchResponse
 		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
@@ -134,8 +135,8 @@ func TestStatsCacheCounters(t *testing.T) {
 		}
 		algos = append(algos, out.Algo)
 	}
-	if algos[0] == "" || algos[1] != algos[0] {
-		t.Errorf("algo of a miss and then a hit = %q, want the same algorithm twice", algos)
+	if algos[0] == "" || algos[1] != algos[0] || algos[2] != algos[0] {
+		t.Errorf("algo of two misses and then a hit = %q, want the same algorithm thrice", algos)
 	}
 	resp, body := get(t, srv.URL+"/stats")
 	if resp.StatusCode != http.StatusOK {
@@ -148,8 +149,8 @@ func TestStatsCacheCounters(t *testing.T) {
 	if st.Cache == nil {
 		t.Fatalf("stats missing cache counters: %s", body)
 	}
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Errorf("cache counters = %+v, want 1 hit / 1 miss", *st.Cache)
+	if st.Cache.Hits != 1 || st.Cache.Misses != 2 {
+		t.Errorf("cache counters = %+v, want 1 hit / 2 misses", *st.Cache)
 	}
 	if strings.Contains(string(body), `"doc_cache"`) {
 		t.Errorf("stats reports member result caches no search reads: %s", body)
@@ -300,11 +301,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	// Two identical searches: one miss, one collection-cache hit. The
-	// algorithm is pinned so the expected metric labels are stable (the
-	// default Auto mode labels spans "Auto" and chooses per query).
+	// Three identical searches: two misses (the second keeps the
+	// ranking), then one collection-cache hit. The algorithm is pinned so
+	// the expected metric labels are stable (the default Auto mode labels
+	// spans "Auto" and chooses per query).
 	url := srv.URL + "/search?q=" + escape(serveQuery) + "&k=5&algo=hybrid"
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if resp, body := get(t, url); resp.StatusCode != http.StatusOK {
 			t.Fatalf("search %d: status %d: %s", i, resp.StatusCode, body)
 		}
@@ -321,12 +323,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		`flexpath_queries_total{algo="Hybrid",scheme="structure-first",status="ok"} 2`,
+		`flexpath_queries_total{algo="Hybrid",scheme="structure-first",status="ok"} 3`,
 		"flexpath_server_inflight_requests 0",
-		`flexpath_query_duration_seconds_count{algo="Hybrid"} 2`,
+		`flexpath_query_duration_seconds_count{algo="Hybrid"} 3`,
 		"flexpath_stage_duration_seconds_bucket",
 		`flexpath_cache_hits_total{cache="collection"} 1`,
-		`flexpath_cache_misses_total{cache="collection"} 1`,
+		`flexpath_cache_misses_total{cache="collection"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
@@ -559,10 +561,10 @@ func TestBadWeightParams(t *testing.T) {
 // TestPlanCacheObservability: the plan-template cache must surface in
 // /stats (plan_cache block) and /metrics (flexpath_plancache_*), and a
 // repeated query shape under a different algorithm must register as a
-// template hit.
+// template hit once the shape's second search has kept its template.
 func TestPlanCacheObservability(t *testing.T) {
 	srv := testServer(t)
-	for _, params := range []string{"&algo=hybrid", "&algo=sso"} {
+	for _, params := range []string{"&algo=hybrid", "&algo=sso", "&algo=dpo"} {
 		if resp, body := get(t, srv.URL+"/search?q="+escape(serveQuery)+"&k=5"+params); resp.StatusCode != http.StatusOK {
 			t.Fatalf("search%s: status %d: %s", params, resp.StatusCode, body)
 		}
@@ -578,9 +580,10 @@ func TestPlanCacheObservability(t *testing.T) {
 	if st.PlanCache == nil {
 		t.Fatalf("stats missing plan_cache block: %s", body)
 	}
-	// Two searches of one shape: one template build, one hit.
-	if st.PlanCache.Misses != 1 || st.PlanCache.Hits != 1 {
-		t.Errorf("plan cache counters = %+v, want 1 miss / 1 hit", *st.PlanCache)
+	// Three searches of one shape: a build that only sights the key, a
+	// build that is kept, one hit.
+	if st.PlanCache.Misses != 2 || st.PlanCache.Hits != 1 {
+		t.Errorf("plan cache counters = %+v, want 2 misses / 1 hit", *st.PlanCache)
 	}
 	if st.PlanCache.Entries != 1 || st.PlanCache.Capacity <= 0 {
 		t.Errorf("plan cache size = %d/%d, want 1 entry and positive capacity", st.PlanCache.Entries, st.PlanCache.Capacity)
@@ -593,7 +596,7 @@ func TestPlanCacheObservability(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"flexpath_plancache_hits_total 1",
-		"flexpath_plancache_misses_total 1",
+		"flexpath_plancache_misses_total 2",
 		"flexpath_plancache_entries 1",
 		"# TYPE flexpath_plancache_capacity gauge",
 	} {

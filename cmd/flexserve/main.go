@@ -93,7 +93,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dir := flag.String("dir", "", "load every .xml and .fxp3 file in this directory")
-	cache := flag.Int("cache", 1024, "query-result cache capacity in entries (0 disables)")
+	cache := flag.Int("cache", 1024, "query-result cache capacity in entries, each admitted on its second sighting (0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request search timeout (0 disables)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing query requests; excess is shed with 503 (0 = unlimited)")

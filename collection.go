@@ -373,7 +373,9 @@ func (c *Collection) Document(name string) (*Document, bool) {
 // differently-shaped requests never collide; Workers does not affect
 // answers and is excluded. An entry keeps each member's top K+Offset
 // tagged with its document, so a membership change purges nothing: the
-// next search evaluates only the members new to the entry.
+// next search evaluates only the members new to the entry. An entry is
+// admitted on its second sighting: the first search of a key only records
+// it, so a query asked once leaves nothing behind; the second keeps it.
 func (c *Collection) SetCache(capacity int) {
 	if capacity <= 0 {
 		c.qc.Store(nil)

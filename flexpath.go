@@ -665,9 +665,10 @@ func (d *Document) inspect(ctx context.Context, q *Query, opts SearchOptions) (*
 // DefaultPlanCacheCapacity is the plan-template cache capacity of every
 // Document. Entries are heavyweight (a relaxation chain plus memoized
 // join plans with their candidate lists), so it favors boundedness over
-// reach. Answers do not depend on it: the cache only amortizes chain
-// building, relaxation enumeration and plan construction across searches
-// of the same shape.
+// reach, and a template is admitted on its second sighting: a shape
+// searched once builds its template and drops it. Answers do not depend
+// on it: the cache only amortizes chain building, relaxation enumeration
+// and plan construction across searches of the same shape.
 const DefaultPlanCacheCapacity = 256
 
 // PlanCacheStats reports the plan-template cache counters; every

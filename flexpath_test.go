@@ -169,6 +169,10 @@ func TestChainCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(paperQ1)
+	// The first lookup only sights the key; the second keeps its template.
+	if _, err := doc.template(q, Weights{}, nil); err != nil {
+		t.Fatal(err)
+	}
 	c1, err := doc.template(q, Weights{}, nil)
 	if err != nil {
 		t.Fatal(err)

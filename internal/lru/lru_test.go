@@ -3,6 +3,8 @@ package lru
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ func TestGetPut(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
+	c.Put("a", 1) // first sighting: recorded, not kept
 	c.Put("a", 1)
 	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
@@ -26,14 +29,161 @@ func TestGetPut(t *testing.T) {
 	}
 }
 
+// slotOf is the doorkeeper slot of key in c, whose table must be
+// allocated: FNV-1a over the key, masked to the table's size.
+func slotOf[V any](c *Cache[V], key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64() & uint64(len(c.seen)-1)
+}
+
+// collidingKey returns a key other than key in the same doorkeeper slot
+// of c.
+func collidingKey[V any](t *testing.T, c *Cache[V], key string) string {
+	for i := 0; i < 100000; i++ {
+		if k := fmt.Sprintf("x%d", i); slotOf(c, k) == slotOf(c, key) {
+			return k
+		}
+	}
+	t.Fatalf("no key shares %q's slot", key)
+	return ""
+}
+
+// The doorkeeper's table is a power of two of at least 64 slots, twice
+// the capacity, and at most maxSeen slots however large the capacity,
+// so a huge capacity neither allocates without bound nor overflows.
+func TestDoorkeeperSize(t *testing.T) {
+	for _, tc := range []struct{ capacity, slots int }{
+		{1, 64}, {32, 64}, {33, 128}, {1024, 2048}, {1000, 2048},
+		{maxSeen / 2, maxSeen}, {maxSeen, maxSeen}, {math.MaxInt, maxSeen},
+	} {
+		c := New[int](tc.capacity)
+		c.Put("a", 1)
+		c.Put("a", 1)
+		if len(c.seen) != tc.slots {
+			t.Errorf("capacity %d: %d slots, want %d", tc.capacity, len(c.seen), tc.slots)
+		}
+		if v, ok := c.Get("a"); !ok || v != 1 {
+			t.Errorf("capacity %d: a second Put was not kept: (%v, %v)", tc.capacity, v, ok)
+		}
+	}
+}
+
+// A new key is kept on its second offer, through Put and Do alike; the
+// first is a miss that leaves the cache empty.
+func TestAdmitOnSecondSighting(t *testing.T) {
+	c := New[int](8)
+	c.Put("a", 1)
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a first Put was kept")
+	}
+	c.Put("a", 1)
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Fatalf("a second Put was not kept: (%v, %v)", v, ok)
+	}
+	builds := 0
+	build := func() (int, error) { builds++; return 2, nil }
+	for i, want := range []int{0, 1, 1} { // entries of b after each Do
+		if v, err := c.Do("b", build); err != nil || v != 2 {
+			t.Fatalf("Do %d = (%v, %v)", i, v, err)
+		}
+		if _, ok := c.Get("b"); ok != (want == 1) {
+			t.Fatalf("after Do %d: b cached = %v", i, ok)
+		}
+	}
+	if s := c.Stats(); builds != 2 || s != (Stats{Hits: 4, Misses: 4, Entries: 2, Capacity: 8}) {
+		t.Errorf("builds = %d, stats = %+v", builds, s)
+	}
+}
+
+// Updating a present key is not an admission: it succeeds even after
+// another key has taken its doorkeeper slot. The slot lost is what a
+// collision costs: after a purge the key needs two sightings again.
+func TestUpdateBypassesDoorkeeper(t *testing.T) {
+	c := New[int](8)
+	c.Put("a", 1)
+	c.Put("a", 1)
+	x := collidingKey(t, c, "a")
+	c.Put(x, 0) // overwrites a's slot; x itself is not kept
+	c.Put("a", 2)
+	if v, ok := c.Get("a"); !ok || v != 2 {
+		t.Fatalf("update of a present key = (%v, %v), want 2", v, ok)
+	}
+	if s := c.Stats(); s.Entries != 1 {
+		t.Fatalf("entries = %d, want only a", s.Entries)
+	}
+	c.Purge()
+	c.Put("a", 3)
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a re-entered although its slot holds another key")
+	}
+	c.Put("a", 3)
+	if v, ok := c.Get("a"); !ok || v != 3 {
+		t.Fatalf("a after two sightings = (%v, %v), want 3", v, ok)
+	}
+}
+
+// At capacity 1, a key admitted once and evicted, or purged, re-enters
+// on its next insert: the doorkeeper still holds its sighting.
+func TestEvictedAndPurgedKeysReenter(t *testing.T) {
+	c := New[int](1)
+	twice := func(k string, v int) { c.Put(k, v); c.Put(k, v) }
+	twice("a", 1)
+	if slotOf(c, "a") == slotOf(c, "b") {
+		t.Fatal("a and b share a slot; pick other keys")
+	}
+	twice("b", 2) // evicts a
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a survived at capacity 1")
+	}
+	c.Put("a", 3) // evicts b
+	if v, ok := c.Get("a"); !ok || v != 3 {
+		t.Fatalf("evicted a did not re-enter at once: (%v, %v)", v, ok)
+	}
+	c.Purge()
+	if _, err := c.Do("a", func() (int, error) { return 4, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.Get("a"); !ok || v != 4 {
+		t.Fatalf("purged a did not re-enter at once: (%v, %v)", v, ok)
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 2 {
+		t.Errorf("stats = %+v, want 1 entry and 2 evictions", s)
+	}
+}
+
+// A build that is not admitted still reaches its caller and every
+// waiter deduplicated onto it; the next Do builds again and is kept.
+func TestDoWaitersGetUnadmittedValue(t *testing.T) {
+	const n = 4
+	c := New[string](8)
+	builds, vals, errs := doConcurrently(t, c, n, "built", nil)
+	for i := range vals {
+		if errs[i] != nil || vals[i] != "built" {
+			t.Fatalf("caller %d got (%q, %v)", i, vals[i], errs[i])
+		}
+	}
+	if s := c.Stats(); builds != 1 || s.Entries != 0 || s.Dedups != n-1 {
+		t.Fatalf("builds = %d, stats = %+v: want 1 build, nothing kept, %d dedups", builds, s, n-1)
+	}
+	if v, err := c.Do("k", func() (string, error) { return "again", nil }); err != nil || v != "again" {
+		t.Fatalf("second Do = (%q, %v), want its own build", v, err)
+	}
+	if v, ok := c.Get("k"); !ok || v != "again" {
+		t.Fatalf("second build not kept: (%q, %v)", v, ok)
+	}
+}
+
 // Without shards the LRU order is global and exact at any capacity.
 func TestLRUEviction(t *testing.T) {
 	c := New[int](3)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Put("c", 3)
+	twice := func(k string, v int) { c.Put(k, v); c.Put(k, v) } // admitted on the second
+	twice("a", 1)
+	twice("b", 2)
+	twice("c", 3)
 	c.Get("a") // refresh a: b is now least recently used
 
+	c.Do("d", func() (int, error) { return 4, nil }) //nolint:errcheck
 	c.Do("d", func() (int, error) { return 4, nil }) //nolint:errcheck
 	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
@@ -44,7 +194,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	// a, c, d were just read in that order: a is now the oldest.
-	c.Put("e", 5)
+	twice("e", 5)
 	if _, ok := c.Get("a"); ok {
 		t.Error("a should have been evicted after c and d were read")
 	}
@@ -54,17 +204,20 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // The capacity is exactly the requested one — no per-shard rounding —
-// and overflow shows up as evictions, through Put and Do alike.
+// and overflow shows up as evictions, through Put and Do alike. Each key
+// is offered twice, so each is admitted.
 func TestCapacityBound(t *testing.T) {
 	for _, capacity := range []int{1, 7, 16, 17, 100} {
 		const keys = 1000
 		c := New[int](capacity)
 		for i := 0; i < keys; i++ {
 			k := fmt.Sprintf("k%d", i)
-			if i%2 == 0 {
-				c.Put(k, i)
-			} else if _, err := c.Do(k, func() (int, error) { return i, nil }); err != nil {
-				t.Fatal(err)
+			for range 2 {
+				if i%2 == 0 {
+					c.Put(k, i)
+				} else if _, err := c.Do(k, func() (int, error) { return i, nil }); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		s := c.Stats()
@@ -77,6 +230,8 @@ func TestCapacityBound(t *testing.T) {
 func TestTinyCapacity(t *testing.T) {
 	c := New[int](0) // clamped to 1
 	c.Put("a", 1)
+	c.Put("a", 1)
+	c.Put("b", 2)
 	c.Put("b", 2)
 	if s := c.Stats(); s.Entries != 1 || s.Capacity != 1 {
 		t.Errorf("stats = %+v, want 1 entry of capacity 1", s)
@@ -85,14 +240,16 @@ func TestTinyCapacity(t *testing.T) {
 
 // TestBounded holds the memory-leak regression line for Do, the
 // plan-template cache's only entry point: far more distinct keys than
-// capacity leave exactly capacity entries, the overflow visible as
-// evictions.
+// capacity, each asked twice so that it is admitted, leave exactly
+// capacity entries, the overflow visible as evictions.
 func TestBounded(t *testing.T) {
 	const capacity, keys = 64, 10000
 	c := New[int](capacity)
 	for i := 0; i < keys; i++ {
-		if _, err := c.Do(fmt.Sprintf("key-%d", i), func() (int, error) { return i, nil }); err != nil {
-			t.Fatal(err)
+		for range 2 {
+			if _, err := c.Do(fmt.Sprintf("key-%d", i), func() (int, error) { return i, nil }); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	s := c.Stats()
@@ -113,8 +270,11 @@ func TestLRUOrder(t *testing.T) {
 		}
 	}
 	do("a", 1)
+	do("a", 1) // second sighting: admitted
+	do("b", 2)
 	do("b", 2)
 	do("a", 1) // hit: b is now least recently used
+	do("c", 3)
 	do("c", 3)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted by c")
@@ -129,8 +289,10 @@ func TestLRUOrder(t *testing.T) {
 
 func TestPurge(t *testing.T) {
 	c := New[int](8)
-	c.Put("a", 1)
-	c.Put("b", 2)
+	for range 2 {
+		c.Put("a", 1)
+		c.Put("b", 2)
+	}
 	c.Purge()
 	if s := c.Stats(); s.Entries != 0 {
 		t.Errorf("entries after purge = %d", s.Entries)
@@ -160,6 +322,7 @@ func TestPurgeRebuilds(t *testing.T) {
 // without inserting it.
 func TestPurgeEpoch(t *testing.T) {
 	c := New[string](8)
+	c.Put("k", "") // first sighting, so the next build of k is admitted
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan string)
 	go func() {
@@ -191,6 +354,7 @@ func TestPurgeEpoch(t *testing.T) {
 
 func TestDoBuildsOnceAndHits(t *testing.T) {
 	c := New[string](8)
+	c.Put("k", "") // first sighting, so the build is admitted
 	builds := 0
 	for i := 0; i < 5; i++ {
 		v, err := c.Do("k", func() (string, error) { builds++; return "v", nil })
@@ -356,6 +520,7 @@ func TestConcurrentMixed(t *testing.T) {
 func TestSameKeyGetPutRace(t *testing.T) {
 	c := New[int](8)
 	c.Put("hot", 0)
+	c.Put("hot", 0) // admitted on its second sighting
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)

@@ -33,12 +33,15 @@ func parseQ(t *testing.T, src string) *flexpath.Query {
 	return s.Query
 }
 
-// A repeated q text is parsed once: every request gets the same
-// immutable *Query; different texts get different ones.
+// A repeated q text is parsed once it is kept: the memo keeps a text on
+// its second sighting, and every later request gets the same immutable
+// *Query; different texts get different ones.
 func TestParseSearchMemoizesQuery(t *testing.T) {
 	freshMemo(t)
 	a := `//item[./description/parlist]`
 	b := `//item[./name and .contains("gold")]`
+	parseQ(t, a) // first sightings: parsed, not kept
+	parseQ(t, b)
 	qa, qb := parseQ(t, a), parseQ(t, b)
 	if parseQ(t, a) != qa || parseQ(t, b) != qb {
 		t.Error("a repeated text was parsed again")
@@ -49,8 +52,8 @@ func TestParseSearchMemoizesQuery(t *testing.T) {
 	if got := qa.String(); got != flexpath.MustParseQuery(a).String() {
 		t.Errorf("memoized query renders %q", got)
 	}
-	if s := queries.Stats(); s.Misses != 2 || s.Hits != 2 || s.Entries != 2 {
-		t.Errorf("memo stats %+v, want 2 misses, 2 hits, 2 entries", s)
+	if s := queries.Stats(); s.Misses != 4 || s.Hits != 2 || s.Entries != 2 {
+		t.Errorf("memo stats %+v, want 4 misses, 2 hits, 2 entries", s)
 	}
 }
 
@@ -80,12 +83,14 @@ func TestParseSearchLongTextNotMemoized(t *testing.T) {
 	}
 }
 
-// The memo is bounded: after twice its capacity of distinct texts it
-// holds exactly its capacity.
+// The memo is bounded: after twice its capacity of distinct texts, each
+// asked twice so that it is kept, it holds exactly its capacity.
 func TestParseSearchMemoBounded(t *testing.T) {
 	freshMemo(t)
 	for i := range 2 * queryMemoCapacity {
-		parseQ(t, fmt.Sprintf("//item[./name and .contains(%q)]", fmt.Sprint("w", i)))
+		text := fmt.Sprintf("//item[./name and .contains(%q)]", fmt.Sprint("w", i))
+		parseQ(t, text)
+		parseQ(t, text)
 	}
 	if s := queries.Stats(); s.Entries != queryMemoCapacity || s.Evictions != queryMemoCapacity {
 		t.Errorf("memo stats %+v, want %d entries and evictions", s, queryMemoCapacity)
@@ -93,10 +98,14 @@ func TestParseSearchMemoBounded(t *testing.T) {
 }
 
 // Concurrent requests for the same texts share one parse each (run
-// under -race).
+// under -race). Each text is sighted once first, so its next parse is
+// kept.
 func TestParseSearchMemoConcurrent(t *testing.T) {
 	freshMemo(t)
 	texts := []string{`//a[./b]`, `//a[.//c]`, `//a[./b and .contains("x")]`}
+	for _, text := range texts {
+		parseQ(t, text)
+	}
 	got := make([][]*flexpath.Query, 8)
 	var wg sync.WaitGroup
 	for g := range got {

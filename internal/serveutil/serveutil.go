@@ -45,8 +45,9 @@ const (
 // queries memoizes q text → parsed query for ParseSearch. A *Query is
 // immutable and safe to share (it memoizes its canonical key and, on
 // the first template miss, its relaxation shape), so a repeated text
-// skips parsing, and after a mutation it skips rebuilding the shape.
-// Parse errors are never stored.
+// skips parsing, and after a mutation it skips rebuilding the shape. A
+// text is kept on its second sighting, so one asked once stays out;
+// parse errors are never stored.
 var queries = lru.New[*flexpath.Query](queryMemoCapacity)
 
 var (

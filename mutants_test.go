@@ -21,10 +21,16 @@ import (
 //	<text the file must contain exactly once>
 //	--- new
 //	<text that replaces it>
+//
+// There may be one expect line per package. An equivalent mutant, one
+// no test can tell from the code, has an "equivalent: <why>" line in
+// place of its expect lines: it is reported and not run.
 type mutant struct {
-	file, pkg string
-	tests     []string
-	from, to  string
+	file       string
+	pkgs       []string
+	tests      []string
+	equivalent string
+	from, to   string
 }
 
 func readMutant(t *testing.T, path string) mutant {
@@ -43,13 +49,15 @@ func readMutant(t *testing.T, path string) mutant {
 		if f, ok := strings.CutPrefix(line, "file: "); ok {
 			m.file = f
 		} else if e, ok := strings.CutPrefix(line, "expect: "); ok {
-			if f := strings.Fields(e); len(f) > 0 {
-				m.pkg, m.tests = f[0], f[1:]
+			if f := strings.Fields(e); len(f) > 1 {
+				m.pkgs, m.tests = append(m.pkgs, f[0]), append(m.tests, f[1:]...)
 			}
+		} else if why, ok := strings.CutPrefix(line, "equivalent: "); ok {
+			m.equivalent = why
 		}
 	}
-	if m.file == "" || len(m.tests) == 0 {
-		t.Fatalf("%s: want a file: line and an expect: line naming a package and its tests", path)
+	if m.file == "" || (len(m.tests) == 0) == (m.equivalent == "") {
+		t.Fatalf("%s: want a file: line and either expect: lines naming a package and its tests or an equivalent: line", path)
 	}
 	return m
 }
@@ -59,6 +67,7 @@ func readMutant(t *testing.T, path string) mutant {
 // test -overlay), so the tree is never touched. A mutant dies when every
 // one of those tests fails. One whose old text does not match exactly
 // once, or that does not compile, fails the run too: neither is a kill.
+// An equivalent mutant is checked to apply and then skipped.
 //
 //	go test -tags mutants -run TestMutantsDie .
 func TestMutantsDie(t *testing.T) {
@@ -76,6 +85,9 @@ func TestMutantsDie(t *testing.T) {
 			if n := strings.Count(string(src), m.from); n != 1 {
 				t.Fatalf("the old text occurs %d times in %s, want once", n, m.file)
 			}
+			if m.equivalent != "" {
+				t.Skipf("equivalent: %s", m.equivalent)
+			}
 			dir := t.TempDir()
 			mutated := filepath.Join(dir, filepath.Base(m.file))
 			if err := os.WriteFile(mutated, []byte(strings.Replace(string(src), m.from, m.to, 1)), 0o644); err != nil {
@@ -92,9 +104,10 @@ func TestMutantsDie(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := exec.Command("go", "test", "-count=1", "-timeout=5m",
+			args := append([]string{"test", "-count=1", "-timeout=5m",
 				"-overlay", filepath.Join(dir, "overlay.json"),
-				"-run", "^("+strings.Join(m.tests, "|")+")$", m.pkg).CombinedOutput()
+				"-run", "^(" + strings.Join(m.tests, "|") + ")$"}, m.pkgs...)
+			out, err := exec.Command("go", args...).CombinedOutput()
 			switch {
 			case bytes.Contains(out, []byte("[build failed]")) || bytes.Contains(out, []byte("[setup failed]")):
 				t.Fatalf("the mutant does not compile:\n%s", out)

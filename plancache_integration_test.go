@@ -15,10 +15,15 @@ import (
 // TestPlanCacheStampedeBuildsOnce is the regression test for the old
 // chain memo's check-then-build race: N goroutines missing the same
 // query shape at once must coalesce onto exactly one template build.
-// Run under -race this also exercises the single-flight handoff.
+// Run under -race this also exercises the single-flight handoff. A first
+// search sights the shape, so the stampede's one build is kept and a
+// late arrival hits it.
 func TestPlanCacheStampedeBuildsOnce(t *testing.T) {
 	doc := xmarkDoc(t, 200, 7)
 	q := MustParseQuery(`//item[./description/parlist and ./mailbox/mail/text]`)
+	if _, err := doc.Search(q, SearchOptions{K: 10, Algorithm: Hybrid}); err != nil {
+		t.Fatal(err)
+	}
 	const n = 16
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -47,8 +52,8 @@ func TestPlanCacheStampedeBuildsOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("PlanCacheStats reported no cache")
 	}
-	if st.Misses != 1 {
-		t.Errorf("Misses = %d, want 1 (one build for %d concurrent searches)", st.Misses, n)
+	if st.Misses != 2 {
+		t.Errorf("Misses = %d, want 2 (the sighting, then one build for %d concurrent searches)", st.Misses, n)
 	}
 	if st.Hits+st.Dedups != n-1 {
 		t.Errorf("Hits+Dedups = %d+%d, want %d", st.Hits, st.Dedups, n-1)
@@ -62,6 +67,13 @@ func TestPlanCacheStampedeBuildsOnce(t *testing.T) {
 func TestPlanCacheAnswersIdentical(t *testing.T) {
 	cached := xmarkDoc(t, 200, 7)
 	q := MustParseQuery(`//item[./description/parlist and ./mailbox/mail/text]`)
+	// The template key covers the query alone, not the algorithm or the
+	// scheme, and a template is kept on its second sighting: this first
+	// search sights it, so that the first case's prime keeps it and every
+	// warm search below is a template hit.
+	if _, err := cached.Search(q, SearchOptions{K: 15}); err != nil {
+		t.Fatalf("sighting: %v", err)
+	}
 	for _, algo := range []Algorithm{Auto, Hybrid, SSO, DPO} {
 		for _, scheme := range []Scheme{StructureFirst, KeywordFirst, Combined} {
 			opts := SearchOptions{K: 15, Algorithm: algo, Scheme: scheme}
@@ -72,9 +84,13 @@ func TestPlanCacheAnswersIdentical(t *testing.T) {
 			if _, err := cached.Search(q, opts); err != nil { // populates the template
 				t.Fatalf("%v/%v prime: %v", algo, scheme, err)
 			}
+			before, _ := cached.PlanCacheStats()
 			warm, err := cached.Search(q, opts) // template hit
 			if err != nil {
 				t.Fatalf("%v/%v warm: %v", algo, scheme, err)
+			}
+			if after, _ := cached.PlanCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+				t.Errorf("%v/%v warm: plan cache %+v -> %+v, want one hit and no miss", algo, scheme, before, after)
 			}
 			if algo == Auto {
 				// Auto's algorithm choice depends on its timing-calibrated
@@ -100,10 +116,54 @@ func TestPlanCacheAnswersIdentical(t *testing.T) {
 	}
 }
 
+// TestQueryAskedOnceLeavesNothing: both caches admit a key on its second
+// sighting, so ad hoc queries, each asked once, keep neither a template
+// nor a result part, while a query asked twice keeps one template per
+// member and one entry, and its third ask is a hit that does no work.
+func TestQueryAskedOnceLeavesNothing(t *testing.T) {
+	c := NewCollection()
+	for i := 0; i < 3; i++ {
+		if err := c.Add(fmt.Sprintf("d%d.xml", i), xmarkDoc(t, 16, int64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetCache(1024)
+	opts := SearchOptions{K: 5}
+	for i := 0; i < 100; i++ {
+		q := MustParseQuery(fmt.Sprintf(`//item[./name and .contains("w%d")]`, i))
+		if _, err := c.Search(q, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps, _ := c.PlanCacheStats()
+	cs, _ := c.CacheStats()
+	if ps.Entries != 0 || ps.Misses != 300 || cs.Entries != 0 || cs.Misses != 100 {
+		t.Fatalf("after 100 fresh queries: plan cache %+v, result cache %+v; want 300 and 100 misses, nothing kept", ps, cs)
+	}
+	q := MustParseQuery(`//item[./description/parlist and .contains("gold")]`)
+	for range 2 {
+		if _, err := c.Search(q, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps, _ = c.PlanCacheStats()
+	cs, _ = c.CacheStats()
+	if ps.Entries != 3 || cs.Entries != 1 {
+		t.Fatalf("a query asked twice left %d templates and %d entries, want 3 and 1", ps.Entries, cs.Entries)
+	}
+	var m Metrics
+	if _, err := c.Search(q, SearchOptions{K: 5, Metrics: &m}); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := c.CacheStats(); now.Hits != cs.Hits+1 || m.QueriesEvaluated != 0 || m.PlansRun != 0 {
+		t.Errorf("third ask: result-cache hits %d -> %d, metrics %+v; want a hit that did no work", cs.Hits, now.Hits, m)
+	}
+}
+
 // TestPlanCacheBounded feeds far more distinct query shapes than the
 // cache's capacity: the cache must stay within its bound and account for
 // every displaced template, where the old unbounded memo grew without
-// limit.
+// limit. Each shape is searched twice, so that its template is kept.
 func TestPlanCacheBounded(t *testing.T) {
 	doc := xmarkDoc(t, 64, 3)
 	const shapes = 2 * DefaultPlanCacheCapacity
@@ -111,8 +171,10 @@ func TestPlanCacheBounded(t *testing.T) {
 		// Distinct K values produce distinct contains terms, hence
 		// distinct canonical queries and distinct template keys.
 		q := MustParseQuery(fmt.Sprintf(`//item[./name and .contains("term%d")]`, i))
-		if _, err := doc.Search(q, SearchOptions{K: 3, Algorithm: Hybrid}); err != nil {
-			t.Fatalf("shape %d: %v", i, err)
+		for range 2 {
+			if _, err := doc.Search(q, SearchOptions{K: 3, Algorithm: Hybrid}); err != nil {
+				t.Fatalf("shape %d: %v", i, err)
+			}
 		}
 	}
 	st, ok := doc.PlanCacheStats()
@@ -125,8 +187,8 @@ func TestPlanCacheBounded(t *testing.T) {
 	if st.Capacity < DefaultPlanCacheCapacity || st.Capacity >= 2*DefaultPlanCacheCapacity {
 		t.Errorf("Capacity = %d, want within [%d, %d)", st.Capacity, DefaultPlanCacheCapacity, 2*DefaultPlanCacheCapacity)
 	}
-	if st.Misses != shapes {
-		t.Errorf("Misses = %d, want %d (every shape distinct)", st.Misses, shapes)
+	if st.Misses != 2*shapes {
+		t.Errorf("Misses = %d, want %d (every shape distinct, each searched twice)", st.Misses, 2*shapes)
 	}
 	if got, want := st.Evictions, uint64(shapes-st.Entries); got != want {
 		t.Errorf("Evictions = %d, want %d (misses - retained entries)", got, want)
@@ -155,7 +217,8 @@ func TestPlanCacheSkipsChainAndPlanStages(t *testing.T) {
 		}
 		return top[0]
 	}
-	search() // cold: builds chain, levels and plans into the template
+	search() // cold: builds the template, and only sights its key
+	search() // cold again: builds chain, levels and plans into the kept template
 	warm := search()
 	st, ok := doc.PlanCacheStats()
 	if !ok || st.Hits == 0 {
